@@ -298,7 +298,7 @@ def _sub_hopf_on_subspace(h: HopfData, sub: SubspaceBasis):
 
 def _tensor_coords(f, sub: SubspaceBasis, flat: list, n: int):
     """Coordinates of a vector of H (x) H in the basis {v_i (x) v_j}, or None."""
-    from .linalg import AffineSystem, solve_affine
+    from .linalg import span_coordinates
     m = sub.dim
     cols = []
     for i in range(m):
@@ -310,10 +310,10 @@ def _tensor_coords(f, sub: SubspaceBasis, flat: list, n: int):
                         if y:
                             w[a * n + b] = f.mul(x, y)
             cols.append(w)
-    sol = solve_affine(AffineSystem(Mat.from_columns(f, cols), flat))
-    if sol is None:
+    coords = span_coordinates(f, cols, flat)
+    if coords is None:
         return None
-    return [[sol.particular[i * m + j] for j in range(m)] for i in range(m)]
+    return [[coords[i * m + j] for j in range(m)] for i in range(m)]
 
 
 def cmd_truth_table(args) -> int:

@@ -15,6 +15,7 @@ exists.  Every constructed double is pushed through the axiom checker.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .fields import FieldSpec
@@ -56,7 +57,7 @@ class ExtensionData:
 class RelTensor:
     """R (x)_S R presented by a projection/section pair on R (x) R."""
 
-    projection_rows: list    # RREF rows of the relation span
+    projection_rows: list    # RREF rows of the relation span, as sparse rows
     pivot_cols: list
     free_cols: list
     ambient: int             # dim(R (x) R)
@@ -66,17 +67,33 @@ class RelTensor:
     def dim(self) -> int:
         return len(self.free_cols)
 
+    @cached_property
+    def _images(self) -> list:
+        """Quotient coordinates of each ambient basis vector, as (index, coefficient)
+        pairs: a free column is a quotient basis vector, and a pivot column is
+        minus the free part of its reduced relation row."""
+        f = self.field
+        where = {c: t for t, c in enumerate(self.free_cols)}
+        images = [None] * self.ambient
+        for c, t in where.items():
+            images[c] = [(t, f.one)]
+        for p, row in zip(self.pivot_cols, self.projection_rows):
+            images[p] = [(where[j], f.neg(rv)) for j, rv in row[1:]]
+        return images
+
+    def project_sparse(self, v: dict) -> dict:
+        """Quotient coordinates {index: coefficient} of a sparse vector {column: value}."""
+        f = self.field
+        out = {}
+        for j, x in v.items():
+            for t, c in self._images[j]:
+                out[t] = f.add(out.get(t, f.zero), f.mul(x, c))
+        return out
+
     def project(self, v: list) -> list:
         """Coordinates in the quotient basis indexed by free columns."""
-        f = self.field
-        w = v[:]
-        for row, p in zip(self.projection_rows, self.pivot_cols):
-            c = w[p]
-            if c:
-                for j, rv in enumerate(row):
-                    if rv:
-                        w[j] = f.sub(w[j], f.mul(c, rv))
-        return [w[j] for j in self.free_cols]
+        out = self.project_sparse({j: x for j, x in enumerate(v) if x})
+        return [out.get(t, self.field.zero) for t in range(self.dim)]
 
     def lift(self, q: list) -> list:
         """The canonical representative in R (x) R of a quotient vector."""
@@ -252,14 +269,9 @@ def _solve_antipode(alg: AlgebraData, coa: CoalgebraData) -> Optional[Mat]:
                         if pv:
                             d = block[t]
                             d[unk] = f.add(d.get(unk, f.zero), f.mul(cIJ, pv))
-            tgt = [f.mul(coa.counit[K], u) for u in alg.unit]
-            for t in range(N):
-                row = [f.zero] * (N * N)
-                for unk, v in block[t].items():
-                    row[unk] = v
-                rows.append(row)
-                rhs.append(tgt[t])
-    sol = solve_affine(AffineSystem(Mat(f, len(rows), N * N, rows), rhs))
+            rows.extend(block)
+            rhs.extend(f.mul(coa.counit[K], u) for u in alg.unit)
+    sol = solve_affine(AffineSystem.sparse(f, rows, rhs, N * N))
     if sol is None:
         return None
     if sol.nullspace.cols != 0:
@@ -276,25 +288,20 @@ def relative_tensor(ext: ExtensionData) -> RelTensor:
     scols = ext.embedding.columns()
     relations = []
     for s in scols:
-        # precompute products e_i · s and s · e_j
-        left = [r.mul(_basis(f, nr, i), s) for i in range(nr)]
-        right = [r.mul(s, _basis(f, nr, j)) for j in range(nr)]
+        # nonzero coordinates of the products e_i · s and s · e_j
+        left = [[(k, x) for k, x in enumerate(r.mul(_basis(f, nr, i), s)) if x]
+                for i in range(nr)]
+        right = [[(k, x) for k, x in enumerate(r.mul(s, _basis(f, nr, j))) if x]
+                 for j in range(nr)]
         for i in range(nr):
-            li = left[i]
             for j in range(nr):
-                rj = right[j]
-                vec = [f.zero] * amb
-                nonzero = False
-                for k, x in enumerate(li):
-                    if x:
-                        vec[k * nr + j] = f.add(vec[k * nr + j], x)
-                        nonzero = True
-                for k, x in enumerate(rj):
-                    if x:
-                        vec[i * nr + k] = f.sub(vec[i * nr + k], x)
-                        nonzero = True
-                if nonzero and any(not f.is_zero(v) for v in vec):
-                    relations.append(vec)
+                vec = {k * nr + j: x for k, x in left[i]}
+                for k, x in right[j]:
+                    col = i * nr + k
+                    vec[col] = f.sub(vec.get(col, f.zero), x)
+                row = [(c, v) for c, v in vec.items() if v]
+                if row:
+                    relations.append(row)
     pivots = _rref(relations, amb, f) if relations else []
     rows = relations[: len(pivots)]
     pivot_set = set(pivots)
@@ -316,63 +323,31 @@ def separable_extension(ext: ExtensionData) -> Optional[ExtensionIdempotent]:
     rel = relative_tensor(ext)
     q = rel.dim
 
-    lifted = [rel.lift(_basis(f, q, t)) for t in range(q)]
-
-    def act_left(i, v):
-        out = [f.zero] * rel.ambient
-        for t, x in enumerate(v):
-            if not x:
-                continue
-            a, b = divmod(t, nr)
-            for k, m in enumerate(r.mult[i][a]):
-                if m:
-                    out[k * nr + b] = f.add(out[k * nr + b], f.mul(x, m))
-        return out
-
-    def act_right(j, v):
-        out = [f.zero] * rel.ambient
-        for t, x in enumerate(v):
-            if not x:
-                continue
-            a, b = divmod(t, nr)
-            for k, m in enumerate(r.mult[b][j]):
-                if m:
-                    out[a * nr + k] = f.add(out[a * nr + k], f.mul(x, m))
-        return out
-
+    legs = [divmod(c, nr) for c in rel.free_cols]  # quotient basis t: class of e_a (x) e_b
     rows = []
     rhs = []
     # m(e) = 1_R
-    mul_cols = []
-    for v in lifted:
-        out = [f.zero] * nr
-        for t, x in enumerate(v):
-            if x:
-                a, b = divmod(t, nr)
-                for k, m in enumerate(r.mult[a][b]):
-                    if m:
-                        out[k] = f.add(out[k], f.mul(x, m))
-        mul_cols.append(out)
     for k in range(nr):
-        rows.append([mul_cols[t][k] for t in range(q)])
+        rows.append({t: x for t, (a, b) in enumerate(legs) if (x := r.mult[a][b][k])})
         rhs.append(r.unit[k])
-    # r·e = e·r in the quotient, for every basis r
+    # r·e = e·r in the quotient, for every basis r: e_i·(e_a (x) e_b) - (e_a (x) e_b)·e_i
     for i in range(nr):
-        lcols = [rel.project(act_left(i, v)) for v in lifted]
-        rcols = [rel.project(act_right(i, v)) for v in lifted]
-        for k in range(q):
-            rows.append([f.sub(lcols[t][k], rcols[t][k]) for t in range(q)])
-            rhs.append(f.zero)
-    sol = solve_affine(AffineSystem(Mat(f, len(rows), q, rows), rhs))
+        block = [{} for _ in range(q)]
+        for t, (a, b) in enumerate(legs):
+            diff = {k * nr + b: m for k, m in enumerate(r.mult[i][a]) if m}
+            for k, m in enumerate(r.mult[b][i]):
+                if m:
+                    col = a * nr + k
+                    diff[col] = f.sub(diff.get(col, f.zero), m)
+            for k, v in rel.project_sparse(diff).items():
+                block[k][t] = v
+        rows.extend(block)
+        rhs.extend([f.zero] * q)
+    sol = solve_affine(AffineSystem.sparse(f, rows, rhs, q))
     if sol is None:
         return None
     coords = sol.particular
-    rep = [f.zero] * rel.ambient
-    for t, x in enumerate(coords):
-        if x:
-            for k, v in enumerate(lifted[t]):
-                if v:
-                    rep[k] = f.add(rep[k], f.mul(x, v))
+    rep = rel.lift(coords)
     cert = ExtensionIdempotent(coords, rep)
     _verify_extension_idempotent(ext, rel, cert)
     return cert

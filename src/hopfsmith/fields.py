@@ -1,9 +1,10 @@
 """Exact ground fields: the rationals (characteristic 0) and prime fields F_p.
 
 Scalars are plain Python objects, not wrappers: ``Fraction`` over the
-rationals, ``int`` reduced to ``[0, p)`` over F_p.  Every routine in the
-package receives the ambient :class:`FieldSpec` explicitly and never touches
-floating point.
+rationals, ``int`` reduced to ``[0, p)`` over F_p.  Both are canonical, so two
+scalars are equal exactly when ``a == b`` and zero exactly when ``not a``.
+Every routine in the package receives the ambient :class:`FieldSpec`
+explicitly and never touches floating point.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from math import isqrt
 Scalar = object  # Fraction (char 0) or int (char p)
 
 _MAX_PRIME = 2**31
+_Q_ZERO = Fraction(0)
+_Q_ONE = Fraction(1)
 
 
 def _is_prime(p: int) -> bool:
@@ -39,19 +42,11 @@ class FieldSpec:
 
     def __post_init__(self):
         c = self.characteristic
-        if c == 0:
-            return
-        if c >= _MAX_PRIME or not _is_prime(c):
+        if c and (c >= _MAX_PRIME or not _is_prime(c)):
             raise ValueError(f"characteristic must be 0 or a prime below 2^31, got {c}")
-
-    # -- constants ---------------------------------------------------------
-    @property
-    def zero(self) -> Scalar:
-        return Fraction(0) if self.characteristic == 0 else 0
-
-    @property
-    def one(self) -> Scalar:
-        return Fraction(1) if self.characteristic == 0 else 1
+        # the constants are shared, not rebuilt per access (scalars are immutable)
+        object.__setattr__(self, "zero", 0 if c else _Q_ZERO)
+        object.__setattr__(self, "one", 1 if c else _Q_ONE)
 
     # -- arithmetic --------------------------------------------------------
     def from_int(self, k: int) -> Scalar:
@@ -93,13 +88,15 @@ class FieldSpec:
 
     # -- predicates and conversion ------------------------------------------
     def is_zero(self, a: Scalar) -> bool:
-        return a == 0 if self.characteristic == 0 else a % self.characteristic == 0
+        return not a
 
     def eq(self, a: Scalar, b: Scalar) -> bool:
-        return self.is_zero(self.sub(a, b))
+        return a == b
 
     def parse(self, obj) -> Scalar:
         """Read a scalar from its JSON form: int, or "p/q" string over Q."""
+        if isinstance(obj, bool):
+            raise ValueError(f"cannot parse a scalar from the boolean {obj!r}")
         if self.characteristic == 0:
             if isinstance(obj, str):
                 return Fraction(obj)

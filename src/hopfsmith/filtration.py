@@ -15,7 +15,8 @@ from typing import Optional
 
 from .fields import FieldSpec
 from .hopf import AlgebraData, CoalgebraData, HopfData, SubspaceBasis, _unitvec
-from .linalg import (AffineSystem, Mat, in_span, nullspace, rank, solve_affine,
+from .integrals import idempotent_system
+from .linalg import (Mat, SparseMat, in_span, nullspace, rank, solve_affine,
                      span_contains_span, spans_equal)
 
 
@@ -178,7 +179,7 @@ def _quotient_algebra(a: AlgebraData, ideal_vectors: list):
     picked = []
     for i in range(n):
         cand = chosen + [_unitvec(f, n, i)]
-        if rank(Mat(f, len(cand), n, [v[:] for v in cand])) == len(cand):
+        if rank(Mat(f, len(cand), n, cand)) == len(cand):
             chosen.append(_unitvec(f, n, i))
             picked.append(i)
         if len(chosen) == n:
@@ -203,37 +204,7 @@ def _has_separability_idempotent(a: AlgebraData) -> bool:
 
     Over perfect ground fields (Q and F_p) this is exactly semisimplicity.
     """
-    f = a.field
-    n = a.dim
-    if n == 0:
-        return True
-    nn = n * n
-    rows = []
-    rhs = []
-    for k in range(n):
-        row = [f.zero] * nn
-        for i in range(n):
-            for j in range(n):
-                c = a.mult[i][j][k]
-                if c:
-                    row[i * n + j] = f.add(row[i * n + j], c)
-        rows.append(row)
-        rhs.append(a.unit[k])
-    for x in range(n):
-        for pp in range(n):
-            for qq in range(n):
-                row = [f.zero] * nn
-                for i in range(n):
-                    c1 = a.mult[x][i][pp]
-                    if c1:
-                        row[i * n + qq] = f.add(row[i * n + qq], c1)
-                for j in range(n):
-                    c2 = a.mult[j][x][qq]
-                    if c2:
-                        row[pp * n + j] = f.sub(row[pp * n + j], c2)
-                rows.append(row)
-                rhs.append(f.zero)
-    return solve_affine(AffineSystem(Mat(f, len(rows), nn, rows), rhs)) is not None
+    return a.dim == 0 or solve_affine(idempotent_system(a)) is not None
 
 
 def radical(a: AlgebraData) -> SubspaceBasis:
@@ -277,7 +248,7 @@ def coradical(c: CoalgebraData) -> SubspaceBasis:
     if not rad.vectors:
         out = SubspaceBasis(n, [_unitvec(f, n, i) for i in range(n)])
     else:
-        ann = nullspace(Mat(f, len(rad.vectors), n, [v[:] for v in rad.vectors]))
+        ann = nullspace(Mat(f, len(rad.vectors), n, rad.vectors))
         out = SubspaceBasis(n, ann.columns())
     if not is_subcoalgebra(out, c):
         raise AssertionError("coradical is not a subcoalgebra")
@@ -320,7 +291,7 @@ def wedge(x: SubspaceBasis, y: SubspaceBasis, e: CoalgebraData) -> SubspaceBasis
     rows = []
     for p in range(qx):
         for q in range(qy):
-            row = [f.zero] * n
+            row = []
             for k in range(n):
                 acc = f.zero
                 for i in range(n):
@@ -332,9 +303,10 @@ def wedge(x: SubspaceBasis, y: SubspaceBasis, e: CoalgebraData) -> SubspaceBasis
                             b = py.data[q][j]
                             if b:
                                 acc = f.add(acc, f.mul(a, f.mul(d, b)))
-                row[k] = acc
+                if acc:
+                    row.append((k, acc))
             rows.append(row)
-    ker = nullspace(Mat(f, len(rows), n, rows))
+    ker = nullspace(SparseMat(f, len(rows), n, rows))
     return SubspaceBasis(n, ker.columns())
 
 
@@ -344,7 +316,7 @@ def _quotient_projection(field: FieldSpec, n: int, subspace_vectors: list) -> Ma
     chosen = [v[:] for v in subspace_vectors]
     for i in range(n):
         cand = chosen + [_unitvec(field, n, i)]
-        if rank(Mat(field, len(cand), n, [v[:] for v in cand])) == len(cand):
+        if rank(Mat(field, len(cand), n, cand)) == len(cand):
             chosen.append(_unitvec(field, n, i))
         if len(chosen) == n:
             break

@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import Optional
 
 from .fields import FieldSpec
-from .linalg import AffineSystem, Mat, invert, nullspace, rank, solve_affine
+from .linalg import Mat, invert, nullspace, rank, span_coordinates
 
 
 @dataclass
@@ -268,7 +268,7 @@ class HopfData:
 
 
 def _vec_eq(field: FieldSpec, a: list, b: list) -> bool:
-    return all(field.eq(x, y) for x, y in zip(a, b))
+    return a == b  # scalars are canonical; list equality also compares lengths
 
 
 def check_algebra(a: AlgebraData) -> AxiomReport:
@@ -441,17 +441,11 @@ class SubspaceBasis:
     def dim(self) -> int:
         return len(self.vectors)
 
-    def matrix(self, field: FieldSpec) -> Mat:
-        if not self.vectors:
-            return Mat(field, self.ambient_dim, 0, [[] for _ in range(self.ambient_dim)])
-        return Mat.from_columns(field, self.vectors)
-
     def coords_of(self, field: FieldSpec, v: list) -> Optional[list]:
         """Coordinates of v in this basis, or None if v is outside the span."""
         if not self.vectors:
-            return [] if all(field.is_zero(x) for x in v) else None
-        sol = solve_affine(AffineSystem(self.matrix(field), v))
-        return None if sol is None else sol.particular
+            return [] if not any(v) else None
+        return span_coordinates(field, self.vectors, v)
 
     def contains(self, field: FieldSpec, v: list) -> bool:
         return self.coords_of(field, v) is not None
@@ -482,7 +476,7 @@ def unit_cokernel(h: HopfData) -> QuotientSplitting:
     picked = []
     for i in range(n):
         cand = chosen + [_unitvec(f, n, i)]
-        if rank(Mat(f, len(cand), n, [v[:] for v in cand])) == len(cand):
+        if rank(Mat(f, len(cand), n, cand)) == len(cand):
             chosen.append(_unitvec(f, n, i))
             picked.append(i)
         if len(chosen) == n:

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
-from .hopf import HopfData, SubspaceBasis, _unitvec
-from .linalg import AffineSystem, Mat, solve_affine, spans_equal
+from .hopf import AlgebraData, HopfData, SubspaceBasis, _unitvec
+from .linalg import AffineSystem, Mat, SparseMat, nullspace, solve_affine, spans_equal
 from .yd import adjoint_action, adjoint_coaction
 
 
@@ -35,33 +35,25 @@ class SeparabilityCertificate:
     verified: list = dc_field(default_factory=list)
 
 
-def _left_integral_system(h: HopfData) -> Mat:
-    """Stacked rows of (L_{e_i} - eps(e_i)·id) whose kernel is the left integrals."""
+def _integral_system(h: HopfData, side: str) -> SparseMat:
+    """Stacked rows of (L_{e_i} - eps(e_i)·id), or of R_{e_i} for the right side,
+    whose kernel is the (left|right) integrals."""
     f = h.field
     n = h.dim
+    mult = h.alg.mult
     rows = []
     for i in range(n):
-        l = h.alg.left_mult_matrix(_unitvec(f, n, i))
+        block = [{} for _ in range(n)]
+        for j in range(n):
+            for r, c in enumerate(mult[i][j] if side == "left" else mult[j][i]):
+                if c:
+                    block[r][j] = c
         e = h.coa.counit[i]
-        for r in range(n):
-            row = list(l.data[r])
-            row[r] = f.sub(row[r], e)
-            rows.append(row)
-    return Mat(f, len(rows), n, rows)
-
-
-def _right_integral_system(h: HopfData) -> Mat:
-    f = h.field
-    n = h.dim
-    rows = []
-    for i in range(n):
-        r_ = h.alg.right_mult_matrix(_unitvec(f, n, i))
-        e = h.coa.counit[i]
-        for r in range(n):
-            row = list(r_.data[r])
-            row[r] = f.sub(row[r], e)
-            rows.append(row)
-    return Mat(f, len(rows), n, rows)
+        if e:
+            for r, row in enumerate(block):
+                row[r] = f.sub(row.get(r, f.zero), e)
+        rows.extend([(j, x) for j, x in row.items() if x] for row in block)
+    return SparseMat(f, len(rows), n, rows)
 
 
 def integral_space(h: HopfData, side: str = "left", carrier: str = "in_h") -> SubspaceBasis:
@@ -72,9 +64,7 @@ def integral_space(h: HopfData, side: str = "left", carrier: str = "in_h") -> Su
         raise ValueError(f"side must be left or right, got {side!r}")
     from .hopf import dual_hopf
     target = h if carrier == "in_h" else dual_hopf(h)
-    sysmat = _left_integral_system(target) if side == "left" else _right_integral_system(target)
-    from .linalg import nullspace
-    ns = nullspace(sysmat)
+    ns = nullspace(_integral_system(target, side))
     basis = SubspaceBasis(h.dim, ns.columns())
     _verify_integral_space(target, basis, side)
     return basis
@@ -131,26 +121,25 @@ def ad_invariant_integral(h: HopfData) -> Optional[IntegralCertificate]:
     # (a): for each k: sum_j comult[k][i][j] lam_j - lam_k unit_i = 0, all i
     for k in range(n):
         for i in range(n):
-            row = [f.zero] * n
-            for j in range(n):
-                c = h.coa.comult[k][i][j]
-                if c:
-                    row[j] = f.add(row[j], c)
-            row[k] = f.sub(row[k], h.alg.unit[i])
+            row = {j: c for j, c in enumerate(h.coa.comult[k][i]) if c}
+            u = h.alg.unit[i]
+            if u:
+                row[k] = f.sub(row.get(k, f.zero), u)
             rows.append(row)
             rhs.append(f.zero)
     # (b): lam(e_k |> e_t) = eps(e_k) lam(e_t)
     for k in range(n):
         ek = h.coa.counit[k]
         for t in range(n):
-            row = list(adl.tensor[k][t])
-            row[t] = f.sub(row[t], ek)
+            row = {j: c for j, c in enumerate(adl.tensor[k][t]) if c}
+            if ek:
+                row[t] = f.sub(row.get(t, f.zero), ek)
             rows.append(row)
             rhs.append(f.zero)
     # (c): lam(1) = 1
-    rows.append(list(h.alg.unit))
+    rows.append({j: u for j, u in enumerate(h.alg.unit) if u})
     rhs.append(f.one)
-    sol = solve_affine(AffineSystem(Mat(f, len(rows), n, rows), rhs))
+    sol = solve_affine(AffineSystem.sparse(f, rows, rhs, n))
     if sol is None:
         return None
     if sol.nullspace.cols != 0:
@@ -197,30 +186,22 @@ def ad_coinvariant_integral(h: HopfData) -> Optional[IntegralCertificate]:
     f = h.field
     n = h.dim
     rho = adjoint_coaction(h, "rho_l")
-    rows = []
-    rhs = []
     # (a): left integral rows
-    li = _left_integral_system(h)
-    for row in li.data:
-        rows.append(list(row))
-        rhs.append(f.zero)
+    rows = [dict(row) for row in _integral_system(h, "left").data]
+    rhs = [f.zero] * len(rows)
     # (b): rho_l(t) = 1 (x) t  componentwise in H (x) H
     for i in range(n):
+        u = h.alg.unit[i]
         for k in range(n):
-            row = [f.zero] * n
-            for j in range(n):
-                c = rho.tensor[j][i][k]
-                if c:
-                    row[j] = f.add(row[j], c)
-            u = h.alg.unit[i]
+            row = {j: c for j in range(n) if (c := rho.tensor[j][i][k])}
             if u:
-                row[k] = f.sub(row[k], u)
+                row[k] = f.sub(row.get(k, f.zero), u)
             rows.append(row)
             rhs.append(f.zero)
     # (c): eps(t) = 1
-    rows.append(list(h.coa.counit))
+    rows.append({j: e for j, e in enumerate(h.coa.counit) if e})
     rhs.append(f.one)
-    sol = solve_affine(AffineSystem(Mat(f, len(rows), n, rows), rhs))
+    sol = solve_affine(AffineSystem.sparse(f, rows, rhs, n))
     if sol is None:
         return None
     if sol.nullspace.cols != 0:
@@ -286,39 +267,35 @@ def four_coinvariance_flags(h: HopfData, t: list) -> dict:
 # Separability idempotents and coseparability retractions
 # ---------------------------------------------------------------------------
 
-def _blind_idempotent(h: HopfData) -> Optional[list]:
-    """Affine search for e in H (x) H with m(e) = 1, (h (x) 1)e = e(1 (x) h)."""
-    f = h.field
-    n = h.dim
-    nn = n * n
+def idempotent_system(a: AlgebraData) -> AffineSystem:
+    """The affine system for e in A (x) A with m(e) = 1 and (x (x) 1)e = e(1 (x) x)."""
+    f = a.field
+    n = a.dim
+    mult = a.mult
     rows = []
     rhs = []
     # m(e) = 1
     for k in range(n):
-        row = [f.zero] * nn
-        for i in range(n):
-            for j in range(n):
-                c = h.alg.mult[i][j][k]
-                if c:
-                    row[i * n + j] = f.add(row[i * n + j], c)
-        rows.append(row)
-        rhs.append(h.alg.unit[k])
-    # (e_a (x) 1) e = e (1 (x) e_a)
-    for a in range(n):
+        rows.append({i * n + j: c for i in range(n) for j in range(n) if (c := mult[i][j][k])})
+        rhs.append(a.unit[k])
+    # (e_x (x) 1) e = e (1 (x) e_x): components (p, q)
+    for x in range(n):
         for p in range(n):
             for q in range(n):
-                row = [f.zero] * nn
-                for i in range(n):
-                    for j in range(n):
-                        c1 = h.alg.mult[a][i][p] if j == q else f.zero
-                        if c1:
-                            row[i * n + j] = f.add(row[i * n + j], c1)
-                        c2 = h.alg.mult[j][a][q] if i == p else f.zero
-                        if c2:
-                            row[i * n + j] = f.sub(row[i * n + j], c2)
+                row = {i * n + q: c for i in range(n) if (c := mult[x][i][p])}
+                for j in range(n):
+                    c = mult[j][x][q]
+                    if c:
+                        col = p * n + j
+                        row[col] = f.sub(row.get(col, f.zero), c)
                 rows.append(row)
                 rhs.append(f.zero)
-    sol = solve_affine(AffineSystem(Mat(f, len(rows), nn, rows), rhs))
+    return AffineSystem.sparse(f, rows, rhs, n * n)
+
+
+def _blind_idempotent(h: HopfData) -> Optional[list]:
+    """Affine search for e in H (x) H with m(e) = 1, (h (x) 1)e = e(1 (x) h)."""
+    sol = solve_affine(idempotent_system(h.alg))
     return None if sol is None else sol.particular
 
 
@@ -387,55 +364,44 @@ def _blind_retraction(h: HopfData) -> Optional[Mat]:
     def unk(k, i, j):
         return k * nn + i * n + j
 
+    comult = h.coa.comult
+    # Delta(e_k) has coefficient comult[k][p][q] at (p, q)
+    delta_at = [[[(k, c) for k in range(n) if (c := comult[k][p][q])] for q in range(n)]
+                for p in range(n)]
     rows = []
     rhs = []
     # theta(Delta(e_k)) = e_k
     for k in range(n):
         flat = h.coa.delta_basis(k)
         for out_k in range(n):
-            row = [f.zero] * nunk
-            for t, c in enumerate(flat):
-                if c:
-                    i, j = divmod(t, n)
-                    row[unk(out_k, i, j)] = f.add(row[unk(out_k, i, j)], c)
-            rows.append(row)
+            rows.append({out_k * nn + t: c for t, c in enumerate(flat) if c})
             rhs.append(f.one if out_k == k else f.zero)
+
+    def colinearity_row(row, p, q, i, j):  # row holds the theta-side terms
+        for k, c in delta_at[p][q]:
+            col = unk(k, i, j)
+            row[col] = f.sub(row.get(col, f.zero), c)
+        rows.append(row)
+        rhs.append(f.zero)
+
     # left colinearity: (id (x) theta)(Delta (x) id) = Delta∘theta on e_i (x) e_j
     # components (p, q) in H (x) H
     for i in range(n):
-        di = h.coa.comult[i]
+        di = comult[i]
         for j in range(n):
             for p in range(n):
+                dip = [(a, c) for a, c in enumerate(di[p]) if c]
                 for q in range(n):
-                    row = [f.zero] * nunk
-                    for a in range(n):
-                        c = di[p][a]
-                        if c:
-                            row[unk(q, a, j)] = f.add(row[unk(q, a, j)], c)
-                    for k in range(n):
-                        c = h.coa.comult[k][p][q]
-                        if c:
-                            row[unk(k, i, j)] = f.sub(row[unk(k, i, j)], c)
-                    rows.append(row)
-                    rhs.append(f.zero)
+                    colinearity_row({unk(q, a, j): c for a, c in dip}, p, q, i, j)
     # right colinearity: (theta (x) id)(id (x) Delta) = Delta∘theta
     for i in range(n):
         for j in range(n):
-            dj = h.coa.comult[j]
+            dj = comult[j]
             for p in range(n):
                 for q in range(n):
-                    row = [f.zero] * nunk
-                    for a in range(n):
-                        c = dj[a][q]
-                        if c:
-                            row[unk(p, i, a)] = f.add(row[unk(p, i, a)], c)
-                    for k in range(n):
-                        c = h.coa.comult[k][p][q]
-                        if c:
-                            row[unk(k, i, j)] = f.sub(row[unk(k, i, j)], c)
-                    rows.append(row)
-                    rhs.append(f.zero)
-    sol = solve_affine(AffineSystem(Mat(f, len(rows), nunk, rows), rhs))
+                    colinearity_row({unk(p, i, a): c for a in range(n) if (c := dj[a][q])},
+                                    p, q, i, j)
+    sol = solve_affine(AffineSystem.sparse(f, rows, rhs, nunk))
     if sol is None:
         return None
     x = sol.particular

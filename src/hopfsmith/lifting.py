@@ -346,36 +346,25 @@ def _solve_linear_lift(f, qcur, p_r, f_prev, a, alphas, betas_cur):
     rhs = []
     for y in range(na):
         for x in range(p_r.rows):
-            row = [f.zero] * nunk
-            for t in range(ncur):
-                c = p_r.data[x][t]
-                if c:
-                    row[unk(t, y)] = c
-            rows.append(row)
+            rows.append({unk(t, y): c for t, c in enumerate(p_r.data[x]) if c})
             rhs.append(f_prev.data[x][y])
     # unitality
     for x in range(ncur):
-        row = [f.zero] * nunk
-        for y, c in enumerate(a.unit):
-            if c:
-                row[unk(x, y)] = c
-        rows.append(row)
+        rows.append({unk(x, y): c for y, c in enumerate(a.unit) if c})
         rhs.append(qcur.unit[x])
     for alpha, beta in zip(alphas, betas_cur):
         # g(alpha(e_y)) = beta(g(e_y)): components x
         for y in range(na):
+            alpha_y = [(t, c) for t, c in enumerate(alpha.column(y)) if c]
             for x in range(ncur):
-                row = [f.zero] * nunk
-                for t, c in enumerate(alpha.column(y)):
+                row = {unk(x, t): c for t, c in alpha_y}
+                for t, c in enumerate(beta.data[x]):
                     if c:
-                        row[unk(x, t)] = f.add(row[unk(x, t)], c)
-                for t in range(ncur):
-                    c = beta.data[x][t]
-                    if c:
-                        row[unk(t, y)] = f.sub(row[unk(t, y)], c)
+                        col = unk(t, y)
+                        row[col] = f.sub(row.get(col, f.zero), c)
                 rows.append(row)
                 rhs.append(f.zero)
-    sol = solve_affine(AffineSystem(Mat(f, len(rows), nunk, rows), rhs))
+    sol = solve_affine(AffineSystem.sparse(f, rows, rhs, nunk))
     if sol is None:
         return None
     return Mat(f, ncur, na, [[sol.particular[unk(x, y)] for y in range(na)]
@@ -434,34 +423,29 @@ def _solve_coboundary(bim: Bimodule, c: list, alphas=None, betas=None):
     for i in range(na):
         for j in range(na):
             for t in range(m):
-                row = [f.zero] * nunk
-                for s in range(m):
-                    v = bim.left[i].data[t][s]
-                    if v:
-                        row[unk(s, j)] = f.add(row[unk(s, j)], v)
+                row = {unk(s, j): v for s, v in enumerate(bim.left[i].data[t]) if v}
                 for y, v in enumerate(a.mult[i][j]):
                     if v:
-                        row[unk(t, y)] = f.sub(row[unk(t, y)], v)
-                for s in range(m):
-                    v = bim.right[j].data[t][s]
+                        col = unk(t, y)
+                        row[col] = f.sub(row.get(col, f.zero), v)
+                for s, v in enumerate(bim.right[j].data[t]):
                     if v:
-                        row[unk(s, i)] = f.add(row[unk(s, i)], v)
+                        col = unk(s, i)
+                        row[col] = f.add(row.get(col, f.zero), v)
                 rows.append(row)
                 rhs.append(c[i][j][t])
     for alpha, beta in zip(alphas or [], betas or []):
         for y in range(na):
+            alpha_y = [(s, v) for s, v in enumerate(alpha.column(y)) if v]
             for t in range(m):
-                row = [f.zero] * nunk
-                for s, v in enumerate(alpha.column(y)):
+                row = {unk(t, s): v for s, v in alpha_y}
+                for s, v in enumerate(beta.data[t]):
                     if v:
-                        row[unk(t, s)] = f.add(row[unk(t, s)], v)
-                for s in range(m):
-                    v = beta.data[t][s]
-                    if v:
-                        row[unk(s, y)] = f.sub(row[unk(s, y)], v)
+                        col = unk(s, y)
+                        row[col] = f.sub(row.get(col, f.zero), v)
                 rows.append(row)
                 rhs.append(f.zero)
-    sol = solve_affine(AffineSystem(Mat(f, len(rows), nunk, rows), rhs))
+    sol = solve_affine(AffineSystem.sparse(f, rows, rhs, nunk))
     if sol is None:
         return None
     return Mat(f, m, na, [[sol.particular[unk(t, y)] for y in range(na)] for t in range(m)])

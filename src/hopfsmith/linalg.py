@@ -1,10 +1,21 @@
-"""Dense exact linear algebra over Q and F_p.
+"""Sparse exact linear algebra over Q and F_p.
 
-Everything reduces to one row-echelon kernel with full (Gauss-Jordan)
-elimination.  The rational path leans on ``Fraction`` arithmetic with
-aggressive zero skipping; the prime-field path works on raw ints mod p.
-Systems arising from structure-constant identities are very sparse, so the
-zero skip matters more than asymptotics at the dimensions we handle.
+Linear systems are stored as sparse rows: a row is a list of
+``(column, coefficient)`` pairs that holds only the nonzero coefficients of
+that row, each column at most once.  Systems built from structure-constant
+identities are overwhelmingly zero, so rows never carry their zeros.
+
+Every elimination goes through one sparse Gauss-Jordan kernel, :func:`_rref`.
+It keeps the pivot rows fully reduced as the rows arrive, so each incoming
+row is reduced in a single pass.  The result is the reduced row echelon form,
+which depends only on the row space and not on the row order or on how the
+rows were assembled.  The particular solution (free variables set to 0) and
+the nullspace basis read off it are therefore canonical, and so is every
+certificate built from them.  Over F_p the kernel works on raw ints and
+reduces mod p once per entry per pass; over Q it uses ``Fraction``.
+
+:class:`Mat` stays dense: it represents linear maps and small matrices, and
+the solvers take either a dense ``Mat`` or a :class:`SparseMat`.
 """
 
 from __future__ import annotations
@@ -101,11 +112,7 @@ class Mat:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat):
             return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and all(
-            self.field.eq(a, b) for ra, rb in zip(self.data, other.data) for a, b in zip(ra, rb))
-
-    def is_zero(self) -> bool:
-        return all(self.field.is_zero(x) for row in self.data for x in row)
+        return (self.rows, self.cols) == (other.rows, other.cols) and self.data == other.data
 
     def copy(self) -> "Mat":
         return Mat(self.field, self.rows, self.cols, [row[:] for row in self.data])
@@ -118,10 +125,32 @@ def _coerce(field: FieldSpec, x) -> Scalar:
 
 
 @dataclass
-class AffineSystem:
-    """A · x = b with ``unknowns`` columns."""
+class SparseMat:
+    """Matrix stored as sparse rows: ``data[i]`` lists the ``(column, coefficient)``
+    pairs of the nonzero entries of row i."""
 
-    matrix: Mat
+    field: FieldSpec
+    rows: int
+    cols: int
+    data: list
+
+    def __post_init__(self):
+        if len(self.data) != self.rows:
+            raise ValueError("matrix data shape mismatch")
+
+
+def _sparse_rows(m) -> list:
+    """The sparse rows of a ``SparseMat`` or a dense ``Mat``."""
+    if isinstance(m, SparseMat):
+        return m.data
+    return [[(j, x) for j, x in enumerate(row) if x] for row in m.data]
+
+
+@dataclass
+class AffineSystem:
+    """A · x = b with ``unknowns`` columns; A is a dense ``Mat`` or a ``SparseMat``."""
+
+    matrix: object
     rhs: list
     unknowns: int = dc_field(default=-1)
 
@@ -133,6 +162,13 @@ class AffineSystem:
         if len(self.rhs) != self.matrix.rows:
             raise ValueError("right-hand side length differs from row count")
 
+    @classmethod
+    def sparse(cls, field: FieldSpec, rows: list, rhs: list, unknowns: int) -> "AffineSystem":
+        """A system from rows given as ``{column: coefficient}`` dicts; zero
+        coefficients (say, ones that cancelled during assembly) are dropped."""
+        data = [[(j, x) for j, x in row.items() if x] for row in rows]
+        return cls(SparseMat(field, len(data), unknowns, data), rhs)
+
 
 @dataclass
 class AffineSolution:
@@ -140,100 +176,102 @@ class AffineSolution:
     nullspace: Mat  # columns span the homogeneous solution space
 
 
-def _rref(rows: list, ncols: int, field: FieldSpec):
-    """In-place reduced row echelon form; returns the pivot column list."""
+def _rref(rows: list, ncols: int, field: FieldSpec) -> list:
+    """Sparse Gauss-Jordan elimination in place; returns the pivot column list.
+
+    ``rows`` is a list of sparse rows over ``ncols`` columns.  On return,
+    ``rows[k]`` is the reduced row with pivot ``pivots[k]``, as pairs sorted by
+    column with the leading coefficient 1, and the remaining rows are empty.
+    The row lists passed in are replaced, never modified.
+    """
     p = field.characteristic
-    nrows = len(rows)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        lead = prow[c]
-        if p == 0:
-            if lead != 1:
-                inv = 1 / lead
-                for j in range(c, ncols):
-                    if prow[j]:
-                        prow[j] *= inv
-            nz = [(j, prow[j]) for j in range(c, ncols) if prow[j]]
-            for i in range(nrows):
-                if i == r:
-                    continue
-                f = rows[i][c]
-                if f:
-                    rowi = rows[i]
-                    for j, pv in nz:
-                        rowi[j] -= f * pv
-        else:
-            if lead != 1:
-                inv = pow(lead, p - 2, p)
-                for j in range(c, ncols):
-                    if prow[j]:
-                        prow[j] = prow[j] * inv % p
-            nz = [(j, prow[j]) for j in range(c, ncols) if prow[j]]
-            for i in range(nrows):
-                if i == r:
-                    continue
-                f = rows[i][c]
-                if f:
-                    rowi = rows[i]
-                    for j, pv in nz:
-                        rowi[j] = (rowi[j] - f * pv) % p
-        pivots.append(c)
-        r += 1
-        if r == nrows:
+    one = field.one
+    piv = {}  # pivot column -> the rest of its reduced row, {column: coefficient}
+    for row in rows:
+        if len(piv) == ncols:
             break
+        r = dict(row)
+        hits = [c for c in r if c in piv]
+        if hits:
+            # Pivot rows are zero in every other pivot column, so subtracting
+            # them leaves the coefficients of the remaining hits unchanged.
+            get = r.get
+            for c in hits:
+                a = r.pop(c)
+                for j, v in piv[c].items():
+                    r[j] = get(j, 0) - a * v
+            r = {j: w for j, v in r.items() if (w := v % p)} if p else \
+                {j: v for j, v in r.items() if v}
+        if not r:
+            continue
+        c = min(r)
+        lead = r.pop(c)
+        if lead != 1:
+            inv = pow(lead, p - 2, p) if p else one / lead
+            r = {j: v * inv % p for j, v in r.items()} if p else \
+                {j: v * inv for j, v in r.items()}
+        for other in piv.values():
+            a = other.pop(c, 0)
+            if not a:
+                continue
+            get = other.get
+            for j, v in r.items():
+                w = (get(j, 0) - a * v) % p if p else get(j, 0) - a * v
+                if w:
+                    other[j] = w
+                else:
+                    del other[j]
+        piv[c] = r
+    pivots = sorted(piv)
+    reduced = [[(c, one), *sorted(piv[c].items())] for c in pivots]
+    rows[:] = reduced + [[] for _ in range(len(rows) - len(reduced))]
     return pivots
 
 
-def _nullspace_from_rref(rows: list, ncols: int, pivots: list, field: FieldSpec) -> Mat:
+def _kernel_basis(rows: list, pivots: list, n: int, field: FieldSpec) -> Mat:
+    """Nullspace basis of the first ``n`` columns of reduced rows: one column per
+    free variable, set to 1, with the other free variables 0."""
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    cols = []
-    for fc in free:
-        v = [field.zero] * ncols
-        v[fc] = field.one
-        for k, pc in enumerate(pivots):
-            v[pc] = field.neg(rows[k][fc])
-        cols.append(v)
-    return Mat.from_columns(field, cols) if cols else Mat(field, ncols, 0, [[] for _ in range(ncols)])
+    free = [c for c in range(n) if c not in pivot_set]
+    where = {c: t for t, c in enumerate(free)}
+    zero, one = field.zero, field.one
+    data = [[zero] * len(free) for _ in range(n)]
+    for c, t in where.items():
+        data[c][t] = one
+    for pc, row in zip(pivots, rows):
+        out = data[pc]
+        for j, a in row[1:]:
+            if j < n:
+                out[where[j]] = field.neg(a)
+    return Mat(field, n, len(free), data)
 
 
 def solve_affine(sys: AffineSystem) -> Optional[AffineSolution]:
     """One particular solution plus a nullspace basis, or None if infeasible."""
     f = sys.matrix.field
     n = sys.unknowns
-    rows = [row[:] + [b] for row, b in zip(sys.matrix.data, sys.rhs)]
-    if not rows:
-        return AffineSolution([f.zero] * n, Mat.identity(f, n))
+    rows = [[*row, (n, b)] if b else row
+            for row, b in zip(_sparse_rows(sys.matrix), sys.rhs)]
     pivots = _rref(rows, n + 1, f)
     if pivots and pivots[-1] == n:  # pivot in the augmented column: 0 = 1
         return None
     particular = [f.zero] * n
-    for k, pc in enumerate(pivots):
-        particular[pc] = rows[k][n]
-    body = [row[:n] for row in rows]
-    return AffineSolution(particular, _nullspace_from_rref(body, n, pivots, f))
+    for pc, row in zip(pivots, rows):
+        last, b = row[-1]
+        if last == n:
+            particular[pc] = b
+    return AffineSolution(particular, _kernel_basis(rows, pivots, n, f))
 
 
-def nullspace(m: Mat) -> Mat:
-    """Matrix whose columns form a basis of ker(m)."""
-    rows = [row[:] for row in m.data]
+def nullspace(m) -> Mat:
+    """Matrix whose columns form a basis of ker(m), for a ``Mat`` or ``SparseMat``."""
+    rows = _sparse_rows(m)[:]
     pivots = _rref(rows, m.cols, m.field)
-    return _nullspace_from_rref(rows, m.cols, pivots, m.field)
+    return _kernel_basis(rows, pivots, m.cols, m.field)
 
 
-def rank(m: Mat) -> int:
-    rows = [row[:] for row in m.data]
-    return len(_rref(rows, m.cols, m.field))
+def rank(m) -> int:
+    return len(_rref(_sparse_rows(m)[:], m.cols, m.field))
 
 
 def invert(m: Mat) -> Optional[Mat]:
@@ -242,36 +280,37 @@ def invert(m: Mat) -> Optional[Mat]:
         raise ValueError("only square matrices can be inverted")
     f = m.field
     n = m.rows
-    one, zero = f.one, f.zero
-    rows = [m.data[i][:] + [one if j == i else zero for j in range(n)] for i in range(n)]
+    one = f.one
+    rows = [[*row, (n + i, one)] for i, row in enumerate(_sparse_rows(m))]
     pivots = _rref(rows, 2 * n, f)
     if pivots[:n] != list(range(n)):
         return None
-    return Mat(f, n, n, [row[n:] for row in rows])
+    data = [[f.zero] * n for _ in range(n)]
+    for i, row in enumerate(rows[:n]):
+        out = data[i]
+        for j, a in row[1:]:
+            out[j - n] = a
+    return Mat(f, n, n, data)
 
 
-def row_space_basis(m: Mat) -> Mat:
-    """Matrix whose rows are an RREF basis of the row space (canonical form)."""
-    rows = [row[:] for row in m.data]
-    pivots = _rref(rows, m.cols, m.field)
-    return Mat(m.field, len(pivots), m.cols, rows[: len(pivots)])
+def span_coordinates(field: FieldSpec, basis_vecs: list, v: list) -> Optional[list]:
+    """Coefficients c with sum_j c_j basis_vecs[j] = v, or None if v is outside the span.
 
-
-def column_space_dim_of_union(field: FieldSpec, vecs: list) -> int:
-    """Rank of the span of the given vectors (each a coordinate list)."""
-    if not vecs:
-        return 0
-    return rank(Mat(field, len(vecs), len(vecs[0]), [v[:] for v in vecs]))
+    The system has one sparse row per coordinate of v; the free-variable-zero
+    solution is returned, so for independent vectors it is the unique one.
+    """
+    rows = [[(j, b[i]) for j, b in enumerate(basis_vecs) if b[i]] for i in range(len(v))]
+    sol = solve_affine(AffineSystem(SparseMat(field, len(rows), len(basis_vecs), rows), v))
+    return None if sol is None else sol.particular
 
 
 def in_span(field: FieldSpec, basis_vecs: list, v: list) -> bool:
     """Whether v lies in the span of basis_vecs."""
-    if all(field.is_zero(x) for x in v):
+    if not any(v):
         return True
     if not basis_vecs:
         return False
-    a = Mat.from_columns(field, basis_vecs)
-    return solve_affine(AffineSystem(a, v)) is not None
+    return span_coordinates(field, basis_vecs, v) is not None
 
 
 def span_contains_span(field: FieldSpec, big: list, small: list) -> bool:

@@ -43,33 +43,58 @@ def _solve_unit(alg_mult: list, f: FieldSpec, n: int) -> list:
     rhs = []
     for j in range(n):
         for k in range(n):
-            rows.append([alg_mult[i][j][k] for i in range(n)])
+            rows.append({i: c for i in range(n) if (c := alg_mult[i][j][k])})
             rhs.append(f.one if j == k else f.zero)
-            rows.append([alg_mult[j][i][k] for i in range(n)])
+            rows.append({i: c for i in range(n) if (c := alg_mult[j][i][k])})
             rhs.append(f.one if j == k else f.zero)
-    sol = solve_affine(AffineSystem(Mat(f, len(rows), n, rows), rhs))
+    sol = solve_affine(AffineSystem.sparse(f, rows, rhs, n))
     if sol is None:
         raise ValueError("multiplication tensor has no two-sided unit")
     return sol.particular
 
 
+def _check_shape(name: str, value, shape: tuple) -> None:
+    """Raise ValueError unless ``value`` is nested lists of exactly ``shape``."""
+    if not shape:
+        return
+    if not isinstance(value, list) or len(value) != shape[0]:
+        dims = " x ".join(map(str, shape))
+        raise ValueError(f"malformed Hopf document: {name} must have shape {dims}")
+    for item in value:
+        _check_shape(name, item, shape[1:])
+
+
+def _int_entry(d: dict, *keys) -> int:
+    value = d
+    for key in keys:
+        value = value[key]
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"malformed Hopf document: {'.'.join(keys)} must be an integer")
+    return value
+
+
 def hopf_from_dict(d: dict, validate: bool = True) -> HopfData:
     try:
-        char = int(d["field"]["char"])
-        n = int(d["dim"])
-        f = FieldSpec(char)
-        mult = [[[f.parse(d["mult"][i][j][k]) for k in range(n)]
-                 for j in range(n)] for i in range(n)]
-        comult = [[[f.parse(d["comult"][k][i][j]) for j in range(n)]
-                   for i in range(n)] for k in range(n)]
+        n = _int_entry(d, "dim")
+        if n < 1:
+            raise ValueError("malformed Hopf document: dim must be positive")
+        f = FieldSpec(_int_entry(d, "field", "char"))
+        for name, shape in (("mult", (n, n, n)), ("comult", (n, n, n)),
+                            ("counit", (n,)), ("antipode", (n, n))):
+            _check_shape(name, d[name], shape)
+        basis = d.get("basis") or [f"e{i}" for i in range(n)]
+        _check_shape("basis", basis, (n,))
+        if not all(isinstance(name, str) for name in basis):
+            raise ValueError("malformed Hopf document: basis names must be strings")
+        mult = [[[f.parse(x) for x in row] for row in block] for block in d["mult"]]
+        comult = [[[f.parse(x) for x in row] for row in block] for block in d["comult"]]
         counit = [f.parse(x) for x in d["counit"]]
         antipode = Mat(f, n, n, [[f.parse(x) for x in row] for row in d["antipode"]])
-        basis = list(d.get("basis") or [f"e{i}" for i in range(n)])
-    except (KeyError, IndexError, TypeError) as exc:
+    except (KeyError, TypeError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed Hopf document: {exc}") from exc
     unit = _solve_unit(mult, f, n)
     h = HopfData(AlgebraData(f, n, mult, unit), CoalgebraData(f, n, comult, counit),
-                 antipode, None, basis)
+                 antipode, None, list(basis))
     return validated(h) if validate else h
 
 

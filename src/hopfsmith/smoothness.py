@@ -62,17 +62,14 @@ def _fs_section_system(h: HopfData, complete: bool):
     # (i) tau(e_j v_b) = (e_j (x) 1) tau(v_b): components (p, a)
     for j in range(n):
         for b in range(m):
-            gamma = prod_coords[j][b]
+            gamma = [(c, g) for c, g in enumerate(prod_coords[j][b]) if g]
             for p in range(n):
+                mu_p = [(i, mu) for i in range(n) if (mu := h.alg.mult[j][i][p])]
                 for a in range(m):
-                    row = [f.zero] * nunk
-                    for c, g in enumerate(gamma):
-                        if g:
-                            row[unk(p, a, c)] = f.add(row[unk(p, a, c)], g)
-                    for i in range(n):
-                        mu = h.alg.mult[j][i][p]
-                        if mu:
-                            row[unk(i, a, b)] = f.sub(row[unk(i, a, b)], mu)
+                    row = {unk(p, a, c): g for c, g in gamma}
+                    for i, mu in mu_p:
+                        col = unk(i, a, b)
+                        row[col] = f.sub(row.get(col, f.zero), mu)
                     rows.append(row)
                     rhs.append(f.zero)
 
@@ -81,13 +78,8 @@ def _fs_section_system(h: HopfData, complete: bool):
     for b in range(m):
         target = hp.vectors[b]
         for k in range(n):
-            row = [f.zero] * nunk
-            for i in range(n):
-                for a in range(m):
-                    c = prod_h[i][a][k]
-                    if c:
-                        row[unk(i, a, b)] = c
-            rows.append(row)
+            rows.append({unk(i, a, b): c for i in range(n) for a in range(m)
+                         if (c := prod_h[i][a][k])})
             rhs.append(target[k])
 
     if complete:
@@ -147,11 +139,9 @@ def _fs_section_system(h: HopfData, complete: bool):
                                 rhs_rows.setdefault((w, q, d), {})[unk(q, d, c)] = g
             keys = set(lhs_rows) | set(rhs_rows)
             for key in sorted(keys):
-                row = [f.zero] * nunk
-                for u, v in lhs_rows.get(key, {}).items():
-                    row[u] = f.add(row[u], v)
+                row = dict(lhs_rows.get(key, {}))
                 for u, v in rhs_rows.get(key, {}).items():
-                    row[u] = f.sub(row[u], v)
+                    row[u] = f.sub(row.get(u, f.zero), v)
                 rows.append(row)
                 rhs.append(f.zero)
 
@@ -183,7 +173,7 @@ def _find_section(h: HopfData, complete: bool) -> Optional[SectionCertificate]:
                                   {"hplus_basis": []})
     rows, rhs, nunk, hp, yd = _fs_section_system(h, complete)
     m = hp.dim
-    sol = solve_affine(AffineSystem(Mat(f, len(rows), nunk, rows), rhs))
+    sol = solve_affine(AffineSystem.sparse(f, rows, rhs, nunk))
     if sol is None:
         return None
     tau = _tau_matrix(f, n, m, sol.particular)
@@ -389,35 +379,33 @@ def _find_retraction(h: HopfData, complete: bool) -> Optional[SectionCertificate
     coat = yd.coaction.tensor
 
     # (i): for inputs (i, a), components (w, d)
+    coat_at = [[[(c, g) for c in range(m) if (g := coat[c][w][d])] for d in range(m)]
+               for w in range(n)]
     for i in range(n):
         for a in range(m):
             for w in range(n):
                 for d in range(m):
-                    row = [f.zero] * nunk
-                    for c in range(m):
-                        g = coat[c][w][d]
-                        if g:
-                            row[unk(c, i, a)] = f.add(row[unk(c, i, a)], g)
+                    row = {unk(c, i, a): g for c, g in coat_at[w][d]}
                     for q, mu in enumerate(h.coa.comult[i][w]):
                         if mu:
-                            row[unk(d, q, a)] = f.sub(row[unk(d, q, a)], mu)
+                            col = unk(d, q, a)
+                            row[col] = f.sub(row.get(col, f.zero), mu)
                     rows.append(row)
                     rhs.append(f.zero)
 
     # (ii): chi(x_1 (x) xbar_2) = xbar for x over the H basis
+    proj_cols = [[(d, b) for d, b in enumerate(col) if b] for col in proj.columns()]
     for k in range(n):
-        pk = proj.matvec(_unitvec(f, n, k))
         for c in range(m):
-            row = [f.zero] * nunk
+            row = {}
             for i in range(n):
                 for j, mu in enumerate(h.coa.comult[k][i]):
                     if mu:
-                        pj = proj.matvec(_unitvec(f, n, j))
-                        for d, b in enumerate(pj):
-                            if b:
-                                row[unk(c, i, d)] = f.add(row[unk(c, i, d)], f.mul(mu, b))
+                        for d, b in proj_cols[j]:
+                            col = unk(c, i, d)
+                            row[col] = f.add(row.get(col, f.zero), f.mul(mu, b))
             rows.append(row)
-            rhs.append(pk[c])
+            rhs.append(proj.data[c][k])
 
     if complete:
         act = yd.action.tensor  # e_h acting on vbar_c
@@ -446,18 +434,17 @@ def _find_retraction(h: HopfData, complete: bool) -> Optional[SectionCertificate
                                     lhs_cols[u_base] = f.add(lhs_cols.get(u_base, f.zero),
                                                              f.mul(cf, f.mul(fv, sv)))
                     for cprime in range(m):
-                        row = [f.zero] * nunk
-                        for (ii, d), v in lhs_cols.items():
-                            row[unk(cprime, ii, d)] = f.add(row[unk(cprime, ii, d)], v)
+                        row = {unk(cprime, ii, d): v for (ii, d), v in lhs_cols.items()}
                         # RHS: (h0 acting on chi(e_i (x) v_a)) component cprime
                         for c in range(m):
                             g = act[h0][c][cprime]
                             if g:
-                                row[unk(c, i, a)] = f.sub(row[unk(c, i, a)], g)
+                                col = unk(c, i, a)
+                                row[col] = f.sub(row.get(col, f.zero), g)
                         rows.append(row)
                         rhs.append(f.zero)
 
-    sol = solve_affine(AffineSystem(Mat(f, len(rows), nunk, rows), rhs))
+    sol = solve_affine(AffineSystem.sparse(f, rows, rhs, nunk))
     if sol is None:
         return None
     chi = Mat(f, m, n * m, [[sol.particular[unk(c, i, a)] for i in range(n) for a in range(m)]

@@ -171,3 +171,19 @@ def test_unit_cokernel_splitting(preset_cache):
         comp = split.projection.mul(split.section)
         assert comp == Mat.identity(f, n - 1)
         assert all(f.is_zero(x) for x in split.projection.matvec(h.unit_vec))
+
+
+def test_grid_scalars_are_canonical(preset_cache):
+    """Scalars compare with == and test zero with `not` only because they are
+    canonical: reduced Fractions over Q, ints in [0, p) over F_p."""
+    for spec, char in GRID:
+        h = preset_cache(spec, char)
+        scalars = [x for block in h.alg.mult for row in block for x in row]
+        scalars += [x for block in h.coa.comult for row in block for x in row]
+        scalars += list(h.coa.counit)
+        scalars += [x for row in h.antipode.data for x in row]
+        for x in scalars:
+            if char:
+                assert type(x) is int and 0 <= x < char, (spec, char, x)
+            else:
+                assert type(x) is Fraction, (spec, char, x)

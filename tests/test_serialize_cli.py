@@ -212,3 +212,55 @@ def test_cli_deterministic_output(capsys):
     code1, r1, _ = run_cli(capsys, "integrals", "--preset", "group:C3", "--char", "2")
     code2, r2, _ = run_cli(capsys, "integrals", "--preset", "group:C3", "--char", "2")
     assert code1 == code2 == 0 and r1 == r2
+
+
+def _c2_document(**changes):
+    doc = hopf_to_dict(resolve_preset("group:C2", QQ))
+    doc.update(changes)
+    return doc
+
+
+def _run_on_document(tmp_path, capsys, command, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    rc = main([command, "--file", str(path)])
+    return rc, capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["check-axioms", "separable"])
+@pytest.mark.parametrize("resize", [lambda c: c[:1], lambda c: c + [1]], ids=["short", "long"])
+def test_wrong_counit_length_is_an_input_error(tmp_path, capsys, command, resize):
+    doc = _c2_document()
+    doc["counit"] = resize(doc["counit"])  # the true counit [1, 1], cut short or padded
+    rc, out = _run_on_document(tmp_path, capsys, command, doc)
+    assert rc == 2
+    assert "counit" in json.loads(out.err)["error"]
+    assert out.out == ""
+
+
+@pytest.mark.parametrize("command", ["check-axioms", "separable"])
+def test_boolean_scalar_is_an_input_error(tmp_path, capsys, command):
+    doc = _c2_document()
+    doc["mult"][0][0][0] = True
+    rc, out = _run_on_document(tmp_path, capsys, command, doc)
+    assert rc == 2
+    assert "boolean" in json.loads(out.err)["error"]
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("mult", [[[1, 0, 0], [0, 1]], [[0, 1], [1, 0]]]),  # extra entry in a mult row
+    ("comult", [[[1, 0], [0, 0]]]),                     # one block short
+    ("antipode", [[1, 0], [0]]),
+    ("basis", ["e", "g", "h"]),
+])
+def test_every_shape_is_validated(field, bad):
+    with pytest.raises(ValueError, match=field):
+        hopf_from_dict(_c2_document(**{field: bad}))
+
+
+def test_field_parse_rejects_booleans():
+    for f in (QQ, GF(3)):
+        with pytest.raises(ValueError):
+            f.parse(True)
+        with pytest.raises(ValueError):
+            f.parse(False)
