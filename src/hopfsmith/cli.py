@@ -12,16 +12,14 @@ import json
 import sys
 
 from .fields import FieldSpec
-from .hopf import HopfData, SubspaceBasis, check_hopf, dual_hopf
-from .linalg import Mat
+from .hopf import HopfData, SubspaceBasis, check_hopf, sub_hopf_on_subspace
 from .presets import NotAGroupError, resolve_preset
 from . import integrals as integ
 from . import smoothness as smo
 from . import serialize as ser
 from .doubles import drinfeld_double, separable_extension
 from .filtration import coradical, wedge_filtration
-from .lifting import (LiftCertificate, LiftObstruction, WeakProjectionCertificate,
-                      cyclic_cover_problem, lift_algebra_section,
+from .lifting import (LiftObstruction, cyclic_cover_problem, lift_algebra_section,
                       square_zero_extension, weak_projection)
 
 SUBCOMMANDS = [
@@ -245,7 +243,7 @@ def cmd_weak_projection(args) -> int:
     h = _load(args)
     f = h.field
     cor = coradical(h.coa)
-    sub_hopf, incl = _sub_hopf_on_subspace(h, cor)
+    sub_hopf, incl = sub_hopf_on_subspace(h, cor)
     res = weak_projection(h, sub_hopf, incl, bilinear=args.bilinear)
     if isinstance(res, LiftObstruction):
         _emit({"command": "weak-projection", "found": False,
@@ -256,64 +254,6 @@ def cmd_weak_projection(args) -> int:
            "matrix": [[f.to_json(x) for x in row] for row in res.matrix.data],
            "verified": res.verified}, args)
     return 0
-
-
-def _sub_hopf_on_subspace(h: HopfData, sub: SubspaceBasis):
-    """Restrict the Hopf structure to a subspace that must be a Hopf subalgebra."""
-    from .hopf import AlgebraData, CoalgebraData, validated
-    f = h.field
-    m = sub.dim
-    incl = Mat.from_columns(f, sub.vectors)
-    mult = [[[f.zero] * m for _ in range(m)] for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            prod = h.mul(sub.vectors[i], sub.vectors[j])
-            coords = sub.coords_of(f, prod)
-            if coords is None:
-                raise ValueError("subspace is not closed under multiplication")
-            mult[i][j] = coords
-    unit = sub.coords_of(f, h.alg.unit)
-    if unit is None:
-        raise ValueError("subspace does not contain the unit")
-    comult = [[[f.zero] * m for _ in range(m)] for _ in range(m)]
-    for k in range(m):
-        flat = h.delta(sub.vectors[k])
-        coords2 = _tensor_coords(f, sub, flat, h.dim)
-        if coords2 is None:
-            raise ValueError("subspace is not a subcoalgebra")
-        comult[k] = coords2
-    counit = [h.eps(v) for v in sub.vectors]
-    smat = Mat.zeros(f, m, m)
-    for j in range(m):
-        img = h.s_vec(sub.vectors[j])
-        coords = sub.coords_of(f, img)
-        if coords is None:
-            raise ValueError("subspace is not antipode-stable")
-        for i, c in enumerate(coords):
-            smat.data[i][j] = c
-    sub_h = validated(HopfData(AlgebraData(f, m, mult, unit),
-                               CoalgebraData(f, m, comult, counit), smat, None, None))
-    return sub_h, incl
-
-
-def _tensor_coords(f, sub: SubspaceBasis, flat: list, n: int):
-    """Coordinates of a vector of H (x) H in the basis {v_i (x) v_j}, or None."""
-    from .linalg import span_coordinates
-    m = sub.dim
-    cols = []
-    for i in range(m):
-        for j in range(m):
-            w = [f.zero] * (n * n)
-            for a, x in enumerate(sub.vectors[i]):
-                if x:
-                    for b, y in enumerate(sub.vectors[j]):
-                        if y:
-                            w[a * n + b] = f.mul(x, y)
-            cols.append(w)
-    coords = span_coordinates(f, cols, flat)
-    if coords is None:
-        return None
-    return [[coords[i * m + j] for j in range(m)] for i in range(m)]
 
 
 def cmd_truth_table(args) -> int:

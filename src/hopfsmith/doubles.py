@@ -19,8 +19,8 @@ from functools import cached_property
 from typing import Optional
 
 from .fields import FieldSpec
-from .hopf import AlgebraData, CoalgebraData, HopfData, check_algebra, validated
-from .linalg import AffineSystem, Mat, solve_affine, _rref
+from .hopf import AlgebraData, CoalgebraData, HopfData, _unitvec, validated
+from .linalg import AffineSystem, Mat, require_labels, solve_affine, _rref
 
 
 @dataclass
@@ -289,9 +289,9 @@ def relative_tensor(ext: ExtensionData) -> RelTensor:
     relations = []
     for s in scols:
         # nonzero coordinates of the products e_i · s and s · e_j
-        left = [[(k, x) for k, x in enumerate(r.mul(_basis(f, nr, i), s)) if x]
+        left = [[(k, x) for k, x in enumerate(r.mul(_unitvec(f, nr, i), s)) if x]
                 for i in range(nr)]
-        right = [[(k, x) for k, x in enumerate(r.mul(s, _basis(f, nr, j))) if x]
+        right = [[(k, x) for k, x in enumerate(r.mul(s, _unitvec(f, nr, j))) if x]
                  for j in range(nr)]
         for i in range(nr):
             for j in range(nr):
@@ -309,18 +309,11 @@ def relative_tensor(ext: ExtensionData) -> RelTensor:
     return RelTensor(rows, pivots, free, amb, f)
 
 
-def _basis(field, n, i):
-    v = [field.zero] * n
-    v[i] = field.one
-    return v
-
-
-def separable_extension(ext: ExtensionData) -> Optional[ExtensionIdempotent]:
-    """Search for e in R (x)_S R with m(e) = 1 and r·e = e·r for all r."""
+def _extension_idempotent_system(ext: ExtensionData, rel: RelTensor) -> AffineSystem:
+    """Rows of m(e) = 1 and r·e = e·r in the quotient coordinates of e in R (x)_S R."""
     r = ext.big
     f = r.field
     nr = r.dim
-    rel = relative_tensor(ext)
     q = rel.dim
 
     legs = [divmod(c, nr) for c in rel.free_cols]  # quotient basis t: class of e_a (x) e_b
@@ -330,6 +323,7 @@ def separable_extension(ext: ExtensionData) -> Optional[ExtensionIdempotent]:
     for k in range(nr):
         rows.append({t: x for t, (a, b) in enumerate(legs) if (x := r.mult[a][b][k])})
         rhs.append(r.unit[k])
+    labels = ["m(e)=1"] * nr + ["bilinear"] * (nr * q)
     # r·e = e·r in the quotient, for every basis r: e_i·(e_a (x) e_b) - (e_a (x) e_b)·e_i
     for i in range(nr):
         block = [{} for _ in range(q)]
@@ -343,53 +337,30 @@ def separable_extension(ext: ExtensionData) -> Optional[ExtensionIdempotent]:
                 block[k][t] = v
         rows.extend(block)
         rhs.extend([f.zero] * q)
-    sol = solve_affine(AffineSystem.sparse(f, rows, rhs, q))
+    return AffineSystem.sparse(f, rows, rhs, q, labels)
+
+
+def separable_extension(ext: ExtensionData) -> Optional[ExtensionIdempotent]:
+    """Search for e in R (x)_S R with m(e) = 1 and r·e = e·r for all r."""
+    rel = relative_tensor(ext)
+    sys = _extension_idempotent_system(ext, rel)
+    sol = solve_affine(sys)
     if sol is None:
         return None
-    coords = sol.particular
-    rep = rel.lift(coords)
-    cert = ExtensionIdempotent(coords, rep)
-    _verify_extension_idempotent(ext, rel, cert)
+    cert = ExtensionIdempotent(sol.particular, rel.lift(sol.particular))
+    _verify_extension_idempotent(ext, rel, cert, sys)
     return cert
 
 
-def _verify_extension_idempotent(ext: ExtensionData, rel: RelTensor, cert: ExtensionIdempotent):
-    r = ext.big
-    f = r.field
-    nr = r.dim
-    v = cert.representative
-    out = [f.zero] * nr
-    for t, x in enumerate(v):
-        if x:
-            a, b = divmod(t, nr)
-            for k, m in enumerate(r.mult[a][b]):
-                if m:
-                    out[k] = f.add(out[k], f.mul(x, m))
-    if not all(f.eq(a, b) for a, b in zip(out, r.unit)):
-        raise AssertionError("extension idempotent fails m(e) = 1")
-    for i in range(nr):
-        lv = [f.zero] * rel.ambient
-        rv = [f.zero] * rel.ambient
-        for t, x in enumerate(v):
-            if not x:
-                continue
-            a, b = divmod(t, nr)
-            for k, m in enumerate(r.mult[i][a]):
-                if m:
-                    lv[k * nr + b] = f.add(lv[k * nr + b], f.mul(x, m))
-            for k, m in enumerate(r.mult[b][i]):
-                if m:
-                    rv[a * nr + k] = f.add(rv[a * nr + k], f.mul(x, m))
-        pl = rel.project(lv)
-        pr = rel.project(rv)
-        if not all(f.eq(a, b) for a, b in zip(pl, pr)):
-            raise AssertionError(f"extension idempotent fails bilinearity at basis {i}")
+def _verify_extension_idempotent(ext: ExtensionData, rel: RelTensor, cert: ExtensionIdempotent,
+                                 sys: Optional[AffineSystem] = None) -> list:
+    return require_labels(sys or _extension_idempotent_system(ext, rel), cert.quotient_coords,
+                          "extension idempotent")
 
 
 def trivial_extension_over_base(alg: AlgebraData) -> ExtensionData:
     """R/K with S = K embedded on the unit."""
     f = alg.field
-    one = [[f.one]]
     small = AlgebraData(f, 1, [[[f.one]]], [f.one])
     emb = Mat.from_columns(f, [list(alg.unit)])
     return ExtensionData(alg, small, emb).validate()

@@ -13,11 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .fields import FieldSpec
-from .hopf import AlgebraData, CoalgebraData, HopfData, SubspaceBasis, _unitvec
+from .hopf import (AlgebraData, CoalgebraData, SubspaceBasis, _tensor_of, _unitvec, dual_algebra,
+                   quotient_maps)
 from .integrals import idempotent_system
-from .linalg import (Mat, SparseMat, in_span, nullspace, rank, solve_affine,
-                     span_contains_span, spans_equal)
+from .linalg import (Mat, SparseMat, in_span, nullspace, solve_affine,
+                     span_contains_span)
 
 
 @dataclass
@@ -172,31 +172,11 @@ def is_nilpotent_ideal(ideal: SubspaceBasis, a: AlgebraData) -> Optional[int]:
 
 def _quotient_algebra(a: AlgebraData, ideal_vectors: list):
     """(quotient AlgebraData, projection, section) modulo a two-sided ideal."""
-    f = a.field
-    n = a.dim
-    from .linalg import invert
-    chosen = [v[:] for v in ideal_vectors]
-    picked = []
-    for i in range(n):
-        cand = chosen + [_unitvec(f, n, i)]
-        if rank(Mat(f, len(cand), n, cand)) == len(cand):
-            chosen.append(_unitvec(f, n, i))
-            picked.append(i)
-        if len(chosen) == n:
-            break
-    d = len(ideal_vectors)
-    q = n - d
-    basis_change = Mat.from_columns(f, chosen)
-    inv = invert(basis_change)
-    projection = Mat(f, q, n, [inv.data[r][:] for r in range(d, n)])
-    section = Mat.from_columns(f, chosen[d:]) if q else Mat(f, n, 0, [[] for _ in range(n)])
-    mult = [[[f.zero] * q for _ in range(q)] for _ in range(q)]
-    for i in range(q):
-        for j in range(q):
-            prod = a.mul(section.column(i), section.column(j))
-            mult[i][j] = projection.matvec(prod)
-    unit = projection.matvec(a.unit)
-    return AlgebraData(f, q, mult, unit), projection, section
+    projection, section = quotient_maps(a.field, a.dim, ideal_vectors)
+    cols = section.columns()
+    mult = [[projection.matvec(a.mul(x, y)) for y in cols] for x in cols]
+    quotient = AlgebraData(a.field, len(cols), mult, projection.matvec(a.unit))
+    return quotient, projection, section
 
 
 def _has_separability_idempotent(a: AlgebraData) -> bool:
@@ -233,18 +213,11 @@ def radical(a: AlgebraData) -> SubspaceBasis:
 # Coradical and wedges
 # ---------------------------------------------------------------------------
 
-def _dual_algebra_of_coalgebra(c: CoalgebraData) -> AlgebraData:
-    f = c.field
-    n = c.dim
-    mult = [[[c.comult[k][a][b] for k in range(n)] for b in range(n)] for a in range(n)]
-    return AlgebraData(f, n, mult, list(c.counit))
-
-
 def coradical(c: CoalgebraData) -> SubspaceBasis:
     """Corad(C) = annihilator of rad(C*); verified to be a subcoalgebra."""
     f = c.field
     n = c.dim
-    rad = radical(_dual_algebra_of_coalgebra(c))
+    rad = radical(dual_algebra(c))
     if not rad.vectors:
         out = SubspaceBasis(n, [_unitvec(f, n, i) for i in range(n)])
     else:
@@ -261,16 +234,7 @@ def is_subcoalgebra(x: SubspaceBasis, c: CoalgebraData) -> bool:
     n = c.dim
     if not x.vectors:
         return True
-    tensor_span = []
-    for u in x.vectors:
-        for v in x.vectors:
-            w = [f.zero] * (n * n)
-            for i, uu in enumerate(u):
-                if uu:
-                    for j, vv in enumerate(v):
-                        if vv:
-                            w[i * n + j] = f.mul(uu, vv)
-            tensor_span.append(w)
+    tensor_span = [_tensor_of(f, n, u, v) for u in x.vectors for v in x.vectors]
     for u in x.vectors:
         if not in_span(f, tensor_span, c.delta(u)):
             return False
@@ -283,8 +247,8 @@ def wedge(x: SubspaceBasis, y: SubspaceBasis, e: CoalgebraData) -> SubspaceBasis
     n = e.dim
     if x.ambient_dim != n or y.ambient_dim != n:
         raise ValueError("wedge arguments live in the wrong ambient space")
-    px = _quotient_projection(f, n, x.vectors)
-    py = _quotient_projection(f, n, y.vectors)
+    px = quotient_maps(f, n, x.vectors)[0]
+    py = quotient_maps(f, n, y.vectors)[0]
     qx, qy = px.rows, py.rows
     if qx == 0 or qy == 0:
         return SubspaceBasis(n, [_unitvec(f, n, i) for i in range(n)])
@@ -308,23 +272,6 @@ def wedge(x: SubspaceBasis, y: SubspaceBasis, e: CoalgebraData) -> SubspaceBasis
             rows.append(row)
     ker = nullspace(SparseMat(f, len(rows), n, rows))
     return SubspaceBasis(n, ker.columns())
-
-
-def _quotient_projection(field: FieldSpec, n: int, subspace_vectors: list) -> Mat:
-    """A matrix E -> E/X: complete the subspace to a basis, take the cofactor rows."""
-    from .linalg import invert
-    chosen = [v[:] for v in subspace_vectors]
-    for i in range(n):
-        cand = chosen + [_unitvec(field, n, i)]
-        if rank(Mat(field, len(cand), n, cand)) == len(cand):
-            chosen.append(_unitvec(field, n, i))
-        if len(chosen) == n:
-            break
-    d = len(subspace_vectors)
-    if d == n:
-        return Mat(field, 0, n, [])
-    inv = invert(Mat.from_columns(field, chosen))
-    return Mat(field, n - d, n, [inv.data[r][:] for r in range(d, n)])
 
 
 def wedge_filtration(c: SubspaceBasis, e: CoalgebraData) -> FiltrationRecord:

@@ -3,7 +3,7 @@
 Conventions, fixed once for the whole package:
 
 * multiplication tensor ``mult[i][j][k]``:  e_i · e_j = sum_k mult[i][j][k] e_k
-* comultiplication tensor ``comult[k][i][j]``:  Delta(e_k) = sum mult[k][i][j] e_i (x) e_j
+* comultiplication tensor ``comult[k][i][j]``:  Delta(e_k) = sum comult[k][i][j] e_i (x) e_j
 * a linear map is a :class:`Mat` acting on coordinate columns, so the image of
   e_j is column j
 * H (x) H coordinates are flattened as ``i * dim + j``.
@@ -14,8 +14,7 @@ failed report raises rather than returning a silently broken object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Optional
 
 from .fields import FieldSpec
@@ -30,9 +29,6 @@ class AlgebraData:
     unit: list  # coordinates of 1
 
     # -- vector arithmetic -------------------------------------------------
-    def mul_basis(self, i: int, j: int) -> list:
-        return self.mult[i][j]
-
     def mul(self, a: list, b: list) -> list:
         f = self.field
         out = [f.zero] * self.dim
@@ -74,20 +70,6 @@ class AlgebraData:
                 for k, m in enumerate(self.mult[i][j]):
                     if m:
                         out.data[k][i] = f.add(out.data[k][i], f.mul(y, m))
-        return out
-
-    @cached_property
-    def mult_matrix(self) -> Mat:
-        """m: H (x) H -> H as a dim x dim^2 matrix."""
-        f = self.field
-        n = self.dim
-        out = Mat.zeros(f, n, n * n)
-        for i in range(n):
-            for j in range(n):
-                col = i * n + j
-                for k, m in enumerate(self.mult[i][j]):
-                    if m:
-                        out.data[k][col] = m
         return out
 
     def mul2(self, u: list, v: list) -> list:
@@ -175,19 +157,6 @@ class CoalgebraData:
                 acc = f.add(acc, f.mul(x, e))
         return acc
 
-    @cached_property
-    def delta_matrix(self) -> Mat:
-        """Delta: H -> H (x) H as a dim^2 x dim matrix."""
-        f = self.field
-        n = self.dim
-        out = Mat.zeros(f, n * n, n)
-        for k in range(n):
-            for i, row in enumerate(self.comult[k]):
-                for j, c in enumerate(row):
-                    if c:
-                        out.data[i * n + j][k] = c
-        return out
-
 
 @dataclass
 class AxiomCheck:
@@ -261,14 +230,7 @@ class HopfData:
         return self.antipode_inverse.matvec(v)
 
     def basis_vec(self, i: int) -> list:
-        f = self.field
-        v = [f.zero] * self.dim
-        v[i] = f.one
-        return v
-
-
-def _vec_eq(field: FieldSpec, a: list, b: list) -> bool:
-    return a == b  # scalars are canonical; list equality also compares lengths
+        return _unitvec(self.field, self.dim, i)
 
 
 def check_algebra(a: AlgebraData) -> AxiomReport:
@@ -286,14 +248,14 @@ def check_algebra(a: AlgebraData) -> AxiomReport:
             for k in range(n):
                 lhs = a.mul(left, _unitvec(f, n, k))
                 rhs = a.mul(_unitvec(f, n, i), a.mult[j][k])
-                if not _vec_eq(f, lhs, rhs):
+                if lhs != rhs:
                     witness = (i, j, k)
                     break
     checks["associativity"] = AxiomCheck(witness is None, witness)
     witness = None
     for i in range(n):
         e = _unitvec(f, n, i)
-        if not _vec_eq(f, a.mul(a.unit, e), e) or not _vec_eq(f, a.mul(e, a.unit), e):
+        if a.mul(a.unit, e) != e or a.mul(e, a.unit) != e:
             witness = (i,)
             break
     checks["unit"] = AxiomCheck(witness is None, witness)
@@ -324,7 +286,7 @@ def check_coalgebra(c: CoalgebraData) -> AxiomReport:
                         if y:
                             idx = (p * n + q) * n + b
                             rhs[idx] = f.add(rhs[idx], f.mul(x, y))
-        if not _vec_eq(f, lhs, rhs):
+        if lhs != rhs:
             witness = (k,)
             break
     checks["coassociativity"] = AxiomCheck(witness is None, witness)
@@ -338,7 +300,7 @@ def check_coalgebra(c: CoalgebraData) -> AxiomReport:
                     left[j] = f.add(left[j], f.mul(c.counit[i], x))
                     right[i] = f.add(right[i], f.mul(x, c.counit[j]))
         e = _unitvec(f, n, k)
-        if not _vec_eq(f, left, e) or not _vec_eq(f, right, e):
+        if left != e or right != e:
             witness = (k,)
             break
     checks["counit"] = AxiomCheck(witness is None, witness)
@@ -362,7 +324,7 @@ def check_hopf(h: HopfData) -> AxiomReport:
             dj = h.coa.delta_basis(j)
             lhs = h.delta(h.alg.mult[i][j])
             rhs = h.alg.mul2(di, dj)
-            if not _vec_eq(f, lhs, rhs):
+            if lhs != rhs:
                 witness = (i, j, "delta")
                 break
             le = h.eps(h.alg.mult[i][j])
@@ -372,7 +334,7 @@ def check_hopf(h: HopfData) -> AxiomReport:
                 break
     if witness is None:
         one2 = _tensor_of(f, n, h.alg.unit, h.alg.unit)
-        if not _vec_eq(f, h.delta(h.alg.unit), one2):
+        if h.delta(h.alg.unit) != one2:
             witness = ("unit", "delta")
         elif not f.eq(h.eps(h.alg.unit), f.one):
             witness = ("unit", "eps")
@@ -397,7 +359,7 @@ def check_hopf(h: HopfData) -> AxiomReport:
                     if rj[t]:
                         acc_r[t] = f.add(acc_r[t], f.mul(x, rj[t]))
         target = [f.mul(h.coa.counit[k], u) for u in h.alg.unit]
-        if not _vec_eq(f, acc_l, target) or not _vec_eq(f, acc_r, target):
+        if acc_l != target or acc_r != target:
             witness = (k,)
             break
     checks["antipode"] = AxiomCheck(witness is None, witness)
@@ -468,44 +430,91 @@ def augmentation_ideal(h: HopfData) -> SubspaceBasis:
     return SubspaceBasis(h.dim, ns.columns())
 
 
-def unit_cokernel(h: HopfData) -> QuotientSplitting:
-    """Hbar = coker(u) with a fixed splitting H = K·1 (+) Hbar."""
-    f = h.field
-    n = h.dim
-    chosen = [list(h.alg.unit)]
-    picked = []
+def quotient_maps(field: FieldSpec, n: int, vectors: list) -> tuple:
+    """(projection, section) for K^n -> K^n / span(vectors), ``vectors`` independent.
+
+    The complement is picked greedily from e_0, e_1, ...; the projection is the
+    matching rows of the inverse basis change and the section sends the quotient
+    basis to the picked e_i.
+    """
+    chosen = [list(v) for v in vectors]
     for i in range(n):
-        cand = chosen + [_unitvec(f, n, i)]
-        if rank(Mat(f, len(cand), n, cand)) == len(cand):
-            chosen.append(_unitvec(f, n, i))
-            picked.append(i)
         if len(chosen) == n:
             break
-    basis_change = Mat.from_columns(f, chosen)  # columns: 1_H, e_{i1}, ...
-    inv = invert(basis_change)
-    assert inv is not None
-    projection = Mat(f, n - 1, n, [inv.data[r][:] for r in range(1, n)])
-    section = Mat.from_columns(f, chosen[1:])
-    return QuotientSplitting(projection, section,
-                             SubspaceBasis(n, [list(h.alg.unit)]))
+        cand = chosen + [_unitvec(field, n, i)]
+        if rank(Mat(field, len(cand), n, cand)) == len(cand):
+            chosen = cand
+    d = len(vectors)
+    inv = invert(Mat.from_columns(field, chosen))
+    if inv is None:
+        raise ValueError("subspace vectors are not linearly independent")
+    section = Mat(field, n, n - d, [[v[r] for v in chosen[d:]] for r in range(n)])
+    return Mat(field, n - d, n, inv.data[d:]), section
+
+
+def unit_cokernel(h: HopfData) -> QuotientSplitting:
+    """Hbar = coker(u) with a fixed splitting H = K·1 (+) Hbar."""
+    unit = [list(h.alg.unit)]
+    return QuotientSplitting(*quotient_maps(h.field, h.dim, unit), SubspaceBasis(h.dim, unit))
+
+
+def sub_hopf_on_subspace(h: HopfData, sub: SubspaceBasis) -> tuple:
+    """(validated Hopf structure on ``sub``, inclusion matrix) for a subspace that
+    must be a Hopf subalgebra; raises ValueError when it is not."""
+    f = h.field
+    m = sub.dim
+    mult = [[f.zero] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(m):
+            mult[i][j] = sub.coords_of(f, h.mul(sub.vectors[i], sub.vectors[j]))
+            if mult[i][j] is None:
+                raise ValueError("subspace is not closed under multiplication")
+    unit = sub.coords_of(f, h.alg.unit)
+    if unit is None:
+        raise ValueError("subspace does not contain the unit")
+    comult = [_tensor_coords(f, sub, h.delta(v), h.dim) for v in sub.vectors]
+    if None in comult:
+        raise ValueError("subspace is not a subcoalgebra")
+    counit = [h.eps(v) for v in sub.vectors]
+    images = [sub.coords_of(f, h.s_vec(v)) for v in sub.vectors]
+    if None in images:
+        raise ValueError("subspace is not antipode-stable")
+    sub_h = validated(HopfData(AlgebraData(f, m, mult, unit), CoalgebraData(f, m, comult, counit),
+                               Mat.from_columns(f, images)))
+    return sub_h, Mat.from_columns(f, sub.vectors)
+
+
+def _tensor_coords(f: FieldSpec, sub: SubspaceBasis, flat: list, n: int) -> Optional[list]:
+    """Coordinates c[i][j] of a vector of H (x) H in the basis {v_i (x) v_j}, or None."""
+    m = sub.dim
+    cols = [_tensor_of(f, n, u, v) for u in sub.vectors for v in sub.vectors]
+    coords = span_coordinates(f, cols, flat)
+    if coords is None:
+        return None
+    return [coords[i * m:(i + 1) * m] for i in range(m)]
 
 
 # ---------------------------------------------------------------------------
 # Duals and op/cop twists
 # ---------------------------------------------------------------------------
 
+def dual_algebra(c: CoalgebraData) -> AlgebraData:
+    """The algebra C* on the dual basis: f_a f_b = sum_k comult[k][a][b] f_k."""
+    n = c.dim
+    mult = [[[c.comult[k][a][b] for k in range(n)] for b in range(n)] for a in range(n)]
+    return AlgebraData(c.field, n, mult, list(c.counit))
+
+
 def dual_hopf(h: HopfData, validate: bool = True) -> HopfData:
     """The dual Hopf algebra on the dual basis (finite dimension)."""
     f = h.field
     n = h.dim
-    mult = [[[h.coa.comult[k][a][b] for k in range(n)] for b in range(n)] for a in range(n)]
-    unit = list(h.coa.counit)
     comult = [[[h.alg.mult[a][b][k] for b in range(n)] for a in range(n)] for k in range(n)]
     counit = list(h.alg.unit)
     antipode = h.antipode.transpose()
     sbar = h.antipode_inverse.transpose() if h.antipode_inverse is not None else None
     names = [f"{name}*" for name in h.basis]
-    out = HopfData(AlgebraData(f, n, mult, unit), CoalgebraData(f, n, comult, counit),
+    out = HopfData(dual_algebra(h.coa), CoalgebraData(f, n, comult, counit),
                    antipode, sbar, names)
     return validated(out) if validate else out
 

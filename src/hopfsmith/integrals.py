@@ -14,7 +14,8 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 from .hopf import AlgebraData, HopfData, SubspaceBasis, _unitvec
-from .linalg import AffineSystem, Mat, SparseMat, nullspace, solve_affine, spans_equal
+from .linalg import (AffineSystem, Mat, SparseMat, nullspace, require_labels, solve_affine,
+                     spans_equal)
 from .yd import adjoint_action, adjoint_coaction
 
 
@@ -64,22 +65,28 @@ def integral_space(h: HopfData, side: str = "left", carrier: str = "in_h") -> Su
         raise ValueError(f"side must be left or right, got {side!r}")
     from .hopf import dual_hopf
     target = h if carrier == "in_h" else dual_hopf(h)
-    ns = nullspace(_integral_system(target, side))
-    basis = SubspaceBasis(h.dim, ns.columns())
-    _verify_integral_space(target, basis, side)
+    system = _integral_system(target, side)
+    basis = SubspaceBasis(h.dim, nullspace(system).columns())
+    _verify_integral_space(target, basis, side, system)
     return basis
 
 
-def _verify_integral_space(h: HopfData, basis: SubspaceBasis, side: str):
-    f = h.field
-    n = h.dim
+def _verify_integral_space(h: HopfData, basis: SubspaceBasis, side: str,
+                           system: Optional[SparseMat] = None):
+    """Check every basis vector against the rows h t = eps(h) t (or t h = eps(h) t)."""
+    system = system or _integral_system(h, side)
+    sys = AffineSystem(system, [h.field.zero] * system.rows, labels=[side] * system.rows)
     for t in basis.vectors:
-        for i in range(n):
-            e = _unitvec(f, n, i)
-            prod = h.mul(e, t) if side == "left" else h.mul(t, e)
-            want = [f.mul(h.coa.counit[i], x) for x in t]
-            if not all(f.eq(a, b) for a, b in zip(prod, want)):
-                raise AssertionError(f"integral space vector fails defining identity at basis {i}")
+        require_labels(sys, t, "integral space vector")
+
+
+def _pair(f, lam: list, v: list):
+    """lam(v) for a functional given by its values on the basis."""
+    acc = f.zero
+    for x, l in zip(v, lam):
+        if x and l:
+            acc = f.add(acc, f.mul(x, l))
+    return acc
 
 
 def is_unimodular(h: HopfData, carrier: str = "in_h") -> bool:
@@ -92,7 +99,6 @@ def total_integral(h: HopfData, carrier: str = "in_h") -> Optional[IntegralCerti
     """A left integral normalized against the augmentation, when possible."""
     f = h.field
     space = integral_space(h, "left", carrier)
-    target = h if carrier == "in_h" else None
     for t in space.vectors:
         # normalization functional: eps over in_h, evaluation at 1 over in_dual
         if carrier == "in_h":
@@ -110,9 +116,9 @@ def total_integral(h: HopfData, carrier: str = "in_h") -> Optional[IntegralCerti
     return None
 
 
-def ad_invariant_integral(h: HopfData) -> Optional[IntegralCertificate]:
-    """The unique functional with (a) h_1 lam(h_2) = 1 lam(h), (b) lam(h|>x) =
-    eps(h) lam(x), (c) lam(1) = 1; or None."""
+def _ad_invariant_system(h: HopfData) -> AffineSystem:
+    """Rows of (a) h_1 lam(h_2) = 1 lam(h), (b) lam(h|>x) = eps(h) lam(x) and
+    (c) lam(1) = 1 in the values lam(e_j)."""
     f = h.field
     n = h.dim
     adl = adjoint_action(h, "adl")
@@ -127,6 +133,7 @@ def ad_invariant_integral(h: HopfData) -> Optional[IntegralCertificate]:
                 row[k] = f.sub(row.get(k, f.zero), u)
             rows.append(row)
             rhs.append(f.zero)
+    labels = ["a"] * len(rows)
     # (b): lam(e_k |> e_t) = eps(e_k) lam(e_t)
     for k in range(n):
         ek = h.coa.counit[k]
@@ -136,48 +143,29 @@ def ad_invariant_integral(h: HopfData) -> Optional[IntegralCertificate]:
                 row[t] = f.sub(row.get(t, f.zero), ek)
             rows.append(row)
             rhs.append(f.zero)
+    labels += ["b"] * (len(rows) - len(labels)) + ["c"]
     # (c): lam(1) = 1
     rows.append({j: u for j, u in enumerate(h.alg.unit) if u})
     rhs.append(f.one)
-    sol = solve_affine(AffineSystem.sparse(f, rows, rhs, n))
+    return AffineSystem.sparse(f, rows, rhs, n, labels)
+
+
+def ad_invariant_integral(h: HopfData) -> Optional[IntegralCertificate]:
+    """The unique functional with (a) h_1 lam(h_2) = 1 lam(h), (b) lam(h|>x) =
+    eps(h) lam(x), (c) lam(1) = 1; or None."""
+    sys = _ad_invariant_system(h)
+    sol = solve_affine(sys)
     if sol is None:
         return None
     if sol.nullspace.cols != 0:
         raise AssertionError("ad-invariant integral is not unique; theory violated")
     lam = sol.particular
-    _verify_ad_invariant(h, lam)
+    _verify_ad_invariant(h, lam, sys)
     return IntegralCertificate("left", "in_dual", lam, total=True, ad_invariant=True)
 
 
-def _verify_ad_invariant(h: HopfData, lam: list):
-    f = h.field
-    n = h.dim
-
-    def ev(v):
-        acc = f.zero
-        for x, l in zip(v, lam):
-            if x and l:
-                acc = f.add(acc, f.mul(x, l))
-        return acc
-
-    for k in range(n):
-        acc = [f.zero] * n
-        for i in range(n):
-            for j, c in enumerate(h.coa.comult[k][i]):
-                if c and lam[j]:
-                    acc[i] = f.add(acc[i], f.mul(c, lam[j]))
-        want = [f.mul(lam[k], u) for u in h.alg.unit]
-        if not all(f.eq(a, b) for a, b in zip(acc, want)):
-            raise AssertionError("ad-invariant condition (a) fails")
-    adl = adjoint_action(h, "adl")
-    for k in range(n):
-        for t in range(n):
-            lhs = ev(adl.tensor[k][t])
-            rhs = f.mul(h.coa.counit[k], lam[t])
-            if not f.eq(lhs, rhs):
-                raise AssertionError("ad-invariant condition (b) fails")
-    if not f.eq(ev(h.alg.unit), f.one):
-        raise AssertionError("ad-invariant condition (c) fails")
+def _verify_ad_invariant(h: HopfData, lam: list, sys: Optional[AffineSystem] = None) -> list:
+    return require_labels(sys or _ad_invariant_system(h), lam, "ad-invariant integral")
 
 
 def ad_coinvariant_integral(h: HopfData) -> Optional[IntegralCertificate]:
@@ -189,6 +177,7 @@ def ad_coinvariant_integral(h: HopfData) -> Optional[IntegralCertificate]:
     # (a): left integral rows
     rows = [dict(row) for row in _integral_system(h, "left").data]
     rhs = [f.zero] * len(rows)
+    labels = ["a"] * len(rows)
     # (b): rho_l(t) = 1 (x) t  componentwise in H (x) H
     for i in range(n):
         u = h.alg.unit[i]
@@ -198,17 +187,19 @@ def ad_coinvariant_integral(h: HopfData) -> Optional[IntegralCertificate]:
                 row[k] = f.sub(row.get(k, f.zero), u)
             rows.append(row)
             rhs.append(f.zero)
+    labels += ["b"] * (len(rows) - len(labels)) + ["c"]
     # (c): eps(t) = 1
     rows.append({j: e for j, e in enumerate(h.coa.counit) if e})
     rhs.append(f.one)
-    sol = solve_affine(AffineSystem.sparse(f, rows, rhs, n))
+    sys = AffineSystem.sparse(f, rows, rhs, n, labels)
+    sol = solve_affine(sys)
     if sol is None:
         return None
     if sol.nullspace.cols != 0:
         raise AssertionError("ad-coinvariant integral is not unique; theory violated")
     t = sol.particular
-    cert = IntegralCertificate("left", "in_h", t, total=True, ad_coinvariant=True)
-    return cert
+    require_labels(sys, t, "ad-coinvariant integral")
+    return IntegralCertificate("left", "in_h", t, total=True, ad_coinvariant=True)
 
 
 def four_linearity_flags(h: HopfData, lam: list) -> dict:
@@ -221,19 +212,8 @@ def four_linearity_flags(h: HopfData, lam: list) -> dict:
     out = {}
     for which in ("adl", "adr", "adl_bar", "adr_bar"):
         act = adjoint_action(h, which)
-        ok = True
-        for k in range(n):
-            for t in range(n):
-                acc = f.zero
-                for j, c in enumerate(act.tensor[k][t]):
-                    if c and lam[j]:
-                        acc = f.add(acc, f.mul(c, lam[j]))
-                if not f.eq(acc, f.mul(h.coa.counit[k], lam[t])):
-                    ok = False
-                    break
-            if not ok:
-                break
-        out[which] = ok
+        out[which] = all(_pair(f, lam, act.tensor[k][t]) == f.mul(h.coa.counit[k], lam[t])
+                         for k in range(n) for t in range(n))
     return out
 
 
@@ -278,6 +258,7 @@ def idempotent_system(a: AlgebraData) -> AffineSystem:
     for k in range(n):
         rows.append({i * n + j: c for i in range(n) for j in range(n) if (c := mult[i][j][k])})
         rhs.append(a.unit[k])
+    labels = ["m(e)=1"] * n + ["bilinear"] * n ** 3
     # (e_x (x) 1) e = e (1 (x) e_x): components (p, q)
     for x in range(n):
         for p in range(n):
@@ -290,13 +271,12 @@ def idempotent_system(a: AlgebraData) -> AffineSystem:
                         row[col] = f.sub(row.get(col, f.zero), c)
                 rows.append(row)
                 rhs.append(f.zero)
-    return AffineSystem.sparse(f, rows, rhs, n * n)
+    return AffineSystem.sparse(f, rows, rhs, n * n, labels)
 
 
-def _blind_idempotent(h: HopfData) -> Optional[list]:
-    """Affine search for e in H (x) H with m(e) = 1, (h (x) 1)e = e(1 (x) h)."""
-    sol = solve_affine(idempotent_system(h.alg))
-    return None if sol is None else sol.particular
+def _blind_idempotent(sys: AffineSystem) -> bool:
+    """Whether the idempotent system has any solution e, formula or not."""
+    return solve_affine(sys) is not None
 
 
 def separability_idempotent(h: HopfData) -> Optional[SeparabilityCertificate]:
@@ -304,8 +284,8 @@ def separability_idempotent(h: HopfData) -> Optional[SeparabilityCertificate]:
     f = h.field
     n = h.dim
     cert_total = total_integral(h, "in_h")
-    blind = _blind_idempotent(h)
-    if (cert_total is None) != (blind is None):
+    sys = idempotent_system(h.alg)
+    if (cert_total is not None) != _blind_idempotent(sys):
         raise AssertionError("total-integral route and blind idempotent search disagree")
     if cert_total is None:
         return None
@@ -320,42 +300,16 @@ def separability_idempotent(h: HopfData) -> Optional[SeparabilityCertificate]:
                 for k, v in enumerate(sj):
                     if v:
                         e[i * n + k] = f.add(e[i * n + k], f.mul(c, v))
-    verified = _verify_idempotent(h, e)
-    return SeparabilityCertificate("idempotent_for_algebra", e, verified)
+    return SeparabilityCertificate("idempotent_for_algebra", e, _verify_idempotent(h, e, sys))
 
 
-def _verify_idempotent(h: HopfData, e: list) -> list:
-    f = h.field
-    n = h.dim
-    out = [f.zero] * n
-    for t, x in enumerate(e):
-        if x:
-            i, j = divmod(t, n)
-            for k, m in enumerate(h.alg.mult[i][j]):
-                if m:
-                    out[k] = f.add(out[k], f.mul(x, m))
-    if not all(f.eq(a, b) for a, b in zip(out, h.alg.unit)):
-        raise AssertionError("separability idempotent fails m(e) = 1")
-    for a in range(n):
-        lhs = [f.zero] * (n * n)
-        rhs = [f.zero] * (n * n)
-        for t, x in enumerate(e):
-            if not x:
-                continue
-            i, j = divmod(t, n)
-            for k, m in enumerate(h.alg.mult[a][i]):
-                if m:
-                    lhs[k * n + j] = f.add(lhs[k * n + j], f.mul(x, m))
-            for k, m in enumerate(h.alg.mult[j][a]):
-                if m:
-                    rhs[i * n + k] = f.add(rhs[i * n + k], f.mul(x, m))
-        if not all(f.eq(p, q) for p, q in zip(lhs, rhs)):
-            raise AssertionError(f"separability idempotent fails bilinearity at basis {a}")
-    return ["m(e)=1", "bilinear"]
+def _verify_idempotent(h: HopfData, e: list, sys: Optional[AffineSystem] = None) -> list:
+    return require_labels(sys or idempotent_system(h.alg), e, "separability idempotent")
 
 
-def _blind_retraction(h: HopfData) -> Optional[Mat]:
-    """Affine search for bicolinear theta: H (x) H -> H with theta∘Delta = id."""
+def retraction_system(h: HopfData) -> AffineSystem:
+    """The affine system for bicolinear theta: H (x) H -> H with theta∘Delta = id,
+    in the entries theta[k][(i, j)], unknown k*n^2 + i*n + j."""
     f = h.field
     n = h.dim
     nn = n * n
@@ -376,6 +330,7 @@ def _blind_retraction(h: HopfData) -> Optional[Mat]:
         for out_k in range(n):
             rows.append({out_k * nn + t: c for t, c in enumerate(flat) if c})
             rhs.append(f.one if out_k == k else f.zero)
+    labels = ["theta∘Delta=id"] * nn + ["bicolinear"] * (2 * nn * nn)
 
     def colinearity_row(row, p, q, i, j):  # row holds the theta-side terms
         for k, c in delta_at[p][q]:
@@ -401,12 +356,12 @@ def _blind_retraction(h: HopfData) -> Optional[Mat]:
                 for q in range(n):
                     colinearity_row({unk(p, i, a): c for a in range(n) if (c := dj[a][q])},
                                     p, q, i, j)
-    sol = solve_affine(AffineSystem.sparse(f, rows, rhs, nunk))
-    if sol is None:
-        return None
-    x = sol.particular
-    return Mat(f, n, nn, [[x[unk(k, i, j)] for i in range(n) for j in range(n)]
-                          for k in range(n)])
+    return AffineSystem.sparse(f, rows, rhs, nunk, labels)
+
+
+def _blind_retraction(sys: AffineSystem) -> bool:
+    """Whether the retraction system has any solution theta, formula or not."""
+    return solve_affine(sys) is not None
 
 
 def coseparability_retraction(h: HopfData) -> Optional[SeparabilityCertificate]:
@@ -414,20 +369,12 @@ def coseparability_retraction(h: HopfData) -> Optional[SeparabilityCertificate]:
     f = h.field
     n = h.dim
     cert_total = total_integral(h, "in_dual")
-    blind = _blind_retraction(h)
-    if (cert_total is None) != (blind is None):
+    sys = retraction_system(h)
+    if (cert_total is not None) != _blind_retraction(sys):
         raise AssertionError("total-integral route and blind retraction search disagree")
     if cert_total is None:
         return None
     lam = cert_total.vector
-
-    def lam_ev(v):
-        acc = f.zero
-        for x, l in zip(v, lam):
-            if x and l:
-                acc = f.add(acc, f.mul(x, l))
-        return acc
-
     theta = Mat.zeros(f, n, n * n)
     for i in range(n):
         di = h.coa.comult[i]
@@ -438,77 +385,30 @@ def coseparability_retraction(h: HopfData) -> Optional[SeparabilityCertificate]:
                 for q, c in enumerate(di[p]):
                     if not c:
                         continue
-                    val = lam_ev(h.mul(_unitvec(f, n, q), sy))
+                    val = _pair(f, lam, h.mul(_unitvec(f, n, q), sy))
                     if not f.is_zero(val):
                         theta.data[p][col] = f.add(theta.data[p][col], f.mul(c, val))
-    verified = _verify_retraction(h, theta, lam)
+    verified = _verify_retraction(h, theta, lam, sys)
     return SeparabilityCertificate("retraction_for_coalgebra", theta, verified)
 
 
-def _verify_retraction(h: HopfData, theta: Mat, lam: Optional[list] = None) -> list:
+def _verify_retraction(h: HopfData, theta: Mat, lam: Optional[list] = None,
+                       sys: Optional[AffineSystem] = None) -> list:
     f = h.field
     n = h.dim
-    # theta ∘ Delta = id
-    for k in range(n):
-        out = theta.matvec(h.coa.delta_basis(k))
-        if not all(f.eq(a, b) for a, b in zip(out, _unitvec(f, n, k))):
-            raise AssertionError("retraction fails theta∘Delta = id")
-    # bicolinearity as matrix identities
-    for i in range(n):
-        for j in range(n):
-            v = [f.zero] * (n * n)
-            v[i * n + j] = f.one
-            tv = theta.matvec(v)
-            dtv = h.delta(tv)
-            # left: x_1 (x) theta(x_2 (x) y)
-            left = [f.zero] * (n * n)
-            for p in range(n):
-                for a, c in enumerate(h.coa.comult[i][p]):
-                    if c:
-                        w = [f.zero] * (n * n)
-                        w[a * n + j] = f.one
-                        tw = theta.matvec(w)
-                        for q, x in enumerate(tw):
-                            if x:
-                                left[p * n + q] = f.add(left[p * n + q], f.mul(c, x))
-            # right: theta(x (x) y_1) (x) y_2
-            right = [f.zero] * (n * n)
-            for a in range(n):
-                for q, c in enumerate(h.coa.comult[j][a]):
-                    if c:
-                        w = [f.zero] * (n * n)
-                        w[i * n + a] = f.one
-                        tw = theta.matvec(w)
-                        for p, x in enumerate(tw):
-                            if x:
-                                right[p * n + q] = f.add(right[p * n + q], f.mul(c, x))
-            if not all(f.eq(a, b) for a, b in zip(dtv, left)):
-                raise AssertionError("retraction fails left colinearity")
-            if not all(f.eq(a, b) for a, b in zip(dtv, right)):
-                raise AssertionError("retraction fails right colinearity")
-    verified = ["theta∘Delta=id", "bicolinear"]
+    verified = require_labels(sys or retraction_system(h),
+                              [x for row in theta.data for x in row], "retraction")
     if lam is not None:
         # both sides of the defining exchange identity:
         # x_1 lam(x_2 S(y)) = lam(x S(y_1)) y_2
         for i in range(n):
             for j in range(n):
-                v = [f.zero] * (n * n)
-                v[i * n + j] = f.one
-                lhs = theta.matvec(v)
                 rhs = [f.zero] * n
                 for a in range(n):
+                    val = _pair(f, lam, h.mul(_unitvec(f, n, i), h.s_vec(_unitvec(f, n, a))))
                     for b, c in enumerate(h.coa.comult[j][a]):
-                        if not c:
-                            continue
-                        val = f.zero
-                        sv = h.s_vec(_unitvec(f, n, a))
-                        prod = h.mul(_unitvec(f, n, i), sv)
-                        for t, x in enumerate(prod):
-                            if x and lam[t]:
-                                val = f.add(val, f.mul(x, lam[t]))
-                        if not f.is_zero(val):
-                            rhs[b] = f.add(rhs[b], f.mul(c, val))
-                if not all(f.eq(a, b) for a, b in zip(lhs, rhs)):
+                        rhs[b] = f.add(rhs[b], f.mul(c, val))
+                if theta.column(i * n + j) != rhs:
                     raise AssertionError("retraction fails the exchange identity")
         verified.append("exchange-identity")
     return verified

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
-from .hopf import AlgebraData, HopfData, SubspaceBasis, _unitvec
+from .hopf import AlgebraData, HopfData, SubspaceBasis, _unitvec, dual_algebra
 from .linalg import (AffineSystem, Mat, in_span, invert, nullspace, rank,
                      solve_affine, span_contains_span)
 from .filtration import (_ideal_product, _is_two_sided_ideal, _quotient_algebra,
@@ -252,7 +252,8 @@ def lift_algebra_section(p: SurjectionProblem, colinear: bool = False,
 
         g = _solve_linear_lift(f, qcur, p_r, f_r, p.a, alphas, betas_cur)
         if g is None:
-            return LiftObstruction(r, [], True,
+            # no curvature was formed, so the empty witness is not a closed cocycle
+            return LiftObstruction(r, [], False,
                                    "no equivariant linear lift through E/I^{r+1}")
 
         curv = {}
@@ -589,13 +590,6 @@ class WeakProjectionCertificate:
     verified: list = dc_field(default_factory=list)
 
 
-def _dual_algebra(coa) -> AlgebraData:
-    f = coa.field
-    n = coa.dim
-    mult = [[[coa.comult[k][a][b] for k in range(n)] for b in range(n)] for a in range(n)]
-    return AlgebraData(f, n, mult, list(coa.counit))
-
-
 def weak_projection(e: HopfData, h: HopfData, inclusion: Mat,
                     bilinear: bool = False):
     """A left H-linear coalgebra retraction E -> H of a Hopf subalgebra
@@ -649,8 +643,8 @@ def weak_projection(e: HopfData, h: HopfData, inclusion: Mat,
     if not record.exhausted:
         raise AssertionError("filtration fails to exhaust despite coradical containment")
 
-    e_star = _dual_algebra(e.coa)
-    h_star = _dual_algebra(h.coa)
+    e_star = dual_algebra(e.coa)
+    h_star = dual_algebra(h.coa)
     pi_star = inclusion.transpose()
     problem = SurjectionProblem(e_star, h_star, pi_star)
 

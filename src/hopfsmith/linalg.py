@@ -148,11 +148,16 @@ def _sparse_rows(m) -> list:
 
 @dataclass
 class AffineSystem:
-    """A · x = b with ``unknowns`` columns; A is a dense ``Mat`` or a ``SparseMat``."""
+    """A · x = b with ``unknowns`` columns; A is a dense ``Mat`` or a ``SparseMat``.
+
+    ``labels``, when given, names for each row the condition it encodes, so a
+    candidate solution can be checked condition by condition (:func:`failed_labels`).
+    """
 
     matrix: object
     rhs: list
     unknowns: int = dc_field(default=-1)
+    labels: Optional[list] = None
 
     def __post_init__(self):
         if self.unknowns < 0:
@@ -161,19 +166,48 @@ class AffineSystem:
             raise ValueError("coefficient matrix width differs from unknown count")
         if len(self.rhs) != self.matrix.rows:
             raise ValueError("right-hand side length differs from row count")
+        if self.labels is not None and len(self.labels) != len(self.rhs):
+            raise ValueError("label count differs from row count")
 
     @classmethod
-    def sparse(cls, field: FieldSpec, rows: list, rhs: list, unknowns: int) -> "AffineSystem":
+    def sparse(cls, field: FieldSpec, rows: list, rhs: list, unknowns: int,
+               labels: Optional[list] = None) -> "AffineSystem":
         """A system from rows given as ``{column: coefficient}`` dicts; zero
         coefficients (say, ones that cancelled during assembly) are dropped."""
         data = [[(j, x) for j, x in row.items() if x] for row in rows]
-        return cls(SparseMat(field, len(data), unknowns, data), rhs)
+        return cls(SparseMat(field, len(data), unknowns, data), rhs, unknowns, labels)
+
+    def condition_labels(self) -> list:
+        """The distinct row labels, in row order."""
+        return list(dict.fromkeys(self.labels))
 
 
 @dataclass
 class AffineSolution:
     particular: list
     nullspace: Mat  # columns span the homogeneous solution space
+
+
+def failed_labels(sys: AffineSystem, x: list) -> list:
+    """The distinct labels, in row order, of the rows of ``sys`` that ``x`` violates."""
+    f = sys.matrix.field
+    bad = {}
+    for row, b, label in zip(_sparse_rows(sys.matrix), sys.rhs, sys.labels):
+        acc = f.zero
+        for j, a in row:
+            acc = f.add(acc, f.mul(a, x[j]))
+        if acc != b:
+            bad[label] = None
+    return list(bad)
+
+
+def require_labels(sys: AffineSystem, x: list, what: str) -> list:
+    """The condition labels of ``sys`` once ``x`` is checked against every row;
+    raises ``AssertionError`` naming the violated conditions otherwise."""
+    bad = failed_labels(sys, x)
+    if bad:
+        raise AssertionError(f"{what} fails {', '.join(bad)}")
+    return sys.condition_labels()
 
 
 def _rref(rows: list, ncols: int, field: FieldSpec) -> list:

@@ -17,7 +17,7 @@ import json
 from typing import Optional
 
 from .fields import FieldSpec
-from .hopf import (AlgebraData, CoalgebraData, HopfData, check_hopf, validated)
+from .hopf import AlgebraData, CoalgebraData, HopfData, validated
 from .linalg import AffineSystem, Mat, solve_affine
 
 
@@ -127,11 +127,9 @@ def integral_to_dict(f: FieldSpec, cert, kind: Optional[str] = None) -> dict:
             kind = "ad_coinvariant_integral"
         else:
             kind = "total_integral" if cert.total else "integral"
-    verified = []
-    if kind == "ad_invariant_integral":
-        verified = ["a", "b", "c"]
-    elif kind == "ad_coinvariant_integral":
-        verified = ["a", "b", "c"]
+    # the finders check (a), (b) and (c) on the solver's rows and raise on failure
+    verified = ["a", "b", "c"] if kind in ("ad_invariant_integral",
+                                           "ad_coinvariant_integral") else []
     key = "lambda" if cert.carrier == "in_dual" else "t"
     return {"type": kind, key: _vec_json(f, cert.vector),
             "side": cert.side, "carrier": cert.carrier, "verified": verified}

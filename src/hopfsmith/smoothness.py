@@ -24,8 +24,8 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .hopf import HopfData, _unitvec
-from .linalg import AffineSystem, Mat, solve_affine
+from .hopf import HopfData, QuotientSplitting, SubspaceBasis, _unitvec
+from .linalg import AffineSystem, Mat, failed_labels, solve_affine
 from .yd import h_bar_yd, h_plus_yd
 
 
@@ -38,31 +38,61 @@ class SectionCertificate:
     context: dict = dc_field(default_factory=dict)  # basis/splitting data for re-evaluation
 
 
+def _conditions(complete: bool) -> list:
+    return ["i", "ii", "iii"] if complete else ["i", "ii"]
+
+
+def _checked(sys: AffineSystem, cert: SectionCertificate) -> list:
+    """The conditions of ``sys`` whose rows the certificate's map satisfies; the
+    unknowns of every system here are the map's entries in row-major order."""
+    bad = failed_labels(sys, [x for row in cert.matrix.data for x in row])
+    return [c for c in sys.condition_labels() if c not in bad]
+
+
+def _solve(sys: AffineSystem, kind: str, nrows: int,
+           context: dict) -> Optional[SectionCertificate]:
+    """Solve ``sys`` for a map with ``nrows`` matrix rows; nothing verified yet."""
+    sol = solve_affine(sys)
+    if sol is None:
+        return None
+    x = sol.particular
+    width = len(x) // nrows
+    return SectionCertificate(kind, Mat(sys.matrix.field, nrows, width,
+                                        [x[r:r + width] for r in range(0, len(x), width)]),
+                              [], sol.nullspace, context)
+
+
+def _accept(cert: SectionCertificate, verified: list, sys: AffineSystem) -> SectionCertificate:
+    """Record the verified conditions; the solver's output must satisfy them all."""
+    cert.verified_conditions = verified
+    if verified != sys.condition_labels():
+        raise AssertionError(f"{cert.kind} solution fails its own conditions: "
+                             f"verified only {verified}")
+    return cert
+
+
 # ---------------------------------------------------------------------------
 # fs-sections
 # ---------------------------------------------------------------------------
 
-def _fs_section_system(h: HopfData, complete: bool):
+def _fs_section_system(h: HopfData, yd, hp: SubspaceBasis, complete: bool) -> AffineSystem:
+    """Rows of (i), (ii) and, when complete, (iii) in the entries of
+    tau(v_b) = sum T[i][a][b] e_i (x) v_a, unknown (i*m + a)*m + b."""
     f = h.field
     n = h.dim
-    yd, hp = h_plus_yd(h)
     m = hp.dim
 
     def unk(i, a, b):
         return (i * m + a) * m + b
 
-    nunk = n * m * m
     rows = []
     rhs = []
 
-    # product coordinates e_j · v_b inside H^+
-    prod_coords = [[hp.coords_of(f, h.mul(_unitvec(f, n, j), hp.vectors[b]))
-                    for b in range(m)] for j in range(n)]
-
-    # (i) tau(e_j v_b) = (e_j (x) 1) tau(v_b): components (p, a)
+    # (i) tau(e_j v_b) = (e_j (x) 1) tau(v_b): components (p, a); e_j v_b in H^+
+    # coordinates is the action tensor of the YD structure
     for j in range(n):
         for b in range(m):
-            gamma = [(c, g) for c, g in enumerate(prod_coords[j][b]) if g]
+            gamma = [(c, g) for c, g in enumerate(yd.action.tensor[j][b]) if g]
             for p in range(n):
                 mu_p = [(i, mu) for i in range(n) if (mu := h.alg.mult[j][i][p])]
                 for a in range(m):
@@ -72,6 +102,7 @@ def _fs_section_system(h: HopfData, complete: bool):
                         row[col] = f.sub(row.get(col, f.zero), mu)
                     rows.append(row)
                     rhs.append(f.zero)
+    labels = ["i"] * len(rows)
 
     # (ii) sum a_i b_i = x: components over H
     prod_h = [[h.mul(_unitvec(f, n, i), hp.vectors[a]) for a in range(m)] for i in range(n)]
@@ -81,6 +112,7 @@ def _fs_section_system(h: HopfData, complete: bool):
             rows.append({unk(i, a, b): c for i in range(n) for a in range(m)
                          if (c := prod_h[i][a][k])})
             rhs.append(target[k])
+    labels += ["ii"] * (len(rows) - len(labels))
 
     if complete:
         # constant tensors Theta[i][a] in H (x) H (x) H^+ for tau-entry e_i (x) v_a
@@ -144,15 +176,8 @@ def _fs_section_system(h: HopfData, complete: bool):
                     row[u] = f.sub(row.get(u, f.zero), v)
                 rows.append(row)
                 rhs.append(f.zero)
-
-    return rows, rhs, nunk, hp, yd
-
-
-def _tau_matrix(f, n, m, particular):
-    def unk(i, a, b):
-        return (i * m + a) * m + b
-    return Mat(f, n * m, m, [[particular[unk(i, a, b)] for b in range(m)]
-                             for i in range(n) for a in range(m)])
+        labels += ["iii"] * (len(rows) - len(labels))
+    return AffineSystem.sparse(f, rows, rhs, n * m * m, labels)
 
 
 def find_fs_section(h: HopfData) -> Optional[SectionCertificate]:
@@ -164,183 +189,42 @@ def find_complete_fs_section(h: HopfData) -> Optional[SectionCertificate]:
 
 
 def _find_section(h: HopfData, complete: bool) -> Optional[SectionCertificate]:
-    f = h.field
-    n = h.dim
-    if h.dim == 1:
-        kind = "complete_fs_section" if complete else "fs_section"
-        conds = ["i", "ii", "iii"] if complete else ["i", "ii"]
-        return SectionCertificate(kind, Mat(f, 0, 0, []), conds, None,
-                                  {"hplus_basis": []})
-    rows, rhs, nunk, hp, yd = _fs_section_system(h, complete)
-    m = hp.dim
-    sol = solve_affine(AffineSystem.sparse(f, rows, rhs, nunk))
-    if sol is None:
-        return None
-    tau = _tau_matrix(f, n, m, sol.particular)
     kind = "complete_fs_section" if complete else "fs_section"
-    cert = SectionCertificate(kind, tau, [], sol.nullspace,
-                              {"hplus_basis": hp.vectors, "yd": yd})
-    cert.verified_conditions = verify_fs_section(h, cert, complete)
-    return cert
+    if h.dim == 1:
+        return SectionCertificate(kind, Mat(h.field, 0, 0, []), _conditions(complete), None,
+                                  {"hplus_basis": []})
+    yd, hp = h_plus_yd(h)
+    sys = _fs_section_system(h, yd, hp, complete)
+    cert = _solve(sys, kind, h.dim * hp.dim, {"hplus_basis": hp.vectors, "yd": yd})
+    if cert is None:
+        return None
+    return _accept(cert, verify_fs_section(h, cert, complete, sys), sys)
 
 
-def verify_fs_section(h: HopfData, cert: SectionCertificate, complete: bool) -> list:
-    """Re-evaluate conditions (i), (ii) (and (iii)) for a given tau matrix."""
-    f = h.field
-    n = h.dim
-    hp_vectors = cert.context["hplus_basis"]
-    m = len(hp_vectors)
-    if m == 0:
-        return ["i", "ii", "iii"] if complete else ["i", "ii"]
-    from .hopf import SubspaceBasis
-    hp = SubspaceBasis(n, hp_vectors)
-    tau = cert.matrix
-
-    def tau_of(coords):  # H^+ coords -> flat H (x) H^+ vector
-        return tau.matvec(coords)
-
-    verified = []
-    ok = True
-    for j in range(n):
-        for b in range(m):
-            gamma = hp.coords_of(f, h.mul(_unitvec(f, n, j), hp_vectors[b]))
-            lhs = tau_of(gamma)
-            tb = tau_of(_unitvec(f, m, b))
-            rhs = [f.zero] * (n * m)
-            for t, x in enumerate(tb):
-                if x:
-                    i, a = divmod(t, m)
-                    for p, mu in enumerate(h.alg.mult[j][i]):
-                        if mu:
-                            rhs[p * m + a] = f.add(rhs[p * m + a], f.mul(x, mu))
-            if not all(f.eq(p, q) for p, q in zip(lhs, rhs)):
-                ok = False
-    if ok:
-        verified.append("i")
-    ok = True
-    for b in range(m):
-        tb = tau_of(_unitvec(f, m, b))
-        acc = [f.zero] * n
-        for t, x in enumerate(tb):
-            if x:
-                i, a = divmod(t, m)
-                prod = h.mul(_unitvec(f, n, i), hp_vectors[a])
-                for k, v in enumerate(prod):
-                    if v:
-                        acc[k] = f.add(acc[k], f.mul(x, v))
-        if not all(f.eq(p, q) for p, q in zip(acc, hp_vectors[b])):
-            ok = False
-    if ok:
-        verified.append("ii")
-    if complete:
-        ok = True
-        for b in range(m):
-            tb = tau_of(_unitvec(f, m, b))
-            lhs = {}
-            for t, xval in enumerate(tb):
-                if not xval:
-                    continue
-                i, a = divmod(t, m)
-                d2i = h.coa.delta_iter(_unitvec(f, n, i), 3)
-                d2a = h.coa.delta_iter(hp_vectors[a], 3)
-                for t1, c1 in enumerate(d2i):
-                    if not c1:
-                        continue
-                    r = t1 % n
-                    q = (t1 // n) % n
-                    p = t1 // (n * n)
-                    for t2, c2 in enumerate(d2a):
-                        if not c2:
-                            continue
-                        z = t2 % n
-                        y = (t2 // n) % n
-                        x = t2 // (n * n)
-                        coef = f.mul(f.mul(c1, c2), xval)
-                        first = h.mul(h.alg.mult[p][x], h.s_vec(h.alg.mult[r][z]))
-                        for w, fv in enumerate(first):
-                            if fv:
-                                key = (w, q, y)
-                                lhs[key] = f.add(lhs.get(key, f.zero), f.mul(coef, fv))
-            rhs = {}
-            d2b = h.coa.delta_iter(hp_vectors[b], 3)
-            for t2, c2 in enumerate(d2b):
-                if not c2:
-                    continue
-                z = t2 % n
-                y = (t2 // n) % n
-                x = t2 // (n * n)
-                first = h.mul(_unitvec(f, n, x), h.s_vec(_unitvec(f, n, z)))
-                ycoords = hp.coords_of(f, _unitvec(f, n, y))
-                if ycoords is None:
-                    # middle leg may stick out of H^+ individually; expand via tau
-                    # on the H^+ part only after collecting; handled below
-                    ycoords = None
-                # collect x_1 S(x_3) (x) x_2 first, apply tau afterwards
-                for w, fv in enumerate(first):
-                    if fv:
-                        key = (w, y)
-                        rhs[key] = f.add(rhs.get(key, f.zero), f.mul(c2, fv))
-            rhs_full = {}
-            mid = {}
-            for (w, y), v in rhs.items():
-                mid.setdefault(w, [f.zero] * n)[y] = f.add(
-                    mid.setdefault(w, [f.zero] * n)[y], v)
-            for w, vec in mid.items():
-                coords = hp.coords_of(f, vec)
-                if coords is None:
-                    ok = False
-                    break
-                tv = tau_of(coords)
-                for t, x in enumerate(tv):
-                    if x:
-                        q, d = divmod(t, m)
-                        key = (w, q, d)
-                        rhs_full[key] = f.add(rhs_full.get(key, f.zero), x)
-            if not ok:
-                break
-            # compare lhs (third leg in H coords) with rhs_full (third leg in H^+ coords)
-            lhs_conv = {}
-            third = {}
-            for (w, q, y), v in lhs.items():
-                third.setdefault((w, q), [f.zero] * n)[y] = f.add(
-                    third.setdefault((w, q), [f.zero] * n)[y], v)
-            for (w, q), vec in third.items():
-                coords = hp.coords_of(f, vec)
-                if coords is None:
-                    ok = False
-                    break
-                for d, v in enumerate(coords):
-                    if not f.is_zero(v):
-                        lhs_conv[(w, q, d)] = v
-            if not ok:
-                break
-            keys = set(lhs_conv) | set(rhs_full)
-            for key in keys:
-                if not f.eq(lhs_conv.get(key, f.zero), rhs_full.get(key, f.zero)):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            verified.append("iii")
-    return verified
+def verify_fs_section(h: HopfData, cert: SectionCertificate, complete: bool,
+                      sys: Optional[AffineSystem] = None) -> list:
+    """The conditions (i), (ii) (and (iii)) that a given tau matrix satisfies,
+    evaluated on the rows ``sys`` the finder solved, or on rows rebuilt over the
+    certificate's H^+ basis."""
+    if sys is None:
+        hp_vectors = cert.context["hplus_basis"]
+        if not hp_vectors:
+            return _conditions(complete)
+        yd, hp = h_plus_yd(h, SubspaceBasis(h.dim, hp_vectors))
+        sys = _fs_section_system(h, yd, hp, complete)
+    return _checked(sys, cert)
 
 
 def check_im_tau(h: HopfData, cert: SectionCertificate) -> bool:
     """Whether Im(tau) lands in H^+ (x) H^+: (eps (x) id) tau = 0."""
     f = h.field
-    n = h.dim
-    hp_vectors = cert.context["hplus_basis"]
-    m = len(hp_vectors)
-    for b in range(m):
-        tv = cert.matrix.matvec(_unitvec(f, m, b))
+    m = len(cert.context["hplus_basis"])
+    for row in cert.matrix.transpose().data:  # tau(v_b) in H (x) H^+ coordinates
         for a in range(m):
             acc = f.zero
-            for i in range(n):
-                x = tv[i * m + a]
-                if x and h.coa.counit[i]:
-                    acc = f.add(acc, f.mul(x, h.coa.counit[i]))
-            if not f.is_zero(acc):
+            for i, e in enumerate(h.coa.counit):
+                acc = f.add(acc, f.mul(row[i * m + a], e))
+            if acc:
                 return False
     return True
 
@@ -349,29 +233,18 @@ def check_im_tau(h: HopfData, cert: SectionCertificate) -> bool:
 # fs-retractions
 # ---------------------------------------------------------------------------
 
-def find_fs_retraction(h: HopfData) -> Optional[SectionCertificate]:
-    return _find_retraction(h, complete=False)
-
-
-def find_complete_fs_retraction(h: HopfData) -> Optional[SectionCertificate]:
-    return _find_retraction(h, complete=True)
-
-
-def _find_retraction(h: HopfData, complete: bool) -> Optional[SectionCertificate]:
+def _fs_retraction_system(h: HopfData, yd, split: QuotientSplitting,
+                          complete: bool) -> AffineSystem:
+    """Rows of (i), (ii) and, when complete, (iii) in the entries of
+    chi(e_i (x) vbar_a) = sum X[c][i][a] vbar_c, unknown (c*n + i)*m + a."""
     f = h.field
     n = h.dim
-    if n == 1:
-        kind = "complete_fs_retraction" if complete else "fs_retraction"
-        conds = ["i", "ii", "iii"] if complete else ["i", "ii"]
-        return SectionCertificate(kind, Mat(f, 0, 0, []), conds, None, {})
-    yd, split = h_bar_yd(h)
     m = n - 1
     proj, sect = split.projection, split.section
 
     def unk(c, i, a):
         return (c * n + i) * m + a
 
-    nunk = m * n * m
     rows = []
     rhs = []
 
@@ -392,6 +265,7 @@ def _find_retraction(h: HopfData, complete: bool) -> Optional[SectionCertificate
                             row[col] = f.sub(row.get(col, f.zero), mu)
                     rows.append(row)
                     rhs.append(f.zero)
+    labels = ["i"] * len(rows)
 
     # (ii): chi(x_1 (x) xbar_2) = xbar for x over the H basis
     proj_cols = [[(d, b) for d, b in enumerate(col) if b] for col in proj.columns()]
@@ -406,6 +280,7 @@ def _find_retraction(h: HopfData, complete: bool) -> Optional[SectionCertificate
                             row[col] = f.add(row.get(col, f.zero), f.mul(mu, b))
             rows.append(row)
             rhs.append(proj.data[c][k])
+    labels += ["ii"] * (len(rows) - len(labels))
 
     if complete:
         act = yd.action.tensor  # e_h acting on vbar_c
@@ -443,114 +318,44 @@ def _find_retraction(h: HopfData, complete: bool) -> Optional[SectionCertificate
                                 row[col] = f.sub(row.get(col, f.zero), g)
                         rows.append(row)
                         rhs.append(f.zero)
+        labels += ["iii"] * (len(rows) - len(labels))
+    return AffineSystem.sparse(f, rows, rhs, m * n * m, labels)
 
-    sol = solve_affine(AffineSystem.sparse(f, rows, rhs, nunk))
-    if sol is None:
-        return None
-    chi = Mat(f, m, n * m, [[sol.particular[unk(c, i, a)] for i in range(n) for a in range(m)]
-                            for c in range(m)])
+
+def find_fs_retraction(h: HopfData) -> Optional[SectionCertificate]:
+    return _find_retraction(h, complete=False)
+
+
+def find_complete_fs_retraction(h: HopfData) -> Optional[SectionCertificate]:
+    return _find_retraction(h, complete=True)
+
+
+def _find_retraction(h: HopfData, complete: bool) -> Optional[SectionCertificate]:
     kind = "complete_fs_retraction" if complete else "fs_retraction"
-    cert = SectionCertificate(kind, chi, [], sol.nullspace,
-                              {"projection": proj, "section": sect, "yd": yd})
-    cert.verified_conditions = verify_fs_retraction(h, cert, complete)
-    return cert
+    if h.dim == 1:
+        return SectionCertificate(kind, Mat(h.field, 0, 0, []), _conditions(complete), None, {})
+    yd, split = h_bar_yd(h)
+    sys = _fs_retraction_system(h, yd, split, complete)
+    cert = _solve(sys, kind, h.dim - 1, {"projection": split.projection,
+                                         "section": split.section, "yd": yd})
+    if cert is None:
+        return None
+    return _accept(cert, verify_fs_retraction(h, cert, complete, sys), sys)
 
 
-def verify_fs_retraction(h: HopfData, cert: SectionCertificate, complete: bool) -> list:
-    f = h.field
-    n = h.dim
-    if n == 1:
-        return ["i", "ii", "iii"] if complete else ["i", "ii"]
-    chi = cert.matrix
-    proj = cert.context["projection"]
-    sect = cert.context["section"]
-    m = n - 1
-
-    def chi_of(i, acoords):
-        v = [f.zero] * (n * m)
-        for a, x in enumerate(acoords):
-            if x:
-                v[i * m + a] = x
-        return chi.matvec(v)
-
-    verified = []
-    ok = True
-    for i in range(n):
-        for a in range(m):
-            abar = chi_of(i, _unitvec(f, m, a))
-            rep = sect.matvec(abar)
-            flat = h.delta(rep)
-            lhs = [f.zero] * (n * m)
-            for w in range(n):
-                comp = [flat[w * n + k] for k in range(n)]
-                pc = proj.matvec(comp)
-                for d, v in enumerate(pc):
-                    if v:
-                        lhs[w * m + d] = v
-            rhs = [f.zero] * (n * m)
-            for w in range(n):
-                for q, mu in enumerate(h.coa.comult[i][w]):
-                    if mu:
-                        cq = chi_of(q, _unitvec(f, m, a))
-                        for d, v in enumerate(cq):
-                            if v:
-                                rhs[w * m + d] = f.add(rhs[w * m + d], f.mul(mu, v))
-            if not all(f.eq(p, q) for p, q in zip(lhs, rhs)):
-                ok = False
-    if ok:
-        verified.append("i")
-    ok = True
-    for k in range(n):
-        acc = [f.zero] * m
-        for i in range(n):
-            for j, mu in enumerate(h.coa.comult[k][i]):
-                if mu:
-                    pj = proj.matvec(_unitvec(f, n, j))
-                    cv = chi_of(i, pj)
-                    for d, v in enumerate(cv):
-                        if v:
-                            acc[d] = f.add(acc[d], f.mul(mu, v))
-        want = proj.matvec(_unitvec(f, n, k))
-        if not all(f.eq(p, q) for p, q in zip(acc, want)):
-            ok = False
-    if ok:
-        verified.append("ii")
-    if complete:
-        ok = True
-        from .yd import adjoint_action
-        adl = adjoint_action(h, "adl")
-        for h0 in range(n):
-            d3 = h.coa.delta_iter(_unitvec(f, n, h0), 4)
-            for i in range(n):
-                for a in range(m):
-                    lhs = [f.zero] * m
-                    for t, cf in enumerate(d3):
-                        if not cf:
-                            continue
-                        w = t % n
-                        r = (t // n) % n
-                        q = (t // (n * n)) % n
-                        p = t // (n ** 3)
-                        first = h.mul(h.alg.mult[p][i], h.s_vec(_unitvec(f, n, w)))
-                        midrep = h.mul(h.mul(_unitvec(f, n, q), sect.column(a)),
-                                       h.s_vec(_unitvec(f, n, r)))
-                        second = proj.matvec(midrep)
-                        for ii, fv in enumerate(first):
-                            if not fv:
-                                continue
-                            cv = chi_of(ii, second)
-                            for d, v in enumerate(cv):
-                                if v:
-                                    lhs[d] = f.add(lhs[d], f.mul(cf, f.mul(fv, v)))
-                    abar = chi_of(i, _unitvec(f, m, a))
-                    rep = sect.matvec(abar)
-                    moved = adl.act(_unitvec(f, n, h0), rep)
-                    rhs = proj.matvec(moved)
-                    if not all(f.eq(p, q) for p, q in zip(lhs, rhs)):
-                        ok = False
-        if ok:
-            verified.append("iii")
-    return verified
+def verify_fs_retraction(h: HopfData, cert: SectionCertificate, complete: bool,
+                         sys: Optional[AffineSystem] = None) -> list:
+    """The conditions (i), (ii) (and (iii)) that a given chi matrix satisfies,
+    evaluated on the rows ``sys`` the finder solved, or on rows rebuilt over the
+    certificate's splitting of Hbar."""
+    if sys is None:
+        if h.dim == 1:
+            return _conditions(complete)
+        ctx = cert.context
+        yd, split = h_bar_yd(h, QuotientSplitting(ctx["projection"], ctx["section"],
+                                                  SubspaceBasis(h.dim, [list(h.alg.unit)])))
+        sys = _fs_retraction_system(h, yd, split, complete)
+    return _checked(sys, cert)
 
 
 def check_chi_quotients(h: HopfData, cert: SectionCertificate) -> bool:
@@ -558,16 +363,11 @@ def check_chi_quotients(h: HopfData, cert: SectionCertificate) -> bool:
     f = h.field
     n = h.dim
     m = n - 1
-    if m == 0:
-        return True
-    chi = cert.matrix
     for a in range(m):
         v = [f.zero] * (n * m)
         for i, u in enumerate(h.alg.unit):
-            if u:
-                v[i * m + a] = u
-        out = chi.matvec(v)
-        if not all(f.is_zero(x) for x in out):
+            v[i * m + a] = u
+        if any(cert.matrix.matvec(v)):
             return False
     return True
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .hopf import (AlgebraData, CoalgebraData, HopfData, SubspaceBasis,
+from .hopf import (AlgebraData, CoalgebraData, HopfData, QuotientSplitting, SubspaceBasis,
                    augmentation_ideal, unit_cokernel, _unitvec)
 
 ACTIONS = ("adl", "adr", "adl_bar", "adr_bar")      # |>, <|, |>>, <<|
@@ -135,7 +135,6 @@ class ComoduleCoaction:
                             if y:
                                 key = (i, p, k2) if self.side == "left" else (p, i, k2)
                                 rhs[key] = f.add(rhs.get(key, f.zero), f.mul(x, y))
-        # note: for the right side the two H legs appear in the other order
             keys = set(lhs) | set(rhs)
             for key in keys:
                 if not f.eq(lhs.get(key, f.zero), rhs.get(key, f.zero)):
@@ -241,80 +240,46 @@ def check_yd(s: YDStructure, h: HopfData) -> tuple:
     f = h.field
     n = h.dim
     m = s.action.space_dim
-    sbar = h.antipode_inverse
-    if s.variant in ("LR", "RL") and sbar is None:
+    if s.variant in ("LR", "RL") and h.antipode_inverse is None:
         raise ValueError("barred variants need an invertible antipode")
 
-    for a in range(n):
-        ha = _unitvec(f, n, a)
-        d3 = h.coa.delta_iter(ha, 3)
-        for b in range(m):
-            vb = _unitvec(f, m, b)
-            moved = s.action.act(ha, vb)  # (h,v)-indexed tensor covers both sides
-            lhs = s.coaction.coact(moved)
+    def e(i):
+        return _unitvec(f, n, i)
 
+    # The right-hand sides, with Delta^2(h) = h1 (x) h2 (x) h3:
+    #   LL  h1 v_{-1} S(h3) (x) h2 v0       RR  v0 h2 (x) S(h1) v1 h3
+    #   LR  h2 v0 (x) h3 v1 Sbar(h1)        RL  Sbar(h3) v_{-1} h1 (x) v0 h2
+    # so the H leg is x · v_{-1} · y (resp. x · v1 · y), and h2 acts on v0.
+    outer = {"LL": lambda h1, h3: (e(h1), h.s_vec(e(h3))),
+             "RR": lambda h1, h3: (h.s_vec(e(h1)), e(h3)),
+             "LR": lambda h1, h3: (e(h3), h.sinv_vec(e(h1))),
+             "RL": lambda h1, h3: (h.sinv_vec(e(h3)), e(h1))}[s.variant]
+    left = s.coaction.side == "left"
+    for a in range(n):
+        d3 = h.coa.delta_iter(e(a), 3)
+        for b in range(m):
+            lhs = s.coaction.coact(s.action.act(e(a), _unitvec(f, m, b)))
             rhs = [f.zero] * len(lhs)
-            cvb = s.coaction.tensor[b]
             for flat, c in enumerate(d3):
                 if not c:
                     continue
-                h3 = flat % n
-                h2 = (flat // n) % n
-                h1 = flat // (n * n)
+                h1, h2, h3 = flat // (n * n), (flat // n) % n, flat % n
+                x, y = outer(h1, h3)
                 for i in range(n):
-                    for k, x in enumerate(cvb[i]):
-                        if not x:
+                    for k, cv in enumerate(s.coaction.tensor[b][i]):
+                        if not cv:
                             continue
-                        coef = f.mul(c, x)
-                        if s.variant == "LL":
-                            # h1 v_{-1} S(h3) (x) h2 v0
-                            hleg = h.mul(h.mul(_unitvec(f, n, h1), _unitvec(f, n, i)),
-                                         h.s_vec(_unitvec(f, n, h3)))
-                            mleg = s.action.act(_unitvec(f, n, h2), _unitvec(f, m, k))
-                            for ii, hv in enumerate(hleg):
-                                if not hv:
-                                    continue
-                                for kk, mv in enumerate(mleg):
-                                    if mv:
-                                        rhs[ii * m + kk] = f.add(rhs[ii * m + kk],
-                                                                 f.mul(coef, f.mul(hv, mv)))
-                        elif s.variant == "RR":
-                            # v0 h2 (x) S(h1) v1 h3
-                            hleg = h.mul(h.mul(h.s_vec(_unitvec(f, n, h1)), _unitvec(f, n, i)),
-                                         _unitvec(f, n, h3))
-                            mleg = s.action.act(_unitvec(f, n, h2), _unitvec(f, m, k))
+                        coef = f.mul(c, cv)
+                        hleg = h.mul(h.mul(x, e(i)), y)
+                        mleg = s.action.act(e(h2), _unitvec(f, m, k))
+                        for ii, hv in enumerate(hleg):
+                            if not hv:
+                                continue
                             for kk, mv in enumerate(mleg):
-                                if not mv:
-                                    continue
-                                for ii, hv in enumerate(hleg):
-                                    if hv:
-                                        rhs[kk * n + ii] = f.add(rhs[kk * n + ii],
-                                                                 f.mul(coef, f.mul(mv, hv)))
-                        elif s.variant == "LR":
-                            # h2 v0 (x) h3 v1 Sbar(h1)
-                            hleg = h.mul(h.mul(_unitvec(f, n, h3), _unitvec(f, n, i)),
-                                         sbar.matvec(_unitvec(f, n, h1)))
-                            mleg = s.action.act(_unitvec(f, n, h2), _unitvec(f, m, k))
-                            for kk, mv in enumerate(mleg):
-                                if not mv:
-                                    continue
-                                for ii, hv in enumerate(hleg):
-                                    if hv:
-                                        rhs[kk * n + ii] = f.add(rhs[kk * n + ii],
-                                                                 f.mul(coef, f.mul(mv, hv)))
-                        else:  # RL
-                            # Sbar(h3) v_{-1} h1 (x) v0 h2
-                            hleg = h.mul(h.mul(sbar.matvec(_unitvec(f, n, h3)), _unitvec(f, n, i)),
-                                         _unitvec(f, n, h1))
-                            mleg = s.action.act(_unitvec(f, n, h2), _unitvec(f, m, k))
-                            for ii, hv in enumerate(hleg):
-                                if not hv:
-                                    continue
-                                for kk, mv in enumerate(mleg):
-                                    if mv:
-                                        rhs[ii * m + kk] = f.add(rhs[ii * m + kk],
-                                                                 f.mul(coef, f.mul(hv, mv)))
-            if not all(f.eq(x, y) for x, y in zip(lhs, rhs)):
+                                if mv:
+                                    pos = ii * m + kk if left else kk * n + ii
+                                    rhs[pos] = f.add(rhs[pos], f.mul(coef, f.mul(hv, mv)))
+            if lhs != rhs:
                 return False, (a, b)
     return True, None
 
@@ -367,11 +332,12 @@ def yd_on_h(h: HopfData, kind: str) -> YDStructure:
     return YDStructure(action, coaction, variant)
 
 
-def h_plus_yd(h: HopfData) -> tuple:
-    """(YDStructure, SubspaceBasis): H^+ with h·x = hx and rho(x) = x_1 S(x_3) (x) x_2."""
+def h_plus_yd(h: HopfData, hp: Optional[SubspaceBasis] = None) -> tuple:
+    """(YDStructure, SubspaceBasis): H^+ with h·x = hx and rho(x) = x_1 S(x_3) (x) x_2,
+    on the basis ``hp`` of H^+ (by default the nullspace basis of eps)."""
     f = h.field
     n = h.dim
-    hp = augmentation_ideal(h)
+    hp = hp or augmentation_ideal(h)
     m = hp.dim
     act = [[[f.zero] * m for _ in range(m)] for _ in range(n)]
     for i in range(n):
@@ -407,12 +373,13 @@ def h_plus_yd(h: HopfData) -> tuple:
     return yd, hp
 
 
-def h_bar_yd(h: HopfData) -> tuple:
+def h_bar_yd(h: HopfData, split: Optional[QuotientSplitting] = None) -> tuple:
     """(YDStructure, QuotientSplitting): Hbar with the induced adjoint action
-    h·xbar = (h_1 x S(h_2))bar and coaction rho(xbar) = x_1 (x) xbar_2."""
+    h·xbar = (h_1 x S(h_2))bar and coaction rho(xbar) = x_1 (x) xbar_2, on the
+    splitting ``split`` (by default :func:`unit_cokernel`)."""
     f = h.field
     n = h.dim
-    split = unit_cokernel(h)
+    split = split or unit_cokernel(h)
     m = n - 1
     adl = adjoint_action(h, "adl")
     act = [[[f.zero] * m for _ in range(m)] for _ in range(n)]

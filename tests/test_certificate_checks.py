@@ -1,0 +1,212 @@
+"""Each certificate check evaluates the labelled rows its finder solves.
+
+A certificate the solver produced is changed in one entry; the check must
+then drop the condition that entry breaks, or raise.  This guards against an
+evaluation that passes vacuously, say one handed zero rows.
+"""
+
+import json
+
+import pytest
+
+from hopfsmith import QQ, SubspaceBasis, cli, resolve_preset
+from hopfsmith.doubles import (ExtensionIdempotent, _verify_extension_idempotent,
+                               drinfeld_double, relative_tensor, separable_extension)
+from hopfsmith.integrals import (_verify_ad_invariant, _verify_idempotent,
+                                 _verify_integral_space, _verify_retraction,
+                                 ad_coinvariant_integral, ad_invariant_integral,
+                                 coseparability_retraction, integral_space,
+                                 separability_idempotent)
+from hopfsmith.lifting import LiftObstruction, lift_algebra_section, square_zero_extension
+from hopfsmith.linalg import AffineSystem, Mat, failed_labels
+from hopfsmith.presets import cyclic_table, preset_group_algebra
+from hopfsmith.smoothness import (SectionCertificate, find_complete_fs_retraction,
+                                  find_complete_fs_section, find_fs_retraction,
+                                  find_fs_section, verify_fs_retraction, verify_fs_section)
+
+
+def _bumped(mat: Mat, row: int, col: int) -> Mat:
+    out = mat.copy()
+    out.data[row][col] = mat.field.add(out.data[row][col], mat.field.one)
+    return out
+
+
+def _with_matrix(cert: SectionCertificate, mat: Mat) -> SectionCertificate:
+    return SectionCertificate(cert.kind, mat, [], cert.nullspace, cert.context)
+
+
+def _bump(v: list, i: int, field) -> list:
+    out = list(v)
+    out[i] = field.add(out[i], field.one)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# fs-sections and fs-retractions
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("finder, verify, spec, complete", [
+    (find_fs_section, verify_fs_section, "group:C3", False),
+    (find_complete_fs_section, verify_fs_section, "group:C2", True),
+    (find_fs_retraction, verify_fs_retraction, "functions:C3", False),
+    (find_complete_fs_retraction, verify_fs_retraction, "functions:C2", True),
+])
+def test_fs_check_drops_a_label_for_a_changed_entry(finder, verify, spec, complete):
+    h = resolve_preset(spec, QQ)
+    cert = finder(h)
+    full = ["i", "ii", "iii"] if complete else ["i", "ii"]
+    assert cert is not None and cert.verified_conditions == full
+    assert verify(h, cert, complete) == full
+    # entry (0, 0) adds e_0 (x) v_0 to tau(v_0), resp. vbar_0 to chi(e_0 (x) vbar_0);
+    # the sums that (ii) takes pick the extra term up, so (ii) fails
+    kept = verify(h, _with_matrix(cert, _bumped(cert.matrix, 0, 0)), complete)
+    assert "ii" not in kept and set(kept) < set(full)
+
+
+@pytest.mark.parametrize("finder, verify, spec", [
+    (find_fs_section, verify_fs_section, "functions:S3"),
+    (find_fs_retraction, verify_fs_retraction, "group:S3"),
+])
+def test_plain_kernel_shift_keeps_i_ii_and_drops_iii(finder, verify, spec):
+    # shifting a plain solution along the plain system's nullspace keeps (i)
+    # and (ii); for these non-cocommutative cases it breaks completeness (iii)
+    h = resolve_preset(spec, QQ)
+    cert = finder(h)
+    shift = cert.nullspace.column(0)
+    flat = [QQ.add(x, y) for x, y in zip((x for row in cert.matrix.data for x in row), shift)]
+    w = cert.matrix.cols
+    moved = Mat(QQ, cert.matrix.rows, w, [flat[r:r + w] for r in range(0, len(flat), w)])
+    assert verify(h, cert, complete=True) == ["i", "ii", "iii"]
+    assert verify(h, _with_matrix(cert, moved), complete=True) == ["i", "ii"]
+
+
+# ---------------------------------------------------------------------------
+# Integrals, separability idempotents and coseparability retractions
+# ---------------------------------------------------------------------------
+
+def test_integral_space_check_rejects_a_changed_vector():
+    h = resolve_preset("group:C3", QQ)
+    basis = integral_space(h, "left")
+    bad = SubspaceBasis(h.dim, [_bump(basis.vectors[0], 1, h.field)])
+    with pytest.raises(AssertionError, match="left"):
+        _verify_integral_space(h, bad, "left")
+
+
+def test_idempotent_check_rejects_a_changed_entry():
+    h = resolve_preset("group:C3", QQ)
+    cert = separability_idempotent(h)
+    assert _verify_idempotent(h, cert.data) == ["m(e)=1", "bilinear"]
+    # e_0 (x) e_0 multiplies to e_0 = 1, so m(e) moves off the unit
+    with pytest.raises(AssertionError, match=r"m\(e\)=1"):
+        _verify_idempotent(h, _bump(cert.data, 0, h.field))
+
+
+def test_retraction_check_rejects_a_changed_entry():
+    h = resolve_preset("functions:C3", QQ)
+    cert = coseparability_retraction(h)
+    assert _verify_retraction(h, cert.data) == ["theta∘Delta=id", "bicolinear"]
+    # theta(e_0 (x) e_0) gains e_0, and Delta(e_0) = e_0 (x) e_0 + ...
+    with pytest.raises(AssertionError, match="theta∘Delta=id"):
+        _verify_retraction(h, _bumped(cert.data, 0, 0))
+
+
+def test_ad_invariant_check_rejects_a_changed_value():
+    h = resolve_preset("group:C3", QQ)
+    cert = ad_invariant_integral(h)
+    assert _verify_ad_invariant(h, cert.vector) == ["a", "b", "c"]
+    # lam(1) = lam(e_0) moves off 1, while (a) and (b) still hold for a group algebra
+    with pytest.raises(AssertionError, match="fails c$"):
+        _verify_ad_invariant(h, _bump(cert.vector, 0, h.field))
+
+
+def _corrupting(solve):
+    """solve_affine with 1 added to the first entry of every particular solution."""
+    def corrupted(sys):
+        sol = solve(sys)
+        if sol is not None:
+            f = sys.matrix.field
+            sol.particular[0] = f.add(sol.particular[0], f.one)
+        return sol
+    return corrupted
+
+
+def test_ad_coinvariant_rejects_a_corrupted_solution(monkeypatch):
+    import hopfsmith.integrals as integ
+    h = resolve_preset("group:C3", QQ)
+    assert ad_coinvariant_integral(h) is not None
+    monkeypatch.setattr(integ, "solve_affine", _corrupting(integ.solve_affine))
+    with pytest.raises(AssertionError, match="ad-coinvariant"):
+        ad_coinvariant_integral(h)
+
+
+def test_cli_ad_coinvariant_exits_2_on_a_corrupted_solution(monkeypatch, capsys):
+    import hopfsmith.integrals as integ
+    monkeypatch.setattr(integ, "solve_affine", _corrupting(integ.solve_affine))
+    assert cli.main(["ad-coinvariant", "--preset", "group:C3"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert "internal verification failed" in err["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["fs-algebra", "--preset", "group:C2"],
+    ["fs-coalgebra", "--preset", "functions:C2"],
+])
+def test_cli_fs_exits_2_on_a_corrupted_solution(argv, monkeypatch, capsys):
+    import hopfsmith.smoothness as smo
+    monkeypatch.setattr(smo, "solve_affine", _corrupting(smo.solve_affine))
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal verification failed" in json.loads(captured.err)["error"]
+
+
+# ---------------------------------------------------------------------------
+# D(H)/H extension idempotent
+# ---------------------------------------------------------------------------
+
+def test_extension_idempotent_check_rejects_a_changed_coordinate():
+    h = resolve_preset("group:C2", QQ)
+    _, ext = drinfeld_double(h)
+    cert = separable_extension(ext)
+    assert cert is not None
+    rel = relative_tensor(ext)
+    assert _verify_extension_idempotent(ext, rel, cert) == ["m(e)=1", "bilinear"]
+    coords = _bump(cert.quotient_coords, 0, h.field)
+    with pytest.raises(AssertionError, match="extension idempotent"):
+        _verify_extension_idempotent(ext, rel, ExtensionIdempotent(coords, rel.lift(coords)))
+
+
+# ---------------------------------------------------------------------------
+# The row-label evaluation itself
+# ---------------------------------------------------------------------------
+
+def test_failed_labels_reports_violated_conditions_in_row_order():
+    sys = AffineSystem.sparse(QQ, [{0: QQ.one}, {1: QQ.one}, {0: QQ.one, 1: QQ.one}],
+                              [QQ.one, QQ.zero, QQ.one], 2, ["b", "a", "b"])
+    assert sys.condition_labels() == ["b", "a"]
+    assert failed_labels(sys, [QQ.one, QQ.zero]) == []
+    assert failed_labels(sys, [QQ.zero, QQ.one]) == ["b", "a"]
+    assert failed_labels(sys, [QQ.one, QQ.one]) == ["a", "b"]
+
+
+def test_labels_must_match_the_rows():
+    with pytest.raises(ValueError):
+        AffineSystem.sparse(QQ, [{0: QQ.one}], [QQ.one], 1, ["a", "b"])
+
+
+# ---------------------------------------------------------------------------
+# Lifting: an infeasible linear lift carries no closed witness
+# ---------------------------------------------------------------------------
+
+def test_infeasible_linear_lift_is_not_delta_closed():
+    h = preset_group_algebra(cyclic_table(2), QQ)
+    prob = square_zero_extension(h, with_coaction=False)
+    n = h.dim
+    # beta(a + b eps) = a + (a + b) eps on E = A (+) A eps
+    beta = Mat.identity(QQ, 2 * n)
+    for i in range(n):
+        beta.data[n + i][i] = QQ.one
+    res = lift_algebra_section(prob, extra_pairs=[(Mat.identity(QQ, n), beta)])
+    assert isinstance(res, LiftObstruction)
+    assert res.stage == 1 and res.witness == []
+    assert res.delta_closed is False
