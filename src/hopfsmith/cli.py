@@ -205,11 +205,12 @@ def cmd_coradical(args) -> int:
 def cmd_wedge_filtration(args) -> int:
     h = _load(args)
     f = h.field
+    corad = None
     if args.start == "coradical":
-        start = coradical(h.coa)
+        start = corad = coradical(h.coa)
     else:
         start = SubspaceBasis(h.dim, [list(h.alg.unit)])
-    record = wedge_filtration(start, h.coa)
+    record = wedge_filtration(start, h.coa, corad)
     _emit({"command": "wedge-filtration", "start": args.start,
            **ser.filtration_to_dict(f, record)}, args)
     return 0 if record.exhausted else 1
@@ -244,7 +245,7 @@ def cmd_weak_projection(args) -> int:
     f = h.field
     cor = coradical(h.coa)
     sub_hopf, incl = sub_hopf_on_subspace(h, cor)
-    res = weak_projection(h, sub_hopf, incl, bilinear=args.bilinear)
+    res = weak_projection(h, sub_hopf, incl, bilinear=args.bilinear, corad=cor)
     if isinstance(res, LiftObstruction):
         _emit({"command": "weak-projection", "found": False,
                "obstruction": ser.obstruction_to_dict(f, res)}, args)

@@ -1,11 +1,13 @@
 """Jacobson radicals, coradicals, wedge products and coradical filtrations.
 
 The radical is computed by the trace form over Q and by the p-th-power trace
-chain (integer lifts, divided traces) over F_p, then re-certified from
-scratch: the result must be a nilpotent two-sided ideal and the quotient
-algebra must admit a separability idempotent (over perfect fields, Q and F_p
-included, that is exactly semisimplicity).  A failed certificate raises:
-radical answers are never returned on trust.
+chain of Friedl and Ronyai over F_p: stage 0 is the trace form, and stage
+i >= 1 takes divided traces of p^i-th powers of integer lifts, powered as
+sparse rows reduced mod p^{i+1}.  The result is then re-certified from
+scratch: it must be a nilpotent two-sided ideal and the quotient algebra must
+admit a separability idempotent (over perfect fields, Q and F_p included,
+that is exactly semisimplicity).  A failed certificate raises: radical
+answers are never returned on trust.
 """
 
 from __future__ import annotations
@@ -35,104 +37,92 @@ def _trace_form_kernel(a: AlgebraData) -> list:
     """Kernel of (x,y) -> trace(L_{xy}); contains the radical in any characteristic."""
     f = a.field
     n = a.dim
-    lmats = [a.left_mult_matrix(_unitvec(f, n, i)) for i in range(n)]
-    gram = Mat.zeros(f, n, n)
+    traces = []  # trace(L_{e_k}): the diagonal of L_{e_k} is mult[k][d][d]
+    for k in range(n):
+        acc = f.zero
+        for d in range(n):
+            acc = f.add(acc, a.mult[k][d][d])
+        traces.append(acc)
+    rows = []
     for i in range(n):
+        row = []
         for j in range(n):
             # trace(L_{e_i e_j}) = sum_k mult[i][j][k] * trace(L_{e_k})
             acc = f.zero
-            for k, c in enumerate(a.mult[i][j]):
-                if c:
-                    tr = f.zero
-                    for d in range(n):
-                        tr = f.add(tr, lmats[k].data[d][d])
+            for c, tr in zip(a.mult[i][j], traces):
+                if c and tr:
                     acc = f.add(acc, f.mul(c, tr))
-            gram.data[i][j] = acc
-    return nullspace(gram).columns()
+            if acc:
+                row.append((j, acc))
+        rows.append(row)
+    return nullspace(SparseMat(f, n, n, rows)).columns()
+
+
+def _mul_mod(x: list, y: list, q: int) -> list:
+    """Product of square integer matrices given as sparse rows ``{col: int}``, mod q."""
+    out = []
+    for row in x:
+        acc = {}
+        get = acc.get
+        for k, a in row.items():
+            for j, b in y[k].items():
+                acc[j] = get(j, 0) + a * b
+        out.append({j: w for j, v in acc.items() if (w := v % q)})
+    return out
+
+
+def _trace_of_power(m: list, e: int, q: int) -> int:
+    """tr(m^e) mod q for e >= 1, by repeated squaring from the first factor."""
+    acc = None  # the product of the factors taken so far
+    while True:
+        if e & 1:
+            acc = m if acc is None else _mul_mod(acc, m, q)
+        e >>= 1
+        if not e:
+            return sum(row.get(r, 0) for r, row in enumerate(acc)) % q
+        m = _mul_mod(m, m, q)
 
 
 def _fr_radical_mod_p(a: AlgebraData) -> list:
-    """Friedl-Ronyai chain over the prime field: iterated divided p-power traces."""
+    """Friedl-Ronyai chain over the prime field: iterated divided p-power traces.
+
+    Stage 0 is the trace form kernel.  Stage i >= 1 keeps the w in the span of
+    the previous stage with tr(L~_{wy}^{p^i}) / p^i = 0 mod p for every basis
+    vector y, where L~ is the integer lift of L with entries in [0, p).  Only
+    tr mod p^{i+1} is needed, so the lifts are powered as sparse rows reduced
+    mod p^{i+1}.
+    """
     f = a.field
     p = f.characteristic
     n = a.dim
-    lmats = [a.left_mult_matrix(_unitvec(f, n, i)) for i in range(n)]
-
-    def lift_matrix(v: list):
-        """Integer lift of L_v with entries in [0, p)."""
-        m = [[0] * n for _ in range(n)]
-        for i, x in enumerate(v):
-            if x:
-                for r in range(n):
-                    for c in range(n):
-                        e = lmats[i].data[r][c]
-                        if e:
-                            m[r][c] = (m[r][c] + x * e) % p
-        return m
-
-    def int_trace_power(m, e):
-        acc = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        base = [row[:] for row in m]
-        while e:
-            if e & 1:
-                acc = [[sum(acc[i][k] * base[k][j] for k in range(n)) for j in range(n)]
-                       for i in range(n)]
-            e >>= 1
-            if e:
-                base = [[sum(base[i][k] * base[k][j] for k in range(n)) for j in range(n)]
-                        for i in range(n)]
-        return sum(acc[i][i] for i in range(n))
-
-    level = 0
-    cap = 1
-    while cap * p <= n:
-        cap *= p
-        level += 1
-
-    current = [_unitvec(f, n, i) for i in range(n)]
-    for i_stage in range(level + 1):
-        pi = p ** i_stage
-        rows = []
-        for w in current:
-            row = []
+    current = _trace_form_kernel(a)
+    pi = p
+    while current and pi <= n:
+        q = pi * p
+        rows = [[] for _ in range(n)]
+        for j, w in enumerate(current):
             for y in range(n):
-                wy = a.mul(w, _unitvec(f, n, y))
-                tr = int_trace_power(lift_matrix(wy), pi)
-                if tr % pi != 0:
+                lift = a.left_mult_matrix(a.mul(w, _unitvec(f, n, y))).data
+                tr = _trace_of_power([{c: x for c, x in enumerate(r) if x} for r in lift], pi, q)
+                if tr % pi:
                     raise AssertionError(
                         "p-power trace not divisible on the chain; radical stage broken")
-                row.append((tr // pi) % p)
-            rows.append(row)
-        # kernel in the coordinates of `current`
-        coeff = Mat(f, n, len(current), [[rows[j][y] for j in range(len(current))]
-                                         for y in range(n)])
-        ker = nullspace(coeff)
-        nxt = []
-        for col in ker.columns():
-            vec = [f.zero] * n
-            for j, c in enumerate(col):
-                if c:
-                    for t, x in enumerate(current[j]):
-                        if x:
-                            vec[t] = f.add(vec[t], f.mul(c, x))
-            nxt.append(vec)
-        current = nxt
-        if not current:
-            break
+                if tr:
+                    rows[y].append((j, tr // pi))
+        # the kernel is in the coordinates of `current`
+        ker = nullspace(SparseMat(f, n, len(current), rows))
+        basis = Mat.from_columns(f, current)
+        current = [basis.matvec(col) for col in ker.columns()]
+        pi = q
     return current
 
 
 def _is_two_sided_ideal(a: AlgebraData, vectors: list) -> bool:
     f = a.field
     n = a.dim
-    for v in vectors:
-        for i in range(n):
-            e = _unitvec(f, n, i)
-            if not in_span(f, vectors, a.mul(e, v)):
-                return False
-            if not in_span(f, vectors, a.mul(v, e)):
-                return False
-    return True
+    units = [_unitvec(f, n, i) for i in range(n)]
+    products = [x for v in vectors for e in units for x in (a.mul(e, v), a.mul(v, e))]
+    return span_contains_span(f, vectors, products)
 
 
 def _ideal_product(a: AlgebraData, xs: list, ys: list) -> list:
@@ -235,10 +225,7 @@ def is_subcoalgebra(x: SubspaceBasis, c: CoalgebraData) -> bool:
     if not x.vectors:
         return True
     tensor_span = [_tensor_of(f, n, u, v) for u in x.vectors for v in x.vectors]
-    for u in x.vectors:
-        if not in_span(f, tensor_span, c.delta(u)):
-            return False
-    return True
+    return span_contains_span(f, tensor_span, [c.delta(u) for u in x.vectors])
 
 
 def wedge(x: SubspaceBasis, y: SubspaceBasis, e: CoalgebraData) -> SubspaceBasis:
@@ -274,11 +261,13 @@ def wedge(x: SubspaceBasis, y: SubspaceBasis, e: CoalgebraData) -> SubspaceBasis
     return SubspaceBasis(n, ker.columns())
 
 
-def wedge_filtration(c: SubspaceBasis, e: CoalgebraData) -> FiltrationRecord:
+def wedge_filtration(c: SubspaceBasis, e: CoalgebraData,
+                     corad: Optional[SubspaceBasis] = None) -> FiltrationRecord:
     """Iterate C^{wedge n} = C^{wedge n-1} wedge C until stabilization.
 
     Cross-checks the exhaustion criterion: the filtration fills E exactly when
-    Corad(E) lies inside C.
+    Corad(E) lies inside C.  ``corad`` is Corad(E) as :func:`coradical` returned
+    it, when the caller already has it; otherwise it is computed here.
     """
     f = e.field
     if not is_subcoalgebra(c, e):
@@ -294,7 +283,8 @@ def wedge_filtration(c: SubspaceBasis, e: CoalgebraData) -> FiltrationRecord:
         if nxt.dim == e.dim:
             break
     exhausted = stages[-1].dim == e.dim
-    corad = coradical(e)
+    if corad is None:
+        corad = coradical(e)
     contained = span_contains_span(f, c.vectors, corad.vectors)
     if exhausted != contained:
         raise AssertionError("exhaustion criterion violated: filtration vs coradical")

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 from .hopf import AlgebraData, HopfData, SubspaceBasis, _unitvec, dual_algebra
-from .linalg import (AffineSystem, Mat, in_span, invert, nullspace, rank,
+from .linalg import (AffineSystem, Mat, invert, nullspace, rank,
                      solve_affine, span_contains_span)
 from .filtration import (_ideal_product, _is_two_sided_ideal, _quotient_algebra,
                          coradical, is_subcoalgebra, wedge_filtration)
@@ -213,11 +213,9 @@ def lift_algebra_section(p: SurjectionProblem, colinear: bool = False,
     nu = len(powers)  # I^nu = 0 (powers[nu-1] == [])
 
     # equivariance endomorphisms must preserve every kernel power
-    for _, beta in pairs:
-        for pw in powers[:-1]:
-            for v in pw:
-                if not in_span(f, pw, beta.matvec(v)):
-                    raise ValueError("equivariance operator does not preserve the kernel filtration")
+    for pw in powers[:-1]:
+        if not span_contains_span(f, pw, [beta.matvec(v) for _, beta in pairs for v in pw]):
+            raise ValueError("equivariance operator does not preserve the kernel filtration")
 
     # quotients Q_r = E/I^r for r = 1..nu (Q_nu = E)
     quots = []
@@ -591,10 +589,12 @@ class WeakProjectionCertificate:
 
 
 def weak_projection(e: HopfData, h: HopfData, inclusion: Mat,
-                    bilinear: bool = False):
+                    bilinear: bool = False, corad: Optional[SubspaceBasis] = None):
     """A left H-linear coalgebra retraction E -> H of a Hopf subalgebra
     inclusion with Corad(E) inside H, built by lifting an algebra section of
     the dual surjection E* -> H*.  Returns a certificate or a LiftObstruction.
+    ``corad`` is Corad(E) as ``coradical(e.coa)`` returned it, when the caller
+    already has it; otherwise it is computed here.
 
     With ``bilinear=True`` right H-linearity is added to every solve; the
     theory guarantees feasibility only when an ad-coinvariant integral exists,
@@ -635,11 +635,12 @@ def weak_projection(e: HopfData, h: HopfData, inclusion: Mat,
     sub = SubspaceBasis(ne, incl_cols)
     if not is_subcoalgebra(sub, e.coa):
         raise ValueError("image of the inclusion is not a subcoalgebra")
-    corad = coradical(e.coa)
+    if corad is None:
+        corad = coradical(e.coa)
     if not span_contains_span(f, incl_cols, corad.vectors):
         raise ValueError("coradical of E is not contained in H")
     # the wedge filtration of H in E must exhaust; its length bounds the stages
-    record = wedge_filtration(sub, e.coa)
+    record = wedge_filtration(sub, e.coa, corad)
     if not record.exhausted:
         raise AssertionError("filtration fails to exhaust despite coradical containment")
 

@@ -348,7 +348,15 @@ def in_span(field: FieldSpec, basis_vecs: list, v: list) -> bool:
 
 
 def span_contains_span(field: FieldSpec, big: list, small: list) -> bool:
-    return all(in_span(field, big, v) for v in small)
+    """Whether every vector of ``small`` lies in the span of ``big``, decided by
+    one rank comparison: rank(big + small) == rank(big), zero vectors skipped."""
+    small = [v for v in small if any(v)]
+    if not small:
+        return True
+    n = len(small[0])
+    rows = [[(j, x) for j, x in enumerate(v) if x] for v in big + small]
+    return rank(SparseMat(field, len(rows), n, rows)) == \
+        rank(SparseMat(field, len(big), n, rows[:len(big)]))
 
 
 def spans_equal(field: FieldSpec, a: list, b: list) -> bool:

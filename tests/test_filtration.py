@@ -188,3 +188,108 @@ def test_nilpotency_index_of_larger_modular_radical():
     a = resolve_preset("group:C4", GF(2)).alg
     r = radical(a)
     assert is_nilpotent_ideal(r, a) == 4  # (1-g)^3 != 0, (1-g)^4 = 0
+
+
+# ---------------------------------------------------------------------------
+# The F_p radical against the dense power-trace chain it replaced
+# ---------------------------------------------------------------------------
+
+from hypothesis import given, settings, strategies as st
+
+from hopfsmith.filtration import _fr_radical_mod_p, _trace_form_kernel
+from hopfsmith.hopf import _unitvec, dual_algebra
+from hopfsmith.linalg import Mat, nullspace
+
+from conftest import GRID
+
+
+def _dense_fr_radical_mod_p(a):
+    """Oracle: the Friedl-Ronyai chain with dense integer lifts, powered from the
+    identity with no reduction, one (w, y) pair at a time."""
+    f = a.field
+    p = f.characteristic
+    n = a.dim
+    lmats = [a.left_mult_matrix(_unitvec(f, n, i)) for i in range(n)]
+
+    def lift_matrix(v):
+        m = [[0] * n for _ in range(n)]
+        for i, x in enumerate(v):
+            if x:
+                for r in range(n):
+                    for c in range(n):
+                        e = lmats[i].data[r][c]
+                        if e:
+                            m[r][c] = (m[r][c] + x * e) % p
+        return m
+
+    def int_trace_power(m, e):
+        acc = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        base = [row[:] for row in m]
+        while e:
+            if e & 1:
+                acc = [[sum(acc[i][k] * base[k][j] for k in range(n)) for j in range(n)]
+                       for i in range(n)]
+            e >>= 1
+            if e:
+                base = [[sum(base[i][k] * base[k][j] for k in range(n)) for j in range(n)]
+                        for i in range(n)]
+        return sum(acc[i][i] for i in range(n))
+
+    level = 0
+    cap = 1
+    while cap * p <= n:
+        cap *= p
+        level += 1
+
+    current = [_unitvec(f, n, i) for i in range(n)]
+    for i_stage in range(level + 1):
+        pi = p ** i_stage
+        rows = []
+        for w in current:
+            row = []
+            for y in range(n):
+                wy = a.mul(w, _unitvec(f, n, y))
+                tr = int_trace_power(lift_matrix(wy), pi)
+                assert tr % pi == 0
+                row.append((tr // pi) % p)
+            rows.append(row)
+        coeff = Mat(f, n, len(current), [[rows[j][y] for j in range(len(current))]
+                                         for y in range(n)])
+        nxt = []
+        for col in nullspace(coeff).columns():
+            vec = [f.zero] * n
+            for j, c in enumerate(col):
+                if c:
+                    for t, x in enumerate(current[j]):
+                        if x:
+                            vec[t] = f.add(vec[t], f.mul(c, x))
+            nxt.append(vec)
+        current = nxt
+        if not current:
+            break
+    return current
+
+
+# every F_p GRID preset, and larger inputs reaching chain levels 1-3
+_ORACLE_CASES = [(spec, ch) for spec, ch in GRID if ch] + [
+    ("taft:4:2", 5), ("group:C8", 2), ("group:C9", 3), ("group:C12", 2),
+    ("group:C12", 3), ("functions:C12", 2), ("functions:C12", 3)]
+
+
+@pytest.mark.parametrize("spec,char", _ORACLE_CASES)
+def test_fr_radical_equals_dense_oracle(preset_cache, spec, char):
+    h = preset_cache(spec, char)
+    for a in (h.alg, dual_algebra(h.coa)):
+        assert _fr_radical_mod_p(a) == _dense_fr_radical_mod_p(a)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([f"group:C{m}" for m in range(1, 13)] + ["group:S3", "group:Q8"]),
+       st.sampled_from([2, 3, 5, 7]), st.booleans())
+def test_fr_radical_equals_dense_oracle_drawn(spec, p, dual):
+    h = resolve_preset(spec, GF(p))
+    a = dual_algebra(h.coa) if dual else h.alg
+    vectors = _fr_radical_mod_p(a)
+    assert vectors == _dense_fr_radical_mod_p(a)
+    if p > a.dim:  # the chain stops at stage 0, the trace form
+        assert radical(a).vectors == _trace_form_kernel(a)

@@ -403,3 +403,54 @@ def test_relative_tensor_matches_dense_oracle(spec, char):
                     if rv:
                         w[k] = f.sub(w[k], f.mul(c, rv))
         assert rel.project(unit) == [w[k] for k in rel.free_cols]
+
+
+# ---------------------------------------------------------------------------
+# span_contains_span: one rank comparison against the vector-by-vector test
+# ---------------------------------------------------------------------------
+
+from hopfsmith.linalg import in_span, span_contains_span
+
+
+@st.composite
+def span_pair(draw):
+    """(field, big, small): small mixes zero vectors, combinations of big and
+    free draws, so both verdicts and dependent inputs occur."""
+    f = draw(st.sampled_from([QQ, GF(2), GF(3)]))
+    n = draw(st.integers(1, 5))
+    if f.characteristic:
+        scalar = st.integers(0, f.characteristic - 1)
+    else:
+        scalar = st.builds(Fraction, st.integers(-2, 2), st.sampled_from([1, 2]))
+    entry = st.one_of(st.just(f.zero), scalar)
+    vec = st.lists(entry, min_size=n, max_size=n)
+    big = draw(st.lists(vec, max_size=4))
+    small = []
+    for kind in draw(st.lists(st.sampled_from(["zero", "combo", "free"]), max_size=4)):
+        if kind == "zero":
+            small.append([f.zero] * n)
+        elif kind == "combo":
+            v = [f.zero] * n
+            for b in big:
+                c = draw(scalar)
+                v = [f.add(x, f.mul(c, y)) for x, y in zip(v, b)]
+            small.append(v)
+        else:
+            small.append(draw(vec))
+    return f, big, small
+
+
+@settings(max_examples=200, deadline=None)
+@given(span_pair())
+def test_span_contains_span_equals_vectorwise_in_span(case):
+    f, big, small = case
+    assert span_contains_span(f, big, small) == all(in_span(f, big, v) for v in small)
+
+
+def test_span_contains_span_edge_cases():
+    f = GF(2)
+    assert span_contains_span(f, [], [])
+    assert span_contains_span(f, [], [[0, 0]])
+    assert not span_contains_span(f, [], [[0, 1]])
+    assert span_contains_span(f, [[1, 1], [1, 1]], [[0, 0], [1, 1]])
+    assert not span_contains_span(f, [[1, 1], [1, 1]], [[1, 0]])

@@ -264,3 +264,21 @@ def test_field_parse_rejects_booleans():
             f.parse(True)
         with pytest.raises(ValueError):
             f.parse(False)
+
+
+@pytest.mark.parametrize("command,expected_code", [
+    ("coradical", 0), ("wedge-filtration", 0), ("weak-projection", 0)])
+def test_cli_computes_one_radical_per_coradical_query(capsys, monkeypatch, command,
+                                                      expected_code):
+    import hopfsmith.filtration as filtration
+    calls = []
+    real = filtration.radical
+
+    def counting(a):
+        calls.append(a.dim)
+        return real(a)
+
+    monkeypatch.setattr(filtration, "radical", counting)
+    code, report, _ = run_cli(capsys, command, "--preset", "taft:3:2", "--char", "7")
+    assert code == expected_code and report["command"] == command
+    assert calls == [9]
