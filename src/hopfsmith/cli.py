@@ -8,11 +8,12 @@ stdout with sorted keys, so runs diff cleanly.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from .fields import FieldSpec
-from .hopf import HopfData, SubspaceBasis, check_hopf, sub_hopf_on_subspace
+from .hopf import HopfData, SubspaceBasis, check_hopf, dual_hopf, sub_hopf_on_subspace
 from .presets import NotAGroupError, resolve_preset
 from . import integrals as integ
 from . import smoothness as smo
@@ -31,7 +32,9 @@ SUBCOMMANDS = [
 ]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing returns a new namespace each time."""
     parser = argparse.ArgumentParser(
         prog="hopfsmith",
         description="exact certificates for finite-dimensional Hopf algebras")
@@ -92,15 +95,14 @@ def cmd_integrals(args) -> int:
     h = _load(args)
     f = h.field
     report = {"command": "integrals"}
-    for carrier in ("in_h", "in_dual"):
-        block = {}
-        for side in ("left", "right"):
-            sp = integ.integral_space(h, side, carrier)
-            block[side] = {"dim": sp.dim,
-                           "basis": [[f.to_json(x) for x in v] for v in sp.vectors]}
-        tot = integ.total_integral(h, carrier)
+    # integrals in H* are the integrals of the dual Hopf algebra, built once
+    for carrier, target in (("in_h", h), ("in_dual", dual_hopf(h))):
+        spaces = {side: integ.integral_space(target, side) for side in ("left", "right")}
+        block = {side: {"dim": sp.dim, "basis": [[f.to_json(x) for x in v] for v in sp.vectors]}
+                 for side, sp in spaces.items()}
+        tot = integ.total_integral(h, carrier, spaces["left"])
         block["total"] = None if tot is None else ser.integral_to_dict(f, tot)
-        block["unimodular"] = integ.is_unimodular(h, carrier)
+        block["unimodular"] = integ.is_unimodular(h, carrier, spaces["left"], spaces["right"])
         report[carrier] = block
     _emit(report, args)
     return 0

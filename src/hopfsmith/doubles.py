@@ -19,8 +19,9 @@ from functools import cached_property
 from typing import Optional
 
 from .fields import FieldSpec
-from .hopf import AlgebraData, CoalgebraData, HopfData, _unitvec, validated
-from .linalg import AffineSystem, Mat, require_labels, solve_affine, _rref
+from .hopf import AlgebraData, CoalgebraData, HopfData, _unitvec, tensors, validated
+from .linalg import (AffineSystem, Mat, contract, dense, difference, require_labels,
+                     solve_affine, sparse, unknowns, _rref)
 
 
 @dataclass
@@ -33,22 +34,17 @@ class ExtensionData:
 
     def validate(self):
         r, s = self.big, self.small
-        f = r.field
         if self.embedding.rows != r.dim or self.embedding.cols != s.dim:
             raise ValueError("embedding has wrong shape")
         cols = self.embedding.columns()
         from .linalg import rank
         if rank(self.embedding) != s.dim:
             raise ValueError("embedding is not injective")
-        one_r = r.unit
-        img_one = self.embedding.matvec(s.unit)
-        if not all(f.eq(a, b) for a, b in zip(one_r, img_one)):
+        if self.embedding.matvec(s.unit) != r.unit:
             raise ValueError("embedding does not preserve the unit")
         for i in range(s.dim):
             for j in range(s.dim):
-                lhs = self.embedding.matvec(s.mult[i][j])
-                rhs = r.mul(cols[i], cols[j])
-                if not all(f.eq(a, b) for a, b in zip(lhs, rhs)):
+                if self.embedding.matvec(s.mult[i][j]) != r.mul(cols[i], cols[j]):
                     raise ValueError(f"embedding is not multiplicative at ({i},{j})")
         return self
 
@@ -68,32 +64,21 @@ class RelTensor:
         return len(self.free_cols)
 
     @cached_property
-    def _images(self) -> list:
-        """Quotient coordinates of each ambient basis vector, as (index, coefficient)
-        pairs: a free column is a quotient basis vector, and a pivot column is
-        minus the free part of its reduced relation row."""
+    def projection(self) -> dict:
+        """The quotient map as a sparse tensor keyed (ambient column, quotient index):
+        a free column is a quotient basis vector, and a pivot column is minus the
+        free part of its reduced relation row."""
         f = self.field
         where = {c: t for t, c in enumerate(self.free_cols)}
-        images = [None] * self.ambient
-        for c, t in where.items():
-            images[c] = [(t, f.one)]
+        out = {(c, t): f.one for c, t in where.items()}
         for p, row in zip(self.pivot_cols, self.projection_rows):
-            images[p] = [(where[j], f.neg(rv)) for j, rv in row[1:]]
-        return images
-
-    def project_sparse(self, v: dict) -> dict:
-        """Quotient coordinates {index: coefficient} of a sparse vector {column: value}."""
-        f = self.field
-        out = {}
-        for j, x in v.items():
-            for t, c in self._images[j]:
-                out[t] = f.add(out.get(t, f.zero), f.mul(x, c))
+            out.update({(p, where[j]): f.neg(rv) for j, rv in row[1:]})
         return out
 
     def project(self, v: list) -> list:
         """Coordinates in the quotient basis indexed by free columns."""
-        out = self.project_sparse({j: x for j, x in enumerate(v) if x})
-        return [out.get(t, self.field.zero) for t in range(self.dim)]
+        return dense(self.field, contract(self.field, "j,jk->k", sparse(v), self.projection),
+                     (self.dim,))
 
     def lift(self, q: list) -> list:
         """The canonical representative in R (x) R of a quotient vector."""
@@ -119,120 +104,23 @@ def drinfeld_double(h: HopfData):
     f = h.field
     n = h.dim
     N = n * n
-    z = f.zero
-    mu = h.alg.mult
-    de = h.coa.comult
-    sinv = h.antipode_inverse
+    t = tensors(h)
+    d, m = t["D"], t["m"]
 
-    def didx(a, i):
-        return a * n + i
+    def flat(tensor: dict, shape: tuple) -> list:
+        """Dense tensor of D(H) from one whose indices come in (H*, H) pairs."""
+        return dense(f, {tuple(k[r] * n + k[r + 1] for r in range(0, len(k), 2)): v
+                         for k, v in tensor.items()}, shape)
 
-    d2 = []
-    for i in range(n):
-        acc = {}
-        for p in range(n):
-            for m in range(n):
-                c1 = de[i][p][m]
-                if not c1:
-                    continue
-                for q in range(n):
-                    row = de[m][q]
-                    for r in range(n):
-                        c2 = row[r]
-                        if c2:
-                            key = (p, q, r)
-                            prev = acc.get(key)
-                            val = f.mul(c1, c2)
-                            acc[key] = val if prev is None else f.add(prev, val)
-        d2.append([(k, v) for k, v in acc.items() if not f.is_zero(v)])
-
-    # (e_p -> f_b <- e_s) = sum_c [sum_m mu[s][c][m] mu[m][p][b]] f_c
-    def arrow(p, s, b):
-        out = {}
-        for c in range(n):
-            acc = z
-            for m in range(n):
-                x = mu[s][c][m]
-                if x:
-                    y = mu[m][p][b]
-                    if y:
-                        acc = f.add(acc, f.mul(x, y))
-            if not f.is_zero(acc):
-                out[c] = acc
-        return out
-
-    mult = [[[z] * N for _ in range(N)] for _ in range(N)]
-    for i in range(n):
-        for b in range(n):
-            # sum over Delta^2(e_i): h1 -> f_b <- S^{-1}(h3), middle leg q
-            # collected as coefficients over (c, q)
-            cq = {}
-            for (p, q, r), cpq in d2[i]:
-                for s in range(n):
-                    cs = sinv.data[s][r]
-                    if not cs:
-                        continue
-                    coef0 = f.mul(cpq, cs)
-                    for c, ac in arrow(p, s, b).items():
-                        key = (c, q)
-                        prev = cq.get(key)
-                        val = f.mul(coef0, ac)
-                        cq[key] = val if prev is None else f.add(prev, val)
-            for a in range(n):
-                for j in range(n):
-                    out = mult[didx(a, i)][didx(b, j)]
-                    for (c, q), coef1 in cq.items():
-                        if f.is_zero(coef1):
-                            continue
-                        dk = de  # H* product: f_a f_c = sum_k de[k][a][c] f_k
-                        for k in range(n):
-                            hk = dk[k][a][c]
-                            if not hk:
-                                continue
-                            coef2 = f.mul(coef1, hk)
-                            for l, ml in enumerate(mu[q][j]):
-                                if ml:
-                                    t = didx(k, l)
-                                    out[t] = f.add(out[t], f.mul(coef2, ml))
-
-    unit = [z] * N
-    for a in range(n):
-        ca = h.coa.counit[a]
-        if not ca:
-            continue
-        for i in range(n):
-            ui = h.alg.unit[i]
-            if ui:
-                unit[didx(a, i)] = f.mul(ca, ui)
-    alg = AlgebraData(f, N, mult, unit)
-
-    comult = [[[z] * N for _ in range(N)] for _ in range(N)]
-    for a in range(n):
-        for i in range(n):
-            k0 = didx(a, i)
-            tgt = comult[k0]
-            for b in range(n):
-                for c in range(n):
-                    cf = mu[b][c][a]
-                    if not cf:
-                        continue
-                    for p in range(n):
-                        row = de[i][p]
-                        for q in range(n):
-                            cd = row[q]
-                            if cd:
-                                tgt[didx(c, p)][didx(b, q)] = f.add(
-                                    tgt[didx(c, p)][didx(b, q)], f.mul(cf, cd))
-    counit = [z] * N
-    for a in range(n):
-        ua = h.alg.unit[a]
-        if not ua:
-            continue
-        for i in range(n):
-            ci = h.coa.counit[i]
-            if ci:
-                counit[didx(a, i)] = f.mul(ua, ci)
-    coa = CoalgebraData(f, N, comult, counit)
+    # (f_a |><| e_i)(f_b |><| e_j): Delta^2(e_i) = e_p (x) e_q (x) e_r, the arrows
+    # (e_p -> f_b <- S^{-1}(e_r)) = sum m[s][c][y] m[y][p][b] Sinv[s][r] f_c, then
+    # f_a f_c = sum Delta[k][a][c] f_k and e_q e_j = sum m[q][j][l] e_l
+    mult = flat(contract(f, "ipx,xqr,sr,scy,ypb,kac,qjl->aibjkl",
+                         d, d, t["Si"], m, m, d, m), (N, N, N))
+    alg = AlgebraData(f, N, mult, flat(contract(f, "a,i->ai", t["e"], t["u"]), (N,)))
+    # Delta(f_a |><| e_i) = sum m[b][c][a] Delta[i][p][q] (f_c |><| e_p) (x) (f_b |><| e_q)
+    comult = flat(contract(f, "bca,ipq->aicpbq", m, d), (N, N, N))
+    coa = CoalgebraData(f, N, comult, flat(contract(f, "a,i->ai", t["u"], t["e"]), (N,)))
 
     s_mat = _solve_antipode(alg, coa)
     if s_mat is None:
@@ -240,12 +128,8 @@ def drinfeld_double(h: HopfData):
     double = validated(HopfData(alg, coa, s_mat, None,
                                 [f"{h.basis[a]}*><{h.basis[i]}" for a in range(n) for i in range(n)]))
 
-    emb = Mat.zeros(f, N, n)
-    for j in range(n):
-        for a in range(n):
-            ca = h.coa.counit[a]
-            if ca:
-                emb.data[didx(a, j)][j] = ca
+    emb = Mat(f, N, n, dense(f, {(a * n + j, j): c for (a,), c in t["e"].items()
+                                 for j in range(n)}, (N, n)))
     ext = ExtensionData(alg, h.alg, emb).validate()
     return double, ext
 
@@ -254,24 +138,13 @@ def _solve_antipode(alg: AlgebraData, coa: CoalgebraData) -> Optional[Mat]:
     """The two-sided convolution inverse of the identity, as a matrix."""
     f = alg.field
     N = alg.dim
-    rows = []
-    rhs = []
-    for K in range(N):
-        dK = [((I, J), coa.comult[K][I][J]) for I in range(N) for J in range(N)
-              if coa.comult[K][I][J]]
-        for side in (0, 1):
-            block = [dict() for _ in range(N)]
-            for (I, J), cIJ in dK:
-                for T in range(N):
-                    prod = alg.mult[T][J] if side == 0 else alg.mult[I][T]
-                    unk = T * N + (I if side == 0 else J)
-                    for t, pv in enumerate(prod):
-                        if pv:
-                            d = block[t]
-                            d[unk] = f.add(d.get(unk, f.zero), f.mul(cIJ, pv))
-            rows.extend(block)
-            rhs.extend(f.mul(coa.counit[K], u) for u in alg.unit)
-    sol = solve_affine(AffineSystem.sparse(f, rows, rhs, N * N))
+    d, m = sparse(coa.comult), sparse(alg.mult)
+    x = unknowns(f, N, N)  # S[T][I]: the e_T coefficient of S(e_I)
+    unit = contract(f, "K,t->Kt", sparse(coa.counit), sparse(alg.unit))
+    sys = AffineSystem.conditions(
+        f, N * N, (contract(f, "KIJ,TJt,TIu->Ktu", d, m, x), 2, unit, "S(x1) x2"),
+        (contract(f, "KIJ,ITt,TJu->Ktu", d, m, x), 2, unit, "x1 S(x2)"))
+    sol = solve_affine(sys)
     if sol is None:
         return None
     if sol.nullspace.cols != 0:
@@ -314,30 +187,16 @@ def _extension_idempotent_system(ext: ExtensionData, rel: RelTensor) -> AffineSy
     r = ext.big
     f = r.field
     nr = r.dim
-    q = rel.dim
-
-    legs = [divmod(c, nr) for c in rel.free_cols]  # quotient basis t: class of e_a (x) e_b
-    rows = []
-    rhs = []
-    # m(e) = 1_R
-    for k in range(nr):
-        rows.append({t: x for t, (a, b) in enumerate(legs) if (x := r.mult[a][b][k])})
-        rhs.append(r.unit[k])
-    labels = ["m(e)=1"] * nr + ["bilinear"] * (nr * q)
-    # r·e = e·r in the quotient, for every basis r: e_i·(e_a (x) e_b) - (e_a (x) e_b)·e_i
-    for i in range(nr):
-        block = [{} for _ in range(q)]
-        for t, (a, b) in enumerate(legs):
-            diff = {k * nr + b: m for k, m in enumerate(r.mult[i][a]) if m}
-            for k, m in enumerate(r.mult[b][i]):
-                if m:
-                    col = a * nr + k
-                    diff[col] = f.sub(diff.get(col, f.zero), m)
-            for k, v in rel.project_sparse(diff).items():
-                block[k][t] = v
-        rows.extend(block)
-        rhs.extend([f.zero] * q)
-    return AffineSystem.sparse(f, rows, rhs, q, labels)
+    m = sparse(r.mult)
+    # quotient basis vector u is the class of e_a (x) e_b for the free column a*nr + b
+    x = {(*divmod(c, nr), u): f.one for u, c in enumerate(rel.free_cols)}
+    # quotient coordinates k of the ambient basis vector e_a (x) e_b
+    proj = {(*divmod(c, nr), k): v for (c, k), v in rel.projection.items()}
+    # e_i·(e_a (x) e_b) - (e_a (x) e_b)·e_i, in R (x) R and then in the quotient
+    diff = difference(f, contract(f, "iak,abu->ikbu", m, x), contract(f, "bik,abu->iaku", m, x))
+    return AffineSystem.conditions(
+        f, rel.dim, (contract(f, "abk,abu->ku", m, x), 1, sparse(r.unit), "m(e)=1"),
+        (contract(f, "ixyu,xyk->iku", diff, proj), 2, None, "bilinear"))
 
 
 def separable_extension(ext: ExtensionData) -> Optional[ExtensionIdempotent]:

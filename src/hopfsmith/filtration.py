@@ -15,11 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .hopf import (AlgebraData, CoalgebraData, SubspaceBasis, _tensor_of, _unitvec, dual_algebra,
+from .hopf import (AlgebraData, CoalgebraData, SubspaceBasis, _unitvec, dual_algebra,
                    quotient_maps)
 from .integrals import idempotent_system
-from .linalg import (Mat, SparseMat, in_span, nullspace, solve_affine,
-                     span_contains_span)
+from .linalg import (Mat, SparseMat, in_span, nullspace, solve_affine, span_contains_span,
+                     spans_equal)
 
 
 @dataclass
@@ -136,28 +136,27 @@ def _ideal_product(a: AlgebraData, xs: list, ys: list) -> list:
     return out
 
 
+def ideal_powers(a: AlgebraData, vectors: list) -> Optional[list]:
+    """Spanning sets of I, I^2, ..., ending with the first empty power, for the
+    ideal I spanned by ``vectors``; None when the powers stop shrinking first."""
+    f = a.field
+    powers = [vectors]
+    while powers[-1]:
+        nxt = _ideal_product(a, powers[-1], vectors)
+        if nxt and len(nxt) == len(powers[-1]) and spans_equal(f, powers[-1], nxt):
+            return None
+        powers.append(nxt)
+        if len(powers) > a.dim + 1:
+            return None
+    return powers
+
+
 def is_nilpotent_ideal(ideal: SubspaceBasis, a: AlgebraData) -> Optional[int]:
     """Least k with I^k = 0, or None if I is not nilpotent; raises if not an ideal."""
-    f = a.field
     if not _is_two_sided_ideal(a, ideal.vectors):
         raise ValueError("subspace is not a two-sided ideal")
-    if not ideal.vectors:
-        return 1
-    power = ideal.vectors
-    k = 1
-    while True:
-        if not power:
-            return k
-        nxt = _ideal_product(a, power, ideal.vectors)
-        k += 1
-        if not nxt:
-            return k
-        if len(nxt) == len(power) and span_contains_span(f, power, nxt) \
-                and span_contains_span(f, nxt, power):
-            return None
-        power = nxt
-        if k > a.dim + 1:
-            return None
+    powers = ideal_powers(a, ideal.vectors)
+    return None if powers is None else len(powers)
 
 
 def _quotient_algebra(a: AlgebraData, ideal_vectors: list):
@@ -221,10 +220,9 @@ def coradical(c: CoalgebraData) -> SubspaceBasis:
 def is_subcoalgebra(x: SubspaceBasis, c: CoalgebraData) -> bool:
     """Delta(X) inside X (x) X, by rank comparison against span{x_i (x) x_j}."""
     f = c.field
-    n = c.dim
     if not x.vectors:
         return True
-    tensor_span = [_tensor_of(f, n, u, v) for u in x.vectors for v in x.vectors]
+    tensor_span = [[f.mul(a, b) for a in u for b in v] for u in x.vectors for v in x.vectors]
     return span_contains_span(f, tensor_span, [c.delta(u) for u in x.vectors])
 
 

@@ -7,6 +7,11 @@ Conventions, fixed once for the whole package:
 * a linear map is a :class:`Mat` acting on coordinate columns, so the image of
   e_j is column j
 * H (x) H coordinates are flattened as ``i * dim + j``.
+* the identities between these maps are contractions of sparse tensors
+  (:func:`linalg.contract`): :func:`tensors` gives the views ``m`` (ijk as
+  above), ``D`` (kij), ``u`` (k), ``e`` (counit, k), ``S`` and ``Si`` (ij,
+  matrix entries), so the antipode axiom reads ``"kij,ai,ajt->kt"`` against
+  ``"k,t->kt"``.  Axiom witnesses are the least failing index prefixes.
 
 Constructions (duals, op/cop) are re-validated through the axiom checker; a
 failed report raises rather than returning a silently broken object.
@@ -18,7 +23,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .fields import FieldSpec
-from .linalg import Mat, invert, nullspace, rank, span_coordinates
+from .linalg import (Mat, contract, differing, identity, invert, nullspace, rank,
+                     span_coordinates, sparse)
 
 
 @dataclass
@@ -72,28 +78,6 @@ class AlgebraData:
                         out.data[k][i] = f.add(out.data[k][i], f.mul(y, m))
         return out
 
-    def mul2(self, u: list, v: list) -> list:
-        """Product in the tensor-square algebra H (x) H."""
-        f = self.field
-        n = self.dim
-        out = [f.zero] * (n * n)
-        unz = [(divmod(t, n), x) for t, x in enumerate(u) if x]
-        vnz = [(divmod(t, n), y) for t, y in enumerate(v) if y]
-        for (i, j), x in unz:
-            for (p, q), y in vnz:
-                c = f.mul(x, y)
-                row1 = self.mult[i][p]
-                row2 = self.mult[j][q]
-                for k, m1 in enumerate(row1):
-                    if not m1:
-                        continue
-                    cm = f.mul(c, m1)
-                    base = k * n
-                    for l, m2 in enumerate(row2):
-                        if m2:
-                            out[base + l] = f.add(out[base + l], f.mul(cm, m2))
-        return out
-
 
 @dataclass
 class CoalgebraData:
@@ -101,15 +85,6 @@ class CoalgebraData:
     dim: int
     comult: list  # comult[k][i][j]
     counit: list
-
-    def delta_basis(self, k: int) -> list:
-        n = self.dim
-        flat = [self.field.zero] * (n * n)
-        for i, row in enumerate(self.comult[k]):
-            for j, c in enumerate(row):
-                if c:
-                    flat[i * n + j] = c
-        return flat
 
     def delta(self, v: list) -> list:
         f = self.field
@@ -122,31 +97,6 @@ class CoalgebraData:
                 for j, c in enumerate(row):
                     if c:
                         out[i * n + j] = f.add(out[i * n + j], f.mul(x, c))
-        return out
-
-    def delta_iter(self, v: list, legs: int) -> list:
-        """Iterated comultiplication: coordinates of Delta^{legs-1}(v) in H^(x)legs."""
-        f = self.field
-        n = self.dim
-        vec = {(k,): x for k, x in enumerate(v) if x}
-        for _ in range(legs - 1):
-            nxt = {}
-            for idx, x in vec.items():
-                k = idx[-1]
-                for i, row in enumerate(self.comult[k]):
-                    for j, c in enumerate(row):
-                        if c:
-                            key = idx[:-1] + (i, j)
-                            cur_val = nxt.get(key)
-                            val = f.mul(x, c)
-                            nxt[key] = val if cur_val is None else f.add(cur_val, val)
-            vec = {k: x for k, x in nxt.items() if not f.is_zero(x)}
-        out = [f.zero] * (n ** legs)
-        for idx, x in vec.items():
-            flat = 0
-            for t in idx:
-                flat = flat * n + t
-            out[flat] = x
         return out
 
     def eps(self, v: list):
@@ -224,42 +174,8 @@ class HopfData:
     def s_vec(self, v: list) -> list:
         return self.antipode.matvec(v)
 
-    def sinv_vec(self, v: list) -> list:
-        if self.antipode_inverse is None:
-            raise ValueError("antipode is not invertible")
-        return self.antipode_inverse.matvec(v)
-
     def basis_vec(self, i: int) -> list:
         return _unitvec(self.field, self.dim, i)
-
-
-def check_algebra(a: AlgebraData) -> AxiomReport:
-    f = a.field
-    n = a.dim
-    checks = {}
-    witness = None
-    for i in range(n):
-        if witness:
-            break
-        for j in range(n):
-            if witness:
-                break
-            left = a.mult[i][j]
-            for k in range(n):
-                lhs = a.mul(left, _unitvec(f, n, k))
-                rhs = a.mul(_unitvec(f, n, i), a.mult[j][k])
-                if lhs != rhs:
-                    witness = (i, j, k)
-                    break
-    checks["associativity"] = AxiomCheck(witness is None, witness)
-    witness = None
-    for i in range(n):
-        e = _unitvec(f, n, i)
-        if a.mul(a.unit, e) != e or a.mul(e, a.unit) != e:
-            witness = (i,)
-            break
-    checks["unit"] = AxiomCheck(witness is None, witness)
-    return AxiomReport(checks)
 
 
 def _unitvec(field: FieldSpec, n: int, i: int) -> list:
@@ -268,43 +184,42 @@ def _unitvec(field: FieldSpec, n: int, i: int) -> list:
     return v
 
 
+def tensors(h: HopfData) -> dict:
+    """Sparse views of the structure maps, built afresh on each call: ``m``
+    (ijk), ``D`` (kij), ``u``, ``e`` (counit), ``S`` and, when it exists, ``Si``
+    (ij: entry i of the image of e_j)."""
+    out = {"m": sparse(h.alg.mult), "D": sparse(h.coa.comult), "u": sparse(h.alg.unit),
+           "e": sparse(h.coa.counit), "S": sparse(h.antipode)}
+    if h.antipode_inverse is not None:
+        out["Si"] = sparse(h.antipode_inverse)
+    return out
+
+
+def _check(width: int, *pairs) -> AxiomCheck:
+    """Whether every pair of tensors agrees; the witness is the least index
+    prefix of length ``width`` on which a pair differs."""
+    bad = set().union(*(differing(lhs, rhs, width) for lhs, rhs in pairs))
+    return AxiomCheck(not bad, min(bad) if bad else None)
+
+
+def check_algebra(a: AlgebraData) -> AxiomReport:
+    f = a.field
+    m, u, one = sparse(a.mult), sparse(a.unit), identity(f, a.dim)
+    return AxiomReport({
+        "associativity": _check(3, (contract(f, "ijp,pkq->ijkq", m, m),
+                                    contract(f, "jkp,ipq->ijkq", m, m))),
+        "unit": _check(1, (contract(f, "a,aiq->iq", u, m), one),
+                       (contract(f, "a,iaq->iq", u, m), one))})
+
+
 def check_coalgebra(c: CoalgebraData) -> AxiomReport:
     f = c.field
-    n = c.dim
-    checks = {}
-    witness = None
-    for k in range(n):
-        lhs = c.delta_iter(_unitvec(f, n, k), 3)
-        # delta_iter expands the last leg; recompute expanding the first leg
-        rhs = [f.zero] * (n ** 3)
-        for i, row in enumerate(c.comult[k]):
-            for b, x in enumerate(row):
-                if not x:
-                    continue
-                for p, row2 in enumerate(c.comult[i]):
-                    for q, y in enumerate(row2):
-                        if y:
-                            idx = (p * n + q) * n + b
-                            rhs[idx] = f.add(rhs[idx], f.mul(x, y))
-        if lhs != rhs:
-            witness = (k,)
-            break
-    checks["coassociativity"] = AxiomCheck(witness is None, witness)
-    witness = None
-    for k in range(n):
-        left = [f.zero] * n
-        right = [f.zero] * n
-        for i, row in enumerate(c.comult[k]):
-            for j, x in enumerate(row):
-                if x:
-                    left[j] = f.add(left[j], f.mul(c.counit[i], x))
-                    right[i] = f.add(right[i], f.mul(x, c.counit[j]))
-        e = _unitvec(f, n, k)
-        if left != e or right != e:
-            witness = (k,)
-            break
-    checks["counit"] = AxiomCheck(witness is None, witness)
-    return AxiomReport(checks)
+    d, e, one = sparse(c.comult), sparse(c.counit), identity(f, c.dim)
+    return AxiomReport({
+        "coassociativity": _check(1, (contract(f, "kim,mqr->kiqr", d, d),
+                                      contract(f, "kmr,mpq->kpqr", d, d))),
+        "counit": _check(1, (contract(f, "kij,i->kj", d, e), one),
+                         (contract(f, "kij,j->ki", d, e), one))})
 
 
 def check_hopf(h: HopfData) -> AxiomReport:
@@ -313,73 +228,33 @@ def check_hopf(h: HopfData) -> AxiomReport:
     checks = {}
     checks.update(check_algebra(h.alg).checks)
     checks.update(check_coalgebra(h.coa).checks)
+    t = tensors(h)
+    m, d, u, e, s = t["m"], t["D"], t["u"], t["e"], t["S"]
 
     # bialgebra compatibility: Delta and eps are algebra maps
+    bad_delta = differing(contract(f, "ijk,kpq->ijpq", m, d),
+                          contract(f, "iac,abp,jbd,cdq->ijpq", d, m, d, m), 2)
+    bad = bad_delta | differing(contract(f, "ijk,k->ij", m, e), contract(f, "i,j->ij", e, e), 2)
     witness = None
-    for i in range(n):
-        if witness:
-            break
-        di = h.coa.delta_basis(i)
-        for j in range(n):
-            dj = h.coa.delta_basis(j)
-            lhs = h.delta(h.alg.mult[i][j])
-            rhs = h.alg.mul2(di, dj)
-            if lhs != rhs:
-                witness = (i, j, "delta")
-                break
-            le = h.eps(h.alg.mult[i][j])
-            re = f.mul(h.coa.counit[i], h.coa.counit[j])
-            if not f.eq(le, re):
-                witness = (i, j, "eps")
-                break
-    if witness is None:
-        one2 = _tensor_of(f, n, h.alg.unit, h.alg.unit)
-        if h.delta(h.alg.unit) != one2:
-            witness = ("unit", "delta")
-        elif not f.eq(h.eps(h.alg.unit), f.one):
-            witness = ("unit", "eps")
+    if bad:
+        first = min(bad)
+        witness = first + ("delta" if first in bad_delta else "eps",)
+    elif contract(f, "k,kab->ab", u, d) != contract(f, "a,b->ab", u, u):
+        witness = ("unit", "delta")
+    elif contract(f, "k,k->", u, e) != {(): f.one}:
+        witness = ("unit", "eps")
     checks["bialgebra"] = AxiomCheck(witness is None, witness)
 
     # antipode axiom: m(S(x)id)Delta = u eps = m(id(x)S)Delta
-    witness = None
-    for k in range(n):
-        acc_l = [f.zero] * n
-        acc_r = [f.zero] * n
-        for i, row in enumerate(h.coa.comult[k]):
-            for j, x in enumerate(row):
-                if not x:
-                    continue
-                si = h.s_vec(_unitvec(f, n, i))
-                sj = h.s_vec(_unitvec(f, n, j))
-                li = h.mul(si, _unitvec(f, n, j))
-                rj = h.mul(_unitvec(f, n, i), sj)
-                for t in range(n):
-                    if li[t]:
-                        acc_l[t] = f.add(acc_l[t], f.mul(x, li[t]))
-                    if rj[t]:
-                        acc_r[t] = f.add(acc_r[t], f.mul(x, rj[t]))
-        target = [f.mul(h.coa.counit[k], u) for u in h.alg.unit]
-        if acc_l != target or acc_r != target:
-            witness = (k,)
-            break
-    checks["antipode"] = AxiomCheck(witness is None, witness)
+    target = contract(f, "k,t->kt", e, u)
+    checks["antipode"] = _check(1, (contract(f, "kij,ai,ajt->kt", d, s, m), target),
+                                (contract(f, "kij,bj,ibt->kt", d, s, m), target))
 
     if h.antipode_inverse is not None:
         good = (h.antipode.mul(h.antipode_inverse) == Mat.identity(f, n)
                 and h.antipode_inverse.mul(h.antipode) == Mat.identity(f, n))
         checks["antipode_inverse"] = AxiomCheck(good, None if good else ("S*Sbar != id",))
     return AxiomReport(checks)
-
-
-def _tensor_of(field: FieldSpec, n: int, a: list, b: list) -> list:
-    out = [field.zero] * (n * n)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[i * n + j] = field.mul(x, y)
-    return out
 
 
 def validated(h: HopfData) -> HopfData:
@@ -412,6 +287,13 @@ class SubspaceBasis:
     def contains(self, field: FieldSpec, v: list) -> bool:
         return self.coords_of(field, v) is not None
 
+    def tensors(self, field: FieldSpec) -> tuple:
+        """(basis, coordinates) as sparse tensors: ``basis[(x, j)]`` is entry x of
+        vector j, and ``coordinates[(c, x)]`` is a left inverse of it, which reads
+        off the coordinates of any vector of the span."""
+        inv = _completion(field, self.ambient_dim, self.vectors)[1]
+        return sparse(Mat.from_columns(field, self.vectors).data), sparse(inv.data[:self.dim])
+
 
 @dataclass
 class QuotientSplitting:
@@ -430,13 +312,9 @@ def augmentation_ideal(h: HopfData) -> SubspaceBasis:
     return SubspaceBasis(h.dim, ns.columns())
 
 
-def quotient_maps(field: FieldSpec, n: int, vectors: list) -> tuple:
-    """(projection, section) for K^n -> K^n / span(vectors), ``vectors`` independent.
-
-    The complement is picked greedily from e_0, e_1, ...; the projection is the
-    matching rows of the inverse basis change and the section sends the quotient
-    basis to the picked e_i.
-    """
+def _completion(field: FieldSpec, n: int, vectors: list) -> tuple:
+    """(basis, inverse): ``vectors`` completed greedily by e_0, e_1, ... to a basis
+    of K^n, and the inverse of the matrix with that basis as its columns."""
     chosen = [list(v) for v in vectors]
     for i in range(n):
         if len(chosen) == n:
@@ -444,10 +322,21 @@ def quotient_maps(field: FieldSpec, n: int, vectors: list) -> tuple:
         cand = chosen + [_unitvec(field, n, i)]
         if rank(Mat(field, len(cand), n, cand)) == len(cand):
             chosen = cand
-    d = len(vectors)
     inv = invert(Mat.from_columns(field, chosen))
     if inv is None:
         raise ValueError("subspace vectors are not linearly independent")
+    return chosen, inv
+
+
+def quotient_maps(field: FieldSpec, n: int, vectors: list) -> tuple:
+    """(projection, section) for K^n -> K^n / span(vectors), ``vectors`` independent.
+
+    The complement is picked greedily from e_0, e_1, ...; the projection is the
+    matching rows of the inverse basis change and the section sends the quotient
+    basis to the picked e_i.
+    """
+    chosen, inv = _completion(field, n, vectors)
+    d = len(vectors)
     section = Mat(field, n, n - d, [[v[r] for v in chosen[d:]] for r in range(n)])
     return Mat(field, n - d, n, inv.data[d:]), section
 
@@ -487,7 +376,7 @@ def sub_hopf_on_subspace(h: HopfData, sub: SubspaceBasis) -> tuple:
 def _tensor_coords(f: FieldSpec, sub: SubspaceBasis, flat: list, n: int) -> Optional[list]:
     """Coordinates c[i][j] of a vector of H (x) H in the basis {v_i (x) v_j}, or None."""
     m = sub.dim
-    cols = [_tensor_of(f, n, u, v) for u in sub.vectors for v in sub.vectors]
+    cols = [[f.mul(x, y) for x in u for y in v] for u in sub.vectors for v in sub.vectors]
     coords = span_coordinates(f, cols, flat)
     if coords is None:
         return None

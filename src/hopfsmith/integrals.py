@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
-from .hopf import AlgebraData, HopfData, SubspaceBasis, _unitvec
-from .linalg import (AffineSystem, Mat, SparseMat, nullspace, require_labels, solve_affine,
-                     spans_equal)
-from .yd import adjoint_action, adjoint_coaction
+from .hopf import AlgebraData, HopfData, SubspaceBasis, tensors
+from .linalg import (AffineSystem, Mat, contract, dense, difference, identity, nullspace,
+                     require_labels, solve_affine, sparse, spans_equal, unknowns)
+from .yd import ACTIONS, COACTIONS, adjoint_action, adjoint_coaction
 
 
 @dataclass
@@ -36,25 +36,18 @@ class SeparabilityCertificate:
     verified: list = dc_field(default_factory=list)
 
 
-def _integral_system(h: HopfData, side: str) -> SparseMat:
-    """Stacked rows of (L_{e_i} - eps(e_i)·id), or of R_{e_i} for the right side,
-    whose kernel is the (left|right) integrals."""
+def _integral_condition(h: HopfData, side: str, t: dict, x: dict) -> dict:
+    """e_i t - eps(e_i) t, or t e_i - eps(e_i) t for the right side, on the
+    unknown vector t given by the identity tensor ``x``; rows (i, r)."""
     f = h.field
-    n = h.dim
-    mult = h.alg.mult
-    rows = []
-    for i in range(n):
-        block = [{} for _ in range(n)]
-        for j in range(n):
-            for r, c in enumerate(mult[i][j] if side == "left" else mult[j][i]):
-                if c:
-                    block[r][j] = c
-        e = h.coa.counit[i]
-        if e:
-            for r, row in enumerate(block):
-                row[r] = f.sub(row.get(r, f.zero), e)
-        rows.extend([(j, x) for j, x in row.items() if x] for row in block)
-    return SparseMat(f, len(rows), n, rows)
+    lhs = contract(f, "ijr,ju->iru" if side == "left" else "jir,ju->iru", t["m"], x)
+    return difference(f, lhs, contract(f, "i,ru->iru", t["e"], x))
+
+
+def _integral_system(h: HopfData, side: str) -> AffineSystem:
+    """The rows whose solutions are the (left|right) integrals."""
+    cond = _integral_condition(h, side, tensors(h), unknowns(h.field, h.dim))
+    return AffineSystem.conditions(h.field, h.dim, (cond, 2, None, side))
 
 
 def integral_space(h: HopfData, side: str = "left", carrier: str = "in_h") -> SubspaceBasis:
@@ -65,52 +58,41 @@ def integral_space(h: HopfData, side: str = "left", carrier: str = "in_h") -> Su
         raise ValueError(f"side must be left or right, got {side!r}")
     from .hopf import dual_hopf
     target = h if carrier == "in_h" else dual_hopf(h)
-    system = _integral_system(target, side)
-    basis = SubspaceBasis(h.dim, nullspace(system).columns())
-    _verify_integral_space(target, basis, side, system)
+    sys = _integral_system(target, side)
+    basis = SubspaceBasis(h.dim, nullspace(sys.matrix).columns())
+    _verify_integral_space(target, basis, side, sys)
     return basis
 
 
 def _verify_integral_space(h: HopfData, basis: SubspaceBasis, side: str,
-                           system: Optional[SparseMat] = None):
+                           sys: Optional[AffineSystem] = None):
     """Check every basis vector against the rows h t = eps(h) t (or t h = eps(h) t)."""
-    system = system or _integral_system(h, side)
-    sys = AffineSystem(system, [h.field.zero] * system.rows, labels=[side] * system.rows)
+    sys = sys or _integral_system(h, side)
     for t in basis.vectors:
         require_labels(sys, t, "integral space vector")
 
 
-def _pair(f, lam: list, v: list):
-    """lam(v) for a functional given by its values on the basis."""
-    acc = f.zero
-    for x, l in zip(v, lam):
-        if x and l:
-            acc = f.add(acc, f.mul(x, l))
-    return acc
-
-
-def is_unimodular(h: HopfData, carrier: str = "in_h") -> bool:
-    left = integral_space(h, "left", carrier)
-    right = integral_space(h, "right", carrier)
+def is_unimodular(h: HopfData, carrier: str = "in_h", left: Optional[SubspaceBasis] = None,
+                  right: Optional[SubspaceBasis] = None) -> bool:
+    """Whether the left and right integrals (``left``/``right`` when already
+    computed) span the same space."""
+    left = left or integral_space(h, "left", carrier)
+    right = right or integral_space(h, "right", carrier)
     return spans_equal(h.field, left.vectors, right.vectors)
 
 
-def total_integral(h: HopfData, carrier: str = "in_h") -> Optional[IntegralCertificate]:
-    """A left integral normalized against the augmentation, when possible."""
+def total_integral(h: HopfData, carrier: str = "in_h",
+                   space: Optional[SubspaceBasis] = None) -> Optional[IntegralCertificate]:
+    """A left integral normalized against the augmentation, when possible;
+    ``space`` is the left integral space when already computed."""
     f = h.field
-    space = integral_space(h, "left", carrier)
-    for t in space.vectors:
-        # normalization functional: eps over in_h, evaluation at 1 over in_dual
-        if carrier == "in_h":
-            val = h.eps(t)
-        else:
-            val = f.zero
-            for lam_i, u_i in zip(t, h.alg.unit):
-                val = f.add(val, f.mul(lam_i, u_i))
-        if not f.is_zero(val):
+    # normalization functional: eps over in_h, evaluation at 1 over in_dual
+    normal = h.coa.counit if carrier == "in_h" else h.alg.unit
+    for t in (space or integral_space(h, "left", carrier)).vectors:
+        val = contract(f, "k,k->", sparse(t), sparse(normal)).get((), f.zero)
+        if val:
             inv = f.inv(val)
-            vec = [f.mul(inv, x) for x in t]
-            return IntegralCertificate("left", carrier, vec, total=True)
+            return IntegralCertificate("left", carrier, [f.mul(inv, x) for x in t], total=True)
     # the normalization functional can vanish on single basis vectors yet not on
     # a combination only if it vanishes on all of them (it is linear), so "none"
     return None
@@ -120,34 +102,16 @@ def _ad_invariant_system(h: HopfData) -> AffineSystem:
     """Rows of (a) h_1 lam(h_2) = 1 lam(h), (b) lam(h|>x) = eps(h) lam(x) and
     (c) lam(1) = 1 in the values lam(e_j)."""
     f = h.field
-    n = h.dim
-    adl = adjoint_action(h, "adl")
-    rows = []
-    rhs = []
-    # (a): for each k: sum_j comult[k][i][j] lam_j - lam_k unit_i = 0, all i
-    for k in range(n):
-        for i in range(n):
-            row = {j: c for j, c in enumerate(h.coa.comult[k][i]) if c}
-            u = h.alg.unit[i]
-            if u:
-                row[k] = f.sub(row.get(k, f.zero), u)
-            rows.append(row)
-            rhs.append(f.zero)
-    labels = ["a"] * len(rows)
-    # (b): lam(e_k |> e_t) = eps(e_k) lam(e_t)
-    for k in range(n):
-        ek = h.coa.counit[k]
-        for t in range(n):
-            row = {j: c for j, c in enumerate(adl.tensor[k][t]) if c}
-            if ek:
-                row[t] = f.sub(row.get(t, f.zero), ek)
-            rows.append(row)
-            rhs.append(f.zero)
-    labels += ["b"] * (len(rows) - len(labels)) + ["c"]
-    # (c): lam(1) = 1
-    rows.append({j: u for j, u in enumerate(h.alg.unit) if u})
-    rhs.append(f.one)
-    return AffineSystem.sparse(f, rows, rhs, n, labels)
+    t = tensors(h)
+    x = unknowns(f, h.dim)
+    adl = sparse(adjoint_action(h, "adl").tensor)
+    return AffineSystem.conditions(
+        f, h.dim,
+        (difference(f, contract(f, "kij,ju->kiu", t["D"], x),
+                    contract(f, "i,ku->kiu", t["u"], x)), 2, None, "a"),
+        (difference(f, contract(f, "ktj,ju->ktu", adl, x),
+                    contract(f, "k,tu->ktu", t["e"], x)), 2, None, "b"),
+        (contract(f, "j,ju->u", t["u"], x), 0, {(): f.one}, "c"))
 
 
 def ad_invariant_integral(h: HopfData) -> Optional[IntegralCertificate]:
@@ -172,34 +136,23 @@ def ad_coinvariant_integral(h: HopfData) -> Optional[IntegralCertificate]:
     """The unique t with (a) ht = eps(h)t, (b) t_1 S(t_3) (x) t_2 = 1 (x) t,
     (c) eps(t) = 1; or None."""
     f = h.field
-    n = h.dim
-    rho = adjoint_coaction(h, "rho_l")
-    # (a): left integral rows
-    rows = [dict(row) for row in _integral_system(h, "left").data]
-    rhs = [f.zero] * len(rows)
-    labels = ["a"] * len(rows)
-    # (b): rho_l(t) = 1 (x) t  componentwise in H (x) H
-    for i in range(n):
-        u = h.alg.unit[i]
-        for k in range(n):
-            row = {j: c for j in range(n) if (c := rho.tensor[j][i][k])}
-            if u:
-                row[k] = f.sub(row.get(k, f.zero), u)
-            rows.append(row)
-            rhs.append(f.zero)
-    labels += ["b"] * (len(rows) - len(labels)) + ["c"]
-    # (c): eps(t) = 1
-    rows.append({j: e for j, e in enumerate(h.coa.counit) if e})
-    rhs.append(f.one)
-    sys = AffineSystem.sparse(f, rows, rhs, n, labels)
+    t = tensors(h)
+    x = unknowns(f, h.dim)
+    rho = sparse(adjoint_coaction(h, "rho_l").tensor)
+    sys = AffineSystem.conditions(
+        f, h.dim,
+        (_integral_condition(h, "left", t, x), 2, None, "a"),
+        (difference(f, contract(f, "jik,ju->iku", rho, x),
+                    contract(f, "i,ku->iku", t["u"], x)), 2, None, "b"),
+        (contract(f, "j,ju->u", t["e"], x), 0, {(): f.one}, "c"))
     sol = solve_affine(sys)
     if sol is None:
         return None
     if sol.nullspace.cols != 0:
         raise AssertionError("ad-coinvariant integral is not unique; theory violated")
-    t = sol.particular
-    require_labels(sys, t, "ad-coinvariant integral")
-    return IntegralCertificate("left", "in_h", t, total=True, ad_coinvariant=True)
+    lam = sol.particular
+    require_labels(sys, lam, "ad-coinvariant integral")
+    return IntegralCertificate("left", "in_h", lam, total=True, ad_coinvariant=True)
 
 
 def four_linearity_flags(h: HopfData, lam: list) -> dict:
@@ -208,39 +161,17 @@ def four_linearity_flags(h: HopfData, lam: list) -> dict:
     For a total integral the four answers must agree pairwise.
     """
     f = h.field
-    n = h.dim
-    out = {}
-    for which in ("adl", "adr", "adl_bar", "adr_bar"):
-        act = adjoint_action(h, which)
-        out[which] = all(_pair(f, lam, act.tensor[k][t]) == f.mul(h.coa.counit[k], lam[t])
-                         for k in range(n) for t in range(n))
-    return out
+    lam, counit = sparse(lam), sparse(h.coa.counit)
+    return {which: contract(f, "ktj,j->kt", sparse(adjoint_action(h, which).tensor), lam)
+            == contract(f, "k,t->kt", counit, lam) for which in ACTIONS}
 
 
 def four_coinvariance_flags(h: HopfData, t: list) -> dict:
     """For an element t, coinvariance under the four adjoint coactions."""
     f = h.field
-    n = h.dim
-    out = {}
-    for which in ("rho_l", "rho_r", "rho_r_bar", "rho_l_bar"):
-        rho = adjoint_coaction(h, which)
-        flat = rho.coact(t)
-        if rho.side == "left":
-            want = [f.zero] * (n * n)
-            for i, u in enumerate(h.alg.unit):
-                if u:
-                    for k, x in enumerate(t):
-                        if x:
-                            want[i * n + k] = f.mul(u, x)
-        else:
-            want = [f.zero] * (n * n)
-            for k, x in enumerate(t):
-                if x:
-                    for i, u in enumerate(h.alg.unit):
-                        if u:
-                            want[k * n + i] = f.mul(x, u)
-        out[which] = all(f.eq(a, b) for a, b in zip(flat, want))
-    return out
+    t, unit = sparse(t), sparse(h.alg.unit)
+    return {which: contract(f, "jik,j->ik", sparse(adjoint_coaction(h, which).tensor), t)
+            == contract(f, "i,k->ik", unit, t) for which in COACTIONS}
 
 
 # ---------------------------------------------------------------------------
@@ -248,30 +179,17 @@ def four_coinvariance_flags(h: HopfData, t: list) -> dict:
 # ---------------------------------------------------------------------------
 
 def idempotent_system(a: AlgebraData) -> AffineSystem:
-    """The affine system for e in A (x) A with m(e) = 1 and (x (x) 1)e = e(1 (x) x)."""
+    """The affine system for e in A (x) A with m(e) = 1 and (x (x) 1)e = e(1 (x) x),
+    unknown e_ij at i*n + j."""
     f = a.field
-    n = a.dim
-    mult = a.mult
-    rows = []
-    rhs = []
-    # m(e) = 1
-    for k in range(n):
-        rows.append({i * n + j: c for i in range(n) for j in range(n) if (c := mult[i][j][k])})
-        rhs.append(a.unit[k])
-    labels = ["m(e)=1"] * n + ["bilinear"] * n ** 3
-    # (e_x (x) 1) e = e (1 (x) e_x): components (p, q)
-    for x in range(n):
-        for p in range(n):
-            for q in range(n):
-                row = {i * n + q: c for i in range(n) if (c := mult[x][i][p])}
-                for j in range(n):
-                    c = mult[j][x][q]
-                    if c:
-                        col = p * n + j
-                        row[col] = f.sub(row.get(col, f.zero), c)
-                rows.append(row)
-                rhs.append(f.zero)
-    return AffineSystem.sparse(f, rows, rhs, n * n, labels)
+    m = sparse(a.mult)
+    x = unknowns(f, a.dim, a.dim)
+    # (e_x (x) 1) e - e (1 (x) e_x), components (p, q)
+    bilinear = difference(f, contract(f, "xip,iqu->xpqu", m, x),
+                          contract(f, "jxq,pju->xpqu", m, x))
+    return AffineSystem.conditions(
+        f, a.dim * a.dim, (contract(f, "ijk,iju->ku", m, x), 1, sparse(a.unit), "m(e)=1"),
+        (bilinear, 3, None, "bilinear"))
 
 
 def _blind_idempotent(sys: AffineSystem) -> bool:
@@ -289,17 +207,9 @@ def separability_idempotent(h: HopfData) -> Optional[SeparabilityCertificate]:
         raise AssertionError("total-integral route and blind idempotent search disagree")
     if cert_total is None:
         return None
-    t = cert_total.vector
-    flat = h.delta(t)
-    e = [f.zero] * (n * n)
-    for i in range(n):
-        for j in range(n):
-            c = flat[i * n + j]
-            if c:
-                sj = h.s_vec(_unitvec(f, n, j))
-                for k, v in enumerate(sj):
-                    if v:
-                        e[i * n + k] = f.add(e[i * n + k], f.mul(c, v))
+    t = tensors(h)
+    e = contract(f, "a,aij,kj->ik", sparse(cert_total.vector), t["D"], t["S"])
+    e = [x for row in dense(f, e, (n, n)) for x in row]
     return SeparabilityCertificate("idempotent_for_algebra", e, _verify_idempotent(h, e, sys))
 
 
@@ -312,51 +222,17 @@ def retraction_system(h: HopfData) -> AffineSystem:
     in the entries theta[k][(i, j)], unknown k*n^2 + i*n + j."""
     f = h.field
     n = h.dim
-    nn = n * n
-    nunk = n * nn  # theta[k][(i,j)]
-
-    def unk(k, i, j):
-        return k * nn + i * n + j
-
-    comult = h.coa.comult
-    # Delta(e_k) has coefficient comult[k][p][q] at (p, q)
-    delta_at = [[[(k, c) for k in range(n) if (c := comult[k][p][q])] for q in range(n)]
-                for p in range(n)]
-    rows = []
-    rhs = []
-    # theta(Delta(e_k)) = e_k
-    for k in range(n):
-        flat = h.coa.delta_basis(k)
-        for out_k in range(n):
-            rows.append({out_k * nn + t: c for t, c in enumerate(flat) if c})
-            rhs.append(f.one if out_k == k else f.zero)
-    labels = ["theta∘Delta=id"] * nn + ["bicolinear"] * (2 * nn * nn)
-
-    def colinearity_row(row, p, q, i, j):  # row holds the theta-side terms
-        for k, c in delta_at[p][q]:
-            col = unk(k, i, j)
-            row[col] = f.sub(row.get(col, f.zero), c)
-        rows.append(row)
-        rhs.append(f.zero)
-
-    # left colinearity: (id (x) theta)(Delta (x) id) = Delta∘theta on e_i (x) e_j
-    # components (p, q) in H (x) H
-    for i in range(n):
-        di = comult[i]
-        for j in range(n):
-            for p in range(n):
-                dip = [(a, c) for a, c in enumerate(di[p]) if c]
-                for q in range(n):
-                    colinearity_row({unk(q, a, j): c for a, c in dip}, p, q, i, j)
-    # right colinearity: (theta (x) id)(id (x) Delta) = Delta∘theta
-    for i in range(n):
-        for j in range(n):
-            dj = comult[j]
-            for p in range(n):
-                for q in range(n):
-                    colinearity_row({unk(p, i, a): c for a in range(n) if (c := dj[a][q])},
-                                    p, q, i, j)
-    return AffineSystem.sparse(f, rows, rhs, nunk, labels)
+    d = sparse(h.coa.comult)
+    x = unknowns(f, n, n, n)
+    delta_theta = contract(f, "kpq,kiju->ijpqu", d, x)
+    # left colinearity: (id (x) theta)(Delta (x) id) = Delta∘theta on e_i (x) e_j,
+    # right colinearity: (theta (x) id)(id (x) Delta) = Delta∘theta; components (p, q)
+    left = difference(f, contract(f, "ipa,qaju->ijpqu", d, x), delta_theta)
+    right = difference(f, contract(f, "jaq,piau->ijpqu", d, x), delta_theta)
+    return AffineSystem.conditions(
+        f, n ** 3,
+        (contract(f, "kij,oiju->kou", d, x), 2, identity(f, n), "theta∘Delta=id"),
+        (left, 4, None, "bicolinear"), (right, 4, None, "bicolinear"))
 
 
 def _blind_retraction(sys: AffineSystem) -> bool:
@@ -375,19 +251,10 @@ def coseparability_retraction(h: HopfData) -> Optional[SeparabilityCertificate]:
     if cert_total is None:
         return None
     lam = cert_total.vector
-    theta = Mat.zeros(f, n, n * n)
-    for i in range(n):
-        di = h.coa.comult[i]
-        for j in range(n):
-            sy = h.s_vec(_unitvec(f, n, j))
-            col = i * n + j
-            for p in range(n):
-                for q, c in enumerate(di[p]):
-                    if not c:
-                        continue
-                    val = _pair(f, lam, h.mul(_unitvec(f, n, q), sy))
-                    if not f.is_zero(val):
-                        theta.data[p][col] = f.add(theta.data[p][col], f.mul(c, val))
+    t = tensors(h)
+    theta = contract(f, "ipq,qyz,yj,z->pij", t["D"], t["m"], t["S"], sparse(lam))
+    theta = Mat(f, n, n * n, [[x for row in block for x in row]
+                              for block in dense(f, theta, (n, n, n))])
     verified = _verify_retraction(h, theta, lam, sys)
     return SeparabilityCertificate("retraction_for_coalgebra", theta, verified)
 
@@ -401,14 +268,9 @@ def _verify_retraction(h: HopfData, theta: Mat, lam: Optional[list] = None,
     if lam is not None:
         # both sides of the defining exchange identity:
         # x_1 lam(x_2 S(y)) = lam(x S(y_1)) y_2
-        for i in range(n):
-            for j in range(n):
-                rhs = [f.zero] * n
-                for a in range(n):
-                    val = _pair(f, lam, h.mul(_unitvec(f, n, i), h.s_vec(_unitvec(f, n, a))))
-                    for b, c in enumerate(h.coa.comult[j][a]):
-                        rhs[b] = f.add(rhs[b], f.mul(c, val))
-                if theta.column(i * n + j) != rhs:
-                    raise AssertionError("retraction fails the exchange identity")
+        t = tensors(h)
+        rhs = contract(f, "iyz,ya,z,jab->bij", t["m"], t["S"], sparse(lam), t["D"])
+        if {(p, c // n, c % n): v for (p, c), v in sparse(theta).items()} != rhs:
+            raise AssertionError("retraction fails the exchange identity")
         verified.append("exchange-identity")
     return verified

@@ -23,7 +23,7 @@ from typing import Optional
 from .hopf import AlgebraData, HopfData, SubspaceBasis, _unitvec, dual_algebra
 from .linalg import (AffineSystem, Mat, invert, nullspace, rank,
                      solve_affine, span_contains_span)
-from .filtration import (_ideal_product, _is_two_sided_ideal, _quotient_algebra,
+from .filtration import (_is_two_sided_ideal, _quotient_algebra, ideal_powers,
                          coradical, is_subcoalgebra, wedge_filtration)
 
 
@@ -82,16 +82,19 @@ class SurjectionProblem:
 
     def validate(self):
         f = self.e.field
+        if (self.pi.rows, self.pi.cols) != (self.a.dim, self.e.dim):
+            raise ValueError(f"pi must be {self.a.dim} x {self.e.dim}, "
+                             f"got {self.pi.rows} x {self.pi.cols}")
         if rank(self.pi) != self.a.dim:
             raise ValueError("pi is not surjective")
         img_unit = self.pi.matvec(self.e.unit)
-        if not all(f.eq(x, y) for x, y in zip(img_unit, self.a.unit)):
+        if img_unit != self.a.unit:
             raise ValueError("pi does not preserve the unit")
         for i in range(self.e.dim):
             for j in range(self.e.dim):
                 lhs = self.pi.matvec(self.e.mult[i][j])
                 rhs = self.a.mul(self.pi.column(i), self.pi.column(j))
-                if not all(f.eq(x, y) for x, y in zip(lhs, rhs)):
+                if lhs != rhs:
                     raise ValueError(f"pi is not an algebra map at ({i},{j})")
         ker = nullspace(self.pi).columns()
         if self.kernel is None:
@@ -144,7 +147,7 @@ def _check_right_comodule(coact: Mat, space_dim: int, h: HopfData) -> None:
                 if x and h.coa.counit[u]:
                     acc[v] = f.add(acc[v], f.mul(x, h.coa.counit[u]))
         want = _unitvec(f, space_dim, c)
-        if not all(f.eq(p, q) for p, q in zip(acc, want)):
+        if acc != want:
             raise ValueError("coaction fails the counit law")
     # coassociativity: (rho (x) id) rho = (id (x) Delta) rho
     for c in range(space_dim):
@@ -194,22 +197,16 @@ def lift_algebra_section(p: SurjectionProblem, colinear: bool = False,
     or a LiftObstruction carrying a delta-closed curvature witness."""
     p.validate()
     f = p.e.field
-    ne, na = p.e.dim, p.a.dim
+    na = p.a.dim
 
     pairs = list(extra_pairs or [])
     if colinear:
         pairs = _equivariance_pairs_from_problem(p) + pairs
 
     # kernel powers I = P[0] > P[1] = I^2 > ... until zero
-    powers = [p.kernel.vectors]
-    while powers[-1]:
-        nxt = _ideal_product(p.e, powers[-1], p.kernel.vectors)
-        if nxt and len(nxt) == len(powers[-1]) and \
-                span_contains_span(f, powers[-1], nxt) and span_contains_span(f, nxt, powers[-1]):
-            raise ValueError("kernel is not nilpotent")
-        powers.append(nxt)
-        if len(powers) > ne + 1:
-            raise ValueError("kernel is not nilpotent")
+    powers = ideal_powers(p.e, p.kernel.vectors)
+    if powers is None:
+        raise ValueError("kernel is not nilpotent")
     nu = len(powers)  # I^nu = 0 (powers[nu-1] == [])
 
     # equivariance endomorphisms must preserve every kernel power
@@ -457,7 +454,7 @@ def _assert_stage(f, qcur, p_r, f_prev, f_new, a, alphas, betas_cur):
         for j in range(a.dim):
             lhs = f_new.matvec(a.mult[i][j])
             rhs = qcur.mul(f_new.column(i), f_new.column(j))
-            if not all(f.eq(x, y) for x, y in zip(lhs, rhs)):
+            if lhs != rhs:
                 raise AssertionError("stage map is not multiplicative after correction")
     for alpha, beta in zip(alphas, betas_cur):
         if beta.mul(f_new) != f_new.mul(alpha):
@@ -474,10 +471,10 @@ def _verify_final(p: SurjectionProblem, cert: LiftCertificate, pairs: list):
         for j in range(p.a.dim):
             lhs = sigma.matvec(p.a.mult[i][j])
             rhs = p.e.mul(sigma.column(i), sigma.column(j))
-            if not all(f.eq(x, y) for x, y in zip(lhs, rhs)):
+            if lhs != rhs:
                 raise AssertionError("final section is not multiplicative")
     s1 = sigma.matvec(p.a.unit)
-    if not all(f.eq(x, y) for x, y in zip(s1, p.e.unit)):
+    if s1 != p.e.unit:
         raise AssertionError("final section is not unital")
     for alpha, beta in pairs:
         if beta.mul(sigma) != sigma.mul(alpha):
@@ -609,13 +606,13 @@ def weak_projection(e: HopfData, h: HopfData, inclusion: Mat,
     incl_cols = inclusion.columns()
     # algebra + coalgebra map checks
     img_unit = inclusion.matvec(h.alg.unit)
-    if not all(f.eq(x, y) for x, y in zip(img_unit, e.alg.unit)):
+    if img_unit != e.alg.unit:
         raise ValueError("inclusion does not preserve the unit")
     for i in range(nh):
         for j in range(nh):
             lhs = inclusion.matvec(h.alg.mult[i][j])
             rhs = e.mul(incl_cols[i], incl_cols[j])
-            if not all(f.eq(x, y) for x, y in zip(lhs, rhs)):
+            if lhs != rhs:
                 raise ValueError("inclusion is not an algebra map")
     for k in range(nh):
         lhs = e.delta(incl_cols[k])
@@ -629,7 +626,7 @@ def weak_projection(e: HopfData, h: HopfData, inclusion: Mat,
                                 if yv:
                                     want[x * ne + y] = f.add(want[x * ne + y],
                                                              f.mul(c, f.mul(xv, yv)))
-        if not all(f.eq(p, q) for p, q in zip(lhs, want)):
+        if lhs != want:
             raise ValueError("inclusion is not a coalgebra map")
 
     sub = SubspaceBasis(ne, incl_cols)
@@ -696,7 +693,7 @@ def _verify_weak_projection(e: HopfData, h: HopfData, inclusion: Mat, proj: Mat,
                             if yv:
                                 rhs[i * nh + j] = f.add(rhs[i * nh + j],
                                                         f.mul(c, f.mul(xv, yv)))
-        if not all(f.eq(a, b) for a, b in zip(lhs, rhs)):
+        if lhs != rhs:
             raise AssertionError("weak projection is not comultiplicative")
         le = e.eps(_unitvec(f, ne, k))
         lh = h.eps(img)
@@ -708,7 +705,7 @@ def _verify_weak_projection(e: HopfData, h: HopfData, inclusion: Mat, proj: Mat,
         for x in range(ne):
             lhs = proj.matvec(e.mul(iu, _unitvec(f, ne, x)))
             rhs = h.mul(_unitvec(f, nh, u), proj.matvec(_unitvec(f, ne, x)))
-            if not all(f.eq(a, b) for a, b in zip(lhs, rhs)):
+            if lhs != rhs:
                 raise AssertionError("weak projection is not left H-linear")
     verified.append("left-H-linear")
     if bilinear:
@@ -717,7 +714,7 @@ def _verify_weak_projection(e: HopfData, h: HopfData, inclusion: Mat, proj: Mat,
             for x in range(ne):
                 lhs = proj.matvec(e.mul(_unitvec(f, ne, x), iu))
                 rhs = h.mul(proj.matvec(_unitvec(f, ne, x)), _unitvec(f, nh, u))
-                if not all(f.eq(a, b) for a, b in zip(lhs, rhs)):
+                if lhs != rhs:
                     raise AssertionError("weak projection is not right H-linear")
         verified.append("right-H-linear")
     return verified

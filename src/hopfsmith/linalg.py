@@ -16,11 +16,20 @@ reduces mod p once per entry per pass; over Q it uses ``Fraction``.
 
 :class:`Mat` stays dense: it represents linear maps and small matrices, and
 the solvers take either a dense ``Mat`` or a :class:`SparseMat`.
+
+Structure-constant identities are contractions of sparse tensors, dicts
+``{index tuple: nonzero scalar}``: :func:`contract` evaluates an einsum-style
+spec such as ``"ipq,pjx,yq,xyk->ijk"``, :func:`sparse` and :func:`dense`
+convert from and to nested lists.  A linear condition on an unknown map is a
+contraction with :func:`unknowns`, the identity tensor of the map's entries,
+and :meth:`AffineSystem.conditions` turns such contractions into labelled rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import product
+from operator import itemgetter
 from typing import Optional
 
 from .fields import FieldSpec, Scalar
@@ -176,6 +185,24 @@ class AffineSystem:
         coefficients (say, ones that cancelled during assembly) are dropped."""
         data = [[(j, x) for j, x in row.items() if x] for row in rows]
         return cls(SparseMat(field, len(data), unknowns, data), rhs, unknowns, labels)
+
+    @classmethod
+    def conditions(cls, field: FieldSpec, unknowns: int, *conds) -> "AffineSystem":
+        """A system from conditions ``(tensor, nrow, constant, label)``: ``tensor``
+        is keyed by ``nrow`` row indices and then the unknown, ``constant`` (a
+        sparse tensor on the row indices, or None) is the right-hand side.  A
+        condition whose rows all cancel keeps one empty row, so its label stays."""
+        rows, rhs, labels = [], [], []
+        for t, nrow, const, label in conds:
+            const = const or {}
+            by_row = {}
+            for key, c in t.items():
+                by_row.setdefault(key[:nrow], {})[key[nrow]] = c
+            keys = sorted(by_row.keys() | const.keys()) or [None]
+            rows += [by_row.get(k, {}) for k in keys]
+            rhs += [const.get(k, field.zero) for k in keys]
+            labels += [label] * len(keys)
+        return cls.sparse(field, rows, rhs, unknowns, labels)
 
     def condition_labels(self) -> list:
         """The distinct row labels, in row order."""
@@ -380,3 +407,127 @@ def kron(a: Mat, b: Mat) -> Mat:
                     if y:
                         orow[j * b.cols + l] = f.mul(x, y)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Sparse tensors
+# ---------------------------------------------------------------------------
+
+def _picker(positions: list):
+    """The map from an index tuple to its entries at ``positions``, as a tuple."""
+    if len(positions) == 1:
+        k = positions[0]
+        return lambda key: (key[k],)
+    return itemgetter(*positions) if positions else lambda key: ()
+
+
+def contract(field: FieldSpec, spec: str, *tensors: dict) -> dict:
+    """The einsum-style contraction ``spec`` of sparse tensors.
+
+    Operands are contracted pairwise from the left, and each index is summed
+    as soon as no later operand and not the output uses it; ordering the
+    operands so that each shares an index with the ones before keeps the
+    intermediate tensors small.  Over F_p entries are raw ints reduced once
+    per step; zero entries are dropped.
+    """
+    inputs, out = spec.split("->")
+    names = inputs.split(",")
+    if len(names) != len(tensors) or any(len(set(s)) != len(s) for s in names + [out]):
+        raise ValueError(f"bad contraction spec {spec!r} for {len(tensors)} tensors")
+    p = field.characteristic
+    idx, acc = "", {(): field.one}
+    for t, (name, b) in enumerate(zip(names, tensors)):
+        later = set(out).union(*names[t + 1:])
+        shared = [c for c in name if c in idx]
+        new = [c for c in name if c not in idx and c in later]
+        b_shared, b_new = _picker([name.index(c) for c in shared]), \
+            _picker([name.index(c) for c in new])
+        groups = {}
+        for key, v in b.items():
+            g = groups.setdefault(b_shared(key), {})
+            k = b_new(key)
+            g[k] = g.get(k, 0) + v
+        kept = [c for c in idx if c in later]
+        a_shared, a_kept = _picker([idx.index(c) for c in shared]), \
+            _picker([idx.index(c) for c in kept])
+        res = {}
+        get = res.get
+        for key, x in acc.items():
+            g = groups.get(a_shared(key))
+            if g:
+                base = a_kept(key)
+                for k, y in g.items():
+                    k = base + k
+                    res[k] = get(k, 0) + x * y
+        acc = {k: w for k, v in res.items() if (w := v % p)} if p else \
+            {k: v for k, v in res.items() if v}
+        idx = "".join(kept + new)
+    if set(out) - set(idx):
+        raise ValueError(f"output indices of {spec!r} appear in no operand")
+    if idx == out:
+        return acc
+    perm = _picker([idx.index(c) for c in out])
+    return {perm(k): v for k, v in acc.items()}
+
+
+def sparse(nested: list) -> dict:
+    """The nonzero entries of a nested list (or of a ``Mat``), keyed by index tuple."""
+    if isinstance(nested, Mat):
+        nested = nested.data
+    if nested and isinstance(nested[0], list):
+        return {(i, *k): c for i, sub in enumerate(nested) for k, c in sparse(sub).items()}
+    return {(i,): c for i, c in enumerate(nested) if c}
+
+
+def dense(field: FieldSpec, t: dict, shape: tuple) -> list:
+    """The nested lists of the given shape holding the sparse tensor ``t``."""
+    def zeros(dims):
+        return [field.zero] * dims[0] if len(dims) == 1 else [zeros(dims[1:]) for _ in range(dims[0])]
+
+    out = zeros(shape)
+    for key, v in t.items():
+        row = out
+        for i in key[:-1]:
+            row = row[i]
+        row[key[-1]] = v
+    return out
+
+
+def unknowns(field: FieldSpec, *shape: int) -> dict:
+    """The identity tensor of a map's entries: key ``(*index, u)`` is 1, where u
+    is the row-major position of the index, the entry's unknown column."""
+    return {(*key, u): field.one for u, key in enumerate(product(*map(range, shape)))}
+
+
+def in_coordinates(field: FieldSpec, t: dict, basis: dict, coords: dict, what: str) -> dict:
+    """``t`` with its last index, a vector of the ambient space, rewritten in the
+    coordinates of a subspace: ``basis[(x, j)]`` is entry x of basis vector j and
+    ``coords`` a left inverse of it.  Raises ``AssertionError(what)`` when one of
+    those vectors lies outside the span."""
+    lead = "ABCDEFGH"[:len(next(iter(t), (0,))) - 1]
+    out = contract(field, f"{lead}x,cx->{lead}c", t, coords)
+    if contract(field, f"{lead}c,xc->{lead}x", out, basis) != t:
+        raise AssertionError(what)
+    return out
+
+
+def identity(field: FieldSpec, n: int) -> dict:
+    """The n x n identity matrix as a sparse tensor."""
+    return {(i, i): field.one for i in range(n)}
+
+
+def difference(field: FieldSpec, a: dict, b: dict) -> dict:
+    """a - b for sparse tensors, zero entries dropped."""
+    out = dict(a)
+    for k, v in b.items():
+        w = field.sub(out.get(k, field.zero), v)
+        if w:
+            out[k] = w
+        else:
+            out.pop(k, None)
+    return out
+
+
+def differing(a: dict, b: dict, width: int) -> set:
+    """The index prefixes of length ``width`` on which two sparse tensors differ."""
+    return {k[:width] for k, _ in a.items() ^ b.items()}

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from .fields import FieldSpec, Scalar
 from .hopf import AlgebraData, CoalgebraData, HopfData, Mat, dual_hopf, validated
+from .linalg import contract, dense, sparse
 
 
 # ---------------------------------------------------------------------------
@@ -231,41 +232,25 @@ def preset_taft(n: int, q: Scalar, field: FieldSpec) -> HopfData:
 
     # comultiplication: extend Delta(g) = g(x)g, Delta(x) = x(x)1 + g(x)x
     # multiplicatively inside the tensor-square algebra
-    def tens(u, v):
-        out = [z] * (dim * dim)
-        for i, xx in enumerate(u):
-            if not xx:
-                continue
-            for j, yy in enumerate(v):
-                if yy:
-                    out[i * dim + j] = f.mul(xx, yy)
-        return out
+    m = sparse(mult)
 
-    e = [z] * dim
-    e[idx(0, 0)] = o
-    gv = [z] * dim
-    gv[idx(1 % n, 0)] = o
-    xv = [z] * dim
-    if n > 1:
-        xv[idx(0, 1)] = o
-    dg = tens(gv, gv)
-    dx = [f.add(a2, b2) for a2, b2 in zip(tens(xv, e), tens(gv, xv))]
+    def mul2(u, v):
+        return contract(f, "ab,acp,cd,bdq->pq", u, m, v, m)
+
+    one, g, x = idx(0, 0), idx(1 % n, 0), idx(0, 1 % n)
+    dg = {(g, g): o}
+    dx = {(x, one): o, (g, x): o}
     d_acc = {}
-    cur = tens(e, e)
+    cur = {(one, one): o}
     for a in range(n):
         inner = cur
         for b in range(n):
             d_acc[idx(a, b)] = inner
             if b + 1 < n:
-                inner = alg.mul2(inner, dx)
+                inner = mul2(inner, dx)
         if a + 1 < n:
-            cur = alg.mul2(cur, dg)
-    comult = [[[z] * dim for _ in range(dim)] for _ in range(dim)]
-    for k in range(dim):
-        flat = d_acc[k]
-        for i in range(dim):
-            for j in range(dim):
-                comult[k][i][j] = flat[i * dim + j]
+            cur = mul2(cur, dg)
+    comult = [dense(f, d_acc[k], (dim, dim)) for k in range(dim)]
     counit = [z] * dim
     for a in range(n):
         counit[idx(a, 0)] = o
@@ -281,7 +266,7 @@ def preset_taft(n: int, q: Scalar, field: FieldSpec) -> HopfData:
     for a in range(n):
         for b in range(n):
             # S(g^a x^b) = S(x)^b S(g)^a
-            acc = e
+            acc = unit
             for _ in range(b):
                 acc = alg.mul(acc, sx)
             for _ in range(a):

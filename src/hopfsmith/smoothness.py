@@ -24,8 +24,9 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .hopf import HopfData, QuotientSplitting, SubspaceBasis, _unitvec
-from .linalg import AffineSystem, Mat, failed_labels, solve_affine
+from .hopf import HopfData, QuotientSplitting, SubspaceBasis, tensors
+from .linalg import (AffineSystem, Mat, contract, difference, failed_labels, in_coordinates,
+                     solve_affine, sparse, unknowns)
 from .yd import h_bar_yd, h_plus_yd
 
 
@@ -79,105 +80,32 @@ def _fs_section_system(h: HopfData, yd, hp: SubspaceBasis, complete: bool) -> Af
     """Rows of (i), (ii) and, when complete, (iii) in the entries of
     tau(v_b) = sum T[i][a][b] e_i (x) v_a, unknown (i*m + a)*m + b."""
     f = h.field
-    n = h.dim
-    m = hp.dim
-
-    def unk(i, a, b):
-        return (i * m + a) * m + b
-
-    rows = []
-    rhs = []
-
-    # (i) tau(e_j v_b) = (e_j (x) 1) tau(v_b): components (p, a); e_j v_b in H^+
+    n, m = h.dim, hp.dim
+    t = tensors(h)
+    mult = t["m"]
+    x = unknowns(f, n, m, m)
+    basis, coords = hp.tensors(f)
+    # (i) tau(e_j v_b) = (e_j (x) 1) tau(v_b), components (p, a); e_j v_b in H^+
     # coordinates is the action tensor of the YD structure
-    for j in range(n):
-        for b in range(m):
-            gamma = [(c, g) for c, g in enumerate(yd.action.tensor[j][b]) if g]
-            for p in range(n):
-                mu_p = [(i, mu) for i in range(n) if (mu := h.alg.mult[j][i][p])]
-                for a in range(m):
-                    row = {unk(p, a, c): g for c, g in gamma}
-                    for i, mu in mu_p:
-                        col = unk(i, a, b)
-                        row[col] = f.sub(row.get(col, f.zero), mu)
-                    rows.append(row)
-                    rhs.append(f.zero)
-    labels = ["i"] * len(rows)
-
-    # (ii) sum a_i b_i = x: components over H
-    prod_h = [[h.mul(_unitvec(f, n, i), hp.vectors[a]) for a in range(m)] for i in range(n)]
-    for b in range(m):
-        target = hp.vectors[b]
-        for k in range(n):
-            rows.append({unk(i, a, b): c for i in range(n) for a in range(m)
-                         if (c := prod_h[i][a][k])})
-            rhs.append(target[k])
-    labels += ["ii"] * (len(rows) - len(labels))
-
+    cond_i = difference(f, contract(f, "jbc,pacu->jbpau", sparse(yd.action.tensor), x),
+                        contract(f, "jip,iabu->jbpau", mult, x))
+    # (ii) sum a_i b_i = x, components over H
+    cond_ii = contract(f, "xa,ixk,iabu->bku", basis, mult, x)
+    conds = [(cond_i, 4, None, "i"), (cond_ii, 2, contract(f, "kb->bk", basis), "ii")]
     if complete:
-        # constant tensors Theta[i][a] in H (x) H (x) H^+ for tau-entry e_i (x) v_a
-        coat = yd.coaction.tensor  # rho(v_b) = sum coat[b][w][d] e_w (x) v_d
-        theta = {}
-        for i in range(n):
-            d2i = h.coa.delta_iter(_unitvec(f, n, i), 3)
-            nz_i = [(t, c) for t, c in enumerate(d2i) if c]
-            for a in range(m):
-                d2a = h.coa.delta_iter(hp.vectors[a], 3)
-                acc = {}
-                for t1, c1 in nz_i:
-                    r = t1 % n
-                    q = (t1 // n) % n
-                    p = t1 // (n * n)
-                    for t2, c2 in enumerate(d2a):
-                        if not c2:
-                            continue
-                        z = t2 % n
-                        y = (t2 // n) % n
-                        x = t2 // (n * n)
-                        coef = f.mul(c1, c2)
-                        first = h.mul(h.alg.mult[p][x],
-                                      h.s_vec(h.alg.mult[r][z]))
-                        for w, fv in enumerate(first):
-                            if fv:
-                                key = (w, q, y)
-                                acc[key] = f.add(acc.get(key, f.zero), f.mul(coef, fv))
-                # rewrite the third leg in H^+ coordinates
-                out = {}
-                third = {}
-                for (w, q, y), v in acc.items():
-                    third.setdefault((w, q), [f.zero] * n)[y] = f.add(
-                        third.setdefault((w, q), [f.zero] * n)[y], v)
-                for (w, q), vec in third.items():
-                    coords = hp.coords_of(f, vec)
-                    if coords is None:
-                        raise AssertionError("completeness tensor escaped H (x) H (x) H^+")
-                    for d, v in enumerate(coords):
-                        if not f.is_zero(v):
-                            out[(w, q, d)] = v
-                theta[(i, a)] = out
-        for b in range(m):
-            lhs_rows = {}
-            for i in range(n):
-                for a in range(m):
-                    for key, v in theta[(i, a)].items():
-                        lhs_rows.setdefault(key, {})[unk(i, a, b)] = v
-            rhs_rows = {}
-            for w in range(n):
-                for c, g in enumerate(coat[b][w]):
-                    if g:
-                        # g · e_w (x) tau(v_c): spreads over unknowns T[(q,d),c]
-                        for q in range(n):
-                            for d in range(m):
-                                rhs_rows.setdefault((w, q, d), {})[unk(q, d, c)] = g
-            keys = set(lhs_rows) | set(rhs_rows)
-            for key in sorted(keys):
-                row = dict(lhs_rows.get(key, {}))
-                for u, v in rhs_rows.get(key, {}).items():
-                    row[u] = f.sub(row.get(u, f.zero), v)
-                rows.append(row)
-                rhs.append(f.zero)
-        labels += ["iii"] * (len(rows) - len(labels))
-    return AffineSystem.sparse(f, rows, rhs, n * m * m, labels)
+        # (iii) the constant tensor a_1 b_1 S(a_3 b_3) (x) a_2 (x) b_2 for
+        # e_i (x) v_a, Delta^2(e_i) = e_p (x) e_q (x) e_r, Delta^2(v_a) = e_x (x) e_y (x) e_z,
+        # with its third leg rewritten in H^+ coordinates
+        d = t["D"]
+        theta = contract(f, "ipo,oqr,pxg,rzj,sj,gsw,kxl,lyz,ka->iawqy",
+                         d, d, mult, mult, t["S"], mult, d, d, basis)
+        theta_hp = in_coordinates(f, theta, basis, coords,
+                                  "completeness tensor escaped H (x) H (x) H^+")
+        # against x_1 S(x_3) (x) tau(x_2) = rho(v_b) with tau applied to its H^+ leg
+        cond_iii = difference(f, contract(f, "iawqd,iabu->bwqdu", theta_hp, x),
+                              contract(f, "bwc,qdcu->bwqdu", sparse(yd.coaction.tensor), x))
+        conds.append((cond_iii, 4, None, "iii"))
+    return AffineSystem.conditions(f, n * m * m, *conds)
 
 
 def find_fs_section(h: HopfData) -> Optional[SectionCertificate]:
@@ -217,16 +145,9 @@ def verify_fs_section(h: HopfData, cert: SectionCertificate, complete: bool,
 
 def check_im_tau(h: HopfData, cert: SectionCertificate) -> bool:
     """Whether Im(tau) lands in H^+ (x) H^+: (eps (x) id) tau = 0."""
-    f = h.field
     m = len(cert.context["hplus_basis"])
-    for row in cert.matrix.transpose().data:  # tau(v_b) in H (x) H^+ coordinates
-        for a in range(m):
-            acc = f.zero
-            for i, e in enumerate(h.coa.counit):
-                acc = f.add(acc, f.mul(row[i * m + a], e))
-            if acc:
-                return False
-    return True
+    tau = {(r // m, r % m, b): v for (r, b), v in sparse(cert.matrix).items()}
+    return not contract(h.field, "iab,i->ab", tau, sparse(h.coa.counit))
 
 
 # ---------------------------------------------------------------------------
@@ -240,86 +161,26 @@ def _fs_retraction_system(h: HopfData, yd, split: QuotientSplitting,
     f = h.field
     n = h.dim
     m = n - 1
-    proj, sect = split.projection, split.section
-
-    def unk(c, i, a):
-        return (c * n + i) * m + a
-
-    rows = []
-    rhs = []
-
+    t = tensors(h)
+    d, mult = t["D"], t["m"]
+    x = unknowns(f, m, n, m)
+    proj = sparse(split.projection)
     # Hbar coaction tensor: rho(vbar_c) = sum R[c][w][d] e_w (x) vbar_d
-    coat = yd.coaction.tensor
-
     # (i): for inputs (i, a), components (w, d)
-    coat_at = [[[(c, g) for c in range(m) if (g := coat[c][w][d])] for d in range(m)]
-               for w in range(n)]
-    for i in range(n):
-        for a in range(m):
-            for w in range(n):
-                for d in range(m):
-                    row = {unk(c, i, a): g for c, g in coat_at[w][d]}
-                    for q, mu in enumerate(h.coa.comult[i][w]):
-                        if mu:
-                            col = unk(d, q, a)
-                            row[col] = f.sub(row.get(col, f.zero), mu)
-                    rows.append(row)
-                    rhs.append(f.zero)
-    labels = ["i"] * len(rows)
-
+    cond_i = difference(f, contract(f, "cwd,ciau->iawdu", sparse(yd.coaction.tensor), x),
+                        contract(f, "iwq,dqau->iawdu", d, x))
     # (ii): chi(x_1 (x) xbar_2) = xbar for x over the H basis
-    proj_cols = [[(d, b) for d, b in enumerate(col) if b] for col in proj.columns()]
-    for k in range(n):
-        for c in range(m):
-            row = {}
-            for i in range(n):
-                for j, mu in enumerate(h.coa.comult[k][i]):
-                    if mu:
-                        for d, b in proj_cols[j]:
-                            col = unk(c, i, d)
-                            row[col] = f.add(row.get(col, f.zero), f.mul(mu, b))
-            rows.append(row)
-            rhs.append(proj.data[c][k])
-    labels += ["ii"] * (len(rows) - len(labels))
-
+    cond_ii = contract(f, "kij,dj,cidu->kcu", d, proj, x)
+    conds = [(cond_i, 4, None, "i"), (cond_ii, 2, contract(f, "ck->kc", proj), "ii")]
     if complete:
-        act = yd.action.tensor  # e_h acting on vbar_c
-        for h0 in range(n):
-            d3 = h.coa.delta_iter(_unitvec(f, n, h0), 4)
-            nz = [(t, c) for t, c in enumerate(d3) if c]
-            for i in range(n):
-                for a in range(m):
-                    # LHS: chi[ h1 e_i S(h4) (x) proj(h2 s(v_a) S(h3)) ]
-                    lhs_cols = {}
-                    for t, cf in nz:
-                        w = t % n
-                        r = (t // n) % n
-                        q = (t // (n * n)) % n
-                        p = t // (n ** 3)
-                        first = h.mul(h.alg.mult[p][i], h.s_vec(_unitvec(f, n, w)))
-                        midrep = h.mul(h.mul(_unitvec(f, n, q), sect.column(a)),
-                                       h.s_vec(_unitvec(f, n, r)))
-                        second = proj.matvec(midrep)
-                        for ii, fv in enumerate(first):
-                            if not fv:
-                                continue
-                            for d, sv in enumerate(second):
-                                if sv:
-                                    u_base = (ii, d)
-                                    lhs_cols[u_base] = f.add(lhs_cols.get(u_base, f.zero),
-                                                             f.mul(cf, f.mul(fv, sv)))
-                    for cprime in range(m):
-                        row = {unk(cprime, ii, d): v for (ii, d), v in lhs_cols.items()}
-                        # RHS: (h0 acting on chi(e_i (x) v_a)) component cprime
-                        for c in range(m):
-                            g = act[h0][c][cprime]
-                            if g:
-                                col = unk(c, i, a)
-                                row[col] = f.sub(row.get(col, f.zero), g)
-                        rows.append(row)
-                        rhs.append(f.zero)
-        labels += ["iii"] * (len(rows) - len(labels))
-    return AffineSystem.sparse(f, rows, rhs, m * n * m, labels)
+        # (iii) chi[h1 e_i S(h4) (x) (h2 s(vbar_a) S(h3))bar] = h acting on chi(e_i (x) vbar_a),
+        # Delta^3(e_h) = e_p (x) e_q (x) e_r (x) e_w
+        anti = t["S"]
+        lhs = contract(f, "hpo,oqt,trw,pig,sw,gsI,qxG,xa,Sr,GSy,dy,cIdu->hiacu",
+                       d, d, d, mult, anti, mult, mult, sparse(split.section), anti, mult, proj, x)
+        rhs = contract(f, "hcC,ciau->hiaCu", sparse(yd.action.tensor), x)
+        conds.append((difference(f, lhs, rhs), 4, None, "iii"))
+    return AffineSystem.conditions(f, m * n * m, *conds)
 
 
 def find_fs_retraction(h: HopfData) -> Optional[SectionCertificate]:
@@ -360,16 +221,9 @@ def verify_fs_retraction(h: HopfData, cert: SectionCertificate, complete: bool,
 
 def check_chi_quotients(h: HopfData, cert: SectionCertificate) -> bool:
     """Whether chi kills 1 (x) Hbar, i.e. quotients to Hbar (x) Hbar -> Hbar."""
-    f = h.field
-    n = h.dim
-    m = n - 1
-    for a in range(m):
-        v = [f.zero] * (n * m)
-        for i, u in enumerate(h.alg.unit):
-            v[i * m + a] = u
-        if any(cert.matrix.matvec(v)):
-            return False
-    return True
+    m = h.dim - 1
+    chi = {(c, r // m, r % m): v for (c, r), v in sparse(cert.matrix).items()}
+    return not contract(h.field, "cia,i->ca", chi, sparse(h.alg.unit))
 
 
 # ---------------------------------------------------------------------------

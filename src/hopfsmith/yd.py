@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .hopf import (AlgebraData, CoalgebraData, HopfData, QuotientSplitting, SubspaceBasis,
-                   augmentation_ideal, unit_cokernel, _unitvec)
+                   augmentation_ideal, tensors, unit_cokernel)
+from .linalg import contract, dense, differing, identity, in_coordinates, sparse
 
 ACTIONS = ("adl", "adr", "adl_bar", "adr_bar")      # |>, <|, |>>, <<|
 COACTIONS = ("rho_l", "rho_r", "rho_r_bar", "rho_l_bar")
@@ -35,45 +36,21 @@ class ModuleAction:
 
     def act(self, hvec: list, vvec: list) -> list:
         f = self.over.field
-        out = [f.zero] * self.space_dim
-        for i, x in enumerate(hvec):
-            if not x:
-                continue
-            ti = self.tensor[i]
-            for j, y in enumerate(vvec):
-                if not y:
-                    continue
-                c = f.mul(x, y)
-                for k, a in enumerate(ti[j]):
-                    if a:
-                        out[k] = f.add(out[k], f.mul(c, a))
-        return out
+        t = contract(f, "i,ijk,j->k", sparse(hvec), sparse(self.tensor), sparse(vvec))
+        return dense(f, t, (self.space_dim,))
 
     def check(self) -> tuple:
         """(ok, witness): unit acts as identity, action is associative."""
-        a = self.over
-        f = a.field
-        n, m = a.dim, self.space_dim
-        for j in range(m):
-            v = _unitvec(f, m, j)
-            if not all(f.eq(p, q) for p, q in zip(self.act(a.unit, v), v)):
-                return False, ("unit", j)
-        for i in range(n):
-            ei = _unitvec(f, n, i)
-            for i2 in range(n):
-                ei2 = _unitvec(f, n, i2)
-                prod = a.mult[i][i2]
-                for j in range(m):
-                    v = _unitvec(f, m, j)
-                    if self.side == "left":
-                        lhs = self.act(prod, v)
-                        rhs = self.act(ei, self.act(ei2, v))
-                    else:
-                        lhs = self.act(prod, v)
-                        rhs = self.act(ei2, self.act(ei, v))
-                    if not all(f.eq(p, q) for p, q in zip(lhs, rhs)):
-                        return False, ("associativity", i, i2, j)
-        return True, None
+        f = self.over.field
+        t, m = sparse(self.tensor), sparse(self.over.mult)
+        bad = differing(contract(f, "a,ajk->jk", sparse(self.over.unit), t),
+                        identity(f, self.space_dim), 1)
+        if bad:
+            return False, ("unit", *min(bad))
+        # left: e_i (e_p v_j), right: (v_j e_i) e_p
+        twice = "pjl,ilk->ipjk" if self.side == "left" else "ijl,plk->ipjk"
+        bad = differing(contract(f, "ipa,ajk->ipjk", m, t), contract(f, twice, t, t), 3)
+        return (False, ("associativity", *min(bad))) if bad else (True, None)
 
 
 @dataclass
@@ -87,58 +64,26 @@ class ComoduleCoaction:
         """Flattened coordinates in H(x)V (left: i*m+k) or V(x)H (right: k*n+i)."""
         f = self.over.field
         n, m = self.over.dim, self.space_dim
-        out = [f.zero] * (n * m)
-        for j, y in enumerate(vvec):
-            if not y:
-                continue
-            for i in range(n):
-                row = self.tensor[j][i]
-                for k, c in enumerate(row):
-                    if c:
-                        pos = i * m + k if self.side == "left" else k * n + i
-                        out[pos] = f.add(out[pos], f.mul(y, c))
-        return out
+        t = contract(f, "j,jik->ik" if self.side == "left" else "j,jik->ki",
+                     sparse(vvec), sparse(self.tensor))
+        return [x for row in dense(f, t, (n, m) if self.side == "left" else (m, n)) for x in row]
 
     def check(self) -> tuple:
-        """(ok, witness): counit property and coassociativity."""
-        c = self.over
-        f = c.field
-        n, m = c.dim, self.space_dim
-        for j in range(m):
-            acc = [f.zero] * m
-            for i in range(n):
-                e = c.counit[i]
-                if not e:
-                    continue
-                for k, x in enumerate(self.tensor[j][i]):
-                    if x:
-                        acc[k] = f.add(acc[k], f.mul(e, x))
-            if not all(f.eq(a, b) for a, b in zip(acc, _unitvec(f, m, j))):
-                return False, ("counit", j)
-        # coassociativity in H(x)H(x)V coordinates (left) or V(x)H(x)H (right)
-        for j in range(m):
-            lhs = {}
-            rhs = {}
-            for i in range(n):
-                for k, x in enumerate(self.tensor[j][i]):
-                    if not x:
-                        continue
-                    # expand the H leg with Delta
-                    for p in range(n):
-                        for q, d in enumerate(c.comult[i][p]):
-                            if d:
-                                key = (p, q, k)
-                                lhs[key] = f.add(lhs.get(key, f.zero), f.mul(x, d))
-                    # expand the module leg with the coaction again
-                    for p in range(n):
-                        for k2, y in enumerate(self.tensor[k][p]):
-                            if y:
-                                key = (i, p, k2) if self.side == "left" else (p, i, k2)
-                                rhs[key] = f.add(rhs.get(key, f.zero), f.mul(x, y))
-            keys = set(lhs) | set(rhs)
-            for key in keys:
-                if not f.eq(lhs.get(key, f.zero), rhs.get(key, f.zero)):
-                    return False, ("coassociativity", j, key)
+        """(ok, witness): counit property and coassociativity; the witness is the
+        least failing module index, with the least failing coordinate of
+        (Delta (x) id)rho(v_j) for coassociativity."""
+        f = self.over.field
+        t = sparse(self.tensor)
+        bad = differing(contract(f, "i,jik->jk", sparse(self.over.counit), t),
+                        identity(f, self.space_dim), 1)
+        if bad:
+            return False, ("counit", *min(bad))
+        twice = "jik,kpl->jipl" if self.side == "left" else "jik,kpl->jpil"
+        bad = differing(contract(f, "jik,ipq->jpqk", t, sparse(self.over.comult)),
+                        contract(f, twice, t, t), 4)
+        if bad:
+            j, *key = min(bad)
+            return False, ("coassociativity", j, tuple(key))
         return True, None
 
 
@@ -162,32 +107,37 @@ class YDStructure:
 # The adjoint structures on H itself
 # ---------------------------------------------------------------------------
 
-def adjoint_action(h: HopfData, which: str) -> ModuleAction:
-    f = h.field
-    n = h.dim
-    if which in ("adl_bar", "adr_bar") and h.antipode_inverse is None:
+# (spec, operands): the tensor t[i][j][k] of the action, Delta(e_i) = e_p (x) e_q
+_ACTION_SPECS = {
+    "adl": ("ipq,pjx,yq,xyk->ijk", "D m S m"),        # e_p e_j S(e_q)
+    "adr": ("ipq,yp,yjx,xqk->ijk", "D S m m"),        # S(e_p) e_j e_q
+    "adl_bar": ("ipq,qjx,yp,xyk->ijk", "D m Si m"),   # e_q e_j S^{-1}(e_p)
+    "adr_bar": ("ipq,yq,yjx,xpk->ijk", "D Si m m"),   # S^{-1}(e_q) e_j e_p
+}
+# the tensor c[k][i][q] of the coaction, Delta^2(e_k) = e_p (x) e_q (x) e_r
+_COACTION_SPECS = {
+    "rho_l": ("kpx,xqr,yr,pyi->kiq", "D D S m"),       # e_p S(e_r) (x) e_q
+    "rho_r": ("kpx,xqr,yp,yri->kiq", "D D S m"),       # e_q (x) S(e_p) e_r
+    "rho_r_bar": ("kpx,xqr,yp,ryi->kiq", "D D Si m"),  # e_q (x) e_r S^{-1}(e_p)
+    "rho_l_bar": ("kpx,xqr,yr,ypi->kiq", "D D Si m"),  # S^{-1}(e_r) e_p (x) e_q
+}
+
+
+def _evaluate(h: HopfData, which: str, specs: dict) -> list:
+    """The dense n x n x n tensor of one entry of a spec table."""
+    if which not in specs:
+        raise ValueError(f"unknown adjoint structure {which!r}; have {sorted(specs)}")
+    if which.endswith("_bar") and h.antipode_inverse is None:
         raise ValueError(f"{which} needs an invertible antipode")
-    tensor = [[[f.zero] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for p in range(n):
-            for q, d in enumerate(h.coa.comult[i][p]):
-                if not d:
-                    continue
-                for j in range(n):
-                    ej = _unitvec(f, n, j)
-                    if which == "adl":      # e_p x S(e_q)
-                        vec = h.mul(h.mul(_unitvec(f, n, p), ej), h.s_vec(_unitvec(f, n, q)))
-                    elif which == "adr":    # S(e_p) x e_q
-                        vec = h.mul(h.mul(h.s_vec(_unitvec(f, n, p)), ej), _unitvec(f, n, q))
-                    elif which == "adl_bar":  # e_q x S^{-1}(e_p)
-                        vec = h.mul(h.mul(_unitvec(f, n, q), ej), h.sinv_vec(_unitvec(f, n, p)))
-                    else:                   # S^{-1}(e_q) x e_p
-                        vec = h.mul(h.mul(h.sinv_vec(_unitvec(f, n, q)), ej), _unitvec(f, n, p))
-                    for k, v in enumerate(vec):
-                        if v:
-                            tensor[i][j][k] = f.add(tensor[i][j][k], f.mul(d, v))
+    spec, names = specs[which]
+    t = tensors(h)
+    n = h.dim
+    return dense(h.field, contract(h.field, spec, *(t[k] for k in names.split())), (n, n, n))
+
+
+def adjoint_action(h: HopfData, which: str) -> ModuleAction:
     side = "left" if which in ("adl", "adl_bar") else "right"
-    act = ModuleAction(h.alg, n, tensor, side)
+    act = ModuleAction(h.alg, h.dim, _evaluate(h, which, _ACTION_SPECS), side)
     ok, witness = act.check()
     if not ok:
         raise AssertionError(f"adjoint action {which} failed module axioms at {witness}")
@@ -195,36 +145,8 @@ def adjoint_action(h: HopfData, which: str) -> ModuleAction:
 
 
 def adjoint_coaction(h: HopfData, which: str) -> ComoduleCoaction:
-    f = h.field
-    n = h.dim
-    if which in ("rho_r_bar", "rho_l_bar") and h.antipode_inverse is None:
-        raise ValueError(f"{which} needs an invertible antipode")
-    tensor = [[[f.zero] * n for _ in range(n)] for _ in range(n)]
-    for k0 in range(n):
-        d2 = h.coa.delta_iter(_unitvec(f, n, k0), 3)
-        for flat, c in enumerate(d2):
-            if not c:
-                continue
-            r = flat % n
-            q = (flat // n) % n
-            p = flat // (n * n)
-            if which == "rho_l":        # e_p S(e_r) (x) e_q
-                hleg = h.mul(_unitvec(f, n, p), h.s_vec(_unitvec(f, n, r)))
-                mod = q
-            elif which == "rho_r":      # e_q (x) S(e_p) e_r
-                hleg = h.mul(h.s_vec(_unitvec(f, n, p)), _unitvec(f, n, r))
-                mod = q
-            elif which == "rho_r_bar":  # e_q (x) e_r S^{-1}(e_p)
-                hleg = h.mul(_unitvec(f, n, r), h.sinv_vec(_unitvec(f, n, p)))
-                mod = q
-            else:                       # S^{-1}(e_r) e_p (x) e_q
-                hleg = h.mul(h.sinv_vec(_unitvec(f, n, r)), _unitvec(f, n, p))
-                mod = q
-            for i, v in enumerate(hleg):
-                if v:
-                    tensor[k0][i][mod] = f.add(tensor[k0][i][mod], f.mul(c, v))
     side = "left" if which in ("rho_l", "rho_l_bar") else "right"
-    coact = ComoduleCoaction(h.coa, n, tensor, side)
+    coact = ComoduleCoaction(h.coa, h.dim, _evaluate(h, which, _COACTION_SPECS), side)
     ok, witness = coact.check()
     if not ok:
         raise AssertionError(f"adjoint coaction {which} failed comodule axioms at {witness}")
@@ -235,53 +157,33 @@ def adjoint_coaction(h: HopfData, which: str) -> ComoduleCoaction:
 # Compatibility verification
 # ---------------------------------------------------------------------------
 
+# The right-hand sides, with Delta^2(h) = h1 (x) h2 (x) h3 = e_p (x) e_q (x) e_r:
+#   LL  h1 v_{-1} S(h3) (x) h2 v0       RR  v0 h2 (x) S(h1) v1 h3
+#   LR  h2 v0 (x) h3 v1 Sbar(h1)        RL  Sbar(h3) v_{-1} h1 (x) v0 h2
+# so the H leg is x · v_{-1} · y (resp. x · v1 · y), and h2 acts on v0; the
+# coaction tensor contributes e_i (v_{-1}) and v_k (v0), the H leg lands on I.
+_YD_SPECS = {
+    "LL": ("piz,wr,zwI", "m S m"),
+    "RR": ("wp,wiz,zrI", "S m m"),
+    "LR": ("riz,wp,zwI", "m Si m"),
+    "RL": ("wr,wiz,zpI", "Si m m"),
+}
+
+
 def check_yd(s: YDStructure, h: HopfData) -> tuple:
-    """Evaluate the variant's compatibility display on all basis pairs."""
+    """Evaluate the variant's compatibility display on all basis pairs; the
+    witness is the least failing pair (h basis, module basis)."""
     f = h.field
-    n = h.dim
-    m = s.action.space_dim
     if s.variant in ("LR", "RL") and h.antipode_inverse is None:
         raise ValueError("barred variants need an invertible antipode")
-
-    def e(i):
-        return _unitvec(f, n, i)
-
-    # The right-hand sides, with Delta^2(h) = h1 (x) h2 (x) h3:
-    #   LL  h1 v_{-1} S(h3) (x) h2 v0       RR  v0 h2 (x) S(h1) v1 h3
-    #   LR  h2 v0 (x) h3 v1 Sbar(h1)        RL  Sbar(h3) v_{-1} h1 (x) v0 h2
-    # so the H leg is x · v_{-1} · y (resp. x · v1 · y), and h2 acts on v0.
-    outer = {"LL": lambda h1, h3: (e(h1), h.s_vec(e(h3))),
-             "RR": lambda h1, h3: (h.s_vec(e(h1)), e(h3)),
-             "LR": lambda h1, h3: (e(h3), h.sinv_vec(e(h1))),
-             "RL": lambda h1, h3: (h.sinv_vec(e(h3)), e(h1))}[s.variant]
-    left = s.coaction.side == "left"
-    for a in range(n):
-        d3 = h.coa.delta_iter(e(a), 3)
-        for b in range(m):
-            lhs = s.coaction.coact(s.action.act(e(a), _unitvec(f, m, b)))
-            rhs = [f.zero] * len(lhs)
-            for flat, c in enumerate(d3):
-                if not c:
-                    continue
-                h1, h2, h3 = flat // (n * n), (flat // n) % n, flat % n
-                x, y = outer(h1, h3)
-                for i in range(n):
-                    for k, cv in enumerate(s.coaction.tensor[b][i]):
-                        if not cv:
-                            continue
-                        coef = f.mul(c, cv)
-                        hleg = h.mul(h.mul(x, e(i)), y)
-                        mleg = s.action.act(e(h2), _unitvec(f, m, k))
-                        for ii, hv in enumerate(hleg):
-                            if not hv:
-                                continue
-                            for kk, mv in enumerate(mleg):
-                                if mv:
-                                    pos = ii * m + kk if left else kk * n + ii
-                                    rhs[pos] = f.add(rhs[pos], f.mul(coef, f.mul(hv, mv)))
-            if lhs != rhs:
-                return False, (a, b)
-    return True, None
+    t = tensors(h)
+    act, coact = sparse(s.action.tensor), sparse(s.coaction.tensor)
+    hleg, names = _YD_SPECS[s.variant]
+    lhs = contract(f, "abl,lIK->abIK", act, coact)
+    rhs = contract(f, f"apx,xqr,{hleg},qkK,bik->abIK", t["D"], t["D"],
+                   *(t[k] for k in names.split()), act, coact)
+    bad = differing(lhs, rhs, 2)
+    return (False, min(bad)) if bad else (True, None)
 
 
 # ---------------------------------------------------------------------------
@@ -305,15 +207,9 @@ def yd_on_h(h: HopfData, kind: str) -> YDStructure:
     if kind in ACTIONS:
         action = adjoint_action(h, kind)
         cside = "left" if variant in ("LL", "RL") else "right"
-        tensor = [[[f.zero] * n for _ in range(n)] for _ in range(n)]
-        for k0 in range(n):
-            for i in range(n):
-                for j, c in enumerate(h.coa.comult[k0][i]):
-                    if c:
-                        if cside == "left":   # Delta(v) = e_i (x) v_j
-                            tensor[k0][i][j] = c
-                        else:                 # Delta(v) = v_i (x) e_j
-                            tensor[k0][j][i] = c
+        # Delta(v) = e_i (x) v_j on the left, v_i (x) e_j on the right
+        spec = "kij->kij" if cside == "left" else "kij->kji"
+        tensor = dense(f, contract(f, spec, sparse(h.coa.comult)), (n, n, n))
         coaction = ComoduleCoaction(h.coa, n, tensor, cside)
         ok, witness = coaction.check()
         if not ok:
@@ -321,10 +217,8 @@ def yd_on_h(h: HopfData, kind: str) -> YDStructure:
     else:
         coaction = adjoint_coaction(h, kind)
         side = "left" if variant in ("LL", "LR") else "right"
-        if side == "left":
-            tensor = [[list(h.alg.mult[i][j]) for j in range(n)] for i in range(n)]
-        else:
-            tensor = [[list(h.alg.mult[j][i]) for j in range(n)] for i in range(n)]
+        spec = "ijk->ijk" if side == "left" else "jik->ijk"
+        tensor = dense(f, contract(f, spec, sparse(h.alg.mult)), (n, n, n))
         action = ModuleAction(h.alg, n, tensor, side)
         ok, witness = action.check()
         if not ok:
@@ -332,45 +226,37 @@ def yd_on_h(h: HopfData, kind: str) -> YDStructure:
     return YDStructure(action, coaction, variant)
 
 
+def _yd_of(h: HopfData, m: int, act: dict, coat: dict, name: str) -> YDStructure:
+    """The LL Yetter-Drinfeld module on m basis vectors with the given action and
+    coaction tensors, each of its three axioms checked."""
+    f, n = h.field, h.dim
+    action = ModuleAction(h.alg, m, dense(f, act, (n, m, m)), "left")
+    ok, witness = action.check()
+    if not ok:
+        raise AssertionError(f"{name} action failed at {witness}")
+    coaction = ComoduleCoaction(h.coa, m, dense(f, coat, (m, n, m)), "left")
+    ok, witness = coaction.check()
+    if not ok:
+        raise AssertionError(f"{name} coaction failed at {witness}")
+    yd = YDStructure(action, coaction, "LL")
+    ok, witness = check_yd(yd, h)
+    if not ok:
+        raise AssertionError(f"{name} YD compatibility failed at {witness}")
+    return yd
+
+
 def h_plus_yd(h: HopfData, hp: Optional[SubspaceBasis] = None) -> tuple:
     """(YDStructure, SubspaceBasis): H^+ with h·x = hx and rho(x) = x_1 S(x_3) (x) x_2,
     on the basis ``hp`` of H^+ (by default the nullspace basis of eps)."""
     f = h.field
-    n = h.dim
     hp = hp or augmentation_ideal(h)
-    m = hp.dim
-    act = [[[f.zero] * m for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        for j, v in enumerate(hp.vectors):
-            w = h.mul(_unitvec(f, n, i), v)
-            coords = hp.coords_of(f, w)
-            if coords is None:
-                raise AssertionError("H·H^+ escaped H^+; counit is not an algebra map?")
-            act[i][j] = coords
-    action = ModuleAction(h.alg, m, act, "left")
-    ok, witness = action.check()
-    if not ok:
-        raise AssertionError(f"H^+ action failed at {witness}")
-
-    adc = adjoint_coaction(h, "rho_l")
-    coat = [[[f.zero] * m for _ in range(n)] for _ in range(m)]
-    for j, v in enumerate(hp.vectors):
-        flat = adc.coact(v)  # in H (x) H, i*n + k
-        for i in range(n):
-            comp = [flat[i * n + k] for k in range(n)]
-            coords = hp.coords_of(f, comp)
-            if coords is None:
-                raise AssertionError("adjoint coaction of H^+ escaped H (x) H^+")
-            coat[j][i] = coords
-    coaction = ComoduleCoaction(h.coa, m, coat, "left")
-    ok, witness = coaction.check()
-    if not ok:
-        raise AssertionError(f"H^+ coaction failed at {witness}")
-    yd = YDStructure(action, coaction, "LL")
-    ok, witness = check_yd(yd, h)
-    if not ok:
-        raise AssertionError(f"H^+ YD compatibility failed at {witness}")
-    return yd, hp
+    basis, coords = hp.tensors(f)
+    act = in_coordinates(f, contract(f, "xj,ixk->ijk", basis, sparse(h.alg.mult)), basis, coords,
+                         "H·H^+ escaped H^+; counit is not an algebra map?")
+    adc = sparse(adjoint_coaction(h, "rho_l").tensor)
+    coat = in_coordinates(f, contract(f, "xj,xik->jik", basis, adc), basis, coords,
+                          "adjoint coaction of H^+ escaped H (x) H^+")
+    return _yd_of(h, hp.dim, act, coat, "H^+"), hp
 
 
 def h_bar_yd(h: HopfData, split: Optional[QuotientSplitting] = None) -> tuple:
@@ -378,34 +264,9 @@ def h_bar_yd(h: HopfData, split: Optional[QuotientSplitting] = None) -> tuple:
     h·xbar = (h_1 x S(h_2))bar and coaction rho(xbar) = x_1 (x) xbar_2, on the
     splitting ``split`` (by default :func:`unit_cokernel`)."""
     f = h.field
-    n = h.dim
     split = split or unit_cokernel(h)
-    m = n - 1
-    adl = adjoint_action(h, "adl")
-    act = [[[f.zero] * m for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        for j in range(m):
-            rep = split.section.column(j)
-            moved = adl.act(_unitvec(f, n, i), rep)
-            act[i][j] = split.projection.matvec(moved)
-    action = ModuleAction(h.alg, m, act, "left")
-    ok, witness = action.check()
-    if not ok:
-        raise AssertionError(f"Hbar action failed at {witness}")
-
-    coat = [[[f.zero] * m for _ in range(n)] for _ in range(m)]
-    for j in range(m):
-        rep = split.section.column(j)
-        flat = h.delta(rep)
-        for i in range(n):
-            comp = [flat[i * n + k] for k in range(n)]
-            coat[j][i] = split.projection.matvec(comp)
-    coaction = ComoduleCoaction(h.coa, m, coat, "left")
-    ok, witness = coaction.check()
-    if not ok:
-        raise AssertionError(f"Hbar coaction failed at {witness}")
-    yd = YDStructure(action, coaction, "LL")
-    ok, witness = check_yd(yd, h)
-    if not ok:
-        raise AssertionError(f"Hbar YD compatibility failed at {witness}")
-    return yd, split
+    sect, proj = sparse(split.section), sparse(split.projection)
+    adl = sparse(adjoint_action(h, "adl").tensor)
+    act = contract(f, "xj,ixy,cy->ijc", sect, adl, proj)
+    coat = contract(f, "xj,xik,ck->jic", sect, sparse(h.coa.comult), proj)
+    return _yd_of(h, h.dim - 1, act, coat, "Hbar"), split

@@ -1,0 +1,119 @@
+"""The sparse contraction kernel against brute-force index loops."""
+
+from fractions import Fraction
+from itertools import product
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from hopfsmith import FieldSpec
+from hopfsmith.linalg import AffineSystem, contract, dense, in_coordinates, sparse, unknowns
+
+FIELDS = [FieldSpec(0), FieldSpec(2), FieldSpec(3), FieldSpec(7)]
+LETTERS = "abcde"
+
+
+def brute_force(field, spec, tensors, size):
+    """Sum over every assignment of every index in range(size)."""
+    inputs, out = spec.split("->")
+    names = inputs.split(",")
+    letters = sorted(set("".join(names)))
+    result = {}
+    for values in product(range(size), repeat=len(letters)):
+        at = dict(zip(letters, values))
+        term = field.one
+        for name, t in zip(names, tensors):
+            term = field.mul(term, t.get(tuple(at[c] for c in name), field.zero))
+        if term:
+            key = tuple(at[c] for c in out)
+            result[key] = field.add(result.get(key, field.zero), term)
+    return {k: v for k, v in result.items() if v}
+
+
+@st.composite
+def contractions(draw):
+    field = draw(st.sampled_from(FIELDS))
+    size = draw(st.integers(1, 3))
+    count = draw(st.integers(2, 4))
+    names = [draw(st.text(LETTERS, min_size=1, max_size=3).filter(lambda s: len(set(s)) == len(s)))
+             for _ in range(count)]
+    used = sorted(set("".join(names)))
+    out = "".join(draw(st.permutations(used))[:draw(st.integers(0, len(used)))])
+    scalars = st.integers(-3, 3) if field.characteristic else \
+        st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    tensors = []
+    for name in names:
+        entries = draw(st.dictionaries(st.tuples(*[st.integers(0, size - 1)] * len(name)),
+                                       scalars, max_size=size ** len(name)))
+        t = {k: field.from_int(v) if field.characteristic else Fraction(v)
+             for k, v in entries.items()}
+        tensors.append({k: v for k, v in t.items() if v})
+    return field, f"{','.join(names)}->{out}", tensors, size
+
+
+@settings(max_examples=300, deadline=None)
+@given(contractions())
+def test_contract_matches_brute_force(case):
+    field, spec, tensors, size = case
+    got = contract(field, spec, *tensors)
+    assert got == brute_force(field, spec, tensors, size)
+    assert all(got.values()), "a zero entry was stored"
+    if field.characteristic:
+        assert all(0 < v < field.characteristic for v in got.values())
+    else:
+        assert all(isinstance(v, Fraction) for v in got.values())
+
+
+def test_contract_summed_shared_and_outer_indices():
+    f = FieldSpec(0)
+    a = {(0, 1): Fraction(2), (1, 1): Fraction(3)}
+    b = {(1, 0): Fraction(5)}
+    assert contract(f, "ij,jk->ik", a, b) == {(0, 0): 10, (1, 0): 15}   # shared, summed j
+    assert contract(f, "ij,jk->", a, b) == {(): 25}                       # everything summed
+    assert contract(f, "i,k->ik", {(0,): f.one}, {(2,): f.one}) == {(0, 2): 1}  # outer
+    assert contract(f, "ij->ji", a) == {(1, 0): 2, (1, 1): 3}              # permutation
+
+
+def test_contract_drops_cancelled_entries():
+    f = FieldSpec(3)
+    a = {(0,): 1, (1,): 2}
+    b = {(0, 0): 1, (1, 0): 1}  # 1·1 + 2·1 = 3 = 0 in F_3
+    assert contract(f, "i,ij->j", a, b) == {}
+
+
+def test_contract_rejects_bad_specs():
+    f = FieldSpec(0)
+    with pytest.raises(ValueError):
+        contract(f, "ij,jk->ik", {})
+    with pytest.raises(ValueError):
+        contract(f, "ii->i", {})
+    with pytest.raises(ValueError):
+        contract(f, "ij->k", {})
+
+
+def test_sparse_and_dense_round_trip():
+    f = FieldSpec(5)
+    nested = [[[0, 1], [2, 0]], [[0, 0], [0, 4]]]
+    t = sparse(nested)
+    assert t == {(0, 0, 1): 1, (0, 1, 0): 2, (1, 1, 1): 4}
+    assert dense(f, t, (2, 2, 2)) == nested
+
+
+def test_conditions_keep_the_label_of_a_cancelled_condition():
+    f = FieldSpec(0)
+    x = unknowns(f, 2)
+    assert x == {(0, 0): 1, (1, 1): 1}
+    sys = AffineSystem.conditions(f, 2, (contract(f, "ju->u", x), 0, {(): f.one}, "sum"),
+                                  ({}, 2, None, "cancelled"))
+    assert sys.condition_labels() == ["sum", "cancelled"]
+    assert sys.matrix.data == [[(0, 1), (1, 1)], []] and sys.rhs == [1, 0]
+
+
+def test_in_coordinates_reads_the_span_and_rejects_what_escapes():
+    f = FieldSpec(0)
+    basis = {(0, 0): f.one, (1, 0): -f.one}      # the single vector e_0 - e_1 of K^2
+    coords = {(0, 0): f.one}                      # a left inverse: read entry 0
+    inside = {(5, 0): Fraction(3), (5, 1): Fraction(-3)}
+    assert in_coordinates(f, inside, basis, coords, "escaped") == {(5, 0): 3}
+    with pytest.raises(AssertionError, match="escaped"):
+        in_coordinates(f, {(5, 0): f.one}, basis, coords, "escaped")

@@ -1,0 +1,92 @@
+"""Work done per CLI query, and inputs whose shape is outside the contract."""
+
+import argparse
+import contextlib
+import io
+import types
+
+import pytest
+
+from hopfsmith import FieldSpec, cli, hopf, integrals, resolve_preset
+from hopfsmith.filtration import ideal_powers, is_nilpotent_ideal
+from hopfsmith.hopf import SubspaceBasis
+from hopfsmith.linalg import Mat
+from hopfsmith.lifting import SurjectionProblem, square_zero_extension
+
+
+def _quiet(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(argv)
+
+
+def test_integrals_query_builds_each_space_and_the_dual_once(monkeypatch):
+    calls = {"integral_space": 0, "check_hopf": 0}
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(integrals, "integral_space")
+    counted(hopf, "check_hopf")
+    assert _quiet(["integrals", "--preset", "sweedler"]) == 0
+    # left and right, in H and in H*; one check for the preset and one for H*
+    assert calls == {"integral_space": 4, "check_hopf": 2}
+
+
+def test_parser_is_built_once_and_namespaces_stay_independent(monkeypatch):
+    built = []
+    real = argparse.ArgumentParser
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return real(*args, **kwargs)
+
+    getattr(cli.build_parser, "cache_clear", lambda: None)()
+    monkeypatch.setattr(cli, "argparse", types.SimpleNamespace(ArgumentParser=counting))
+    try:
+        assert _quiet(["check-axioms", "--preset", "group:C2"]) == 0
+        assert _quiet(["coradical", "--preset", "sweedler", "--char", "3"]) == 0
+        assert len(built) == 1
+        parser = cli.build_parser()
+        first = parser.parse_args(["lift-section", "--preset", "group:C2", "--colinear"])
+        second = parser.parse_args(["lift-section", "--preset", "group:C3"])
+        assert first is not second
+        assert first.colinear and not second.colinear and first.preset == "group:C2"
+    finally:
+        getattr(cli.build_parser, "cache_clear", lambda: None)()
+
+
+def test_surjection_with_a_padded_map_is_rejected_by_shape():
+    prob = square_zero_extension(resolve_preset("group:C2", FieldSpec(0)), with_coaction=False)
+    f = prob.pi.field
+    pi = Mat(f, 3, prob.pi.cols, prob.pi.data + [[f.zero] * prob.pi.cols])
+    padded = SurjectionProblem(prob.e, prob.a, pi)
+    with pytest.raises(ValueError, match="pi must be 2 x 4, got 3 x 4"):
+        padded.validate()
+
+
+def test_ideal_powers_end_at_zero_exactly_at_the_nilpotency_index():
+    h = resolve_preset("sweedler", FieldSpec(0))
+    x = h.basis_vec(2)  # the nilpotent generator x, with x^2 = 0
+    ideal = SubspaceBasis(4, [h.basis_vec(2), h.basis_vec(3)])
+    powers = ideal_powers(h.alg, ideal.vectors)
+    assert powers is not None and powers[-1] == [] and len(powers) == 2
+    assert is_nilpotent_ideal(ideal, h.alg) == 2
+    assert h.mul(x, x) == [h.field.zero] * 4
+    whole = SubspaceBasis(4, [h.basis_vec(i) for i in range(4)])
+    assert ideal_powers(h.alg, whole.vectors) is None
+    assert is_nilpotent_ideal(whole, h.alg) is None
+
+
+def test_unknown_adjoint_structure_is_rejected():
+    from hopfsmith.yd import adjoint_action, adjoint_coaction
+    h = resolve_preset("sweedler", FieldSpec(0))
+    with pytest.raises(ValueError, match="unknown adjoint structure"):
+        adjoint_action(h, "rho_l")
+    with pytest.raises(ValueError, match="unknown adjoint structure"):
+        adjoint_coaction(h, "adl")
