@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 = property holds / certificate emitted, 1 = property refuted
-(with obstruction data in the report), 2 = input error.  Reports are JSON on
+(with obstruction data in the report), 2 = input error or internal error (an
+unexpected exception, resource exhaustion included).  Reports are JSON on
 stdout with sorted keys, so runs diff cleanly.
 """
 
@@ -310,6 +311,10 @@ def main(argv=None) -> int:
         return 2
     except AssertionError as exc:
         print(json.dumps({"error": f"internal verification failed: {exc}"},
+                         sort_keys=True), file=sys.stderr)
+        return 2
+    except Exception as exc:  # an engine fault, resource exhaustion included, never a refutation
+        print(json.dumps({"error": f"internal error: {type(exc).__name__}: {exc}"},
                          sort_keys=True), file=sys.stderr)
         return 2
 

@@ -8,6 +8,14 @@ scratch: it must be a nilpotent two-sided ideal and the quotient algebra must
 admit a separability idempotent (over perfect fields, Q and F_p included,
 that is exactly semisimplicity).  A failed certificate raises: radical
 answers are never returned on trust.
+
+The identities are contractions of sparse tensors in the layout of :mod:`hopf`
+(``m`` ijk, ``D`` kij, a map as (x, y), entry x of the image of e_y): the
+trace form is the condition ``"trace form"`` (rows i), the wedge X ^ Y the
+kernel of ``"wedge"``, (pi_X (x) pi_Y) Delta (rows (p, q)), and X is a
+subcoalgebra when the coordinates of Delta(X), read off by a left inverse of
+its basis on both legs, rebuild it.  The greedy bases of the ideal powers and
+of the quotient complements are kept: certificates are written in them.
 """
 
 from __future__ import annotations
@@ -18,8 +26,8 @@ from typing import Optional
 from .hopf import (AlgebraData, CoalgebraData, SubspaceBasis, _unitvec, dual_algebra,
                    quotient_maps)
 from .integrals import idempotent_system
-from .linalg import (Mat, SparseMat, in_span, nullspace, solve_affine, span_contains_span,
-                     spans_equal)
+from .linalg import (AffineSystem, Mat, SparseMat, contract, dense, identity, in_span,
+                     nullspace, solve_affine, span_contains_span, spans_equal, sparse)
 
 
 @dataclass
@@ -36,26 +44,12 @@ class FiltrationRecord:
 def _trace_form_kernel(a: AlgebraData) -> list:
     """Kernel of (x,y) -> trace(L_{xy}); contains the radical in any characteristic."""
     f = a.field
-    n = a.dim
-    traces = []  # trace(L_{e_k}): the diagonal of L_{e_k} is mult[k][d][d]
-    for k in range(n):
-        acc = f.zero
-        for d in range(n):
-            acc = f.add(acc, a.mult[k][d][d])
-        traces.append(acc)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            # trace(L_{e_i e_j}) = sum_k mult[i][j][k] * trace(L_{e_k})
-            acc = f.zero
-            for c, tr in zip(a.mult[i][j], traces):
-                if c and tr:
-                    acc = f.add(acc, f.mul(c, tr))
-            if acc:
-                row.append((j, acc))
-        rows.append(row)
-    return nullspace(SparseMat(f, n, n, rows)).columns()
+    m = sparse(a.mult)
+    # trace(L_{e_i e_j}) = sum_k m_ijk trace(L_{e_k}), and trace(L_{e_k}) = sum_d m_kdd
+    traces = contract(f, "kdx,xd->k", m, identity(f, a.dim))
+    form = contract(f, "ijk,k->ij", m, traces)
+    rows = AffineSystem.conditions(f, a.dim, (form, 1, None, "trace form")).matrix
+    return nullspace(rows).columns()
 
 
 def _mul_mod(x: list, y: list, q: int) -> list:
@@ -161,10 +155,13 @@ def is_nilpotent_ideal(ideal: SubspaceBasis, a: AlgebraData) -> Optional[int]:
 
 def _quotient_algebra(a: AlgebraData, ideal_vectors: list):
     """(quotient AlgebraData, projection, section) modulo a two-sided ideal."""
-    projection, section = quotient_maps(a.field, a.dim, ideal_vectors)
-    cols = section.columns()
-    mult = [[projection.matvec(a.mul(x, y)) for y in cols] for x in cols]
-    quotient = AlgebraData(a.field, len(cols), mult, projection.matvec(a.unit))
+    f = a.field
+    projection, section = quotient_maps(f, a.dim, ideal_vectors)
+    q = section.cols
+    proj, sect = sparse(projection), sparse(section)
+    mult = contract(f, "xa,yb,xyk,ck->abc", sect, sect, sparse(a.mult), proj)
+    unit = contract(f, "ck,k->c", proj, sparse(a.unit))
+    quotient = AlgebraData(f, q, dense(f, mult, (q, q, q)), dense(f, unit, (q,)))
     return quotient, projection, section
 
 
@@ -218,44 +215,29 @@ def coradical(c: CoalgebraData) -> SubspaceBasis:
 
 
 def is_subcoalgebra(x: SubspaceBasis, c: CoalgebraData) -> bool:
-    """Delta(X) inside X (x) X, by rank comparison against span{x_i (x) x_j}."""
+    """Delta(X) inside X (x) X: the coordinates of each Delta(x_j) in the basis
+    {x_a (x) x_b}, read off by a left inverse on both legs, must rebuild it."""
     f = c.field
     if not x.vectors:
         return True
-    tensor_span = [[f.mul(a, b) for a in u for b in v] for u in x.vectors for v in x.vectors]
-    return span_contains_span(f, tensor_span, [c.delta(u) for u in x.vectors])
+    basis, coords = x.tensors(f)
+    delta = contract(f, "xj,xab->jab", basis, sparse(c.comult))
+    legs = contract(f, "jab,ca,db->jcd", delta, coords, coords)
+    return contract(f, "jcd,ac,bd->jab", legs, basis, basis) == delta
 
 
 def wedge(x: SubspaceBasis, y: SubspaceBasis, e: CoalgebraData) -> SubspaceBasis:
-    """X wedge Y = ker[(pi_X (x) pi_Y) Delta]."""
+    """X wedge Y = ker[(pi_X (x) pi_Y) Delta]: rows (p, q), one column per basis vector."""
     f = e.field
     n = e.dim
     if x.ambient_dim != n or y.ambient_dim != n:
         raise ValueError("wedge arguments live in the wrong ambient space")
     px = quotient_maps(f, n, x.vectors)[0]
     py = quotient_maps(f, n, y.vectors)[0]
-    qx, qy = px.rows, py.rows
-    if qx == 0 or qy == 0:
+    if px.rows == 0 or py.rows == 0:
         return SubspaceBasis(n, [_unitvec(f, n, i) for i in range(n)])
-    rows = []
-    for p in range(qx):
-        for q in range(qy):
-            row = []
-            for k in range(n):
-                acc = f.zero
-                for i in range(n):
-                    a = px.data[p][i]
-                    if not a:
-                        continue
-                    for j, d in enumerate(e.comult[k][i]):
-                        if d:
-                            b = py.data[q][j]
-                            if b:
-                                acc = f.add(acc, f.mul(a, f.mul(d, b)))
-                if acc:
-                    row.append((k, acc))
-            rows.append(row)
-    ker = nullspace(SparseMat(f, len(rows), n, rows))
+    rows = contract(f, "pi,kij,qj->pqk", sparse(px), sparse(e.comult), sparse(py))
+    ker = nullspace(AffineSystem.conditions(f, n, (rows, 2, None, "wedge")).matrix)
     return SubspaceBasis(n, ker.columns())
 
 

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .fields import FieldSpec
-from .linalg import (Mat, contract, differing, identity, invert, nullspace, rank,
-                     span_coordinates, sparse)
+from .linalg import (Mat, contract, dense, differing, identity, in_coordinates, in_span,
+                     invert, nullspace, rank, sparse)
 
 
 @dataclass
@@ -63,19 +63,6 @@ class AlgebraData:
                 for k, m in enumerate(multi[j]):
                     if m:
                         out.data[k][j] = f.add(out.data[k][j], f.mul(x, m))
-        return out
-
-    def right_mult_matrix(self, v: list) -> Mat:
-        """Matrix of x -> x·v."""
-        f = self.field
-        out = Mat.zeros(f, self.dim, self.dim)
-        for j, y in enumerate(v):
-            if not y:
-                continue
-            for i in range(self.dim):
-                for k, m in enumerate(self.mult[i][j]):
-                    if m:
-                        out.data[k][i] = f.add(out.data[k][i], f.mul(y, m))
         return out
 
 
@@ -171,9 +158,6 @@ class HopfData:
     def eps(self, v: list):
         return self.coa.eps(v)
 
-    def s_vec(self, v: list) -> list:
-        return self.antipode.matvec(v)
-
     def basis_vec(self, i: int) -> list:
         return _unitvec(self.field, self.dim, i)
 
@@ -202,9 +186,12 @@ def _check(width: int, *pairs) -> AxiomCheck:
     return AxiomCheck(not bad, min(bad) if bad else None)
 
 
-def check_algebra(a: AlgebraData) -> AxiomReport:
+def check_algebra(a: AlgebraData, m: Optional[dict] = None,
+                  u: Optional[dict] = None) -> AxiomReport:
+    """The algebra axioms; ``m`` and ``u`` are the sparse views of the
+    multiplication and the unit, when the caller already has them."""
     f = a.field
-    m, u, one = sparse(a.mult), sparse(a.unit), identity(f, a.dim)
+    m, u, one = m or sparse(a.mult), u or sparse(a.unit), identity(f, a.dim)
     return AxiomReport({
         "associativity": _check(3, (contract(f, "ijp,pkq->ijkq", m, m),
                                     contract(f, "jkp,ipq->ijkq", m, m))),
@@ -212,9 +199,12 @@ def check_algebra(a: AlgebraData) -> AxiomReport:
                        (contract(f, "a,iaq->iq", u, m), one))})
 
 
-def check_coalgebra(c: CoalgebraData) -> AxiomReport:
+def check_coalgebra(c: CoalgebraData, d: Optional[dict] = None,
+                    e: Optional[dict] = None) -> AxiomReport:
+    """The coalgebra axioms; ``d`` and ``e`` are the sparse views of the
+    comultiplication and the counit, when the caller already has them."""
     f = c.field
-    d, e, one = sparse(c.comult), sparse(c.counit), identity(f, c.dim)
+    d, e, one = d or sparse(c.comult), e or sparse(c.counit), identity(f, c.dim)
     return AxiomReport({
         "coassociativity": _check(1, (contract(f, "kim,mqr->kiqr", d, d),
                                       contract(f, "kmr,mpq->kpqr", d, d))),
@@ -225,11 +215,9 @@ def check_coalgebra(c: CoalgebraData) -> AxiomReport:
 def check_hopf(h: HopfData) -> AxiomReport:
     f = h.field
     n = h.dim
-    checks = {}
-    checks.update(check_algebra(h.alg).checks)
-    checks.update(check_coalgebra(h.coa).checks)
     t = tensors(h)
     m, d, u, e, s = t["m"], t["D"], t["u"], t["e"], t["S"]
+    checks = {**check_algebra(h.alg, m, u).checks, **check_coalgebra(h.coa, d, e).checks}
 
     # bialgebra compatibility: Delta and eps are algebra maps
     bad_delta = differing(contract(f, "ijk,kpq->ijpq", m, d),
@@ -272,20 +260,13 @@ def validated(h: HopfData) -> HopfData:
 class SubspaceBasis:
     ambient_dim: int
     vectors: list  # list of coordinate lists, linearly independent
-    complement: Optional[list] = None
 
     @property
     def dim(self) -> int:
         return len(self.vectors)
 
-    def coords_of(self, field: FieldSpec, v: list) -> Optional[list]:
-        """Coordinates of v in this basis, or None if v is outside the span."""
-        if not self.vectors:
-            return [] if not any(v) else None
-        return span_coordinates(field, self.vectors, v)
-
     def contains(self, field: FieldSpec, v: list) -> bool:
-        return self.coords_of(field, v) is not None
+        return in_span(field, self.vectors, v)
 
     def tensors(self, field: FieldSpec) -> tuple:
         """(basis, coordinates) as sparse tensors: ``basis[(x, j)]`` is entry x of
@@ -349,38 +330,30 @@ def unit_cokernel(h: HopfData) -> QuotientSplitting:
 
 def sub_hopf_on_subspace(h: HopfData, sub: SubspaceBasis) -> tuple:
     """(validated Hopf structure on ``sub``, inclusion matrix) for a subspace that
-    must be a Hopf subalgebra; raises ValueError when it is not."""
+    must be a Hopf subalgebra; raises ValueError when it is not.  Each structure
+    map is restricted by the left inverse of the basis and must rebuild."""
     f = h.field
     m = sub.dim
-    mult = [[f.zero] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            mult[i][j] = sub.coords_of(f, h.mul(sub.vectors[i], sub.vectors[j]))
-            if mult[i][j] is None:
-                raise ValueError("subspace is not closed under multiplication")
-    unit = sub.coords_of(f, h.alg.unit)
-    if unit is None:
-        raise ValueError("subspace does not contain the unit")
-    comult = [_tensor_coords(f, sub, h.delta(v), h.dim) for v in sub.vectors]
-    if None in comult:
+    t = tensors(h)
+    basis, coords = sub.tensors(f)
+
+    def restrict(images: dict, what: str) -> dict:
+        return in_coordinates(f, images, basis, coords, what, ValueError)
+
+    mult = restrict(contract(f, "ai,bj,abk->ijk", basis, basis, t["m"]),
+                    "subspace is not closed under multiplication")
+    unit = restrict(t["u"], "subspace does not contain the unit")
+    delta = contract(f, "xk,xab->kab", basis, t["D"])
+    comult = contract(f, "kab,ia,jb->kij", delta, coords, coords)
+    if contract(f, "kij,ai,bj->kab", comult, basis, basis) != delta:
         raise ValueError("subspace is not a subcoalgebra")
-    counit = [h.eps(v) for v in sub.vectors]
-    images = [sub.coords_of(f, h.s_vec(v)) for v in sub.vectors]
-    if None in images:
-        raise ValueError("subspace is not antipode-stable")
-    sub_h = validated(HopfData(AlgebraData(f, m, mult, unit), CoalgebraData(f, m, comult, counit),
-                               Mat.from_columns(f, images)))
+    counit = contract(f, "xk,x->k", basis, t["e"])
+    antipode = restrict(contract(f, "ax,xk->ka", t["S"], basis), "subspace is not antipode-stable")
+    sub_h = validated(HopfData(
+        AlgebraData(f, m, dense(f, mult, (m, m, m)), dense(f, unit, (m,))),
+        CoalgebraData(f, m, dense(f, comult, (m, m, m)), dense(f, counit, (m,))),
+        Mat(f, m, m, dense(f, antipode, (m, m))).transpose()))
     return sub_h, Mat.from_columns(f, sub.vectors)
-
-
-def _tensor_coords(f: FieldSpec, sub: SubspaceBasis, flat: list, n: int) -> Optional[list]:
-    """Coordinates c[i][j] of a vector of H (x) H in the basis {v_i (x) v_j}, or None."""
-    m = sub.dim
-    cols = [[f.mul(x, y) for x in u for y in v] for u in sub.vectors for v in sub.vectors]
-    coords = span_coordinates(f, cols, flat)
-    if coords is None:
-        return None
-    return [coords[i * m:(i + 1) * m] for i in range(m)]
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,26 @@ failure is a bug, not an obstruction), and the correction solves the
 2-coboundary equation.  Infeasibility of that solve is the obstruction, and
 the certified witness is the delta-closed curvature itself.
 
-Equivariance is handled uniformly: both right-H-colinearity (through the
-component endomorphisms of a coaction) and H-linearity (through left
-multiplication operators) arrive as pairs (alpha on A, beta on E) that every
-stage map must intertwine; the pairs are checked to preserve the kernel
-filtration and are descended to each quotient.
+Every identity is a contraction of sparse tensors (:func:`linalg.contract`)
+in the layout of :mod:`hopf`: ``m`` (ijk) with e_i e_j = sum_k m_ijk e_k, and
+a linear map g as ``(x, y)``, entry x of g(e_y).
+
+* A right H-coaction rho: V -> V (x) H, stored as the (dim V * dim H) x dim V
+  matrix with rows ``v * dim H + u``, is the tensor ``(c, v, u)``:
+  rho(e_c) = sum rho_cvu e_v (x) h_u.
+* A bimodule action (:class:`Bimodule`) is a pair of tensors ``(i, s, t)``
+  laid out like ``m``: a_i · w_s = sum_t L_ist w_t and w_s · a_i = sum_t R_ist w_t.
+* Equivariance is handled uniformly: right-H-colinearity (the components
+  rho_u of the coactions) and H-linearity (multiplication operators) both
+  arrive as two stacked tensors ``(u, x, y)``, alpha on A and beta on E, and
+  every stage map must satisfy g alpha_u = beta_u g.  The beta_u are checked
+  to preserve the kernel filtration and are descended to each quotient.
+
+The conditions are labelled contractions (:meth:`AffineSystem.conditions`).
+The linear lift g: A -> E/I^{r+1} (unknown x * dim A + y) is ``projects``
+(p_r g is the previous stage), ``unital`` and ``equivariant``; the correction
+h: A -> I^r/I^{r+1} (unknown t * dim A + y) is ``coboundary``
+(a h(b) - h(ab) + h(a) b = c(a, b)) and ``equivariant``.
 """
 
 from __future__ import annotations
@@ -20,11 +35,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
-from .hopf import AlgebraData, HopfData, SubspaceBasis, _unitvec, dual_algebra
-from .linalg import (AffineSystem, Mat, invert, nullspace, rank,
-                     solve_affine, span_contains_span)
+from .hopf import AlgebraData, HopfData, SubspaceBasis, dual_algebra, tensors
+from .linalg import (AffineSystem, Mat, contract, dense, difference, differing, identity,
+                     in_coordinates, invert, nullspace, rank, solve_affine, sparse,
+                     span_contains_span, spans_equal, unknowns)
 from .filtration import (_is_two_sided_ideal, _quotient_algebra, ideal_powers,
                          coradical, is_subcoalgebra, wedge_filtration)
+
+
+def _mat(f, t: dict, rows: int, cols: int) -> Mat:
+    """The rows x cols matrix holding the sparse tensor ``t``."""
+    return Mat(f, rows, cols, dense(f, t, (rows, cols)))
 
 
 @dataclass
@@ -34,40 +55,39 @@ class Bimodule:
     left: list   # Mat per basis element of A
     right: list
 
+    @classmethod
+    def from_tensors(cls, a: AlgebraData, dim: int, left: dict, right: dict) -> "Bimodule":
+        """The bimodule whose actions are the tensors ``(i, s, t)``."""
+        f = a.field
+        return cls(a, dim, *([Mat(f, dim, dim, m) for m in dense(
+            f, {(i, t, s): x for (i, s, t), x in act.items()}, (a.dim, dim, dim))]
+            for act in (left, right)))
+
+    def tensors(self) -> tuple:
+        """(L, R) with a_i · w_s = sum_t L_ist w_t and w_s · a_i = sum_t R_ist w_t."""
+        return tuple({(i, s, t): x for (i, t, s), x in sparse([m.data for m in mats]).items()}
+                     for mats in (self.left, self.right))
+
     def check(self):
         a = self.algebra
         f = a.field
-        n = a.dim
-        ident = Mat.identity(f, self.dim)
-        lu = _combine(self.left, a.unit, f, self.dim)
-        ru = _combine(self.right, a.unit, f, self.dim)
-        if lu != ident or ru != ident:
+        left, right = self.tensors()
+        m, one = sparse(a.mult), identity(f, self.dim)
+        if any(contract(f, "a,ast->st", sparse(a.unit), act) != one for act in (left, right)):
             raise ValueError("bimodule: unit does not act as identity")
-        for i in range(n):
-            for j in range(n):
-                lprod = _combine(self.left, a.mult[i][j], f, self.dim)
-                if lprod != self.left[i].mul(self.left[j]):
-                    raise ValueError(f"bimodule: left action not associative at ({i},{j})")
-                rprod = _combine(self.right, a.mult[i][j], f, self.dim)
-                if rprod != self.right[j].mul(self.right[i]):
-                    raise ValueError(f"bimodule: right action not associative at ({i},{j})")
-                if self.left[i].mul(self.right[j]) != self.right[j].mul(self.left[i]):
-                    raise ValueError(f"bimodule: actions do not commute at ({i},{j})")
+        sides = {"left action not associative": (contract(f, "ijk,kst->ijst", m, left),
+                                                 contract(f, "jsr,irt->ijst", left, left)),
+                 "right action not associative": (contract(f, "ijk,kst->ijst", m, right),
+                                                  contract(f, "isr,jrt->ijst", right, right)),
+                 "actions do not commute": (contract(f, "jsr,irt->ijst", right, left),
+                                            contract(f, "isr,jrt->ijst", left, right))}
+        bad = {what: differing(lhs, rhs, 2) for what, (lhs, rhs) in sides.items()}
+        if any(bad.values()):
+            # report the least failing (i, j), and there the first law in this order
+            first = min(set().union(*bad.values()))
+            what = next(what for what, at in bad.items() if first in at)
+            raise ValueError(f"bimodule: {what} at ({first[0]},{first[1]})")
         return self
-
-
-def _combine(mats: list, coeffs: list, f, m: int) -> Mat:
-    out = Mat.zeros(f, m, m)
-    for i, c in enumerate(coeffs):
-        if not c:
-            continue
-        for r in range(m):
-            row = mats[i].data[r]
-            orow = out.data[r]
-            for s in range(m):
-                if row[s]:
-                    orow[s] = f.add(orow[s], f.mul(c, row[s]))
-    return out
 
 
 @dataclass
@@ -85,24 +105,25 @@ class SurjectionProblem:
         if (self.pi.rows, self.pi.cols) != (self.a.dim, self.e.dim):
             raise ValueError(f"pi must be {self.a.dim} x {self.e.dim}, "
                              f"got {self.pi.rows} x {self.pi.cols}")
+        for name, coact, n in (("coact_e", self.coact_e, self.e.dim),
+                               ("coact_a", self.coact_a, self.a.dim)):
+            if coact is not None and self.hopf is not None and \
+                    (coact.rows, coact.cols) != (n * self.hopf.dim, n):
+                raise ValueError(f"{name} must be {n * self.hopf.dim} x {n}, "
+                                 f"got {coact.rows} x {coact.cols}")
         if rank(self.pi) != self.a.dim:
             raise ValueError("pi is not surjective")
-        img_unit = self.pi.matvec(self.e.unit)
-        if img_unit != self.a.unit:
+        pi = sparse(self.pi)
+        if contract(f, "ak,k->a", pi, sparse(self.e.unit)) != sparse(self.a.unit):
             raise ValueError("pi does not preserve the unit")
-        for i in range(self.e.dim):
-            for j in range(self.e.dim):
-                lhs = self.pi.matvec(self.e.mult[i][j])
-                rhs = self.a.mul(self.pi.column(i), self.pi.column(j))
-                if lhs != rhs:
-                    raise ValueError(f"pi is not an algebra map at ({i},{j})")
+        bad = _curvature(f, sparse(self.e.mult), sparse(self.a.mult), pi)
+        if bad:
+            raise ValueError("pi is not an algebra map at ({},{})".format(*min(bad)[:2]))
         ker = nullspace(self.pi).columns()
         if self.kernel is None:
             self.kernel = SubspaceBasis(self.e.dim, ker)
-        else:
-            from .linalg import spans_equal
-            if not spans_equal(f, self.kernel.vectors, ker):
-                raise ValueError("provided kernel differs from nullspace(pi)")
+        elif not spans_equal(f, self.kernel.vectors, ker):
+            raise ValueError("provided kernel differs from nullspace(pi)")
         if not _is_two_sided_ideal(self.e, self.kernel.vectors):
             raise ValueError("kernel is not a two-sided ideal")
         return self
@@ -124,361 +145,216 @@ class LiftObstruction:
     reason: str
 
 
-def _coaction_components(coact: Mat, space_dim: int, hopf_dim: int) -> list:
-    """Split rho: V -> V (x) H (rows flattened v*dimH + u) into endomorphisms."""
-    f = coact.field
-    comps = []
-    for u in range(hopf_dim):
-        comps.append(Mat(f, space_dim, space_dim,
-                         [[coact.data[v * hopf_dim + u][c] for c in range(space_dim)]
-                          for v in range(space_dim)]))
-    return comps
+def _curvature(f, m_src: dict, m_tgt: dict, g: dict) -> dict:
+    """g(a_i a_j) - g(a_i) g(a_j), keyed (i, j, x), for a linear map g between the
+    algebras with multiplications ``m_src`` and ``m_tgt``; empty exactly when g
+    is multiplicative."""
+    return difference(f, contract(f, "ijy,xy->ijx", m_src, g),
+                      contract(f, "ai,bj,abx->ijx", g, g, m_tgt))
 
 
-def _check_right_comodule(coact: Mat, space_dim: int, h: HopfData) -> None:
+def _intertwines(f, g: dict, alpha: dict, beta: dict) -> bool:
+    """Whether g alpha_u = beta_u g for every u."""
+    return contract(f, "xy,uyz->uxz", g, alpha) == contract(f, "uxy,yz->uxz", beta, g)
+
+
+def _coaction_mat(f, rho: dict, space_dim: int, hopf_dim: int) -> Mat:
+    """The (dim V * dim H) x dim V matrix, rows v * dim H + u, of the tensor (c, v, u)."""
+    return _mat(f, {(v * hopf_dim + u, c): x for (c, v, u), x in rho.items()},
+                space_dim * hopf_dim, space_dim)
+
+
+def _check_right_comodule(coact: Mat, space_dim: int, h: HopfData) -> dict:
+    """The coaction tensor (c, v, u), once the counit law and coassociativity hold."""
     f = h.field
-    nh = h.dim
+    rho = {(c, *divmod(r, h.dim)): x for (r, c), x in sparse(coact).items()}  # rows v * dim H + u
     # counit: (id (x) eps) rho = id
-    for c in range(space_dim):
-        acc = [f.zero] * space_dim
-        for v in range(space_dim):
-            for u in range(nh):
-                x = coact.data[v * nh + u][c]
-                if x and h.coa.counit[u]:
-                    acc[v] = f.add(acc[v], f.mul(x, h.coa.counit[u]))
-        want = _unitvec(f, space_dim, c)
-        if acc != want:
-            raise ValueError("coaction fails the counit law")
+    if contract(f, "cvu,u->cv", rho, sparse(h.coa.counit)) != identity(f, space_dim):
+        raise ValueError("coaction fails the counit law")
     # coassociativity: (rho (x) id) rho = (id (x) Delta) rho
-    for c in range(space_dim):
-        lhs = {}
-        rhs = {}
-        for v in range(space_dim):
-            for u in range(nh):
-                x = coact.data[v * nh + u][c]
-                if not x:
-                    continue
-                for w in range(space_dim):
-                    for t in range(nh):
-                        y = coact.data[w * nh + t][v]
-                        if y:
-                            key = (w, t, u)
-                            lhs[key] = f.add(lhs.get(key, f.zero), f.mul(x, y))
-                for p in range(nh):
-                    for q, d in enumerate(h.coa.comult[u][p]):
-                        if d:
-                            key = (v, p, q)
-                            rhs[key] = f.add(rhs.get(key, f.zero), f.mul(x, d))
-        for key in set(lhs) | set(rhs):
-            if not f.eq(lhs.get(key, f.zero), rhs.get(key, f.zero)):
-                raise ValueError("coaction fails coassociativity")
+    if contract(f, "cvu,vwt->cwtu", rho, rho) != \
+            contract(f, "cvu,upq->cvpq", rho, sparse(h.coa.comult)):
+        raise ValueError("coaction fails coassociativity")
+    return rho
 
 
-def _equivariance_pairs_from_problem(p: SurjectionProblem) -> list:
-    """Component endomorphism pairs (alpha on A, beta on E) for colinearity."""
+def _equivariance_pairs_from_problem(p: SurjectionProblem) -> tuple:
+    """(alpha, beta): the components rho_u of the coactions on A and on E, stacked (u, x, y)."""
     if p.hopf is None or p.coact_e is None or p.coact_a is None:
         raise ValueError("colinear lifting needs hopf, coact_e and coact_a")
-    h = p.hopf
-    f = h.field
-    _check_right_comodule(p.coact_e, p.e.dim, h)
-    _check_right_comodule(p.coact_a, p.a.dim, h)
-    alphas = _coaction_components(p.coact_a, p.a.dim, h.dim)
-    betas = _coaction_components(p.coact_e, p.e.dim, h.dim)
+    rho_e = _check_right_comodule(p.coact_e, p.e.dim, p.hopf)
+    rho_a = _check_right_comodule(p.coact_a, p.a.dim, p.hopf)
+    alpha, beta = ({(u, v, c): x for (c, v, u), x in rho.items()} for rho in (rho_a, rho_e))
     # pi must intertwine the coactions
-    for u in range(h.dim):
-        if p.pi.mul(betas[u]) != alphas[u].mul(p.pi):
-            raise ValueError("pi is not colinear")
-    return list(zip(alphas, betas))
+    if not _intertwines(p.e.field, sparse(p.pi), beta, alpha):
+        raise ValueError("pi is not colinear")
+    return alpha, beta
 
 
 def lift_algebra_section(p: SurjectionProblem, colinear: bool = False,
                          extra_pairs: Optional[list] = None):
-    """A verified multiplicative (optionally equivariant) section of pi,
-    or a LiftObstruction carrying a delta-closed curvature witness."""
+    """A verified multiplicative (optionally equivariant) section of pi, or a
+    LiftObstruction carrying a delta-closed curvature witness.  ``extra_pairs``
+    are further (alpha on A, beta on E) matrix pairs to intertwine."""
     p.validate()
+    alpha, beta = _equivariance_pairs_from_problem(p) if colinear else ({}, {})
+    first = p.hopf.dim if colinear else 0
+    for u, (a_u, b_u) in enumerate(extra_pairs or [], first):
+        alpha.update({(u, *k): x for k, x in sparse(a_u).items()})
+        beta.update({(u, *k): x for k, x in sparse(b_u).items()})
+    return _lift(p, alpha, beta, colinear or bool(extra_pairs))
+
+
+def _lift(p: SurjectionProblem, alpha: dict, beta: dict, equivariant: bool):
+    """The stage-by-stage lift of a validated problem."""
     f = p.e.field
     na = p.a.dim
-
-    pairs = list(extra_pairs or [])
-    if colinear:
-        pairs = _equivariance_pairs_from_problem(p) + pairs
+    m_a, u_a = sparse(p.a.mult), sparse(p.a.unit)
 
     # kernel powers I = P[0] > P[1] = I^2 > ... until zero
     powers = ideal_powers(p.e, p.kernel.vectors)
     if powers is None:
         raise ValueError("kernel is not nilpotent")
-    nu = len(powers)  # I^nu = 0 (powers[nu-1] == [])
 
-    # equivariance endomorphisms must preserve every kernel power
-    for pw in powers[:-1]:
-        if not span_contains_span(f, pw, [beta.matvec(v) for _, beta in pairs for v in pw]):
+    # quotients Q_r = E/I^r for r = 1..nu (Q_nu = E): (dim, mult, unit, projection, section)
+    quots = []
+    for pw in powers:
+        q, proj, sect = _quotient_algebra(p.e, pw)
+        quots.append((q.dim, sparse(q.mult), sparse(q.unit), sparse(proj), sparse(sect)))
+
+    # equivariance endomorphisms must preserve every kernel power: beta_u(I^r) dies in E/I^r
+    for pw, (_, _, _, proj, _) in zip(powers[:-1], quots):
+        if contract(f, "ax,uxy,jy->uaj", proj, beta, sparse(pw)):
             raise ValueError("equivariance operator does not preserve the kernel filtration")
 
-    # quotients Q_r = E/I^r for r = 1..nu (Q_nu = E)
-    quots = []
-    for r in range(1, nu + 1):
-        ideal_vs = powers[r - 1]
-        quots.append(_quotient_algebra(p.e, ideal_vs))
-
-    def descend(beta: Mat, r_idx: int) -> Mat:
-        qalg, proj, sect = quots[r_idx]
-        cols = [proj.matvec(beta.matvec(sect.column(j))) for j in range(qalg.dim)]
-        return Mat.from_columns(f, cols) if qalg.dim else Mat(f, 0, 0, [])
+    def descend(r: int) -> dict:
+        _, _, _, proj, sect = quots[r]
+        return contract(f, "ax,uxy,yb->uab", proj, beta, sect)
 
     # stage 1: A ~ E/I
-    qalg1, proj1, sect1 = quots[0]
-    psi = Mat.from_columns(f, [p.pi.matvec(sect1.column(j)) for j in range(qalg1.dim)])
-    f_r = invert(psi)
-    if f_r is None:
+    n1, _, _, _, sect1 = quots[0]
+    stage1 = invert(_mat(f, contract(f, "ax,xb->ab", sparse(p.pi), sect1), na, n1))
+    if stage1 is None:
         raise AssertionError("E/I -> A is not invertible; pi was not surjective?")
-    for alpha, beta in pairs:
-        if descend(beta, 0).mul(f_r) != f_r.mul(alpha):
-            raise AssertionError("initial stage map is not equivariant")
-    stages = [f_r]
+    stage = sparse(stage1)
+    if not _intertwines(f, stage, alpha, descend(0)):
+        raise AssertionError("initial stage map is not equivariant")
+    stages = [stage1]
 
-    for r in range(1, nu):
-        qprev, projprev, sectprev = quots[r - 1]
-        qcur, projcur, sectcur = quots[r]
-        p_r = Mat.from_columns(f, [projprev.matvec(sectcur.column(j)) for j in range(qcur.dim)])
-        w_basis = nullspace(p_r).columns()  # I^r/I^{r+1} inside Q_{r+1}
-        mker = SubspaceBasis(qcur.dim, w_basis)
-        betas_cur = [descend(b, r) for _, b in pairs]
-        alphas = [a for a, _ in pairs]
+    for r in range(1, len(powers)):
+        nprev, _, _, proj_prev, _ = quots[r - 1]
+        ncur, m_cur, u_cur, _, sect = quots[r]
+        p_r = contract(f, "ax,xb->ab", proj_prev, sect)
+        # I^r/I^{r+1} inside Q_{r+1}, with a left inverse reading off coordinates
+        kernel = SubspaceBasis(ncur, nullspace(_mat(f, p_r, nprev, ncur)).columns())
+        w, coords = kernel.tensors(f)
+        mdim = kernel.dim
+        beta_r = descend(r)
 
-        g = _solve_linear_lift(f, qcur, p_r, f_r, p.a, alphas, betas_cur)
+        g = _solve_linear_lift(f, ncur, na, p_r, stage, u_a, u_cur, alpha, beta_r, equivariant)
         if g is None:
             # no curvature was formed, so the empty witness is not a closed cocycle
             return LiftObstruction(r, [], False,
                                    "no equivariant linear lift through E/I^{r+1}")
-
-        curv = {}
-        all_zero = True
-        for i in range(na):
-            for j in range(na):
-                gij = g.matvec(p.a.mult[i][j])
-                gi_gj = qcur.mul(g.column(i), g.column(j))
-                c = [f.sub(x, y) for x, y in zip(gij, gi_gj)]
-                coords = mker.coords_of(f, c)
-                if coords is None:
-                    raise AssertionError("curvature escaped I^r/I^{r+1}")
-                curv[(i, j)] = coords
-                if any(not f.is_zero(x) for x in coords):
-                    all_zero = False
-
-        if all_zero:
-            f_r = g
-            stages.append(f_r)
+        curv = in_coordinates(f, _curvature(f, m_a, m_cur, g), w, coords,
+                              "curvature escaped I^r/I^{r+1}")
+        if not curv:
+            stage = g
+            stages.append(_mat(f, stage, ncur, na))
             continue
 
-        # A-bimodule structure on I^r/I^{r+1} through any lift
-        mdim = len(w_basis)
-        left = []
-        right = []
-        for i in range(na):
-            gi = g.column(i)
-            lcols = [mker.coords_of(f, qcur.mul(gi, w)) for w in w_basis]
-            rcols = [mker.coords_of(f, qcur.mul(w, gi)) for w in w_basis]
-            if any(c is None for c in lcols + rcols):
-                raise AssertionError("bimodule action escaped I^r/I^{r+1}")
-            left.append(Mat.from_columns(f, lcols) if mdim else Mat(f, 0, 0, []))
-            right.append(Mat.from_columns(f, rcols) if mdim else Mat(f, 0, 0, []))
-        bim = Bimodule(p.a, mdim, left, right).check()
-
-        witness = [[curv[(i, j)] for j in range(na)] for i in range(na)]
+        # A-bimodule structure on I^r/I^{r+1} through the lift g
+        left, right = (in_coordinates(f, contract(f, spec, g, w, m_cur), w, coords,
+                                      "bimodule action escaped I^r/I^{r+1}")
+                       for spec in ("ai,bs,abt->ist", "ai,bs,bat->ist"))
+        bim = Bimodule.from_tensors(p.a, mdim, left, right).check()
+        witness = dense(f, curv, (na, na, mdim))
         if not _is_two_cocycle(bim, witness):
             raise AssertionError("curvature is not delta-closed; lifting engine bug")
 
-        # equivariance operators restricted to the kernel stage
-        m_alphas = alphas
-        m_betas = []
-        for beta_cur in betas_cur:
-            cols = [mker.coords_of(f, beta_cur.matvec(w)) for w in w_basis]
-            if any(c is None for c in cols):
-                raise AssertionError("equivariance operator escaped I^r/I^{r+1}")
-            m_betas.append(Mat.from_columns(f, cols) if mdim else Mat(f, 0, 0, []))
+        # equivariance operators restricted to the kernel stage, (u, s, t)
+        beta_m = in_coordinates(f, contract(f, "uxy,ys->usx", beta_r, w), w, coords,
+                                "equivariance operator escaped I^r/I^{r+1}")
+        h = _solve_coboundary(bim, curv, alpha, beta_m, equivariant)
+        if h is None:
+            return LiftObstruction(r, witness, True, "curvature class is not a coboundary")
+        corrected = difference(f, g, contract(f, "xt,ty->xy", w, h))
+        _assert_stage(f, m_a, m_cur, p_r, stage, corrected, alpha, beta_r)
+        stage = corrected
+        stages.append(_mat(f, stage, ncur, na))
 
-        hmap = _solve_coboundary(bim, witness, m_alphas, m_betas)
-        if hmap is None:
-            return LiftObstruction(r, witness, True,
-                                   "curvature class is not a coboundary")
-
-        corr = Mat.from_columns(f, [
-            _lincomb(f, qcur.dim, w_basis, hmap.column(j)) for j in range(na)])
-        f_r = Mat(f, qcur.dim, na,
-                  [[f.sub(g.data[x][y], corr.data[x][y]) for y in range(na)]
-                   for x in range(qcur.dim)])
-        _assert_stage(f, qcur, p_r, stages[-1], f_r, p.a, alphas, betas_cur)
-        stages.append(f_r)
-
-    sigma = stages[-1]
     # Q_nu = E/0: translate back to E coordinates
-    _, projnu, sectnu = quots[-1]
-    sigma_e = Mat.from_columns(f, [sectnu.matvec(sigma.column(j)) for j in range(na)])
-    cert = LiftCertificate(stages, sigma_e, True, bool(pairs) or None)
-    _verify_final(p, cert, pairs)
+    sigma = contract(f, "xa,ay->xy", quots[-1][4], stage)
+    cert = LiftCertificate(stages, _mat(f, sigma, p.e.dim, na), True, equivariant or None)
+    _verify_final(p, cert, alpha, beta)
     return cert
 
 
-def _lincomb(f, dim, basis_vectors, coeffs):
-    out = [f.zero] * dim
-    for c, v in zip(coeffs, basis_vectors):
-        if c:
-            for t, x in enumerate(v):
-                if x:
-                    out[t] = f.add(out[t], f.mul(c, x))
-    return out
-
-
-def _solve_linear_lift(f, qcur, p_r, f_prev, a, alphas, betas_cur):
-    """Linear g: A -> Q_{r+1} with p_r g = f_prev, g(1) = 1, equivariance."""
-    na = a.dim
-    ncur = qcur.dim
-    nunk = ncur * na
-
-    def unk(x, y):
-        return x * na + y
-
-    rows = []
-    rhs = []
-    for y in range(na):
-        for x in range(p_r.rows):
-            rows.append({unk(t, y): c for t, c in enumerate(p_r.data[x]) if c})
-            rhs.append(f_prev.data[x][y])
-    # unitality
-    for x in range(ncur):
-        rows.append({unk(x, y): c for y, c in enumerate(a.unit) if c})
-        rhs.append(qcur.unit[x])
-    for alpha, beta in zip(alphas, betas_cur):
-        # g(alpha(e_y)) = beta(g(e_y)): components x
-        for y in range(na):
-            alpha_y = [(t, c) for t, c in enumerate(alpha.column(y)) if c]
-            for x in range(ncur):
-                row = {unk(x, t): c for t, c in alpha_y}
-                for t, c in enumerate(beta.data[x]):
-                    if c:
-                        col = unk(t, y)
-                        row[col] = f.sub(row.get(col, f.zero), c)
-                rows.append(row)
-                rhs.append(f.zero)
-    sol = solve_affine(AffineSystem.sparse(f, rows, rhs, nunk))
-    if sol is None:
-        return None
-    return Mat(f, ncur, na, [[sol.particular[unk(x, y)] for y in range(na)]
-                             for x in range(ncur)])
+def _solve_linear_lift(f, ncur: int, na: int, p_r: dict, prev: dict, u_a: dict, u_cur: dict,
+                       alpha: dict, beta: dict, equivariant: bool) -> Optional[dict]:
+    """Linear g: A -> Q_{r+1} with p_r g = prev, g(1) = 1 and g alpha_u = beta_u g."""
+    x = unknowns(f, ncur, na)
+    conds = [(contract(f, "ax,xyc->ayc", p_r, x), 2, prev, "projects"),
+             (contract(f, "y,xyc->xc", u_a, x), 1, u_cur, "unital")]
+    if equivariant:
+        conds.append((difference(f, contract(f, "uty,xtc->uxyc", alpha, x),
+                                 contract(f, "uxt,tyc->uxyc", beta, x)), 3, None, "equivariant"))
+    sol = solve_affine(AffineSystem.conditions(f, ncur * na, *conds))
+    return None if sol is None else {divmod(c, na): v for c, v in enumerate(sol.particular) if v}
 
 
 def _is_two_cocycle(bim: Bimodule, c: list) -> bool:
     """delta c (a,b,d) = a·c(b,d) - c(ab,d) + c(a,bd) - c(a,b)·d = 0 on basis triples."""
+    f = bim.algebra.field
+    m, c = sparse(bim.algebra.mult), sparse(c)
+    left, right = bim.tensors()
+    return difference(f, contract(f, "jks,ist->ijkt", c, left),
+                      contract(f, "ijy,ykt->ijkt", m, c)) == \
+        difference(f, contract(f, "ijs,kst->ijkt", c, right),
+                   contract(f, "jky,iyt->ijkt", m, c))
+
+
+def _solve_coboundary(bim: Bimodule, c: dict, alpha: Optional[dict] = None,
+                      beta: Optional[dict] = None, equivariant: bool = False) -> Optional[dict]:
+    """h: A -> M, as (t, y), with a·h(b) - h(ab) + h(a)·b = c(a,b), c keyed (i, j, t);
+    when ``equivariant``, also h alpha_u = beta_u h with beta keyed (u, s, t)."""
     a = bim.algebra
     f = a.field
     na = a.dim
-    m = bim.dim
-
-    def c_of(vec_i, vec_j):
-        out = [f.zero] * m
-        for i, x in enumerate(vec_i):
-            if not x:
-                continue
-            for j, y in enumerate(vec_j):
-                if y:
-                    for t, v in enumerate(c[i][j]):
-                        if v:
-                            out[t] = f.add(out[t], f.mul(f.mul(x, y), v))
-        return out
-
-    for i in range(na):
-        ei = _unitvec(f, na, i)
-        for j in range(na):
-            ej = _unitvec(f, na, j)
-            for k in range(na):
-                ek = _unitvec(f, na, k)
-                t1 = bim.left[i].matvec(c[j][k])
-                t2 = c_of(a.mult[i][j], ek)
-                t3 = c_of(ei, a.mult[j][k])
-                t4 = bim.right[k].matvec(c[i][j])
-                acc = [f.sub(f.add(f.sub(x1, x2), x3), x4)
-                       for x1, x2, x3, x4 in zip(t1, t2, t3, t4)]
-                if any(not f.is_zero(x) for x in acc):
-                    return False
-    return True
+    left, right = bim.tensors()
+    x = unknowns(f, bim.dim, na)
+    delta = difference(f, contract(f, "ist,sjc->ijtc", left, x),
+                       difference(f, contract(f, "ijy,tyc->ijtc", sparse(a.mult), x),
+                                  contract(f, "jst,sic->ijtc", right, x)))
+    conds = [(delta, 3, c, "coboundary")]
+    if equivariant:
+        conds.append((difference(f, contract(f, "uzy,tzc->utyc", alpha, x),
+                                 contract(f, "ust,syc->utyc", beta, x)), 3, None, "equivariant"))
+    sol = solve_affine(AffineSystem.conditions(f, bim.dim * na, *conds))
+    return None if sol is None else {divmod(t, na): v for t, v in enumerate(sol.particular) if v}
 
 
-def _solve_coboundary(bim: Bimodule, c: list, alphas=None, betas=None):
-    """h: A -> M with a·h(b) - h(ab) + h(a)·b = c(a,b); optionally equivariant."""
-    a = bim.algebra
-    f = a.field
-    na = a.dim
-    m = bim.dim
-    nunk = m * na
-
-    def unk(t, y):
-        return t * na + y
-
-    rows = []
-    rhs = []
-    for i in range(na):
-        for j in range(na):
-            for t in range(m):
-                row = {unk(s, j): v for s, v in enumerate(bim.left[i].data[t]) if v}
-                for y, v in enumerate(a.mult[i][j]):
-                    if v:
-                        col = unk(t, y)
-                        row[col] = f.sub(row.get(col, f.zero), v)
-                for s, v in enumerate(bim.right[j].data[t]):
-                    if v:
-                        col = unk(s, i)
-                        row[col] = f.add(row.get(col, f.zero), v)
-                rows.append(row)
-                rhs.append(c[i][j][t])
-    for alpha, beta in zip(alphas or [], betas or []):
-        for y in range(na):
-            alpha_y = [(s, v) for s, v in enumerate(alpha.column(y)) if v]
-            for t in range(m):
-                row = {unk(t, s): v for s, v in alpha_y}
-                for s, v in enumerate(beta.data[t]):
-                    if v:
-                        col = unk(s, y)
-                        row[col] = f.sub(row.get(col, f.zero), v)
-                rows.append(row)
-                rhs.append(f.zero)
-    sol = solve_affine(AffineSystem.sparse(f, rows, rhs, nunk))
-    if sol is None:
-        return None
-    return Mat(f, m, na, [[sol.particular[unk(t, y)] for y in range(na)] for t in range(m)])
-
-
-def _assert_stage(f, qcur, p_r, f_prev, f_new, a, alphas, betas_cur):
-    if Mat.from_columns(f, [p_r.matvec(f_new.column(j)) for j in range(a.dim)]) != f_prev:
+def _assert_stage(f, m_a: dict, m_cur: dict, p_r: dict, prev: dict, new: dict,
+                  alpha: dict, beta: dict):
+    if contract(f, "ax,xy->ay", p_r, new) != prev:
         raise AssertionError("stage map does not project to the previous stage")
-    for i in range(a.dim):
-        for j in range(a.dim):
-            lhs = f_new.matvec(a.mult[i][j])
-            rhs = qcur.mul(f_new.column(i), f_new.column(j))
-            if lhs != rhs:
-                raise AssertionError("stage map is not multiplicative after correction")
-    for alpha, beta in zip(alphas, betas_cur):
-        if beta.mul(f_new) != f_new.mul(alpha):
-            raise AssertionError("stage map lost equivariance")
+    if _curvature(f, m_a, m_cur, new):
+        raise AssertionError("stage map is not multiplicative after correction")
+    if not _intertwines(f, new, alpha, beta):
+        raise AssertionError("stage map lost equivariance")
 
 
-def _verify_final(p: SurjectionProblem, cert: LiftCertificate, pairs: list):
+def _verify_final(p: SurjectionProblem, cert: LiftCertificate, alpha: dict, beta: dict):
     f = p.e.field
-    sigma = cert.final
-    comp = Mat.from_columns(f, [p.pi.matvec(sigma.column(j)) for j in range(p.a.dim)])
-    if comp != Mat.identity(f, p.a.dim):
+    sigma = sparse(cert.final)
+    if contract(f, "ax,xy->ay", sparse(p.pi), sigma) != identity(f, p.a.dim):
         raise AssertionError("final section does not split pi")
-    for i in range(p.a.dim):
-        for j in range(p.a.dim):
-            lhs = sigma.matvec(p.a.mult[i][j])
-            rhs = p.e.mul(sigma.column(i), sigma.column(j))
-            if lhs != rhs:
-                raise AssertionError("final section is not multiplicative")
-    s1 = sigma.matvec(p.a.unit)
-    if s1 != p.e.unit:
+    if _curvature(f, sparse(p.a.mult), sparse(p.e.mult), sigma):
+        raise AssertionError("final section is not multiplicative")
+    if contract(f, "xy,y->x", sigma, sparse(p.a.unit)) != sparse(p.e.unit):
         raise AssertionError("final section is not unital")
-    for alpha, beta in pairs:
-        if beta.mul(sigma) != sigma.mul(alpha):
-            raise AssertionError("final section is not equivariant")
+    if not _intertwines(f, sigma, alpha, beta):
+        raise AssertionError("final section is not equivariant")
 
 
 # ---------------------------------------------------------------------------
@@ -492,23 +368,19 @@ def hochschild_coboundary_solve(a: AlgebraData, bim: Bimodule, cocycle: list):
     bim.check()
     if not _is_two_cocycle(bim, cocycle):
         raise ValueError("input is not a 2-cocycle")
-    return _solve_coboundary(bim, cocycle)
+    h = _solve_coboundary(bim, sparse(cocycle))
+    return None if h is None else _mat(a.field, h, bim.dim, a.dim)
 
 
 def eps_bimodule(h: HopfData) -> Bimodule:
     """K as an H-bimodule through the counit on both sides."""
-    f = h.field
-    n = h.dim
-    mats = [Mat(f, 1, 1, [[h.coa.counit[i]]]) for i in range(n)]
-    return Bimodule(h.alg, 1, mats, [m.copy() for m in mats]).check()
+    eps = {(i, 0, 0): x for (i,), x in sparse(h.coa.counit).items()}
+    return Bimodule.from_tensors(h.alg, 1, eps, eps).check()
 
 
 def regular_bimodule(a: AlgebraData) -> Bimodule:
-    f = a.field
-    n = a.dim
-    left = [a.left_mult_matrix(_unitvec(f, n, i)) for i in range(n)]
-    right = [a.right_mult_matrix(_unitvec(f, n, i)) for i in range(n)]
-    return Bimodule(a, n, left, right).check()
+    m = sparse(a.mult)
+    return Bimodule.from_tensors(a, a.dim, m, {(i, s, t): x for (s, i, t), x in m.items()}).check()
 
 
 # ---------------------------------------------------------------------------
@@ -524,42 +396,19 @@ def square_zero_extension(h: HopfData, with_coaction: bool = True) -> Surjection
     a = h.alg
     f = a.field
     n = a.dim
-    ne = 2 * n
-    z = f.zero
-    mult = [[[z] * ne for _ in range(ne)] for _ in range(ne)]
-    for i in range(n):
-        for j in range(n):
-            prod = a.mult[i][j]
-            for k, c in enumerate(prod):
-                if c:
-                    mult[i][j][k] = c                       # a·a'
-                    mult[i][n + j][n + k] = c               # a·(a' eps)
-                    mult[n + i][j][n + k] = c               # (a eps)·a'
-    unit = list(a.unit) + [z] * n
-    e_alg = AlgebraData(f, ne, mult, unit)
-    pi = Mat.zeros(f, n, ne)
-    for i in range(n):
-        pi.data[i][i] = f.one
-    problem = SurjectionProblem(e_alg, a, pi)
+    m = sparse(a.mult)
+    # a·a', a·(a' eps) and (a eps)·a'
+    mult = {**m, **{(i, n + j, n + k): x for (i, j, k), x in m.items()},
+            **{(n + i, j, n + k): x for (i, j, k), x in m.items()}}
+    e_alg = AlgebraData(f, 2 * n, dense(f, mult, (2 * n,) * 3), list(a.unit) + [f.zero] * n)
+    problem = SurjectionProblem(e_alg, a, _mat(f, identity(f, n), n, 2 * n))
     if with_coaction:
-        nh = n
-        coact_a = Mat.zeros(f, n * nh, n)
-        for k in range(n):
-            for i in range(n):
-                for j, c in enumerate(h.coa.comult[k][i]):
-                    if c:
-                        coact_a.data[i * nh + j][k] = f.add(coact_a.data[i * nh + j][k], c)
-        coact_e = Mat.zeros(f, ne * nh, ne)
-        for k in range(n):
-            for i in range(n):
-                for j, c in enumerate(h.coa.comult[k][i]):
-                    if c:
-                        coact_e.data[i * nh + j][k] = f.add(coact_e.data[i * nh + j][k], c)
-                        coact_e.data[(n + i) * nh + j][n + k] = f.add(
-                            coact_e.data[(n + i) * nh + j][n + k], c)
+        # Delta as a coaction on A, and on both summands of E
+        rho = sparse(h.coa.comult)
         problem.hopf = h
-        problem.coact_a = coact_a
-        problem.coact_e = coact_e
+        problem.coact_a = _coaction_mat(f, rho, n, n)
+        problem.coact_e = _coaction_mat(
+            f, {**rho, **{(n + c, n + v, u): x for (c, v, u), x in rho.items()}}, 2 * n, n)
     return problem
 
 
@@ -568,10 +417,7 @@ def cyclic_cover_problem(n: int, m: int, field) -> SurjectionProblem:
     from .presets import cyclic_table, preset_group_algebra
     e_h = preset_group_algebra(cyclic_table(m * n), field)
     a_h = preset_group_algebra(cyclic_table(n), field)
-    f = field
-    pi = Mat.zeros(f, n, m * n)
-    for k in range(m * n):
-        pi.data[k % n][k] = f.one
+    pi = _mat(field, {(k % n, k): field.one for k in range(m * n)}, n, m * n)
     return SurjectionProblem(e_h.alg, a_h.alg, pi)
 
 
@@ -603,32 +449,17 @@ def weak_projection(e: HopfData, h: HopfData, inclusion: Mat,
         raise ValueError("inclusion has the wrong shape")
     if rank(inclusion) != nh:
         raise ValueError("inclusion is not injective")
-    incl_cols = inclusion.columns()
+    te, th, incl = tensors(e), tensors(h), sparse(inclusion)
     # algebra + coalgebra map checks
-    img_unit = inclusion.matvec(h.alg.unit)
-    if img_unit != e.alg.unit:
+    if contract(f, "xk,k->x", incl, th["u"]) != te["u"]:
         raise ValueError("inclusion does not preserve the unit")
-    for i in range(nh):
-        for j in range(nh):
-            lhs = inclusion.matvec(h.alg.mult[i][j])
-            rhs = e.mul(incl_cols[i], incl_cols[j])
-            if lhs != rhs:
-                raise ValueError("inclusion is not an algebra map")
-    for k in range(nh):
-        lhs = e.delta(incl_cols[k])
-        want = [f.zero] * (ne * ne)
-        for i in range(nh):
-            for j, c in enumerate(h.coa.comult[k][i]):
-                if c:
-                    for x, xv in enumerate(incl_cols[i]):
-                        if xv:
-                            for y, yv in enumerate(incl_cols[j]):
-                                if yv:
-                                    want[x * ne + y] = f.add(want[x * ne + y],
-                                                             f.mul(c, f.mul(xv, yv)))
-        if lhs != want:
-            raise ValueError("inclusion is not a coalgebra map")
+    if _curvature(f, th["m"], te["m"], incl):
+        raise ValueError("inclusion is not an algebra map")
+    if contract(f, "xk,xab->kab", incl, te["D"]) != \
+            contract(f, "kij,ai,bj->kab", th["D"], incl, incl):
+        raise ValueError("inclusion is not a coalgebra map")
 
+    incl_cols = inclusion.columns()
     sub = SubspaceBasis(ne, incl_cols)
     if not is_subcoalgebra(sub, e.coa):
         raise ValueError("image of the inclusion is not a subcoalgebra")
@@ -641,28 +472,20 @@ def weak_projection(e: HopfData, h: HopfData, inclusion: Mat,
     if not record.exhausted:
         raise AssertionError("filtration fails to exhaust despite coradical containment")
 
-    e_star = dual_algebra(e.coa)
-    h_star = dual_algebra(h.coa)
-    pi_star = inclusion.transpose()
-    problem = SurjectionProblem(e_star, h_star, pi_star)
-
-    # right H-action on duals: (phi · u)(x) = phi(iota(u)·x); transposed left mult
-    pairs = []
-    for u in range(nh):
-        l_e = e.alg.left_mult_matrix(incl_cols[u])
-        l_h = h.alg.left_mult_matrix(_unitvec(f, nh, u))
-        pairs.append((l_h.transpose(), l_e.transpose()))
+    problem = SurjectionProblem(dual_algebra(e.coa), dual_algebra(h.coa),
+                                inclusion.transpose()).validate()
+    # right H-action on duals: (phi · u)(x) = phi(iota(u)·x), transposed left
+    # multiplications: alpha_u has entry (x, y) = coefficient of h_y in h_u h_x
+    alpha, beta = dict(th["m"]), contract(f, "zu,zxy->uxy", incl, te["m"])
     if bilinear:
-        for u in range(nh):
-            r_e = e.alg.right_mult_matrix(incl_cols[u])
-            r_h = h.alg.right_mult_matrix(_unitvec(f, nh, u))
-            pairs.append((r_h.transpose(), r_e.transpose()))
+        alpha.update({(nh + u, x, y): c for (x, u, y), c in th["m"].items()})
+        beta.update({(nh + u, x, y): c for (u, x, y), c in
+                     contract(f, "zu,xzy->uxy", incl, te["m"]).items()})
 
-    result = lift_algebra_section(problem, colinear=False, extra_pairs=pairs)
+    result = _lift(problem, alpha, beta, True)
     if isinstance(result, LiftObstruction):
         return result
-    sigma = result.final          # H* -> E*, shape ne x nh
-    proj = sigma.transpose()      # E -> H
+    proj = result.final.transpose()      # sigma: H* -> E*, transposed to E -> H
     verified = _verify_weak_projection(e, h, inclusion, proj, bilinear)
     return WeakProjectionCertificate(proj, verified)
 
@@ -670,51 +493,24 @@ def weak_projection(e: HopfData, h: HopfData, inclusion: Mat,
 def _verify_weak_projection(e: HopfData, h: HopfData, inclusion: Mat, proj: Mat,
                             bilinear: bool) -> list:
     f = e.field
-    ne, nh = e.dim, h.dim
-    verified = []
-    if Mat.from_columns(f, [proj.matvec(inclusion.column(j)) for j in range(nh)]) \
-            != Mat.identity(f, nh):
+    te, th, incl, p = tensors(e), tensors(h), sparse(inclusion), sparse(proj)
+    if contract(f, "ax,xy->ay", p, incl) != identity(f, h.dim):
         raise AssertionError("weak projection does not retract the inclusion")
-    verified.append("retraction")
-    # coalgebra map
-    for k in range(ne):
-        img = proj.matvec(_unitvec(f, ne, k))
-        lhs = h.delta(img)
-        flat = e.delta(_unitvec(f, ne, k))
-        rhs = [f.zero] * (nh * nh)
-        for t, c in enumerate(flat):
-            if c:
-                x, y = divmod(t, ne)
-                px = proj.matvec(_unitvec(f, ne, x))
-                py = proj.matvec(_unitvec(f, ne, y))
-                for i, xv in enumerate(px):
-                    if xv:
-                        for j, yv in enumerate(py):
-                            if yv:
-                                rhs[i * nh + j] = f.add(rhs[i * nh + j],
-                                                        f.mul(c, f.mul(xv, yv)))
-        if lhs != rhs:
-            raise AssertionError("weak projection is not comultiplicative")
-        le = e.eps(_unitvec(f, ne, k))
-        lh = h.eps(img)
-        if not f.eq(le, lh):
-            raise AssertionError("weak projection does not preserve the counit")
+    verified = ["retraction"]
+    # coalgebra map, checked basis vector by basis vector: Delta first, then eps
+    bad_delta = differing(contract(f, "ak,aij->kij", p, th["D"]),
+                          contract(f, "kxy,ix,jy->kij", te["D"], p, p), 1)
+    bad = bad_delta | differing(te["e"], contract(f, "ak,a->k", p, th["e"]), 1)
+    if bad:
+        raise AssertionError("weak projection is not comultiplicative" if min(bad) in bad_delta
+                             else "weak projection does not preserve the counit")
     verified.append("coalgebra-map")
-    for u in range(nh):
-        iu = inclusion.column(u)
-        for x in range(ne):
-            lhs = proj.matvec(e.mul(iu, _unitvec(f, ne, x)))
-            rhs = h.mul(_unitvec(f, nh, u), proj.matvec(_unitvec(f, ne, x)))
-            if lhs != rhs:
-                raise AssertionError("weak projection is not left H-linear")
-    verified.append("left-H-linear")
+    sides = [("left", "zu,zxy,ay->uxa", "bx,uba->uxa")]
     if bilinear:
-        for u in range(nh):
-            iu = inclusion.column(u)
-            for x in range(ne):
-                lhs = proj.matvec(e.mul(_unitvec(f, ne, x), iu))
-                rhs = h.mul(proj.matvec(_unitvec(f, ne, x)), _unitvec(f, nh, u))
-                if lhs != rhs:
-                    raise AssertionError("weak projection is not right H-linear")
-        verified.append("right-H-linear")
+        sides.append(("right", "zu,xzy,ay->uxa", "bx,bua->uxa"))
+    for side, lhs, rhs in sides:
+        # pi(iota(u)·x) = u·pi(x), resp. pi(x·iota(u)) = pi(x)·u
+        if contract(f, lhs, incl, te["m"], p) != contract(f, rhs, p, th["m"]):
+            raise AssertionError(f"weak projection is not {side} H-linear")
+        verified.append(f"{side}-H-linear")
     return verified

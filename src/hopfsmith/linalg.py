@@ -390,25 +390,6 @@ def spans_equal(field: FieldSpec, a: list, b: list) -> bool:
     return span_contains_span(field, a, b) and span_contains_span(field, b, a)
 
 
-def kron(a: Mat, b: Mat) -> Mat:
-    """Kronecker product; index (i,k) of the factors maps to i*b.rows + k."""
-    f = a.field
-    out = Mat.zeros(f, a.rows * b.rows, a.cols * b.cols)
-    for i in range(a.rows):
-        for j in range(a.cols):
-            x = a.data[i][j]
-            if not x:
-                continue
-            for k in range(b.rows):
-                brow = b.data[k]
-                orow = out.data[i * b.rows + k]
-                for l in range(b.cols):
-                    y = brow[l]
-                    if y:
-                        orow[j * b.cols + l] = f.mul(x, y)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Sparse tensors
 # ---------------------------------------------------------------------------
@@ -435,7 +416,7 @@ def contract(field: FieldSpec, spec: str, *tensors: dict) -> dict:
     if len(names) != len(tensors) or any(len(set(s)) != len(s) for s in names + [out]):
         raise ValueError(f"bad contraction spec {spec!r} for {len(tensors)} tensors")
     p = field.characteristic
-    idx, acc = "", {(): field.one}
+    idx, acc = "", {}
     for t, (name, b) in enumerate(zip(names, tensors)):
         later = set(out).union(*names[t + 1:])
         shared = [c for c in name if c in idx]
@@ -446,19 +427,21 @@ def contract(field: FieldSpec, spec: str, *tensors: dict) -> dict:
         for key, v in b.items():
             g = groups.setdefault(b_shared(key), {})
             k = b_new(key)
-            g[k] = g.get(k, 0) + v
+            g[k] = g[k] + v if k in g else v
         kept = [c for c in idx if c in later]
         a_shared, a_kept = _picker([idx.index(c) for c in shared]), \
             _picker([idx.index(c) for c in kept])
-        res = {}
-        get = res.get
-        for key, x in acc.items():
-            g = groups.get(a_shared(key))
-            if g:
-                base = a_kept(key)
-                for k, y in g.items():
-                    k = base + k
-                    res[k] = get(k, 0) + x * y
+        if t == 0:  # the first operand, summed over its private indices, is the product
+            res = groups.get((), {})
+        else:
+            res = {}
+            for key, x in acc.items():
+                g = groups.get(a_shared(key))
+                if g:
+                    base = a_kept(key)
+                    for k, y in g.items():
+                        k = base + k
+                        res[k] = res[k] + x * y if k in res else x * y
         acc = {k: w for k, v in res.items() if (w := v % p)} if p else \
             {k: v for k, v in res.items() if v}
         idx = "".join(kept + new)
@@ -499,15 +482,16 @@ def unknowns(field: FieldSpec, *shape: int) -> dict:
     return {(*key, u): field.one for u, key in enumerate(product(*map(range, shape)))}
 
 
-def in_coordinates(field: FieldSpec, t: dict, basis: dict, coords: dict, what: str) -> dict:
+def in_coordinates(field: FieldSpec, t: dict, basis: dict, coords: dict, what: str,
+                   error: type = AssertionError) -> dict:
     """``t`` with its last index, a vector of the ambient space, rewritten in the
     coordinates of a subspace: ``basis[(x, j)]`` is entry x of basis vector j and
-    ``coords`` a left inverse of it.  Raises ``AssertionError(what)`` when one of
-    those vectors lies outside the span."""
+    ``coords`` a left inverse of it.  Raises ``error(what)`` when one of those
+    vectors lies outside the span."""
     lead = "ABCDEFGH"[:len(next(iter(t), (0,))) - 1]
     out = contract(field, f"{lead}x,cx->{lead}c", t, coords)
     if contract(field, f"{lead}c,xc->{lead}x", out, basis) != t:
-        raise AssertionError(what)
+        raise error(what)
     return out
 
 

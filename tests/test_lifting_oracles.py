@@ -1,0 +1,410 @@
+"""The lifting and filtration contractions against the explicit index loops
+they replaced.
+
+Each oracle below is the nested-loop evaluation of an identity over dense
+lists, written with no help from the package beyond field arithmetic (and, for
+the wedge, the quotient maps and the nullspace the loops fed): the bimodule
+axioms, the comodule axioms of a coaction, the Hochschild 2-cocycle condition,
+the wedge rows, the trace form and the weak-projection checks.  The package
+must agree with them exactly, including on every single-entry corruption.
+"""
+
+import copy
+
+import pytest
+
+from hopfsmith import GF, QQ, FieldSpec, resolve_preset
+from hopfsmith.filtration import _trace_form_kernel, coradical, wedge
+from hopfsmith.hopf import SubspaceBasis, dual_algebra, quotient_maps, sub_hopf_on_subspace
+from hopfsmith.linalg import SparseMat, nullspace
+import hopfsmith.lifting as lifting
+from hopfsmith.lifting import (LiftObstruction, _check_right_comodule, _is_two_cocycle,
+                               _verify_weak_projection, cyclic_cover_problem, eps_bimodule,
+                               hochschild_coboundary_solve, lift_algebra_section,
+                               regular_bimodule, square_zero_extension, weak_projection)
+
+from conftest import GRID
+
+SMALL = [("group:C2", 0), ("group:C2", 2), ("sweedler", 0)]
+
+
+def _sum(f, xs):
+    acc = f.zero
+    for x in xs:
+        acc = f.add(acc, x)
+    return acc
+
+
+def _matmul(f, x, y):
+    n, k, m = len(x), len(y), len(y[0]) if y else 0
+    out = [[f.zero] * m for _ in range(n)]
+    for r in range(n):
+        for t in range(k):
+            for s in range(m):
+                out[r][s] = f.add(out[r][s], f.mul(x[r][t], y[t][s]))
+    return out
+
+
+def _apply(f, mat, v):
+    return [_sum(f, (f.mul(a, x) for a, x in zip(row, v) if a and x)) for row in mat]
+
+
+def _combine(f, mats, coeffs, m):
+    out = [[f.zero] * m for _ in range(m)]
+    for c, mat in zip(coeffs, mats):
+        for r in range(m):
+            for s in range(m):
+                out[r][s] = f.add(out[r][s], f.mul(c, mat[r][s]))
+    return out
+
+
+def oracle_bimodule_check(bim):
+    """The first failing bimodule axiom as its error message, or None."""
+    a = bim.algebra
+    f, n, m = a.field, a.dim, bim.dim
+    left = [x.data for x in bim.left]
+    right = [x.data for x in bim.right]
+    ident = [[f.one if r == s else f.zero for s in range(m)] for r in range(m)]
+    if _combine(f, left, a.unit, m) != ident or _combine(f, right, a.unit, m) != ident:
+        return "bimodule: unit does not act as identity"
+    for i in range(n):
+        for j in range(n):
+            if _combine(f, left, a.mult[i][j], m) != _matmul(f, left[i], left[j]):
+                return f"bimodule: left action not associative at ({i},{j})"
+            if _combine(f, right, a.mult[i][j], m) != _matmul(f, right[j], right[i]):
+                return f"bimodule: right action not associative at ({i},{j})"
+            if _matmul(f, left[i], right[j]) != _matmul(f, right[j], left[i]):
+                return f"bimodule: actions do not commute at ({i},{j})"
+    return None
+
+
+def oracle_comodule_check(coact, dim, h):
+    """The failing comodule law of rho (rows v * dim H + u) as its message, or None."""
+    f, nh = h.field, h.dim
+    rho = coact.data
+    for c in range(dim):
+        acc = [f.zero] * dim
+        for v in range(dim):
+            for u in range(nh):
+                acc[v] = f.add(acc[v], f.mul(rho[v * nh + u][c], h.coa.counit[u]))
+        if acc != [f.one if v == c else f.zero for v in range(dim)]:
+            return "coaction fails the counit law"
+    for c in range(dim):
+        lhs, rhs = {}, {}
+        for v in range(dim):
+            for u in range(nh):
+                x = rho[v * nh + u][c]
+                if not x:
+                    continue
+                for w in range(dim):
+                    for t in range(nh):
+                        key = (w, t, u)
+                        lhs[key] = f.add(lhs.get(key, f.zero), f.mul(x, rho[w * nh + t][v]))
+                for p in range(nh):
+                    for q in range(nh):
+                        key = (v, p, q)
+                        rhs[key] = f.add(rhs.get(key, f.zero), f.mul(x, h.coa.comult[u][p][q]))
+        if any(lhs.get(k, f.zero) != rhs.get(k, f.zero) for k in set(lhs) | set(rhs)):
+            return "coaction fails coassociativity"
+    return None
+
+
+def oracle_is_two_cocycle(bim, c):
+    """delta c (a,b,d) = a·c(b,d) - c(ab,d) + c(a,bd) - c(a,b)·d on basis triples."""
+    a = bim.algebra
+    f, n, m = a.field, a.dim, bim.dim
+
+    def c_of(u, v):
+        out = [f.zero] * m
+        for i in range(n):
+            for j in range(n):
+                if u[i] and v[j]:
+                    for t in range(m):
+                        out[t] = f.add(out[t], f.mul(f.mul(u[i], v[j]), c[i][j][t]))
+        return out
+
+    def e(i):
+        return [f.one if k == i else f.zero for k in range(n)]
+
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                t1 = _apply(f, bim.left[i].data, c[j][k])
+                t2 = c_of(a.mult[i][j], e(k))
+                t3 = c_of(e(i), a.mult[j][k])
+                t4 = _apply(f, bim.right[k].data, c[i][j])
+                if any(f.sub(f.add(f.sub(x1, x2), x3), x4)
+                       for x1, x2, x3, x4 in zip(t1, t2, t3, t4)):
+                    return False
+    return True
+
+
+def _error(fn, *args):
+    """The message of the ValueError ``fn(*args)`` raises, or None."""
+    try:
+        fn(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _bimodules(spec, char):
+    h = resolve_preset(spec, FieldSpec(char))
+    return h, [regular_bimodule(h.alg), eps_bimodule(h)]
+
+
+def _corrupted_bimodules(bim):
+    """Copies of ``bim`` with one entry of one action matrix moved by 1."""
+    f = bim.algebra.field
+    for side in ("left", "right"):
+        for i, mat in enumerate(getattr(bim, side)):
+            for r in range(mat.rows):
+                for s in range(mat.cols):
+                    bad = copy.deepcopy(bim)
+                    row = getattr(bad, side)[i].data[r]
+                    row[s] = f.add(row[s], f.one)
+                    yield (side, i, r, s), bad
+
+
+def _coboundary(bim, hmap):
+    """delta h as a nested cochain c[i][j] = a_i·h(a_j) - h(a_i a_j) + h(a_i)·a_j."""
+    a = bim.algebra
+    f, n = a.field, a.dim
+    return [[[f.add(f.sub(x, y), z) for x, y, z in zip(
+        _apply(f, bim.left[i].data, hmap[j]),
+        [_sum(f, (f.mul(a.mult[i][j][k], hmap[k][t]) for k in range(n)))
+         for t in range(bim.dim)],
+        _apply(f, bim.right[j].data, hmap[i]))] for j in range(n)] for i in range(n)]
+
+
+def _cochains(bim):
+    """A cocycle (the coboundary of a fixed h) and each of its single-entry corruptions."""
+    f, n, m = bim.algebra.field, bim.algebra.dim, bim.dim
+    hmap = [[f.from_int(1 + 2 * y + t) for t in range(m)] for y in range(n)]
+    good = _coboundary(bim, hmap)
+    yield good
+    for i in range(n):
+        for j in range(n):
+            for t in range(m):
+                bad = copy.deepcopy(good)
+                bad[i][j][t] = f.add(bad[i][j][t], f.one)
+                yield bad
+
+
+@pytest.mark.parametrize("spec,char", SMALL)
+def test_bimodule_check_matches_loops_on_every_corruption(spec, char):
+    _, bims = _bimodules(spec, char)
+    for bim in bims:
+        assert oracle_bimodule_check(bim) is None
+        for site, bad in _corrupted_bimodules(bim):
+            assert _error(bad.check) == oracle_bimodule_check(bad), site
+
+
+@pytest.mark.parametrize("spec,char", SMALL)
+def test_two_cocycle_matches_loops(spec, char):
+    _, bims = _bimodules(spec, char)
+    for bim in bims:
+        cochains = list(_cochains(bim))
+        assert _is_two_cocycle(bim, cochains[0])
+        for c in cochains:
+            assert _is_two_cocycle(bim, c) == oracle_is_two_cocycle(bim, c)
+        for site, bad in _corrupted_bimodules(bim):
+            for c in cochains[:2]:
+                assert _is_two_cocycle(bad, c) == oracle_is_two_cocycle(bad, c), site
+
+
+@pytest.mark.parametrize("spec,char", SMALL)
+def test_coboundary_solve_inverts_the_loop_coboundary(spec, char):
+    _, bims = _bimodules(spec, char)
+    for bim in bims:
+        c = next(_cochains(bim))
+        sol = hochschild_coboundary_solve(bim.algebra, bim, c)
+        assert sol is not None and _coboundary(bim, sol.columns()) == c
+
+
+@pytest.mark.parametrize("spec,char", SMALL)
+def test_comodule_check_matches_loops_on_every_corruption(spec, char):
+    h = resolve_preset(spec, FieldSpec(char))
+    f = h.field
+    p = square_zero_extension(h)
+    for coact, dim in ((p.coact_a, h.dim), (p.coact_e, 2 * h.dim)):
+        assert oracle_comodule_check(coact, dim, h) is None
+        _check_right_comodule(coact, dim, h)
+        for r in range(coact.rows):
+            for s in range(coact.cols):
+                bad = coact.copy()
+                bad.data[r][s] = f.add(bad.data[r][s], f.one)
+                assert _error(_check_right_comodule, bad, dim, h) == \
+                    oracle_comodule_check(bad, dim, h), (dim, r, s)
+
+
+def oracle_wedge(x, y, e):
+    """The wedge rows by the explicit loops, solved by the package's nullspace."""
+    f, n = e.field, e.dim
+    px = quotient_maps(f, n, x.vectors)[0]
+    py = quotient_maps(f, n, y.vectors)[0]
+    if px.rows == 0 or py.rows == 0:
+        return [[f.one if k == i else f.zero for k in range(n)] for i in range(n)]
+    rows = []
+    for p in range(px.rows):
+        for q in range(py.rows):
+            row = []
+            for k in range(n):
+                acc = f.zero
+                for i in range(n):
+                    for j in range(n):
+                        acc = f.add(acc, f.mul(px.data[p][i],
+                                               f.mul(e.comult[k][i][j], py.data[q][j])))
+                if acc:
+                    row.append((k, acc))
+            rows.append(row)
+    return nullspace(SparseMat(f, len(rows), n, rows)).columns()
+
+
+def oracle_trace_form_kernel(a):
+    f, n = a.field, a.dim
+    traces = [_sum(f, (a.mult[k][d][d] for d in range(n))) for k in range(n)]
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = f.zero
+            for c, tr in zip(a.mult[i][j], traces):
+                acc = f.add(acc, f.mul(c, tr))
+            if acc:
+                row.append((j, acc))
+        rows.append(row)
+    return nullspace(SparseMat(f, n, n, rows)).columns()
+
+
+@pytest.mark.parametrize("spec,char", GRID)
+def test_wedge_and_trace_form_match_loops(spec, char, preset_cache):
+    h = preset_cache(spec, char)
+    cor = coradical(h.coa)
+    unit = SubspaceBasis(h.dim, [list(h.alg.unit)])
+    for x, y in ((cor, cor), (unit, cor), (cor, unit), (unit, unit)):
+        assert wedge(x, y, h.coa).vectors == oracle_wedge(x, y, h.coa)
+    for a in (h.alg, dual_algebra(h.coa)):
+        assert _trace_form_kernel(a) == oracle_trace_form_kernel(a)
+
+
+def oracle_verify_weak_projection(e, h, inclusion, proj, bilinear):
+    """The verified labels, or the first failing check's message."""
+    f, ne, nh = e.field, e.dim, h.dim
+    pm = proj.data
+    incl = inclusion.data
+
+    def mul(mult, u, v):
+        out = [f.zero] * len(mult)
+        for i, x in enumerate(u):
+            for j, y in enumerate(v):
+                for k, c in enumerate(mult[i][j]):
+                    out[k] = f.add(out[k], f.mul(f.mul(x, y), c))
+        return out
+
+    def col(mat, j):
+        return [row[j] for row in mat]
+
+    def unit(n, i):
+        return [f.one if k == i else f.zero for k in range(n)]
+
+    if [_apply(f, pm, col(incl, j)) for j in range(nh)] != [unit(nh, j) for j in range(nh)]:
+        return "weak projection does not retract the inclusion"
+    verified = ["retraction"]
+    for k in range(ne):
+        img = col(pm, k)
+        lhs = [[_sum(f, (f.mul(img[a], h.coa.comult[a][i][j]) for a in range(nh)))
+                for j in range(nh)] for i in range(nh)]
+        rhs = [[f.zero] * nh for _ in range(nh)]
+        for x in range(ne):
+            for y in range(ne):
+                c = e.coa.comult[k][x][y]
+                for i in range(nh):
+                    for j in range(nh):
+                        rhs[i][j] = f.add(rhs[i][j], f.mul(c, f.mul(pm[i][x], pm[j][y])))
+        if lhs != rhs:
+            return "weak projection is not comultiplicative"
+        if e.coa.counit[k] != _sum(f, (f.mul(v, c) for v, c in zip(img, h.coa.counit))):
+            return "weak projection does not preserve the counit"
+    verified.append("coalgebra-map")
+    for side in ["left"] + (["right"] if bilinear else []):
+        for u in range(nh):
+            iu = col(incl, u)
+            for x in range(ne):
+                ex = unit(ne, x)
+                prod = mul(e.alg.mult, iu, ex) if side == "left" else mul(e.alg.mult, ex, iu)
+                got = _apply(f, pm, prod)
+                px = col(pm, x)
+                want = mul(h.alg.mult, unit(nh, u), px) if side == "left" \
+                    else mul(h.alg.mult, px, unit(nh, u))
+                if got != want:
+                    return f"weak projection is not {side} H-linear"
+        verified.append(f"{side}-H-linear")
+    return verified
+
+
+def _verify_outcome(*args):
+    try:
+        return _verify_weak_projection(*args)
+    except AssertionError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("spec,char", [c for c in GRID if c != ("functions:S3", 2)])
+def test_verify_weak_projection_matches_loops(spec, char, preset_cache):
+    h = preset_cache(spec, char)
+    f = h.field
+    cor = coradical(h.coa)
+    sub, incl = sub_hopf_on_subspace(h, cor)
+    for bilinear in (False, True):
+        res = weak_projection(h, sub, incl, bilinear=bilinear, corad=cor)
+        if isinstance(res, LiftObstruction):
+            continue
+        args = (h, sub, incl, res.matrix, bilinear)
+        assert _verify_outcome(*args) == oracle_verify_weak_projection(*args) == res.verified
+        if h.dim > 6:
+            continue
+        for r in range(res.matrix.rows):
+            for s in range(res.matrix.cols):
+                bad = res.matrix.copy()
+                bad.data[r][s] = f.add(bad.data[r][s], f.one)
+                args = (h, sub, incl, bad, bilinear)
+                assert _verify_outcome(*args) == oracle_verify_weak_projection(*args), (r, s)
+
+
+def _recorded_labels(monkeypatch, run) -> set:
+    """The condition labels of every system the lifting engine solves during
+    ``run``, as tuples; None stands for a system without labels."""
+    seen = set()
+    real = lifting.solve_affine
+
+    def recording(sys):
+        seen.add(tuple(sys.condition_labels()) if sys.labels else None)
+        return real(sys)
+
+    monkeypatch.setattr(lifting, "solve_affine", recording)
+    run()
+    monkeypatch.undo()
+    return seen
+
+
+def test_every_lift_system_carries_its_condition_labels(monkeypatch):
+    h = resolve_preset("sweedler", QQ)
+    plain = (("projects", "unital"), ("coboundary",))
+    equivariant = (("projects", "unital", "equivariant"), ("coboundary", "equivariant"))
+    cor = coradical(h.coa)
+    sub, incl = sub_hopf_on_subspace(h, cor)
+    cases = [
+        (lambda: lift_algebra_section(square_zero_extension(h, with_coaction=False)), plain),
+        (lambda: lift_algebra_section(cyclic_cover_problem(2, 2, GF(2))), plain),
+        (lambda: lift_algebra_section(square_zero_extension(h), colinear=True), equivariant),
+        (lambda: weak_projection(h, sub, incl, corad=cor), equivariant),
+        (lambda: weak_projection(h, sub, incl, bilinear=True, corad=cor), equivariant),
+    ]
+    for run, (lift, coboundary) in cases:
+        labels = _recorded_labels(monkeypatch, run)
+        assert lift in labels and labels <= {lift, coboundary}, labels
+    bim = regular_bimodule(h.alg)
+    c = next(_cochains(bim))
+    assert _recorded_labels(monkeypatch, lambda: hochschild_coboundary_solve(h.alg, bim, c)) \
+        == {plain[1]}

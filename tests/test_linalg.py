@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfsmith.fields import GF, QQ
-from hopfsmith.linalg import (AffineSystem, Mat, invert, kron, nullspace, rank,
+from hopfsmith.linalg import (AffineSystem, Mat, invert, nullspace, rank,
                               solve_affine, spans_equal)
 
 
@@ -63,14 +63,6 @@ def test_prime_field_solving():
     assert a.matvec(sol.particular) == [1, 2]
     inv = invert(a)
     assert inv is not None and a.mul(inv) == Mat.identity(f, 2)
-
-
-def test_kron_shape_and_values():
-    a = qmat([[1, 2]])
-    b = qmat([[3], [5]])
-    k = kron(a, b)
-    assert (k.rows, k.cols) == (2, 2)
-    assert k.data == [[3, 6], [5, 10]]
 
 
 @st.composite
