@@ -109,65 +109,21 @@ def cmd_integrals(args) -> int:
     return 0
 
 
-def cmd_ad_invariant(args) -> int:
-    h = _load(args)
-    cert = integ.ad_invariant_integral(h)
-    if cert is None:
-        _emit({"command": "ad-invariant", "exists": False,
-               "reason": "affine system (a)+(b)+(c) infeasible"}, args)
-        return 1
-    _emit({"command": "ad-invariant", "exists": True,
-           "certificate": ser.integral_to_dict(h.field, cert)}, args)
-    return 0
-
-
-def cmd_ad_coinvariant(args) -> int:
-    h = _load(args)
-    cert = integ.ad_coinvariant_integral(h)
-    if cert is None:
-        _emit({"command": "ad-coinvariant", "exists": False,
-               "reason": "affine system (a)+(b)+(c) infeasible"}, args)
-        return 1
-    _emit({"command": "ad-coinvariant", "exists": True,
-           "certificate": ser.integral_to_dict(h.field, cert)}, args)
-    return 0
-
-
-def cmd_separable(args) -> int:
-    h = _load(args)
-    cert = integ.separability_idempotent(h)
-    if cert is None:
-        _emit({"command": "separable", "separable": False,
-               "reason": "no total integral; blind idempotent search infeasible"}, args)
-        return 1
-    _emit({"command": "separable", "separable": True,
-           "certificate": ser.separability_to_dict(h.field, cert)}, args)
-    return 0
-
-
-def cmd_coseparable(args) -> int:
-    h = _load(args)
-    cert = integ.coseparability_retraction(h)
-    if cert is None:
-        _emit({"command": "coseparable", "coseparable": False,
-               "reason": "no total integral in the dual; blind retraction search infeasible"},
-              args)
-        return 1
-    _emit({"command": "coseparable", "coseparable": True,
-           "certificate": ser.separability_to_dict(h.field, cert)}, args)
-    return 0
-
-
-def _cmd_fs(args, finder, label) -> int:
+def _cmd_certificate(args, finder, key, reason, serializer) -> int:
+    """A certificate subcommand: ``finder(h)`` returns a certificate or None, and
+    the report states ``key`` and then ``serializer(field, certificate)`` or ``reason``."""
     h = _load(args)
     cert = finder(h)
     if cert is None:
-        _emit({"command": label, "feasible": False,
-               "reason": "affine feasibility system has no solution"}, args)
+        _emit({"command": args.command, key: False, "reason": reason}, args)
         return 1
-    _emit({"command": label, "feasible": True,
-           "certificate": ser.section_to_dict(cert)}, args)
+    _emit({"command": args.command, key: True, "certificate": serializer(h.field, cert)},
+          args)
     return 0
+
+
+def _section_dict(field, cert) -> dict:
+    return ser.section_to_dict(cert)
 
 
 def cmd_double(args) -> int:
@@ -228,9 +184,9 @@ def cmd_lift_section(args) -> int:
         n = h.dim
         if args.preset is None or not args.preset.startswith("group:C"):
             raise ValueError("cyclic-cover problems need a cyclic group preset")
-        prob = cyclic_cover_problem(n, m, h.field)
         if args.colinear:
             raise ValueError("cyclic-cover ships without comodule data; drop --colinear")
+        prob = cyclic_cover_problem(n, m, h.field)
     else:
         raise ValueError(f"unknown lift problem {args.problem!r}")
     res = lift_algebra_section(prob, colinear=args.colinear)
@@ -278,19 +234,33 @@ def cmd_truth_table(args) -> int:
     return 0 if all_match else 1
 
 
+ADJOINT_REASON = "affine system (a)+(b)+(c) infeasible"
+FS_REASON = "affine feasibility system has no solution"
+
 HANDLERS = {
     "check-axioms": cmd_check_axioms,
     "integrals": cmd_integrals,
-    "ad-invariant": cmd_ad_invariant,
-    "ad-coinvariant": cmd_ad_coinvariant,
-    "separable": cmd_separable,
-    "coseparable": cmd_coseparable,
-    "fs-algebra": lambda a: _cmd_fs(a, smo.find_fs_section, "fs-algebra"),
-    "fs-algebra-complete": lambda a: _cmd_fs(a, smo.find_complete_fs_section,
-                                             "fs-algebra-complete"),
-    "fs-coalgebra": lambda a: _cmd_fs(a, smo.find_fs_retraction, "fs-coalgebra"),
-    "fs-coalgebra-complete": lambda a: _cmd_fs(a, smo.find_complete_fs_retraction,
-                                               "fs-coalgebra-complete"),
+    # finders and serializers are looked up per call, so wrappers installed on
+    # their modules see every call
+    "ad-invariant": lambda a: _cmd_certificate(
+        a, integ.ad_invariant_integral, "exists", ADJOINT_REASON, ser.integral_to_dict),
+    "ad-coinvariant": lambda a: _cmd_certificate(
+        a, integ.ad_coinvariant_integral, "exists", ADJOINT_REASON, ser.integral_to_dict),
+    "separable": lambda a: _cmd_certificate(
+        a, integ.separability_idempotent, "separable",
+        "no total integral; blind idempotent search infeasible", ser.separability_to_dict),
+    "coseparable": lambda a: _cmd_certificate(
+        a, integ.coseparability_retraction, "coseparable",
+        "no total integral in the dual; blind retraction search infeasible",
+        ser.separability_to_dict),
+    "fs-algebra": lambda a: _cmd_certificate(
+        a, smo.find_fs_section, "feasible", FS_REASON, _section_dict),
+    "fs-algebra-complete": lambda a: _cmd_certificate(
+        a, smo.find_complete_fs_section, "feasible", FS_REASON, _section_dict),
+    "fs-coalgebra": lambda a: _cmd_certificate(
+        a, smo.find_fs_retraction, "feasible", FS_REASON, _section_dict),
+    "fs-coalgebra-complete": lambda a: _cmd_certificate(
+        a, smo.find_complete_fs_retraction, "feasible", FS_REASON, _section_dict),
     "double": cmd_double,
     "double-separable": cmd_double_separable,
     "coradical": cmd_coradical,

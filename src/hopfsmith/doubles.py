@@ -10,6 +10,10 @@ arrow/side convention under which the Sweedler-algebra double satisfies all
 Hopf axioms; the antipode is not taken from a formula but solved as the
 two-sided convolution inverse of the identity, which is unique when it
 exists.  Every constructed double is pushed through the axiom checker.
+
+The relations r·i(s) (x) r' - r (x) i(s)·r' of R (x)_S R are two contractions
+of the multiplication with the embedding, and an embedding is checked to be
+multiplicative by the same defect as a lifting stage (:func:`hopf.curvature`).
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ from functools import cached_property
 from typing import Optional
 
 from .fields import FieldSpec
-from .hopf import AlgebraData, CoalgebraData, HopfData, _unitvec, tensors, validated
-from .linalg import (AffineSystem, Mat, contract, dense, difference, require_labels,
+from .hopf import AlgebraData, CoalgebraData, HopfData, curvature, tensors, validated
+from .linalg import (AffineSystem, Mat, contract, dense, difference, rank, require_labels,
                      solve_affine, sparse, unknowns, _rref)
 
 
@@ -34,18 +38,17 @@ class ExtensionData:
 
     def validate(self):
         r, s = self.big, self.small
+        f = r.field
         if self.embedding.rows != r.dim or self.embedding.cols != s.dim:
             raise ValueError("embedding has wrong shape")
-        cols = self.embedding.columns()
-        from .linalg import rank
         if rank(self.embedding) != s.dim:
             raise ValueError("embedding is not injective")
-        if self.embedding.matvec(s.unit) != r.unit:
+        emb = sparse(self.embedding)
+        if contract(f, "xj,j->x", emb, sparse(s.unit)) != sparse(r.unit):
             raise ValueError("embedding does not preserve the unit")
-        for i in range(s.dim):
-            for j in range(s.dim):
-                if self.embedding.matvec(s.mult[i][j]) != r.mul(cols[i], cols[j]):
-                    raise ValueError(f"embedding is not multiplicative at ({i},{j})")
+        bad = curvature(f, sparse(s.mult), sparse(r.mult), emb)
+        if bad:
+            raise ValueError("embedding is not multiplicative at ({},{})".format(*min(bad)[:2]))
         return self
 
 
@@ -158,28 +161,15 @@ def relative_tensor(ext: ExtensionData) -> RelTensor:
     f = r.field
     nr = r.dim
     amb = nr * nr
-    scols = ext.embedding.columns()
-    relations = []
-    for s in scols:
-        # nonzero coordinates of the products e_i · s and s · e_j
-        left = [[(k, x) for k, x in enumerate(r.mul(_unitvec(f, nr, i), s)) if x]
-                for i in range(nr)]
-        right = [[(k, x) for k, x in enumerate(r.mul(s, _unitvec(f, nr, j))) if x]
-                 for j in range(nr)]
-        for i in range(nr):
-            for j in range(nr):
-                vec = {k * nr + j: x for k, x in left[i]}
-                for k, x in right[j]:
-                    col = i * nr + k
-                    vec[col] = f.sub(vec.get(col, f.zero), x)
-                row = [(c, v) for c, v in vec.items() if v]
-                if row:
-                    relations.append(row)
-    pivots = _rref(relations, amb, f) if relations else []
-    rows = relations[: len(pivots)]
+    m, emb, x = sparse(r.mult), sparse(ext.embedding), unknowns(f, nr, nr)
+    # row (c, i, j): (e_i·s_c) (x) e_j - e_i (x) (s_c·e_j), with e_a (x) e_b in column a*nr + b
+    rel = difference(f, contract(f, "yc,iya,aju->ciju", emb, m, x),
+                     contract(f, "yc,yjb,ibu->ciju", emb, m, x))
+    rows = AffineSystem.conditions(f, amb, (rel, 3, None, "relation")).matrix.data
+    pivots = _rref(rows, amb, f)
     pivot_set = set(pivots)
     free = [c for c in range(amb) if c not in pivot_set]
-    return RelTensor(rows, pivots, free, amb, f)
+    return RelTensor(rows[: len(pivots)], pivots, free, amb, f)
 
 
 def _extension_idempotent_system(ext: ExtensionData, rel: RelTensor) -> AffineSystem:

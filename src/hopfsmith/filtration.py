@@ -11,11 +11,14 @@ answers are never returned on trust.
 
 The identities are contractions of sparse tensors in the layout of :mod:`hopf`
 (``m`` ijk, ``D`` kij, a map as (x, y), entry x of the image of e_y): the
-trace form is the condition ``"trace form"`` (rows i), the wedge X ^ Y the
-kernel of ``"wedge"``, (pi_X (x) pi_Y) Delta (rows (p, q)), and X is a
+trace form is the condition ``"trace form"`` (rows i), the Friedl-Ronyai lifts
+L_{w e_y} for all y are one contraction per w (``"a,ayk,kxz->yxz"``), the
+products spanning an ideal power are ``"ax,by,xyk->abk"``, the wedge X ^ Y is
+the kernel of ``"wedge"``, (pi_X (x) pi_Y) Delta (rows (p, q)), and X is a
 subcoalgebra when the coordinates of Delta(X), read off by a left inverse of
 its basis on both legs, rebuild it.  The greedy bases of the ideal powers and
-of the quotient complements are kept: certificates are written in them.
+of the quotient complements are kept, since certificates are written in them;
+each is the pivot columns of one elimination (:func:`linalg.pivot_columns`).
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from typing import Optional
 from .hopf import (AlgebraData, CoalgebraData, SubspaceBasis, _unitvec, dual_algebra,
                    quotient_maps)
 from .integrals import idempotent_system
-from .linalg import (AffineSystem, Mat, SparseMat, contract, dense, identity, in_span,
-                     nullspace, solve_affine, span_contains_span, spans_equal, sparse)
+from .linalg import (AffineSystem, Mat, SparseMat, contract, dense, identity, nullspace,
+                     pivot_columns, solve_affine, span_contains_span, spans_equal, sparse)
 
 
 @dataclass
@@ -89,15 +92,20 @@ def _fr_radical_mod_p(a: AlgebraData) -> list:
     f = a.field
     p = f.characteristic
     n = a.dim
+    m = sparse(a.mult)
     current = _trace_form_kernel(a)
     pi = p
     while current and pi <= n:
         q = pi * p
         rows = [[] for _ in range(n)]
         for j, w in enumerate(current):
-            for y in range(n):
-                lift = a.left_mult_matrix(a.mul(w, _unitvec(f, n, y))).data
-                tr = _trace_of_power([{c: x for c, x in enumerate(r) if x} for r in lift], pi, q)
+            # the transposes of L_{w e_y} for all y, keyed (y, x, z): entry z of (w e_y) e_x;
+            # a transpose has the same traces of powers
+            lifts = [[{} for _ in range(n)] for _ in range(n)]
+            for (y, x, z), c in contract(f, "a,ayk,kxz->yxz", sparse(w), m, m).items():
+                lifts[y][x][z] = c
+            for y, lift in enumerate(lifts):
+                tr = _trace_of_power(lift, pi, q)
                 if tr % pi:
                     raise AssertionError(
                         "p-power trace not divisible on the chain; radical stage broken")
@@ -105,8 +113,7 @@ def _fr_radical_mod_p(a: AlgebraData) -> list:
                     rows[y].append((j, tr // pi))
         # the kernel is in the coordinates of `current`
         ker = nullspace(SparseMat(f, n, len(current), rows))
-        basis = Mat.from_columns(f, current)
-        current = [basis.matvec(col) for col in ker.columns()]
+        current = dense(f, contract(f, "jx,jc->cx", sparse(current), sparse(ker)), (ker.cols, n))
         pi = q
     return current
 
@@ -114,20 +121,20 @@ def _fr_radical_mod_p(a: AlgebraData) -> list:
 def _is_two_sided_ideal(a: AlgebraData, vectors: list) -> bool:
     f = a.field
     n = a.dim
-    units = [_unitvec(f, n, i) for i in range(n)]
-    products = [x for v in vectors for e in units for x in (a.mul(e, v), a.mul(v, e))]
+    v, m = sparse(vectors), sparse(a.mult)
+    # e_i·v_a and v_a·e_i, keyed (a, i, k)
+    products = [x for spec in ("ax,ixk->aik", "ax,xik->aik")
+                for block in dense(f, contract(f, spec, v, m), (len(vectors), n, n)) for x in block]
     return span_contains_span(f, vectors, products)
 
 
 def _ideal_product(a: AlgebraData, xs: list, ys: list) -> list:
-    """Independent spanning set of span{x·y}."""
+    """Independent spanning set of span{x·y}: the products in ``for x in xs for y in
+    ys`` order that lie outside the span of the ones before them."""
     f = a.field
-    prods = [a.mul(x, y) for x in xs for y in ys]
-    out = []
-    for pvec in prods:
-        if any(not f.is_zero(c) for c in pvec) and not in_span(f, out, pvec):
-            out.append(pvec)
-    return out
+    prods = contract(f, "ax,by,xyk->abk", sparse(xs), sparse(ys), sparse(a.mult))
+    cands = [v for block in dense(f, prods, (len(xs), len(ys), a.dim)) for v in block]
+    return [cands[j] for j in pivot_columns(f, cands)[0]]
 
 
 def ideal_powers(a: AlgebraData, vectors: list) -> Optional[list]:

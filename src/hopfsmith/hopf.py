@@ -12,6 +12,10 @@ Conventions, fixed once for the whole package:
   above), ``D`` (kij), ``u`` (k), ``e`` (counit, k), ``S`` and ``Si`` (ij,
   matrix entries), so the antipode axiom reads ``"kij,ai,ajt->kt"`` against
   ``"k,t->kt"``.  Axiom witnesses are the least failing index prefixes.
+* the data classes carry no vector arithmetic: products, coproducts and
+  counit values are such contractions, and :func:`curvature` is the
+  multiplicativity defect of a linear map between algebras.  A greedy
+  complement (:func:`quotient_maps`) is the pivot columns of one elimination.
 
 Constructions (duals, op/cop) are re-validated through the axiom checker; a
 failed report raises rather than returning a silently broken object.
@@ -23,8 +27,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .fields import FieldSpec
-from .linalg import (Mat, contract, dense, differing, identity, in_coordinates, in_span,
-                     invert, nullspace, rank, sparse)
+from .linalg import (Mat, contract, dense, difference, differing, identity, in_coordinates,
+                     in_span, invert, nullspace, pivot_columns, sparse)
 
 
 @dataclass
@@ -34,37 +38,6 @@ class AlgebraData:
     mult: list  # mult[i][j][k]
     unit: list  # coordinates of 1
 
-    # -- vector arithmetic -------------------------------------------------
-    def mul(self, a: list, b: list) -> list:
-        f = self.field
-        out = [f.zero] * self.dim
-        for i, x in enumerate(a):
-            if not x:
-                continue
-            multi = self.mult[i]
-            for j, y in enumerate(b):
-                if not y:
-                    continue
-                c = f.mul(x, y)
-                for k, m in enumerate(multi[j]):
-                    if m:
-                        out[k] = f.add(out[k], f.mul(c, m))
-        return out
-
-    def left_mult_matrix(self, v: list) -> Mat:
-        """Matrix of x -> v·x."""
-        f = self.field
-        out = Mat.zeros(f, self.dim, self.dim)
-        for i, x in enumerate(v):
-            if not x:
-                continue
-            multi = self.mult[i]
-            for j in range(self.dim):
-                for k, m in enumerate(multi[j]):
-                    if m:
-                        out.data[k][j] = f.add(out.data[k][j], f.mul(x, m))
-        return out
-
 
 @dataclass
 class CoalgebraData:
@@ -72,27 +45,6 @@ class CoalgebraData:
     dim: int
     comult: list  # comult[k][i][j]
     counit: list
-
-    def delta(self, v: list) -> list:
-        f = self.field
-        n = self.dim
-        out = [f.zero] * (n * n)
-        for k, x in enumerate(v):
-            if not x:
-                continue
-            for i, row in enumerate(self.comult[k]):
-                for j, c in enumerate(row):
-                    if c:
-                        out[i * n + j] = f.add(out[i * n + j], f.mul(x, c))
-        return out
-
-    def eps(self, v: list):
-        f = self.field
-        acc = f.zero
-        for x, e in zip(v, self.counit):
-            if x and e:
-                acc = f.add(acc, f.mul(x, e))
-        return acc
 
 
 @dataclass
@@ -149,15 +101,6 @@ class HopfData:
     def unit_vec(self) -> list:
         return self.alg.unit
 
-    def mul(self, a: list, b: list) -> list:
-        return self.alg.mul(a, b)
-
-    def delta(self, v: list) -> list:
-        return self.coa.delta(v)
-
-    def eps(self, v: list):
-        return self.coa.eps(v)
-
     def basis_vec(self, i: int) -> list:
         return _unitvec(self.field, self.dim, i)
 
@@ -177,6 +120,14 @@ def tensors(h: HopfData) -> dict:
     if h.antipode_inverse is not None:
         out["Si"] = sparse(h.antipode_inverse)
     return out
+
+
+def curvature(f: FieldSpec, m_src: dict, m_tgt: dict, g: dict) -> dict:
+    """g(a_i a_j) - g(a_i) g(a_j), keyed (i, j, x), for a linear map g between the
+    algebras with multiplications ``m_src`` and ``m_tgt``; empty exactly when g
+    is multiplicative."""
+    return difference(f, contract(f, "ijy,xy->ijx", m_src, g),
+                      contract(f, "ai,bj,abx->ijx", g, g, m_tgt))
 
 
 def _check(width: int, *pairs) -> AxiomCheck:
@@ -295,18 +246,21 @@ def augmentation_ideal(h: HopfData) -> SubspaceBasis:
 
 def _completion(field: FieldSpec, n: int, vectors: list) -> tuple:
     """(basis, inverse): ``vectors`` completed greedily by e_0, e_1, ... to a basis
-    of K^n, and the inverse of the matrix with that basis as its columns."""
-    chosen = [list(v) for v in vectors]
-    for i in range(n):
-        if len(chosen) == n:
-            break
-        cand = chosen + [_unitvec(field, n, i)]
-        if rank(Mat(field, len(cand), n, cand)) == len(cand):
-            chosen = cand
-    inv = invert(Mat.from_columns(field, chosen))
-    if inv is None:
-        raise ValueError("subspace vectors are not linearly independent")
-    return chosen, inv
+    of K^n, and the inverse of the matrix with that basis as its columns.
+
+    One elimination of [vectors | identity] gives both: its pivot columns are
+    the greedy pick B, and its reduced form is B^{-1} [vectors | identity], so
+    the identity block holds B^{-1}.
+    """
+    k = len(vectors)
+    cands = [list(v) for v in vectors] + [_unitvec(field, n, i) for i in range(n)]
+    pivots, rows = pivot_columns(field, cands)
+    if pivots[:k] != list(range(k)):
+        # dependent vectors are not completed, so their matrix is singular or not square
+        raise ValueError("subspace vectors are not linearly independent" if k == n
+                         else "only square matrices can be inverted")
+    inv = {(t, j - k): x for t, row in enumerate(rows[:n]) for j, x in row if j >= k}
+    return [cands[j] for j in pivots], Mat(field, n, n, dense(field, inv, (n, n)))
 
 
 def quotient_maps(field: FieldSpec, n: int, vectors: list) -> tuple:

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
-from .hopf import AlgebraData, HopfData, SubspaceBasis, dual_algebra, tensors
+from .hopf import AlgebraData, HopfData, SubspaceBasis, curvature, dual_algebra, tensors
 from .linalg import (AffineSystem, Mat, contract, dense, difference, differing, identity,
                      in_coordinates, invert, nullspace, rank, solve_affine, sparse,
                      span_contains_span, spans_equal, unknowns)
@@ -116,7 +116,7 @@ class SurjectionProblem:
         pi = sparse(self.pi)
         if contract(f, "ak,k->a", pi, sparse(self.e.unit)) != sparse(self.a.unit):
             raise ValueError("pi does not preserve the unit")
-        bad = _curvature(f, sparse(self.e.mult), sparse(self.a.mult), pi)
+        bad = curvature(f, sparse(self.e.mult), sparse(self.a.mult), pi)
         if bad:
             raise ValueError("pi is not an algebra map at ({},{})".format(*min(bad)[:2]))
         ker = nullspace(self.pi).columns()
@@ -143,14 +143,6 @@ class LiftObstruction:
     witness: list           # curvature c[i][j] as coordinate vectors in I^r/I^{r+1}
     delta_closed: bool
     reason: str
-
-
-def _curvature(f, m_src: dict, m_tgt: dict, g: dict) -> dict:
-    """g(a_i a_j) - g(a_i) g(a_j), keyed (i, j, x), for a linear map g between the
-    algebras with multiplications ``m_src`` and ``m_tgt``; empty exactly when g
-    is multiplicative."""
-    return difference(f, contract(f, "ijy,xy->ijx", m_src, g),
-                      contract(f, "ai,bj,abx->ijx", g, g, m_tgt))
 
 
 def _intertwines(f, g: dict, alpha: dict, beta: dict) -> bool:
@@ -256,7 +248,7 @@ def _lift(p: SurjectionProblem, alpha: dict, beta: dict, equivariant: bool):
             # no curvature was formed, so the empty witness is not a closed cocycle
             return LiftObstruction(r, [], False,
                                    "no equivariant linear lift through E/I^{r+1}")
-        curv = in_coordinates(f, _curvature(f, m_a, m_cur, g), w, coords,
+        curv = in_coordinates(f, curvature(f, m_a, m_cur, g), w, coords,
                               "curvature escaped I^r/I^{r+1}")
         if not curv:
             stage = g
@@ -338,7 +330,7 @@ def _assert_stage(f, m_a: dict, m_cur: dict, p_r: dict, prev: dict, new: dict,
                   alpha: dict, beta: dict):
     if contract(f, "ax,xy->ay", p_r, new) != prev:
         raise AssertionError("stage map does not project to the previous stage")
-    if _curvature(f, m_a, m_cur, new):
+    if curvature(f, m_a, m_cur, new):
         raise AssertionError("stage map is not multiplicative after correction")
     if not _intertwines(f, new, alpha, beta):
         raise AssertionError("stage map lost equivariance")
@@ -349,7 +341,7 @@ def _verify_final(p: SurjectionProblem, cert: LiftCertificate, alpha: dict, beta
     sigma = sparse(cert.final)
     if contract(f, "ax,xy->ay", sparse(p.pi), sigma) != identity(f, p.a.dim):
         raise AssertionError("final section does not split pi")
-    if _curvature(f, sparse(p.a.mult), sparse(p.e.mult), sigma):
+    if curvature(f, sparse(p.a.mult), sparse(p.e.mult), sigma):
         raise AssertionError("final section is not multiplicative")
     if contract(f, "xy,y->x", sigma, sparse(p.a.unit)) != sparse(p.e.unit):
         raise AssertionError("final section is not unital")
@@ -414,6 +406,8 @@ def square_zero_extension(h: HopfData, with_coaction: bool = True) -> Surjection
 
 def cyclic_cover_problem(n: int, m: int, field) -> SurjectionProblem:
     """KC_{mn} -> KC_n along g -> g; the kernel is the ideal of 1 - g^n."""
+    if m < 1:
+        raise ValueError(f"cyclic-cover:{m} needs a cover degree M >= 1")
     from .presets import cyclic_table, preset_group_algebra
     e_h = preset_group_algebra(cyclic_table(m * n), field)
     a_h = preset_group_algebra(cyclic_table(n), field)
@@ -453,7 +447,7 @@ def weak_projection(e: HopfData, h: HopfData, inclusion: Mat,
     # algebra + coalgebra map checks
     if contract(f, "xk,k->x", incl, th["u"]) != te["u"]:
         raise ValueError("inclusion does not preserve the unit")
-    if _curvature(f, th["m"], te["m"], incl):
+    if curvature(f, th["m"], te["m"], incl):
         raise ValueError("inclusion is not an algebra map")
     if contract(f, "xk,xab->kab", incl, te["D"]) != \
             contract(f, "kij,ai,bj->kab", th["D"], incl, incl):

@@ -12,7 +12,9 @@ which depends only on the row space and not on the row order or on how the
 rows were assembled.  The particular solution (free variables set to 0) and
 the nullspace basis read off it are therefore canonical, and so is every
 certificate built from them.  Over F_p the kernel works on raw ints and
-reduces mod p once per entry per pass; over Q it uses ``Fraction``.
+reduces mod p once per entry per pass; over Q it uses ``Fraction``.  A greedy
+basis, the vectors of a list that lie outside the span of the ones before
+them, is the pivot columns of one elimination (:func:`pivot_columns`).
 
 :class:`Mat` stays dense: it represents linear maps and small matrices, and
 the solvers take either a dense ``Mat`` or a :class:`SparseMat`.
@@ -354,6 +356,16 @@ def invert(m: Mat) -> Optional[Mat]:
     return Mat(f, n, n, data)
 
 
+def pivot_columns(field: FieldSpec, vectors: list) -> tuple:
+    """(pivots, rows): the pivot columns and reduced rows of the matrix whose
+    columns are ``vectors``, from one elimination.  Vector j is a pivot exactly
+    when it lies outside the span of the vectors before it, so the pivots are
+    the subset a greedy pass over the list keeps; zero vectors are never kept."""
+    n = len(vectors[0]) if vectors else 0
+    rows = [[(j, v[i]) for j, v in enumerate(vectors) if v[i]] for i in range(n)]
+    return _rref(rows, len(vectors), field), rows
+
+
 def span_coordinates(field: FieldSpec, basis_vecs: list, v: list) -> Optional[list]:
     """Coefficients c with sum_j c_j basis_vecs[j] = v, or None if v is outside the span.
 
@@ -457,8 +469,9 @@ def sparse(nested: list) -> dict:
     """The nonzero entries of a nested list (or of a ``Mat``), keyed by index tuple."""
     if isinstance(nested, Mat):
         nested = nested.data
-    if nested and isinstance(nested[0], list):
-        return {(i, *k): c for i, sub in enumerate(nested) for k, c in sparse(sub).items()}
+    if nested and isinstance(nested[0], list):  # any() skips all-zero rows at C speed
+        return {(i, *k): c for i, sub in enumerate(nested) if any(sub)
+                for k, c in sparse(sub).items()}
     return {(i,): c for i, c in enumerate(nested) if c}
 
 

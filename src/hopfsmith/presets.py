@@ -255,25 +255,20 @@ def preset_taft(n: int, q: Scalar, field: FieldSpec) -> HopfData:
     for a in range(n):
         counit[idx(a, 0)] = o
 
-    # antipode: S(g) = g^{n-1}, S(x) = -g^{-1} x, extended antimultiplicatively
-    sg = [z] * dim
-    sg[idx((n - 1) % n, 0)] = o
-    sx = [z] * dim
-    if n > 1:
-        sx_val = f.neg(o)
-        sx[idx(n - 1, 1)] = sx_val  # -g^{n-1} x
-    s_mat = Mat.zeros(f, dim, dim)
-    for a in range(n):
-        for b in range(n):
-            # S(g^a x^b) = S(x)^b S(g)^a
-            acc = unit
-            for _ in range(b):
-                acc = alg.mul(acc, sx)
-            for _ in range(a):
-                acc = alg.mul(acc, sg)
-            for t, val in enumerate(acc):
-                if val:
-                    s_mat.data[t][idx(a, b)] = val
+    # antipode: S(g) = g^{n-1}, S(x) = -g^{-1} x, extended antimultiplicatively,
+    # so S(g^a x^b) = S(x)^b S(g)^a, one product of the powers of S(x) and S(g)
+    def powers(t):
+        """t^0, ..., t^{n-1}, keyed (exponent, basis index)."""
+        out = [{(idx(0, 0),): o}]
+        for _ in range(n - 1):
+            out.append(contract(f, "u,v,uvk->k", out[-1], t, m))
+        return {(e, *k): c for e, pw in enumerate(out) for k, c in pw.items()}
+
+    sx = {(idx(n - 1, 1),): f.neg(o)} if n > 1 else {}  # -g^{n-1} x
+    s = contract(f, "bu,av,uvk->kba", powers(sx), powers({(idx((n - 1) % n, 0),): o}), m)
+    s_mat = Mat(f, dim, dim, dense(f, {(k, b * n + a): c for (k, b, a), c in s.items()},
+                                   (dim, dim)))
+
     def _nm(a, b):
         ga = "" if a == 0 else ("g" if a == 1 else f"g^{a}")
         xb = "" if b == 0 else ("x" if b == 1 else f"x^{b}")

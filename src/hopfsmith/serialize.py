@@ -18,7 +18,7 @@ from typing import Optional
 
 from .fields import FieldSpec
 from .hopf import AlgebraData, CoalgebraData, HopfData, validated
-from .linalg import AffineSystem, Mat, solve_affine
+from .linalg import AffineSystem, Mat, contract, identity, solve_affine, sparse, unknowns
 
 
 def hopf_to_dict(h: HopfData) -> dict:
@@ -39,15 +39,11 @@ def hopf_to_dict(h: HopfData) -> dict:
 
 
 def _solve_unit(alg_mult: list, f: FieldSpec, n: int) -> list:
-    rows = []
-    rhs = []
-    for j in range(n):
-        for k in range(n):
-            rows.append({i: c for i in range(n) if (c := alg_mult[i][j][k])})
-            rhs.append(f.one if j == k else f.zero)
-            rows.append({i: c for i in range(n) if (c := alg_mult[j][i][k])})
-            rhs.append(f.one if j == k else f.zero)
-    sol = solve_affine(AffineSystem.sparse(f, rows, rhs, n))
+    """The unit u with sum_i u_i e_i·e_j = e_j = sum_i u_i e_j·e_i, rows (j, k)."""
+    m, x, one = sparse(alg_mult), unknowns(f, n), identity(f, n)
+    sol = solve_affine(AffineSystem.conditions(
+        f, n, (contract(f, "ijk,iu->jku", m, x), 2, one, "left unit"),
+        (contract(f, "jik,iu->jku", m, x), 2, one, "right unit")))
     if sol is None:
         raise ValueError("multiplication tensor has no two-sided unit")
     return sol.particular

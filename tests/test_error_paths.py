@@ -1,0 +1,82 @@
+"""Rejections of malformed input, with the exact messages the CLI reports:
+ring extensions that are not injective algebra maps, multiplications without
+a two-sided unit, and cyclic covers of degree below one."""
+
+import json
+
+import pytest
+
+from hopfsmith import QQ, cli, resolve_preset
+from hopfsmith.doubles import ExtensionData
+from hopfsmith.lifting import cyclic_cover_problem
+from hopfsmith.linalg import Mat
+from hopfsmith.serialize import hopf_from_dict, hopf_to_dict
+
+
+def _group(n):
+    return resolve_preset(f"group:C{n}", QQ).alg
+
+
+def _columns(n, cols):
+    """The n-row matrix whose column j is the basis vector e_{cols[j]}."""
+    return Mat.from_columns(QQ, [[QQ.one if i == c else QQ.zero for i in range(n)]
+                                 for c in cols])
+
+
+@pytest.mark.parametrize("small, cols, message", [
+    (1, [0, 1], "embedding has wrong shape"),
+    (2, [1, 1], "embedding is not injective"),
+    (1, [1], "embedding does not preserve the unit"),
+    # g -> h, g^2 -> h^2 from KC3 to KC4: g g^2 = 1 but h h^2 = h^3
+    (3, [0, 1, 2], r"embedding is not multiplicative at \(1,2\)"),
+    # the same map on KC2: g g = 1 but h h = h^2, and (1,1) is the only failing pair
+    (2, [0, 1], r"embedding is not multiplicative at \(1,1\)"),
+])
+def test_extension_validate_rejects(small, cols, message):
+    with pytest.raises(ValueError, match=message):
+        ExtensionData(_group(4), _group(small), _columns(4, cols)).validate()
+
+
+def _no_unit_document():
+    """The Sweedler document with e_i·e_j = e_j for all i: every e_i is a left
+    unit, and no vector is a right unit."""
+    doc = hopf_to_dict(resolve_preset("sweedler", QQ))
+    n = doc["dim"]
+    doc["mult"] = [[[1 if k == j else 0 for k in range(n)] for j in range(n)] for _ in range(n)]
+    return doc
+
+
+def test_multiplication_without_two_sided_unit_is_rejected():
+    with pytest.raises(ValueError, match="no two-sided unit"):
+        hopf_from_dict(_no_unit_document())
+    with pytest.raises(ValueError, match="no two-sided unit"):
+        hopf_from_dict(_no_unit_document(), validate=False)
+
+
+def test_cli_file_without_two_sided_unit_exits_2(tmp_path, capsys):
+    path = tmp_path / "no_unit.json"
+    path.write_text(json.dumps(_no_unit_document()))
+    for command in ("check-axioms", "integrals"):
+        assert cli.main([command, "--file", str(path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "multiplication tensor has no two-sided unit"}
+
+
+@pytest.mark.parametrize("degree", [0, -2])
+def test_cyclic_cover_of_degree_below_one_is_rejected(degree, capsys):
+    with pytest.raises(ValueError, match=f"cyclic-cover:{degree} needs a cover degree M >= 1"):
+        cyclic_cover_problem(2, degree, QQ)
+    argv = ["lift-section", "--problem", f"cyclic-cover:{degree}", "--preset", "group:C2"]
+    assert cli.main(argv) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == f"cyclic-cover:{degree} needs a cover degree M >= 1"
+    # --colinear is rejected before the problem is built
+    assert cli.main(argv + ["--colinear"]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == "cyclic-cover ships without comodule data; drop --colinear"
+
+
+def test_cyclic_cover_of_degree_one_still_lifts(capsys):
+    argv = ["lift-section", "--problem", "cyclic-cover:1", "--preset", "group:C2"]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["lifted"] is True

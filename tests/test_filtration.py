@@ -201,6 +201,7 @@ from hopfsmith.hopf import _unitvec, dual_algebra
 from hopfsmith.linalg import Mat, nullspace
 
 from conftest import GRID
+from test_loop_oracles import _mul
 
 
 def _dense_fr_radical_mod_p(a):
@@ -209,7 +210,8 @@ def _dense_fr_radical_mod_p(a):
     f = a.field
     p = f.characteristic
     n = a.dim
-    lmats = [a.left_mult_matrix(_unitvec(f, n, i)) for i in range(n)]
+    lmats = [Mat(f, n, n, [[a.mult[i][c][r] for c in range(n)] for r in range(n)])
+             for i in range(n)]
 
     def lift_matrix(v):
         m = [[0] * n for _ in range(n)]
@@ -248,7 +250,7 @@ def _dense_fr_radical_mod_p(a):
         for w in current:
             row = []
             for y in range(n):
-                wy = a.mul(w, _unitvec(f, n, y))
+                wy = _mul(f, a.mult, w, _unitvec(f, n, y))
                 tr = int_trace_power(lift_matrix(wy), pi)
                 assert tr % pi == 0
                 row.append((tr // pi) % p)

@@ -1,4 +1,5 @@
 import copy
+import functools
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from hopfsmith.presets import (NotAGroupError, cyclic_table, preset_function_alg
                                s3_table, q8_table)
 
 from conftest import GRID, F
+from test_loop_oracles import _delta
 
 
 def test_every_preset_passes_axioms(preset_cache):
@@ -132,9 +134,9 @@ def test_unit_and_counit_laws(preset_cache):
     for spec, char in GRID:
         h = preset_cache(spec, char)
         f = h.field
-        assert f.eq(h.eps(h.unit_vec), f.one)
+        assert f.eq(functools.reduce(f.add, map(f.mul, h.unit_vec, h.coa.counit)), f.one)
         n = h.dim
-        d1 = h.delta(h.unit_vec)
+        d1 = _delta(f, h.coa.comult, h.unit_vec)
         expect = [f.zero] * (n * n)
         for i, x in enumerate(h.unit_vec):
             for j, y in enumerate(h.unit_vec):

@@ -348,6 +348,9 @@ def test_kernel_edge_cases(f):
     assert (sol.particular, sol.nullspace.columns()) == _oracle_solve(dense, [one, f.zero])
 
 
+from test_loop_oracles import _mul
+
+
 def _dense_relations(ext):
     """The relation rows of R (x)_S R, assembled densely as the seed did."""
     r = ext.big
@@ -356,8 +359,10 @@ def _dense_relations(ext):
     amb = nr * nr
     relations = []
     for s in ext.embedding.columns():
-        left = [r.mul([f.one if t == i else f.zero for t in range(nr)], s) for i in range(nr)]
-        right = [r.mul(s, [f.one if t == j else f.zero for t in range(nr)]) for j in range(nr)]
+        left = [_mul(f, r.mult, [f.one if t == i else f.zero for t in range(nr)], s)
+                for i in range(nr)]
+        right = [_mul(f, r.mult, s, [f.one if t == j else f.zero for t in range(nr)])
+                 for j in range(nr)]
         for i in range(nr):
             for j in range(nr):
                 vec = [f.zero] * amb

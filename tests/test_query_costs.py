@@ -13,6 +13,8 @@ from hopfsmith.hopf import SubspaceBasis
 from hopfsmith.linalg import Mat
 from hopfsmith.lifting import SurjectionProblem, square_zero_extension
 
+from test_loop_oracles import _mul
+
 
 def _quiet(argv):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -77,7 +79,7 @@ def test_ideal_powers_end_at_zero_exactly_at_the_nilpotency_index():
     powers = ideal_powers(h.alg, ideal.vectors)
     assert powers is not None and powers[-1] == [] and len(powers) == 2
     assert is_nilpotent_ideal(ideal, h.alg) == 2
-    assert h.mul(x, x) == [h.field.zero] * 4
+    assert _mul(h.field, h.alg.mult, x, x) == [h.field.zero] * 4
     whole = SubspaceBasis(4, [h.basis_vec(i) for i in range(4)])
     assert ideal_powers(h.alg, whole.vectors) is None
     assert is_nilpotent_ideal(whole, h.alg) is None
