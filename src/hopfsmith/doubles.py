@@ -36,6 +36,11 @@ class ExtensionData:
     small: AlgebraData
     embedding: Mat  # dim(R) x dim(S)
 
+    @cached_property
+    def _mult(self) -> dict:
+        """R's multiplication as a sparse tensor, built once for every solve on R."""
+        return sparse(self.big.mult)
+
     def validate(self):
         r, s = self.big, self.small
         f = r.field
@@ -46,7 +51,7 @@ class ExtensionData:
         emb = sparse(self.embedding)
         if contract(f, "xj,j->x", emb, sparse(s.unit)) != sparse(r.unit):
             raise ValueError("embedding does not preserve the unit")
-        bad = curvature(f, sparse(s.mult), sparse(r.mult), emb)
+        bad = curvature(f, sparse(s.mult), self._mult, emb)
         if bad:
             raise ValueError("embedding is not multiplicative at ({},{})".format(*min(bad)[:2]))
         return self
@@ -85,11 +90,7 @@ class RelTensor:
 
     def lift(self, q: list) -> list:
         """The canonical representative in R (x) R of a quotient vector."""
-        f = self.field
-        v = [f.zero] * self.ambient
-        for x, j in zip(q, self.free_cols):
-            v[j] = x
-        return v
+        return dense(self.field, {(j,): x for x, j in zip(q, self.free_cols) if x}, (self.ambient,))
 
 
 @dataclass
@@ -110,22 +111,22 @@ def drinfeld_double(h: HopfData):
     t = tensors(h)
     d, m = t["D"], t["m"]
 
-    def flat(tensor: dict, shape: tuple) -> list:
-        """Dense tensor of D(H) from one whose indices come in (H*, H) pairs."""
-        return dense(f, {tuple(k[r] * n + k[r + 1] for r in range(0, len(k), 2)): v
-                         for k, v in tensor.items()}, shape)
+    def flat(tensor: dict) -> dict:
+        """The sparse tensor of D(H) from one whose indices come in (H*, H) pairs."""
+        return {tuple(a * n + i for a, i in zip(k[::2], k[1::2])): v for k, v in tensor.items()}
 
     # (f_a |><| e_i)(f_b |><| e_j): Delta^2(e_i) = e_p (x) e_q (x) e_r, the arrows
     # (e_p -> f_b <- S^{-1}(e_r)) = sum m[s][c][y] m[y][p][b] Sinv[s][r] f_c, then
     # f_a f_c = sum Delta[k][a][c] f_k and e_q e_j = sum m[q][j][l] e_l
-    mult = flat(contract(f, "ipx,xqr,sr,scy,ypb,kac,qjl->aibjkl",
-                         d, d, t["Si"], m, m, d, m), (N, N, N))
-    alg = AlgebraData(f, N, mult, flat(contract(f, "a,i->ai", t["e"], t["u"]), (N,)))
+    mult = flat(contract(f, "ipx,xqr,sr,scy,ypb,kac,qjl->aibjkl", d, d, t["Si"], m, m, d, m))
+    alg = AlgebraData(f, N, dense(f, mult, (N, N, N)),
+                      dense(f, flat(contract(f, "a,i->ai", t["e"], t["u"])), (N,)))
     # Delta(f_a |><| e_i) = sum m[b][c][a] Delta[i][p][q] (f_c |><| e_p) (x) (f_b |><| e_q)
-    comult = flat(contract(f, "bca,ipq->aicpbq", m, d), (N, N, N))
-    coa = CoalgebraData(f, N, comult, flat(contract(f, "a,i->ai", t["u"], t["e"]), (N,)))
+    comult = flat(contract(f, "bca,ipq->aicpbq", m, d))
+    coa = CoalgebraData(f, N, dense(f, comult, (N, N, N)),
+                        dense(f, flat(contract(f, "a,i->ai", t["u"], t["e"])), (N,)))
 
-    s_mat = _solve_antipode(alg, coa)
+    s_mat = _solve_antipode(alg, coa, mult, comult)
     if s_mat is None:
         raise ValueError("double has no antipode: straightening convention broken")
     double = validated(HopfData(alg, coa, s_mat, None,
@@ -137,11 +138,11 @@ def drinfeld_double(h: HopfData):
     return double, ext
 
 
-def _solve_antipode(alg: AlgebraData, coa: CoalgebraData) -> Optional[Mat]:
-    """The two-sided convolution inverse of the identity, as a matrix."""
+def _solve_antipode(alg: AlgebraData, coa: CoalgebraData, m: dict, d: dict) -> Optional[Mat]:
+    """The two-sided convolution inverse of the identity, as a matrix; ``m`` and
+    ``d`` are the multiplication and comultiplication as sparse tensors."""
     f = alg.field
     N = alg.dim
-    d, m = sparse(coa.comult), sparse(alg.mult)
     x = unknowns(f, N, N)  # S[T][I]: the e_T coefficient of S(e_I)
     unit = contract(f, "K,t->Kt", sparse(coa.counit), sparse(alg.unit))
     sys = AffineSystem.conditions(
@@ -161,7 +162,7 @@ def relative_tensor(ext: ExtensionData) -> RelTensor:
     f = r.field
     nr = r.dim
     amb = nr * nr
-    m, emb, x = sparse(r.mult), sparse(ext.embedding), unknowns(f, nr, nr)
+    m, emb, x = ext._mult, sparse(ext.embedding), unknowns(f, nr, nr)
     # row (c, i, j): (e_i·s_c) (x) e_j - e_i (x) (s_c·e_j), with e_a (x) e_b in column a*nr + b
     rel = difference(f, contract(f, "yc,iya,aju->ciju", emb, m, x),
                      contract(f, "yc,yjb,ibu->ciju", emb, m, x))
@@ -177,7 +178,7 @@ def _extension_idempotent_system(ext: ExtensionData, rel: RelTensor) -> AffineSy
     r = ext.big
     f = r.field
     nr = r.dim
-    m = sparse(r.mult)
+    m = ext._mult
     # quotient basis vector u is the class of e_a (x) e_b for the free column a*nr + b
     x = {(*divmod(c, nr), u): f.one for u, c in enumerate(rel.free_cols)}
     # quotient coordinates k of the ambient basis vector e_a (x) e_b

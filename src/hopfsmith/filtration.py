@@ -190,7 +190,7 @@ def radical(a: AlgebraData) -> SubspaceBasis:
     basis = SubspaceBasis(a.dim, vectors)
     if not _is_two_sided_ideal(a, vectors):
         raise AssertionError("computed radical is not a two-sided ideal")
-    if vectors and is_nilpotent_ideal(basis, a) is None:
+    if vectors and ideal_powers(a, vectors) is None:
         raise AssertionError("computed radical is not nilpotent")
     quotient, _, _ = _quotient_algebra(a, vectors)
     if f.characteristic == 0:
@@ -234,13 +234,18 @@ def is_subcoalgebra(x: SubspaceBasis, c: CoalgebraData) -> bool:
 
 
 def wedge(x: SubspaceBasis, y: SubspaceBasis, e: CoalgebraData) -> SubspaceBasis:
-    """X wedge Y = ker[(pi_X (x) pi_Y) Delta]: rows (p, q), one column per basis vector."""
+    """X wedge Y = ker[(pi_X (x) pi_Y) Delta]."""
+    return _wedge(x, quotient_maps(e.field, y.ambient_dim, y.vectors)[0], e)
+
+
+def _wedge(x: SubspaceBasis, py: Mat, e: CoalgebraData) -> SubspaceBasis:
+    """X wedge Y for ``py`` = pi_Y, the projection onto the quotient by Y: the
+    kernel of rows (p, q), one column per basis vector."""
     f = e.field
     n = e.dim
-    if x.ambient_dim != n or y.ambient_dim != n:
+    if x.ambient_dim != n or py.cols != n:
         raise ValueError("wedge arguments live in the wrong ambient space")
     px = quotient_maps(f, n, x.vectors)[0]
-    py = quotient_maps(f, n, y.vectors)[0]
     if px.rows == 0 or py.rows == 0:
         return SubspaceBasis(n, [_unitvec(f, n, i) for i in range(n)])
     rows = contract(f, "pi,kij,qj->pqk", sparse(px), sparse(e.comult), sparse(py))
@@ -260,8 +265,9 @@ def wedge_filtration(c: SubspaceBasis, e: CoalgebraData,
     if not is_subcoalgebra(c, e):
         raise ValueError("filtration needs a subcoalgebra to start from")
     stages = [SubspaceBasis(e.dim, [v[:] for v in c.vectors])]
+    pc = quotient_maps(f, c.ambient_dim, c.vectors)[0]  # C's projection, for every step
     while True:
-        nxt = wedge(stages[-1], c, e)
+        nxt = _wedge(stages[-1], pc, e)
         if nxt.dim == stages[-1].dim:
             break
         if not span_contains_span(f, nxt.vectors, stages[-1].vectors):

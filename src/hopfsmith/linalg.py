@@ -7,14 +7,15 @@ identities are overwhelmingly zero, so rows never carry their zeros.
 
 Every elimination goes through one sparse Gauss-Jordan kernel, :func:`_rref`.
 It keeps the pivot rows fully reduced as the rows arrive, so each incoming
-row is reduced in a single pass.  The result is the reduced row echelon form,
-which depends only on the row space and not on the row order or on how the
-rows were assembled.  The particular solution (free variables set to 0) and
-the nullspace basis read off it are therefore canonical, and so is every
-certificate built from them.  Over F_p the kernel works on raw ints and
-reduces mod p once per entry per pass; over Q it uses ``Fraction``.  A greedy
-basis, the vectors of a list that lie outside the span of the ones before
-them, is the pivot columns of one elimination (:func:`pivot_columns`).
+row is reduced in a single pass, and an occurrence index (column -> the pivot
+rows that hold it) sends each new pivot only to the rows it must clear, so the
+work grows with the fill, not with the square of the rank.  The result is the
+reduced row echelon form, which depends only on the row space, so the
+particular solution (free variables 0), the nullspace basis and every
+certificate built from them are canonical.  Over F_p the kernel works on raw
+ints reduced mod p once per entry per pass; over Q on ``Fraction``.  A greedy
+basis, the vectors of a list outside the span of the ones before them, is the
+pivot columns of one elimination (:func:`pivot_columns`).
 
 :class:`Mat` stays dense: it represents linear maps and small matrices, and
 the solvers take either a dense ``Mat`` or a :class:`SparseMat`.
@@ -29,6 +30,7 @@ and :meth:`AffineSystem.conditions` turns such contractions into labelled rows.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field as dc_field
 from itertools import product
 from operator import itemgetter
@@ -246,10 +248,15 @@ def _rref(rows: list, ncols: int, field: FieldSpec) -> list:
     ``rows[k]`` is the reduced row with pivot ``pivots[k]``, as pairs sorted by
     column with the leading coefficient 1, and the remaining rows are empty.
     The row lists passed in are replaced, never modified.
+
+    A new pivot c back-eliminates only the pivot rows in ``occ[c]``, the rows
+    holding column c; each fill-in and each cancellation updates ``occ``.  The
+    cost is the entries touched, not a scan of every pivot row per pivot.
     """
     p = field.characteristic
     one = field.one
     piv = {}  # pivot column -> the rest of its reduced row, {column: coefficient}
+    occ = defaultdict(set)  # column -> the pivot columns whose reduced row holds it
     for row in rows:
         if len(piv) == ncols:
             break
@@ -273,17 +280,20 @@ def _rref(rows: list, ncols: int, field: FieldSpec) -> list:
             inv = pow(lead, p - 2, p) if p else one / lead
             r = {j: v * inv % p for j, v in r.items()} if p else \
                 {j: v * inv for j, v in r.items()}
-        for other in piv.values():
-            a = other.pop(c, 0)
-            if not a:
-                continue
+        for q in occ.pop(c, ()):
+            other = piv[q]
+            a = other.pop(c)
             get = other.get
             for j, v in r.items():
                 w = (get(j, 0) - a * v) % p if p else get(j, 0) - a * v
                 if w:
                     other[j] = w
+                    occ[j].add(q)
                 else:
                     del other[j]
+                    occ[j].remove(q)
+        for j in r:
+            occ[j].add(c)
         piv[c] = r
     pivots = sorted(piv)
     reduced = [[(c, one), *sorted(piv[c].items())] for c in pivots]
@@ -318,12 +328,8 @@ def solve_affine(sys: AffineSystem) -> Optional[AffineSolution]:
     pivots = _rref(rows, n + 1, f)
     if pivots and pivots[-1] == n:  # pivot in the augmented column: 0 = 1
         return None
-    particular = [f.zero] * n
-    for pc, row in zip(pivots, rows):
-        last, b = row[-1]
-        if last == n:
-            particular[pc] = b
-    return AffineSolution(particular, _kernel_basis(rows, pivots, n, f))
+    particular = {(pc,): row[-1][1] for pc, row in zip(pivots, rows) if row[-1][0] == n}
+    return AffineSolution(dense(f, particular, (n,)), _kernel_basis(rows, pivots, n, f))
 
 
 def nullspace(m) -> Mat:
@@ -348,12 +354,8 @@ def invert(m: Mat) -> Optional[Mat]:
     pivots = _rref(rows, 2 * n, f)
     if pivots[:n] != list(range(n)):
         return None
-    data = [[f.zero] * n for _ in range(n)]
-    for i, row in enumerate(rows[:n]):
-        out = data[i]
-        for j, a in row[1:]:
-            out[j - n] = a
-    return Mat(f, n, n, data)
+    inv = {(i, j - n): a for i, row in enumerate(rows[:n]) for j, a in row[1:]}
+    return Mat(f, n, n, dense(f, inv, (n, n)))
 
 
 def pivot_columns(field: FieldSpec, vectors: list) -> tuple:

@@ -76,6 +76,17 @@ def test_wedge_basic_identities():
     assert wedge(full, cor, h4.coa).dim == 4
 
 
+def test_wedge_and_filtration_reject_a_space_of_another_dimension():
+    h4 = preset_sweedler(QQ)
+    cor = coradical(h4.coa)
+    other = SubspaceBasis(2, [[QQ.one, QQ.zero]])
+    for x, y in ((other, cor), (cor, other)):
+        with pytest.raises(ValueError, match="wrong ambient space"):
+            wedge(x, y, h4.coa)
+    with pytest.raises(ValueError, match="wrong ambient space"):
+        wedge_filtration(SubspaceBasis(2, []), h4.coa)
+
+
 def test_wedge_contains_sum():
     h4 = preset_sweedler(QQ)
     one = SubspaceBasis(4, [h4.unit_vec])

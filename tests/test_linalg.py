@@ -272,6 +272,50 @@ def test_sparse_rref_equals_dense_oracle(m):
     assert _sparse(m) == inputs  # the caller's rows are replaced, never modified
 
 
+@st.composite
+def fill_heavy_system(draw):
+    """(field, ncols, sparse rows) up to 40 x 40 over Q or F_p, p in {2, 3, 7}.
+
+    Each row is a few fresh entries right of a leading column plus a
+    combination of up to three earlier rows, so back-elimination both fills
+    pivot rows in and cancels their entries to zero; sorting the rows by
+    descending leading column makes most new pivots land left of the old ones.
+    """
+    f = draw(st.sampled_from(FIELDS))
+    ncols = draw(st.integers(1, 40))
+    if f.characteristic:
+        scalar = st.integers(1, f.characteristic - 1)
+    else:
+        scalar = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2)])
+    rows = []
+    for _ in range(draw(st.integers(1, 40))):
+        lead = draw(st.integers(0, ncols - 1))
+        row = {j: draw(scalar) for j in draw(st.lists(st.integers(lead, ncols - 1), max_size=3))}
+        for src in draw(st.lists(st.integers(0, len(rows) - 1), max_size=3)) if rows else []:
+            c = draw(scalar)
+            for j, x in rows[src].items():
+                row[j] = f.add(row.get(j, f.zero), f.mul(c, x))
+        rows.append({j: x for j, x in row.items() if x})
+    if draw(st.booleans()):
+        rows.sort(key=lambda r: -min(r, default=ncols))
+    return f, ncols, [sorted(r.items()) for r in rows]
+
+
+@settings(max_examples=150, deadline=None)
+@given(fill_heavy_system())
+def test_sparse_rref_equals_dense_oracle_on_fill_heavy_systems(case):
+    f, ncols, rows = case
+    dense = [_densify(r, ncols, f) for r in rows]
+    want = _dense_rref(dense, ncols, f)
+    inputs = [row[:] for row in rows]
+    given_rows = list(rows)
+    got = _rref(rows, ncols, f)
+    assert got == want
+    assert [_densify(r, ncols, f) for r in rows] == dense
+    _assert_reduced_sparse_rows(rows, got, ncols, f)
+    assert given_rows == inputs  # the caller's row lists are replaced, never modified
+
+
 @settings(max_examples=200, deadline=None)
 @given(field_matrix(), st.data())
 def test_solve_affine_equals_dense_oracle(m, data):

@@ -7,7 +7,7 @@ import types
 
 import pytest
 
-from hopfsmith import FieldSpec, cli, hopf, integrals, resolve_preset
+from hopfsmith import FieldSpec, cli, doubles, filtration, hopf, integrals, resolve_preset
 from hopfsmith.filtration import ideal_powers, is_nilpotent_ideal
 from hopfsmith.hopf import SubspaceBasis
 from hopfsmith.linalg import Mat
@@ -38,6 +38,44 @@ def test_integrals_query_builds_each_space_and_the_dual_once(monkeypatch):
     assert _quiet(["integrals", "--preset", "sweedler"]) == 0
     # left and right, in H and in H*; one check for the preset and one for H*
     assert calls == {"integral_space": 4, "check_hopf": 2}
+
+
+def _count_calls(monkeypatch, module, name, calls, keep=lambda *args: True):
+    """Wrap ``module.name`` so that each call whose arguments pass ``keep`` adds
+    one to ``calls[name]``."""
+    inner = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + keep(*args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def test_coradical_query_checks_the_radical_ideal_once(monkeypatch):
+    calls = {}
+    _count_calls(monkeypatch, filtration, "_is_two_sided_ideal", calls)
+    assert _quiet(["coradical", "--preset", "taft:4:2", "--char", "5"]) == 0
+    assert calls == {"_is_two_sided_ideal": 1}
+
+
+def test_wedge_filtration_projects_onto_its_start_once(monkeypatch):
+    calls = {}
+    _count_calls(monkeypatch, filtration, "quotient_maps", calls)
+    assert _quiet(["wedge-filtration", "--preset", "taft:4:2", "--char", "5"]) == 0
+    # one for the radical quotient, one for the start C and one per wedge step (3)
+    assert calls == {"quotient_maps": 5}
+
+
+def test_double_separable_query_views_the_double_sparsely_once(monkeypatch):
+    calls = {}
+    # the sparse views taken in `doubles` of D(S3)'s 36 x 36 x 36 multiplication
+    # or comultiplication; the axiom check of D(H) takes its own in `hopf`
+    _count_calls(monkeypatch, doubles, "sparse", calls,
+                 lambda t: isinstance(t, list) and len(t) == 36 and isinstance(t[0], list)
+                 and isinstance(t[0][0], list))
+    assert _quiet(["double-separable", "--preset", "group:S3", "--char", "3"]) == 0
+    assert calls == {"sparse": 1}
 
 
 def test_parser_is_built_once_and_namespaces_stay_independent(monkeypatch):
