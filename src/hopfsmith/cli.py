@@ -168,7 +168,7 @@ def cmd_wedge_filtration(args) -> int:
     if args.start == "coradical":
         start = corad = coradical(h.coa)
     else:
-        start = SubspaceBasis(h.dim, [list(h.alg.unit)])
+        start = SubspaceBasis(h.dim, [h.unit_vec])
     record = wedge_filtration(start, h.coa, corad)
     _emit({"command": "wedge-filtration", "start": args.start,
            **ser.filtration_to_dict(f, record)}, args)

@@ -23,9 +23,9 @@ from functools import cached_property
 from typing import Optional
 
 from .fields import FieldSpec
-from .hopf import AlgebraData, CoalgebraData, HopfData, curvature, tensors, validated
-from .linalg import (AffineSystem, Mat, contract, dense, difference, rank, require_labels,
-                     solve_affine, sparse, unknowns, _rref)
+from .hopf import AlgebraData, CoalgebraData, HopfData, curvature, validated
+from .linalg import (AffineSystem, Mat, contract, dense, difference, matrix, rank,
+                     require_labels, solve_affine, sparse, unknowns, _rref)
 
 
 @dataclass
@@ -36,11 +36,6 @@ class ExtensionData:
     small: AlgebraData
     embedding: Mat  # dim(R) x dim(S)
 
-    @cached_property
-    def _mult(self) -> dict:
-        """R's multiplication as a sparse tensor, built once for every solve on R."""
-        return sparse(self.big.mult)
-
     def validate(self):
         r, s = self.big, self.small
         f = r.field
@@ -49,9 +44,9 @@ class ExtensionData:
         if rank(self.embedding) != s.dim:
             raise ValueError("embedding is not injective")
         emb = sparse(self.embedding)
-        if contract(f, "xj,j->x", emb, sparse(s.unit)) != sparse(r.unit):
+        if contract(f, "xj,j->x", emb, s.unit) != r.unit:
             raise ValueError("embedding does not preserve the unit")
-        bad = curvature(f, sparse(s.mult), self._mult, emb)
+        bad = curvature(f, s.mult, r.mult, emb)
         if bad:
             raise ValueError("embedding is not multiplicative at ({},{})".format(*min(bad)[:2]))
         return self
@@ -108,8 +103,7 @@ def drinfeld_double(h: HopfData):
     f = h.field
     n = h.dim
     N = n * n
-    t = tensors(h)
-    d, m = t["D"], t["m"]
+    d, m, u, e = h.coa.comult, h.alg.mult, h.alg.unit, h.coa.counit
 
     def flat(tensor: dict) -> dict:
         """The sparse tensor of D(H) from one whose indices come in (H*, H) pairs."""
@@ -118,33 +112,30 @@ def drinfeld_double(h: HopfData):
     # (f_a |><| e_i)(f_b |><| e_j): Delta^2(e_i) = e_p (x) e_q (x) e_r, the arrows
     # (e_p -> f_b <- S^{-1}(e_r)) = sum m[s][c][y] m[y][p][b] Sinv[s][r] f_c, then
     # f_a f_c = sum Delta[k][a][c] f_k and e_q e_j = sum m[q][j][l] e_l
-    mult = flat(contract(f, "ipx,xqr,sr,scy,ypb,kac,qjl->aibjkl", d, d, t["Si"], m, m, d, m))
-    alg = AlgebraData(f, N, dense(f, mult, (N, N, N)),
-                      dense(f, flat(contract(f, "a,i->ai", t["e"], t["u"])), (N,)))
+    mult = contract(f, "ipx,xqr,sr,scy,ypb,kac,qjl->aibjkl", d, d, h.antipode_inverse, m, m, d, m)
+    alg = AlgebraData(f, N, flat(mult), flat(contract(f, "a,i->ai", e, u)))
     # Delta(f_a |><| e_i) = sum m[b][c][a] Delta[i][p][q] (f_c |><| e_p) (x) (f_b |><| e_q)
-    comult = flat(contract(f, "bca,ipq->aicpbq", m, d))
-    coa = CoalgebraData(f, N, dense(f, comult, (N, N, N)),
-                        dense(f, flat(contract(f, "a,i->ai", t["u"], t["e"])), (N,)))
+    coa = CoalgebraData(f, N, flat(contract(f, "bca,ipq->aicpbq", m, d)),
+                        flat(contract(f, "a,i->ai", u, e)))
 
-    s_mat = _solve_antipode(alg, coa, mult, comult)
-    if s_mat is None:
+    s = _solve_antipode(alg, coa)
+    if s is None:
         raise ValueError("double has no antipode: straightening convention broken")
-    double = validated(HopfData(alg, coa, s_mat, None,
+    double = validated(HopfData(alg, coa, s, None,
                                 [f"{h.basis[a]}*><{h.basis[i]}" for a in range(n) for i in range(n)]))
 
-    emb = Mat(f, N, n, dense(f, {(a * n + j, j): c for (a,), c in t["e"].items()
-                                 for j in range(n)}, (N, n)))
+    emb = matrix(f, {(a * n + j, j): c for (a,), c in e.items() for j in range(n)}, N, n)
     ext = ExtensionData(alg, h.alg, emb).validate()
     return double, ext
 
 
-def _solve_antipode(alg: AlgebraData, coa: CoalgebraData, m: dict, d: dict) -> Optional[Mat]:
-    """The two-sided convolution inverse of the identity, as a matrix; ``m`` and
-    ``d`` are the multiplication and comultiplication as sparse tensors."""
+def _solve_antipode(alg: AlgebraData, coa: CoalgebraData) -> Optional[dict]:
+    """The two-sided convolution inverse of the identity, as the antipode tensor."""
     f = alg.field
     N = alg.dim
     x = unknowns(f, N, N)  # S[T][I]: the e_T coefficient of S(e_I)
-    unit = contract(f, "K,t->Kt", sparse(coa.counit), sparse(alg.unit))
+    unit = contract(f, "K,t->Kt", coa.counit, alg.unit)
+    d, m = coa.comult, alg.mult
     sys = AffineSystem.conditions(
         f, N * N, (contract(f, "KIJ,TJt,TIu->Ktu", d, m, x), 2, unit, "S(x1) x2"),
         (contract(f, "KIJ,ITt,TJu->Ktu", d, m, x), 2, unit, "x1 S(x2)"))
@@ -153,7 +144,7 @@ def _solve_antipode(alg: AlgebraData, coa: CoalgebraData, m: dict, d: dict) -> O
         return None
     if sol.nullspace.cols != 0:
         raise ValueError("antipode solution is not unique; bialgebra structure broken")
-    return Mat(f, N, N, [[sol.particular[T * N + I] for I in range(N)] for T in range(N)])
+    return {divmod(c, N): v for c, v in enumerate(sol.particular) if v}
 
 
 def relative_tensor(ext: ExtensionData) -> RelTensor:
@@ -162,7 +153,7 @@ def relative_tensor(ext: ExtensionData) -> RelTensor:
     f = r.field
     nr = r.dim
     amb = nr * nr
-    m, emb, x = ext._mult, sparse(ext.embedding), unknowns(f, nr, nr)
+    m, emb, x = r.mult, sparse(ext.embedding), unknowns(f, nr, nr)
     # row (c, i, j): (e_i·s_c) (x) e_j - e_i (x) (s_c·e_j), with e_a (x) e_b in column a*nr + b
     rel = difference(f, contract(f, "yc,iya,aju->ciju", emb, m, x),
                      contract(f, "yc,yjb,ibu->ciju", emb, m, x))
@@ -178,7 +169,7 @@ def _extension_idempotent_system(ext: ExtensionData, rel: RelTensor) -> AffineSy
     r = ext.big
     f = r.field
     nr = r.dim
-    m = ext._mult
+    m = r.mult
     # quotient basis vector u is the class of e_a (x) e_b for the free column a*nr + b
     x = {(*divmod(c, nr), u): f.one for u, c in enumerate(rel.free_cols)}
     # quotient coordinates k of the ambient basis vector e_a (x) e_b
@@ -186,7 +177,7 @@ def _extension_idempotent_system(ext: ExtensionData, rel: RelTensor) -> AffineSy
     # e_i·(e_a (x) e_b) - (e_a (x) e_b)·e_i, in R (x) R and then in the quotient
     diff = difference(f, contract(f, "iak,abu->ikbu", m, x), contract(f, "bik,abu->iaku", m, x))
     return AffineSystem.conditions(
-        f, rel.dim, (contract(f, "abk,abu->ku", m, x), 1, sparse(r.unit), "m(e)=1"),
+        f, rel.dim, (contract(f, "abk,abu->ku", m, x), 1, r.unit, "m(e)=1"),
         (contract(f, "ixyu,xyk->iku", diff, proj), 2, None, "bilinear"))
 
 
@@ -211,8 +202,8 @@ def _verify_extension_idempotent(ext: ExtensionData, rel: RelTensor, cert: Exten
 def trivial_extension_over_base(alg: AlgebraData) -> ExtensionData:
     """R/K with S = K embedded on the unit."""
     f = alg.field
-    small = AlgebraData(f, 1, [[[f.one]]], [f.one])
-    emb = Mat.from_columns(f, [list(alg.unit)])
+    small = AlgebraData(f, 1, {(0, 0, 0): f.one}, {(0,): f.one})
+    emb = matrix(f, {(k, 0): x for (k,), x in alg.unit.items()}, alg.dim, 1)
     return ExtensionData(alg, small, emb).validate()
 
 

@@ -47,7 +47,7 @@ class FiltrationRecord:
 def _trace_form_kernel(a: AlgebraData) -> list:
     """Kernel of (x,y) -> trace(L_{xy}); contains the radical in any characteristic."""
     f = a.field
-    m = sparse(a.mult)
+    m = a.mult
     # trace(L_{e_i e_j}) = sum_k m_ijk trace(L_{e_k}), and trace(L_{e_k}) = sum_d m_kdd
     traces = contract(f, "kdx,xd->k", m, identity(f, a.dim))
     form = contract(f, "ijk,k->ij", m, traces)
@@ -92,7 +92,7 @@ def _fr_radical_mod_p(a: AlgebraData) -> list:
     f = a.field
     p = f.characteristic
     n = a.dim
-    m = sparse(a.mult)
+    m = a.mult
     current = _trace_form_kernel(a)
     pi = p
     while current and pi <= n:
@@ -121,7 +121,7 @@ def _fr_radical_mod_p(a: AlgebraData) -> list:
 def _is_two_sided_ideal(a: AlgebraData, vectors: list) -> bool:
     f = a.field
     n = a.dim
-    v, m = sparse(vectors), sparse(a.mult)
+    v, m = sparse(vectors), a.mult
     # e_i·v_a and v_a·e_i, keyed (a, i, k)
     products = [x for spec in ("ax,ixk->aik", "ax,xik->aik")
                 for block in dense(f, contract(f, spec, v, m), (len(vectors), n, n)) for x in block]
@@ -132,7 +132,7 @@ def _ideal_product(a: AlgebraData, xs: list, ys: list) -> list:
     """Independent spanning set of span{x·y}: the products in ``for x in xs for y in
     ys`` order that lie outside the span of the ones before them."""
     f = a.field
-    prods = contract(f, "ax,by,xyk->abk", sparse(xs), sparse(ys), sparse(a.mult))
+    prods = contract(f, "ax,by,xyk->abk", sparse(xs), sparse(ys), a.mult)
     cands = [v for block in dense(f, prods, (len(xs), len(ys), a.dim)) for v in block]
     return [cands[j] for j in pivot_columns(f, cands)[0]]
 
@@ -166,9 +166,8 @@ def _quotient_algebra(a: AlgebraData, ideal_vectors: list):
     projection, section = quotient_maps(f, a.dim, ideal_vectors)
     q = section.cols
     proj, sect = sparse(projection), sparse(section)
-    mult = contract(f, "xa,yb,xyk,ck->abc", sect, sect, sparse(a.mult), proj)
-    unit = contract(f, "ck,k->c", proj, sparse(a.unit))
-    quotient = AlgebraData(f, q, dense(f, mult, (q, q, q)), dense(f, unit, (q,)))
+    mult = contract(f, "xa,yb,xyk,ck->abc", sect, sect, a.mult, proj)
+    quotient = AlgebraData(f, q, mult, contract(f, "ck,k->c", proj, a.unit))
     return quotient, projection, section
 
 
@@ -228,7 +227,7 @@ def is_subcoalgebra(x: SubspaceBasis, c: CoalgebraData) -> bool:
     if not x.vectors:
         return True
     basis, coords = x.tensors(f)
-    delta = contract(f, "xj,xab->jab", basis, sparse(c.comult))
+    delta = contract(f, "xj,xab->jab", basis, c.comult)
     legs = contract(f, "jab,ca,db->jcd", delta, coords, coords)
     return contract(f, "jcd,ac,bd->jab", legs, basis, basis) == delta
 
@@ -248,7 +247,7 @@ def _wedge(x: SubspaceBasis, py: Mat, e: CoalgebraData) -> SubspaceBasis:
     px = quotient_maps(f, n, x.vectors)[0]
     if px.rows == 0 or py.rows == 0:
         return SubspaceBasis(n, [_unitvec(f, n, i) for i in range(n)])
-    rows = contract(f, "pi,kij,qj->pqk", sparse(px), sparse(e.comult), sparse(py))
+    rows = contract(f, "pi,kij,qj->pqk", sparse(px), e.comult, sparse(py))
     ker = nullspace(AffineSystem.conditions(f, n, (rows, 2, None, "wedge")).matrix)
     return SubspaceBasis(n, ker.columns())
 

@@ -2,16 +2,26 @@
 
 Conventions, fixed once for the whole package:
 
-* multiplication tensor ``mult[i][j][k]``:  e_i · e_j = sum_k mult[i][j][k] e_k
-* comultiplication tensor ``comult[k][i][j]``:  Delta(e_k) = sum comult[k][i][j] e_i (x) e_j
-* a linear map is a :class:`Mat` acting on coordinate columns, so the image of
-  e_j is column j
+* every structure map is stored once, as a sparse tensor ``{index tuple:
+  nonzero scalar}`` (:mod:`linalg`), the form its identities contract:
+  ``mult[(i, j, k)]`` with e_i · e_j = sum_k mult[(i, j, k)] e_k, ``unit[(k,)]``,
+  ``comult[(k, i, j)]`` with Delta(e_k) = sum comult[(k, i, j)] e_i (x) e_j,
+  ``counit[(k,)]``, and ``antipode[(i, j)]`` (likewise ``antipode_inverse``),
+  entry i of the image of e_j.  A stored tensor holds no zero scalar and no key
+  outside its shape, so two maps are equal exactly when their dicts are, and
+  ``contract(...) != e.unit`` compares values, not representations.  The data
+  classes keep each tensor in key order, so every contraction of them, and
+  every system row assembled from one, comes out in one order whichever
+  construction built the map.  Nested
+  lists appear only at the JSON edge (:mod:`serialize`) and in the coordinate
+  lists :attr:`HopfData.unit_vec` and :meth:`HopfData.basis_vec`.
+* a linear map that is not a structure map is a :class:`Mat` acting on
+  coordinate columns, so the image of e_j is column j
 * H (x) H coordinates are flattened as ``i * dim + j``.
-* the identities between these maps are contractions of sparse tensors
-  (:func:`linalg.contract`): :func:`tensors` gives the views ``m`` (ijk as
-  above), ``D`` (kij), ``u`` (k), ``e`` (counit, k), ``S`` and ``Si`` (ij,
-  matrix entries), so the antipode axiom reads ``"kij,ai,ajt->kt"`` against
-  ``"k,t->kt"``.  Axiom witnesses are the least failing index prefixes.
+* the identities between these maps are contractions (:func:`linalg.contract`),
+  so the antipode axiom reads ``"kij,ai,ajt->kt"`` over (comult, antipode, mult)
+  against ``"k,t->kt"`` over (counit, unit).  Axiom witnesses are the least
+  failing index prefixes.
 * the data classes carry no vector arithmetic: products, coproducts and
   counit values are such contractions, and :func:`curvature` is the
   multiplicativity defect of a linear map between algebras.  A greedy
@@ -27,24 +37,37 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .fields import FieldSpec
-from .linalg import (Mat, contract, dense, difference, differing, identity, in_coordinates,
-                     in_span, invert, nullspace, pivot_columns, sparse)
+from .linalg import (AffineSystem, Mat, contract, dense, difference, differing, identity,
+                     in_coordinates, in_span, inverse, matrix, nullspace, ordered, pivot_columns,
+                     sparse)
 
 
 @dataclass
 class AlgebraData:
+    """An algebra by its structure tensors, which hold only nonzero scalars
+    and keys in range(dim), stored in key order."""
+
     field: FieldSpec
     dim: int
-    mult: list  # mult[i][j][k]
-    unit: list  # coordinates of 1
+    mult: dict  # (i, j, k): e_i e_j = sum_k mult[(i, j, k)] e_k
+    unit: dict  # (k,): coordinate k of 1
+
+    def __post_init__(self):
+        self.mult, self.unit = ordered(self.mult), ordered(self.unit)
 
 
 @dataclass
 class CoalgebraData:
+    """A coalgebra by its structure tensors, which hold only nonzero scalars
+    and keys in range(dim), stored in key order."""
+
     field: FieldSpec
     dim: int
-    comult: list  # comult[k][i][j]
-    counit: list
+    comult: dict  # (k, i, j): Delta(e_k) = sum comult[(k, i, j)] e_i (x) e_j
+    counit: dict  # (k,): eps(e_k)
+
+    def __post_init__(self):
+        self.comult, self.counit = ordered(self.comult), ordered(self.counit)
 
 
 @dataclass
@@ -74,10 +97,15 @@ class AxiomReport:
 
 @dataclass
 class HopfData:
+    """A Hopf algebra by the structure tensors of its parts and its antipode
+    ``(i, j)``, entry i of S(e_j); every tensor holds only nonzero scalars and
+    keys in range(dim), stored in key order.  The antipode inverse is computed
+    when not given, and stays None when S is singular."""
+
     alg: AlgebraData
     coa: CoalgebraData
-    antipode: Mat
-    antipode_inverse: Optional[Mat] = None
+    antipode: dict
+    antipode_inverse: Optional[dict] = None
     basis: Optional[list] = None
 
     def __post_init__(self):
@@ -85,8 +113,11 @@ class HopfData:
             raise ValueError("algebra and coalgebra parts must share field and dimension")
         if self.basis is None:
             self.basis = [f"e{i}" for i in range(self.alg.dim)]
+        self.antipode = ordered(self.antipode)
         if self.antipode_inverse is None:
-            self.antipode_inverse = invert(self.antipode)
+            self.antipode_inverse = inverse(self.field, self.antipode, self.dim)
+        else:
+            self.antipode_inverse = ordered(self.antipode_inverse)
 
     # -- delegation ----------------------------------------------------------
     @property
@@ -99,7 +130,8 @@ class HopfData:
 
     @property
     def unit_vec(self) -> list:
-        return self.alg.unit
+        """The coordinates of 1, as a list."""
+        return dense(self.field, self.alg.unit, (self.dim,))
 
     def basis_vec(self, i: int) -> list:
         return _unitvec(self.field, self.dim, i)
@@ -109,17 +141,6 @@ def _unitvec(field: FieldSpec, n: int, i: int) -> list:
     v = [field.zero] * n
     v[i] = field.one
     return v
-
-
-def tensors(h: HopfData) -> dict:
-    """Sparse views of the structure maps, built afresh on each call: ``m``
-    (ijk), ``D`` (kij), ``u``, ``e`` (counit), ``S`` and, when it exists, ``Si``
-    (ij: entry i of the image of e_j)."""
-    out = {"m": sparse(h.alg.mult), "D": sparse(h.coa.comult), "u": sparse(h.alg.unit),
-           "e": sparse(h.coa.counit), "S": sparse(h.antipode)}
-    if h.antipode_inverse is not None:
-        out["Si"] = sparse(h.antipode_inverse)
-    return out
 
 
 def curvature(f: FieldSpec, m_src: dict, m_tgt: dict, g: dict) -> dict:
@@ -137,12 +158,9 @@ def _check(width: int, *pairs) -> AxiomCheck:
     return AxiomCheck(not bad, min(bad) if bad else None)
 
 
-def check_algebra(a: AlgebraData, m: Optional[dict] = None,
-                  u: Optional[dict] = None) -> AxiomReport:
-    """The algebra axioms; ``m`` and ``u`` are the sparse views of the
-    multiplication and the unit, when the caller already has them."""
+def check_algebra(a: AlgebraData) -> AxiomReport:
     f = a.field
-    m, u, one = m or sparse(a.mult), u or sparse(a.unit), identity(f, a.dim)
+    m, u, one = a.mult, a.unit, identity(f, a.dim)
     return AxiomReport({
         "associativity": _check(3, (contract(f, "ijp,pkq->ijkq", m, m),
                                     contract(f, "jkp,ipq->ijkq", m, m))),
@@ -150,12 +168,9 @@ def check_algebra(a: AlgebraData, m: Optional[dict] = None,
                        (contract(f, "a,iaq->iq", u, m), one))})
 
 
-def check_coalgebra(c: CoalgebraData, d: Optional[dict] = None,
-                    e: Optional[dict] = None) -> AxiomReport:
-    """The coalgebra axioms; ``d`` and ``e`` are the sparse views of the
-    comultiplication and the counit, when the caller already has them."""
+def check_coalgebra(c: CoalgebraData) -> AxiomReport:
     f = c.field
-    d, e, one = d or sparse(c.comult), e or sparse(c.counit), identity(f, c.dim)
+    d, e, one = c.comult, c.counit, identity(f, c.dim)
     return AxiomReport({
         "coassociativity": _check(1, (contract(f, "kim,mqr->kiqr", d, d),
                                       contract(f, "kmr,mpq->kpqr", d, d))),
@@ -165,10 +180,8 @@ def check_coalgebra(c: CoalgebraData, d: Optional[dict] = None,
 
 def check_hopf(h: HopfData) -> AxiomReport:
     f = h.field
-    n = h.dim
-    t = tensors(h)
-    m, d, u, e, s = t["m"], t["D"], t["u"], t["e"], t["S"]
-    checks = {**check_algebra(h.alg, m, u).checks, **check_coalgebra(h.coa, d, e).checks}
+    m, d, u, e, s = h.alg.mult, h.coa.comult, h.alg.unit, h.coa.counit, h.antipode
+    checks = {**check_algebra(h.alg).checks, **check_coalgebra(h.coa).checks}
 
     # bialgebra compatibility: Delta and eps are algebra maps
     bad_delta = differing(contract(f, "ijk,kpq->ijpq", m, d),
@@ -189,9 +202,10 @@ def check_hopf(h: HopfData) -> AxiomReport:
     checks["antipode"] = _check(1, (contract(f, "kij,ai,ajt->kt", d, s, m), target),
                                 (contract(f, "kij,bj,ibt->kt", d, s, m), target))
 
-    if h.antipode_inverse is not None:
-        good = (h.antipode.mul(h.antipode_inverse) == Mat.identity(f, n)
-                and h.antipode_inverse.mul(h.antipode) == Mat.identity(f, n))
+    si = h.antipode_inverse
+    if si is not None:
+        one = identity(f, h.dim)
+        good = contract(f, "ij,jk->ik", s, si) == one == contract(f, "ij,jk->ik", si, s)
         checks["antipode_inverse"] = AxiomCheck(good, None if good else ("S*Sbar != id",))
     return AxiomReport(checks)
 
@@ -238,10 +252,8 @@ class QuotientSplitting:
 
 def augmentation_ideal(h: HopfData) -> SubspaceBasis:
     """H^+ = ker(eps), dimension dim-1."""
-    f = h.field
-    eps_mat = Mat(f, 1, h.dim, [list(h.coa.counit)])
-    ns = nullspace(eps_mat)
-    return SubspaceBasis(h.dim, ns.columns())
+    eps = AffineSystem.conditions(h.field, h.dim, (h.coa.counit, 0, None, "counit")).matrix
+    return SubspaceBasis(h.dim, nullspace(eps).columns())
 
 
 def _completion(field: FieldSpec, n: int, vectors: list) -> tuple:
@@ -260,7 +272,7 @@ def _completion(field: FieldSpec, n: int, vectors: list) -> tuple:
         raise ValueError("subspace vectors are not linearly independent" if k == n
                          else "only square matrices can be inverted")
     inv = {(t, j - k): x for t, row in enumerate(rows[:n]) for j, x in row if j >= k}
-    return [cands[j] for j in pivots], Mat(field, n, n, dense(field, inv, (n, n)))
+    return [cands[j] for j in pivots], matrix(field, inv, n, n)
 
 
 def quotient_maps(field: FieldSpec, n: int, vectors: list) -> tuple:
@@ -278,7 +290,7 @@ def quotient_maps(field: FieldSpec, n: int, vectors: list) -> tuple:
 
 def unit_cokernel(h: HopfData) -> QuotientSplitting:
     """Hbar = coker(u) with a fixed splitting H = K·1 (+) Hbar."""
-    unit = [list(h.alg.unit)]
+    unit = [h.unit_vec]
     return QuotientSplitting(*quotient_maps(h.field, h.dim, unit), SubspaceBasis(h.dim, unit))
 
 
@@ -288,25 +300,23 @@ def sub_hopf_on_subspace(h: HopfData, sub: SubspaceBasis) -> tuple:
     map is restricted by the left inverse of the basis and must rebuild."""
     f = h.field
     m = sub.dim
-    t = tensors(h)
     basis, coords = sub.tensors(f)
 
     def restrict(images: dict, what: str) -> dict:
         return in_coordinates(f, images, basis, coords, what, ValueError)
 
-    mult = restrict(contract(f, "ai,bj,abk->ijk", basis, basis, t["m"]),
+    mult = restrict(contract(f, "ai,bj,abk->ijk", basis, basis, h.alg.mult),
                     "subspace is not closed under multiplication")
-    unit = restrict(t["u"], "subspace does not contain the unit")
-    delta = contract(f, "xk,xab->kab", basis, t["D"])
+    unit = restrict(h.alg.unit, "subspace does not contain the unit")
+    delta = contract(f, "xk,xab->kab", basis, h.coa.comult)
     comult = contract(f, "kab,ia,jb->kij", delta, coords, coords)
     if contract(f, "kij,ai,bj->kab", comult, basis, basis) != delta:
         raise ValueError("subspace is not a subcoalgebra")
-    counit = contract(f, "xk,x->k", basis, t["e"])
-    antipode = restrict(contract(f, "ax,xk->ka", t["S"], basis), "subspace is not antipode-stable")
-    sub_h = validated(HopfData(
-        AlgebraData(f, m, dense(f, mult, (m, m, m)), dense(f, unit, (m,))),
-        CoalgebraData(f, m, dense(f, comult, (m, m, m)), dense(f, counit, (m,))),
-        Mat(f, m, m, dense(f, antipode, (m, m))).transpose()))
+    counit = contract(f, "xk,x->k", basis, h.coa.counit)
+    antipode = restrict(contract(f, "ax,xk->ka", h.antipode, basis),
+                        "subspace is not antipode-stable")
+    sub_h = validated(HopfData(AlgebraData(f, m, mult, unit), CoalgebraData(f, m, comult, counit),
+                               contract(f, "kc->ck", antipode)))
     return sub_h, Mat.from_columns(f, sub.vectors)
 
 
@@ -314,24 +324,22 @@ def sub_hopf_on_subspace(h: HopfData, sub: SubspaceBasis) -> tuple:
 # Duals and op/cop twists
 # ---------------------------------------------------------------------------
 
+def _transposed(t: Optional[dict]) -> Optional[dict]:
+    return None if t is None else {(j, i): x for (i, j), x in t.items()}
+
+
 def dual_algebra(c: CoalgebraData) -> AlgebraData:
-    """The algebra C* on the dual basis: f_a f_b = sum_k comult[k][a][b] f_k."""
-    n = c.dim
-    mult = [[[c.comult[k][a][b] for k in range(n)] for b in range(n)] for a in range(n)]
-    return AlgebraData(c.field, n, mult, list(c.counit))
+    """The algebra C* on the dual basis: f_a f_b = sum_k comult[(k, a, b)] f_k."""
+    mult = {(a, b, k): x for (k, a, b), x in c.comult.items()}
+    return AlgebraData(c.field, c.dim, mult, c.counit)
 
 
 def dual_hopf(h: HopfData, validate: bool = True) -> HopfData:
     """The dual Hopf algebra on the dual basis (finite dimension)."""
-    f = h.field
-    n = h.dim
-    comult = [[[h.alg.mult[a][b][k] for b in range(n)] for a in range(n)] for k in range(n)]
-    counit = list(h.alg.unit)
-    antipode = h.antipode.transpose()
-    sbar = h.antipode_inverse.transpose() if h.antipode_inverse is not None else None
+    comult = {(k, a, b): x for (a, b, k), x in h.alg.mult.items()}
     names = [f"{name}*" for name in h.basis]
-    out = HopfData(dual_algebra(h.coa), CoalgebraData(f, n, comult, counit),
-                   antipode, sbar, names)
+    out = HopfData(dual_algebra(h.coa), CoalgebraData(h.field, h.dim, comult, h.alg.unit),
+                   _transposed(h.antipode), _transposed(h.antipode_inverse), names)
     return validated(out) if validate else out
 
 
@@ -342,9 +350,9 @@ def op_cop(h: HopfData, flip_mult: bool, flip_comult: bool, validate: bool = Tru
     mult = h.alg.mult
     comult = h.coa.comult
     if flip_mult:
-        mult = [[[mult[j][i][k] for k in range(n)] for j in range(n)] for i in range(n)]
+        mult = {(j, i, k): x for (i, j, k), x in mult.items()}
     if flip_comult:
-        comult = [[[comult[k][j][i] for j in range(n)] for i in range(n)] for k in range(n)]
+        comult = {(k, j, i): x for (k, i, j), x in comult.items()}
     if flip_mult != flip_comult:
         if h.antipode_inverse is None:
             raise ValueError("op/cop with a single flip needs an invertible antipode")
@@ -353,7 +361,6 @@ def op_cop(h: HopfData, flip_mult: bool, flip_comult: bool, validate: bool = Tru
     else:
         antipode = h.antipode
         sbar = h.antipode_inverse
-    out = HopfData(AlgebraData(f, n, mult, list(h.alg.unit)),
-                   CoalgebraData(f, n, comult, list(h.coa.counit)),
-                   antipode.copy(), None if sbar is None else sbar.copy(), list(h.basis))
+    out = HopfData(AlgebraData(f, n, mult, h.alg.unit), CoalgebraData(f, n, comult, h.coa.counit),
+                   antipode, sbar, list(h.basis))
     return validated(out) if validate else out

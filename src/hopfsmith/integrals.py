@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
-from .hopf import AlgebraData, HopfData, SubspaceBasis, tensors
+from .hopf import AlgebraData, HopfData, SubspaceBasis
 from .linalg import (AffineSystem, Mat, contract, dense, difference, identity, nullspace,
                      require_labels, solve_affine, sparse, spans_equal, unknowns)
 from .yd import ACTIONS, COACTIONS, adjoint_action, adjoint_coaction
@@ -36,17 +36,17 @@ class SeparabilityCertificate:
     verified: list = dc_field(default_factory=list)
 
 
-def _integral_condition(h: HopfData, side: str, t: dict, x: dict) -> dict:
+def _integral_condition(h: HopfData, side: str, x: dict) -> dict:
     """e_i t - eps(e_i) t, or t e_i - eps(e_i) t for the right side, on the
     unknown vector t given by the identity tensor ``x``; rows (i, r)."""
     f = h.field
-    lhs = contract(f, "ijr,ju->iru" if side == "left" else "jir,ju->iru", t["m"], x)
-    return difference(f, lhs, contract(f, "i,ru->iru", t["e"], x))
+    lhs = contract(f, "ijr,ju->iru" if side == "left" else "jir,ju->iru", h.alg.mult, x)
+    return difference(f, lhs, contract(f, "i,ru->iru", h.coa.counit, x))
 
 
 def _integral_system(h: HopfData, side: str) -> AffineSystem:
     """The rows whose solutions are the (left|right) integrals."""
-    cond = _integral_condition(h, side, tensors(h), unknowns(h.field, h.dim))
+    cond = _integral_condition(h, side, unknowns(h.field, h.dim))
     return AffineSystem.conditions(h.field, h.dim, (cond, 2, None, side))
 
 
@@ -89,7 +89,7 @@ def total_integral(h: HopfData, carrier: str = "in_h",
     # normalization functional: eps over in_h, evaluation at 1 over in_dual
     normal = h.coa.counit if carrier == "in_h" else h.alg.unit
     for t in (space or integral_space(h, "left", carrier)).vectors:
-        val = contract(f, "k,k->", sparse(t), sparse(normal)).get((), f.zero)
+        val = contract(f, "k,k->", sparse(t), normal).get((), f.zero)
         if val:
             inv = f.inv(val)
             return IntegralCertificate("left", carrier, [f.mul(inv, x) for x in t], total=True)
@@ -102,16 +102,15 @@ def _ad_invariant_system(h: HopfData) -> AffineSystem:
     """Rows of (a) h_1 lam(h_2) = 1 lam(h), (b) lam(h|>x) = eps(h) lam(x) and
     (c) lam(1) = 1 in the values lam(e_j)."""
     f = h.field
-    t = tensors(h)
     x = unknowns(f, h.dim)
-    adl = sparse(adjoint_action(h, "adl").tensor)
+    adl = adjoint_action(h, "adl").tensor
     return AffineSystem.conditions(
         f, h.dim,
-        (difference(f, contract(f, "kij,ju->kiu", t["D"], x),
-                    contract(f, "i,ku->kiu", t["u"], x)), 2, None, "a"),
+        (difference(f, contract(f, "kij,ju->kiu", h.coa.comult, x),
+                    contract(f, "i,ku->kiu", h.alg.unit, x)), 2, None, "a"),
         (difference(f, contract(f, "ktj,ju->ktu", adl, x),
-                    contract(f, "k,tu->ktu", t["e"], x)), 2, None, "b"),
-        (contract(f, "j,ju->u", t["u"], x), 0, {(): f.one}, "c"))
+                    contract(f, "k,tu->ktu", h.coa.counit, x)), 2, None, "b"),
+        (contract(f, "j,ju->u", h.alg.unit, x), 0, {(): f.one}, "c"))
 
 
 def ad_invariant_integral(h: HopfData) -> Optional[IntegralCertificate]:
@@ -136,15 +135,14 @@ def ad_coinvariant_integral(h: HopfData) -> Optional[IntegralCertificate]:
     """The unique t with (a) ht = eps(h)t, (b) t_1 S(t_3) (x) t_2 = 1 (x) t,
     (c) eps(t) = 1; or None."""
     f = h.field
-    t = tensors(h)
     x = unknowns(f, h.dim)
-    rho = sparse(adjoint_coaction(h, "rho_l").tensor)
+    rho = adjoint_coaction(h, "rho_l").tensor
     sys = AffineSystem.conditions(
         f, h.dim,
-        (_integral_condition(h, "left", t, x), 2, None, "a"),
+        (_integral_condition(h, "left", x), 2, None, "a"),
         (difference(f, contract(f, "jik,ju->iku", rho, x),
-                    contract(f, "i,ku->iku", t["u"], x)), 2, None, "b"),
-        (contract(f, "j,ju->u", t["e"], x), 0, {(): f.one}, "c"))
+                    contract(f, "i,ku->iku", h.alg.unit, x)), 2, None, "b"),
+        (contract(f, "j,ju->u", h.coa.counit, x), 0, {(): f.one}, "c"))
     sol = solve_affine(sys)
     if sol is None:
         return None
@@ -161,17 +159,17 @@ def four_linearity_flags(h: HopfData, lam: list) -> dict:
     For a total integral the four answers must agree pairwise.
     """
     f = h.field
-    lam, counit = sparse(lam), sparse(h.coa.counit)
-    return {which: contract(f, "ktj,j->kt", sparse(adjoint_action(h, which).tensor), lam)
-            == contract(f, "k,t->kt", counit, lam) for which in ACTIONS}
+    lam = sparse(lam)
+    return {which: contract(f, "ktj,j->kt", adjoint_action(h, which).tensor, lam)
+            == contract(f, "k,t->kt", h.coa.counit, lam) for which in ACTIONS}
 
 
 def four_coinvariance_flags(h: HopfData, t: list) -> dict:
     """For an element t, coinvariance under the four adjoint coactions."""
     f = h.field
-    t, unit = sparse(t), sparse(h.alg.unit)
-    return {which: contract(f, "jik,j->ik", sparse(adjoint_coaction(h, which).tensor), t)
-            == contract(f, "i,k->ik", unit, t) for which in COACTIONS}
+    t = sparse(t)
+    return {which: contract(f, "jik,j->ik", adjoint_coaction(h, which).tensor, t)
+            == contract(f, "i,k->ik", h.alg.unit, t) for which in COACTIONS}
 
 
 # ---------------------------------------------------------------------------
@@ -182,13 +180,13 @@ def idempotent_system(a: AlgebraData) -> AffineSystem:
     """The affine system for e in A (x) A with m(e) = 1 and (x (x) 1)e = e(1 (x) x),
     unknown e_ij at i*n + j."""
     f = a.field
-    m = sparse(a.mult)
+    m = a.mult
     x = unknowns(f, a.dim, a.dim)
     # (e_x (x) 1) e - e (1 (x) e_x), components (p, q)
     bilinear = difference(f, contract(f, "xip,iqu->xpqu", m, x),
                           contract(f, "jxq,pju->xpqu", m, x))
     return AffineSystem.conditions(
-        f, a.dim * a.dim, (contract(f, "ijk,iju->ku", m, x), 1, sparse(a.unit), "m(e)=1"),
+        f, a.dim * a.dim, (contract(f, "ijk,iju->ku", m, x), 1, a.unit, "m(e)=1"),
         (bilinear, 3, None, "bilinear"))
 
 
@@ -207,8 +205,7 @@ def separability_idempotent(h: HopfData) -> Optional[SeparabilityCertificate]:
         raise AssertionError("total-integral route and blind idempotent search disagree")
     if cert_total is None:
         return None
-    t = tensors(h)
-    e = contract(f, "a,aij,kj->ik", sparse(cert_total.vector), t["D"], t["S"])
+    e = contract(f, "a,aij,kj->ik", sparse(cert_total.vector), h.coa.comult, h.antipode)
     e = [x for row in dense(f, e, (n, n)) for x in row]
     return SeparabilityCertificate("idempotent_for_algebra", e, _verify_idempotent(h, e, sys))
 
@@ -222,7 +219,7 @@ def retraction_system(h: HopfData) -> AffineSystem:
     in the entries theta[k][(i, j)], unknown k*n^2 + i*n + j."""
     f = h.field
     n = h.dim
-    d = sparse(h.coa.comult)
+    d = h.coa.comult
     x = unknowns(f, n, n, n)
     delta_theta = contract(f, "kpq,kiju->ijpqu", d, x)
     # left colinearity: (id (x) theta)(Delta (x) id) = Delta∘theta on e_i (x) e_j,
@@ -251,8 +248,7 @@ def coseparability_retraction(h: HopfData) -> Optional[SeparabilityCertificate]:
     if cert_total is None:
         return None
     lam = cert_total.vector
-    t = tensors(h)
-    theta = contract(f, "ipq,qyz,yj,z->pij", t["D"], t["m"], t["S"], sparse(lam))
+    theta = contract(f, "ipq,qyz,yj,z->pij", h.coa.comult, h.alg.mult, h.antipode, sparse(lam))
     theta = Mat(f, n, n * n, [[x for row in block for x in row]
                               for block in dense(f, theta, (n, n, n))])
     verified = _verify_retraction(h, theta, lam, sys)
@@ -268,8 +264,7 @@ def _verify_retraction(h: HopfData, theta: Mat, lam: Optional[list] = None,
     if lam is not None:
         # both sides of the defining exchange identity:
         # x_1 lam(x_2 S(y)) = lam(x S(y_1)) y_2
-        t = tensors(h)
-        rhs = contract(f, "iyz,ya,z,jab->bij", t["m"], t["S"], sparse(lam), t["D"])
+        rhs = contract(f, "iyz,ya,z,jab->bij", h.alg.mult, h.antipode, sparse(lam), h.coa.comult)
         if {(p, c // n, c % n): v for (p, c), v in sparse(theta).items()} != rhs:
             raise AssertionError("retraction fails the exchange identity")
         verified.append("exchange-identity")

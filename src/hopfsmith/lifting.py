@@ -35,17 +35,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
-from .hopf import AlgebraData, HopfData, SubspaceBasis, curvature, dual_algebra, tensors
+from .hopf import AlgebraData, HopfData, SubspaceBasis, curvature, dual_algebra
 from .linalg import (AffineSystem, Mat, contract, dense, difference, differing, identity,
-                     in_coordinates, invert, nullspace, rank, solve_affine, sparse,
+                     in_coordinates, inverse, matrix, nullspace, rank, solve_affine, sparse,
                      span_contains_span, spans_equal, unknowns)
 from .filtration import (_is_two_sided_ideal, _quotient_algebra, ideal_powers,
                          coradical, is_subcoalgebra, wedge_filtration)
-
-
-def _mat(f, t: dict, rows: int, cols: int) -> Mat:
-    """The rows x cols matrix holding the sparse tensor ``t``."""
-    return Mat(f, rows, cols, dense(f, t, (rows, cols)))
 
 
 @dataclass
@@ -72,8 +67,8 @@ class Bimodule:
         a = self.algebra
         f = a.field
         left, right = self.tensors()
-        m, one = sparse(a.mult), identity(f, self.dim)
-        if any(contract(f, "a,ast->st", sparse(a.unit), act) != one for act in (left, right)):
+        m, one = a.mult, identity(f, self.dim)
+        if any(contract(f, "a,ast->st", a.unit, act) != one for act in (left, right)):
             raise ValueError("bimodule: unit does not act as identity")
         sides = {"left action not associative": (contract(f, "ijk,kst->ijst", m, left),
                                                  contract(f, "jsr,irt->ijst", left, left)),
@@ -114,9 +109,9 @@ class SurjectionProblem:
         if rank(self.pi) != self.a.dim:
             raise ValueError("pi is not surjective")
         pi = sparse(self.pi)
-        if contract(f, "ak,k->a", pi, sparse(self.e.unit)) != sparse(self.a.unit):
+        if contract(f, "ak,k->a", pi, self.e.unit) != self.a.unit:
             raise ValueError("pi does not preserve the unit")
-        bad = curvature(f, sparse(self.e.mult), sparse(self.a.mult), pi)
+        bad = curvature(f, self.e.mult, self.a.mult, pi)
         if bad:
             raise ValueError("pi is not an algebra map at ({},{})".format(*min(bad)[:2]))
         ker = nullspace(self.pi).columns()
@@ -152,8 +147,8 @@ def _intertwines(f, g: dict, alpha: dict, beta: dict) -> bool:
 
 def _coaction_mat(f, rho: dict, space_dim: int, hopf_dim: int) -> Mat:
     """The (dim V * dim H) x dim V matrix, rows v * dim H + u, of the tensor (c, v, u)."""
-    return _mat(f, {(v * hopf_dim + u, c): x for (c, v, u), x in rho.items()},
-                space_dim * hopf_dim, space_dim)
+    return matrix(f, {(v * hopf_dim + u, c): x for (c, v, u), x in rho.items()},
+                  space_dim * hopf_dim, space_dim)
 
 
 def _check_right_comodule(coact: Mat, space_dim: int, h: HopfData) -> dict:
@@ -161,11 +156,11 @@ def _check_right_comodule(coact: Mat, space_dim: int, h: HopfData) -> dict:
     f = h.field
     rho = {(c, *divmod(r, h.dim)): x for (r, c), x in sparse(coact).items()}  # rows v * dim H + u
     # counit: (id (x) eps) rho = id
-    if contract(f, "cvu,u->cv", rho, sparse(h.coa.counit)) != identity(f, space_dim):
+    if contract(f, "cvu,u->cv", rho, h.coa.counit) != identity(f, space_dim):
         raise ValueError("coaction fails the counit law")
     # coassociativity: (rho (x) id) rho = (id (x) Delta) rho
     if contract(f, "cvu,vwt->cwtu", rho, rho) != \
-            contract(f, "cvu,upq->cvpq", rho, sparse(h.coa.comult)):
+            contract(f, "cvu,upq->cvpq", rho, h.coa.comult):
         raise ValueError("coaction fails coassociativity")
     return rho
 
@@ -201,7 +196,7 @@ def _lift(p: SurjectionProblem, alpha: dict, beta: dict, equivariant: bool):
     """The stage-by-stage lift of a validated problem."""
     f = p.e.field
     na = p.a.dim
-    m_a, u_a = sparse(p.a.mult), sparse(p.a.unit)
+    m_a, u_a = p.a.mult, p.a.unit
 
     # kernel powers I = P[0] > P[1] = I^2 > ... until zero
     powers = ideal_powers(p.e, p.kernel.vectors)
@@ -212,7 +207,7 @@ def _lift(p: SurjectionProblem, alpha: dict, beta: dict, equivariant: bool):
     quots = []
     for pw in powers:
         q, proj, sect = _quotient_algebra(p.e, pw)
-        quots.append((q.dim, sparse(q.mult), sparse(q.unit), sparse(proj), sparse(sect)))
+        quots.append((q.dim, q.mult, q.unit, sparse(proj), sparse(sect)))
 
     # equivariance endomorphisms must preserve every kernel power: beta_u(I^r) dies in E/I^r
     for pw, (_, _, _, proj, _) in zip(powers[:-1], quots):
@@ -224,21 +219,20 @@ def _lift(p: SurjectionProblem, alpha: dict, beta: dict, equivariant: bool):
         return contract(f, "ax,uxy,yb->uab", proj, beta, sect)
 
     # stage 1: A ~ E/I
-    n1, _, _, _, sect1 = quots[0]
-    stage1 = invert(_mat(f, contract(f, "ax,xb->ab", sparse(p.pi), sect1), na, n1))
-    if stage1 is None:
+    sect1 = quots[0][4]
+    stage = inverse(f, contract(f, "ax,xb->ab", sparse(p.pi), sect1), na)
+    if stage is None:
         raise AssertionError("E/I -> A is not invertible; pi was not surjective?")
-    stage = sparse(stage1)
     if not _intertwines(f, stage, alpha, descend(0)):
         raise AssertionError("initial stage map is not equivariant")
-    stages = [stage1]
+    stages = [matrix(f, stage, na, na)]
 
     for r in range(1, len(powers)):
         nprev, _, _, proj_prev, _ = quots[r - 1]
         ncur, m_cur, u_cur, _, sect = quots[r]
         p_r = contract(f, "ax,xb->ab", proj_prev, sect)
         # I^r/I^{r+1} inside Q_{r+1}, with a left inverse reading off coordinates
-        kernel = SubspaceBasis(ncur, nullspace(_mat(f, p_r, nprev, ncur)).columns())
+        kernel = SubspaceBasis(ncur, nullspace(matrix(f, p_r, nprev, ncur)).columns())
         w, coords = kernel.tensors(f)
         mdim = kernel.dim
         beta_r = descend(r)
@@ -252,7 +246,7 @@ def _lift(p: SurjectionProblem, alpha: dict, beta: dict, equivariant: bool):
                               "curvature escaped I^r/I^{r+1}")
         if not curv:
             stage = g
-            stages.append(_mat(f, stage, ncur, na))
+            stages.append(matrix(f, stage, ncur, na))
             continue
 
         # A-bimodule structure on I^r/I^{r+1} through the lift g
@@ -273,11 +267,11 @@ def _lift(p: SurjectionProblem, alpha: dict, beta: dict, equivariant: bool):
         corrected = difference(f, g, contract(f, "xt,ty->xy", w, h))
         _assert_stage(f, m_a, m_cur, p_r, stage, corrected, alpha, beta_r)
         stage = corrected
-        stages.append(_mat(f, stage, ncur, na))
+        stages.append(matrix(f, stage, ncur, na))
 
     # Q_nu = E/0: translate back to E coordinates
     sigma = contract(f, "xa,ay->xy", quots[-1][4], stage)
-    cert = LiftCertificate(stages, _mat(f, sigma, p.e.dim, na), True, equivariant or None)
+    cert = LiftCertificate(stages, matrix(f, sigma, p.e.dim, na), True, equivariant or None)
     _verify_final(p, cert, alpha, beta)
     return cert
 
@@ -298,7 +292,7 @@ def _solve_linear_lift(f, ncur: int, na: int, p_r: dict, prev: dict, u_a: dict, 
 def _is_two_cocycle(bim: Bimodule, c: list) -> bool:
     """delta c (a,b,d) = a·c(b,d) - c(ab,d) + c(a,bd) - c(a,b)·d = 0 on basis triples."""
     f = bim.algebra.field
-    m, c = sparse(bim.algebra.mult), sparse(c)
+    m, c = bim.algebra.mult, sparse(c)
     left, right = bim.tensors()
     return difference(f, contract(f, "jks,ist->ijkt", c, left),
                       contract(f, "ijy,ykt->ijkt", m, c)) == \
@@ -316,7 +310,7 @@ def _solve_coboundary(bim: Bimodule, c: dict, alpha: Optional[dict] = None,
     left, right = bim.tensors()
     x = unknowns(f, bim.dim, na)
     delta = difference(f, contract(f, "ist,sjc->ijtc", left, x),
-                       difference(f, contract(f, "ijy,tyc->ijtc", sparse(a.mult), x),
+                       difference(f, contract(f, "ijy,tyc->ijtc", a.mult, x),
                                   contract(f, "jst,sic->ijtc", right, x)))
     conds = [(delta, 3, c, "coboundary")]
     if equivariant:
@@ -341,9 +335,9 @@ def _verify_final(p: SurjectionProblem, cert: LiftCertificate, alpha: dict, beta
     sigma = sparse(cert.final)
     if contract(f, "ax,xy->ay", sparse(p.pi), sigma) != identity(f, p.a.dim):
         raise AssertionError("final section does not split pi")
-    if curvature(f, sparse(p.a.mult), sparse(p.e.mult), sigma):
+    if curvature(f, p.a.mult, p.e.mult, sigma):
         raise AssertionError("final section is not multiplicative")
-    if contract(f, "xy,y->x", sigma, sparse(p.a.unit)) != sparse(p.e.unit):
+    if contract(f, "xy,y->x", sigma, p.a.unit) != p.e.unit:
         raise AssertionError("final section is not unital")
     if not _intertwines(f, sigma, alpha, beta):
         raise AssertionError("final section is not equivariant")
@@ -361,17 +355,17 @@ def hochschild_coboundary_solve(a: AlgebraData, bim: Bimodule, cocycle: list):
     if not _is_two_cocycle(bim, cocycle):
         raise ValueError("input is not a 2-cocycle")
     h = _solve_coboundary(bim, sparse(cocycle))
-    return None if h is None else _mat(a.field, h, bim.dim, a.dim)
+    return None if h is None else matrix(a.field, h, bim.dim, a.dim)
 
 
 def eps_bimodule(h: HopfData) -> Bimodule:
     """K as an H-bimodule through the counit on both sides."""
-    eps = {(i, 0, 0): x for (i,), x in sparse(h.coa.counit).items()}
+    eps = {(i, 0, 0): x for (i,), x in h.coa.counit.items()}
     return Bimodule.from_tensors(h.alg, 1, eps, eps).check()
 
 
 def regular_bimodule(a: AlgebraData) -> Bimodule:
-    m = sparse(a.mult)
+    m = a.mult
     return Bimodule.from_tensors(a, a.dim, m, {(i, s, t): x for (s, i, t), x in m.items()}).check()
 
 
@@ -388,15 +382,15 @@ def square_zero_extension(h: HopfData, with_coaction: bool = True) -> Surjection
     a = h.alg
     f = a.field
     n = a.dim
-    m = sparse(a.mult)
+    m = a.mult
     # a·a', a·(a' eps) and (a eps)·a'
     mult = {**m, **{(i, n + j, n + k): x for (i, j, k), x in m.items()},
             **{(n + i, j, n + k): x for (i, j, k), x in m.items()}}
-    e_alg = AlgebraData(f, 2 * n, dense(f, mult, (2 * n,) * 3), list(a.unit) + [f.zero] * n)
-    problem = SurjectionProblem(e_alg, a, _mat(f, identity(f, n), n, 2 * n))
+    e_alg = AlgebraData(f, 2 * n, mult, a.unit)
+    problem = SurjectionProblem(e_alg, a, matrix(f, identity(f, n), n, 2 * n))
     if with_coaction:
         # Delta as a coaction on A, and on both summands of E
-        rho = sparse(h.coa.comult)
+        rho = h.coa.comult
         problem.hopf = h
         problem.coact_a = _coaction_mat(f, rho, n, n)
         problem.coact_e = _coaction_mat(
@@ -411,7 +405,7 @@ def cyclic_cover_problem(n: int, m: int, field) -> SurjectionProblem:
     from .presets import cyclic_table, preset_group_algebra
     e_h = preset_group_algebra(cyclic_table(m * n), field)
     a_h = preset_group_algebra(cyclic_table(n), field)
-    pi = _mat(field, {(k % n, k): field.one for k in range(m * n)}, n, m * n)
+    pi = matrix(field, {(k % n, k): field.one for k in range(m * n)}, n, m * n)
     return SurjectionProblem(e_h.alg, a_h.alg, pi)
 
 
@@ -443,14 +437,14 @@ def weak_projection(e: HopfData, h: HopfData, inclusion: Mat,
         raise ValueError("inclusion has the wrong shape")
     if rank(inclusion) != nh:
         raise ValueError("inclusion is not injective")
-    te, th, incl = tensors(e), tensors(h), sparse(inclusion)
+    incl = sparse(inclusion)
     # algebra + coalgebra map checks
-    if contract(f, "xk,k->x", incl, th["u"]) != te["u"]:
+    if contract(f, "xk,k->x", incl, h.alg.unit) != e.alg.unit:
         raise ValueError("inclusion does not preserve the unit")
-    if curvature(f, th["m"], te["m"], incl):
+    if curvature(f, h.alg.mult, e.alg.mult, incl):
         raise ValueError("inclusion is not an algebra map")
-    if contract(f, "xk,xab->kab", incl, te["D"]) != \
-            contract(f, "kij,ai,bj->kab", th["D"], incl, incl):
+    if contract(f, "xk,xab->kab", incl, e.coa.comult) != \
+            contract(f, "kij,ai,bj->kab", h.coa.comult, incl, incl):
         raise ValueError("inclusion is not a coalgebra map")
 
     incl_cols = inclusion.columns()
@@ -470,11 +464,11 @@ def weak_projection(e: HopfData, h: HopfData, inclusion: Mat,
                                 inclusion.transpose()).validate()
     # right H-action on duals: (phi · u)(x) = phi(iota(u)·x), transposed left
     # multiplications: alpha_u has entry (x, y) = coefficient of h_y in h_u h_x
-    alpha, beta = dict(th["m"]), contract(f, "zu,zxy->uxy", incl, te["m"])
+    alpha, beta = dict(h.alg.mult), contract(f, "zu,zxy->uxy", incl, e.alg.mult)
     if bilinear:
-        alpha.update({(nh + u, x, y): c for (x, u, y), c in th["m"].items()})
+        alpha.update({(nh + u, x, y): c for (x, u, y), c in h.alg.mult.items()})
         beta.update({(nh + u, x, y): c for (u, x, y), c in
-                     contract(f, "zu,xzy->uxy", incl, te["m"]).items()})
+                     contract(f, "zu,xzy->uxy", incl, e.alg.mult).items()})
 
     result = _lift(problem, alpha, beta, True)
     if isinstance(result, LiftObstruction):
@@ -487,14 +481,14 @@ def weak_projection(e: HopfData, h: HopfData, inclusion: Mat,
 def _verify_weak_projection(e: HopfData, h: HopfData, inclusion: Mat, proj: Mat,
                             bilinear: bool) -> list:
     f = e.field
-    te, th, incl, p = tensors(e), tensors(h), sparse(inclusion), sparse(proj)
+    incl, p = sparse(inclusion), sparse(proj)
     if contract(f, "ax,xy->ay", p, incl) != identity(f, h.dim):
         raise AssertionError("weak projection does not retract the inclusion")
     verified = ["retraction"]
     # coalgebra map, checked basis vector by basis vector: Delta first, then eps
-    bad_delta = differing(contract(f, "ak,aij->kij", p, th["D"]),
-                          contract(f, "kxy,ix,jy->kij", te["D"], p, p), 1)
-    bad = bad_delta | differing(te["e"], contract(f, "ak,a->k", p, th["e"]), 1)
+    bad_delta = differing(contract(f, "ak,aij->kij", p, h.coa.comult),
+                          contract(f, "kxy,ix,jy->kij", e.coa.comult, p, p), 1)
+    bad = bad_delta | differing(e.coa.counit, contract(f, "ak,a->k", p, h.coa.counit), 1)
     if bad:
         raise AssertionError("weak projection is not comultiplicative" if min(bad) in bad_delta
                              else "weak projection does not preserve the counit")
@@ -504,7 +498,7 @@ def _verify_weak_projection(e: HopfData, h: HopfData, inclusion: Mat, proj: Mat,
         sides.append(("right", "zu,xzy,ay->uxa", "bx,bua->uxa"))
     for side, lhs, rhs in sides:
         # pi(iota(u)·x) = u·pi(x), resp. pi(x·iota(u)) = pi(x)·u
-        if contract(f, lhs, incl, te["m"], p) != contract(f, rhs, p, th["m"]):
+        if contract(f, lhs, incl, e.alg.mult, p) != contract(f, rhs, p, h.alg.mult):
             raise AssertionError(f"weak projection is not {side} H-linear")
         verified.append(f"{side}-H-linear")
     return verified

@@ -21,11 +21,15 @@ pivot columns of one elimination (:func:`pivot_columns`).
 the solvers take either a dense ``Mat`` or a :class:`SparseMat`.
 
 Structure-constant identities are contractions of sparse tensors, dicts
-``{index tuple: nonzero scalar}``: :func:`contract` evaluates an einsum-style
-spec such as ``"ipq,pjx,yq,xyk->ijk"``, :func:`sparse` and :func:`dense`
-convert from and to nested lists.  A linear condition on an unknown map is a
-contraction with :func:`unknowns`, the identity tensor of the map's entries,
-and :meth:`AffineSystem.conditions` turns such contractions into labelled rows.
+``{index tuple: nonzero scalar}``, the one form in which :mod:`hopf` stores
+every structure map: :func:`contract` evaluates an einsum-style spec such as
+``"ipq,pjx,yq,xyk->ijk"``.  :func:`sparse` and :func:`dense` convert from and
+to nested lists, for coordinate vectors, for ``Mat`` and at the JSON edge;
+:func:`matrix` and :func:`inverse` read a sparse tensor as a matrix, and
+:func:`ordered` puts its entries in key order, the order ``sparse`` gives.  A
+linear condition on an unknown map is a contraction with :func:`unknowns`, the
+identity tensor of the map's entries, and :meth:`AffineSystem.conditions`
+groups such contractions straight into labelled sparse rows.
 """
 
 from __future__ import annotations
@@ -195,18 +199,20 @@ class AffineSystem:
         """A system from conditions ``(tensor, nrow, constant, label)``: ``tensor``
         is keyed by ``nrow`` row indices and then the unknown, ``constant`` (a
         sparse tensor on the row indices, or None) is the right-hand side.  A
-        condition whose rows all cancel keeps one empty row, so its label stays."""
+        condition whose rows all cancel keeps one empty row, so its label stays.
+        Each entry goes straight into its row as a ``(column, coefficient)``
+        pair: a contraction holds no zeros and no key twice."""
         rows, rhs, labels = [], [], []
         for t, nrow, const, label in conds:
             const = const or {}
             by_row = {}
             for key, c in t.items():
-                by_row.setdefault(key[:nrow], {})[key[nrow]] = c
+                by_row.setdefault(key[:nrow], []).append((key[nrow], c))
             keys = sorted(by_row.keys() | const.keys()) or [None]
-            rows += [by_row.get(k, {}) for k in keys]
+            rows += [by_row.get(k, []) for k in keys]
             rhs += [const.get(k, field.zero) for k in keys]
             labels += [label] * len(keys)
-        return cls.sparse(field, rows, rhs, unknowns, labels)
+        return cls(SparseMat(field, len(rows), unknowns, rows), rhs, unknowns, labels)
 
     def condition_labels(self) -> list:
         """The distinct row labels, in row order."""
@@ -343,19 +349,24 @@ def rank(m) -> int:
     return len(_rref(_sparse_rows(m)[:], m.cols, m.field))
 
 
+def inverse(field: FieldSpec, t: dict, n: int) -> Optional[dict]:
+    """The inverse of the n x n matrix held by the sparse tensor ``t`` (key
+    ``(i, j)``: row i, column j), as a sparse tensor, or None when singular."""
+    rows = [[(n + i, field.one)] for i in range(n)]
+    for (i, j), x in t.items():
+        rows[i].append((j, x))
+    pivots = _rref(rows, 2 * n, field)
+    if pivots[:n] != list(range(n)):
+        return None
+    return {(i, j - n): a for i, row in enumerate(rows[:n]) for j, a in row[1:]}
+
+
 def invert(m: Mat) -> Optional[Mat]:
     """Inverse matrix, or None when singular."""
     if m.rows != m.cols:
         raise ValueError("only square matrices can be inverted")
-    f = m.field
-    n = m.rows
-    one = f.one
-    rows = [[*row, (n + i, one)] for i, row in enumerate(_sparse_rows(m))]
-    pivots = _rref(rows, 2 * n, f)
-    if pivots[:n] != list(range(n)):
-        return None
-    inv = {(i, j - n): a for i, row in enumerate(rows[:n]) for j, a in row[1:]}
-    return Mat(f, n, n, dense(f, inv, (n, n)))
+    inv = inverse(m.field, sparse(m), m.rows)
+    return None if inv is None else matrix(m.field, inv, m.rows, m.rows)
 
 
 def pivot_columns(field: FieldSpec, vectors: list) -> tuple:
@@ -491,6 +502,11 @@ def dense(field: FieldSpec, t: dict, shape: tuple) -> list:
     return out
 
 
+def matrix(field: FieldSpec, t: dict, rows: int, cols: int) -> Mat:
+    """The rows x cols ``Mat`` holding the sparse tensor ``t`` keyed (row, column)."""
+    return Mat(field, rows, cols, dense(field, t, (rows, cols)))
+
+
 def unknowns(field: FieldSpec, *shape: int) -> dict:
     """The identity tensor of a map's entries: key ``(*index, u)`` is 1, where u
     is the row-major position of the index, the entry's unknown column."""
@@ -508,6 +524,11 @@ def in_coordinates(field: FieldSpec, t: dict, basis: dict, coords: dict, what: s
     if contract(field, f"{lead}c,xc->{lead}x", out, basis) != t:
         raise error(what)
     return out
+
+
+def ordered(t: dict) -> dict:
+    """``t`` with its entries in key order, the order :func:`sparse` gives."""
+    return dict(sorted(t.items()))
 
 
 def identity(field: FieldSpec, n: int) -> dict:

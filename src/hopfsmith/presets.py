@@ -1,15 +1,16 @@
 """Preset Hopf algebras: group algebras, function algebras, Sweedler, Taft.
 
 Group presets are driven by Cayley tables (``table[i][j]`` = index of the
-product).  Every constructor ends in the axiom checker, so a bad table or an
-inadmissible parameter fails loudly.
+product).  Each constructor writes the nonzero structure constants straight
+into the sparse tensors of :mod:`hopf` and ends in the axiom checker, so a bad
+table or an inadmissible parameter fails loudly.
 """
 
 from __future__ import annotations
 
 from .fields import FieldSpec, Scalar
-from .hopf import AlgebraData, CoalgebraData, HopfData, Mat, dual_hopf, validated
-from .linalg import contract, dense, sparse
+from .hopf import AlgebraData, CoalgebraData, HopfData, dual_hopf, validated
+from .linalg import contract
 
 
 # ---------------------------------------------------------------------------
@@ -114,22 +115,14 @@ def preset_group_algebra(table: list, field: FieldSpec, names=None) -> HopfData:
     identity = check_group_table(table)
     n = len(table)
     f = field
-    z, o = f.zero, f.one
-    mult = [[[z] * n for _ in range(n)] for _ in range(n)]
-    comult = [[[z] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            mult[i][j][table[i][j]] = o
-        comult[i][i][i] = o
-    unit = [z] * n
-    unit[identity] = o
-    counit = [o] * n
-    s = Mat.zeros(f, n, n)
-    for i in range(n):
-        s.data[group_inverse(table, identity, i)][i] = o
+    o = f.one
+    mult = {(i, j, table[i][j]): o for i in range(n) for j in range(n)}
+    comult = {(i, i, i): o for i in range(n)}
+    s = {(group_inverse(table, identity, i), i): o for i in range(n)}
     basis = names or [f"g{i}" for i in range(n)]
-    return validated(HopfData(AlgebraData(f, n, mult, unit),
-                              CoalgebraData(f, n, comult, counit), s, None, basis))
+    return validated(HopfData(AlgebraData(f, n, mult, {(identity,): o}),
+                              CoalgebraData(f, n, comult, {(i,): o for i in range(n)}),
+                              s, None, basis))
 
 
 def preset_function_algebra(table: list, field: FieldSpec) -> HopfData:
@@ -149,44 +142,27 @@ def preset_sweedler(field: FieldSpec) -> HopfData:
     f = field
     if f.characteristic == 2:
         raise ValueError("the Sweedler algebra needs -1 != 1, so char 2 is excluded")
-    z, o = f.zero, f.one
+    o = f.one
     m = f.neg(o)
-    n = 4
     E, G, X, GX = 0, 1, 2, 3
 
-    mult = [[[z] * n for _ in range(n)] for _ in range(n)]
-
-    def put(i, j, k, c):
-        mult[i][j][k] = c
-
     # left column: 1·y = y, right: y·1 = y
-    for i in range(n):
-        put(E, i, i, o)
-        put(i, E, i, o)
-    put(G, G, E, o)       # g·g = 1
-    put(G, X, GX, o)      # g·x = gx
-    put(G, GX, X, o)      # g·gx = x
-    put(X, G, GX, m)      # x·g = -gx
-    put(GX, G, X, m)      # gx·g = g(xg) = -x
+    mult = {**{(E, i, i): o for i in range(4)}, **{(i, E, i): o for i in range(4)}}
+    mult[G, G, E] = o      # g·g = 1
+    mult[G, X, GX] = o     # g·x = gx
+    mult[G, GX, X] = o     # g·gx = x
+    mult[X, G, GX] = m     # x·g = -gx
+    mult[GX, G, X] = m     # gx·g = g(xg) = -x
     # all products with two x factors vanish: x·x, x·gx, gx·x, gx·gx
 
-    comult = [[[z] * n for _ in range(n)] for _ in range(n)]
-    comult[E][E][E] = o
-    comult[G][G][G] = o
-    comult[X][X][E] = o      # Delta(x) = x(x)1 + g(x)x
-    comult[X][G][X] = o
-    comult[GX][GX][G] = o    # Delta(gx) = Delta(g)Delta(x) = gx(x)g + 1(x)gx
-    comult[GX][E][GX] = o
-
-    unit = [o, z, z, z]
-    counit = [o, o, z, z]
-    s = Mat.zeros(f, n, n)
-    s.data[E][E] = o
-    s.data[G][G] = o
-    s.data[GX][X] = m       # S(x) = -gx
-    s.data[X][GX] = o       # S(gx) = S(x)S(g) = -gx·g = x
-    return validated(HopfData(AlgebraData(f, n, mult, unit),
-                              CoalgebraData(f, n, comult, counit), s, None,
+    comult = {(E, E, E): o, (G, G, G): o,
+              (X, X, E): o, (X, G, X): o,       # Delta(x) = x(x)1 + g(x)x
+              (GX, GX, G): o, (GX, E, GX): o}   # Delta(gx) = Delta(g)Delta(x) = gx(x)g + 1(x)gx
+    s = {(E, E): o, (G, G): o,
+         (GX, X): m,   # S(x) = -gx
+         (X, GX): o}   # S(gx) = S(x)S(g) = -gx·g = x
+    return validated(HopfData(AlgebraData(f, 4, mult, {(E,): o}),
+                              CoalgebraData(f, 4, comult, {(E,): o, (G,): o}), s, None,
                               ["1", "g", "x", "gx"]))
 
 
@@ -208,7 +184,7 @@ def preset_taft(n: int, q: Scalar, field: FieldSpec) -> HopfData:
         raise ValueError(f"q is not an {n}-th root of unity")
 
     dim = n * n
-    z, o = f.zero, f.one
+    o = f.one
 
     def idx(a, b):
         return b * n + a
@@ -217,43 +193,30 @@ def preset_taft(n: int, q: Scalar, field: FieldSpec) -> HopfData:
     for _ in range(n * n):
         qpow.append(f.mul(qpow[-1], q))
 
-    mult = [[[z] * dim for _ in range(dim)] for _ in range(dim)]
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for d in range(n):
-                    if b + d >= n:
-                        continue
-                    # (g^a x^b)(g^c x^d) = q^{bc} g^{a+c} x^{b+d}
-                    mult[idx(a, b)][idx(c, d)][idx((a + c) % n, b + d)] = qpow[b * c]
-    unit = [z] * dim
-    unit[idx(0, 0)] = o
-    alg = AlgebraData(f, dim, mult, unit)
+    # (g^a x^b)(g^c x^d) = q^{bc} g^{a+c} x^{b+d}, zero once b + d >= n
+    m = {(idx(a, b), idx(c, d), idx((a + c) % n, b + d)): qpow[b * c]
+         for a in range(n) for b in range(n) for c in range(n) for d in range(n - b)}
+    alg = AlgebraData(f, dim, m, {(idx(0, 0),): o})
 
     # comultiplication: extend Delta(g) = g(x)g, Delta(x) = x(x)1 + g(x)x
     # multiplicatively inside the tensor-square algebra
-    m = sparse(mult)
-
     def mul2(u, v):
         return contract(f, "ab,acp,cd,bdq->pq", u, m, v, m)
 
     one, g, x = idx(0, 0), idx(1 % n, 0), idx(0, 1 % n)
     dg = {(g, g): o}
     dx = {(x, one): o, (g, x): o}
-    d_acc = {}
+    comult = {}
     cur = {(one, one): o}
     for a in range(n):
         inner = cur
         for b in range(n):
-            d_acc[idx(a, b)] = inner
+            comult.update({(idx(a, b), *key): c for key, c in inner.items()})
             if b + 1 < n:
                 inner = mul2(inner, dx)
         if a + 1 < n:
             cur = mul2(cur, dg)
-    comult = [dense(f, d_acc[k], (dim, dim)) for k in range(dim)]
-    counit = [z] * dim
-    for a in range(n):
-        counit[idx(a, 0)] = o
+    counit = {(idx(a, 0),): o for a in range(n)}
 
     # antipode: S(g) = g^{n-1}, S(x) = -g^{-1} x, extended antimultiplicatively,
     # so S(g^a x^b) = S(x)^b S(g)^a, one product of the powers of S(x) and S(g)
@@ -266,8 +229,7 @@ def preset_taft(n: int, q: Scalar, field: FieldSpec) -> HopfData:
 
     sx = {(idx(n - 1, 1),): f.neg(o)} if n > 1 else {}  # -g^{n-1} x
     s = contract(f, "bu,av,uvk->kba", powers(sx), powers({(idx((n - 1) % n, 0),): o}), m)
-    s_mat = Mat(f, dim, dim, dense(f, {(k, b * n + a): c for (k, b, a), c in s.items()},
-                                   (dim, dim)))
+    s = {(k, b * n + a): c for (k, b, a), c in s.items()}
 
     def _nm(a, b):
         ga = "" if a == 0 else ("g" if a == 1 else f"g^{a}")
@@ -275,8 +237,7 @@ def preset_taft(n: int, q: Scalar, field: FieldSpec) -> HopfData:
         return (ga + xb) or "1"
 
     names = [_nm(a, b) for b in range(n) for a in range(n)]
-    coa = CoalgebraData(f, dim, comult, counit)
-    return validated(HopfData(alg, coa, s_mat, None, names))
+    return validated(HopfData(alg, CoalgebraData(f, dim, comult, counit), s, None, names))
 
 
 # ---------------------------------------------------------------------------

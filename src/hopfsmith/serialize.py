@@ -9,6 +9,11 @@ The Hopf document format is::
 Rational scalars appear as "p/q" strings (plain ints when integral);
 prime-field scalars as ints.  The unit is not stored: it is recovered as the
 unique two-sided identity of the multiplication tensor on load.
+
+The schema is unchanged by the in-memory form: the structure maps live as
+sparse tensors (:mod:`hopf`), so loading checks the nested-list shapes, parses
+the scalars and then keeps only the nonzero entries, and writing densifies
+each map into the nested lists above.
 """
 
 from __future__ import annotations
@@ -18,7 +23,12 @@ from typing import Optional
 
 from .fields import FieldSpec
 from .hopf import AlgebraData, CoalgebraData, HopfData, validated
-from .linalg import AffineSystem, Mat, contract, identity, solve_affine, sparse, unknowns
+from .linalg import AffineSystem, contract, dense, identity, solve_affine, sparse, unknowns
+
+
+def _json(f: FieldSpec, nested: list) -> list:
+    """Nested lists of scalars in their JSON form."""
+    return [_json(f, x) if isinstance(x, list) else f.to_json(x) for x in nested]
 
 
 def hopf_to_dict(h: HopfData) -> dict:
@@ -28,25 +38,22 @@ def hopf_to_dict(h: HopfData) -> dict:
         "field": {"char": f.characteristic},
         "dim": n,
         "basis": list(h.basis),
-        "mult": [[[f.to_json(h.alg.mult[i][j][k]) for k in range(n)]
-                  for j in range(n)] for i in range(n)],
-        "comult": [[[f.to_json(h.coa.comult[k][i][j]) for j in range(n)]
-                    for i in range(n)] for k in range(n)],
-        "counit": [f.to_json(x) for x in h.coa.counit],
-        "antipode": [[f.to_json(h.antipode.data[i][j]) for j in range(n)]
-                     for i in range(n)],
+        "mult": _json(f, dense(f, h.alg.mult, (n, n, n))),
+        "comult": _json(f, dense(f, h.coa.comult, (n, n, n))),
+        "counit": _json(f, dense(f, h.coa.counit, (n,))),
+        "antipode": _json(f, dense(f, h.antipode, (n, n))),
     }
 
 
-def _solve_unit(alg_mult: list, f: FieldSpec, n: int) -> list:
+def _solve_unit(m: dict, f: FieldSpec, n: int) -> dict:
     """The unit u with sum_i u_i e_i·e_j = e_j = sum_i u_i e_j·e_i, rows (j, k)."""
-    m, x, one = sparse(alg_mult), unknowns(f, n), identity(f, n)
+    x, one = unknowns(f, n), identity(f, n)
     sol = solve_affine(AffineSystem.conditions(
         f, n, (contract(f, "ijk,iu->jku", m, x), 2, one, "left unit"),
         (contract(f, "jik,iu->jku", m, x), 2, one, "right unit")))
     if sol is None:
         raise ValueError("multiplication tensor has no two-sided unit")
-    return sol.particular
+    return sparse(sol.particular)
 
 
 def _check_shape(name: str, value, shape: tuple) -> None:
@@ -82,10 +89,10 @@ def hopf_from_dict(d: dict, validate: bool = True) -> HopfData:
         _check_shape("basis", basis, (n,))
         if not all(isinstance(name, str) for name in basis):
             raise ValueError("malformed Hopf document: basis names must be strings")
-        mult = [[[f.parse(x) for x in row] for row in block] for block in d["mult"]]
-        comult = [[[f.parse(x) for x in row] for row in block] for block in d["comult"]]
-        counit = [f.parse(x) for x in d["counit"]]
-        antipode = Mat(f, n, n, [[f.parse(x) for x in row] for row in d["antipode"]])
+        mult = sparse([[[f.parse(x) for x in row] for row in block] for block in d["mult"]])
+        comult = sparse([[[f.parse(x) for x in row] for row in block] for block in d["comult"]])
+        counit = sparse([f.parse(x) for x in d["counit"]])
+        antipode = sparse([[f.parse(x) for x in row] for row in d["antipode"]])
     except (KeyError, TypeError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed Hopf document: {exc}") from exc
     unit = _solve_unit(mult, f, n)
@@ -106,15 +113,6 @@ def hopf_from_json(text: str, validate: bool = True) -> HopfData:
 # Certificates
 # ---------------------------------------------------------------------------
 
-def _vec_json(f: FieldSpec, v: list) -> list:
-    return [f.to_json(x) for x in v]
-
-
-def _mat_json(m: Mat) -> list:
-    f = m.field
-    return [[f.to_json(x) for x in row] for row in m.data]
-
-
 def integral_to_dict(f: FieldSpec, cert, kind: Optional[str] = None) -> dict:
     if kind is None:
         if cert.ad_invariant:
@@ -127,43 +125,37 @@ def integral_to_dict(f: FieldSpec, cert, kind: Optional[str] = None) -> dict:
     verified = ["a", "b", "c"] if kind in ("ad_invariant_integral",
                                            "ad_coinvariant_integral") else []
     key = "lambda" if cert.carrier == "in_dual" else "t"
-    return {"type": kind, key: _vec_json(f, cert.vector),
+    return {"type": kind, key: _json(f, cert.vector),
             "side": cert.side, "carrier": cert.carrier, "verified": verified}
 
 
 def separability_to_dict(f: FieldSpec, cert) -> dict:
     if cert.kind == "idempotent_for_algebra":
-        return {"type": "separability_idempotent", "e": _vec_json(f, cert.data),
+        return {"type": "separability_idempotent", "e": _json(f, cert.data),
                 "verified": list(cert.verified)}
-    return {"type": "coseparability_retraction", "theta": _mat_json(cert.data),
+    return {"type": "coseparability_retraction", "theta": _json(f, cert.data.data),
             "verified": list(cert.verified)}
 
 
 def section_to_dict(cert) -> dict:
-    return {"type": cert.kind, "matrix": _mat_json(cert.matrix),
+    return {"type": cert.kind, "matrix": _json(cert.matrix.field, cert.matrix.data),
             "verified_conditions": list(cert.verified_conditions),
             "nullity": 0 if cert.nullspace is None else cert.nullspace.cols}
 
 
 def extension_to_dict(ext) -> dict:
     f = ext.big.field
-    nb, ns = ext.big.dim, ext.small.dim
-    return {
-        "big": {"field": {"char": f.characteristic}, "dim": nb,
-                "mult": [[[f.to_json(ext.big.mult[i][j][k]) for k in range(nb)]
-                          for j in range(nb)] for i in range(nb)]},
-        "small": {"field": {"char": f.characteristic}, "dim": ns,
-                  "mult": [[[f.to_json(ext.small.mult[i][j][k]) for k in range(ns)]
-                            for j in range(ns)] for i in range(ns)]},
-        "embedding": _mat_json(ext.embedding),
-    }
+    return {**{side: {"field": {"char": f.characteristic}, "dim": a.dim,
+                      "mult": _json(f, dense(f, a.mult, (a.dim,) * 3))}
+               for side, a in (("big", ext.big), ("small", ext.small))},
+            "embedding": _json(f, ext.embedding.data)}
 
 
 def filtration_to_dict(f: FieldSpec, record) -> dict:
     return {
         "type": "wedge_filtration",
         "stage_dims": [s.dim for s in record.stages],
-        "stages": [[_vec_json(f, v) for v in s.vectors] for s in record.stages],
+        "stages": [_json(f, s.vectors) for s in record.stages],
         "exhausted": record.exhausted,
         "stabilization_index": record.stabilization_index,
     }
@@ -172,8 +164,8 @@ def filtration_to_dict(f: FieldSpec, record) -> dict:
 def lift_to_dict(cert) -> dict:
     return {
         "type": "lift_certificate",
-        "stages": [_mat_json(m) for m in cert.stages],
-        "final": _mat_json(cert.final),
+        "stages": [_json(m.field, m.data) for m in cert.stages],
+        "final": _json(cert.final.field, cert.final.data),
         "algebra_map": cert.algebra_map,
         "colinear": cert.colinear,
     }
@@ -185,5 +177,5 @@ def obstruction_to_dict(f: FieldSpec, obs) -> dict:
         "stage": obs.stage,
         "reason": obs.reason,
         "delta_closed": obs.delta_closed,
-        "witness": [[_vec_json(f, entry) for entry in row] for row in obs.witness],
+        "witness": _json(f, obs.witness),
     }

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .hopf import HopfData, QuotientSplitting, SubspaceBasis, tensors
+from .hopf import HopfData, QuotientSplitting, SubspaceBasis
 from .linalg import (AffineSystem, Mat, contract, difference, failed_labels, in_coordinates,
                      solve_affine, sparse, unknowns)
 from .yd import h_bar_yd, h_plus_yd
@@ -81,13 +81,12 @@ def _fs_section_system(h: HopfData, yd, hp: SubspaceBasis, complete: bool) -> Af
     tau(v_b) = sum T[i][a][b] e_i (x) v_a, unknown (i*m + a)*m + b."""
     f = h.field
     n, m = h.dim, hp.dim
-    t = tensors(h)
-    mult = t["m"]
+    mult = h.alg.mult
     x = unknowns(f, n, m, m)
     basis, coords = hp.tensors(f)
     # (i) tau(e_j v_b) = (e_j (x) 1) tau(v_b), components (p, a); e_j v_b in H^+
     # coordinates is the action tensor of the YD structure
-    cond_i = difference(f, contract(f, "jbc,pacu->jbpau", sparse(yd.action.tensor), x),
+    cond_i = difference(f, contract(f, "jbc,pacu->jbpau", yd.action.tensor, x),
                         contract(f, "jip,iabu->jbpau", mult, x))
     # (ii) sum a_i b_i = x, components over H
     cond_ii = contract(f, "xa,ixk,iabu->bku", basis, mult, x)
@@ -96,14 +95,14 @@ def _fs_section_system(h: HopfData, yd, hp: SubspaceBasis, complete: bool) -> Af
         # (iii) the constant tensor a_1 b_1 S(a_3 b_3) (x) a_2 (x) b_2 for
         # e_i (x) v_a, Delta^2(e_i) = e_p (x) e_q (x) e_r, Delta^2(v_a) = e_x (x) e_y (x) e_z,
         # with its third leg rewritten in H^+ coordinates
-        d = t["D"]
+        d = h.coa.comult
         theta = contract(f, "ipo,oqr,pxg,rzj,sj,gsw,kxl,lyz,ka->iawqy",
-                         d, d, mult, mult, t["S"], mult, d, d, basis)
+                         d, d, mult, mult, h.antipode, mult, d, d, basis)
         theta_hp = in_coordinates(f, theta, basis, coords,
                                   "completeness tensor escaped H (x) H (x) H^+")
         # against x_1 S(x_3) (x) tau(x_2) = rho(v_b) with tau applied to its H^+ leg
         cond_iii = difference(f, contract(f, "iawqd,iabu->bwqdu", theta_hp, x),
-                              contract(f, "bwc,qdcu->bwqdu", sparse(yd.coaction.tensor), x))
+                              contract(f, "bwc,qdcu->bwqdu", yd.coaction.tensor, x))
         conds.append((cond_iii, 4, None, "iii"))
     return AffineSystem.conditions(f, n * m * m, *conds)
 
@@ -147,7 +146,7 @@ def check_im_tau(h: HopfData, cert: SectionCertificate) -> bool:
     """Whether Im(tau) lands in H^+ (x) H^+: (eps (x) id) tau = 0."""
     m = len(cert.context["hplus_basis"])
     tau = {(r // m, r % m, b): v for (r, b), v in sparse(cert.matrix).items()}
-    return not contract(h.field, "iab,i->ab", tau, sparse(h.coa.counit))
+    return not contract(h.field, "iab,i->ab", tau, h.coa.counit)
 
 
 # ---------------------------------------------------------------------------
@@ -161,13 +160,12 @@ def _fs_retraction_system(h: HopfData, yd, split: QuotientSplitting,
     f = h.field
     n = h.dim
     m = n - 1
-    t = tensors(h)
-    d, mult = t["D"], t["m"]
+    d, mult = h.coa.comult, h.alg.mult
     x = unknowns(f, m, n, m)
     proj = sparse(split.projection)
     # Hbar coaction tensor: rho(vbar_c) = sum R[c][w][d] e_w (x) vbar_d
     # (i): for inputs (i, a), components (w, d)
-    cond_i = difference(f, contract(f, "cwd,ciau->iawdu", sparse(yd.coaction.tensor), x),
+    cond_i = difference(f, contract(f, "cwd,ciau->iawdu", yd.coaction.tensor, x),
                         contract(f, "iwq,dqau->iawdu", d, x))
     # (ii): chi(x_1 (x) xbar_2) = xbar for x over the H basis
     cond_ii = contract(f, "kij,dj,cidu->kcu", d, proj, x)
@@ -175,10 +173,10 @@ def _fs_retraction_system(h: HopfData, yd, split: QuotientSplitting,
     if complete:
         # (iii) chi[h1 e_i S(h4) (x) (h2 s(vbar_a) S(h3))bar] = h acting on chi(e_i (x) vbar_a),
         # Delta^3(e_h) = e_p (x) e_q (x) e_r (x) e_w
-        anti = t["S"]
+        anti = h.antipode
         lhs = contract(f, "hpo,oqt,trw,pig,sw,gsI,qxG,xa,Sr,GSy,dy,cIdu->hiacu",
                        d, d, d, mult, anti, mult, mult, sparse(split.section), anti, mult, proj, x)
-        rhs = contract(f, "hcC,ciau->hiaCu", sparse(yd.action.tensor), x)
+        rhs = contract(f, "hcC,ciau->hiaCu", yd.action.tensor, x)
         conds.append((difference(f, lhs, rhs), 4, None, "iii"))
     return AffineSystem.conditions(f, m * n * m, *conds)
 
@@ -214,7 +212,7 @@ def verify_fs_retraction(h: HopfData, cert: SectionCertificate, complete: bool,
             return _conditions(complete)
         ctx = cert.context
         yd, split = h_bar_yd(h, QuotientSplitting(ctx["projection"], ctx["section"],
-                                                  SubspaceBasis(h.dim, [list(h.alg.unit)])))
+                                                  SubspaceBasis(h.dim, [h.unit_vec])))
         sys = _fs_retraction_system(h, yd, split, complete)
     return _checked(sys, cert)
 
@@ -223,7 +221,7 @@ def check_chi_quotients(h: HopfData, cert: SectionCertificate) -> bool:
     """Whether chi kills 1 (x) Hbar, i.e. quotients to Hbar (x) Hbar -> Hbar."""
     m = h.dim - 1
     chi = {(c, r // m, r % m): v for (c, r), v in sparse(cert.matrix).items()}
-    return not contract(h.field, "cia,i->ca", chi, sparse(h.alg.unit))
+    return not contract(h.field, "cia,i->ca", chi, h.alg.unit)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,12 @@ itself:
     rho_L(h)  = h_1 S(h_3) (x) h_2         rho_R(h)  = h_2 (x) S(h_1) h_3
     rho_Rbar(h) = h_2 (x) h_3 S^{-1}(h_1)  rho_Lbar(h) = S^{-1}(h_3) h_1 (x) h_2
 
-Coaction tensors are stored as ``c[j][i][k]``: module basis j maps to
-sum c[j][i][k] e_i (x) v_k on the left side, sum c[j][i][k] v_k (x) e_i on
-the right.
+Action and coaction tensors are sparse tensors like the structure maps of
+:mod:`hopf`, and kept in key order as those are.  An action is keyed
+``(i, j, k)``: e_i acting on v_j (left), or v_j acted on by e_i (right), is
+sum_k t[(i, j, k)] v_k.  A coaction is keyed ``(j, i, k)``: module basis j maps
+to sum c[(j, i, k)] e_i (x) v_k on the left side, sum c[(j, i, k)] v_k (x) e_i
+on the right.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .hopf import (AlgebraData, CoalgebraData, HopfData, QuotientSplitting, SubspaceBasis,
-                   augmentation_ideal, tensors, unit_cokernel)
-from .linalg import contract, dense, differing, identity, in_coordinates, sparse
+                   augmentation_ideal, unit_cokernel)
+from .linalg import contract, dense, differing, identity, in_coordinates, ordered, sparse
 
 ACTIONS = ("adl", "adr", "adl_bar", "adr_bar")      # |>, <|, |>>, <<|
 COACTIONS = ("rho_l", "rho_r", "rho_r_bar", "rho_l_bar")
@@ -31,19 +34,22 @@ COACTIONS = ("rho_l", "rho_r", "rho_r_bar", "rho_l_bar")
 class ModuleAction:
     over: AlgebraData
     space_dim: int
-    tensor: list  # tensor[i][j][k]: e_i acting on v_j (left) or v_j acted by e_i (right)
+    tensor: dict  # (i, j, k): e_i acting on v_j (left) or v_j acted by e_i (right)
     side: str     # "left" | "right"
+
+    def __post_init__(self):
+        self.tensor = ordered(self.tensor)
 
     def act(self, hvec: list, vvec: list) -> list:
         f = self.over.field
-        t = contract(f, "i,ijk,j->k", sparse(hvec), sparse(self.tensor), sparse(vvec))
+        t = contract(f, "i,ijk,j->k", sparse(hvec), self.tensor, sparse(vvec))
         return dense(f, t, (self.space_dim,))
 
     def check(self) -> tuple:
         """(ok, witness): unit acts as identity, action is associative."""
         f = self.over.field
-        t, m = sparse(self.tensor), sparse(self.over.mult)
-        bad = differing(contract(f, "a,ajk->jk", sparse(self.over.unit), t),
+        t, m = self.tensor, self.over.mult
+        bad = differing(contract(f, "a,ajk->jk", self.over.unit, t),
                         identity(f, self.space_dim), 1)
         if bad:
             return False, ("unit", *min(bad))
@@ -57,15 +63,18 @@ class ModuleAction:
 class ComoduleCoaction:
     over: CoalgebraData
     space_dim: int
-    tensor: list  # c[j][i][k]
+    tensor: dict  # (j, i, k)
     side: str
+
+    def __post_init__(self):
+        self.tensor = ordered(self.tensor)
 
     def coact(self, vvec: list) -> list:
         """Flattened coordinates in H(x)V (left: i*m+k) or V(x)H (right: k*n+i)."""
         f = self.over.field
         n, m = self.over.dim, self.space_dim
         t = contract(f, "j,jik->ik" if self.side == "left" else "j,jik->ki",
-                     sparse(vvec), sparse(self.tensor))
+                     sparse(vvec), self.tensor)
         return [x for row in dense(f, t, (n, m) if self.side == "left" else (m, n)) for x in row]
 
     def check(self) -> tuple:
@@ -73,13 +82,13 @@ class ComoduleCoaction:
         least failing module index, with the least failing coordinate of
         (Delta (x) id)rho(v_j) for coassociativity."""
         f = self.over.field
-        t = sparse(self.tensor)
-        bad = differing(contract(f, "i,jik->jk", sparse(self.over.counit), t),
+        t = self.tensor
+        bad = differing(contract(f, "i,jik->jk", self.over.counit, t),
                         identity(f, self.space_dim), 1)
         if bad:
             return False, ("counit", *min(bad))
         twice = "jik,kpl->jipl" if self.side == "left" else "jik,kpl->jpil"
-        bad = differing(contract(f, "jik,ipq->jpqk", t, sparse(self.over.comult)),
+        bad = differing(contract(f, "jik,ipq->jpqk", t, self.over.comult),
                         contract(f, twice, t, t), 4)
         if bad:
             j, *key = min(bad)
@@ -123,16 +132,20 @@ _COACTION_SPECS = {
 }
 
 
-def _evaluate(h: HopfData, which: str, specs: dict) -> list:
-    """The dense n x n x n tensor of one entry of a spec table."""
+def _maps(h: HopfData, names: str) -> list:
+    """The structure tensors named in a spec table: D, m, S or Si."""
+    maps = {"D": h.coa.comult, "m": h.alg.mult, "S": h.antipode, "Si": h.antipode_inverse}
+    return [maps[k] for k in names.split()]
+
+
+def _evaluate(h: HopfData, which: str, specs: dict) -> dict:
+    """The n x n x n tensor of one entry of a spec table."""
     if which not in specs:
         raise ValueError(f"unknown adjoint structure {which!r}; have {sorted(specs)}")
     if which.endswith("_bar") and h.antipode_inverse is None:
         raise ValueError(f"{which} needs an invertible antipode")
     spec, names = specs[which]
-    t = tensors(h)
-    n = h.dim
-    return dense(h.field, contract(h.field, spec, *(t[k] for k in names.split())), (n, n, n))
+    return contract(h.field, spec, *_maps(h, names))
 
 
 def adjoint_action(h: HopfData, which: str) -> ModuleAction:
@@ -176,12 +189,11 @@ def check_yd(s: YDStructure, h: HopfData) -> tuple:
     f = h.field
     if s.variant in ("LR", "RL") and h.antipode_inverse is None:
         raise ValueError("barred variants need an invertible antipode")
-    t = tensors(h)
-    act, coact = sparse(s.action.tensor), sparse(s.coaction.tensor)
+    act, coact = s.action.tensor, s.coaction.tensor
     hleg, names = _YD_SPECS[s.variant]
     lhs = contract(f, "abl,lIK->abIK", act, coact)
-    rhs = contract(f, f"apx,xqr,{hleg},qkK,bik->abIK", t["D"], t["D"],
-                   *(t[k] for k in names.split()), act, coact)
+    rhs = contract(f, f"apx,xqr,{hleg},qkK,bik->abIK", h.coa.comult, h.coa.comult,
+                   *_maps(h, names), act, coact)
     bad = differing(lhs, rhs, 2)
     return (False, min(bad)) if bad else (True, None)
 
@@ -209,8 +221,7 @@ def yd_on_h(h: HopfData, kind: str) -> YDStructure:
         cside = "left" if variant in ("LL", "RL") else "right"
         # Delta(v) = e_i (x) v_j on the left, v_i (x) e_j on the right
         spec = "kij->kij" if cside == "left" else "kij->kji"
-        tensor = dense(f, contract(f, spec, sparse(h.coa.comult)), (n, n, n))
-        coaction = ComoduleCoaction(h.coa, n, tensor, cside)
+        coaction = ComoduleCoaction(h.coa, n, contract(f, spec, h.coa.comult), cside)
         ok, witness = coaction.check()
         if not ok:
             raise AssertionError(f"regular coaction failed at {witness}")
@@ -218,8 +229,7 @@ def yd_on_h(h: HopfData, kind: str) -> YDStructure:
         coaction = adjoint_coaction(h, kind)
         side = "left" if variant in ("LL", "LR") else "right"
         spec = "ijk->ijk" if side == "left" else "jik->ijk"
-        tensor = dense(f, contract(f, spec, sparse(h.alg.mult)), (n, n, n))
-        action = ModuleAction(h.alg, n, tensor, side)
+        action = ModuleAction(h.alg, n, contract(f, spec, h.alg.mult), side)
         ok, witness = action.check()
         if not ok:
             raise AssertionError(f"regular action failed at {witness}")
@@ -229,12 +239,11 @@ def yd_on_h(h: HopfData, kind: str) -> YDStructure:
 def _yd_of(h: HopfData, m: int, act: dict, coat: dict, name: str) -> YDStructure:
     """The LL Yetter-Drinfeld module on m basis vectors with the given action and
     coaction tensors, each of its three axioms checked."""
-    f, n = h.field, h.dim
-    action = ModuleAction(h.alg, m, dense(f, act, (n, m, m)), "left")
+    action = ModuleAction(h.alg, m, act, "left")
     ok, witness = action.check()
     if not ok:
         raise AssertionError(f"{name} action failed at {witness}")
-    coaction = ComoduleCoaction(h.coa, m, dense(f, coat, (m, n, m)), "left")
+    coaction = ComoduleCoaction(h.coa, m, coat, "left")
     ok, witness = coaction.check()
     if not ok:
         raise AssertionError(f"{name} coaction failed at {witness}")
@@ -251,9 +260,9 @@ def h_plus_yd(h: HopfData, hp: Optional[SubspaceBasis] = None) -> tuple:
     f = h.field
     hp = hp or augmentation_ideal(h)
     basis, coords = hp.tensors(f)
-    act = in_coordinates(f, contract(f, "xj,ixk->ijk", basis, sparse(h.alg.mult)), basis, coords,
+    act = in_coordinates(f, contract(f, "xj,ixk->ijk", basis, h.alg.mult), basis, coords,
                          "H·H^+ escaped H^+; counit is not an algebra map?")
-    adc = sparse(adjoint_coaction(h, "rho_l").tensor)
+    adc = adjoint_coaction(h, "rho_l").tensor
     coat = in_coordinates(f, contract(f, "xj,xik->jik", basis, adc), basis, coords,
                           "adjoint coaction of H^+ escaped H (x) H^+")
     return _yd_of(h, hp.dim, act, coat, "H^+"), hp
@@ -266,7 +275,7 @@ def h_bar_yd(h: HopfData, split: Optional[QuotientSplitting] = None) -> tuple:
     f = h.field
     split = split or unit_cokernel(h)
     sect, proj = sparse(split.section), sparse(split.projection)
-    adl = sparse(adjoint_action(h, "adl").tensor)
+    adl = adjoint_action(h, "adl").tensor
     act = contract(f, "xj,ixy,cy->ijc", sect, adl, proj)
-    coat = contract(f, "xj,xik,ck->jic", sect, sparse(h.coa.comult), proj)
+    coat = contract(f, "xj,xik,ck->jic", sect, h.coa.comult, proj)
     return _yd_of(h, h.dim - 1, act, coat, "Hbar"), split

@@ -27,6 +27,7 @@ from hopfsmith.smoothness import (find_fs_retraction, find_fs_section,
                                   laurent_fs_section_window_check)
 
 from conftest import GRID, F
+from test_loop_oracles import _lists
 
 
 def _line(n, ok, text):
@@ -52,7 +53,7 @@ def test_criterion_1_cyclic_truth_table(preset_cache):
 
 def test_criterion_2_group_algebra_ad_invariant(preset_cache):
     from hopfsmith.hopf import _unitvec
-    from hopfsmith.linalg import Mat as M, nullspace
+    from hopfsmith.linalg import Mat as M, dense, nullspace
     from hopfsmith.yd import adjoint_action
     names = [f"C{k}" for k in range(1, 13)] + ["S3", "Q8"]
     checked = 0
@@ -66,20 +67,22 @@ def test_criterion_2_group_algebra_ad_invariant(preset_cache):
             assert cert is not None and cert.vector == want, (name, ch)
             # homogeneous system (a)+(b): solution space is one-dimensional
             adl = adjoint_action(h, "adl")
+            _, comult, unit, counit, _, _ = _lists(h)
+            adl_t = dense(f, adl.tensor, (n, n, n))
             rows = []
             for k in range(n):
                 for i in range(n):
                     row = [f.zero] * n
                     for j in range(n):
-                        c = h.coa.comult[k][i][j]
+                        c = comult[k][i][j]
                         if c:
                             row[j] = f.add(row[j], c)
-                    row[k] = f.sub(row[k], h.alg.unit[i])
+                    row[k] = f.sub(row[k], unit[i])
                     rows.append(row)
             for k in range(n):
-                ek = h.coa.counit[k]
+                ek = counit[k]
                 for t in range(n):
-                    row = list(adl.tensor[k][t])
+                    row = list(adl_t[k][t])
                     row[t] = f.sub(row[t], ek)
                     rows.append(row)
             assert nullspace(M(f, len(rows), n, rows)).cols == 1, (name, ch)
@@ -171,9 +174,9 @@ def test_criterion_7_wedge_coradical_suite(preset_cache):
         (hm, SubspaceBasis(2, [hm.basis_vec(0), hm.basis_vec(1)])),
     ]
     kf2 = preset_cache("functions:C2", 2)
-    instances += [(kf2, SubspaceBasis(2, [kf2.alg.unit]))]
+    instances += [(kf2, SubspaceBasis(2, [kf2.unit_vec]))]
     kf3 = preset_cache("functions:C3", 0)
-    instances += [(kf3, SubspaceBasis(3, [kf3.alg.unit]))]
+    instances += [(kf3, SubspaceBasis(3, [kf3.unit_vec]))]
     count = 0
     for h, sub in instances:
         rec = wedge_filtration(sub, h.coa)

@@ -109,6 +109,65 @@ def test_conditions_keep_the_label_of_a_cancelled_condition():
     assert sys.matrix.data == [[(0, 1), (1, 1)], []] and sys.rhs == [1, 0]
 
 
+def _dict_row_system(field, unknowns, *conds):
+    """The system of ``conds`` assembled through per-row ``{column: coefficient}``
+    dicts and ``AffineSystem.sparse``, the route the pair rows replaced."""
+    rows, rhs, labels = [], [], []
+    for t, nrow, const, label in conds:
+        const = const or {}
+        by_row = {}
+        for key, c in t.items():
+            by_row.setdefault(key[:nrow], {})[key[nrow]] = c
+        keys = sorted(by_row.keys() | const.keys()) or [None]
+        rows += [by_row.get(k, {}) for k in keys]
+        rhs += [const.get(k, field.zero) for k in keys]
+        labels += [label] * len(keys)
+    return AffineSystem.sparse(field, rows, rhs, unknowns, labels)
+
+
+@st.composite
+def condition_lists(draw):
+    field = draw(st.sampled_from(FIELDS))
+    width = draw(st.integers(1, 4))
+    scalars = st.integers(-3, 3).map(
+        field.from_int if field.characteristic else Fraction)
+    conds = []
+    for label in "abc"[:draw(st.integers(1, 3))]:
+        nrow = draw(st.integers(0, 2))
+        keys = st.tuples(*[st.integers(0, 2)] * nrow, st.integers(0, width - 1))
+        t = {k: v for k, v in draw(st.dictionaries(keys, scalars, max_size=12)).items() if v}
+        const = draw(st.none() | st.dictionaries(st.tuples(*[st.integers(0, 2)] * nrow),
+                                                 scalars, max_size=4))
+        conds.append((t, nrow, const, label))
+    return field, width, conds
+
+
+@settings(max_examples=200, deadline=None)
+@given(condition_lists())
+def test_conditions_rows_equal_the_dict_row_assembly(case):
+    field, width, conds = case
+    got = AffineSystem.conditions(field, width, *conds)
+    want = _dict_row_system(field, width, *conds)
+    assert got.matrix.data == want.matrix.data
+    assert (got.rhs, got.labels) == (want.rhs, want.labels)
+
+
+def test_conditions_rows_of_a_double_antipode_system():
+    from hopfsmith import resolve_preset
+    from hopfsmith.doubles import drinfeld_double
+    double, _ = drinfeld_double(resolve_preset("sweedler", FieldSpec(3)))
+    f, n = double.field, double.dim
+    d, m, x = double.coa.comult, double.alg.mult, unknowns(f, n, n)
+    unit = contract(f, "K,t->Kt", double.coa.counit, double.alg.unit)
+    conds = [(contract(f, "KIJ,TJt,TIu->Ktu", d, m, x), 2, unit, "S(x1) x2"),
+             (contract(f, "KIJ,ITt,TJu->Ktu", d, m, x), 2, unit, "x1 S(x2)")]
+    got = AffineSystem.conditions(f, n * n, *conds)
+    want = _dict_row_system(f, n * n, *conds)
+    assert len(got.rhs) == 2 * n * n
+    assert (got.matrix.data, got.rhs, got.labels) == \
+        (want.matrix.data, want.rhs, want.labels)
+
+
 def test_in_coordinates_reads_the_span_and_rejects_what_escapes():
     f = FieldSpec(0)
     basis = {(0, 0): f.one, (1, 0): -f.one}      # the single vector e_0 - e_1 of K^2

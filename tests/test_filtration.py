@@ -160,9 +160,9 @@ def test_exhaustion_criterion_both_directions():
     instances.append((hc2m, SubspaceBasis(2, [hc2m.basis_vec(0)]), False))
     instances.append((hc2m, SubspaceBasis(2, [hc2m.basis_vec(0), hc2m.basis_vec(1)]), True))
     kf2 = resolve_preset("functions:C2", GF(2))
-    instances.append((kf2, SubspaceBasis(2, [kf2.alg.unit]), True))  # span{1} = coradical here
+    instances.append((kf2, SubspaceBasis(2, [kf2.unit_vec]), True))  # span{1} = coradical here
     kf3 = resolve_preset("functions:C3", QQ)
-    instances.append((kf3, SubspaceBasis(3, [kf3.alg.unit]), False))
+    instances.append((kf3, SubspaceBasis(3, [kf3.unit_vec]), False))
     assert len(instances) >= 10
     for h, sub, want in instances:
         rec = wedge_filtration(sub, h.coa)
@@ -209,7 +209,7 @@ from hypothesis import given, settings, strategies as st
 
 from hopfsmith.filtration import _fr_radical_mod_p, _trace_form_kernel
 from hopfsmith.hopf import _unitvec, dual_algebra
-from hopfsmith.linalg import Mat, nullspace
+from hopfsmith.linalg import Mat, dense, nullspace
 
 from conftest import GRID
 from test_loop_oracles import _mul
@@ -221,7 +221,8 @@ def _dense_fr_radical_mod_p(a):
     f = a.field
     p = f.characteristic
     n = a.dim
-    lmats = [Mat(f, n, n, [[a.mult[i][c][r] for c in range(n)] for r in range(n)])
+    mult = dense(f, a.mult, (n, n, n))
+    lmats = [Mat(f, n, n, [[mult[i][c][r] for c in range(n)] for r in range(n)])
              for i in range(n)]
 
     def lift_matrix(v):
@@ -261,7 +262,7 @@ def _dense_fr_radical_mod_p(a):
         for w in current:
             row = []
             for y in range(n):
-                wy = _mul(f, a.mult, w, _unitvec(f, n, y))
+                wy = _mul(f, mult, w, _unitvec(f, n, y))
                 tr = int_trace_power(lift_matrix(wy), pi)
                 assert tr % pi == 0
                 row.append((tr // pi) % p)

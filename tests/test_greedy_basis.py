@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from hopfsmith import GF, QQ, resolve_preset
 from hopfsmith.filtration import _fr_radical_mod_p, _ideal_product, _trace_form_kernel
 from hopfsmith.hopf import _completion, _unitvec, dual_algebra
-from hopfsmith.linalg import Mat, in_span, invert, rank
+from hopfsmith.linalg import Mat, dense, in_span, invert, rank
 
 from conftest import GRID
 from test_loop_oracles import _mul
@@ -35,8 +35,9 @@ def _completion_oracle(field, n, vectors):
 def _ideal_product_oracle(a, xs, ys):
     """The nonzero products x·y, in order, that are outside the span of the kept ones."""
     f = a.field
+    mult = dense(f, a.mult, (a.dim,) * 3)
     out = []
-    for pvec in (_mul(f, a.mult, x, y) for x in xs for y in ys):
+    for pvec in (_mul(f, mult, x, y) for x in xs for y in ys):
         if any(pvec) and not in_span(f, out, pvec):
             out.append(pvec)
     return out

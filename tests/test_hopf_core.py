@@ -8,13 +8,18 @@ from hopfsmith import (GF, QQ, FieldSpec, augmentation_ideal, check_algebra,
                        check_hopf, dual_hopf, op_cop, resolve_preset,
                        unit_cokernel)
 from hopfsmith.hopf import validated
-from hopfsmith.linalg import Mat, spans_equal
+from hopfsmith.linalg import Mat, dense, spans_equal
 from hopfsmith.presets import (NotAGroupError, cyclic_table, preset_function_algebra,
                                preset_group_algebra, preset_sweedler, preset_taft,
                                s3_table, q8_table)
 
 from conftest import GRID, F
 from test_loop_oracles import _delta
+
+
+def _antipode(h):
+    """The antipode of h as a ``Mat``, read through ``linalg.dense``."""
+    return Mat(h.field, h.dim, h.dim, dense(h.field, h.antipode, (h.dim, h.dim)))
 
 
 def test_every_preset_passes_axioms(preset_cache):
@@ -31,7 +36,9 @@ def test_one_dimensional_algebra():
 def test_corrupted_product_fails_associativity():
     h = preset_group_algebra(cyclic_table(3), QQ)
     bad = copy.deepcopy(h.alg)
-    bad.mult[1][2] = [F(0), F(1), F(0)]  # redirect g·g^2 away from the identity
+    # redirect g·g^2 away from the identity: the entry at e_0 leaves, one at e_1 arrives
+    bad.mult.pop((1, 2, 0))
+    bad.mult[1, 2, 1] = F(1)
     rep = check_algebra(bad)
     assert not rep.checks["associativity"].ok
     assert rep.checks["associativity"].witness is not None
@@ -40,8 +47,8 @@ def test_corrupted_product_fails_associativity():
 def test_corrupted_antipode_fails_axiom():
     h = preset_sweedler(QQ)
     broken = copy.deepcopy(h)
-    broken.antipode = Mat.identity(QQ, 4)
-    broken.antipode_inverse = Mat.identity(QQ, 4)
+    broken.antipode = {(i, i): F(1) for i in range(4)}
+    broken.antipode_inverse = {(i, i): F(1) for i in range(4)}
     rep = check_hopf(broken)
     assert not rep.checks["antipode"].ok
 
@@ -56,18 +63,18 @@ def test_group_table_validation():
 
 def test_group_algebra_c2_antipode_is_identity():
     h = preset_group_algebra(cyclic_table(2), QQ)
-    assert h.antipode == Mat.identity(QQ, 2)
+    assert _antipode(h) == Mat.identity(QQ, 2)
 
 
 def test_group_algebra_s_squared_identity(preset_cache):
     for spec in ("group:C3", "group:S3", "group:Q8"):
         h = preset_cache(spec, 0)
-        assert h.antipode.mul(h.antipode) == Mat.identity(QQ, h.dim)
+        assert _antipode(h).mul(_antipode(h)) == Mat.identity(QQ, h.dim)
 
 
 def test_taft_s_squared_not_identity():
     h = preset_taft(3, 2, GF(7))
-    s2 = h.antipode.mul(h.antipode)
+    s2 = _antipode(h).mul(_antipode(h))
     assert s2 != Mat.identity(GF(7), 9)
     assert h.antipode_inverse is not None
 
@@ -96,7 +103,7 @@ def test_function_algebra_is_dual_of_group_algebra():
     d = dual_hopf(kg)
     assert kf.alg.mult == d.alg.mult and kf.coa.comult == d.coa.comult
     # idempotent basis sums to the identity
-    one = kf.alg.unit
+    one = kf.unit_vec
     assert one == [F(1), F(1)]
 
 
@@ -134,9 +141,10 @@ def test_unit_and_counit_laws(preset_cache):
     for spec, char in GRID:
         h = preset_cache(spec, char)
         f = h.field
-        assert f.eq(functools.reduce(f.add, map(f.mul, h.unit_vec, h.coa.counit)), f.one)
         n = h.dim
-        d1 = _delta(f, h.coa.comult, h.unit_vec)
+        counit, comult = dense(f, h.coa.counit, (n,)), dense(f, h.coa.comult, (n, n, n))
+        assert f.eq(functools.reduce(f.add, map(f.mul, h.unit_vec, counit)), f.one)
+        d1 = _delta(f, comult, h.unit_vec)
         expect = [f.zero] * (n * n)
         for i, x in enumerate(h.unit_vec):
             for j, y in enumerate(h.unit_vec):
@@ -180,10 +188,12 @@ def test_grid_scalars_are_canonical(preset_cache):
     canonical: reduced Fractions over Q, ints in [0, p) over F_p."""
     for spec, char in GRID:
         h = preset_cache(spec, char)
-        scalars = [x for block in h.alg.mult for row in block for x in row]
-        scalars += [x for block in h.coa.comult for row in block for x in row]
-        scalars += list(h.coa.counit)
-        scalars += [x for row in h.antipode.data for x in row]
+        n = h.dim
+        f = h.field
+        scalars = [x for block in dense(f, h.alg.mult, (n, n, n)) for row in block for x in row]
+        scalars += [x for block in dense(f, h.coa.comult, (n, n, n)) for row in block for x in row]
+        scalars += dense(f, h.coa.counit, (n,))
+        scalars += [x for row in dense(f, h.antipode, (n, n)) for x in row]
         for x in scalars:
             if char:
                 assert type(x) is int and 0 <= x < char, (spec, char, x)

@@ -7,10 +7,11 @@ from hopfsmith.integrals import (ad_coinvariant_integral, ad_invariant_integral,
                                  coseparability_retraction, four_coinvariance_flags,
                                  four_linearity_flags, integral_space, is_unimodular,
                                  separability_idempotent, total_integral)
-from hopfsmith.linalg import spans_equal
+from hopfsmith.linalg import dense, spans_equal
 from hopfsmith.presets import preset_sweedler
 
 from conftest import GRID, SMALL_GRID, F
+from test_loop_oracles import _lists
 
 
 def test_integral_space_of_cyclic_groups(preset_cache):
@@ -87,20 +88,22 @@ def test_ad_invariant_solution_space_is_at_most_one_dimensional(preset_cache):
         f = h.field
         n = h.dim
         adl = adjoint_action(h, "adl")
+        _, comult, unit, counit, _, _ = _lists(h)
+        adl_t = dense(f, adl.tensor, (n, n, n))
         rows = []
         for k in range(n):
             for i in range(n):
                 row = [f.zero] * n
                 for j in range(n):
-                    c = h.coa.comult[k][i][j]
+                    c = comult[k][i][j]
                     if c:
                         row[j] = f.add(row[j], c)
-                row[k] = f.sub(row[k], h.alg.unit[i])
+                row[k] = f.sub(row[k], unit[i])
                 rows.append(row)
         for k in range(n):
-            ek = h.coa.counit[k]
+            ek = counit[k]
             for t in range(n):
-                row = list(adl.tensor[k][t])
+                row = list(adl_t[k][t])
                 row[t] = f.sub(row[t], ek)
                 rows.append(row)
         ns = nullspace(Mat(f, len(rows), n, rows))

@@ -9,7 +9,7 @@ from hopfsmith.lifting import (Bimodule, LiftCertificate, LiftObstruction,
                                hochschild_coboundary_solve, lift_algebra_section,
                                regular_bimodule, square_zero_extension,
                                weak_projection)
-from hopfsmith.linalg import Mat, nullspace, rank
+from hopfsmith.linalg import Mat, dense, nullspace, rank
 from hopfsmith.presets import preset_sweedler
 
 from conftest import F
@@ -85,13 +85,14 @@ def test_surjection_validation():
 def test_hochschild_round_trip():
     h = resolve_preset("group:C2", QQ)
     a = h.alg
+    mult = dense(QQ, a.mult, (2, 2, 2))
     bim = regular_bimodule(a)
     hmat = Mat(QQ, 2, 2, [[F(1), F(2)], [F(3), F(5)]])
     c = [[None] * 2 for _ in range(2)]
     for i in range(2):
         for j in range(2):
             t1 = bim.left[i].matvec(hmat.column(j))
-            t2 = hmat.matvec(a.mult[i][j])
+            t2 = hmat.matvec(mult[i][j])
             t3 = bim.right[j].matvec(hmat.column(i))
             c[i][j] = [QQ.sub(QQ.add(x1, x3), x2) for x1, x2, x3 in zip(t1, t2, t3)]
     sol = hochschild_coboundary_solve(a, bim, c)
@@ -99,7 +100,7 @@ def test_hochschild_round_trip():
     for i in range(2):
         for j in range(2):
             t1 = bim.left[i].matvec(sol.column(j))
-            t2 = sol.matvec(a.mult[i][j])
+            t2 = sol.matvec(mult[i][j])
             t3 = bim.right[j].matvec(sol.column(i))
             got = [QQ.sub(QQ.add(x1, x3), x2) for x1, x2, x3 in zip(t1, t2, t3)]
             assert got == c[i][j]
@@ -120,6 +121,7 @@ def _second_cohomology_dim(bim):
     a = bim.algebra
     f = a.field
     n, m = a.dim, bim.dim
+    mult = dense(f, a.mult, (n, n, n))
 
     d1_rows = []
     for i in range(n):
@@ -130,7 +132,7 @@ def _second_cohomology_dim(bim):
                     v = bim.left[i].data[t][s]
                     if v:
                         row[s * n + j] = f.add(row[s * n + j], v)
-                for y, v in enumerate(a.mult[i][j]):
+                for y, v in enumerate(mult[i][j]):
                     if v:
                         row[t * n + y] = f.sub(row[t * n + y], v)
                 for s in range(m):
@@ -149,10 +151,10 @@ def _second_cohomology_dim(bim):
                         v = bim.left[i].data[t][s]
                         if v:
                             row[(s * n + j) * n + k] = f.add(row[(s * n + j) * n + k], v)
-                    for y, v in enumerate(a.mult[i][j]):
+                    for y, v in enumerate(mult[i][j]):
                         if v:
                             row[(t * n + y) * n + k] = f.sub(row[(t * n + y) * n + k], v)
-                    for y, v in enumerate(a.mult[j][k]):
+                    for y, v in enumerate(mult[j][k]):
                         if v:
                             row[(t * n + i) * n + y] = f.add(row[(t * n + i) * n + y], v)
                     for s in range(m):

@@ -16,7 +16,7 @@ import pytest
 from hopfsmith import GF, QQ, FieldSpec, resolve_preset
 from hopfsmith.filtration import _trace_form_kernel, coradical, wedge
 from hopfsmith.hopf import SubspaceBasis, dual_algebra, quotient_maps, sub_hopf_on_subspace
-from hopfsmith.linalg import SparseMat, nullspace
+from hopfsmith.linalg import SparseMat, dense, nullspace
 import hopfsmith.lifting as lifting
 from hopfsmith.lifting import (LiftObstruction, _check_right_comodule, _is_two_cocycle,
                                _verify_weak_projection, cyclic_cover_problem, eps_bimodule,
@@ -62,16 +62,17 @@ def oracle_bimodule_check(bim):
     """The first failing bimodule axiom as its error message, or None."""
     a = bim.algebra
     f, n, m = a.field, a.dim, bim.dim
+    mult, unit = dense(f, a.mult, (n, n, n)), dense(f, a.unit, (n,))
     left = [x.data for x in bim.left]
     right = [x.data for x in bim.right]
     ident = [[f.one if r == s else f.zero for s in range(m)] for r in range(m)]
-    if _combine(f, left, a.unit, m) != ident or _combine(f, right, a.unit, m) != ident:
+    if _combine(f, left, unit, m) != ident or _combine(f, right, unit, m) != ident:
         return "bimodule: unit does not act as identity"
     for i in range(n):
         for j in range(n):
-            if _combine(f, left, a.mult[i][j], m) != _matmul(f, left[i], left[j]):
+            if _combine(f, left, mult[i][j], m) != _matmul(f, left[i], left[j]):
                 return f"bimodule: left action not associative at ({i},{j})"
-            if _combine(f, right, a.mult[i][j], m) != _matmul(f, right[j], right[i]):
+            if _combine(f, right, mult[i][j], m) != _matmul(f, right[j], right[i]):
                 return f"bimodule: right action not associative at ({i},{j})"
             if _matmul(f, left[i], right[j]) != _matmul(f, right[j], left[i]):
                 return f"bimodule: actions do not commute at ({i},{j})"
@@ -81,12 +82,13 @@ def oracle_bimodule_check(bim):
 def oracle_comodule_check(coact, dim, h):
     """The failing comodule law of rho (rows v * dim H + u) as its message, or None."""
     f, nh = h.field, h.dim
+    counit, comult = dense(f, h.coa.counit, (nh,)), dense(f, h.coa.comult, (nh, nh, nh))
     rho = coact.data
     for c in range(dim):
         acc = [f.zero] * dim
         for v in range(dim):
             for u in range(nh):
-                acc[v] = f.add(acc[v], f.mul(rho[v * nh + u][c], h.coa.counit[u]))
+                acc[v] = f.add(acc[v], f.mul(rho[v * nh + u][c], counit[u]))
         if acc != [f.one if v == c else f.zero for v in range(dim)]:
             return "coaction fails the counit law"
     for c in range(dim):
@@ -103,7 +105,7 @@ def oracle_comodule_check(coact, dim, h):
                 for p in range(nh):
                     for q in range(nh):
                         key = (v, p, q)
-                        rhs[key] = f.add(rhs.get(key, f.zero), f.mul(x, h.coa.comult[u][p][q]))
+                        rhs[key] = f.add(rhs.get(key, f.zero), f.mul(x, comult[u][p][q]))
         if any(lhs.get(k, f.zero) != rhs.get(k, f.zero) for k in set(lhs) | set(rhs)):
             return "coaction fails coassociativity"
     return None
@@ -113,6 +115,7 @@ def oracle_is_two_cocycle(bim, c):
     """delta c (a,b,d) = a·c(b,d) - c(ab,d) + c(a,bd) - c(a,b)·d on basis triples."""
     a = bim.algebra
     f, n, m = a.field, a.dim, bim.dim
+    mult = dense(f, a.mult, (n, n, n))
 
     def c_of(u, v):
         out = [f.zero] * m
@@ -130,8 +133,8 @@ def oracle_is_two_cocycle(bim, c):
         for j in range(n):
             for k in range(n):
                 t1 = _apply(f, bim.left[i].data, c[j][k])
-                t2 = c_of(a.mult[i][j], e(k))
-                t3 = c_of(e(i), a.mult[j][k])
+                t2 = c_of(mult[i][j], e(k))
+                t3 = c_of(e(i), mult[j][k])
                 t4 = _apply(f, bim.right[k].data, c[i][j])
                 if any(f.sub(f.add(f.sub(x1, x2), x3), x4)
                        for x1, x2, x3, x4 in zip(t1, t2, t3, t4)):
@@ -170,9 +173,10 @@ def _coboundary(bim, hmap):
     """delta h as a nested cochain c[i][j] = a_i·h(a_j) - h(a_i a_j) + h(a_i)·a_j."""
     a = bim.algebra
     f, n = a.field, a.dim
+    mult = dense(f, a.mult, (n, n, n))
     return [[[f.add(f.sub(x, y), z) for x, y, z in zip(
         _apply(f, bim.left[i].data, hmap[j]),
-        [_sum(f, (f.mul(a.mult[i][j][k], hmap[k][t]) for k in range(n)))
+        [_sum(f, (f.mul(mult[i][j][k], hmap[k][t]) for k in range(n)))
          for t in range(bim.dim)],
         _apply(f, bim.right[j].data, hmap[i]))] for j in range(n)] for i in range(n)]
 
@@ -241,6 +245,7 @@ def test_comodule_check_matches_loops_on_every_corruption(spec, char):
 def oracle_wedge(x, y, e):
     """The wedge rows by the explicit loops, solved by the package's nullspace."""
     f, n = e.field, e.dim
+    comult = dense(f, e.comult, (n, n, n))
     px = quotient_maps(f, n, x.vectors)[0]
     py = quotient_maps(f, n, y.vectors)[0]
     if px.rows == 0 or py.rows == 0:
@@ -254,7 +259,7 @@ def oracle_wedge(x, y, e):
                 for i in range(n):
                     for j in range(n):
                         acc = f.add(acc, f.mul(px.data[p][i],
-                                               f.mul(e.comult[k][i][j], py.data[q][j])))
+                                               f.mul(comult[k][i][j], py.data[q][j])))
                 if acc:
                     row.append((k, acc))
             rows.append(row)
@@ -263,13 +268,14 @@ def oracle_wedge(x, y, e):
 
 def oracle_trace_form_kernel(a):
     f, n = a.field, a.dim
-    traces = [_sum(f, (a.mult[k][d][d] for d in range(n))) for k in range(n)]
+    mult = dense(f, a.mult, (n, n, n))
+    traces = [_sum(f, (mult[k][d][d] for d in range(n))) for k in range(n)]
     rows = []
     for i in range(n):
         row = []
         for j in range(n):
             acc = f.zero
-            for c, tr in zip(a.mult[i][j], traces):
+            for c, tr in zip(mult[i][j], traces):
                 acc = f.add(acc, f.mul(c, tr))
             if acc:
                 row.append((j, acc))
@@ -281,7 +287,7 @@ def oracle_trace_form_kernel(a):
 def test_wedge_and_trace_form_match_loops(spec, char, preset_cache):
     h = preset_cache(spec, char)
     cor = coradical(h.coa)
-    unit = SubspaceBasis(h.dim, [list(h.alg.unit)])
+    unit = SubspaceBasis(h.dim, [h.unit_vec])
     for x, y in ((cor, cor), (unit, cor), (cor, unit), (unit, unit)):
         assert wedge(x, y, h.coa).vectors == oracle_wedge(x, y, h.coa)
     for a in (h.alg, dual_algebra(h.coa)):
@@ -293,6 +299,9 @@ def oracle_verify_weak_projection(e, h, inclusion, proj, bilinear):
     f, ne, nh = e.field, e.dim, h.dim
     pm = proj.data
     incl = inclusion.data
+    e_mult, e_comult = dense(f, e.alg.mult, (ne,) * 3), dense(f, e.coa.comult, (ne,) * 3)
+    h_mult, h_comult = dense(f, h.alg.mult, (nh,) * 3), dense(f, h.coa.comult, (nh,) * 3)
+    e_counit, h_counit = dense(f, e.coa.counit, (ne,)), dense(f, h.coa.counit, (nh,))
 
     def mul(mult, u, v):
         out = [f.zero] * len(mult)
@@ -313,18 +322,18 @@ def oracle_verify_weak_projection(e, h, inclusion, proj, bilinear):
     verified = ["retraction"]
     for k in range(ne):
         img = col(pm, k)
-        lhs = [[_sum(f, (f.mul(img[a], h.coa.comult[a][i][j]) for a in range(nh)))
+        lhs = [[_sum(f, (f.mul(img[a], h_comult[a][i][j]) for a in range(nh)))
                 for j in range(nh)] for i in range(nh)]
         rhs = [[f.zero] * nh for _ in range(nh)]
         for x in range(ne):
             for y in range(ne):
-                c = e.coa.comult[k][x][y]
+                c = e_comult[k][x][y]
                 for i in range(nh):
                     for j in range(nh):
                         rhs[i][j] = f.add(rhs[i][j], f.mul(c, f.mul(pm[i][x], pm[j][y])))
         if lhs != rhs:
             return "weak projection is not comultiplicative"
-        if e.coa.counit[k] != _sum(f, (f.mul(v, c) for v, c in zip(img, h.coa.counit))):
+        if e_counit[k] != _sum(f, (f.mul(v, c) for v, c in zip(img, h_counit))):
             return "weak projection does not preserve the counit"
     verified.append("coalgebra-map")
     for side in ["left"] + (["right"] if bilinear else []):
@@ -332,11 +341,11 @@ def oracle_verify_weak_projection(e, h, inclusion, proj, bilinear):
             iu = col(incl, u)
             for x in range(ne):
                 ex = unit(ne, x)
-                prod = mul(e.alg.mult, iu, ex) if side == "left" else mul(e.alg.mult, ex, iu)
+                prod = mul(e_mult, iu, ex) if side == "left" else mul(e_mult, ex, iu)
                 got = _apply(f, pm, prod)
                 px = col(pm, x)
-                want = mul(h.alg.mult, unit(nh, u), px) if side == "left" \
-                    else mul(h.alg.mult, px, unit(nh, u))
+                want = mul(h_mult, unit(nh, u), px) if side == "left" \
+                    else mul(h_mult, px, unit(nh, u))
                 if got != want:
                     return f"weak projection is not {side} H-linear"
         verified.append(f"{side}-H-linear")

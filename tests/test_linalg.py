@@ -392,6 +392,7 @@ def test_kernel_edge_cases(f):
     assert (sol.particular, sol.nullspace.columns()) == _oracle_solve(dense, [one, f.zero])
 
 
+from hopfsmith.linalg import dense as linalg_dense
 from test_loop_oracles import _mul
 
 
@@ -401,11 +402,12 @@ def _dense_relations(ext):
     f = r.field
     nr = r.dim
     amb = nr * nr
+    mult = linalg_dense(f, r.mult, (nr, nr, nr))
     relations = []
     for s in ext.embedding.columns():
-        left = [_mul(f, r.mult, [f.one if t == i else f.zero for t in range(nr)], s)
+        left = [_mul(f, mult, [f.one if t == i else f.zero for t in range(nr)], s)
                 for i in range(nr)]
-        right = [_mul(f, r.mult, s, [f.one if t == j else f.zero for t in range(nr)])
+        right = [_mul(f, mult, s, [f.one if t == j else f.zero for t in range(nr)])
                  for j in range(nr)]
         for i in range(nr):
             for j in range(nr):

@@ -13,6 +13,7 @@ import pytest
 
 from hopfsmith import FieldSpec, resolve_preset
 from hopfsmith.hopf import check_hopf
+from hopfsmith.linalg import dense, sparse
 from hopfsmith.yd import ACTIONS, COACTIONS, adjoint_action, adjoint_coaction, check_yd, yd_on_h
 
 from conftest import GRID
@@ -37,7 +38,17 @@ def _mul(f, mult, a, b):
 def _matvec(f, mat, v):
     return [sum((f.mul(a, x) for a, x in zip(row, v)), f.zero) if f.characteristic == 0
             else sum(f.mul(a, x) for a, x in zip(row, v)) % f.characteristic
-            for row in mat.data]
+            for row in mat]
+
+
+def _lists(h):
+    """(mult, comult, unit, counit, S, S^{-1}) of h as nested lists, read once
+    through ``linalg.dense``; S^{-1} is None when h has none."""
+    f, n = h.field, h.dim
+    si = None if h.antipode_inverse is None else dense(f, h.antipode_inverse, (n, n))
+    return (dense(f, h.alg.mult, (n, n, n)), dense(f, h.coa.comult, (n, n, n)),
+            dense(f, h.alg.unit, (n,)), dense(f, h.coa.counit, (n,)),
+            dense(f, h.antipode, (n, n)), si)
 
 
 def _delta(f, comult, v):
@@ -69,7 +80,7 @@ def _delta2(f, comult, k):
 def oracle_check_hopf(h):
     """{axiom: (ok, witness)} by the explicit loops."""
     f, n = h.field, h.dim
-    mult, comult, unit, counit = h.alg.mult, h.coa.comult, h.alg.unit, h.coa.counit
+    mult, comult, unit, counit, anti, _ = _lists(h)
 
     def first(cands):
         return next((w for w in cands if w is not None), None)
@@ -150,8 +161,8 @@ def oracle_check_hopf(h):
                 x = comult[k][i][j]
                 if not x:
                     continue
-                li = _mul(f, mult, _matvec(f, h.antipode, _e(f, n, i)), _e(f, n, j))
-                rj = _mul(f, mult, _e(f, n, i), _matvec(f, h.antipode, _e(f, n, j)))
+                li = _mul(f, mult, _matvec(f, anti, _e(f, n, i)), _e(f, n, j))
+                rj = _mul(f, mult, _e(f, n, i), _matvec(f, anti, _e(f, n, j)))
                 acc_l = [f.add(a, f.mul(x, b)) for a, b in zip(acc_l, li)]
                 acc_r = [f.add(a, f.mul(x, b)) for a, b in zip(acc_r, rj)]
         target = [f.mul(counit[k], u) for u in unit]
@@ -162,7 +173,8 @@ def oracle_check_hopf(h):
 
 
 def _corruptions(h):
-    """Copies of h with one entry of mult, comult, counit or the antipode moved by 1."""
+    """Copies of h with one entry of mult, comult, counit or the antipode moved by 1;
+    an entry that becomes zero leaves the tensor."""
     f = h.field
     n = h.dim
     sites = [("mult", i, j, k) for i in range(n) for j in range(n) for k in range(n)]
@@ -173,10 +185,11 @@ def _corruptions(h):
         bad = copy.deepcopy(h)
         kind, *idx = site
         target = {"mult": bad.alg.mult, "comult": bad.coa.comult, "counit": bad.coa.counit,
-                  "antipode": bad.antipode.data}[kind]
-        for i in idx[:-1]:
-            target = target[i]
-        target[idx[-1]] = f.add(target[idx[-1]], f.one)
+                  "antipode": bad.antipode}[kind]
+        key = tuple(idx)
+        target[key] = f.add(target.get(key, f.zero), f.one)
+        if not target[key]:
+            target.pop(key)
         yield site, bad
 
 
@@ -193,14 +206,15 @@ def test_check_hopf_matches_loops_on_every_corruption(spec, char):
 
 def oracle_adjoint_action(h, which):
     f, n = h.field, h.dim
-    s = lambda v: _matvec(f, h.antipode, v)  # noqa: E731
-    si = lambda v: _matvec(f, h.antipode_inverse, v)  # noqa: E731
-    mul = lambda a, b: _mul(f, h.alg.mult, a, b)  # noqa: E731
+    mult, comult, _, _, anti, anti_inv = _lists(h)
+    s = lambda v: _matvec(f, anti, v)  # noqa: E731
+    si = lambda v: _matvec(f, anti_inv, v)  # noqa: E731
+    mul = lambda a, b: _mul(f, mult, a, b)  # noqa: E731
     tensor = [[[f.zero] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for p in range(n):
             for q in range(n):
-                d = h.coa.comult[i][p][q]
+                d = comult[i][p][q]
                 if not d:
                     continue
                 ep, eq = _e(f, n, p), _e(f, n, q)
@@ -212,24 +226,25 @@ def oracle_adjoint_action(h, which):
                            "adr_bar": lambda: mul(mul(si(eq), ej), ep)}[which]()
                     for k, v in enumerate(vec):
                         tensor[i][j][k] = f.add(tensor[i][j][k], f.mul(d, v))
-    return tensor
+    return sparse(tensor)
 
 
 def oracle_adjoint_coaction(h, which):
     f, n = h.field, h.dim
-    s = lambda v: _matvec(f, h.antipode, v)  # noqa: E731
-    si = lambda v: _matvec(f, h.antipode_inverse, v)  # noqa: E731
-    mul = lambda a, b: _mul(f, h.alg.mult, a, b)  # noqa: E731
+    mult, comult, _, _, anti, anti_inv = _lists(h)
+    s = lambda v: _matvec(f, anti, v)  # noqa: E731
+    si = lambda v: _matvec(f, anti_inv, v)  # noqa: E731
+    mul = lambda a, b: _mul(f, mult, a, b)  # noqa: E731
     tensor = [[[f.zero] * n for _ in range(n)] for _ in range(n)]
     for k0 in range(n):
-        for (p, q, r), c in _delta2(f, h.coa.comult, k0).items():
+        for (p, q, r), c in _delta2(f, comult, k0).items():
             ep, er = _e(f, n, p), _e(f, n, r)
             hleg = {"rho_l": lambda: mul(ep, s(er)), "rho_r": lambda: mul(s(ep), er),
                     "rho_r_bar": lambda: mul(er, si(ep)),
                     "rho_l_bar": lambda: mul(si(er), ep)}[which]()
             for i, v in enumerate(hleg):
                 tensor[k0][i][q] = f.add(tensor[k0][i][q], f.mul(c, v))
-    return tensor
+    return sparse(tensor)
 
 
 @pytest.mark.parametrize("spec,char", GRID[::2])
@@ -244,9 +259,11 @@ def test_adjoint_tensors_match_loops(spec, char, preset_cache):
 def oracle_check_yd(s, h):
     """(ok, witness) of the YD display on basis pairs, by the explicit loops."""
     f, n, m = h.field, h.dim, s.action.space_dim
-    mul = lambda a, b: _mul(f, h.alg.mult, a, b)  # noqa: E731
-    sv = lambda v: _matvec(f, h.antipode, v)  # noqa: E731
-    si = lambda v: _matvec(f, h.antipode_inverse, v)  # noqa: E731
+    mult, comult, _, _, anti, anti_inv = _lists(h)
+    coaction = dense(f, s.coaction.tensor, (m, n, m))
+    mul = lambda a, b: _mul(f, mult, a, b)  # noqa: E731
+    sv = lambda v: _matvec(f, anti, v)  # noqa: E731
+    si = lambda v: _matvec(f, anti_inv, v)  # noqa: E731
     e = lambda i: _e(f, n, i)  # noqa: E731
     outer = {"LL": lambda h1, h3: (e(h1), sv(e(h3))), "RR": lambda h1, h3: (sv(e(h1)), e(h3)),
              "LR": lambda h1, h3: (e(h3), si(e(h1))),
@@ -256,10 +273,10 @@ def oracle_check_yd(s, h):
         for b in range(m):
             lhs = s.coaction.coact(s.action.act(e(a), _e(f, m, b)))
             rhs = [f.zero] * len(lhs)
-            for (h1, h2, h3), c in _delta2(f, h.coa.comult, a).items():
+            for (h1, h2, h3), c in _delta2(f, comult, a).items():
                 x, y = outer(h1, h3)
                 for i in range(n):
-                    for k, cv in enumerate(s.coaction.tensor[b][i]):
+                    for k, cv in enumerate(coaction[b][i]):
                         if not cv:
                             continue
                         hleg = mul(mul(x, e(i)), y)

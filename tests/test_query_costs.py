@@ -7,10 +7,11 @@ import types
 
 import pytest
 
-from hopfsmith import FieldSpec, cli, doubles, filtration, hopf, integrals, resolve_preset
+from hopfsmith import (FieldSpec, cli, doubles, filtration, hopf, integrals, lifting, linalg,
+                       presets, resolve_preset, serialize, smoothness, yd)
 from hopfsmith.filtration import ideal_powers, is_nilpotent_ideal
 from hopfsmith.hopf import SubspaceBasis
-from hopfsmith.linalg import Mat
+from hopfsmith.linalg import Mat, dense
 from hopfsmith.lifting import SurjectionProblem, square_zero_extension
 
 from test_loop_oracles import _mul
@@ -67,15 +68,21 @@ def test_wedge_filtration_projects_onto_its_start_once(monkeypatch):
     assert calls == {"quotient_maps": 5}
 
 
-def test_double_separable_query_views_the_double_sparsely_once(monkeypatch):
+def test_double_separable_query_never_densifies_the_double(monkeypatch):
     calls = {}
-    # the sparse views taken in `doubles` of D(S3)'s 36 x 36 x 36 multiplication
-    # or comultiplication; the axiom check of D(H) takes its own in `hopf`
-    _count_calls(monkeypatch, doubles, "sparse", calls,
-                 lambda t: isinstance(t, list) and len(t) == 36 and isinstance(t[0], list)
-                 and isinstance(t[0][0], list))
+    # D(S3) is 36-dimensional: no 36 x 36 x 36 nested list is built through
+    # `linalg.dense`, and none is read back through `linalg.sparse`, in any module
+    for module in (cli, doubles, filtration, hopf, integrals, lifting, linalg, presets,
+                   serialize, smoothness, yd):
+        if hasattr(module, "dense"):
+            _count_calls(monkeypatch, module, "dense", calls,
+                         lambda field, t, shape: shape == (36, 36, 36))
+        if hasattr(module, "sparse"):
+            _count_calls(monkeypatch, module, "sparse", calls,
+                         lambda t: isinstance(t, list) and len(t) == 36
+                         and isinstance(t[0], list) and isinstance(t[0][0], list))
     assert _quiet(["double-separable", "--preset", "group:S3", "--char", "3"]) == 0
-    assert calls == {"sparse": 1}
+    assert calls.get("dense", 0) == calls.get("sparse", 0) == 0
 
 
 def test_parser_is_built_once_and_namespaces_stay_independent(monkeypatch):
@@ -117,7 +124,7 @@ def test_ideal_powers_end_at_zero_exactly_at_the_nilpotency_index():
     powers = ideal_powers(h.alg, ideal.vectors)
     assert powers is not None and powers[-1] == [] and len(powers) == 2
     assert is_nilpotent_ideal(ideal, h.alg) == 2
-    assert _mul(h.field, h.alg.mult, x, x) == [h.field.zero] * 4
+    assert _mul(h.field, dense(h.field, h.alg.mult, (4, 4, 4)), x, x) == [h.field.zero] * 4
     whole = SubspaceBasis(4, [h.basis_vec(i) for i in range(4)])
     assert ideal_powers(h.alg, whole.vectors) is None
     assert is_nilpotent_ideal(whole, h.alg) is None

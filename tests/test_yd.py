@@ -5,12 +5,13 @@ import pytest
 from hopfsmith import GF, QQ, resolve_preset
 from hopfsmith.hopf import _unitvec
 from hopfsmith.integrals import ad_invariant_integral
-from hopfsmith.linalg import AffineSystem, Mat, solve_affine
+from hopfsmith.linalg import AffineSystem, Mat, dense, solve_affine
 from hopfsmith.presets import preset_sweedler
 from hopfsmith.yd import (ACTIONS, COACTIONS, YDStructure, adjoint_action,
                           adjoint_coaction, check_yd, h_bar_yd, h_plus_yd, yd_on_h)
 
 from conftest import SMALL_GRID, F
+from test_loop_oracles import _lists
 
 
 def test_group_algebra_adjoint_action_is_conjugation():
@@ -102,11 +103,12 @@ def test_counit_is_yd_morphism_for_regular_action(preset_cache):
         f = h.field
         n = h.dim
         co = adjoint_coaction(h, "rho_l")
+        mult, _, unit, counit, _, _ = _lists(h)
         for k in range(n):
             # module side: eps(h·x) = eps(h) eps(x)
             for i in range(n):
-                lhs = functools.reduce(f.add, map(f.mul, h.alg.mult[i][k], h.coa.counit))
-                rhs = f.mul(h.coa.counit[i], h.coa.counit[k])
+                lhs = functools.reduce(f.add, map(f.mul, mult[i][k], counit))
+                rhs = f.mul(counit[i], counit[k])
                 assert f.eq(lhs, rhs)
             # comodule side: (id (x) eps) rho(x) = eps(x)·1
             flat = co.coact(_unitvec(f, n, k))
@@ -114,9 +116,9 @@ def test_counit_is_yd_morphism_for_regular_action(preset_cache):
             for i in range(n):
                 for t in range(n):
                     x = flat[i * n + t]
-                    if x and h.coa.counit[t]:
-                        acc[i] = f.add(acc[i], f.mul(x, h.coa.counit[t]))
-            want = [f.mul(h.coa.counit[k], u) for u in h.alg.unit]
+                    if x and counit[t]:
+                        acc[i] = f.add(acc[i], f.mul(x, counit[t]))
+            want = [f.mul(counit[k], u) for u in unit]
             assert acc == want
 
 
@@ -126,9 +128,10 @@ def test_unit_is_yd_morphism_for_adjoint_action(preset_cache):
         f = h.field
         n = h.dim
         act = adjoint_action(h, "adl")
+        _, _, unit, counit, _, _ = _lists(h)
         for i in range(n):
             out = act.act(_unitvec(f, n, i), h.unit_vec)
-            want = [f.mul(h.coa.counit[i], u) for u in h.alg.unit]
+            want = [f.mul(counit[i], u) for u in unit]
             assert out == want
         # Delta(1) = 1 (x) 1 is checked by the axiom suite
 
@@ -141,13 +144,15 @@ def test_yd_retraction_route_reproduces_ad_invariant(preset_cache):
         f = h.field
         n = h.dim
         act = adjoint_action(h, "adl")
+        _, comult, unit, counit, _, _ = _lists(h)
+        act_t = dense(f, act.tensor, (n, n, n))
         rows = []
         rhs = []
         # module intertwine: lam(h |> x) = eps(h) lam(x)
         for k in range(n):
             for t in range(n):
-                row = list(act.tensor[k][t])
-                row[t] = f.sub(row[t], h.coa.counit[k])
+                row = list(act_t[k][t])
+                row[t] = f.sub(row[t], counit[k])
                 rows.append(row)
                 rhs.append(f.zero)
         # comodule intertwine: x_1 lam(x_2) = lam(x) 1
@@ -155,14 +160,14 @@ def test_yd_retraction_route_reproduces_ad_invariant(preset_cache):
             for i in range(n):
                 row = [f.zero] * n
                 for j in range(n):
-                    c = h.coa.comult[k][i][j]
+                    c = comult[k][i][j]
                     if c:
                         row[j] = f.add(row[j], c)
-                row[k] = f.sub(row[k], h.alg.unit[i])
+                row[k] = f.sub(row[k], unit[i])
                 rows.append(row)
                 rhs.append(f.zero)
         # retraction of the unit
-        rows.append(list(h.alg.unit))
+        rows.append(list(unit))
         rhs.append(f.one)
         sol = solve_affine(AffineSystem(Mat(f, len(rows), n, rows), rhs))
         cert = ad_invariant_integral(h)
