@@ -3,6 +3,7 @@
 Scalars are plain Python objects, not wrappers: ``Fraction`` over the
 rationals, ``int`` reduced to ``[0, p)`` over F_p.  Both are canonical, so two
 scalars are equal exactly when ``a == b`` and zero exactly when ``not a``.
+Q scalars are ``Fraction`` at every API boundary; kernels may use scaled ints.
 Every routine in the package receives the ambient :class:`FieldSpec`
 explicitly and never touches floating point.
 """

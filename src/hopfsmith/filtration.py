@@ -163,7 +163,7 @@ def is_nilpotent_ideal(ideal: SubspaceBasis, a: AlgebraData) -> Optional[int]:
 def _quotient_algebra(a: AlgebraData, ideal_vectors: list):
     """(quotient AlgebraData, projection, section) modulo a two-sided ideal."""
     f = a.field
-    projection, section = quotient_maps(f, a.dim, ideal_vectors)
+    projection, section = quotient_maps(f, SubspaceBasis(a.dim, ideal_vectors))
     q = section.cols
     proj, sect = sparse(projection), sparse(section)
     mult = contract(f, "xa,yb,xyk,ck->abc", sect, sect, a.mult, proj)
@@ -234,7 +234,7 @@ def is_subcoalgebra(x: SubspaceBasis, c: CoalgebraData) -> bool:
 
 def wedge(x: SubspaceBasis, y: SubspaceBasis, e: CoalgebraData) -> SubspaceBasis:
     """X wedge Y = ker[(pi_X (x) pi_Y) Delta]."""
-    return _wedge(x, quotient_maps(e.field, y.ambient_dim, y.vectors)[0], e)
+    return _wedge(x, quotient_maps(e.field, y)[0], e)
 
 
 def _wedge(x: SubspaceBasis, py: Mat, e: CoalgebraData) -> SubspaceBasis:
@@ -244,7 +244,7 @@ def _wedge(x: SubspaceBasis, py: Mat, e: CoalgebraData) -> SubspaceBasis:
     n = e.dim
     if x.ambient_dim != n or py.cols != n:
         raise ValueError("wedge arguments live in the wrong ambient space")
-    px = quotient_maps(f, n, x.vectors)[0]
+    px = quotient_maps(f, x)[0]
     if px.rows == 0 or py.rows == 0:
         return SubspaceBasis(n, [_unitvec(f, n, i) for i in range(n)])
     rows = contract(f, "pi,kij,qj->pqk", sparse(px), e.comult, sparse(py))
@@ -263,8 +263,8 @@ def wedge_filtration(c: SubspaceBasis, e: CoalgebraData,
     f = e.field
     if not is_subcoalgebra(c, e):
         raise ValueError("filtration needs a subcoalgebra to start from")
-    stages = [SubspaceBasis(e.dim, [v[:] for v in c.vectors])]
-    pc = quotient_maps(f, c.ambient_dim, c.vectors)[0]  # C's projection, for every step
+    stages = [c]  # C itself for the steps, so the completion made by the check serves them
+    pc = quotient_maps(f, c)[0]  # C's projection, for every step
     while True:
         nxt = _wedge(stages[-1], pc, e)
         if nxt.dim == stages[-1].dim:
@@ -280,4 +280,5 @@ def wedge_filtration(c: SubspaceBasis, e: CoalgebraData,
     contained = span_contains_span(f, c.vectors, corad.vectors)
     if exhausted != contained:
         raise AssertionError("exhaustion criterion violated: filtration vs coradical")
+    stages[0] = SubspaceBasis(e.dim, [v[:] for v in c.vectors])  # the record holds a copy
     return FiltrationRecord(stages, exhausted, len(stages))

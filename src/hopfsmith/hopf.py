@@ -233,11 +233,18 @@ class SubspaceBasis:
     def contains(self, field: FieldSpec, v: list) -> bool:
         return in_span(field, self.vectors, v)
 
+    def _completed(self, field: FieldSpec) -> tuple:
+        """:func:`_completion` of the vectors, redone when they change; not a dataclass field."""
+        key = (field, self.ambient_dim, tuple(map(tuple, self.vectors)))
+        if self.__dict__.get("_completion", (None,))[0] != key:
+            self.__dict__["_completion"] = key, _completion(field, self.ambient_dim, self.vectors)
+        return self.__dict__["_completion"][1]
+
     def tensors(self, field: FieldSpec) -> tuple:
         """(basis, coordinates) as sparse tensors: ``basis[(x, j)]`` is entry x of
         vector j, and ``coordinates[(c, x)]`` is a left inverse of it, which reads
         off the coordinates of any vector of the span."""
-        inv = _completion(field, self.ambient_dim, self.vectors)[1]
+        inv = self._completed(field)[1]
         return sparse(Mat.from_columns(field, self.vectors).data), sparse(inv.data[:self.dim])
 
 
@@ -275,23 +282,23 @@ def _completion(field: FieldSpec, n: int, vectors: list) -> tuple:
     return [cands[j] for j in pivots], matrix(field, inv, n, n)
 
 
-def quotient_maps(field: FieldSpec, n: int, vectors: list) -> tuple:
-    """(projection, section) for K^n -> K^n / span(vectors), ``vectors`` independent.
+def quotient_maps(field: FieldSpec, sub: SubspaceBasis) -> tuple:
+    """(projection, section) for K^n -> K^n / sub.
 
     The complement is picked greedily from e_0, e_1, ...; the projection is the
     matching rows of the inverse basis change and the section sends the quotient
     basis to the picked e_i.
     """
-    chosen, inv = _completion(field, n, vectors)
-    d = len(vectors)
+    chosen, inv = sub._completed(field)
+    n, d = sub.ambient_dim, sub.dim
     section = Mat(field, n, n - d, [[v[r] for v in chosen[d:]] for r in range(n)])
-    return Mat(field, n - d, n, inv.data[d:]), section
+    return Mat(field, n - d, n, [row[:] for row in inv.data[d:]]), section
 
 
 def unit_cokernel(h: HopfData) -> QuotientSplitting:
     """Hbar = coker(u) with a fixed splitting H = K·1 (+) Hbar."""
-    unit = [h.unit_vec]
-    return QuotientSplitting(*quotient_maps(h.field, h.dim, unit), SubspaceBasis(h.dim, unit))
+    unit = SubspaceBasis(h.dim, [h.unit_vec])
+    return QuotientSplitting(*quotient_maps(h.field, unit), unit)
 
 
 def sub_hopf_on_subspace(h: HopfData, sub: SubspaceBasis) -> tuple:

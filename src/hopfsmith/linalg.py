@@ -13,9 +13,11 @@ work grows with the fill, not with the square of the rank.  The result is the
 reduced row echelon form, which depends only on the row space, so the
 particular solution (free variables 0), the nullspace basis and every
 certificate built from them are canonical.  Over F_p the kernel works on raw
-ints reduced mod p once per entry per pass; over Q on ``Fraction``.  A greedy
-basis, the vectors of a list outside the span of the ones before them, is the
-pivot columns of one elimination (:func:`pivot_columns`).
+ints reduced mod p once per entry per pass; over Q on integer rows, scaled on
+entry and kept primitive with their leads, that become ``Fraction``s only on
+exit; :func:`contract` and :func:`failed_labels` also scale once to ints.  A
+greedy basis, the vectors of a list outside the span of the ones before them,
+is the pivot columns of one elimination (:func:`pivot_columns`).
 
 :class:`Mat` stays dense: it represents linear maps and small matrices, and
 the solvers take either a dense ``Mat`` or a :class:`SparseMat`.
@@ -36,7 +38,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 from itertools import product
+from math import gcd, lcm, prod
 from operator import itemgetter
 from typing import Optional
 
@@ -227,13 +231,16 @@ class AffineSolution:
 
 def failed_labels(sys: AffineSystem, x: list) -> list:
     """The distinct labels, in row order, of the rows of ``sys`` that ``x`` violates."""
-    f = sys.matrix.field
+    p = sys.matrix.field.characteristic
+    dx, x = (1, x) if p else _integers(list(enumerate(x)))
     bad = {}
     for row, b, label in zip(_sparse_rows(sys.matrix), sys.rhs, sys.labels):
-        acc = f.zero
-        for j, a in row:
-            acc = f.add(acc, f.mul(a, x[j]))
-        if acc != b:
+        if p:
+            ok = sum(a * x[j] for j, a in row) % p == b
+        else:
+            d, r = _integers(row)
+            ok = sum(a * x[j] for j, a in r.items()) * b.denominator == b.numerator * d * dx
+        if not ok:
             bad[label] = None
     return list(bad)
 
@@ -255,25 +262,31 @@ def _rref(rows: list, ncols: int, field: FieldSpec) -> list:
     column with the leading coefficient 1, and the remaining rows are empty.
     The row lists passed in are replaced, never modified.
 
+    Over F_p entries are raw ints mod p and leads are 1.  Over Q rows are scaled
+    to integers on entry (the RREF depends only on the row space) and kept as
+    primitive integer rows with a positive lead L; on exit v becomes Fraction(v, L).
+
     A new pivot c back-eliminates only the pivot rows in ``occ[c]``, the rows
     holding column c; each fill-in and each cancellation updates ``occ``.  The
     cost is the entries touched, not a scan of every pivot row per pivot.
     """
     p = field.characteristic
-    one = field.one
     piv = {}  # pivot column -> the rest of its reduced row, {column: coefficient}
+    lead = {}  # pivot column -> the leading coefficient of its row, 1 over F_p
     occ = defaultdict(set)  # column -> the pivot columns whose reduced row holds it
     for row in rows:
         if len(piv) == ncols:
             break
-        r = dict(row)
+        r = dict(row) if p else _integers(row)[1]
         hits = [c for c in r if c in piv]
         if hits:
-            # Pivot rows are zero in every other pivot column, so subtracting
-            # them leaves the coefficients of the remaining hits unchanged.
+            # Pivot rows are zero in every other pivot column, so subtracting them leaves
+            # the other hits unchanged; over Q the row is first scaled by the lcm m of the leads.
+            if not p and (m := lcm(*(lead[c] for c in hits))) != 1:
+                r = {j: m * v for j, v in r.items()}
             get = r.get
             for c in hits:
-                a = r.pop(c)
+                a = r.pop(c) if p else r.pop(c) // lead[c]
                 for j, v in piv[c].items():
                     r[j] = get(j, 0) - a * v
             r = {j: w for j, v in r.items() if (w := v % p)} if p else \
@@ -281,14 +294,17 @@ def _rref(rows: list, ncols: int, field: FieldSpec) -> list:
         if not r:
             continue
         c = min(r)
-        lead = r.pop(c)
-        if lead != 1:
-            inv = pow(lead, p - 2, p) if p else one / lead
-            r = {j: v * inv % p for j, v in r.items()} if p else \
-                {j: v * inv for j, v in r.items()}
+        if p and (inv := pow(r[c], p - 2, p)) != 1:
+            r = {j: v * inv % p for j, v in r.items()}
+        elif not p and (g := gcd(*r.values()) * (1 if r[c] > 0 else -1)) != 1:
+            r = {j: v // g for j, v in r.items()}  # over Q: content out, lead positive
+        lead[c] = lead_c = r.pop(c)
         for q in occ.pop(c, ()):
             other = piv[q]
             a = other.pop(c)
+            if lead_c != 1:  # over Q: other <- lead_c * other - a * r
+                piv[q] = other = {j: lead_c * v for j, v in other.items()}
+                lead[q] *= lead_c
             get = other.get
             for j, v in r.items():
                 w = (get(j, 0) - a * v) % p if p else get(j, 0) - a * v
@@ -298,13 +314,22 @@ def _rref(rows: list, ncols: int, field: FieldSpec) -> list:
                 else:
                     del other[j]
                     occ[j].remove(q)
+            if lead_c != 1 and (g := gcd(lead[q], *other.values())) != 1:
+                piv[q], lead[q] = {j: v // g for j, v in other.items()}, lead[q] // g
         for j in r:
             occ[j].add(c)
         piv[c] = r
     pivots = sorted(piv)
-    reduced = [[(c, one), *sorted(piv[c].items())] for c in pivots]
+    reduced = [[(c, field.one), *(sorted(piv[c].items()) if p else ((j, Fraction(v, lead[c]))
+                for j, v in sorted(piv[c].items())))] for c in pivots]
     rows[:] = reduced + [[] for _ in range(len(rows) - len(reduced))]
     return pivots
+
+
+def _integers(pairs) -> tuple:
+    """(d, {key: d * x}) for ``(key, x)`` pairs of rationals, d the lcm of their denominators."""
+    d = lcm(*(x.denominator for _, x in pairs))
+    return d, {k: x.numerator * (d // x.denominator) for k, x in pairs}
 
 
 def _kernel_basis(rows: list, pivots: list, n: int, field: FieldSpec) -> Mat:
@@ -434,13 +459,17 @@ def contract(field: FieldSpec, spec: str, *tensors: dict) -> dict:
     as soon as no later operand and not the output uses it; ordering the
     operands so that each shares an index with the ones before keeps the
     intermediate tensors small.  Over F_p entries are raw ints reduced once
-    per step; zero entries are dropped.
+    per step; over Q on operands scaled to integers, each output entry divided
+    once by the product of the scales.  Zero entries are dropped.
     """
     inputs, out = spec.split("->")
     names = inputs.split(",")
     if len(names) != len(tensors) or any(len(set(s)) != len(s) for s in names + [out]):
         raise ValueError(f"bad contraction spec {spec!r} for {len(tensors)} tensors")
     p = field.characteristic
+    if not p:  # over Q: integer operands, and the product of their scales
+        scales, tensors = zip(*(_integers(b.items()) for b in tensors))
+        scale = prod(scales)
     idx, acc = "", {}
     for t, (name, b) in enumerate(zip(names, tensors)):
         later = set(out).union(*names[t + 1:])
@@ -472,6 +501,8 @@ def contract(field: FieldSpec, spec: str, *tensors: dict) -> dict:
         idx = "".join(kept + new)
     if set(out) - set(idx):
         raise ValueError(f"output indices of {spec!r} appear in no operand")
+    if not p:
+        acc = {k: Fraction(v, scale) for k, v in acc.items()}
     if idx == out:
         return acc
     perm = _picker([idx.index(c) for c in out])

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,9 +31,21 @@ def brute_force(field, spec, tensors, size):
     return {k: v for k, v in result.items() if v}
 
 
+# Rationals with real denominators and large numerators: the Q kernels compute
+# on scaled integers inside, and every scalar they return must be canonical.
+BIG_Q = st.builds(Fraction, st.integers(-10**6, 10**6), st.sampled_from([1, 2, 3, 7, 12]))
+
+
+def canonical(values) -> bool:
+    """Whether every value is a Fraction in lowest terms with a positive denominator."""
+    return all(type(v) is Fraction and v.denominator > 0 and
+               gcd(v.numerator, v.denominator) == 1 for v in values)
+
+
 @st.composite
-def contractions(draw):
-    field = draw(st.sampled_from(FIELDS))
+def contractions(draw, q_scalars=None):
+    """A random spec with random operands, over Q with ``q_scalars`` when given."""
+    field = FieldSpec(0) if q_scalars is not None else draw(st.sampled_from(FIELDS))
     size = draw(st.integers(1, 3))
     count = draw(st.integers(2, 4))
     names = [draw(st.text(LETTERS, min_size=1, max_size=3).filter(lambda s: len(set(s)) == len(s)))
@@ -40,7 +53,8 @@ def contractions(draw):
     used = sorted(set("".join(names)))
     out = "".join(draw(st.permutations(used))[:draw(st.integers(0, len(used)))])
     scalars = st.integers(-3, 3) if field.characteristic else \
-        st.fractions(min_value=-2, max_value=2, max_denominator=3)
+        st.fractions(min_value=-2, max_value=2, max_denominator=3) if q_scalars is None \
+        else q_scalars
     tensors = []
     for name in names:
         entries = draw(st.dictionaries(st.tuples(*[st.integers(0, size - 1)] * len(name)),
@@ -62,6 +76,15 @@ def test_contract_matches_brute_force(case):
         assert all(0 < v < field.characteristic for v in got.values())
     else:
         assert all(isinstance(v, Fraction) for v in got.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(contractions(BIG_Q))
+def test_contract_matches_brute_force_with_denominators(case):
+    field, spec, tensors, size = case
+    got = contract(field, spec, *tensors)
+    assert got == brute_force(field, spec, tensors, size)
+    assert all(got.values()) and canonical(got.values())
 
 
 def test_contract_summed_shared_and_outer_indices():

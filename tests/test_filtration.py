@@ -6,7 +6,7 @@ import pytest
 from hopfsmith import GF, QQ, FieldSpec, augmentation_ideal, resolve_preset
 from hopfsmith.filtration import (FiltrationRecord, coradical, is_nilpotent_ideal,
                                   is_subcoalgebra, radical, wedge, wedge_filtration)
-from hopfsmith.hopf import SubspaceBasis
+from hopfsmith.hopf import SubspaceBasis, quotient_maps
 from hopfsmith.linalg import spans_equal
 from hopfsmith.presets import preset_sweedler, preset_taft
 
@@ -176,6 +176,23 @@ def test_span_one_in_sweedler_is_subcoalgebra_check():
     assert is_subcoalgebra(SubspaceBasis(4, [h4.unit_vec]), h4.coa)
     # span{x} is not a subcoalgebra: Delta(x) = x(x)1 + g(x)x
     assert not is_subcoalgebra(SubspaceBasis(4, [h4.basis_vec(2)]), h4.coa)
+
+
+def test_a_subspace_changed_after_use_is_completed_afresh():
+    """A SubspaceBasis keeps the completion of its vectors between calls; changing
+    the vectors, in place or by replacing the list, makes the next call redo it."""
+    h4 = preset_sweedler(QQ)
+    e = lambda i: [QQ.one if j == i else QQ.zero for j in range(4)]  # 1, g, x, gx
+    sub = SubspaceBasis(4, [e(0), e(1)])
+    assert is_subcoalgebra(sub, h4.coa)  # span{1, g}
+    sub.vectors[1][1], sub.vectors[1][2] = QQ.zero, QQ.one
+    assert not is_subcoalgebra(sub, h4.coa)  # span{1, x}: Delta(x) = x(x)1 + g(x)x
+    fresh = SubspaceBasis(4, [e(0), e(2)])
+    assert sub.tensors(QQ) == fresh.tensors(QQ)
+    assert [m.data for m in quotient_maps(QQ, sub)] == [m.data for m in quotient_maps(QQ, fresh)]
+    sub.vectors = [e(3)]
+    assert sub.tensors(QQ) == SubspaceBasis(4, [e(3)]).tensors(QQ)
+    assert sub == SubspaceBasis(4, [e(3)]) and "completion" not in repr(sub)
 
 
 def test_filtration_rejects_non_subcoalgebra():

@@ -246,8 +246,8 @@ def oracle_wedge(x, y, e):
     """The wedge rows by the explicit loops, solved by the package's nullspace."""
     f, n = e.field, e.dim
     comult = dense(f, e.comult, (n, n, n))
-    px = quotient_maps(f, n, x.vectors)[0]
-    py = quotient_maps(f, n, y.vectors)[0]
+    px = quotient_maps(f, x)[0]
+    py = quotient_maps(f, y)[0]
     if px.rows == 0 or py.rows == 0:
         return [[f.one if k == i else f.zero for k in range(n)] for i in range(n)]
     rows = []

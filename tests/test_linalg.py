@@ -127,7 +127,8 @@ def test_prime_field_rank_nullity(seed):
 # ---------------------------------------------------------------------------
 
 from hopfsmith.fields import FieldSpec
-from hopfsmith.linalg import SparseMat, _rref
+from hopfsmith.linalg import SparseMat, _rref, failed_labels, inverse
+from hopfsmith.linalg import dense as linalg_dense, sparse as linalg_sparse
 
 
 def _dense_rref(rows: list, ncols: int, field: FieldSpec):
@@ -233,15 +234,17 @@ FIELDS = [QQ, GF(2), GF(3), GF(7)]
 
 
 @st.composite
-def field_matrix(draw, max_rows=6, max_cols=6, square=False):
-    """A matrix with many zeros over Q or F_p for p in {2, 3, 7}."""
-    f = draw(st.sampled_from(FIELDS))
+def field_matrix(draw, max_rows=6, max_cols=6, square=False, q_scalar=None):
+    """A matrix with many zeros over Q or F_p for p in {2, 3, 7}; over Q with
+    entries from ``q_scalar`` when given."""
+    f = QQ if q_scalar is not None else draw(st.sampled_from(FIELDS))
     rows = draw(st.integers(0, max_rows))
     cols = rows if square else draw(st.integers(0, max_cols))
     if f.characteristic:
         scalar = st.integers(0, f.characteristic - 1)
     else:
-        scalar = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3]))
+        scalar = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3])) \
+            if q_scalar is None else q_scalar
     entry = st.one_of(st.just(f.zero), st.just(f.zero), scalar)
     data = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
     return Mat(f, rows, cols, data)
@@ -273,20 +276,22 @@ def test_sparse_rref_equals_dense_oracle(m):
 
 
 @st.composite
-def fill_heavy_system(draw):
-    """(field, ncols, sparse rows) up to 40 x 40 over Q or F_p, p in {2, 3, 7}.
+def fill_heavy_system(draw, q_scalar=None):
+    """(field, ncols, sparse rows) up to 40 x 40 over Q or F_p, p in {2, 3, 7}
+    (over Q with scalars from ``q_scalar`` when given).
 
     Each row is a few fresh entries right of a leading column plus a
     combination of up to three earlier rows, so back-elimination both fills
     pivot rows in and cancels their entries to zero; sorting the rows by
     descending leading column makes most new pivots land left of the old ones.
     """
-    f = draw(st.sampled_from(FIELDS))
+    f = QQ if q_scalar is not None else draw(st.sampled_from(FIELDS))
     ncols = draw(st.integers(1, 40))
     if f.characteristic:
         scalar = st.integers(1, f.characteristic - 1)
     else:
-        scalar = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2)])
+        scalar = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2)]) \
+            if q_scalar is None else q_scalar
     rows = []
     for _ in range(draw(st.integers(1, 40))):
         lead = draw(st.integers(0, ncols - 1))
@@ -361,6 +366,89 @@ def test_invert_equals_dense_oracle(m):
         assert got.data == want
 
 
+from test_contract import BIG_Q, canonical
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_matrix(q_scalar=BIG_Q))
+def test_sparse_rref_with_denominators_equals_dense_oracle(m):
+    dense = [row[:] for row in m.data]
+    want = _dense_rref(dense, m.cols, QQ)
+    rows = _sparse(m)
+    assert _rref(rows, m.cols, QQ) == want
+    assert [_densify(r, m.cols, QQ) for r in rows] == dense
+    _assert_reduced_sparse_rows(rows, want, m.cols, QQ)
+    assert canonical(x for row in rows for _, x in row)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fill_heavy_system(q_scalar=BIG_Q.filter(bool)))
+def test_sparse_rref_with_denominators_on_fill_heavy_systems(case):
+    f, ncols, rows = case
+    dense = [_densify(r, ncols, f) for r in rows]
+    want = _dense_rref(dense, ncols, f)
+    assert _rref(rows, ncols, f) == want
+    assert [_densify(r, ncols, f) for r in rows] == dense
+    assert canonical(x for row in rows for _, x in row)
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_matrix(q_scalar=BIG_Q), st.data())
+def test_solve_affine_with_denominators_equals_dense_oracle(m, data):
+    if data.draw(st.booleans()):  # feasible by construction
+        rhs = m.matvec(data.draw(st.lists(BIG_Q, min_size=m.cols, max_size=m.cols)))
+    else:
+        rhs = data.draw(st.lists(BIG_Q, min_size=m.rows, max_size=m.rows))
+    want = _oracle_solve(m, rhs)
+    got = solve_affine(AffineSystem(SparseMat(QQ, m.rows, m.cols, _sparse(m)), rhs))
+    if want is None:
+        assert got is None
+    else:
+        assert (got.particular, got.nullspace.columns()) == want
+        assert canonical(got.particular)
+        assert canonical(x for col in got.nullspace.columns() for x in col)
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_matrix(max_rows=5, square=True, q_scalar=BIG_Q))
+def test_invert_with_denominators_equals_dense_oracle(m):
+    want = _oracle_invert(m)
+    got = inverse(QQ, linalg_sparse(m), m.rows)
+    if want is None:
+        assert got is None
+    else:
+        assert linalg_dense(QQ, got, (m.rows, m.rows)) == want
+        assert canonical(got.values())
+
+
+def _row_value(f, row, x):
+    acc = f.zero
+    for a, v in zip(row, x):
+        acc = f.add(acc, f.mul(a, v))
+    return acc
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(field_matrix(max_rows=8), field_matrix(max_rows=8, q_scalar=BIG_Q))
+       .filter(lambda m: m.rows), st.data())
+def test_failed_labels_equals_row_by_row_evaluation(m, data):
+    """Rows labelled from a few names, x drawn at random, and some right-hand
+    sides moved off their row's value, so at least one row is violated."""
+    f = m.field
+    scalar = st.integers(0, f.characteristic - 1) if f.characteristic else BIG_Q
+    x = data.draw(st.lists(scalar, min_size=m.cols, max_size=m.cols))
+    rhs = m.matvec(x)
+    for i in data.draw(st.sets(st.integers(0, m.rows - 1), min_size=1)):
+        rhs[i] = f.add(rhs[i], f.one if f.characteristic else Fraction(1, 7))
+    labels = [data.draw(st.sampled_from("abc")) for _ in range(m.rows)]
+    want = list(dict.fromkeys(label for row, b, label in zip(m.data, rhs, labels)
+                              if _row_value(f, row, x) != b))
+    assert want
+    for system in (AffineSystem(m, rhs, labels=labels),
+                   AffineSystem(SparseMat(f, m.rows, m.cols, _sparse(m)), rhs, labels=labels)):
+        assert failed_labels(system, x) == want
+
+
 @pytest.mark.parametrize("f", FIELDS)
 def test_kernel_edge_cases(f):
     one, two = f.one, f.from_int(2)
@@ -392,7 +480,6 @@ def test_kernel_edge_cases(f):
     assert (sol.particular, sol.nullspace.columns()) == _oracle_solve(dense, [one, f.zero])
 
 
-from hopfsmith.linalg import dense as linalg_dense
 from test_loop_oracles import _mul
 
 

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import types
+from fractions import Fraction
 
 import pytest
 
@@ -11,7 +12,7 @@ from hopfsmith import (FieldSpec, cli, doubles, filtration, hopf, integrals, lif
                        presets, resolve_preset, serialize, smoothness, yd)
 from hopfsmith.filtration import ideal_powers, is_nilpotent_ideal
 from hopfsmith.hopf import SubspaceBasis
-from hopfsmith.linalg import Mat, dense
+from hopfsmith.linalg import Mat, contract, dense, failed_labels, solve_affine, unknowns
 from hopfsmith.lifting import SurjectionProblem, square_zero_extension
 
 from test_loop_oracles import _mul
@@ -66,6 +67,46 @@ def test_wedge_filtration_projects_onto_its_start_once(monkeypatch):
     assert _quiet(["wedge-filtration", "--preset", "taft:4:2", "--char", "5"]) == 0
     # one for the radical quotient, one for the start C and one per wedge step (3)
     assert calls == {"quotient_maps": 5}
+
+
+def test_wedge_filtration_completes_each_subspace_once(monkeypatch):
+    calls = {}
+    _count_calls(monkeypatch, hopf, "_completion", calls)
+    assert _quiet(["wedge-filtration", "--preset", "taft:4:2", "--char", "5"]) == 0
+    # the radical quotient, the start C once (for both subcoalgebra checks, its
+    # projection and the first wedge step) and the two later stages
+    assert calls == {"_completion": 4}
+
+
+def test_kernels_do_no_fraction_arithmetic_over_q(monkeypatch):
+    """solve_affine, contract and failed_labels take and return Fractions but
+    compute on integers: on the fs-section system of Q8 over Q, whose solution
+    has denominators up to 8, no Fraction is added, subtracted, multiplied or
+    divided."""
+    h = resolve_preset("group:Q8", FieldSpec(0))
+    f = h.field
+    yd_plus, hp = yd.h_plus_yd(h)
+    system = smoothness._fs_section_system(h, yd_plus, hp, False)
+    n, m = h.dim, hp.dim
+    x = unknowns(f, n, m, m)
+    first = system.rhs.index(f.one)  # a row of (ii) that the zero vector violates
+    wrong = [f.zero] * system.unknowns
+    ops = {}
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__",
+                 "__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
+        _count_calls(monkeypatch, Fraction, name, ops)
+    sol = solve_affine(system)
+    # unknown (i*m + a)*m + b is the entry of tau(v_b) at e_i (x) v_a
+    tau = {(u // (m * m), u // m % m, u % m): v for u, v in enumerate(sol.particular) if v}
+    images = contract(f, "jip,iabu->jbpau", h.alg.mult, x)
+    counit = contract(f, "iab,i->ab", tau, h.coa.counit)
+    passed, failed = failed_labels(system, sol.particular), failed_labels(system, wrong)
+    assert sum(ops.values()) == 0, ops
+    monkeypatch.undo()
+    assert sol is not None and passed == []
+    assert system.labels[first] in failed
+    assert images and not counit  # tau lands in H^+ (x) H^+
+    assert max(v.denominator for v in sol.particular) > 1
 
 
 def test_double_separable_query_never_densifies_the_double(monkeypatch):
