@@ -4,7 +4,7 @@ from .fields import GF, QQ, FieldSpec
 from .hopf import (AlgebraData, AxiomReport, CoalgebraData, HopfData, SubspaceBasis,
                    augmentation_ideal, check_algebra, check_coalgebra, check_hopf,
                    dual_hopf, op_cop, unit_cokernel)
-from .linalg import AffineSystem, Mat, invert, nullspace, rank, solve_affine
+from .linalg import AffineSystem, SparseMat, invert, nullspace, rank, solve_affine
 from .presets import (preset_function_algebra, preset_group_algebra, preset_sweedler,
                       preset_taft, resolve_preset)
 
@@ -13,7 +13,7 @@ __all__ = [
     "AlgebraData", "AxiomReport", "CoalgebraData", "HopfData", "SubspaceBasis",
     "augmentation_ideal", "check_algebra", "check_coalgebra", "check_hopf",
     "dual_hopf", "op_cop", "unit_cokernel",
-    "AffineSystem", "Mat", "invert", "nullspace", "rank", "solve_affine",
+    "AffineSystem", "SparseMat", "invert", "nullspace", "rank", "solve_affine",
     "preset_function_algebra", "preset_group_algebra", "preset_sweedler",
     "preset_taft", "resolve_preset",
 ]

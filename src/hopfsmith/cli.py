@@ -21,6 +21,7 @@ from . import smoothness as smo
 from . import serialize as ser
 from .doubles import drinfeld_double, separable_extension
 from .filtration import coradical, wedge_filtration
+from .linalg import dense
 from .lifting import (LiftObstruction, cyclic_cover_problem, lift_algebra_section,
                       square_zero_extension, weak_projection)
 
@@ -122,10 +123,6 @@ def _cmd_certificate(args, finder, key, reason, serializer) -> int:
     return 0
 
 
-def _section_dict(field, cert) -> dict:
-    return ser.section_to_dict(cert)
-
-
 def cmd_double(args) -> int:
     h = _load(args)
     double, ext = drinfeld_double(h)
@@ -195,7 +192,7 @@ def cmd_lift_section(args) -> int:
                "obstruction": ser.obstruction_to_dict(h.field, res)}, args)
         return 1
     _emit({"command": "lift-section", "lifted": True,
-           "certificate": ser.lift_to_dict(res)}, args)
+           "certificate": ser.lift_to_dict(h.field, res)}, args)
     return 0
 
 
@@ -211,7 +208,8 @@ def cmd_weak_projection(args) -> int:
         return 1
     _emit({"command": "weak-projection", "found": True,
            "onto_dim": sub_hopf.dim,
-           "matrix": [[f.to_json(x) for x in row] for row in res.matrix.data],
+           "matrix": [[f.to_json(x) for x in row]
+                      for row in dense(f, res.matrix, (sub_hopf.dim, h.dim))],
            "verified": res.verified}, args)
     return 0
 
@@ -254,13 +252,13 @@ HANDLERS = {
         "no total integral in the dual; blind retraction search infeasible",
         ser.separability_to_dict),
     "fs-algebra": lambda a: _cmd_certificate(
-        a, smo.find_fs_section, "feasible", FS_REASON, _section_dict),
+        a, smo.find_fs_section, "feasible", FS_REASON, ser.section_to_dict),
     "fs-algebra-complete": lambda a: _cmd_certificate(
-        a, smo.find_complete_fs_section, "feasible", FS_REASON, _section_dict),
+        a, smo.find_complete_fs_section, "feasible", FS_REASON, ser.section_to_dict),
     "fs-coalgebra": lambda a: _cmd_certificate(
-        a, smo.find_fs_retraction, "feasible", FS_REASON, _section_dict),
+        a, smo.find_fs_retraction, "feasible", FS_REASON, ser.section_to_dict),
     "fs-coalgebra-complete": lambda a: _cmd_certificate(
-        a, smo.find_complete_fs_retraction, "feasible", FS_REASON, _section_dict),
+        a, smo.find_complete_fs_retraction, "feasible", FS_REASON, ser.section_to_dict),
     "double": cmd_double,
     "double-separable": cmd_double_separable,
     "coradical": cmd_coradical,

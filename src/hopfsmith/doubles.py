@@ -24,7 +24,7 @@ from typing import Optional
 
 from .fields import FieldSpec
 from .hopf import AlgebraData, CoalgebraData, HopfData, curvature, validated
-from .linalg import (AffineSystem, Mat, contract, dense, difference, matrix, rank,
+from .linalg import (AffineSystem, SparseMat, contract, dense, difference, rank, require_keys,
                      require_labels, solve_affine, sparse, unknowns, _rref)
 
 
@@ -34,16 +34,15 @@ class ExtensionData:
 
     big: AlgebraData
     small: AlgebraData
-    embedding: Mat  # dim(R) x dim(S)
+    embedding: dict  # S -> R, (x, j): entry x of the image of e_j
 
     def validate(self):
         r, s = self.big, self.small
         f = r.field
-        if self.embedding.rows != r.dim or self.embedding.cols != s.dim:
-            raise ValueError("embedding has wrong shape")
-        if rank(self.embedding) != s.dim:
+        emb = self.embedding
+        require_keys(emb, (r.dim, s.dim), "embedding")
+        if rank(SparseMat.from_tensor(f, emb, r.dim, s.dim)) != s.dim:
             raise ValueError("embedding is not injective")
-        emb = sparse(self.embedding)
         if contract(f, "xj,j->x", emb, s.unit) != r.unit:
             raise ValueError("embedding does not preserve the unit")
         bad = curvature(f, s.mult, r.mult, emb)
@@ -124,7 +123,7 @@ def drinfeld_double(h: HopfData):
     double = validated(HopfData(alg, coa, s, None,
                                 [f"{h.basis[a]}*><{h.basis[i]}" for a in range(n) for i in range(n)]))
 
-    emb = matrix(f, {(a * n + j, j): c for (a,), c in e.items() for j in range(n)}, N, n)
+    emb = {(a * n + j, j): c for (a,), c in e.items() for j in range(n)}
     ext = ExtensionData(alg, h.alg, emb).validate()
     return double, ext
 
@@ -142,7 +141,7 @@ def _solve_antipode(alg: AlgebraData, coa: CoalgebraData) -> Optional[dict]:
     sol = solve_affine(sys)
     if sol is None:
         return None
-    if sol.nullspace.cols != 0:
+    if sol.nullspace:
         raise ValueError("antipode solution is not unique; bialgebra structure broken")
     return {divmod(c, N): v for c, v in enumerate(sol.particular) if v}
 
@@ -153,7 +152,7 @@ def relative_tensor(ext: ExtensionData) -> RelTensor:
     f = r.field
     nr = r.dim
     amb = nr * nr
-    m, emb, x = r.mult, sparse(ext.embedding), unknowns(f, nr, nr)
+    m, emb, x = r.mult, ext.embedding, unknowns(f, nr, nr)
     # row (c, i, j): (e_i·s_c) (x) e_j - e_i (x) (s_c·e_j), with e_a (x) e_b in column a*nr + b
     rel = difference(f, contract(f, "yc,iya,aju->ciju", emb, m, x),
                      contract(f, "yc,yjb,ibu->ciju", emb, m, x))
@@ -203,8 +202,7 @@ def trivial_extension_over_base(alg: AlgebraData) -> ExtensionData:
     """R/K with S = K embedded on the unit."""
     f = alg.field
     small = AlgebraData(f, 1, {(0, 0, 0): f.one}, {(0,): f.one})
-    emb = matrix(f, {(k, 0): x for (k,), x in alg.unit.items()}, alg.dim, 1)
-    return ExtensionData(alg, small, emb).validate()
+    return ExtensionData(alg, small, {(k, 0): x for (k,), x in alg.unit.items()}).validate()
 
 
 def double_separable_over_h(h: HopfData) -> bool:

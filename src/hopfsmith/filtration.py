@@ -29,7 +29,7 @@ from typing import Optional
 from .hopf import (AlgebraData, CoalgebraData, SubspaceBasis, _unitvec, dual_algebra,
                    quotient_maps)
 from .integrals import idempotent_system
-from .linalg import (AffineSystem, Mat, SparseMat, contract, dense, identity, nullspace,
+from .linalg import (AffineSystem, SparseMat, contract, dense, identity, nullspace,
                      pivot_columns, solve_affine, span_contains_span, spans_equal, sparse)
 
 
@@ -51,8 +51,7 @@ def _trace_form_kernel(a: AlgebraData) -> list:
     # trace(L_{e_i e_j}) = sum_k m_ijk trace(L_{e_k}), and trace(L_{e_k}) = sum_d m_kdd
     traces = contract(f, "kdx,xd->k", m, identity(f, a.dim))
     form = contract(f, "ijk,k->ij", m, traces)
-    rows = AffineSystem.conditions(f, a.dim, (form, 1, None, "trace form")).matrix
-    return nullspace(rows).columns()
+    return nullspace(AffineSystem.conditions(f, a.dim, (form, 1, None, "trace form")).matrix)
 
 
 def _mul_mod(x: list, y: list, q: int) -> list:
@@ -113,7 +112,7 @@ def _fr_radical_mod_p(a: AlgebraData) -> list:
                     rows[y].append((j, tr // pi))
         # the kernel is in the coordinates of `current`
         ker = nullspace(SparseMat(f, n, len(current), rows))
-        current = dense(f, contract(f, "jx,jc->cx", sparse(current), sparse(ker)), (ker.cols, n))
+        current = dense(f, contract(f, "jx,cj->cx", sparse(current), sparse(ker)), (len(ker), n))
         pi = q
     return current
 
@@ -163,12 +162,11 @@ def is_nilpotent_ideal(ideal: SubspaceBasis, a: AlgebraData) -> Optional[int]:
 def _quotient_algebra(a: AlgebraData, ideal_vectors: list):
     """(quotient AlgebraData, projection, section) modulo a two-sided ideal."""
     f = a.field
-    projection, section = quotient_maps(f, SubspaceBasis(a.dim, ideal_vectors))
-    q = section.cols
-    proj, sect = sparse(projection), sparse(section)
+    proj, sect = quotient_maps(f, SubspaceBasis(a.dim, ideal_vectors))
     mult = contract(f, "xa,yb,xyk,ck->abc", sect, sect, a.mult, proj)
-    quotient = AlgebraData(f, q, mult, contract(f, "ck,k->c", proj, a.unit))
-    return quotient, projection, section
+    quotient = AlgebraData(f, a.dim - len(ideal_vectors), mult,
+                           contract(f, "ck,k->c", proj, a.unit))
+    return quotient, proj, sect
 
 
 def _has_separability_idempotent(a: AlgebraData) -> bool:
@@ -213,8 +211,8 @@ def coradical(c: CoalgebraData) -> SubspaceBasis:
     if not rad.vectors:
         out = SubspaceBasis(n, [_unitvec(f, n, i) for i in range(n)])
     else:
-        ann = nullspace(Mat(f, len(rad.vectors), n, rad.vectors))
-        out = SubspaceBasis(n, ann.columns())
+        rows = [[(j, x) for j, x in enumerate(v) if x] for v in rad.vectors]
+        out = SubspaceBasis(n, nullspace(SparseMat(f, len(rows), n, rows)))
     if not is_subcoalgebra(out, c):
         raise AssertionError("coradical is not a subcoalgebra")
     return out
@@ -234,22 +232,24 @@ def is_subcoalgebra(x: SubspaceBasis, c: CoalgebraData) -> bool:
 
 def wedge(x: SubspaceBasis, y: SubspaceBasis, e: CoalgebraData) -> SubspaceBasis:
     """X wedge Y = ker[(pi_X (x) pi_Y) Delta]."""
+    if y.ambient_dim != e.dim:
+        raise ValueError("wedge arguments live in the wrong ambient space")
     return _wedge(x, quotient_maps(e.field, y)[0], e)
 
 
-def _wedge(x: SubspaceBasis, py: Mat, e: CoalgebraData) -> SubspaceBasis:
+def _wedge(x: SubspaceBasis, py: dict, e: CoalgebraData) -> SubspaceBasis:
     """X wedge Y for ``py`` = pi_Y, the projection onto the quotient by Y: the
     kernel of rows (p, q), one column per basis vector."""
     f = e.field
     n = e.dim
-    if x.ambient_dim != n or py.cols != n:
+    if x.ambient_dim != n:
         raise ValueError("wedge arguments live in the wrong ambient space")
     px = quotient_maps(f, x)[0]
-    if px.rows == 0 or py.rows == 0:
+    if not px or not py:  # a zero quotient: X or Y is everything
         return SubspaceBasis(n, [_unitvec(f, n, i) for i in range(n)])
-    rows = contract(f, "pi,kij,qj->pqk", sparse(px), e.comult, sparse(py))
+    rows = contract(f, "pi,kij,qj->pqk", px, e.comult, py)
     ker = nullspace(AffineSystem.conditions(f, n, (rows, 2, None, "wedge")).matrix)
-    return SubspaceBasis(n, ker.columns())
+    return SubspaceBasis(n, ker)
 
 
 def wedge_filtration(c: SubspaceBasis, e: CoalgebraData,

@@ -15,8 +15,8 @@ Conventions, fixed once for the whole package:
   construction built the map.  Nested
   lists appear only at the JSON edge (:mod:`serialize`) and in the coordinate
   lists :attr:`HopfData.unit_vec` and :meth:`HopfData.basis_vec`.
-* a linear map that is not a structure map is a :class:`Mat` acting on
-  coordinate columns, so the image of e_j is column j
+* every other linear map g (a projection, a section, an inclusion) is a sparse
+  tensor in the same form as the antipode: ``g[(x, y)]`` is entry x of g(e_y).
 * H (x) H coordinates are flattened as ``i * dim + j``.
 * the identities between these maps are contractions (:func:`linalg.contract`),
   so the antipode axiom reads ``"kij,ai,ajt->kt"`` over (comult, antipode, mult)
@@ -37,9 +37,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .fields import FieldSpec
-from .linalg import (AffineSystem, Mat, contract, dense, difference, differing, identity,
-                     in_coordinates, in_span, inverse, matrix, nullspace, ordered, pivot_columns,
-                     sparse)
+from .linalg import (AffineSystem, SparseMat, contract, dense, difference, differing, identity,
+                     in_coordinates, in_span, invert, nullspace, ordered, pivot_columns)
 
 
 @dataclass
@@ -115,7 +114,8 @@ class HopfData:
             self.basis = [f"e{i}" for i in range(self.alg.dim)]
         self.antipode = ordered(self.antipode)
         if self.antipode_inverse is None:
-            self.antipode_inverse = inverse(self.field, self.antipode, self.dim)
+            self.antipode_inverse = invert(
+                SparseMat.from_tensor(self.field, self.antipode, self.dim, self.dim))
         else:
             self.antipode_inverse = ordered(self.antipode_inverse)
 
@@ -244,28 +244,31 @@ class SubspaceBasis:
         """(basis, coordinates) as sparse tensors: ``basis[(x, j)]`` is entry x of
         vector j, and ``coordinates[(c, x)]`` is a left inverse of it, which reads
         off the coordinates of any vector of the span."""
-        inv = self._completed(field)[1]
-        return sparse(Mat.from_columns(field, self.vectors).data), sparse(inv.data[:self.dim])
+        inv, d = self._completed(field)[1], self.dim
+        basis = {(x, j): v[x] for x in range(self.ambient_dim)
+                 for j, v in enumerate(self.vectors) if v[x]}
+        return basis, {k: x for k, x in inv.items() if k[0] < d}
 
 
 @dataclass
 class QuotientSplitting:
     """A fixed linear splitting H = ker (+) complement for a surjection."""
 
-    projection: Mat  # H -> quotient
-    section: Mat     # quotient -> H, projection∘section = id
+    projection: dict  # H -> quotient, (c, x)
+    section: dict     # quotient -> H, (x, c); projection∘section = id
     kernel: SubspaceBasis
 
 
 def augmentation_ideal(h: HopfData) -> SubspaceBasis:
     """H^+ = ker(eps), dimension dim-1."""
     eps = AffineSystem.conditions(h.field, h.dim, (h.coa.counit, 0, None, "counit")).matrix
-    return SubspaceBasis(h.dim, nullspace(eps).columns())
+    return SubspaceBasis(h.dim, nullspace(eps))
 
 
 def _completion(field: FieldSpec, n: int, vectors: list) -> tuple:
     """(basis, inverse): ``vectors`` completed greedily by e_0, e_1, ... to a basis
-    of K^n, and the inverse of the matrix with that basis as its columns.
+    of K^n, and the inverse of the matrix with that basis as its columns, as a
+    sparse tensor (row, column) in key order.
 
     One elimination of [vectors | identity] gives both: its pivot columns are
     the greedy pick B, and its reduced form is B^{-1} [vectors | identity], so
@@ -279,20 +282,21 @@ def _completion(field: FieldSpec, n: int, vectors: list) -> tuple:
         raise ValueError("subspace vectors are not linearly independent" if k == n
                          else "only square matrices can be inverted")
     inv = {(t, j - k): x for t, row in enumerate(rows[:n]) for j, x in row if j >= k}
-    return [cands[j] for j in pivots], matrix(field, inv, n, n)
+    return [cands[j] for j in pivots], inv
 
 
 def quotient_maps(field: FieldSpec, sub: SubspaceBasis) -> tuple:
-    """(projection, section) for K^n -> K^n / sub.
+    """(projection, section) for K^n -> K^n / sub, as sparse tensors (c, x) and (x, c).
 
     The complement is picked greedily from e_0, e_1, ...; the projection is the
     matching rows of the inverse basis change and the section sends the quotient
     basis to the picked e_i.
     """
     chosen, inv = sub._completed(field)
-    n, d = sub.ambient_dim, sub.dim
-    section = Mat(field, n, n - d, [[v[r] for v in chosen[d:]] for r in range(n)])
-    return Mat(field, n - d, n, [row[:] for row in inv.data[d:]]), section
+    d = sub.dim
+    section = {(x, c): v[x] for x in range(sub.ambient_dim)
+               for c, v in enumerate(chosen[d:]) if v[x]}
+    return {(t - d, x): v for (t, x), v in inv.items() if t >= d}, section
 
 
 def unit_cokernel(h: HopfData) -> QuotientSplitting:
@@ -302,9 +306,10 @@ def unit_cokernel(h: HopfData) -> QuotientSplitting:
 
 
 def sub_hopf_on_subspace(h: HopfData, sub: SubspaceBasis) -> tuple:
-    """(validated Hopf structure on ``sub``, inclusion matrix) for a subspace that
+    """(validated Hopf structure on ``sub``, inclusion (x, j)) for a subspace that
     must be a Hopf subalgebra; raises ValueError when it is not.  Each structure
-    map is restricted by the left inverse of the basis and must rebuild."""
+    map is restricted by the left inverse of the basis and must rebuild.  The
+    inclusion is the basis tensor: entry x of the j-th basis vector."""
     f = h.field
     m = sub.dim
     basis, coords = sub.tensors(f)
@@ -324,7 +329,7 @@ def sub_hopf_on_subspace(h: HopfData, sub: SubspaceBasis) -> tuple:
                         "subspace is not antipode-stable")
     sub_h = validated(HopfData(AlgebraData(f, m, mult, unit), CoalgebraData(f, m, comult, counit),
                                contract(f, "kc->ck", antipode)))
-    return sub_h, Mat.from_columns(f, sub.vectors)
+    return sub_h, basis
 
 
 # ---------------------------------------------------------------------------

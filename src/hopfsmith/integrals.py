@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 from .hopf import AlgebraData, HopfData, SubspaceBasis
-from .linalg import (AffineSystem, Mat, contract, dense, difference, identity, nullspace,
+from .linalg import (AffineSystem, contract, dense, difference, identity, nullspace,
                      require_labels, solve_affine, sparse, spans_equal, unknowns)
 from .yd import ACTIONS, COACTIONS, adjoint_action, adjoint_coaction
 
@@ -32,8 +32,9 @@ class IntegralCertificate:
 @dataclass
 class SeparabilityCertificate:
     kind: str               # "idempotent_for_algebra" | "retraction_for_coalgebra"
-    data: object            # e in H (x) H (flat list) or Mat of theta: H (x) H -> H
+    data: object            # e in H (x) H (flat list), or theta: H (x) H -> H as (p, i * dim + j)
     verified: list = dc_field(default_factory=list)
+    shape: tuple = ()       # (dim, dim^2), the matrix shape of theta
 
 
 def _integral_condition(h: HopfData, side: str, x: dict) -> dict:
@@ -59,7 +60,7 @@ def integral_space(h: HopfData, side: str = "left", carrier: str = "in_h") -> Su
     from .hopf import dual_hopf
     target = h if carrier == "in_h" else dual_hopf(h)
     sys = _integral_system(target, side)
-    basis = SubspaceBasis(h.dim, nullspace(sys.matrix).columns())
+    basis = SubspaceBasis(h.dim, nullspace(sys.matrix))
     _verify_integral_space(target, basis, side, sys)
     return basis
 
@@ -120,7 +121,7 @@ def ad_invariant_integral(h: HopfData) -> Optional[IntegralCertificate]:
     sol = solve_affine(sys)
     if sol is None:
         return None
-    if sol.nullspace.cols != 0:
+    if sol.nullspace:
         raise AssertionError("ad-invariant integral is not unique; theory violated")
     lam = sol.particular
     _verify_ad_invariant(h, lam, sys)
@@ -146,7 +147,7 @@ def ad_coinvariant_integral(h: HopfData) -> Optional[IntegralCertificate]:
     sol = solve_affine(sys)
     if sol is None:
         return None
-    if sol.nullspace.cols != 0:
+    if sol.nullspace:
         raise AssertionError("ad-coinvariant integral is not unique; theory violated")
     lam = sol.particular
     require_labels(sys, lam, "ad-coinvariant integral")
@@ -249,23 +250,22 @@ def coseparability_retraction(h: HopfData) -> Optional[SeparabilityCertificate]:
         return None
     lam = cert_total.vector
     theta = contract(f, "ipq,qyz,yj,z->pij", h.coa.comult, h.alg.mult, h.antipode, sparse(lam))
-    theta = Mat(f, n, n * n, [[x for row in block for x in row]
-                              for block in dense(f, theta, (n, n, n))])
+    theta = {(p, i * n + j): v for (p, i, j), v in theta.items()}
     verified = _verify_retraction(h, theta, lam, sys)
-    return SeparabilityCertificate("retraction_for_coalgebra", theta, verified)
+    return SeparabilityCertificate("retraction_for_coalgebra", theta, verified, (n, n * n))
 
 
-def _verify_retraction(h: HopfData, theta: Mat, lam: Optional[list] = None,
+def _verify_retraction(h: HopfData, theta: dict, lam: Optional[list] = None,
                        sys: Optional[AffineSystem] = None) -> list:
     f = h.field
     n = h.dim
     verified = require_labels(sys or retraction_system(h),
-                              [x for row in theta.data for x in row], "retraction")
+                              [x for row in dense(f, theta, (n, n * n)) for x in row], "retraction")
     if lam is not None:
         # both sides of the defining exchange identity:
         # x_1 lam(x_2 S(y)) = lam(x S(y_1)) y_2
         rhs = contract(f, "iyz,ya,z,jab->bij", h.alg.mult, h.antipode, sparse(lam), h.coa.comult)
-        if {(p, c // n, c % n): v for (p, c), v in sparse(theta).items()} != rhs:
+        if {(p, c // n, c % n): v for (p, c), v in theta.items()} != rhs:
             raise AssertionError("retraction fails the exchange identity")
         verified.append("exchange-identity")
     return verified

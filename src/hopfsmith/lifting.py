@@ -12,8 +12,7 @@ Every identity is a contraction of sparse tensors (:func:`linalg.contract`)
 in the layout of :mod:`hopf`: ``m`` (ijk) with e_i e_j = sum_k m_ijk e_k, and
 a linear map g as ``(x, y)``, entry x of g(e_y).
 
-* A right H-coaction rho: V -> V (x) H, stored as the (dim V * dim H) x dim V
-  matrix with rows ``v * dim H + u``, is the tensor ``(c, v, u)``:
+* A right H-coaction rho: V -> V (x) H is the tensor ``(c, v, u)``:
   rho(e_c) = sum rho_cvu e_v (x) h_u.
 * A bimodule action (:class:`Bimodule`) is a pair of tensors ``(i, s, t)``
   laid out like ``m``: a_i · w_s = sum_t L_ist w_t and w_s · a_i = sum_t R_ist w_t.
@@ -36,8 +35,8 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 from .hopf import AlgebraData, HopfData, SubspaceBasis, curvature, dual_algebra
-from .linalg import (AffineSystem, Mat, contract, dense, difference, differing, identity,
-                     in_coordinates, inverse, matrix, nullspace, rank, solve_affine, sparse,
+from .linalg import (AffineSystem, SparseMat, contract, dense, difference, differing, identity,
+                     in_coordinates, invert, nullspace, rank, require_keys, solve_affine, sparse,
                      span_contains_span, spans_equal, unknowns)
 from .filtration import (_is_two_sided_ideal, _quotient_algebra, ideal_powers,
                          coradical, is_subcoalgebra, wedge_filtration)
@@ -45,28 +44,18 @@ from .filtration import (_is_two_sided_ideal, _quotient_algebra, ideal_powers,
 
 @dataclass
 class Bimodule:
+    """An A-bimodule on ``dim`` basis vectors w_s: a_i · w_s = sum_t left[(i, s, t)] w_t
+    and w_s · a_i = sum_t right[(i, s, t)] w_t."""
+
     algebra: AlgebraData
     dim: int
-    left: list   # Mat per basis element of A
-    right: list
-
-    @classmethod
-    def from_tensors(cls, a: AlgebraData, dim: int, left: dict, right: dict) -> "Bimodule":
-        """The bimodule whose actions are the tensors ``(i, s, t)``."""
-        f = a.field
-        return cls(a, dim, *([Mat(f, dim, dim, m) for m in dense(
-            f, {(i, t, s): x for (i, s, t), x in act.items()}, (a.dim, dim, dim))]
-            for act in (left, right)))
-
-    def tensors(self) -> tuple:
-        """(L, R) with a_i · w_s = sum_t L_ist w_t and w_s · a_i = sum_t R_ist w_t."""
-        return tuple({(i, s, t): x for (i, t, s), x in sparse([m.data for m in mats]).items()}
-                     for mats in (self.left, self.right))
+    left: dict
+    right: dict
 
     def check(self):
         a = self.algebra
         f = a.field
-        left, right = self.tensors()
+        left, right = self.left, self.right
         m, one = a.mult, identity(f, self.dim)
         if any(contract(f, "a,ast->st", a.unit, act) != one for act in (left, right)):
             raise ValueError("bimodule: unit does not act as identity")
@@ -89,32 +78,29 @@ class Bimodule:
 class SurjectionProblem:
     e: AlgebraData
     a: AlgebraData
-    pi: Mat                     # a.dim x e.dim, surjective algebra map
+    pi: dict                    # E -> A, (a, k): entry a of pi(e_k); a surjective algebra map
     kernel: Optional[SubspaceBasis] = None
     hopf: Optional[HopfData] = None
-    coact_e: Optional[Mat] = None   # E -> E (x) H, (dimE*dimH) x dimE
-    coact_a: Optional[Mat] = None
+    coact_e: Optional[dict] = None  # rho: E -> E (x) H, (c, v, u)
+    coact_a: Optional[dict] = None
 
     def validate(self):
         f = self.e.field
-        if (self.pi.rows, self.pi.cols) != (self.a.dim, self.e.dim):
-            raise ValueError(f"pi must be {self.a.dim} x {self.e.dim}, "
-                             f"got {self.pi.rows} x {self.pi.cols}")
+        pi = self.pi
+        require_keys(pi, (self.a.dim, self.e.dim), "pi")
         for name, coact, n in (("coact_e", self.coact_e, self.e.dim),
                                ("coact_a", self.coact_a, self.a.dim)):
-            if coact is not None and self.hopf is not None and \
-                    (coact.rows, coact.cols) != (n * self.hopf.dim, n):
-                raise ValueError(f"{name} must be {n * self.hopf.dim} x {n}, "
-                                 f"got {coact.rows} x {coact.cols}")
-        if rank(self.pi) != self.a.dim:
+            if coact is not None and self.hopf is not None:
+                require_keys(coact, (n, n, self.hopf.dim), name)
+        pi_rows = SparseMat.from_tensor(f, pi, self.a.dim, self.e.dim)
+        if rank(pi_rows) != self.a.dim:
             raise ValueError("pi is not surjective")
-        pi = sparse(self.pi)
         if contract(f, "ak,k->a", pi, self.e.unit) != self.a.unit:
             raise ValueError("pi does not preserve the unit")
         bad = curvature(f, self.e.mult, self.a.mult, pi)
         if bad:
             raise ValueError("pi is not an algebra map at ({},{})".format(*min(bad)[:2]))
-        ker = nullspace(self.pi).columns()
+        ker = nullspace(pi_rows)
         if self.kernel is None:
             self.kernel = SubspaceBasis(self.e.dim, ker)
         elif not spans_equal(f, self.kernel.vectors, ker):
@@ -126,18 +112,20 @@ class SurjectionProblem:
 
 @dataclass
 class LiftCertificate:
-    stages: list            # stage maps A -> E/I^{r+1} as Mat
-    final: Mat              # sigma: A -> E
+    stages: list            # stage maps A -> E/I^{r+1}, each a tensor (x, y)
+    final: dict             # sigma: A -> E, (x, y)
     algebra_map: bool
     colinear: Optional[bool] = None
+    shapes: list = dc_field(default_factory=list)  # (rows, columns) per stage; final: the last
 
 
 @dataclass
 class LiftObstruction:
     stage: int
-    witness: list           # curvature c[i][j] as coordinate vectors in I^r/I^{r+1}
+    witness: dict           # curvature c(a_i, a_j) in I^r/I^{r+1}, keyed (i, j, t)
     delta_closed: bool
     reason: str
+    shape: tuple = (0,)     # (dim A, dim A, dim I^r/I^{r+1}); (0,) for the empty witness
 
 
 def _intertwines(f, g: dict, alpha: dict, beta: dict) -> bool:
@@ -145,16 +133,9 @@ def _intertwines(f, g: dict, alpha: dict, beta: dict) -> bool:
     return contract(f, "xy,uyz->uxz", g, alpha) == contract(f, "uxy,yz->uxz", beta, g)
 
 
-def _coaction_mat(f, rho: dict, space_dim: int, hopf_dim: int) -> Mat:
-    """The (dim V * dim H) x dim V matrix, rows v * dim H + u, of the tensor (c, v, u)."""
-    return matrix(f, {(v * hopf_dim + u, c): x for (c, v, u), x in rho.items()},
-                  space_dim * hopf_dim, space_dim)
-
-
-def _check_right_comodule(coact: Mat, space_dim: int, h: HopfData) -> dict:
+def _check_right_comodule(rho: dict, space_dim: int, h: HopfData) -> dict:
     """The coaction tensor (c, v, u), once the counit law and coassociativity hold."""
     f = h.field
-    rho = {(c, *divmod(r, h.dim)): x for (r, c), x in sparse(coact).items()}  # rows v * dim H + u
     # counit: (id (x) eps) rho = id
     if contract(f, "cvu,u->cv", rho, h.coa.counit) != identity(f, space_dim):
         raise ValueError("coaction fails the counit law")
@@ -173,7 +154,7 @@ def _equivariance_pairs_from_problem(p: SurjectionProblem) -> tuple:
     rho_a = _check_right_comodule(p.coact_a, p.a.dim, p.hopf)
     alpha, beta = ({(u, v, c): x for (c, v, u), x in rho.items()} for rho in (rho_a, rho_e))
     # pi must intertwine the coactions
-    if not _intertwines(p.e.field, sparse(p.pi), beta, alpha):
+    if not _intertwines(p.e.field, p.pi, beta, alpha):
         raise ValueError("pi is not colinear")
     return alpha, beta
 
@@ -182,13 +163,13 @@ def lift_algebra_section(p: SurjectionProblem, colinear: bool = False,
                          extra_pairs: Optional[list] = None):
     """A verified multiplicative (optionally equivariant) section of pi, or a
     LiftObstruction carrying a delta-closed curvature witness.  ``extra_pairs``
-    are further (alpha on A, beta on E) matrix pairs to intertwine."""
+    are further (alpha on A, beta on E) pairs of maps (x, y) to intertwine."""
     p.validate()
     alpha, beta = _equivariance_pairs_from_problem(p) if colinear else ({}, {})
     first = p.hopf.dim if colinear else 0
     for u, (a_u, b_u) in enumerate(extra_pairs or [], first):
-        alpha.update({(u, *k): x for k, x in sparse(a_u).items()})
-        beta.update({(u, *k): x for k, x in sparse(b_u).items()})
+        alpha.update({(u, *k): x for k, x in a_u.items()})
+        beta.update({(u, *k): x for k, x in b_u.items()})
     return _lift(p, alpha, beta, colinear or bool(extra_pairs))
 
 
@@ -207,7 +188,7 @@ def _lift(p: SurjectionProblem, alpha: dict, beta: dict, equivariant: bool):
     quots = []
     for pw in powers:
         q, proj, sect = _quotient_algebra(p.e, pw)
-        quots.append((q.dim, q.mult, q.unit, sparse(proj), sparse(sect)))
+        quots.append((q.dim, q.mult, q.unit, proj, sect))
 
     # equivariance endomorphisms must preserve every kernel power: beta_u(I^r) dies in E/I^r
     for pw, (_, _, _, proj, _) in zip(powers[:-1], quots):
@@ -220,19 +201,19 @@ def _lift(p: SurjectionProblem, alpha: dict, beta: dict, equivariant: bool):
 
     # stage 1: A ~ E/I
     sect1 = quots[0][4]
-    stage = inverse(f, contract(f, "ax,xb->ab", sparse(p.pi), sect1), na)
+    stage = invert(SparseMat.from_tensor(f, contract(f, "ax,xb->ab", p.pi, sect1), na, na))
     if stage is None:
         raise AssertionError("E/I -> A is not invertible; pi was not surjective?")
     if not _intertwines(f, stage, alpha, descend(0)):
         raise AssertionError("initial stage map is not equivariant")
-    stages = [matrix(f, stage, na, na)]
+    stages = [stage]
 
     for r in range(1, len(powers)):
         nprev, _, _, proj_prev, _ = quots[r - 1]
         ncur, m_cur, u_cur, _, sect = quots[r]
         p_r = contract(f, "ax,xb->ab", proj_prev, sect)
         # I^r/I^{r+1} inside Q_{r+1}, with a left inverse reading off coordinates
-        kernel = SubspaceBasis(ncur, nullspace(matrix(f, p_r, nprev, ncur)).columns())
+        kernel = SubspaceBasis(ncur, nullspace(SparseMat.from_tensor(f, p_r, nprev, ncur)))
         w, coords = kernel.tensors(f)
         mdim = kernel.dim
         beta_r = descend(r)
@@ -240,22 +221,21 @@ def _lift(p: SurjectionProblem, alpha: dict, beta: dict, equivariant: bool):
         g = _solve_linear_lift(f, ncur, na, p_r, stage, u_a, u_cur, alpha, beta_r, equivariant)
         if g is None:
             # no curvature was formed, so the empty witness is not a closed cocycle
-            return LiftObstruction(r, [], False,
+            return LiftObstruction(r, {}, False,
                                    "no equivariant linear lift through E/I^{r+1}")
         curv = in_coordinates(f, curvature(f, m_a, m_cur, g), w, coords,
                               "curvature escaped I^r/I^{r+1}")
         if not curv:
             stage = g
-            stages.append(matrix(f, stage, ncur, na))
+            stages.append(stage)
             continue
 
         # A-bimodule structure on I^r/I^{r+1} through the lift g
         left, right = (in_coordinates(f, contract(f, spec, g, w, m_cur), w, coords,
                                       "bimodule action escaped I^r/I^{r+1}")
                        for spec in ("ai,bs,abt->ist", "ai,bs,bat->ist"))
-        bim = Bimodule.from_tensors(p.a, mdim, left, right).check()
-        witness = dense(f, curv, (na, na, mdim))
-        if not _is_two_cocycle(bim, witness):
+        bim = Bimodule(p.a, mdim, left, right).check()
+        if not _is_two_cocycle(bim, curv):
             raise AssertionError("curvature is not delta-closed; lifting engine bug")
 
         # equivariance operators restricted to the kernel stage, (u, s, t)
@@ -263,15 +243,18 @@ def _lift(p: SurjectionProblem, alpha: dict, beta: dict, equivariant: bool):
                                 "equivariance operator escaped I^r/I^{r+1}")
         h = _solve_coboundary(bim, curv, alpha, beta_m, equivariant)
         if h is None:
-            return LiftObstruction(r, witness, True, "curvature class is not a coboundary")
+            return LiftObstruction(r, curv, True, "curvature class is not a coboundary",
+                                   (na, na, mdim))
         corrected = difference(f, g, contract(f, "xt,ty->xy", w, h))
         _assert_stage(f, m_a, m_cur, p_r, stage, corrected, alpha, beta_r)
         stage = corrected
-        stages.append(matrix(f, stage, ncur, na))
+        stages.append(stage)
 
     # Q_nu = E/0: translate back to E coordinates
     sigma = contract(f, "xa,ay->xy", quots[-1][4], stage)
-    cert = LiftCertificate(stages, matrix(f, sigma, p.e.dim, na), True, equivariant or None)
+    # stage r maps A into Q_{r+1}, so its shape is (dim Q_{r+1}, dim A); Q_1 = E/I ~ A
+    cert = LiftCertificate(stages, sigma, True, equivariant or None,
+                           [(dim, na) for dim, *_ in quots])
     _verify_final(p, cert, alpha, beta)
     return cert
 
@@ -289,11 +272,11 @@ def _solve_linear_lift(f, ncur: int, na: int, p_r: dict, prev: dict, u_a: dict, 
     return None if sol is None else {divmod(c, na): v for c, v in enumerate(sol.particular) if v}
 
 
-def _is_two_cocycle(bim: Bimodule, c: list) -> bool:
-    """delta c (a,b,d) = a·c(b,d) - c(ab,d) + c(a,bd) - c(a,b)·d = 0 on basis triples."""
+def _is_two_cocycle(bim: Bimodule, c: dict) -> bool:
+    """delta c (a,b,d) = a·c(b,d) - c(ab,d) + c(a,bd) - c(a,b)·d = 0 on basis triples,
+    for c keyed (i, j, t)."""
     f = bim.algebra.field
-    m, c = bim.algebra.mult, sparse(c)
-    left, right = bim.tensors()
+    m, left, right = bim.algebra.mult, bim.left, bim.right
     return difference(f, contract(f, "jks,ist->ijkt", c, left),
                       contract(f, "ijy,ykt->ijkt", m, c)) == \
         difference(f, contract(f, "ijs,kst->ijkt", c, right),
@@ -307,7 +290,7 @@ def _solve_coboundary(bim: Bimodule, c: dict, alpha: Optional[dict] = None,
     a = bim.algebra
     f = a.field
     na = a.dim
-    left, right = bim.tensors()
+    left, right = bim.left, bim.right
     x = unknowns(f, bim.dim, na)
     delta = difference(f, contract(f, "ist,sjc->ijtc", left, x),
                        difference(f, contract(f, "ijy,tyc->ijtc", a.mult, x),
@@ -332,8 +315,8 @@ def _assert_stage(f, m_a: dict, m_cur: dict, p_r: dict, prev: dict, new: dict,
 
 def _verify_final(p: SurjectionProblem, cert: LiftCertificate, alpha: dict, beta: dict):
     f = p.e.field
-    sigma = sparse(cert.final)
-    if contract(f, "ax,xy->ay", sparse(p.pi), sigma) != identity(f, p.a.dim):
+    sigma = cert.final
+    if contract(f, "ax,xy->ay", p.pi, sigma) != identity(f, p.a.dim):
         raise AssertionError("final section does not split pi")
     if curvature(f, p.a.mult, p.e.mult, sigma):
         raise AssertionError("final section is not multiplicative")
@@ -347,26 +330,26 @@ def _verify_final(p: SurjectionProblem, cert: LiftCertificate, alpha: dict, beta
 # Standalone Hochschild 2-coboundary solving
 # ---------------------------------------------------------------------------
 
-def hochschild_coboundary_solve(a: AlgebraData, bim: Bimodule, cocycle: list):
-    """Solve delta h = c for a checked 2-cocycle c; None signals a nonzero class."""
+def hochschild_coboundary_solve(a: AlgebraData, bim: Bimodule, cocycle: dict) -> Optional[dict]:
+    """Solve delta h = c for a checked 2-cocycle c keyed (i, j, t); h: A -> M is
+    returned as (t, y), and None signals a nonzero class."""
     if bim.algebra is not a and bim.algebra != a:
         raise ValueError("bimodule is not over the given algebra")
     bim.check()
     if not _is_two_cocycle(bim, cocycle):
         raise ValueError("input is not a 2-cocycle")
-    h = _solve_coboundary(bim, sparse(cocycle))
-    return None if h is None else matrix(a.field, h, bim.dim, a.dim)
+    return _solve_coboundary(bim, cocycle)
 
 
 def eps_bimodule(h: HopfData) -> Bimodule:
     """K as an H-bimodule through the counit on both sides."""
     eps = {(i, 0, 0): x for (i,), x in h.coa.counit.items()}
-    return Bimodule.from_tensors(h.alg, 1, eps, eps).check()
+    return Bimodule(h.alg, 1, eps, eps).check()
 
 
 def regular_bimodule(a: AlgebraData) -> Bimodule:
     m = a.mult
-    return Bimodule.from_tensors(a, a.dim, m, {(i, s, t): x for (s, i, t), x in m.items()}).check()
+    return Bimodule(a, a.dim, m, {(i, s, t): x for (s, i, t), x in m.items()}).check()
 
 
 # ---------------------------------------------------------------------------
@@ -387,14 +370,13 @@ def square_zero_extension(h: HopfData, with_coaction: bool = True) -> Surjection
     mult = {**m, **{(i, n + j, n + k): x for (i, j, k), x in m.items()},
             **{(n + i, j, n + k): x for (i, j, k), x in m.items()}}
     e_alg = AlgebraData(f, 2 * n, mult, a.unit)
-    problem = SurjectionProblem(e_alg, a, matrix(f, identity(f, n), n, 2 * n))
+    problem = SurjectionProblem(e_alg, a, identity(f, n))
     if with_coaction:
         # Delta as a coaction on A, and on both summands of E
         rho = h.coa.comult
         problem.hopf = h
-        problem.coact_a = _coaction_mat(f, rho, n, n)
-        problem.coact_e = _coaction_mat(
-            f, {**rho, **{(n + c, n + v, u): x for (c, v, u), x in rho.items()}}, 2 * n, n)
+        problem.coact_a = dict(rho)
+        problem.coact_e = {**rho, **{(n + c, n + v, u): x for (c, v, u), x in rho.items()}}
     return problem
 
 
@@ -405,7 +387,7 @@ def cyclic_cover_problem(n: int, m: int, field) -> SurjectionProblem:
     from .presets import cyclic_table, preset_group_algebra
     e_h = preset_group_algebra(cyclic_table(m * n), field)
     a_h = preset_group_algebra(cyclic_table(n), field)
-    pi = matrix(field, {(k % n, k): field.one for k in range(m * n)}, n, m * n)
+    pi = {(k % n, k): field.one for k in range(m * n)}
     return SurjectionProblem(e_h.alg, a_h.alg, pi)
 
 
@@ -415,15 +397,16 @@ def cyclic_cover_problem(n: int, m: int, field) -> SurjectionProblem:
 
 @dataclass
 class WeakProjectionCertificate:
-    matrix: Mat             # pi: E -> H
+    matrix: dict            # pi: E -> H, (k, x)
     verified: list = dc_field(default_factory=list)
 
 
-def weak_projection(e: HopfData, h: HopfData, inclusion: Mat,
+def weak_projection(e: HopfData, h: HopfData, inclusion: dict,
                     bilinear: bool = False, corad: Optional[SubspaceBasis] = None):
     """A left H-linear coalgebra retraction E -> H of a Hopf subalgebra
     inclusion with Corad(E) inside H, built by lifting an algebra section of
-    the dual surjection E* -> H*.  Returns a certificate or a LiftObstruction.
+    the dual surjection E* -> H*.  ``inclusion`` is keyed (x, k), entry x of the
+    image of h_k.  Returns a certificate or a LiftObstruction.
     ``corad`` is Corad(E) as ``coradical(e.coa)`` returned it, when the caller
     already has it; otherwise it is computed here.
 
@@ -433,11 +416,10 @@ def weak_projection(e: HopfData, h: HopfData, inclusion: Mat,
     """
     f = e.field
     ne, nh = e.dim, h.dim
-    if inclusion.rows != ne or inclusion.cols != nh:
-        raise ValueError("inclusion has the wrong shape")
-    if rank(inclusion) != nh:
+    incl = inclusion
+    require_keys(incl, (ne, nh), "inclusion")
+    if rank(SparseMat.from_tensor(f, incl, ne, nh)) != nh:
         raise ValueError("inclusion is not injective")
-    incl = sparse(inclusion)
     # algebra + coalgebra map checks
     if contract(f, "xk,k->x", incl, h.alg.unit) != e.alg.unit:
         raise ValueError("inclusion does not preserve the unit")
@@ -447,7 +429,8 @@ def weak_projection(e: HopfData, h: HopfData, inclusion: Mat,
             contract(f, "kij,ai,bj->kab", h.coa.comult, incl, incl):
         raise ValueError("inclusion is not a coalgebra map")
 
-    incl_cols = inclusion.columns()
+    transposed = {(k, x): v for (x, k), v in incl.items()}  # E* -> H*, the dual surjection
+    incl_cols = dense(f, transposed, (nh, ne))
     sub = SubspaceBasis(ne, incl_cols)
     if not is_subcoalgebra(sub, e.coa):
         raise ValueError("image of the inclusion is not a subcoalgebra")
@@ -460,8 +443,7 @@ def weak_projection(e: HopfData, h: HopfData, inclusion: Mat,
     if not record.exhausted:
         raise AssertionError("filtration fails to exhaust despite coradical containment")
 
-    problem = SurjectionProblem(dual_algebra(e.coa), dual_algebra(h.coa),
-                                inclusion.transpose()).validate()
+    problem = SurjectionProblem(dual_algebra(e.coa), dual_algebra(h.coa), transposed).validate()
     # right H-action on duals: (phi · u)(x) = phi(iota(u)·x), transposed left
     # multiplications: alpha_u has entry (x, y) = coefficient of h_y in h_u h_x
     alpha, beta = dict(h.alg.mult), contract(f, "zu,zxy->uxy", incl, e.alg.mult)
@@ -473,15 +455,15 @@ def weak_projection(e: HopfData, h: HopfData, inclusion: Mat,
     result = _lift(problem, alpha, beta, True)
     if isinstance(result, LiftObstruction):
         return result
-    proj = result.final.transpose()      # sigma: H* -> E*, transposed to E -> H
-    verified = _verify_weak_projection(e, h, inclusion, proj, bilinear)
+    # sigma: H* -> E*, transposed to E -> H
+    proj = {(k, x): v for (x, k), v in result.final.items()}
+    verified = _verify_weak_projection(e, h, incl, proj, bilinear)
     return WeakProjectionCertificate(proj, verified)
 
 
-def _verify_weak_projection(e: HopfData, h: HopfData, inclusion: Mat, proj: Mat,
+def _verify_weak_projection(e: HopfData, h: HopfData, incl: dict, p: dict,
                             bilinear: bool) -> list:
     f = e.field
-    incl, p = sparse(inclusion), sparse(proj)
     if contract(f, "ax,xy->ay", p, incl) != identity(f, h.dim):
         raise AssertionError("weak projection does not retract the inclusion")
     verified = ["retraction"]

@@ -19,17 +19,20 @@ exit; :func:`contract` and :func:`failed_labels` also scale once to ints.  A
 greedy basis, the vectors of a list outside the span of the ones before them,
 is the pivot columns of one elimination (:func:`pivot_columns`).
 
-:class:`Mat` stays dense: it represents linear maps and small matrices, and
-the solvers take either a dense ``Mat`` or a :class:`SparseMat`.
+A linear map is a sparse tensor ``(x, y)``, entry x of the image of e_y, like
+every structure map; :meth:`SparseMat.from_tensor` reads it as the matrix the
+solvers take.  :func:`solve_affine`, :func:`nullspace`, :func:`rank` and
+:func:`invert` all take a :class:`SparseMat`; a nullspace is a list of basis
+vectors and an inverse is again a sparse tensor.
 
 Structure-constant identities are contractions of sparse tensors, dicts
 ``{index tuple: nonzero scalar}``, the one form in which :mod:`hopf` stores
 every structure map: :func:`contract` evaluates an einsum-style spec such as
 ``"ipq,pjx,yq,xyk->ijk"``.  :func:`sparse` and :func:`dense` convert from and
-to nested lists, for coordinate vectors, for ``Mat`` and at the JSON edge;
-:func:`matrix` and :func:`inverse` read a sparse tensor as a matrix, and
-:func:`ordered` puts its entries in key order, the order ``sparse`` gives.  A
-linear condition on an unknown map is a contraction with :func:`unknowns`, the
+to nested lists, for coordinate vectors and at the JSON edge; :func:`ordered`
+puts a tensor's entries in key order, the order ``sparse`` gives, and
+:func:`require_keys` rejects a key outside a declared shape.  A linear
+condition on an unknown map is a contraction with :func:`unknowns`, the
 identity tensor of the map's entries, and :meth:`AffineSystem.conditions`
 groups such contractions straight into labelled sparse rows.
 """
@@ -44,105 +47,7 @@ from math import gcd, lcm, prod
 from operator import itemgetter
 from typing import Optional
 
-from .fields import FieldSpec, Scalar
-
-
-@dataclass
-class Mat:
-    """Dense matrix over an exact field; ``data[i][j]`` is row i, column j."""
-
-    field: FieldSpec
-    rows: int
-    cols: int
-    data: list  # list of row lists
-
-    def __post_init__(self):
-        if len(self.data) != self.rows or any(len(r) != self.cols for r in self.data):
-            raise ValueError("matrix data shape mismatch")
-
-    # -- constructors --------------------------------------------------------
-    @classmethod
-    def from_rows(cls, field: FieldSpec, rows: list) -> "Mat":
-        data = [[field.parse(x) if isinstance(x, str) else _coerce(field, x) for x in r] for r in rows]
-        ncols = len(data[0]) if data else 0
-        return cls(field, len(data), ncols, data)
-
-    @classmethod
-    def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "Mat":
-        z = field.zero
-        return cls(field, rows, cols, [[z] * cols for _ in range(rows)])
-
-    @classmethod
-    def identity(cls, field: FieldSpec, n: int) -> "Mat":
-        m = cls.zeros(field, n, n)
-        for i in range(n):
-            m.data[i][i] = field.one
-        return m
-
-    @classmethod
-    def from_columns(cls, field: FieldSpec, columns: list) -> "Mat":
-        if not columns:
-            return cls(field, 0, 0, [])
-        nrows = len(columns[0])
-        data = [[columns[j][i] for j in range(len(columns))] for i in range(nrows)]
-        return cls(field, nrows, len(columns), data)
-
-    # -- basic operations ------------------------------------------------------
-    def column(self, j: int) -> list:
-        return [self.data[i][j] for i in range(self.rows)]
-
-    def columns(self) -> list:
-        return [self.column(j) for j in range(self.cols)]
-
-    def transpose(self) -> "Mat":
-        return Mat(self.field, self.cols, self.rows,
-                   [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
-
-    def matvec(self, v: list) -> list:
-        if len(v) != self.cols:
-            raise ValueError("matvec dimension mismatch")
-        f = self.field
-        out = []
-        for row in self.data:
-            acc = f.zero
-            for a, x in zip(row, v):
-                if a and x:
-                    acc = f.add(acc, f.mul(a, x))
-            out.append(acc)
-        return out
-
-    def mul(self, other: "Mat") -> "Mat":
-        if self.cols != other.rows:
-            raise ValueError("matmul dimension mismatch")
-        f = self.field
-        out = Mat.zeros(f, self.rows, other.cols)
-        for i in range(self.rows):
-            rowi = self.data[i]
-            acc = out.data[i]
-            for k in range(self.cols):
-                a = rowi[k]
-                if not a:
-                    continue
-                rowk = other.data[k]
-                for j in range(other.cols):
-                    b = rowk[j]
-                    if b:
-                        acc[j] = f.add(acc[j], f.mul(a, b))
-        return out
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Mat):
-            return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and self.data == other.data
-
-    def copy(self) -> "Mat":
-        return Mat(self.field, self.rows, self.cols, [row[:] for row in self.data])
-
-
-def _coerce(field: FieldSpec, x) -> Scalar:
-    if isinstance(x, int):
-        return field.from_int(x)
-    return x
+from .fields import FieldSpec
 
 
 @dataclass
@@ -159,23 +64,25 @@ class SparseMat:
         if len(self.data) != self.rows:
             raise ValueError("matrix data shape mismatch")
 
-
-def _sparse_rows(m) -> list:
-    """The sparse rows of a ``SparseMat`` or a dense ``Mat``."""
-    if isinstance(m, SparseMat):
-        return m.data
-    return [[(j, x) for j, x in enumerate(row) if x] for row in m.data]
+    @classmethod
+    def from_tensor(cls, field: FieldSpec, t: dict, rows: int, cols: int) -> "SparseMat":
+        """The rows x cols matrix of a linear map held as the sparse tensor ``t``,
+        key ``(x, y)`` entry x of the image of e_y."""
+        data = [[] for _ in range(rows)]
+        for (x, y), v in t.items():
+            data[x].append((y, v))
+        return cls(field, rows, cols, data)
 
 
 @dataclass
 class AffineSystem:
-    """A · x = b with ``unknowns`` columns; A is a dense ``Mat`` or a ``SparseMat``.
+    """A · x = b with ``unknowns`` columns, A a :class:`SparseMat`.
 
     ``labels``, when given, names for each row the condition it encodes, so a
     candidate solution can be checked condition by condition (:func:`failed_labels`).
     """
 
-    matrix: object
+    matrix: SparseMat
     rhs: list
     unknowns: int = dc_field(default=-1)
     labels: Optional[list] = None
@@ -189,14 +96,6 @@ class AffineSystem:
             raise ValueError("right-hand side length differs from row count")
         if self.labels is not None and len(self.labels) != len(self.rhs):
             raise ValueError("label count differs from row count")
-
-    @classmethod
-    def sparse(cls, field: FieldSpec, rows: list, rhs: list, unknowns: int,
-               labels: Optional[list] = None) -> "AffineSystem":
-        """A system from rows given as ``{column: coefficient}`` dicts; zero
-        coefficients (say, ones that cancelled during assembly) are dropped."""
-        data = [[(j, x) for j, x in row.items() if x] for row in rows]
-        return cls(SparseMat(field, len(data), unknowns, data), rhs, unknowns, labels)
 
     @classmethod
     def conditions(cls, field: FieldSpec, unknowns: int, *conds) -> "AffineSystem":
@@ -226,7 +125,7 @@ class AffineSystem:
 @dataclass
 class AffineSolution:
     particular: list
-    nullspace: Mat  # columns span the homogeneous solution space
+    nullspace: list  # basis vectors of the homogeneous solution space
 
 
 def failed_labels(sys: AffineSystem, x: list) -> list:
@@ -234,7 +133,7 @@ def failed_labels(sys: AffineSystem, x: list) -> list:
     p = sys.matrix.field.characteristic
     dx, x = (1, x) if p else _integers(list(enumerate(x)))
     bad = {}
-    for row, b, label in zip(_sparse_rows(sys.matrix), sys.rhs, sys.labels):
+    for row, b, label in zip(sys.matrix.data, sys.rhs, sys.labels):
         if p:
             ok = sum(a * x[j] for j, a in row) % p == b
         else:
@@ -332,30 +231,27 @@ def _integers(pairs) -> tuple:
     return d, {k: x.numerator * (d // x.denominator) for k, x in pairs}
 
 
-def _kernel_basis(rows: list, pivots: list, n: int, field: FieldSpec) -> Mat:
-    """Nullspace basis of the first ``n`` columns of reduced rows: one column per
+def _kernel_basis(rows: list, pivots: list, n: int, field: FieldSpec) -> list:
+    """Nullspace basis of the first ``n`` columns of reduced rows: one vector per
     free variable, set to 1, with the other free variables 0."""
     pivot_set = set(pivots)
     free = [c for c in range(n) if c not in pivot_set]
     where = {c: t for t, c in enumerate(free)}
-    zero, one = field.zero, field.one
-    data = [[zero] * len(free) for _ in range(n)]
+    basis = [[field.zero] * n for _ in free]
     for c, t in where.items():
-        data[c][t] = one
+        basis[t][c] = field.one
     for pc, row in zip(pivots, rows):
-        out = data[pc]
         for j, a in row[1:]:
             if j < n:
-                out[where[j]] = field.neg(a)
-    return Mat(field, n, len(free), data)
+                basis[where[j]][pc] = field.neg(a)
+    return basis
 
 
 def solve_affine(sys: AffineSystem) -> Optional[AffineSolution]:
     """One particular solution plus a nullspace basis, or None if infeasible."""
     f = sys.matrix.field
     n = sys.unknowns
-    rows = [[*row, (n, b)] if b else row
-            for row, b in zip(_sparse_rows(sys.matrix), sys.rhs)]
+    rows = [[*row, (n, b)] if b else row for row, b in zip(sys.matrix.data, sys.rhs)]
     pivots = _rref(rows, n + 1, f)
     if pivots and pivots[-1] == n:  # pivot in the augmented column: 0 = 1
         return None
@@ -363,35 +259,28 @@ def solve_affine(sys: AffineSystem) -> Optional[AffineSolution]:
     return AffineSolution(dense(f, particular, (n,)), _kernel_basis(rows, pivots, n, f))
 
 
-def nullspace(m) -> Mat:
-    """Matrix whose columns form a basis of ker(m), for a ``Mat`` or ``SparseMat``."""
-    rows = _sparse_rows(m)[:]
+def nullspace(m: SparseMat) -> list:
+    """Basis vectors of ker(m)."""
+    rows = m.data[:]
     pivots = _rref(rows, m.cols, m.field)
     return _kernel_basis(rows, pivots, m.cols, m.field)
 
 
-def rank(m) -> int:
-    return len(_rref(_sparse_rows(m)[:], m.cols, m.field))
+def rank(m: SparseMat) -> int:
+    return len(_rref(m.data[:], m.cols, m.field))
 
 
-def inverse(field: FieldSpec, t: dict, n: int) -> Optional[dict]:
-    """The inverse of the n x n matrix held by the sparse tensor ``t`` (key
-    ``(i, j)``: row i, column j), as a sparse tensor, or None when singular."""
-    rows = [[(n + i, field.one)] for i in range(n)]
-    for (i, j), x in t.items():
-        rows[i].append((j, x))
-    pivots = _rref(rows, 2 * n, field)
+def invert(m: SparseMat) -> Optional[dict]:
+    """The inverse of a square matrix as a sparse tensor (key ``(i, j)``: row i,
+    column j), or None when singular."""
+    if m.rows != m.cols:
+        raise ValueError("only square matrices can be inverted")
+    n, one = m.rows, m.field.one
+    rows = [[(n + i, one), *row] for i, row in enumerate(m.data)]
+    pivots = _rref(rows, 2 * n, m.field)
     if pivots[:n] != list(range(n)):
         return None
     return {(i, j - n): a for i, row in enumerate(rows[:n]) for j, a in row[1:]}
-
-
-def invert(m: Mat) -> Optional[Mat]:
-    """Inverse matrix, or None when singular."""
-    if m.rows != m.cols:
-        raise ValueError("only square matrices can be inverted")
-    inv = inverse(m.field, sparse(m), m.rows)
-    return None if inv is None else matrix(m.field, inv, m.rows, m.rows)
 
 
 def pivot_columns(field: FieldSpec, vectors: list) -> tuple:
@@ -510,9 +399,7 @@ def contract(field: FieldSpec, spec: str, *tensors: dict) -> dict:
 
 
 def sparse(nested: list) -> dict:
-    """The nonzero entries of a nested list (or of a ``Mat``), keyed by index tuple."""
-    if isinstance(nested, Mat):
-        nested = nested.data
+    """The nonzero entries of a nested list, keyed by index tuple."""
     if nested and isinstance(nested[0], list):  # any() skips all-zero rows at C speed
         return {(i, *k): c for i, sub in enumerate(nested) if any(sub)
                 for k, c in sparse(sub).items()}
@@ -533,11 +420,6 @@ def dense(field: FieldSpec, t: dict, shape: tuple) -> list:
     return out
 
 
-def matrix(field: FieldSpec, t: dict, rows: int, cols: int) -> Mat:
-    """The rows x cols ``Mat`` holding the sparse tensor ``t`` keyed (row, column)."""
-    return Mat(field, rows, cols, dense(field, t, (rows, cols)))
-
-
 def unknowns(field: FieldSpec, *shape: int) -> dict:
     """The identity tensor of a map's entries: key ``(*index, u)`` is 1, where u
     is the row-major position of the index, the entry's unknown column."""
@@ -555,6 +437,14 @@ def in_coordinates(field: FieldSpec, t: dict, basis: dict, coords: dict, what: s
     if contract(field, f"{lead}c,xc->{lead}x", out, basis) != t:
         raise error(what)
     return out
+
+
+def require_keys(t: dict, shape: tuple, what: str) -> None:
+    """Raise ``ValueError`` unless every key of ``t`` is an index tuple inside ``shape``."""
+    bad = [k for k in t if len(k) != len(shape) or not all(0 <= i < d for i, d in zip(k, shape))]
+    if bad:
+        dims = " x ".join(map(str, shape))
+        raise ValueError(f"{what} must be {dims}, got an entry at {min(bad)}")
 
 
 def ordered(t: dict) -> dict:

@@ -10,10 +10,11 @@ Rational scalars appear as "p/q" strings (plain ints when integral);
 prime-field scalars as ints.  The unit is not stored: it is recovered as the
 unique two-sided identity of the multiplication tensor on load.
 
-The schema is unchanged by the in-memory form: the structure maps live as
-sparse tensors (:mod:`hopf`), so loading checks the nested-list shapes, parses
-the scalars and then keeps only the nonzero entries, and writing densifies
-each map into the nested lists above.
+The schema is unchanged by the in-memory form: the structure maps, and every
+linear map of a certificate, live as sparse tensors (:mod:`hopf`), so loading
+checks the nested-list shapes, parses the scalars and then keeps only the
+nonzero entries, and writing densifies each map into nested lists, to the
+shape its certificate records.
 """
 
 from __future__ import annotations
@@ -133,14 +134,14 @@ def separability_to_dict(f: FieldSpec, cert) -> dict:
     if cert.kind == "idempotent_for_algebra":
         return {"type": "separability_idempotent", "e": _json(f, cert.data),
                 "verified": list(cert.verified)}
-    return {"type": "coseparability_retraction", "theta": _json(f, cert.data.data),
+    return {"type": "coseparability_retraction", "theta": _json(f, dense(f, cert.data, cert.shape)),
             "verified": list(cert.verified)}
 
 
-def section_to_dict(cert) -> dict:
-    return {"type": cert.kind, "matrix": _json(cert.matrix.field, cert.matrix.data),
+def section_to_dict(f: FieldSpec, cert) -> dict:
+    return {"type": cert.kind, "matrix": _json(f, dense(f, cert.matrix, cert.shape)),
             "verified_conditions": list(cert.verified_conditions),
-            "nullity": 0 if cert.nullspace is None else cert.nullspace.cols}
+            "nullity": 0 if cert.nullspace is None else len(cert.nullspace)}
 
 
 def extension_to_dict(ext) -> dict:
@@ -148,7 +149,7 @@ def extension_to_dict(ext) -> dict:
     return {**{side: {"field": {"char": f.characteristic}, "dim": a.dim,
                       "mult": _json(f, dense(f, a.mult, (a.dim,) * 3))}
                for side, a in (("big", ext.big), ("small", ext.small))},
-            "embedding": _json(f, ext.embedding.data)}
+            "embedding": _json(f, dense(f, ext.embedding, (ext.big.dim, ext.small.dim)))}
 
 
 def filtration_to_dict(f: FieldSpec, record) -> dict:
@@ -161,11 +162,11 @@ def filtration_to_dict(f: FieldSpec, record) -> dict:
     }
 
 
-def lift_to_dict(cert) -> dict:
+def lift_to_dict(f: FieldSpec, cert) -> dict:
     return {
         "type": "lift_certificate",
-        "stages": [_json(m.field, m.data) for m in cert.stages],
-        "final": _json(cert.final.field, cert.final.data),
+        "stages": [_json(f, dense(f, g, shape)) for g, shape in zip(cert.stages, cert.shapes)],
+        "final": _json(f, dense(f, cert.final, cert.shapes[-1])),
         "algebra_map": cert.algebra_map,
         "colinear": cert.colinear,
     }
@@ -177,5 +178,5 @@ def obstruction_to_dict(f: FieldSpec, obs) -> dict:
         "stage": obs.stage,
         "reason": obs.reason,
         "delta_closed": obs.delta_closed,
-        "witness": _json(f, obs.witness),
+        "witness": _json(f, dense(f, obs.witness, obs.shape)),
     }

@@ -25,18 +25,19 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .hopf import HopfData, QuotientSplitting, SubspaceBasis
-from .linalg import (AffineSystem, Mat, contract, difference, failed_labels, in_coordinates,
-                     solve_affine, sparse, unknowns)
+from .linalg import (AffineSystem, contract, dense, difference, failed_labels, in_coordinates,
+                     solve_affine, unknowns)
 from .yd import h_bar_yd, h_plus_yd
 
 
 @dataclass
 class SectionCertificate:
     kind: str                      # fs_section | complete_fs_section | fs_retraction | complete_fs_retraction
-    matrix: Mat                    # tau: H^+ -> H (x) H^+, or chi: H (x) Hbar -> Hbar
+    matrix: dict                   # tau: H^+ -> H (x) H^+, or chi: H (x) Hbar -> Hbar; (x, y)
     verified_conditions: list
-    nullspace: Optional[Mat] = None
+    nullspace: Optional[list] = None  # basis vectors of the solved system's nullspace
     context: dict = dc_field(default_factory=dict)  # basis/splitting data for re-evaluation
+    shape: tuple = (0, 0)          # (rows, columns) of the map's matrix
 
 
 def _conditions(complete: bool) -> list:
@@ -46,7 +47,8 @@ def _conditions(complete: bool) -> list:
 def _checked(sys: AffineSystem, cert: SectionCertificate) -> list:
     """The conditions of ``sys`` whose rows the certificate's map satisfies; the
     unknowns of every system here are the map's entries in row-major order."""
-    bad = failed_labels(sys, [x for row in cert.matrix.data for x in row])
+    flat = [x for row in dense(sys.matrix.field, cert.matrix, cert.shape) for x in row]
+    bad = failed_labels(sys, flat)
     return [c for c in sys.condition_labels() if c not in bad]
 
 
@@ -56,11 +58,9 @@ def _solve(sys: AffineSystem, kind: str, nrows: int,
     sol = solve_affine(sys)
     if sol is None:
         return None
-    x = sol.particular
-    width = len(x) // nrows
-    return SectionCertificate(kind, Mat(sys.matrix.field, nrows, width,
-                                        [x[r:r + width] for r in range(0, len(x), width)]),
-                              [], sol.nullspace, context)
+    width = sys.unknowns // nrows
+    g = {divmod(c, width): v for c, v in enumerate(sol.particular) if v}
+    return SectionCertificate(kind, g, [], sol.nullspace, context, (nrows, width))
 
 
 def _accept(cert: SectionCertificate, verified: list, sys: AffineSystem) -> SectionCertificate:
@@ -118,8 +118,7 @@ def find_complete_fs_section(h: HopfData) -> Optional[SectionCertificate]:
 def _find_section(h: HopfData, complete: bool) -> Optional[SectionCertificate]:
     kind = "complete_fs_section" if complete else "fs_section"
     if h.dim == 1:
-        return SectionCertificate(kind, Mat(h.field, 0, 0, []), _conditions(complete), None,
-                                  {"hplus_basis": []})
+        return SectionCertificate(kind, {}, _conditions(complete), None, {"hplus_basis": []})
     yd, hp = h_plus_yd(h)
     sys = _fs_section_system(h, yd, hp, complete)
     cert = _solve(sys, kind, h.dim * hp.dim, {"hplus_basis": hp.vectors, "yd": yd})
@@ -145,7 +144,7 @@ def verify_fs_section(h: HopfData, cert: SectionCertificate, complete: bool,
 def check_im_tau(h: HopfData, cert: SectionCertificate) -> bool:
     """Whether Im(tau) lands in H^+ (x) H^+: (eps (x) id) tau = 0."""
     m = len(cert.context["hplus_basis"])
-    tau = {(r // m, r % m, b): v for (r, b), v in sparse(cert.matrix).items()}
+    tau = {(r // m, r % m, b): v for (r, b), v in cert.matrix.items()}
     return not contract(h.field, "iab,i->ab", tau, h.coa.counit)
 
 
@@ -162,7 +161,7 @@ def _fs_retraction_system(h: HopfData, yd, split: QuotientSplitting,
     m = n - 1
     d, mult = h.coa.comult, h.alg.mult
     x = unknowns(f, m, n, m)
-    proj = sparse(split.projection)
+    proj = split.projection
     # Hbar coaction tensor: rho(vbar_c) = sum R[c][w][d] e_w (x) vbar_d
     # (i): for inputs (i, a), components (w, d)
     cond_i = difference(f, contract(f, "cwd,ciau->iawdu", yd.coaction.tensor, x),
@@ -175,7 +174,7 @@ def _fs_retraction_system(h: HopfData, yd, split: QuotientSplitting,
         # Delta^3(e_h) = e_p (x) e_q (x) e_r (x) e_w
         anti = h.antipode
         lhs = contract(f, "hpo,oqt,trw,pig,sw,gsI,qxG,xa,Sr,GSy,dy,cIdu->hiacu",
-                       d, d, d, mult, anti, mult, mult, sparse(split.section), anti, mult, proj, x)
+                       d, d, d, mult, anti, mult, mult, split.section, anti, mult, proj, x)
         rhs = contract(f, "hcC,ciau->hiaCu", yd.action.tensor, x)
         conds.append((difference(f, lhs, rhs), 4, None, "iii"))
     return AffineSystem.conditions(f, m * n * m, *conds)
@@ -192,7 +191,7 @@ def find_complete_fs_retraction(h: HopfData) -> Optional[SectionCertificate]:
 def _find_retraction(h: HopfData, complete: bool) -> Optional[SectionCertificate]:
     kind = "complete_fs_retraction" if complete else "fs_retraction"
     if h.dim == 1:
-        return SectionCertificate(kind, Mat(h.field, 0, 0, []), _conditions(complete), None, {})
+        return SectionCertificate(kind, {}, _conditions(complete), None, {})
     yd, split = h_bar_yd(h)
     sys = _fs_retraction_system(h, yd, split, complete)
     cert = _solve(sys, kind, h.dim - 1, {"projection": split.projection,
@@ -220,7 +219,7 @@ def verify_fs_retraction(h: HopfData, cert: SectionCertificate, complete: bool,
 def check_chi_quotients(h: HopfData, cert: SectionCertificate) -> bool:
     """Whether chi kills 1 (x) Hbar, i.e. quotients to Hbar (x) Hbar -> Hbar."""
     m = h.dim - 1
-    chi = {(c, r // m, r % m): v for (c, r), v in sparse(cert.matrix).items()}
+    chi = {(c, r // m, r % m): v for (c, r), v in cert.matrix.items()}
     return not contract(h.field, "cia,i->ca", chi, h.alg.unit)
 
 

@@ -274,7 +274,7 @@ def h_bar_yd(h: HopfData, split: Optional[QuotientSplitting] = None) -> tuple:
     splitting ``split`` (by default :func:`unit_cokernel`)."""
     f = h.field
     split = split or unit_cokernel(h)
-    sect, proj = sparse(split.section), sparse(split.projection)
+    sect, proj = split.section, split.projection
     adl = adjoint_action(h, "adl").tensor
     act = contract(f, "xj,ixy,cy->ijc", sect, adl, proj)
     coat = contract(f, "xj,xik,ck->jic", sect, h.coa.comult, proj)

@@ -6,6 +6,7 @@ evaluation that passes vacuously, say one handed zero rows.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -18,21 +19,17 @@ from hopfsmith.integrals import (_verify_ad_invariant, _verify_idempotent,
                                  coseparability_retraction, integral_space,
                                  separability_idempotent)
 from hopfsmith.lifting import LiftObstruction, lift_algebra_section, square_zero_extension
-from hopfsmith.linalg import AffineSystem, Mat, failed_labels
+from hopfsmith.linalg import AffineSystem, SparseMat, dense, failed_labels, identity
 from hopfsmith.presets import cyclic_table, preset_group_algebra
 from hopfsmith.smoothness import (SectionCertificate, find_complete_fs_retraction,
                                   find_complete_fs_section, find_fs_retraction,
                                   find_fs_section, verify_fs_retraction, verify_fs_section)
 
-
-def _bumped(mat: Mat, row: int, col: int) -> Mat:
-    out = mat.copy()
-    out.data[row][col] = mat.field.add(out.data[row][col], mat.field.one)
-    return out
+from test_lifting_oracles import _bumped
 
 
-def _with_matrix(cert: SectionCertificate, mat: Mat) -> SectionCertificate:
-    return SectionCertificate(cert.kind, mat, [], cert.nullspace, cert.context)
+def _with_matrix(cert: SectionCertificate, mat: dict) -> SectionCertificate:
+    return replace(cert, matrix=mat, verified_conditions=[])
 
 
 def _bump(v: list, i: int, field) -> list:
@@ -59,7 +56,7 @@ def test_fs_check_drops_a_label_for_a_changed_entry(finder, verify, spec, comple
     assert verify(h, cert, complete) == full
     # entry (0, 0) adds e_0 (x) v_0 to tau(v_0), resp. vbar_0 to chi(e_0 (x) vbar_0);
     # the sums that (ii) takes pick the extra term up, so (ii) fails
-    kept = verify(h, _with_matrix(cert, _bumped(cert.matrix, 0, 0)), complete)
+    kept = verify(h, _with_matrix(cert, _bumped(h.field, cert.matrix, (0, 0))), complete)
     assert "ii" not in kept and set(kept) < set(full)
 
 
@@ -72,10 +69,11 @@ def test_plain_kernel_shift_keeps_i_ii_and_drops_iii(finder, verify, spec):
     # and (ii); for these non-cocommutative cases it breaks completeness (iii)
     h = resolve_preset(spec, QQ)
     cert = finder(h)
-    shift = cert.nullspace.column(0)
-    flat = [QQ.add(x, y) for x, y in zip((x for row in cert.matrix.data for x in row), shift)]
-    w = cert.matrix.cols
-    moved = Mat(QQ, cert.matrix.rows, w, [flat[r:r + w] for r in range(0, len(flat), w)])
+    shift = cert.nullspace[0]
+    flat = [QQ.add(x, y) for x, y in
+            zip((x for row in dense(QQ, cert.matrix, cert.shape) for x in row), shift)]
+    w = cert.shape[1]
+    moved = {divmod(c, w): x for c, x in enumerate(flat) if x}
     assert verify(h, cert, complete=True) == ["i", "ii", "iii"]
     assert verify(h, _with_matrix(cert, moved), complete=True) == ["i", "ii"]
 
@@ -107,7 +105,7 @@ def test_retraction_check_rejects_a_changed_entry():
     assert _verify_retraction(h, cert.data) == ["theta∘Delta=id", "bicolinear"]
     # theta(e_0 (x) e_0) gains e_0, and Delta(e_0) = e_0 (x) e_0 + ...
     with pytest.raises(AssertionError, match="theta∘Delta=id"):
-        _verify_retraction(h, _bumped(cert.data, 0, 0))
+        _verify_retraction(h, _bumped(h.field, cert.data, (0, 0)))
 
 
 def test_ad_invariant_check_rejects_a_changed_value():
@@ -181,8 +179,9 @@ def test_extension_idempotent_check_rejects_a_changed_coordinate():
 # ---------------------------------------------------------------------------
 
 def test_failed_labels_reports_violated_conditions_in_row_order():
-    sys = AffineSystem.sparse(QQ, [{0: QQ.one}, {1: QQ.one}, {0: QQ.one, 1: QQ.one}],
-                              [QQ.one, QQ.zero, QQ.one], 2, ["b", "a", "b"])
+    one = QQ.one
+    sys = AffineSystem(SparseMat(QQ, 3, 2, [[(0, one)], [(1, one)], [(0, one), (1, one)]]),
+                       [one, QQ.zero, one], 2, ["b", "a", "b"])
     assert sys.condition_labels() == ["b", "a"]
     assert failed_labels(sys, [QQ.one, QQ.zero]) == []
     assert failed_labels(sys, [QQ.zero, QQ.one]) == ["b", "a"]
@@ -191,7 +190,7 @@ def test_failed_labels_reports_violated_conditions_in_row_order():
 
 def test_labels_must_match_the_rows():
     with pytest.raises(ValueError):
-        AffineSystem.sparse(QQ, [{0: QQ.one}], [QQ.one], 1, ["a", "b"])
+        AffineSystem(SparseMat(QQ, 1, 1, [[(0, QQ.one)]]), [QQ.one], 1, ["a", "b"])
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +202,8 @@ def test_infeasible_linear_lift_is_not_delta_closed():
     prob = square_zero_extension(h, with_coaction=False)
     n = h.dim
     # beta(a + b eps) = a + (a + b) eps on E = A (+) A eps
-    beta = Mat.identity(QQ, 2 * n)
-    for i in range(n):
-        beta.data[n + i][i] = QQ.one
-    res = lift_algebra_section(prob, extra_pairs=[(Mat.identity(QQ, n), beta)])
+    beta = {**identity(QQ, 2 * n), **{(n + i, i): QQ.one for i in range(n)}}
+    res = lift_algebra_section(prob, extra_pairs=[(identity(QQ, n), beta)])
     assert isinstance(res, LiftObstruction)
-    assert res.stage == 1 and res.witness == []
+    assert res.stage == 1 and res.witness == {}
     assert res.delta_closed is False

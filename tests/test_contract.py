@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfsmith import FieldSpec
-from hopfsmith.linalg import AffineSystem, contract, dense, in_coordinates, sparse, unknowns
+from hopfsmith.linalg import (AffineSystem, SparseMat, contract, dense, in_coordinates, sparse,
+                             unknowns)
 
 FIELDS = [FieldSpec(0), FieldSpec(2), FieldSpec(3), FieldSpec(7)]
 LETTERS = "abcde"
@@ -134,7 +135,8 @@ def test_conditions_keep_the_label_of_a_cancelled_condition():
 
 def _dict_row_system(field, unknowns, *conds):
     """The system of ``conds`` assembled through per-row ``{column: coefficient}``
-    dicts and ``AffineSystem.sparse``, the route the pair rows replaced."""
+    dicts, turned into pair rows with zero coefficients dropped: the route the
+    pair rows replaced."""
     rows, rhs, labels = [], [], []
     for t, nrow, const, label in conds:
         const = const or {}
@@ -145,7 +147,8 @@ def _dict_row_system(field, unknowns, *conds):
         rows += [by_row.get(k, {}) for k in keys]
         rhs += [const.get(k, field.zero) for k in keys]
         labels += [label] * len(keys)
-    return AffineSystem.sparse(field, rows, rhs, unknowns, labels)
+    data = [[(j, x) for j, x in row.items() if x] for row in rows]
+    return AffineSystem(SparseMat(field, len(data), unknowns, data), rhs, unknowns, labels)
 
 
 @st.composite

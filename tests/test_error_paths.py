@@ -9,7 +9,6 @@ import pytest
 from hopfsmith import QQ, cli, resolve_preset
 from hopfsmith.doubles import ExtensionData
 from hopfsmith.lifting import cyclic_cover_problem
-from hopfsmith.linalg import Mat
 from hopfsmith.serialize import hopf_from_dict, hopf_to_dict
 
 
@@ -17,14 +16,14 @@ def _group(n):
     return resolve_preset(f"group:C{n}", QQ).alg
 
 
-def _columns(n, cols):
-    """The n-row matrix whose column j is the basis vector e_{cols[j]}."""
-    return Mat.from_columns(QQ, [[QQ.one if i == c else QQ.zero for i in range(n)]
-                                 for c in cols])
+def _columns(cols):
+    """The map whose column j is the basis vector e_{cols[j]}, as a tensor (x, j)."""
+    return {(c, j): QQ.one for j, c in enumerate(cols)}
 
 
 @pytest.mark.parametrize("small, cols, message", [
-    (1, [0, 1], "embedding has wrong shape"),
+    # a second column on a one-dimensional S: the key (1, 1) lies outside 4 x 1
+    (1, [0, 1], "embedding must be 4 x 1"),
     (2, [1, 1], "embedding is not injective"),
     (1, [1], "embedding does not preserve the unit"),
     # g -> h, g^2 -> h^2 from KC3 to KC4: g g^2 = 1 but h h^2 = h^3
@@ -34,7 +33,7 @@ def _columns(n, cols):
 ])
 def test_extension_validate_rejects(small, cols, message):
     with pytest.raises(ValueError, match=message):
-        ExtensionData(_group(4), _group(small), _columns(4, cols)).validate()
+        ExtensionData(_group(4), _group(small), _columns(cols)).validate()
 
 
 def _no_unit_document():

@@ -11,10 +11,10 @@ from hypothesis import given, settings, strategies as st
 from hopfsmith import GF, QQ, resolve_preset
 from hopfsmith.filtration import _fr_radical_mod_p, _ideal_product, _trace_form_kernel
 from hopfsmith.hopf import _completion, _unitvec, dual_algebra
-from hopfsmith.linalg import Mat, dense, in_span, invert, rank
+from hopfsmith.linalg import dense, in_span, invert, rank
 
 from conftest import GRID
-from test_loop_oracles import _mul
+from test_loop_oracles import _mul, _sparse_mat
 
 
 def _completion_oracle(field, n, vectors):
@@ -24,9 +24,9 @@ def _completion_oracle(field, n, vectors):
         if len(chosen) == n:
             break
         cand = chosen + [_unitvec(field, n, i)]
-        if rank(Mat(field, len(cand), n, cand)) == len(cand):
+        if rank(_sparse_mat(field, cand, n)) == len(cand):
             chosen = cand
-    inv = invert(Mat.from_columns(field, chosen))
+    inv = invert(_sparse_mat(field, [list(row) for row in zip(*chosen)], len(chosen)))
     if inv is None:
         raise ValueError("subspace vectors are not linearly independent")
     return chosen, inv

@@ -8,18 +8,18 @@ from hopfsmith import (GF, QQ, FieldSpec, augmentation_ideal, check_algebra,
                        check_hopf, dual_hopf, op_cop, resolve_preset,
                        unit_cokernel)
 from hopfsmith.hopf import validated
-from hopfsmith.linalg import Mat, dense, spans_equal
+from hopfsmith.linalg import dense, spans_equal
 from hopfsmith.presets import (NotAGroupError, cyclic_table, preset_function_algebra,
                                preset_group_algebra, preset_sweedler, preset_taft,
                                s3_table, q8_table)
 
 from conftest import GRID, F
-from test_loop_oracles import _delta
+from test_loop_oracles import _delta, _eye, _matmul, _matvec
 
 
 def _antipode(h):
-    """The antipode of h as a ``Mat``, read through ``linalg.dense``."""
-    return Mat(h.field, h.dim, h.dim, dense(h.field, h.antipode, (h.dim, h.dim)))
+    """The antipode of h as dense rows, read through ``linalg.dense``."""
+    return dense(h.field, h.antipode, (h.dim, h.dim))
 
 
 def test_every_preset_passes_axioms(preset_cache):
@@ -63,19 +63,19 @@ def test_group_table_validation():
 
 def test_group_algebra_c2_antipode_is_identity():
     h = preset_group_algebra(cyclic_table(2), QQ)
-    assert _antipode(h) == Mat.identity(QQ, 2)
+    assert _antipode(h) == _eye(QQ, 2)
 
 
 def test_group_algebra_s_squared_identity(preset_cache):
     for spec in ("group:C3", "group:S3", "group:Q8"):
         h = preset_cache(spec, 0)
-        assert _antipode(h).mul(_antipode(h)) == Mat.identity(QQ, h.dim)
+        assert _matmul(QQ, _antipode(h), _antipode(h)) == _eye(QQ, h.dim)
 
 
 def test_taft_s_squared_not_identity():
     h = preset_taft(3, 2, GF(7))
-    s2 = _antipode(h).mul(_antipode(h))
-    assert s2 != Mat.identity(GF(7), 9)
+    s2 = _matmul(h.field, _antipode(h), _antipode(h))
+    assert s2 != _eye(GF(7), 9)
     assert h.antipode_inverse is not None
 
 
@@ -178,9 +178,9 @@ def test_unit_cokernel_splitting(preset_cache):
         split = unit_cokernel(h)
         f = h.field
         n = h.dim
-        comp = split.projection.mul(split.section)
-        assert comp == Mat.identity(f, n - 1)
-        assert all(f.is_zero(x) for x in split.projection.matvec(h.unit_vec))
+        proj = dense(f, split.projection, (n - 1, n))
+        assert _matmul(f, proj, dense(f, split.section, (n, n - 1))) == _eye(f, n - 1)
+        assert all(f.is_zero(x) for x in _matvec(f, proj, h.unit_vec))
 
 
 def test_grid_scalars_are_canonical(preset_cache):

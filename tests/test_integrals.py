@@ -11,7 +11,7 @@ from hopfsmith.linalg import dense, spans_equal
 from hopfsmith.presets import preset_sweedler
 
 from conftest import GRID, SMALL_GRID, F
-from test_loop_oracles import _lists
+from test_loop_oracles import _lists, _sparse_mat
 
 
 def test_integral_space_of_cyclic_groups(preset_cache):
@@ -81,7 +81,7 @@ def test_ad_invariant_missing_for_sweedler():
 def test_ad_invariant_solution_space_is_at_most_one_dimensional(preset_cache):
     # conditions (a)+(b) alone already cut the space to dimension <= 1
     from hopfsmith.hopf import _unitvec
-    from hopfsmith.linalg import AffineSystem, Mat, nullspace, solve_affine
+    from hopfsmith.linalg import nullspace
     from hopfsmith.yd import adjoint_action
     for spec, char in SMALL_GRID:
         h = preset_cache(spec, char)
@@ -106,8 +106,7 @@ def test_ad_invariant_solution_space_is_at_most_one_dimensional(preset_cache):
                 row = list(adl_t[k][t])
                 row[t] = f.sub(row[t], ek)
                 rows.append(row)
-        ns = nullspace(Mat(f, len(rows), n, rows))
-        assert ns.cols <= 1, (spec, char)
+        assert len(nullspace(_sparse_mat(f, rows, n))) <= 1, (spec, char)
 
 
 def test_ad_coinvariant_examples():

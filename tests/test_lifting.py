@@ -9,10 +9,12 @@ from hopfsmith.lifting import (Bimodule, LiftCertificate, LiftObstruction,
                                hochschild_coboundary_solve, lift_algebra_section,
                                regular_bimodule, square_zero_extension,
                                weak_projection)
-from hopfsmith.linalg import Mat, dense, nullspace, rank
+from hopfsmith.linalg import dense, identity, nullspace, rank, sparse
 from hopfsmith.presets import preset_sweedler
 
 from conftest import F
+from test_lifting_oracles import _action_mats
+from test_loop_oracles import _matvec, _sparse_mat
 
 
 def test_square_zero_lift_plain():
@@ -31,10 +33,10 @@ def test_square_zero_lift_colinear():
 
 def test_identity_surjection_lift():
     h = resolve_preset("group:C3", QQ)
-    prob = SurjectionProblem(h.alg, h.alg, Mat.identity(QQ, 3))
+    prob = SurjectionProblem(h.alg, h.alg, identity(QQ, 3))
     cert = lift_algebra_section(prob)
     assert isinstance(cert, LiftCertificate)
-    assert cert.final == Mat.identity(QQ, 3)
+    assert cert.final == identity(QQ, 3)
 
 
 def test_modular_cover_obstruction_carries_closed_witness():
@@ -42,8 +44,7 @@ def test_modular_cover_obstruction_carries_closed_witness():
     res = lift_algebra_section(prob)
     assert isinstance(res, LiftObstruction)
     assert res.delta_closed
-    assert res.witness and any(any(x for x in entry) for row in res.witness
-                               for entry in row)
+    assert res.witness and all(res.witness.values())
 
 
 def test_modular_cover_witness_is_not_a_coboundary():
@@ -77,9 +78,8 @@ def test_good_characteristic_cover_lifts():
 
 def test_surjection_validation():
     h = resolve_preset("group:C2", QQ)
-    bad = Mat.zeros(QQ, 2, 4)
-    with pytest.raises(ValueError):
-        SurjectionProblem(square_zero_extension(h).e, h.alg, bad).validate()
+    with pytest.raises(ValueError, match="pi is not surjective"):
+        SurjectionProblem(square_zero_extension(h).e, h.alg, {}).validate()
 
 
 def test_hochschild_round_trip():
@@ -87,33 +87,28 @@ def test_hochschild_round_trip():
     a = h.alg
     mult = dense(QQ, a.mult, (2, 2, 2))
     bim = regular_bimodule(a)
-    hmat = Mat(QQ, 2, 2, [[F(1), F(2)], [F(3), F(5)]])
-    c = [[None] * 2 for _ in range(2)]
-    for i in range(2):
-        for j in range(2):
-            t1 = bim.left[i].matvec(hmat.column(j))
-            t2 = hmat.matvec(mult[i][j])
-            t3 = bim.right[j].matvec(hmat.column(i))
-            c[i][j] = [QQ.sub(QQ.add(x1, x3), x2) for x1, x2, x3 in zip(t1, t2, t3)]
-    sol = hochschild_coboundary_solve(a, bim, c)
+    left, right = _action_mats(bim)
+
+    def coboundary(hmat):
+        cols = [list(col) for col in zip(*hmat)]
+        return [[[QQ.sub(QQ.add(x1, x3), x2) for x1, x2, x3 in
+                  zip(_matvec(QQ, left[i], cols[j]), _matvec(QQ, hmat, mult[i][j]),
+                      _matvec(QQ, right[j], cols[i]))] for j in range(2)] for i in range(2)]
+
+    c = coboundary([[F(1), F(2)], [F(3), F(5)]])
+    sol = hochschild_coboundary_solve(a, bim, sparse(c))
     assert sol is not None
-    for i in range(2):
-        for j in range(2):
-            t1 = bim.left[i].matvec(sol.column(j))
-            t2 = sol.matvec(mult[i][j])
-            t3 = bim.right[j].matvec(sol.column(i))
-            got = [QQ.sub(QQ.add(x1, x3), x2) for x1, x2, x3 in zip(t1, t2, t3)]
-            assert got == c[i][j]
+    assert coboundary(dense(QQ, sol, (2, 2))) == c
 
 
 def test_hochschild_rejects_non_cocycle():
     h = resolve_preset("group:C2", QQ)
     bim = regular_bimodule(h.alg)
     bad = [[[F(1), F(0)], [F(0), F(0)]], [[F(0), F(0)], [F(0), F(0)]]]
-    if _is_two_cocycle(bim, bad):
+    if _is_two_cocycle(bim, sparse(bad)):
         pytest.skip("chosen cochain happened to be closed")
     with pytest.raises(ValueError):
-        hochschild_coboundary_solve(h.alg, bim, bad)
+        hochschild_coboundary_solve(h.alg, bim, sparse(bad))
 
 
 def _second_cohomology_dim(bim):
@@ -122,6 +117,7 @@ def _second_cohomology_dim(bim):
     f = a.field
     n, m = a.dim, bim.dim
     mult = dense(f, a.mult, (n, n, n))
+    left, right = _action_mats(bim)
 
     d1_rows = []
     for i in range(n):
@@ -129,14 +125,14 @@ def _second_cohomology_dim(bim):
             for t in range(m):
                 row = [f.zero] * (m * n)
                 for s in range(m):
-                    v = bim.left[i].data[t][s]
+                    v = left[i][t][s]
                     if v:
                         row[s * n + j] = f.add(row[s * n + j], v)
                 for y, v in enumerate(mult[i][j]):
                     if v:
                         row[t * n + y] = f.sub(row[t * n + y], v)
                 for s in range(m):
-                    v = bim.right[j].data[t][s]
+                    v = right[j][t][s]
                     if v:
                         row[s * n + i] = f.add(row[s * n + i], v)
                 d1_rows.append(row)
@@ -148,7 +144,7 @@ def _second_cohomology_dim(bim):
                 for t in range(m):
                     row = [f.zero] * (m * n * n)
                     for s in range(m):
-                        v = bim.left[i].data[t][s]
+                        v = left[i][t][s]
                         if v:
                             row[(s * n + j) * n + k] = f.add(row[(s * n + j) * n + k], v)
                     for y, v in enumerate(mult[i][j]):
@@ -158,13 +154,13 @@ def _second_cohomology_dim(bim):
                         if v:
                             row[(t * n + i) * n + y] = f.add(row[(t * n + i) * n + y], v)
                     for s in range(m):
-                        v = bim.right[k].data[t][s]
+                        v = right[k][t][s]
                         if v:
                             row[(s * n + i) * n + j] = f.sub(row[(s * n + i) * n + j], v)
                     d2_rows.append(row)
 
-    cocycles = nullspace(Mat(f, len(d2_rows), m * n * n, d2_rows)).cols
-    coboundaries = rank(Mat(f, len(d1_rows), m * n, d1_rows))
+    cocycles = len(nullspace(_sparse_mat(f, d2_rows, m * n * n)))
+    coboundaries = rank(_sparse_mat(f, d1_rows, m * n))
     return cocycles - coboundaries
 
 
@@ -190,7 +186,7 @@ def test_h2_nonzero_for_modular_group_algebra():
     bim = eps_bimodule(h)
     found = None
     for bits in range(1, 16):
-        c = [[[(bits >> (2 * i + j)) & 1] for j in range(2)] for i in range(2)]
+        c = sparse([[[(bits >> (2 * i + j)) & 1] for j in range(2)] for i in range(2)])
         if _is_two_cocycle(bim, c) and hochschild_coboundary_solve(h.alg, bim, c) is None:
             found = c
             break
@@ -200,27 +196,22 @@ def test_h2_nonzero_for_modular_group_algebra():
 def test_weak_projection_sweedler_onto_grouplikes():
     h4 = preset_sweedler(QQ)
     kc2 = resolve_preset("group:C2", QQ)
-    incl = Mat.zeros(QQ, 4, 2)
-    incl.data[0][0] = F(1)
-    incl.data[1][1] = F(1)
-    res = weak_projection(h4, kc2, incl)
+    res = weak_projection(h4, kc2, {(0, 0): F(1), (1, 1): F(1)})
     assert isinstance(res, WeakProjectionCertificate)
     assert res.verified == ["retraction", "coalgebra-map", "left-H-linear"]
 
 
 def test_weak_projection_identity_case():
     kc2 = resolve_preset("group:C2", QQ)
-    res = weak_projection(kc2, kc2, Mat.identity(QQ, 2))
+    res = weak_projection(kc2, kc2, identity(QQ, 2))
     assert isinstance(res, WeakProjectionCertificate)
 
 
 def test_weak_projection_needs_coradical_containment():
     h4 = preset_sweedler(QQ)
     triv = resolve_preset("group:C1", QQ)
-    incl = Mat.zeros(QQ, 4, 1)
-    incl.data[0][0] = F(1)
     with pytest.raises(ValueError):
-        weak_projection(h4, triv, incl)
+        weak_projection(h4, triv, {(0, 0): F(1)})
 
 
 def test_weak_projection_bilinear_flag_reports_outcome():
@@ -228,10 +219,7 @@ def test_weak_projection_bilinear_flag_reports_outcome():
     # feasibility is asserted, the outcome is whatever the solver reports
     h4 = preset_sweedler(QQ)
     kc2 = resolve_preset("group:C2", QQ)
-    incl = Mat.zeros(QQ, 4, 2)
-    incl.data[0][0] = F(1)
-    incl.data[1][1] = F(1)
-    res = weak_projection(h4, kc2, incl, bilinear=True)
+    res = weak_projection(h4, kc2, {(0, 0): F(1), (1, 1): F(1)}, bilinear=True)
     assert isinstance(res, (WeakProjectionCertificate, LiftObstruction))
     if isinstance(res, WeakProjectionCertificate):
         assert "right-H-linear" in res.verified
@@ -240,6 +228,6 @@ def test_weak_projection_bilinear_flag_reports_outcome():
 def test_bimodule_validation():
     h = resolve_preset("group:C2", QQ)
     bim = regular_bimodule(h.alg)
-    bad = Bimodule(h.alg, 2, [Mat.zeros(QQ, 2, 2) for _ in range(2)], bim.right)
+    bad = Bimodule(h.alg, 2, {}, bim.right)
     with pytest.raises(ValueError):
         bad.check()

@@ -10,13 +10,14 @@ must agree with them exactly, including on every single-entry corruption.
 """
 
 import copy
+from dataclasses import replace
 
 import pytest
 
 from hopfsmith import GF, QQ, FieldSpec, resolve_preset
 from hopfsmith.filtration import _trace_form_kernel, coradical, wedge
 from hopfsmith.hopf import SubspaceBasis, dual_algebra, quotient_maps, sub_hopf_on_subspace
-from hopfsmith.linalg import SparseMat, dense, nullspace
+from hopfsmith.linalg import SparseMat, dense, nullspace, sparse
 import hopfsmith.lifting as lifting
 from hopfsmith.lifting import (LiftObstruction, _check_right_comodule, _is_two_cocycle,
                                _verify_weak_projection, cyclic_cover_problem, eps_bimodule,
@@ -49,6 +50,21 @@ def _apply(f, mat, v):
     return [_sum(f, (f.mul(a, x) for a, x in zip(row, v) if a and x)) for row in mat]
 
 
+def _bumped(f, t, key):
+    """The sparse tensor ``t`` with 1 added to its entry at ``key``."""
+    out = dict(t)
+    out[key] = f.add(out.get(key, f.zero), f.one)
+    return {k: x for k, x in out.items() if x}
+
+
+def _action_mats(bim):
+    """(left, right) as dense matrices per basis element of A: ``left[i][t][s]``
+    is the coefficient of w_t in a_i · w_s, ``right[i][t][s]`` that in w_s · a_i."""
+    f, n, m = bim.algebra.field, bim.algebra.dim, bim.dim
+    return tuple(dense(f, {(i, t, s): x for (i, s, t), x in act.items()}, (n, m, m))
+                 for act in (bim.left, bim.right))
+
+
 def _combine(f, mats, coeffs, m):
     out = [[f.zero] * m for _ in range(m)]
     for c, mat in zip(coeffs, mats):
@@ -63,8 +79,7 @@ def oracle_bimodule_check(bim):
     a = bim.algebra
     f, n, m = a.field, a.dim, bim.dim
     mult, unit = dense(f, a.mult, (n, n, n)), dense(f, a.unit, (n,))
-    left = [x.data for x in bim.left]
-    right = [x.data for x in bim.right]
+    left, right = _action_mats(bim)
     ident = [[f.one if r == s else f.zero for s in range(m)] for r in range(m)]
     if _combine(f, left, unit, m) != ident or _combine(f, right, unit, m) != ident:
         return "bimodule: unit does not act as identity"
@@ -80,10 +95,11 @@ def oracle_bimodule_check(bim):
 
 
 def oracle_comodule_check(coact, dim, h):
-    """The failing comodule law of rho (rows v * dim H + u) as its message, or None."""
+    """The failing comodule law of rho, the tensor (c, v, u), as its message, or None;
+    the loops read rho as the (dim * dim H) x dim matrix with rows v * dim H + u."""
     f, nh = h.field, h.dim
     counit, comult = dense(f, h.coa.counit, (nh,)), dense(f, h.coa.comult, (nh, nh, nh))
-    rho = coact.data
+    rho = dense(f, {(v * nh + u, c): x for (c, v, u), x in coact.items()}, (dim * nh, dim))
     for c in range(dim):
         acc = [f.zero] * dim
         for v in range(dim):
@@ -116,6 +132,7 @@ def oracle_is_two_cocycle(bim, c):
     a = bim.algebra
     f, n, m = a.field, a.dim, bim.dim
     mult = dense(f, a.mult, (n, n, n))
+    left, right = _action_mats(bim)
 
     def c_of(u, v):
         out = [f.zero] * m
@@ -132,10 +149,10 @@ def oracle_is_two_cocycle(bim, c):
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                t1 = _apply(f, bim.left[i].data, c[j][k])
+                t1 = _apply(f, left[i], c[j][k])
                 t2 = c_of(mult[i][j], e(k))
                 t3 = c_of(e(i), mult[j][k])
-                t4 = _apply(f, bim.right[k].data, c[i][j])
+                t4 = _apply(f, right[k], c[i][j])
                 if any(f.sub(f.add(f.sub(x1, x2), x3), x4)
                        for x1, x2, x3, x4 in zip(t1, t2, t3, t4)):
                     return False
@@ -157,15 +174,14 @@ def _bimodules(spec, char):
 
 
 def _corrupted_bimodules(bim):
-    """Copies of ``bim`` with one entry of one action matrix moved by 1."""
-    f = bim.algebra.field
+    """Copies of ``bim`` with one entry of one action moved by 1: entry (r, s) of
+    the matrix of a_i, the coefficient of w_r in a_i · w_s (resp. w_s · a_i)."""
+    f, n, m = bim.algebra.field, bim.algebra.dim, bim.dim
     for side in ("left", "right"):
-        for i, mat in enumerate(getattr(bim, side)):
-            for r in range(mat.rows):
-                for s in range(mat.cols):
-                    bad = copy.deepcopy(bim)
-                    row = getattr(bad, side)[i].data[r]
-                    row[s] = f.add(row[s], f.one)
+        for i in range(n):
+            for r in range(m):
+                for s in range(m):
+                    bad = replace(bim, **{side: _bumped(f, getattr(bim, side), (i, s, r))})
                     yield (side, i, r, s), bad
 
 
@@ -174,11 +190,12 @@ def _coboundary(bim, hmap):
     a = bim.algebra
     f, n = a.field, a.dim
     mult = dense(f, a.mult, (n, n, n))
+    left, right = _action_mats(bim)
     return [[[f.add(f.sub(x, y), z) for x, y, z in zip(
-        _apply(f, bim.left[i].data, hmap[j]),
+        _apply(f, left[i], hmap[j]),
         [_sum(f, (f.mul(mult[i][j][k], hmap[k][t]) for k in range(n)))
          for t in range(bim.dim)],
-        _apply(f, bim.right[j].data, hmap[i]))] for j in range(n)] for i in range(n)]
+        _apply(f, right[j], hmap[i]))] for j in range(n)] for i in range(n)]
 
 
 def _cochains(bim):
@@ -209,12 +226,12 @@ def test_two_cocycle_matches_loops(spec, char):
     _, bims = _bimodules(spec, char)
     for bim in bims:
         cochains = list(_cochains(bim))
-        assert _is_two_cocycle(bim, cochains[0])
+        assert _is_two_cocycle(bim, sparse(cochains[0]))
         for c in cochains:
-            assert _is_two_cocycle(bim, c) == oracle_is_two_cocycle(bim, c)
+            assert _is_two_cocycle(bim, sparse(c)) == oracle_is_two_cocycle(bim, c)
         for site, bad in _corrupted_bimodules(bim):
             for c in cochains[:2]:
-                assert _is_two_cocycle(bad, c) == oracle_is_two_cocycle(bad, c), site
+                assert _is_two_cocycle(bad, sparse(c)) == oracle_is_two_cocycle(bad, c), site
 
 
 @pytest.mark.parametrize("spec,char", SMALL)
@@ -222,8 +239,11 @@ def test_coboundary_solve_inverts_the_loop_coboundary(spec, char):
     _, bims = _bimodules(spec, char)
     for bim in bims:
         c = next(_cochains(bim))
-        sol = hochschild_coboundary_solve(bim.algebra, bim, c)
-        assert sol is not None and _coboundary(bim, sol.columns()) == c
+        sol = hochschild_coboundary_solve(bim.algebra, bim, sparse(c))
+        f, n = bim.algebra.field, bim.algebra.dim
+        assert sol is not None
+        hmap = dense(f, {(y, t): x for (t, y), x in sol.items()}, (n, bim.dim))
+        assert _coboundary(bim, hmap) == c
 
 
 @pytest.mark.parametrize("spec,char", SMALL)
@@ -234,10 +254,9 @@ def test_comodule_check_matches_loops_on_every_corruption(spec, char):
     for coact, dim in ((p.coact_a, h.dim), (p.coact_e, 2 * h.dim)):
         assert oracle_comodule_check(coact, dim, h) is None
         _check_right_comodule(coact, dim, h)
-        for r in range(coact.rows):
-            for s in range(coact.cols):
-                bad = coact.copy()
-                bad.data[r][s] = f.add(bad.data[r][s], f.one)
+        for r in range(dim * h.dim):
+            for s in range(dim):
+                bad = _bumped(f, coact, (s, *divmod(r, h.dim)))  # row r = v * dim H + u
                 assert _error(_check_right_comodule, bad, dim, h) == \
                     oracle_comodule_check(bad, dim, h), (dim, r, s)
 
@@ -246,24 +265,23 @@ def oracle_wedge(x, y, e):
     """The wedge rows by the explicit loops, solved by the package's nullspace."""
     f, n = e.field, e.dim
     comult = dense(f, e.comult, (n, n, n))
-    px = quotient_maps(f, x)[0]
-    py = quotient_maps(f, y)[0]
-    if px.rows == 0 or py.rows == 0:
+    px = dense(f, quotient_maps(f, x)[0], (n - x.dim, n))
+    py = dense(f, quotient_maps(f, y)[0], (n - y.dim, n))
+    if not px or not py:
         return [[f.one if k == i else f.zero for k in range(n)] for i in range(n)]
     rows = []
-    for p in range(px.rows):
-        for q in range(py.rows):
+    for p in range(len(px)):
+        for q in range(len(py)):
             row = []
             for k in range(n):
                 acc = f.zero
                 for i in range(n):
                     for j in range(n):
-                        acc = f.add(acc, f.mul(px.data[p][i],
-                                               f.mul(comult[k][i][j], py.data[q][j])))
+                        acc = f.add(acc, f.mul(px[p][i], f.mul(comult[k][i][j], py[q][j])))
                 if acc:
                     row.append((k, acc))
             rows.append(row)
-    return nullspace(SparseMat(f, len(rows), n, rows)).columns()
+    return nullspace(SparseMat(f, len(rows), n, rows))
 
 
 def oracle_trace_form_kernel(a):
@@ -280,7 +298,7 @@ def oracle_trace_form_kernel(a):
             if acc:
                 row.append((j, acc))
         rows.append(row)
-    return nullspace(SparseMat(f, n, n, rows)).columns()
+    return nullspace(SparseMat(f, n, n, rows))
 
 
 @pytest.mark.parametrize("spec,char", GRID)
@@ -297,8 +315,8 @@ def test_wedge_and_trace_form_match_loops(spec, char, preset_cache):
 def oracle_verify_weak_projection(e, h, inclusion, proj, bilinear):
     """The verified labels, or the first failing check's message."""
     f, ne, nh = e.field, e.dim, h.dim
-    pm = proj.data
-    incl = inclusion.data
+    pm = dense(f, proj, (nh, ne))
+    incl = dense(f, inclusion, (ne, nh))
     e_mult, e_comult = dense(f, e.alg.mult, (ne,) * 3), dense(f, e.coa.comult, (ne,) * 3)
     h_mult, h_comult = dense(f, h.alg.mult, (nh,) * 3), dense(f, h.coa.comult, (nh,) * 3)
     e_counit, h_counit = dense(f, e.coa.counit, (ne,)), dense(f, h.coa.counit, (nh,))
@@ -373,10 +391,9 @@ def test_verify_weak_projection_matches_loops(spec, char, preset_cache):
         assert _verify_outcome(*args) == oracle_verify_weak_projection(*args) == res.verified
         if h.dim > 6:
             continue
-        for r in range(res.matrix.rows):
-            for s in range(res.matrix.cols):
-                bad = res.matrix.copy()
-                bad.data[r][s] = f.add(bad.data[r][s], f.one)
+        for r in range(sub.dim):
+            for s in range(h.dim):
+                bad = _bumped(f, res.matrix, (r, s))
                 args = (h, sub, incl, bad, bilinear)
                 assert _verify_outcome(*args) == oracle_verify_weak_projection(*args), (r, s)
 
@@ -414,6 +431,6 @@ def test_every_lift_system_carries_its_condition_labels(monkeypatch):
         labels = _recorded_labels(monkeypatch, run)
         assert lift in labels and labels <= {lift, coboundary}, labels
     bim = regular_bimodule(h.alg)
-    c = next(_cochains(bim))
+    c = sparse(next(_cochains(bim)))
     assert _recorded_labels(monkeypatch, lambda: hochschild_coboundary_solve(h.alg, bim, c)) \
         == {plain[1]}

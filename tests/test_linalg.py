@@ -1,29 +1,53 @@
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfsmith.fields import GF, QQ
-from hopfsmith.linalg import (AffineSystem, Mat, invert, nullspace, rank,
+from hopfsmith.linalg import (AffineSystem, SparseMat, dense, identity, invert, nullspace, rank,
                               solve_affine, spans_equal)
+
+from test_loop_oracles import _eye, _matmul, _matvec
+
+
+@dataclass
+class Dense:
+    """A dense test matrix, ``data[i][j]`` row i and column j, the reference form
+    the sparse solvers are checked against."""
+
+    field: object
+    rows: int
+    cols: int
+    data: list
+
+    def sparse(self) -> SparseMat:
+        return SparseMat(self.field, self.rows, self.cols, _sparse(self))
+
+    def matvec(self, v: list) -> list:
+        return _matvec(self.field, self.data, v)
+
+
+def _from_rows(f, rows):
+    return Dense(f, len(rows), len(rows[0]), [[f.from_int(x) for x in row] for row in rows])
 
 
 def qmat(rows):
-    return Mat.from_rows(QQ, rows)
+    return _from_rows(QQ, rows)
 
 
 def test_solve_affine_identity_case():
-    sol = solve_affine(AffineSystem(qmat([[1]]), [Fraction(0)]))
+    sol = solve_affine(AffineSystem(qmat([[1]]).sparse(), [Fraction(0)]))
     assert sol.particular == [Fraction(0)]
-    assert sol.nullspace.cols == 0
+    assert sol.nullspace == []
 
 
 def test_solve_affine_underdetermined():
     a = qmat([[1, 1], [1, 1]])
-    sol = solve_affine(AffineSystem(a, [Fraction(2), Fraction(2)]))
+    sol = solve_affine(AffineSystem(a.sparse(), [Fraction(2), Fraction(2)]))
     assert a.matvec(sol.particular) == [Fraction(2), Fraction(2)]
-    assert sol.nullspace.cols == 1
-    v = sol.nullspace.column(0)
+    assert len(sol.nullspace) == 1
+    v = sol.nullspace[0]
     # spans {[1, -1]}
     assert v[0] == -v[1] != 0
     # any combination still solves exactly
@@ -32,37 +56,35 @@ def test_solve_affine_underdetermined():
 
 
 def test_solve_affine_infeasible():
-    assert solve_affine(AffineSystem(qmat([[1], [0]]), [Fraction(0), Fraction(1)])) is None
+    assert solve_affine(AffineSystem(qmat([[1], [0]]).sparse(),
+                                     [Fraction(0), Fraction(1)])) is None
 
 
 def test_nullspace_examples():
-    assert nullspace(Mat.identity(QQ, 3)).cols == 0
-    assert nullspace(Mat.zeros(QQ, 2, 2)).cols == 2
-    ns = nullspace(qmat([[1, 2], [2, 4]]))
-    assert ns.cols == 1
-    v = ns.column(0)
-    assert spans_equal(QQ, [v], [[Fraction(2), Fraction(-1)]])
+    assert nullspace(Dense(QQ, 3, 3, _eye(QQ, 3)).sparse()) == []
+    assert len(nullspace(qmat([[0, 0], [0, 0]]).sparse())) == 2
+    ns = nullspace(qmat([[1, 2], [2, 4]]).sparse())
+    assert len(ns) == 1
+    assert spans_equal(QQ, ns, [[Fraction(2), Fraction(-1)]])
 
 
 def test_invert_examples():
-    assert invert(Mat.identity(QQ, 4)) == Mat.identity(QQ, 4)
-    swap = qmat([[0, 1], [1, 0]])
-    assert invert(swap) == swap
-    up = qmat([[1, 1], [0, 1]])
-    assert invert(up) == qmat([[1, -1], [0, 1]])
-    assert invert(qmat([[1, 2], [2, 4]])) is None
+    assert invert(Dense(QQ, 4, 4, _eye(QQ, 4)).sparse()) == identity(QQ, 4)
+    assert invert(qmat([[0, 1], [1, 0]]).sparse()) == {(0, 1): 1, (1, 0): 1}
+    assert dense(QQ, invert(qmat([[1, 1], [0, 1]]).sparse()), (2, 2)) == [[1, -1], [0, 1]]
+    assert invert(qmat([[1, 2], [2, 4]]).sparse()) is None
     with pytest.raises(ValueError):
-        invert(qmat([[1, 2]]))
+        invert(qmat([[1, 2]]).sparse())
 
 
 def test_prime_field_solving():
     f = GF(3)
-    a = Mat.from_rows(f, [[1, 2], [2, 2]])
-    sol = solve_affine(AffineSystem(a, [1, 2]))
+    a = _from_rows(f, [[1, 2], [2, 2]])
+    sol = solve_affine(AffineSystem(a.sparse(), [1, 2]))
     assert sol is not None
     assert a.matvec(sol.particular) == [1, 2]
-    inv = invert(a)
-    assert inv is not None and a.mul(inv) == Mat.identity(f, 2)
+    inv = invert(a.sparse())
+    assert inv is not None and _matmul(f, a.data, dense(f, inv, (2, 2))) == _eye(f, 2)
 
 
 @st.composite
@@ -72,21 +94,20 @@ def small_qq_matrix(draw):
     entries = draw(st.lists(
         st.integers(-4, 4).map(Fraction), min_size=rows * cols, max_size=rows * cols))
     data = [entries[r * cols:(r + 1) * cols] for r in range(rows)]
-    return Mat(QQ, rows, cols, data)
+    return Dense(QQ, rows, cols, data)
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_qq_matrix())
 def test_rank_nullity(m):
-    assert rank(m) + nullspace(m).cols == m.cols
+    assert rank(m.sparse()) + len(nullspace(m.sparse())) == m.cols
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_qq_matrix())
 def test_nullspace_vectors_annihilate(m):
-    ns = nullspace(m)
-    for j in range(ns.cols):
-        assert all(x == 0 for x in m.matvec(ns.column(j)))
+    for v in nullspace(m.sparse()):
+        assert all(x == 0 for x in m.matvec(v))
 
 
 @settings(max_examples=60, deadline=None)
@@ -95,7 +116,7 @@ def test_solve_affine_exactness(m, data):
     x = data.draw(st.lists(st.integers(-3, 3).map(Fraction),
                            min_size=m.cols, max_size=m.cols))
     b = m.matvec(x)
-    sol = solve_affine(AffineSystem(m, b))
+    sol = solve_affine(AffineSystem(m.sparse(), b))
     assert sol is not None
     assert m.matvec(sol.particular) == b
 
@@ -105,10 +126,11 @@ def test_solve_affine_exactness(m, data):
 def test_invert_round_trip(m):
     if m.rows != m.cols:
         return
-    inv = invert(m)
+    inv = invert(m.sparse())
     if inv is not None:
-        assert m.mul(inv) == Mat.identity(QQ, m.rows)
-        assert inv.mul(m) == Mat.identity(QQ, m.rows)
+        inv = dense(QQ, inv, (m.rows, m.rows))
+        assert _matmul(QQ, m.data, inv) == _eye(QQ, m.rows)
+        assert _matmul(QQ, inv, m.data) == _eye(QQ, m.rows)
 
 
 @settings(max_examples=40, deadline=None)
@@ -118,8 +140,8 @@ def test_prime_field_rank_nullity(seed):
     rng = random.Random(seed)
     f = GF(5)
     rows, cols = rng.randint(1, 5), rng.randint(1, 5)
-    m = Mat(f, rows, cols, [[rng.randrange(5) for _ in range(cols)] for _ in range(rows)])
-    assert rank(m) + nullspace(m).cols == cols
+    m = Dense(f, rows, cols, [[rng.randrange(5) for _ in range(cols)] for _ in range(rows)])
+    assert rank(m.sparse()) + len(nullspace(m.sparse())) == cols
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +149,8 @@ def test_prime_field_rank_nullity(seed):
 # ---------------------------------------------------------------------------
 
 from hopfsmith.fields import FieldSpec
-from hopfsmith.linalg import SparseMat, _rref, failed_labels, inverse
-from hopfsmith.linalg import dense as linalg_dense, sparse as linalg_sparse
+from hopfsmith.linalg import _rref, failed_labels
+from hopfsmith.linalg import dense as linalg_dense
 
 
 def _dense_rref(rows: list, ncols: int, field: FieldSpec):
@@ -198,7 +220,7 @@ def _oracle_kernel(rows, ncols, pivots, field):
     return cols
 
 
-def _oracle_solve(m: Mat, rhs: list):
+def _oracle_solve(m: Dense, rhs: list):
     n = m.cols
     rows = [row[:] + [b] for row, b in zip(m.data, rhs)]
     pivots = _dense_rref(rows, n + 1, m.field)
@@ -210,7 +232,7 @@ def _oracle_solve(m: Mat, rhs: list):
     return particular, _oracle_kernel([r[:n] for r in rows], n, pivots, m.field)
 
 
-def _oracle_invert(m: Mat):
+def _oracle_invert(m: Dense):
     f, n = m.field, m.rows
     rows = [m.data[i][:] + [f.one if j == i else f.zero for j in range(n)] for i in range(n)]
     pivots = _dense_rref(rows, 2 * n, f)
@@ -226,7 +248,7 @@ def _densify(row, ncols, field):
     return out
 
 
-def _sparse(m: Mat) -> list:
+def _sparse(m: Dense) -> list:
     return [[(j, x) for j, x in enumerate(row) if x] for row in m.data]
 
 
@@ -247,7 +269,7 @@ def field_matrix(draw, max_rows=6, max_cols=6, square=False, q_scalar=None):
             if q_scalar is None else q_scalar
     entry = st.one_of(st.just(f.zero), st.just(f.zero), scalar)
     data = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
-    return Mat(f, rows, cols, data)
+    return Dense(f, rows, cols, data)
 
 
 def _assert_reduced_sparse_rows(rows, pivots, ncols, field):
@@ -331,14 +353,13 @@ def test_solve_affine_equals_dense_oracle(m, data):
     else:
         rhs = [data.draw(st.sampled_from([f.zero, f.one])) for _ in range(m.rows)]
     want = _oracle_solve(m, rhs)
-    for system in (AffineSystem(m, rhs), AffineSystem(SparseMat(f, m.rows, m.cols, _sparse(m)), rhs)):
-        got = solve_affine(system)
-        if want is None:
-            assert got is None
-        else:
-            assert got.particular == want[0]
-            assert got.nullspace.columns() == want[1]
-            assert (got.nullspace.rows, got.nullspace.cols) == (m.cols, len(want[1]))
+    got = solve_affine(AffineSystem(m.sparse(), rhs))
+    if want is None:
+        assert got is None
+    else:
+        assert got.particular == want[0]
+        assert got.nullspace == want[1]
+        assert all(len(v) == m.cols for v in got.nullspace)
 
 
 @settings(max_examples=200, deadline=None)
@@ -347,23 +368,21 @@ def test_nullspace_and_rank_equal_dense_oracle(m):
     dense = [row[:] for row in m.data]
     pivots = _dense_rref(dense, m.cols, m.field)
     kernel = _oracle_kernel(dense, m.cols, pivots, m.field)
-    sparse = SparseMat(m.field, m.rows, m.cols, _sparse(m))
-    for mat in (m, sparse):
-        ns = nullspace(mat)
-        assert ns.columns() == kernel
-        assert (ns.rows, ns.cols) == (m.cols, len(kernel))
-        assert rank(mat) == len(pivots)
+    ns = nullspace(m.sparse())
+    assert ns == kernel
+    assert all(len(v) == m.cols for v in ns)
+    assert rank(m.sparse()) == len(pivots)
 
 
 @settings(max_examples=200, deadline=None)
 @given(field_matrix(max_rows=5, square=True))
 def test_invert_equals_dense_oracle(m):
     want = _oracle_invert(m)
-    got = invert(m)
+    got = invert(m.sparse())
     if want is None:
         assert got is None
     else:
-        assert got.data == want
+        assert linalg_dense(m.field, got, (m.rows, m.rows)) == want
 
 
 from test_contract import BIG_Q, canonical
@@ -400,20 +419,20 @@ def test_solve_affine_with_denominators_equals_dense_oracle(m, data):
     else:
         rhs = data.draw(st.lists(BIG_Q, min_size=m.rows, max_size=m.rows))
     want = _oracle_solve(m, rhs)
-    got = solve_affine(AffineSystem(SparseMat(QQ, m.rows, m.cols, _sparse(m)), rhs))
+    got = solve_affine(AffineSystem(m.sparse(), rhs))
     if want is None:
         assert got is None
     else:
-        assert (got.particular, got.nullspace.columns()) == want
+        assert (got.particular, got.nullspace) == want
         assert canonical(got.particular)
-        assert canonical(x for col in got.nullspace.columns() for x in col)
+        assert canonical(x for col in got.nullspace for x in col)
 
 
 @settings(max_examples=150, deadline=None)
 @given(field_matrix(max_rows=5, square=True, q_scalar=BIG_Q))
 def test_invert_with_denominators_equals_dense_oracle(m):
     want = _oracle_invert(m)
-    got = inverse(QQ, linalg_sparse(m), m.rows)
+    got = invert(m.sparse())
     if want is None:
         assert got is None
     else:
@@ -444,40 +463,31 @@ def test_failed_labels_equals_row_by_row_evaluation(m, data):
     want = list(dict.fromkeys(label for row, b, label in zip(m.data, rhs, labels)
                               if _row_value(f, row, x) != b))
     assert want
-    for system in (AffineSystem(m, rhs, labels=labels),
-                   AffineSystem(SparseMat(f, m.rows, m.cols, _sparse(m)), rhs, labels=labels)):
-        assert failed_labels(system, x) == want
+    assert failed_labels(AffineSystem(m.sparse(), rhs, labels=labels), x) == want
 
 
 @pytest.mark.parametrize("f", FIELDS)
 def test_kernel_edge_cases(f):
     one, two = f.one, f.from_int(2)
     # zero rows among nonzero ones, and a repeated row
-    m = Mat(f, 4, 3, [[f.zero] * 3, [one, two, f.zero], [f.zero] * 3, [one, two, f.zero]])
-    sol = solve_affine(AffineSystem(m, [f.zero, one, f.zero, one]))
-    assert (sol.particular, sol.nullspace.columns()) == _oracle_solve(m, [f.zero, one, f.zero, one])
+    m = Dense(f, 4, 3, [[f.zero] * 3, [one, two, f.zero], [f.zero] * 3, [one, two, f.zero]])
+    sol = solve_affine(AffineSystem(m.sparse(), [f.zero, one, f.zero, one]))
+    assert (sol.particular, sol.nullspace) == _oracle_solve(m, [f.zero, one, f.zero, one])
     # an empty row with a nonzero right-hand side is 0 = 1
     sparse = SparseMat(f, 2, 3, [[(0, one)], []])
     assert solve_affine(AffineSystem(sparse, [one, one])) is None
-    assert solve_affine(AffineSystem(Mat.zeros(f, 2, 3), [f.zero, one])) is None
+    assert solve_affine(AffineSystem(SparseMat(f, 2, 3, [[], []]), [f.zero, one])) is None
     # all-zero matrix: every vector is in the kernel
-    zero = Mat.zeros(f, 3, 4)
+    zero = SparseMat(f, 3, 4, [[], [], []])
     assert rank(zero) == 0
-    assert nullspace(zero) == Mat.identity(f, 4)
+    assert nullspace(zero) == _eye(f, 4)
     sol = solve_affine(AffineSystem(zero, [f.zero] * 3))
-    assert sol.particular == [f.zero] * 4 and sol.nullspace == Mat.identity(f, 4)
+    assert sol.particular == [f.zero] * 4 and sol.nullspace == _eye(f, 4)
     # a 0-row system
-    for mat in (Mat(f, 0, 3, []), SparseMat(f, 0, 3, [])):
-        sol = solve_affine(AffineSystem(mat, []))
-        assert sol.particular == [f.zero] * 3 and sol.nullspace == Mat.identity(f, 3)
-        assert rank(mat) == 0
-    # coefficients that cancel to zero during assembly are dropped
-    rows = [{0: f.sub(one, one), 1: one}, {0: f.add(one, f.neg(one)), 2: f.sub(two, two)}]
-    system = AffineSystem.sparse(f, rows, [one, f.zero], 3)
-    assert system.matrix.data == [[(1, one)], []]
-    sol = solve_affine(system)
-    dense = Mat(f, 2, 3, [[f.zero, one, f.zero], [f.zero] * 3])
-    assert (sol.particular, sol.nullspace.columns()) == _oracle_solve(dense, [one, f.zero])
+    mat = SparseMat(f, 0, 3, [])
+    sol = solve_affine(AffineSystem(mat, []))
+    assert sol.particular == [f.zero] * 3 and sol.nullspace == _eye(f, 3)
+    assert rank(mat) == 0
 
 
 from test_loop_oracles import _mul
@@ -491,7 +501,8 @@ def _dense_relations(ext):
     amb = nr * nr
     mult = linalg_dense(f, r.mult, (nr, nr, nr))
     relations = []
-    for s in ext.embedding.columns():
+    columns = {(j, x): v for (x, j), v in ext.embedding.items()}
+    for s in linalg_dense(f, columns, (ext.small.dim, nr)):
         left = [_mul(f, mult, [f.one if t == i else f.zero for t in range(nr)], s)
                 for i in range(nr)]
         right = [_mul(f, mult, s, [f.one if t == j else f.zero for t in range(nr)])

@@ -13,7 +13,7 @@ import pytest
 
 from hopfsmith import FieldSpec, resolve_preset
 from hopfsmith.hopf import check_hopf
-from hopfsmith.linalg import dense, sparse
+from hopfsmith.linalg import SparseMat, dense, sparse
 from hopfsmith.yd import ACTIONS, COACTIONS, adjoint_action, adjoint_coaction, check_yd, yd_on_h
 
 from conftest import GRID
@@ -39,6 +39,21 @@ def _matvec(f, mat, v):
     return [sum((f.mul(a, x) for a, x in zip(row, v)), f.zero) if f.characteristic == 0
             else sum(f.mul(a, x) for a, x in zip(row, v)) % f.characteristic
             for row in mat]
+
+
+def _sparse_mat(f, rows, ncols):
+    """The ``SparseMat`` holding dense rows of length ``ncols``."""
+    return SparseMat(f, len(rows), ncols, [[(j, x) for j, x in enumerate(r) if x] for r in rows])
+
+
+def _matmul(f, a, b):
+    """The product of dense matrices given as row lists."""
+    bt = [list(col) for col in zip(*b)]
+    return [_matvec(f, bt, row) for row in a]
+
+
+def _eye(f, n):
+    return [_e(f, n, i) for i in range(n)]
 
 
 def _lists(h):

@@ -7,7 +7,7 @@ from dataclasses import fields
 import hopfsmith
 from hopfsmith import cli
 from hopfsmith.hopf import AlgebraData, CoalgebraData, HopfData, SubspaceBasis
-from hopfsmith.linalg import AffineSystem, Mat
+from hopfsmith.linalg import AffineSystem, SparseMat
 
 
 def _public(cls) -> list:
@@ -21,7 +21,7 @@ def test_package_exports():
         "AlgebraData", "AxiomReport", "CoalgebraData", "HopfData", "SubspaceBasis",
         "augmentation_ideal", "check_algebra", "check_coalgebra", "check_hopf",
         "dual_hopf", "op_cop", "unit_cokernel",
-        "AffineSystem", "Mat", "invert", "nullspace", "rank", "solve_affine",
+        "AffineSystem", "SparseMat", "invert", "nullspace", "rank", "solve_affine",
         "preset_function_algebra", "preset_group_algebra", "preset_sweedler",
         "preset_taft", "resolve_preset",
     ]
@@ -41,14 +41,13 @@ def test_cli_subcommands():
 
 def test_class_attributes():
     assert {cls.__name__: _public(cls) for cls in (AlgebraData, CoalgebraData, HopfData,
-                                                    SubspaceBasis, Mat, AffineSystem)} == {
+                                                    SubspaceBasis, SparseMat, AffineSystem)} == {
         "AlgebraData": ["dim", "field", "mult", "unit"],
         "CoalgebraData": ["comult", "counit", "dim", "field"],
         "HopfData": ["alg", "antipode", "antipode_inverse", "basis", "basis_vec", "coa",
                      "dim", "field", "unit_vec"],
         "SubspaceBasis": ["ambient_dim", "contains", "dim", "tensors", "vectors"],
-        "Mat": ["cols", "column", "columns", "copy", "data", "field", "from_columns",
-                "from_rows", "identity", "matvec", "mul", "rows", "transpose", "zeros"],
+        "SparseMat": ["cols", "data", "field", "from_tensor", "rows"],
         "AffineSystem": ["condition_labels", "conditions", "labels", "matrix", "rhs",
-                         "sparse", "unknowns"],
+                         "unknowns"],
     }

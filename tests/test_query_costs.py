@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import io
+import sys
 import types
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from hopfsmith import (FieldSpec, cli, doubles, filtration, hopf, integrals, lif
                        presets, resolve_preset, serialize, smoothness, yd)
 from hopfsmith.filtration import ideal_powers, is_nilpotent_ideal
 from hopfsmith.hopf import SubspaceBasis
-from hopfsmith.linalg import Mat, contract, dense, failed_labels, solve_affine, unknowns
+from hopfsmith.linalg import contract, dense, failed_labels, solve_affine, unknowns
 from hopfsmith.lifting import SurjectionProblem, square_zero_extension
 
 from test_loop_oracles import _mul
@@ -151,10 +152,10 @@ def test_parser_is_built_once_and_namespaces_stay_independent(monkeypatch):
 
 def test_surjection_with_a_padded_map_is_rejected_by_shape():
     prob = square_zero_extension(resolve_preset("group:C2", FieldSpec(0)), with_coaction=False)
-    f = prob.pi.field
-    pi = Mat(f, 3, prob.pi.cols, prob.pi.data + [[f.zero] * prob.pi.cols])
+    # a third row: entry (2, 0) on the 2-dimensional target A
+    pi = {**prob.pi, (2, 0): prob.e.field.one}
     padded = SurjectionProblem(prob.e, prob.a, pi)
-    with pytest.raises(ValueError, match="pi must be 2 x 4, got 3 x 4"):
+    with pytest.raises(ValueError, match=r"pi must be 2 x 4, got an entry at \(2, 0\)"):
         padded.validate()
 
 
@@ -178,3 +179,35 @@ def test_unknown_adjoint_structure_is_rejected():
         adjoint_action(h, "rho_l")
     with pytest.raises(ValueError, match="unknown adjoint structure"):
         adjoint_coaction(h, "adl")
+
+
+# Callers that densify coordinate vectors, never a linear map: the particular
+# solution of a solve and the spanning lists of ideal products.
+VECTOR_BUILDERS = {"solve_affine", "_is_two_sided_ideal", "_ideal_product"}
+
+
+@pytest.mark.parametrize("preset, char, cover", [
+    ("group:C2", 2, 2), ("group:C3", 3, 3), ("group:C4", 2, 2)])
+def test_lift_section_densifies_no_linear_map(monkeypatch, preset, char, cover):
+    """Every map of a lift (pi, the stage maps, the bimodule actions, the
+    obstruction witness) stays a sparse tensor until ``serialize``: outside it,
+    ``dense`` runs only for coordinate vectors.  Each of these modular covers
+    ends in an obstruction, so a stage bimodule is built and checked."""
+    real = linalg.dense
+    callers = []
+
+    def recording(*args, **kwargs):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):  # a comprehension's own frame
+            frame = frame.f_back
+        callers.append(frame.f_code.co_name)
+        return real(*args, **kwargs)
+
+    for module in (cli, doubles, filtration, hopf, integrals, lifting, linalg, presets,
+                   smoothness, yd):
+        if getattr(module, "dense", None) is real:
+            monkeypatch.setattr(module, "dense", recording)
+    argv = ["lift-section", "--preset", preset, "--char", str(char),
+            "--problem", f"cyclic-cover:{cover}"]
+    assert _quiet(argv) == 1
+    assert callers and [c for c in callers if c not in VECTOR_BUILDERS] == []

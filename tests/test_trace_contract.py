@@ -1,9 +1,15 @@
 """The benchmark's outside-in tracer names functions of ``hopfsmith`` by module
 and name (``perfbench/layers.py``); every such name must resolve to a callable,
-or a traced benchmark run fails with an ``AttributeError``."""
+or a traced benchmark run fails with an ``AttributeError``.  The wrappers also
+read the shape of each linalg call's first argument, so one traced query of
+each kind must run through them unchanged."""
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 LAYERS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
@@ -33,3 +39,46 @@ def test_every_traced_name_is_a_module_level_callable():
     missing = [f"{mod}.{name}" for mod, name in pairs
                if not callable(getattr(importlib.import_module(f"hopfsmith.{mod}"), name, None))]
     assert missing == []
+
+
+TRACED_QUERIES = [
+    (["fs-algebra", "--preset", "sweedler"], 1),
+    (["lift-section", "--preset", "group:C2", "--char", "2", "--problem", "cyclic-cover:2"], 1),
+    (["weak-projection", "--preset", "taft:3:2", "--char", "7"], 0),
+    (["double-separable", "--preset", "sweedler"], 1),
+]
+
+_TRACED_RUN = """
+import contextlib, importlib.util, io, json, sys
+spec = importlib.util.spec_from_file_location("layers", sys.argv[1])
+layers = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(layers)
+tracer = layers.Tracer()
+main = layers.install(tracer)
+codes = []
+for argv in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+print(json.dumps({"codes": codes, "rows": tracer.linalg["rows"],
+                  "calls": tracer.calls["linalg"]}))
+"""
+
+
+def test_traced_queries_run_through_the_installed_wrappers():
+    """One traced query per kind, in a fresh interpreter since ``install`` rebinds
+    package globals: every wrapped linalg entry point must accept what the
+    package passes it (the tracer reads ``.field/.rows/.cols/.data`` from the
+    first argument), and the answers must not change under the wrappers."""
+    import json
+    import subprocess
+    import sys
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    argvs = [argv for argv, _ in TRACED_QUERIES]
+    proc = subprocess.run([sys.executable, "-c", _TRACED_RUN, str(LAYERS_PY), json.dumps(argvs)],
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["codes"] == [code for _, code in TRACED_QUERIES]
+    assert out["rows"] > 0 and out["calls"] > 0
