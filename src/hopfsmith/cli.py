@@ -12,16 +12,17 @@ import argparse
 import functools
 import json
 import sys
+from itertools import chain
 
 from .fields import FieldSpec
-from .hopf import HopfData, SubspaceBasis, check_hopf, dual_hopf, sub_hopf_on_subspace
+from .hopf import (HopfData, SubspaceBasis, _shared_completion, check_hopf, dual_hopf,
+                   sub_hopf_on_subspace)
 from .presets import NotAGroupError, resolve_preset
 from . import integrals as integ
 from . import smoothness as smo
 from . import serialize as ser
 from .doubles import drinfeld_double, separable_extension
 from .filtration import coradical, wedge_filtration
-from .linalg import dense
 from .lifting import (LiftObstruction, cyclic_cover_problem, lift_algebra_section,
                       square_zero_extension, weak_projection)
 
@@ -72,8 +73,39 @@ def _load(args) -> HopfData:
     return resolve_preset(args.preset, FieldSpec(args.char))
 
 
+_TOKENS = json.JSONEncoder(separators=("\n", ":")).encode  # the C encoder, one token a line
+
+
+def _dumps(obj, pad: str = "\n") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)`` with ``pad`` as its line break,
+    without that call's pure-Python encoder: a rectangular block of scalars is one
+    row of tokens from the C encoder (no JSON string holds a raw newline), and each
+    level of brackets is joined over slices of the level below."""
+    inner = pad + "  "
+    if type(obj) in (str, int, bool) or obj is None:
+        return _TOKENS(obj)
+    if type(obj) is dict and obj and all(type(k) is str for k in obj):
+        return "{" + inner + ("," + inner).join(_TOKENS(k) + ": " + _dumps(v, inner)
+                                                for k, v in sorted(obj.items())) + pad + "}"
+    if type(obj) is not list or not obj:
+        return json.dumps(obj, sort_keys=True, indent=2).replace("\n", pad)
+    shape, flat = [len(obj)], obj
+    while type(flat[0]) is list and flat[0] and all(
+            type(x) is list and len(x) == len(flat[0]) for x in flat):
+        shape.append(len(flat[0]))
+        flat = list(chain.from_iterable(flat))
+    if not set(map(type, flat)) <= {int, str, bool, float, type(None)}:  # ragged or nested
+        return "[" + inner + ("," + inner).join(_dumps(x, inner) for x in obj) + pad + "]"
+    rows = _TOKENS(flat)[1:-1].split("\n")
+    for k in range(len(shape) - 1, -1, -1):
+        w, close = shape[k], pad + "  " * k
+        rows = ["[" + close + "  " + ("," + close + "  ").join(rows[s:s + w]) + close + "]"
+                for s in range(0, len(rows), w)]
+    return rows[0]
+
+
 def _emit(report: dict, args) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2)
+    text = _dumps(report)
     print(text)
     if getattr(args, "output", None):
         with open(args.output, "w") as fh:
@@ -208,8 +240,7 @@ def cmd_weak_projection(args) -> int:
         return 1
     _emit({"command": "weak-projection", "found": True,
            "onto_dim": sub_hopf.dim,
-           "matrix": [[f.to_json(x) for x in row]
-                      for row in dense(f, res.matrix, (sub_hopf.dim, h.dim))],
+           "matrix": ser.json_lists(f, res.matrix, (sub_hopf.dim, h.dim)),
            "verified": res.verified}, args)
     return 0
 
@@ -272,6 +303,7 @@ HANDLERS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _shared_completion.cache_clear()  # each query pays for its own eliminations
     try:
         return HANDLERS[args.command](args)
     except (ValueError, NotAGroupError, OSError, json.JSONDecodeError) as exc:

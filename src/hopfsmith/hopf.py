@@ -33,6 +33,7 @@ failed report raises rather than returning a silently broken object.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -234,11 +235,8 @@ class SubspaceBasis:
         return in_span(field, self.vectors, v)
 
     def _completed(self, field: FieldSpec) -> tuple:
-        """:func:`_completion` of the vectors, redone when they change; not a dataclass field."""
-        key = (field, self.ambient_dim, tuple(map(tuple, self.vectors)))
-        if self.__dict__.get("_completion", (None,))[0] != key:
-            self.__dict__["_completion"] = key, _completion(field, self.ambient_dim, self.vectors)
-        return self.__dict__["_completion"][1]
+        """:func:`_completion` of the vectors as they are now."""
+        return _shared_completion(field, self.ambient_dim, tuple(map(tuple, self.vectors)))
 
     def tensors(self, field: FieldSpec) -> tuple:
         """(basis, coordinates) as sparse tensors: ``basis[(x, j)]`` is entry x of
@@ -263,6 +261,12 @@ def augmentation_ideal(h: HopfData) -> SubspaceBasis:
     """H^+ = ker(eps), dimension dim-1."""
     eps = AffineSystem.conditions(h.field, h.dim, (h.coa.counit, 0, None, "counit")).matrix
     return SubspaceBasis(h.dim, nullspace(eps))
+
+
+@functools.lru_cache(maxsize=64)
+def _shared_completion(field: FieldSpec, n: int, vectors: tuple) -> tuple:
+    """:func:`_completion` memoized on content; ``cli.main`` empties it per query."""
+    return _completion(field, n, vectors)
 
 
 def _completion(field: FieldSpec, n: int, vectors: list) -> tuple:

@@ -13,37 +13,40 @@ unique two-sided identity of the multiplication tensor on load.
 The schema is unchanged by the in-memory form: the structure maps, and every
 linear map of a certificate, live as sparse tensors (:mod:`hopf`), so loading
 checks the nested-list shapes, parses the scalars and then keeps only the
-nonzero entries, and writing densifies each map into nested lists, to the
-shape its certificate records.
+nonzero entries; writing converts only the nonzero entries (:func:`json_lists`)
+and :mod:`cli` prints the report exactly as ``json.dumps(..., sort_keys=True,
+indent=2)`` would, from flat rows of tokens.
 """
 
 from __future__ import annotations
 
 import json
+from math import prod
+from operator import mul
 from typing import Optional
 
 from .fields import FieldSpec
 from .hopf import AlgebraData, CoalgebraData, HopfData, validated
-from .linalg import AffineSystem, contract, dense, identity, solve_affine, sparse, unknowns
+from .linalg import AffineSystem, contract, identity, solve_affine, sparse, unknowns
 
 
-def _json(f: FieldSpec, nested: list) -> list:
-    """Nested lists of scalars in their JSON form."""
-    return [_json(f, x) if isinstance(x, list) else f.to_json(x) for x in nested]
+def json_lists(f: FieldSpec, t: dict, shape: tuple) -> list:
+    """The sparse tensor ``t`` as JSON nested lists of ``shape``, sliced from one flat row."""
+    flat, strides = [0] * prod(shape), [prod(shape[d + 1:]) for d in range(len(shape))]
+    for key, v in t.items():
+        flat[sum(map(mul, key, strides))] = f.to_json(v)
+    for d in range(len(shape) - 1, 0, -1):
+        flat = [flat[r * shape[d]:(r + 1) * shape[d]] for r in range(prod(shape[:d]))]
+    return flat
 
 
 def hopf_to_dict(h: HopfData) -> dict:
-    f = h.field
-    n = h.dim
-    return {
-        "field": {"char": f.characteristic},
-        "dim": n,
-        "basis": list(h.basis),
-        "mult": _json(f, dense(f, h.alg.mult, (n, n, n))),
-        "comult": _json(f, dense(f, h.coa.comult, (n, n, n))),
-        "counit": _json(f, dense(f, h.coa.counit, (n,))),
-        "antipode": _json(f, dense(f, h.antipode, (n, n))),
-    }
+    f, n = h.field, h.dim
+    return {"field": {"char": f.characteristic}, "dim": n, "basis": list(h.basis),
+            "mult": json_lists(f, h.alg.mult, (n, n, n)),
+            "comult": json_lists(f, h.coa.comult, (n, n, n)),
+            "counit": json_lists(f, h.coa.counit, (n,)),
+            "antipode": json_lists(f, h.antipode, (n, n))}
 
 
 def _solve_unit(m: dict, f: FieldSpec, n: int) -> dict:
@@ -126,20 +129,20 @@ def integral_to_dict(f: FieldSpec, cert, kind: Optional[str] = None) -> dict:
     verified = ["a", "b", "c"] if kind in ("ad_invariant_integral",
                                            "ad_coinvariant_integral") else []
     key = "lambda" if cert.carrier == "in_dual" else "t"
-    return {"type": kind, key: _json(f, cert.vector),
+    return {"type": kind, key: list(map(f.to_json, cert.vector)),
             "side": cert.side, "carrier": cert.carrier, "verified": verified}
 
 
 def separability_to_dict(f: FieldSpec, cert) -> dict:
     if cert.kind == "idempotent_for_algebra":
-        return {"type": "separability_idempotent", "e": _json(f, cert.data),
+        return {"type": "separability_idempotent", "e": list(map(f.to_json, cert.data)),
                 "verified": list(cert.verified)}
-    return {"type": "coseparability_retraction", "theta": _json(f, dense(f, cert.data, cert.shape)),
+    return {"type": "coseparability_retraction", "theta": json_lists(f, cert.data, cert.shape),
             "verified": list(cert.verified)}
 
 
 def section_to_dict(f: FieldSpec, cert) -> dict:
-    return {"type": cert.kind, "matrix": _json(f, dense(f, cert.matrix, cert.shape)),
+    return {"type": cert.kind, "matrix": json_lists(f, cert.matrix, cert.shape),
             "verified_conditions": list(cert.verified_conditions),
             "nullity": 0 if cert.nullspace is None else len(cert.nullspace)}
 
@@ -147,16 +150,16 @@ def section_to_dict(f: FieldSpec, cert) -> dict:
 def extension_to_dict(ext) -> dict:
     f = ext.big.field
     return {**{side: {"field": {"char": f.characteristic}, "dim": a.dim,
-                      "mult": _json(f, dense(f, a.mult, (a.dim,) * 3))}
+                      "mult": json_lists(f, a.mult, (a.dim,) * 3)}
                for side, a in (("big", ext.big), ("small", ext.small))},
-            "embedding": _json(f, dense(f, ext.embedding, (ext.big.dim, ext.small.dim)))}
+            "embedding": json_lists(f, ext.embedding, (ext.big.dim, ext.small.dim))}
 
 
 def filtration_to_dict(f: FieldSpec, record) -> dict:
     return {
         "type": "wedge_filtration",
         "stage_dims": [s.dim for s in record.stages],
-        "stages": [_json(f, s.vectors) for s in record.stages],
+        "stages": [[list(map(f.to_json, v)) for v in s.vectors] for s in record.stages],
         "exhausted": record.exhausted,
         "stabilization_index": record.stabilization_index,
     }
@@ -165,8 +168,8 @@ def filtration_to_dict(f: FieldSpec, record) -> dict:
 def lift_to_dict(f: FieldSpec, cert) -> dict:
     return {
         "type": "lift_certificate",
-        "stages": [_json(f, dense(f, g, shape)) for g, shape in zip(cert.stages, cert.shapes)],
-        "final": _json(f, dense(f, cert.final, cert.shapes[-1])),
+        "stages": [json_lists(f, g, shape) for g, shape in zip(cert.stages, cert.shapes)],
+        "final": json_lists(f, cert.final, cert.shapes[-1]),
         "algebra_map": cert.algebra_map,
         "colinear": cert.colinear,
     }
@@ -178,5 +181,5 @@ def obstruction_to_dict(f: FieldSpec, obs) -> dict:
         "stage": obs.stage,
         "reason": obs.reason,
         "delta_closed": obs.delta_closed,
-        "witness": _json(f, dense(f, obs.witness, obs.shape)),
+        "witness": json_lists(f, obs.witness, obs.shape),
     }

@@ -5,6 +5,10 @@ over dense vectors with no help from the package: the Hopf axioms with their
 witnesses, the four adjoint actions and coactions, and the Yetter-Drinfeld
 compatibility display.  The package's contractions must agree with them
 exactly, including on every single-entry corruption of the structure maps.
+
+The antipode of a Drinfeld double is the one cross-check by a different
+route instead of by loops: the closed form that ``drinfeld_double`` uses
+against the blind solve of both antipode axioms in all N^2 entries of S_D.
 """
 
 import copy
@@ -13,7 +17,8 @@ import pytest
 
 from hopfsmith import FieldSpec, resolve_preset
 from hopfsmith.hopf import check_hopf
-from hopfsmith.linalg import SparseMat, dense, sparse
+from hopfsmith.doubles import drinfeld_double
+from hopfsmith.linalg import AffineSystem, SparseMat, contract, dense, solve_affine, sparse, unknowns
 from hopfsmith.yd import ACTIONS, COACTIONS, adjoint_action, adjoint_coaction, check_yd, yd_on_h
 
 from conftest import GRID
@@ -319,3 +324,24 @@ def test_check_yd_witnesses_match_loops(spec, char, preset_cache):
             mixed = copy.copy(s)
             mixed.coaction = t.coaction
             assert check_yd(mixed, h) == oracle_check_yd(mixed, h)
+
+
+def blind_antipode(h):
+    """The two-sided convolution inverse of the identity, solved blind: one affine
+    system in all N^2 entries of S, where entry (T, I) is the e_T coefficient of
+    S(e_I), with S(x_1) x_2 = eps(x) 1 = x_1 S(x_2) as its rows."""
+    f, n = h.field, h.dim
+    x = unknowns(f, n, n)
+    unit = contract(f, "K,t->Kt", h.coa.counit, h.alg.unit)
+    d, m = h.coa.comult, h.alg.mult
+    sol = solve_affine(AffineSystem.conditions(
+        f, n * n, (contract(f, "KIJ,TJt,TIu->Ktu", d, m, x), 2, unit, "S(x1) x2"),
+        (contract(f, "KIJ,ITt,TJu->Ktu", d, m, x), 2, unit, "x1 S(x2)")))
+    assert sol is not None and not sol.nullspace  # an antipode is unique when it exists
+    return {divmod(c, n): v for c, v in enumerate(sol.particular) if v}
+
+
+@pytest.mark.parametrize("spec,char", GRID)
+def test_double_antipode_formula_equals_the_blind_solve(spec, char, preset_cache):
+    double, _ = drinfeld_double(preset_cache(spec, char))
+    assert double.antipode == blind_antipode(double)

@@ -211,3 +211,51 @@ def test_lift_section_densifies_no_linear_map(monkeypatch, preset, char, cover):
             "--problem", f"cyclic-cover:{cover}"]
     assert _quiet(argv) == 1
     assert callers and [c for c in callers if c not in VECTOR_BUILDERS] == []
+
+
+def test_double_report_converts_only_nonzero_scalars(monkeypatch):
+    """The `double` report turns each structure map into nested lists from a row
+    of JSON zeros, so `FieldSpec.to_json` runs once per nonzero entry of the
+    double's maps and the extension's, not once per dense entry."""
+    double, ext = doubles.drinfeld_double(resolve_preset("group:S3", FieldSpec(2)))
+    maps = (double.alg.mult, double.coa.comult, double.coa.counit, double.antipode,
+            ext.big.mult, ext.small.mult, ext.embedding)
+    calls = {}
+    _count_calls(monkeypatch, FieldSpec, "to_json", calls)
+    assert _quiet(["double", "--preset", "group:S3", "--char", "2"]) == 0
+    assert calls == {"to_json": sum(map(len, maps))}
+    assert calls["to_json"] < 36 ** 3 // 10
+
+
+def test_drinfeld_double_solves_no_system_in_the_antipode_entries(monkeypatch):
+    """S_D comes from its closed form: building D(S3) over F_3 (N = 36) makes no
+    solve with N^2 unknowns, in any module."""
+    big = {}
+    for module in (doubles, hopf, linalg):
+        if hasattr(module, "solve_affine"):
+            _count_calls(monkeypatch, module, "solve_affine", big,
+                         lambda system: system.unknowns >= 36 ** 2)
+    double, _ = doubles.drinfeld_double(resolve_preset("group:S3", FieldSpec(3)))
+    assert double.dim == 36
+    assert sum(big.values()) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["weak-projection", "--preset", "taft:4:2", "--char", "5"],
+    ["weak-projection", "--preset", "sweedler"],
+    ["weak-projection", "--preset", "functions:C12", "--char", "2"],
+])
+def test_weak_projection_completes_each_distinct_basis_once(monkeypatch, argv):
+    """The coradical, the inclusion's image and the radical of E* each meet the
+    query in several places; each distinct basis is eliminated against the
+    identity once (at the parent, taft:4:2 made 12 completions of 10 bases)."""
+    seen = []
+    inner = hopf._completion
+
+    def recording(field, n, vectors):
+        seen.append((n, tuple(map(tuple, vectors))))
+        return inner(field, n, vectors)
+
+    monkeypatch.setattr(hopf, "_completion", recording)
+    assert _quiet(argv) == 0
+    assert seen and len(seen) == len(set(seen))
