@@ -24,8 +24,8 @@ from typing import Optional
 
 from .fields import FieldSpec
 from .hopf import AlgebraData, CoalgebraData, HopfData, curvature, validated
-from .linalg import (AffineSystem, SparseMat, contract, dense, difference, rank, require_keys,
-                     require_labels, solve_affine, sparse, unknowns, _rref)
+from .linalg import (AffineSystem, SparseMat, contract, dense, rank, require_keys, require_labels,
+                     solve_affine, sparse, _rref)
 
 
 @dataclass
@@ -130,14 +130,11 @@ def drinfeld_double(h: HopfData):
 def relative_tensor(ext: ExtensionData) -> RelTensor:
     """R (x)_S R as the quotient of R (x) R by r·i(s) (x) r' - r (x) i(s)·r'."""
     r = ext.big
-    f = r.field
-    nr = r.dim
+    f, nr, m, emb = r.field, r.dim, r.mult, ext.embedding
     amb = nr * nr
-    m, emb, x = r.mult, ext.embedding, unknowns(f, nr, nr)
     # row (c, i, j): (e_i·s_c) (x) e_j - e_i (x) (s_c·e_j), with e_a (x) e_b in column a*nr + b
-    rel = difference(f, contract(f, "yc,iya,aju->ciju", emb, m, x),
-                     contract(f, "yc,yjb,ibu->ciju", emb, m, x))
-    rows = AffineSystem.conditions(f, amb, (rel, 3, None, "relation")).matrix.data
+    rows = AffineSystem.conditions(f, (nr, nr), ("relation", [
+        (1, "yc,iya,aj->cij", emb, m), (-1, "yc,yjb,ib->cij", emb, m)], None)).matrix.data
     pivots = _rref(rows, amb, f)
     pivot_set = set(pivots)
     free = [c for c in range(amb) if c not in pivot_set]
@@ -147,18 +144,16 @@ def relative_tensor(ext: ExtensionData) -> RelTensor:
 def _extension_idempotent_system(ext: ExtensionData, rel: RelTensor) -> AffineSystem:
     """Rows of m(e) = 1 and r·e = e·r in the quotient coordinates of e in R (x)_S R."""
     r = ext.big
-    f = r.field
-    nr = r.dim
-    m = r.mult
+    f, nr, m = r.field, r.dim, r.mult
     # quotient basis vector u is the class of e_a (x) e_b for the free column a*nr + b
-    x = {(*divmod(c, nr), u): f.one for u, c in enumerate(rel.free_cols)}
+    lift = {(*divmod(c, nr), u): f.one for u, c in enumerate(rel.free_cols)}
     # quotient coordinates k of the ambient basis vector e_a (x) e_b
     proj = {(*divmod(c, nr), k): v for (c, k), v in rel.projection.items()}
     # e_i·(e_a (x) e_b) - (e_a (x) e_b)·e_i, in R (x) R and then in the quotient
-    diff = difference(f, contract(f, "iak,abu->ikbu", m, x), contract(f, "bik,abu->iaku", m, x))
     return AffineSystem.conditions(
-        f, rel.dim, (contract(f, "abk,abu->ku", m, x), 1, r.unit, "m(e)=1"),
-        (contract(f, "ixyu,xyk->iku", diff, proj), 2, None, "bilinear"))
+        f, (rel.dim,), ("m(e)=1", [(1, "abk,abu,u->k", m, lift)], r.unit),
+        ("bilinear", [(1, "iay,abu,ybk,u->ik", m, lift, proj),
+                      (-1, "bix,abu,axk,u->ik", m, lift, proj)], None))
 
 
 def separable_extension(ext: ExtensionData) -> Optional[ExtensionIdempotent]:

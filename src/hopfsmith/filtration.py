@@ -50,8 +50,8 @@ def _trace_form_kernel(a: AlgebraData) -> list:
     m = a.mult
     # trace(L_{e_i e_j}) = sum_k m_ijk trace(L_{e_k}), and trace(L_{e_k}) = sum_d m_kdd
     traces = contract(f, "kdx,xd->k", m, identity(f, a.dim))
-    form = contract(f, "ijk,k->ij", m, traces)
-    return nullspace(AffineSystem.conditions(f, a.dim, (form, 1, None, "trace form")).matrix)
+    return nullspace(AffineSystem.conditions(
+        f, (a.dim,), ("trace form", [(1, "ijk,k,j->i", m, traces)], None)).matrix)
 
 
 def _mul_mod(x: list, y: list, q: int) -> list:
@@ -247,8 +247,8 @@ def _wedge(x: SubspaceBasis, py: dict, e: CoalgebraData) -> SubspaceBasis:
     px = quotient_maps(f, x)[0]
     if not px or not py:  # a zero quotient: X or Y is everything
         return SubspaceBasis(n, [_unitvec(f, n, i) for i in range(n)])
-    rows = contract(f, "pi,kij,qj->pqk", px, e.comult, py)
-    ker = nullspace(AffineSystem.conditions(f, n, (rows, 2, None, "wedge")).matrix)
+    ker = nullspace(AffineSystem.conditions(
+        f, (n,), ("wedge", [(1, "pi,kij,qj,k->pq", px, e.comult, py)], None)).matrix)
     return SubspaceBasis(n, ker)
 
 

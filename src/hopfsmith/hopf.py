@@ -259,8 +259,8 @@ class QuotientSplitting:
 
 def augmentation_ideal(h: HopfData) -> SubspaceBasis:
     """H^+ = ker(eps), dimension dim-1."""
-    eps = AffineSystem.conditions(h.field, h.dim, (h.coa.counit, 0, None, "counit")).matrix
-    return SubspaceBasis(h.dim, nullspace(eps))
+    eps = AffineSystem.conditions(h.field, (h.dim,), ("counit", [(1, "i,i->", h.coa.counit)], None))
+    return SubspaceBasis(h.dim, nullspace(eps.matrix))
 
 
 @functools.lru_cache(maxsize=64)

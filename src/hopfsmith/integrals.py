@@ -14,8 +14,8 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 from .hopf import AlgebraData, HopfData, SubspaceBasis
-from .linalg import (AffineSystem, contract, dense, difference, identity, nullspace,
-                     require_labels, solve_affine, sparse, spans_equal, unknowns)
+from .linalg import (AffineSystem, contract, dense, identity, nullspace, require_labels,
+                     solve_affine, sparse, spans_equal)
 from .yd import ACTIONS, COACTIONS, adjoint_action, adjoint_coaction
 
 
@@ -37,18 +37,16 @@ class SeparabilityCertificate:
     shape: tuple = ()       # (dim, dim^2), the matrix shape of theta
 
 
-def _integral_condition(h: HopfData, side: str, x: dict) -> dict:
-    """e_i t - eps(e_i) t, or t e_i - eps(e_i) t for the right side, on the
-    unknown vector t given by the identity tensor ``x``; rows (i, r)."""
-    f = h.field
-    lhs = contract(f, "ijr,ju->iru" if side == "left" else "jir,ju->iru", h.alg.mult, x)
-    return difference(f, lhs, contract(f, "i,ru->iru", h.coa.counit, x))
+def _integral_terms(h: HopfData, side: str) -> list:
+    """e_i t - eps(e_i) t, or t e_i - eps(e_i) t for the right side, in the
+    unknown vector t; rows (i, r)."""
+    return [(1, "ijr,j->ir" if side == "left" else "jir,j->ir", h.alg.mult),
+            (-1, "i,r->ir", h.coa.counit)]
 
 
 def _integral_system(h: HopfData, side: str) -> AffineSystem:
     """The rows whose solutions are the (left|right) integrals."""
-    cond = _integral_condition(h, side, unknowns(h.field, h.dim))
-    return AffineSystem.conditions(h.field, h.dim, (cond, 2, None, side))
+    return AffineSystem.conditions(h.field, (h.dim,), (side, _integral_terms(h, side), None))
 
 
 def integral_space(h: HopfData, side: str = "left", carrier: str = "in_h") -> SubspaceBasis:
@@ -102,16 +100,12 @@ def total_integral(h: HopfData, carrier: str = "in_h",
 def _ad_invariant_system(h: HopfData) -> AffineSystem:
     """Rows of (a) h_1 lam(h_2) = 1 lam(h), (b) lam(h|>x) = eps(h) lam(x) and
     (c) lam(1) = 1 in the values lam(e_j)."""
-    f = h.field
-    x = unknowns(f, h.dim)
     adl = adjoint_action(h, "adl").tensor
     return AffineSystem.conditions(
-        f, h.dim,
-        (difference(f, contract(f, "kij,ju->kiu", h.coa.comult, x),
-                    contract(f, "i,ku->kiu", h.alg.unit, x)), 2, None, "a"),
-        (difference(f, contract(f, "ktj,ju->ktu", adl, x),
-                    contract(f, "k,tu->ktu", h.coa.counit, x)), 2, None, "b"),
-        (contract(f, "j,ju->u", h.alg.unit, x), 0, {(): f.one}, "c"))
+        h.field, (h.dim,),
+        ("a", [(1, "kij,j->ki", h.coa.comult), (-1, "i,k->ki", h.alg.unit)], None),
+        ("b", [(1, "ktj,j->kt", adl), (-1, "k,t->kt", h.coa.counit)], None),
+        ("c", [(1, "j,j->", h.alg.unit)], {(): h.field.one}))
 
 
 def ad_invariant_integral(h: HopfData) -> Optional[IntegralCertificate]:
@@ -135,15 +129,11 @@ def _verify_ad_invariant(h: HopfData, lam: list, sys: Optional[AffineSystem] = N
 def ad_coinvariant_integral(h: HopfData) -> Optional[IntegralCertificate]:
     """The unique t with (a) ht = eps(h)t, (b) t_1 S(t_3) (x) t_2 = 1 (x) t,
     (c) eps(t) = 1; or None."""
-    f = h.field
-    x = unknowns(f, h.dim)
     rho = adjoint_coaction(h, "rho_l").tensor
     sys = AffineSystem.conditions(
-        f, h.dim,
-        (_integral_condition(h, "left", x), 2, None, "a"),
-        (difference(f, contract(f, "jik,ju->iku", rho, x),
-                    contract(f, "i,ku->iku", h.alg.unit, x)), 2, None, "b"),
-        (contract(f, "j,ju->u", h.coa.counit, x), 0, {(): f.one}, "c"))
+        h.field, (h.dim,), ("a", _integral_terms(h, "left"), None),
+        ("b", [(1, "jik,j->ik", rho), (-1, "i,k->ik", h.alg.unit)], None),
+        ("c", [(1, "j,j->", h.coa.counit)], {(): h.field.one}))
     sol = solve_affine(sys)
     if sol is None:
         return None
@@ -178,17 +168,13 @@ def four_coinvariance_flags(h: HopfData, t: list) -> dict:
 # ---------------------------------------------------------------------------
 
 def idempotent_system(a: AlgebraData) -> AffineSystem:
-    """The affine system for e in A (x) A with m(e) = 1 and (x (x) 1)e = e(1 (x) x),
-    unknown e_ij at i*n + j."""
-    f = a.field
+    """The affine system for e = sum e_ij e_i (x) e_j in A (x) A, an unknown of
+    shape (n, n), with m(e) = 1 and (x (x) 1)e = e(1 (x) x)."""
     m = a.mult
-    x = unknowns(f, a.dim, a.dim)
     # (e_x (x) 1) e - e (1 (x) e_x), components (p, q)
-    bilinear = difference(f, contract(f, "xip,iqu->xpqu", m, x),
-                          contract(f, "jxq,pju->xpqu", m, x))
     return AffineSystem.conditions(
-        f, a.dim * a.dim, (contract(f, "ijk,iju->ku", m, x), 1, a.unit, "m(e)=1"),
-        (bilinear, 3, None, "bilinear"))
+        a.field, (a.dim, a.dim), ("m(e)=1", [(1, "ijk,ij->k", m)], a.unit),
+        ("bilinear", [(1, "xip,iq->xpq", m), (-1, "jxq,pj->xpq", m)], None))
 
 
 def _blind_idempotent(sys: AffineSystem) -> bool:
@@ -217,20 +203,17 @@ def _verify_idempotent(h: HopfData, e: list, sys: Optional[AffineSystem] = None)
 
 def retraction_system(h: HopfData) -> AffineSystem:
     """The affine system for bicolinear theta: H (x) H -> H with theta∘Delta = id,
-    in the entries theta[k][(i, j)], unknown k*n^2 + i*n + j."""
+    in the entries theta[k][(i, j)], an unknown of shape (n, n, n)."""
     f = h.field
     n = h.dim
     d = h.coa.comult
-    x = unknowns(f, n, n, n)
-    delta_theta = contract(f, "kpq,kiju->ijpqu", d, x)
+    delta_theta = (-1, "kpq,kij->ijpq", d)
     # left colinearity: (id (x) theta)(Delta (x) id) = Delta∘theta on e_i (x) e_j,
     # right colinearity: (theta (x) id)(id (x) Delta) = Delta∘theta; components (p, q)
-    left = difference(f, contract(f, "ipa,qaju->ijpqu", d, x), delta_theta)
-    right = difference(f, contract(f, "jaq,piau->ijpqu", d, x), delta_theta)
     return AffineSystem.conditions(
-        f, n ** 3,
-        (contract(f, "kij,oiju->kou", d, x), 2, identity(f, n), "theta∘Delta=id"),
-        (left, 4, None, "bicolinear"), (right, 4, None, "bicolinear"))
+        f, (n, n, n), ("theta∘Delta=id", [(1, "kij,oij->ko", d)], identity(f, n)),
+        ("bicolinear", [(1, "ipa,qaj->ijpq", d), delta_theta], None),
+        ("bicolinear", [(1, "jaq,pia->ijpq", d), delta_theta], None))
 
 
 def _blind_retraction(sys: AffineSystem) -> bool:

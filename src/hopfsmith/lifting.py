@@ -22,11 +22,12 @@ a linear map g as ``(x, y)``, entry x of g(e_y).
   every stage map must satisfy g alpha_u = beta_u g.  The beta_u are checked
   to preserve the kernel filtration and are descended to each quotient.
 
-The conditions are labelled contractions (:meth:`AffineSystem.conditions`).
-The linear lift g: A -> E/I^{r+1} (unknown x * dim A + y) is ``projects``
-(p_r g is the previous stage), ``unital`` and ``equivariant``; the correction
-h: A -> I^r/I^{r+1} (unknown t * dim A + y) is ``coboundary``
-(a h(b) - h(ab) + h(a) b = c(a, b)) and ``equivariant``.
+The conditions are labelled sums of signed contractions on the unknown map
+(:meth:`AffineSystem.conditions`), whose shape is the map's (x, y) layout.
+The linear lift g: A -> E/I^{r+1}, of shape (dim E/I^{r+1}, dim A), is
+``projects`` (p_r g is the previous stage), ``unital`` and ``equivariant``; the
+correction h: A -> I^r/I^{r+1}, of shape (dim I^r/I^{r+1}, dim A), is
+``coboundary`` (a h(b) - h(ab) + h(a) b = c(a, b)) and ``equivariant``.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import Optional
 from .hopf import AlgebraData, HopfData, SubspaceBasis, curvature, dual_algebra
 from .linalg import (AffineSystem, SparseMat, contract, dense, difference, differing, identity,
                      in_coordinates, invert, nullspace, rank, require_keys, solve_affine, sparse,
-                     span_contains_span, spans_equal, unknowns)
+                     span_contains_span, spans_equal)
 from .filtration import (_is_two_sided_ideal, _quotient_algebra, ideal_powers,
                          coradical, is_subcoalgebra, wedge_filtration)
 
@@ -262,13 +263,12 @@ def _lift(p: SurjectionProblem, alpha: dict, beta: dict, equivariant: bool):
 def _solve_linear_lift(f, ncur: int, na: int, p_r: dict, prev: dict, u_a: dict, u_cur: dict,
                        alpha: dict, beta: dict, equivariant: bool) -> Optional[dict]:
     """Linear g: A -> Q_{r+1} with p_r g = prev, g(1) = 1 and g alpha_u = beta_u g."""
-    x = unknowns(f, ncur, na)
-    conds = [(contract(f, "ax,xyc->ayc", p_r, x), 2, prev, "projects"),
-             (contract(f, "y,xyc->xc", u_a, x), 1, u_cur, "unital")]
+    conds = [("projects", [(1, "ax,xy->ay", p_r)], prev),
+             ("unital", [(1, "y,xy->x", u_a)], u_cur)]
     if equivariant:
-        conds.append((difference(f, contract(f, "uty,xtc->uxyc", alpha, x),
-                                 contract(f, "uxt,tyc->uxyc", beta, x)), 3, None, "equivariant"))
-    sol = solve_affine(AffineSystem.conditions(f, ncur * na, *conds))
+        conds.append(("equivariant", [(1, "uty,xt->uxy", alpha), (-1, "uxt,ty->uxy", beta)],
+                      None))
+    sol = solve_affine(AffineSystem.conditions(f, (ncur, na), *conds))
     return None if sol is None else {divmod(c, na): v for c, v in enumerate(sol.particular) if v}
 
 
@@ -288,18 +288,13 @@ def _solve_coboundary(bim: Bimodule, c: dict, alpha: Optional[dict] = None,
     """h: A -> M, as (t, y), with a·h(b) - h(ab) + h(a)·b = c(a,b), c keyed (i, j, t);
     when ``equivariant``, also h alpha_u = beta_u h with beta keyed (u, s, t)."""
     a = bim.algebra
-    f = a.field
-    na = a.dim
-    left, right = bim.left, bim.right
-    x = unknowns(f, bim.dim, na)
-    delta = difference(f, contract(f, "ist,sjc->ijtc", left, x),
-                       difference(f, contract(f, "ijy,tyc->ijtc", a.mult, x),
-                                  contract(f, "jst,sic->ijtc", right, x)))
-    conds = [(delta, 3, c, "coboundary")]
+    f, na = a.field, a.dim
+    conds = [("coboundary", [(1, "ist,sj->ijt", bim.left), (-1, "ijy,ty->ijt", a.mult),
+                             (1, "jst,si->ijt", bim.right)], c)]
     if equivariant:
-        conds.append((difference(f, contract(f, "uzy,tzc->utyc", alpha, x),
-                                 contract(f, "ust,syc->utyc", beta, x)), 3, None, "equivariant"))
-    sol = solve_affine(AffineSystem.conditions(f, bim.dim * na, *conds))
+        conds.append(("equivariant", [(1, "uzy,tz->uty", alpha), (-1, "ust,sy->uty", beta)],
+                      None))
+    sol = solve_affine(AffineSystem.conditions(f, (bim.dim, na), *conds))
     return None if sol is None else {divmod(t, na): v for t, v in enumerate(sol.particular) if v}
 
 

@@ -32,9 +32,10 @@ every structure map: :func:`contract` evaluates an einsum-style spec such as
 to nested lists, for coordinate vectors and at the JSON edge; :func:`ordered`
 puts a tensor's entries in key order, the order ``sparse`` gives, and
 :func:`require_keys` rejects a key outside a declared shape.  A linear
-condition on an unknown map is a contraction with :func:`unknowns`, the
-identity tensor of the map's entries, and :meth:`AffineSystem.conditions`
-groups such contractions straight into labelled sparse rows.
+condition on an unknown map of a declared shape is a signed sum of
+contractions whose last operand is the unknown: :meth:`AffineSystem.conditions`
+contracts the known operands once and adds each entry, with its sign, straight
+into the labelled sparse row and column it names.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, prod
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Optional
 
 from .fields import FieldSpec
@@ -78,8 +79,9 @@ class SparseMat:
 class AffineSystem:
     """A · x = b with ``unknowns`` columns, A a :class:`SparseMat`.
 
-    ``labels``, when given, names for each row the condition it encodes, so a
-    candidate solution can be checked condition by condition (:func:`failed_labels`).
+    ``labels`` names for each row the condition it encodes, so a candidate
+    solution can be checked condition by condition (:func:`failed_labels`); it
+    defaults to the row indices.
     """
 
     matrix: SparseMat
@@ -94,28 +96,66 @@ class AffineSystem:
             raise ValueError("coefficient matrix width differs from unknown count")
         if len(self.rhs) != self.matrix.rows:
             raise ValueError("right-hand side length differs from row count")
-        if self.labels is not None and len(self.labels) != len(self.rhs):
+        if self.labels is None:
+            self.labels = list(range(len(self.rhs)))
+        if len(self.labels) != len(self.rhs):
             raise ValueError("label count differs from row count")
 
     @classmethod
-    def conditions(cls, field: FieldSpec, unknowns: int, *conds) -> "AffineSystem":
-        """A system from conditions ``(tensor, nrow, constant, label)``: ``tensor``
-        is keyed by ``nrow`` row indices and then the unknown, ``constant`` (a
-        sparse tensor on the row indices, or None) is the right-hand side.  A
-        condition whose rows all cancel keeps one empty row, so its label stays.
-        Each entry goes straight into its row as a ``(column, coefficient)``
-        pair: a contraction holds no zeros and no key twice."""
+    def conditions(cls, field: FieldSpec, shape: tuple, *conds) -> "AffineSystem":
+        """A system in the entries of an unknown map of the given ``shape``, taken
+        in row-major order as the unknowns.
+
+        A condition ``(label, terms, constant)`` states that the sum of its terms
+        equals ``constant``, a sparse tensor on the row indices or None.  A term
+        ``(sign, spec, *knowns)``, sign 1 or -1, is the contraction ``spec`` of the
+        known tensors and, as its last operand, the unknown; the output of ``spec``
+        names the row indices.  The knowns are contracted once onto the indices
+        that the rows and the unknown need, an unknown index that no known carries
+        runs over its range, and each entry goes with its sign straight into its
+        row and column.  Rows come in key order; a condition whose rows all cancel
+        keeps one empty row, so its label stays."""
+        p = field.characteristic
+        strides = [prod(shape[d + 1:]) for d in range(len(shape))]
+        columns = list(range(prod(shape)))  # one int object per column, shared by the rows
         rows, rhs, labels = [], [], []
-        for t, nrow, const, label in conds:
+        for label, terms, const in conds:
             const = const or {}
-            by_row = {}
-            for key, c in t.items():
-                by_row.setdefault(key[:nrow], []).append((key[nrow], c))
+            by_row = defaultdict(dict)
+            for sign, spec, *knowns in terms:
+                inputs, out = spec.split("->")
+                *names, var = inputs.split(",")
+                carried = set("".join(names))
+                idx = "".join(dict.fromkeys(c for c in out + var if c in carried))
+                spread = [c for c in var if c not in carried]
+                full = idx + "".join(spread)
+                if sign not in (1, -1) or len(names) != len(knowns) or len(var) != len(shape) \
+                        or len(set(var)) != len(var) or set(out) - set(full):
+                    raise ValueError(f"bad condition term {spec!r} on an unknown of shape {shape}")
+                t = contract(field, f"{','.join(names)}->{idx}", *knowns) if names \
+                    else {(): field.one}
+                row_of = _picker([full.index(c) for c in out])
+                steps = [(idx.index(c), s) for c, s in zip(var, strides) if c in carried]
+                spreads = [(b, sum(map(mul, b, (strides[var.index(c)] for c in spread))))
+                           for b in product(*(range(shape[var.index(c)]) for c in spread))]
+                for key, v in t.items():
+                    if sign < 0:
+                        v = p - v if p else -v
+                    base = sum(key[i] * s for i, s in steps)
+                    for b, off in spreads:
+                        row, col = by_row[row_of(key + b)], base + off
+                        if col not in row:
+                            row[columns[col]] = v
+                        elif w := (row[col] + v) % p if p else row[col] + v:
+                            row[col] = w
+                        else:  # the terms cancel here
+                            del row[col]
+            by_row = {k: list(r.items()) for k, r in by_row.items() if r}
             keys = sorted(by_row.keys() | const.keys()) or [None]
             rows += [by_row.get(k, []) for k in keys]
             rhs += [const.get(k, field.zero) for k in keys]
             labels += [label] * len(keys)
-        return cls(SparseMat(field, len(rows), unknowns, rows), rhs, unknowns, labels)
+        return cls(SparseMat(field, len(rows), len(columns), rows), rhs, len(columns), labels)
 
     def condition_labels(self) -> list:
         """The distinct row labels, in row order."""
@@ -149,7 +189,7 @@ def require_labels(sys: AffineSystem, x: list, what: str) -> list:
     raises ``AssertionError`` naming the violated conditions otherwise."""
     bad = failed_labels(sys, x)
     if bad:
-        raise AssertionError(f"{what} fails {', '.join(bad)}")
+        raise AssertionError(f"{what} fails {', '.join(map(str, bad))}")
     return sys.condition_labels()
 
 
@@ -418,12 +458,6 @@ def dense(field: FieldSpec, t: dict, shape: tuple) -> list:
             row = row[i]
         row[key[-1]] = v
     return out
-
-
-def unknowns(field: FieldSpec, *shape: int) -> dict:
-    """The identity tensor of a map's entries: key ``(*index, u)`` is 1, where u
-    is the row-major position of the index, the entry's unknown column."""
-    return {(*key, u): field.one for u, key in enumerate(product(*map(range, shape)))}
 
 
 def in_coordinates(field: FieldSpec, t: dict, basis: dict, coords: dict, what: str,

@@ -27,7 +27,7 @@ from typing import Optional
 
 from .fields import FieldSpec
 from .hopf import AlgebraData, CoalgebraData, HopfData, validated
-from .linalg import AffineSystem, contract, identity, solve_affine, sparse, unknowns
+from .linalg import AffineSystem, identity, solve_affine, sparse
 
 
 def json_lists(f: FieldSpec, t: dict, shape: tuple) -> list:
@@ -51,10 +51,10 @@ def hopf_to_dict(h: HopfData) -> dict:
 
 def _solve_unit(m: dict, f: FieldSpec, n: int) -> dict:
     """The unit u with sum_i u_i e_i·e_j = e_j = sum_i u_i e_j·e_i, rows (j, k)."""
-    x, one = unknowns(f, n), identity(f, n)
+    one = identity(f, n)
     sol = solve_affine(AffineSystem.conditions(
-        f, n, (contract(f, "ijk,iu->jku", m, x), 2, one, "left unit"),
-        (contract(f, "jik,iu->jku", m, x), 2, one, "right unit")))
+        f, (n,), ("left unit", [(1, "ijk,i->jk", m)], one),
+        ("right unit", [(1, "jik,i->jk", m)], one)))
     if sol is None:
         raise ValueError("multiplication tensor has no two-sided unit")
     return sparse(sol.particular)

@@ -25,8 +25,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .hopf import HopfData, QuotientSplitting, SubspaceBasis
-from .linalg import (AffineSystem, contract, dense, difference, failed_labels, in_coordinates,
-                     solve_affine, unknowns)
+from .linalg import AffineSystem, contract, dense, failed_labels, in_coordinates, solve_affine
 from .yd import h_bar_yd, h_plus_yd
 
 
@@ -78,19 +77,16 @@ def _accept(cert: SectionCertificate, verified: list, sys: AffineSystem) -> Sect
 
 def _fs_section_system(h: HopfData, yd, hp: SubspaceBasis, complete: bool) -> AffineSystem:
     """Rows of (i), (ii) and, when complete, (iii) in the entries of
-    tau(v_b) = sum T[i][a][b] e_i (x) v_a, unknown (i*m + a)*m + b."""
+    tau(v_b) = sum T[i][a][b] e_i (x) v_a, an unknown of shape (n, m, m)."""
     f = h.field
     n, m = h.dim, hp.dim
     mult = h.alg.mult
-    x = unknowns(f, n, m, m)
     basis, coords = hp.tensors(f)
     # (i) tau(e_j v_b) = (e_j (x) 1) tau(v_b), components (p, a); e_j v_b in H^+
-    # coordinates is the action tensor of the YD structure
-    cond_i = difference(f, contract(f, "jbc,pacu->jbpau", yd.action.tensor, x),
-                        contract(f, "jip,iabu->jbpau", mult, x))
-    # (ii) sum a_i b_i = x, components over H
-    cond_ii = contract(f, "xa,ixk,iabu->bku", basis, mult, x)
-    conds = [(cond_i, 4, None, "i"), (cond_ii, 2, contract(f, "kb->bk", basis), "ii")]
+    # coordinates is the action tensor of the YD structure.  (ii) sum a_i b_i = x,
+    # components over H
+    conds = [("i", [(1, "jbc,pac->jbpa", yd.action.tensor), (-1, "jip,iab->jbpa", mult)], None),
+             ("ii", [(1, "xa,ixk,iab->bk", basis, mult)], contract(f, "kb->bk", basis))]
     if complete:
         # (iii) the constant tensor a_1 b_1 S(a_3 b_3) (x) a_2 (x) b_2 for
         # e_i (x) v_a, Delta^2(e_i) = e_p (x) e_q (x) e_r, Delta^2(v_a) = e_x (x) e_y (x) e_z,
@@ -101,10 +97,9 @@ def _fs_section_system(h: HopfData, yd, hp: SubspaceBasis, complete: bool) -> Af
         theta_hp = in_coordinates(f, theta, basis, coords,
                                   "completeness tensor escaped H (x) H (x) H^+")
         # against x_1 S(x_3) (x) tau(x_2) = rho(v_b) with tau applied to its H^+ leg
-        cond_iii = difference(f, contract(f, "iawqd,iabu->bwqdu", theta_hp, x),
-                              contract(f, "bwc,qdcu->bwqdu", yd.coaction.tensor, x))
-        conds.append((cond_iii, 4, None, "iii"))
-    return AffineSystem.conditions(f, n * m * m, *conds)
+        conds.append(("iii", [(1, "iawqd,iab->bwqd", theta_hp),
+                              (-1, "bwc,qdc->bwqd", yd.coaction.tensor)], None))
+    return AffineSystem.conditions(f, (n, m, m), *conds)
 
 
 def find_fs_section(h: HopfData) -> Optional[SectionCertificate]:
@@ -155,29 +150,24 @@ def check_im_tau(h: HopfData, cert: SectionCertificate) -> bool:
 def _fs_retraction_system(h: HopfData, yd, split: QuotientSplitting,
                           complete: bool) -> AffineSystem:
     """Rows of (i), (ii) and, when complete, (iii) in the entries of
-    chi(e_i (x) vbar_a) = sum X[c][i][a] vbar_c, unknown (c*n + i)*m + a."""
+    chi(e_i (x) vbar_a) = sum X[c][i][a] vbar_c, an unknown of shape (m, n, m)."""
     f = h.field
-    n = h.dim
-    m = n - 1
-    d, mult = h.coa.comult, h.alg.mult
-    x = unknowns(f, m, n, m)
-    proj = split.projection
+    n, m = h.dim, h.dim - 1
+    d, mult, proj = h.coa.comult, h.alg.mult, split.projection
     # Hbar coaction tensor: rho(vbar_c) = sum R[c][w][d] e_w (x) vbar_d
-    # (i): for inputs (i, a), components (w, d)
-    cond_i = difference(f, contract(f, "cwd,ciau->iawdu", yd.coaction.tensor, x),
-                        contract(f, "iwq,dqau->iawdu", d, x))
-    # (ii): chi(x_1 (x) xbar_2) = xbar for x over the H basis
-    cond_ii = contract(f, "kij,dj,cidu->kcu", d, proj, x)
-    conds = [(cond_i, 4, None, "i"), (cond_ii, 2, contract(f, "ck->kc", proj), "ii")]
+    # (i): for inputs (i, a), components (w, d); (ii): chi(x_1 (x) xbar_2) = xbar
+    # for x over the H basis
+    conds = [("i", [(1, "cwd,cia->iawd", yd.coaction.tensor), (-1, "iwq,dqa->iawd", d)], None),
+             ("ii", [(1, "kij,dj,cid->kc", d, proj)], contract(f, "ck->kc", proj))]
     if complete:
         # (iii) chi[h1 e_i S(h4) (x) (h2 s(vbar_a) S(h3))bar] = h acting on chi(e_i (x) vbar_a),
         # Delta^3(e_h) = e_p (x) e_q (x) e_r (x) e_w
         anti = h.antipode
-        lhs = contract(f, "hpo,oqt,trw,pig,sw,gsI,qxG,xa,Sr,GSy,dy,cIdu->hiacu",
-                       d, d, d, mult, anti, mult, mult, split.section, anti, mult, proj, x)
-        rhs = contract(f, "hcC,ciau->hiaCu", yd.action.tensor, x)
-        conds.append((difference(f, lhs, rhs), 4, None, "iii"))
-    return AffineSystem.conditions(f, m * n * m, *conds)
+        conds.append(("iii", [
+            (1, "hpo,oqt,trw,pig,sw,gsI,qxG,xa,Sr,GSy,dy,cId->hiac",
+             d, d, d, mult, anti, mult, mult, split.section, anti, mult, proj),
+            (-1, "hcC,cia->hiaC", yd.action.tensor)], None))
+    return AffineSystem.conditions(f, (m, n, m), *conds)
 
 
 def find_fs_retraction(h: HopfData) -> Optional[SectionCertificate]:

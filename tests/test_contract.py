@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfsmith import FieldSpec
-from hopfsmith.linalg import (AffineSystem, SparseMat, contract, dense, in_coordinates, sparse,
-                             unknowns)
+from hopfsmith.linalg import AffineSystem, SparseMat, contract, dense, in_coordinates, sparse
+
+from test_loop_oracles import old_unknowns
 
 FIELDS = [FieldSpec(0), FieldSpec(2), FieldSpec(3), FieldSpec(7)]
 LETTERS = "abcde"
@@ -125,12 +126,13 @@ def test_sparse_and_dense_round_trip():
 
 def test_conditions_keep_the_label_of_a_cancelled_condition():
     f = FieldSpec(0)
-    x = unknowns(f, 2)
-    assert x == {(0, 0): 1, (1, 1): 1}
-    sys = AffineSystem.conditions(f, 2, (contract(f, "ju->u", x), 0, {(): f.one}, "sum"),
-                                  ({}, 2, None, "cancelled"))
-    assert sys.condition_labels() == ["sum", "cancelled"]
-    assert sys.matrix.data == [[(0, 1), (1, 1)], []] and sys.rhs == [1, 0]
+    t = {(0, 1): f.one, (1, 0): f.one}
+    # "sum" names only the unknown, so its index runs over the whole shape
+    sys = AffineSystem.conditions(f, (2,), ("sum", [(1, "j->")], {(): f.one}),
+                                  ("cancelled", [(1, "ij,j->i", t), (-1, "ij,j->i", t)], None),
+                                  ("empty", [], None))
+    assert sys.condition_labels() == ["sum", "cancelled", "empty"]
+    assert sys.matrix.data == [[(0, 1), (1, 1)], [], []] and sys.rhs == [1, 0, 0]
 
 
 def _dict_row_system(field, unknowns, *conds):
@@ -168,11 +170,30 @@ def condition_lists(draw):
     return field, width, conds
 
 
+@pytest.mark.parametrize("shape,term", [
+    ((2,), (2, "ij,j->i", {(0, 0): 1})),      # a sign other than 1 or -1
+    ((2,), (1, "ij,jk->i", {(0, 0): 1})),     # two unknown indices for a shape of one
+    ((2,), (1, "ij,j->ik", {(0, 0): 1})),     # a row index that no operand carries
+    ((2,), (1, "ij,j->i")),                   # a known operand missing
+    ((2, 2), (1, "jj->j")),                   # an unknown index named twice
+])
+def test_conditions_reject_a_malformed_term(shape, term):
+    with pytest.raises(ValueError):
+        AffineSystem.conditions(FieldSpec(5), shape, ("bad", [term], None))
+
+
+def _one_term(conds):
+    """Conditions ``(tensor, nrow, constant, label)`` as one-term conditions on a
+    vector unknown, the tensor's last index naming its entry."""
+    return [(label, [(1, f"{'ghi'[:nrow]}u,u->{'ghi'[:nrow]}", t)], const)
+            for t, nrow, const, label in conds]
+
+
 @settings(max_examples=200, deadline=None)
 @given(condition_lists())
 def test_conditions_rows_equal_the_dict_row_assembly(case):
     field, width, conds = case
-    got = AffineSystem.conditions(field, width, *conds)
+    got = AffineSystem.conditions(field, (width,), *_one_term(conds))
     want = _dict_row_system(field, width, *conds)
     assert got.matrix.data == want.matrix.data
     assert (got.rhs, got.labels) == (want.rhs, want.labels)
@@ -183,15 +204,18 @@ def test_conditions_rows_of_a_double_antipode_system():
     from hopfsmith.doubles import drinfeld_double
     double, _ = drinfeld_double(resolve_preset("sweedler", FieldSpec(3)))
     f, n = double.field, double.dim
-    d, m, x = double.coa.comult, double.alg.mult, unknowns(f, n, n)
+    d, m, x = double.coa.comult, double.alg.mult, old_unknowns(f, n, n)
     unit = contract(f, "K,t->Kt", double.coa.counit, double.alg.unit)
-    conds = [(contract(f, "KIJ,TJt,TIu->Ktu", d, m, x), 2, unit, "S(x1) x2"),
-             (contract(f, "KIJ,ITt,TJu->Ktu", d, m, x), 2, unit, "x1 S(x2)")]
-    got = AffineSystem.conditions(f, n * n, *conds)
-    want = _dict_row_system(f, n * n, *conds)
+    got = AffineSystem.conditions(f, (n, n), ("S(x1) x2", [(1, "KIJ,TJt,TI->Kt", d, m)], unit),
+                                  ("x1 S(x2)", [(1, "KIJ,ITt,TJ->Kt", d, m)], unit))
+    want = _dict_row_system(f, n * n,
+                            (contract(f, "KIJ,TJt,TIu->Ktu", d, m, x), 2, unit, "S(x1) x2"),
+                            (contract(f, "KIJ,ITt,TJu->Ktu", d, m, x), 2, unit, "x1 S(x2)"))
     assert len(got.rhs) == 2 * n * n
-    assert (got.matrix.data, got.rhs, got.labels) == \
-        (want.matrix.data, want.rhs, want.labels)
+    # the order of the pairs inside a row is unspecified; each column appears once
+    assert all(len({j for j, _ in r}) == len(r) for r in got.matrix.data)
+    assert ([sorted(r) for r in got.matrix.data], got.rhs, got.labels) == \
+        ([sorted(r) for r in want.matrix.data], want.rhs, want.labels)
 
 
 def test_in_coordinates_reads_the_span_and_rejects_what_escapes():

@@ -149,7 +149,7 @@ def test_prime_field_rank_nullity(seed):
 # ---------------------------------------------------------------------------
 
 from hopfsmith.fields import FieldSpec
-from hopfsmith.linalg import _rref, failed_labels
+from hopfsmith.linalg import _rref, failed_labels, require_labels
 from hopfsmith.linalg import dense as linalg_dense
 
 
@@ -464,6 +464,20 @@ def test_failed_labels_equals_row_by_row_evaluation(m, data):
                               if _row_value(f, row, x) != b))
     assert want
     assert failed_labels(AffineSystem(m.sparse(), rhs, labels=labels), x) == want
+
+
+def test_an_unlabelled_system_names_its_failing_rows():
+    """Built without labels, a system labels each row by its index, so the label
+    methods name the violated rows instead of failing."""
+    sys = AffineSystem(SparseMat(QQ, 2, 2, [[(0, Fraction(1))], [(1, Fraction(1, 2))]]),
+                       [Fraction(1), Fraction(3)])
+    assert sys.condition_labels() == [0, 1]
+    assert failed_labels(sys, [Fraction(1), Fraction(6)]) == []
+    assert failed_labels(sys, [Fraction(1), Fraction(0)]) == [1]
+    assert failed_labels(sys, [Fraction(0), Fraction(0)]) == [0, 1]
+    with pytest.raises(AssertionError, match="fails 0, 1"):
+        require_labels(sys, [Fraction(0), Fraction(0)], "x")
+    assert failed_labels(AffineSystem(SparseMat(GF(3), 1, 1, [[(0, 2)]]), [1]), [1]) == [0]
 
 
 @pytest.mark.parametrize("f", FIELDS)

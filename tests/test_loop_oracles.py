@@ -9,17 +9,31 @@ exactly, including on every single-entry corruption of the structure maps.
 The antipode of a Drinfeld double is the one cross-check by a different
 route instead of by loops: the closed form that ``drinfeld_double`` uses
 against the blind solve of both antipode axioms in all N^2 entries of S_D.
+
+Every linear system is checked against the route that ``AffineSystem.conditions``
+replaced: each condition contracted with the identity tensor of all the
+unknowns, the two sides subtracted with ``difference`` and the result grouped
+into rows by hand.  The systems must agree row for row.
 """
 
+import contextlib
 import copy
+import io
+from fractions import Fraction
+from itertools import product
+from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hopfsmith import FieldSpec, resolve_preset
-from hopfsmith.hopf import check_hopf
+from hopfsmith import (FieldSpec, cli, doubles, filtration, hopf, integrals, lifting,
+                       resolve_preset, serialize, smoothness)
+from hopfsmith.hopf import check_hopf, quotient_maps
 from hopfsmith.doubles import drinfeld_double
-from hopfsmith.linalg import AffineSystem, SparseMat, contract, dense, solve_affine, sparse, unknowns
-from hopfsmith.yd import ACTIONS, COACTIONS, adjoint_action, adjoint_coaction, check_yd, yd_on_h
+from hopfsmith.linalg import (AffineSystem, SparseMat, contract, dense, difference, identity,
+                              in_coordinates, solve_affine, sparse)
+from hopfsmith.yd import (ACTIONS, COACTIONS, adjoint_action, adjoint_coaction, check_yd,
+                          h_bar_yd, h_plus_yd, yd_on_h)
 
 from conftest import GRID
 
@@ -331,12 +345,11 @@ def blind_antipode(h):
     system in all N^2 entries of S, where entry (T, I) is the e_T coefficient of
     S(e_I), with S(x_1) x_2 = eps(x) 1 = x_1 S(x_2) as its rows."""
     f, n = h.field, h.dim
-    x = unknowns(f, n, n)
     unit = contract(f, "K,t->Kt", h.coa.counit, h.alg.unit)
     d, m = h.coa.comult, h.alg.mult
     sol = solve_affine(AffineSystem.conditions(
-        f, n * n, (contract(f, "KIJ,TJt,TIu->Ktu", d, m, x), 2, unit, "S(x1) x2"),
-        (contract(f, "KIJ,ITt,TJu->Ktu", d, m, x), 2, unit, "x1 S(x2)")))
+        f, (n, n), ("S(x1) x2", [(1, "KIJ,TJt,TI->Kt", d, m)], unit),
+        ("x1 S(x2)", [(1, "KIJ,ITt,TJ->Kt", d, m)], unit)))
     assert sol is not None and not sol.nullspace  # an antipode is unique when it exists
     return {divmod(c, n): v for c, v in enumerate(sol.particular) if v}
 
@@ -345,3 +358,357 @@ def blind_antipode(h):
 def test_double_antipode_formula_equals_the_blind_solve(spec, char, preset_cache):
     double, _ = drinfeld_double(preset_cache(spec, char))
     assert double.antipode == blind_antipode(double)
+
+
+# ---------------------------------------------------------------------------
+# Linear systems: the identity-tensor route that the assembler replaced
+# ---------------------------------------------------------------------------
+
+def old_unknowns(f, *shape):
+    """The identity tensor of a map's entries: key ``(*index, u)`` is 1, where u
+    is the row-major position of the index, the entry's unknown column."""
+    return {(*key, u): f.one for u, key in enumerate(product(*map(range, shape)))}
+
+
+def old_grouping(f, width, *conds):
+    """The rows of conditions ``(tensor, nrow, constant, label)``: ``tensor`` keyed
+    by ``nrow`` row indices and then the unknown, rows in key order, a condition
+    whose rows all cancel kept as one empty row.  Returned as ``_snapshot`` is."""
+    rows, rhs, labels = [], [], []
+    for t, nrow, const, label in conds:
+        const = const or {}
+        by_row = {}
+        for key, c in t.items():
+            by_row.setdefault(key[:nrow], []).append((key[nrow], c))
+        keys = sorted(by_row.keys() | const.keys()) or [None]
+        rows += [by_row.get(k, []) for k in keys]
+        rhs += [const.get(k, f.zero) for k in keys]
+        labels += [label] * len(keys)
+    return width, [sorted(r) for r in rows], rhs, labels
+
+
+def old_route(f, shape, *conds):
+    """New-form conditions ``(label, terms, constant)`` evaluated the old way: each
+    term contracted with the identity tensor of the unknowns (a fresh last index
+    Z), the terms combined by ``difference`` and the result grouped into rows."""
+    x = old_unknowns(f, *shape)
+    grouped = []
+    for label, terms, const in conds:
+        total, out = {}, ""
+        for sign, spec, *knowns in terms:
+            inputs, out = spec.split("->")
+            t = contract(f, f"{inputs}Z->{out}Z", *knowns, x)
+            total = difference(f, total, t if sign < 0 else difference(f, {}, t))
+        grouped.append((total, len(out), const, label))
+    return old_grouping(f, prod(shape), *grouped)
+
+
+def _snapshot(system):
+    """(unknowns, rows as sorted pairs, rhs, labels); each column at most once a row."""
+    assert all(len({j for j, _ in r}) == len(r) for r in system.matrix.data)
+    return (system.unknowns, [sorted(r) for r in system.matrix.data], list(system.rhs),
+            list(system.labels))
+
+
+def old_integral_condition(h, side, x):
+    f = h.field
+    lhs = contract(f, "ijr,ju->iru" if side == "left" else "jir,ju->iru", h.alg.mult, x)
+    return difference(f, lhs, contract(f, "i,ru->iru", h.coa.counit, x))
+
+
+def old_integral_system(h, side):
+    return old_grouping(h.field, h.dim,
+                        (old_integral_condition(h, side, old_unknowns(h.field, h.dim)), 2, None,
+                         side))
+
+
+def old_ad_invariant_system(h):
+    f = h.field
+    x = old_unknowns(f, h.dim)
+    adl = adjoint_action(h, "adl").tensor
+    return old_grouping(
+        f, h.dim,
+        (difference(f, contract(f, "kij,ju->kiu", h.coa.comult, x),
+                    contract(f, "i,ku->kiu", h.alg.unit, x)), 2, None, "a"),
+        (difference(f, contract(f, "ktj,ju->ktu", adl, x),
+                    contract(f, "k,tu->ktu", h.coa.counit, x)), 2, None, "b"),
+        (contract(f, "j,ju->u", h.alg.unit, x), 0, {(): f.one}, "c"))
+
+
+def old_ad_coinvariant_system(h):
+    f = h.field
+    x = old_unknowns(f, h.dim)
+    rho = adjoint_coaction(h, "rho_l").tensor
+    return old_grouping(
+        f, h.dim,
+        (old_integral_condition(h, "left", x), 2, None, "a"),
+        (difference(f, contract(f, "jik,ju->iku", rho, x),
+                    contract(f, "i,ku->iku", h.alg.unit, x)), 2, None, "b"),
+        (contract(f, "j,ju->u", h.coa.counit, x), 0, {(): f.one}, "c"))
+
+
+def old_idempotent_system(a):
+    f, m = a.field, a.mult
+    x = old_unknowns(f, a.dim, a.dim)
+    bilinear = difference(f, contract(f, "xip,iqu->xpqu", m, x),
+                          contract(f, "jxq,pju->xpqu", m, x))
+    return old_grouping(
+        f, a.dim * a.dim, (contract(f, "ijk,iju->ku", m, x), 1, a.unit, "m(e)=1"),
+        (bilinear, 3, None, "bilinear"))
+
+
+def old_retraction_system(h):
+    f, n, d = h.field, h.dim, h.coa.comult
+    x = old_unknowns(f, n, n, n)
+    delta_theta = contract(f, "kpq,kiju->ijpqu", d, x)
+    left = difference(f, contract(f, "ipa,qaju->ijpqu", d, x), delta_theta)
+    right = difference(f, contract(f, "jaq,piau->ijpqu", d, x), delta_theta)
+    return old_grouping(
+        f, n ** 3, (contract(f, "kij,oiju->kou", d, x), 2, identity(f, n), "theta∘Delta=id"),
+        (left, 4, None, "bicolinear"), (right, 4, None, "bicolinear"))
+
+
+def old_fs_section_system(h, yd, hp, complete):
+    f = h.field
+    n, m = h.dim, hp.dim
+    mult = h.alg.mult
+    x = old_unknowns(f, n, m, m)
+    basis, coords = hp.tensors(f)
+    cond_i = difference(f, contract(f, "jbc,pacu->jbpau", yd.action.tensor, x),
+                        contract(f, "jip,iabu->jbpau", mult, x))
+    cond_ii = contract(f, "xa,ixk,iabu->bku", basis, mult, x)
+    conds = [(cond_i, 4, None, "i"), (cond_ii, 2, contract(f, "kb->bk", basis), "ii")]
+    if complete:
+        d = h.coa.comult
+        theta = contract(f, "ipo,oqr,pxg,rzj,sj,gsw,kxl,lyz,ka->iawqy",
+                         d, d, mult, mult, h.antipode, mult, d, d, basis)
+        theta_hp = in_coordinates(f, theta, basis, coords, "escaped")
+        cond_iii = difference(f, contract(f, "iawqd,iabu->bwqdu", theta_hp, x),
+                              contract(f, "bwc,qdcu->bwqdu", yd.coaction.tensor, x))
+        conds.append((cond_iii, 4, None, "iii"))
+    return old_grouping(f, n * m * m, *conds)
+
+
+def old_fs_retraction_system(h, yd, split, complete):
+    f = h.field
+    n = h.dim
+    m = n - 1
+    d, mult = h.coa.comult, h.alg.mult
+    x = old_unknowns(f, m, n, m)
+    proj = split.projection
+    cond_i = difference(f, contract(f, "cwd,ciau->iawdu", yd.coaction.tensor, x),
+                        contract(f, "iwq,dqau->iawdu", d, x))
+    cond_ii = contract(f, "kij,dj,cidu->kcu", d, proj, x)
+    conds = [(cond_i, 4, None, "i"), (cond_ii, 2, contract(f, "ck->kc", proj), "ii")]
+    if complete:
+        anti = h.antipode
+        lhs = contract(f, "hpo,oqt,trw,pig,sw,gsI,qxG,xa,Sr,GSy,dy,cIdu->hiacu",
+                       d, d, d, mult, anti, mult, mult, split.section, anti, mult, proj, x)
+        rhs = contract(f, "hcC,ciau->hiaCu", yd.action.tensor, x)
+        conds.append((difference(f, lhs, rhs), 4, None, "iii"))
+    return old_grouping(f, m * n * m, *conds)
+
+
+def old_linear_lift_system(f, ncur, na, p_r, prev, u_a, u_cur, alpha, beta, equivariant):
+    x = old_unknowns(f, ncur, na)
+    conds = [(contract(f, "ax,xyc->ayc", p_r, x), 2, prev, "projects"),
+             (contract(f, "y,xyc->xc", u_a, x), 1, u_cur, "unital")]
+    if equivariant:
+        conds.append((difference(f, contract(f, "uty,xtc->uxyc", alpha, x),
+                                 contract(f, "uxt,tyc->uxyc", beta, x)), 3, None, "equivariant"))
+    return old_grouping(f, ncur * na, *conds)
+
+
+def old_coboundary_system(bim, c, alpha=None, beta=None, equivariant=False):
+    a = bim.algebra
+    f, na = a.field, a.dim
+    x = old_unknowns(f, bim.dim, na)
+    delta = difference(f, contract(f, "ist,sjc->ijtc", bim.left, x),
+                       difference(f, contract(f, "ijy,tyc->ijtc", a.mult, x),
+                                  contract(f, "jst,sic->ijtc", bim.right, x)))
+    conds = [(delta, 3, c, "coboundary")]
+    if equivariant:
+        conds.append((difference(f, contract(f, "uzy,tzc->utyc", alpha, x),
+                                 contract(f, "ust,syc->utyc", beta, x)), 3, None, "equivariant"))
+    return old_grouping(f, bim.dim * na, *conds)
+
+
+def old_relative_tensor_system(ext):
+    r = ext.big
+    f, nr = r.field, r.dim
+    m, emb, x = r.mult, ext.embedding, old_unknowns(f, nr, nr)
+    rel = difference(f, contract(f, "yc,iya,aju->ciju", emb, m, x),
+                     contract(f, "yc,yjb,ibu->ciju", emb, m, x))
+    return old_grouping(f, nr * nr, (rel, 3, None, "relation"))
+
+
+def old_extension_idempotent_system(ext, rel):
+    r = ext.big
+    f, nr, m = r.field, r.dim, r.mult
+    x = {(*divmod(c, nr), u): f.one for u, c in enumerate(rel.free_cols)}
+    proj = {(*divmod(c, nr), k): v for (c, k), v in rel.projection.items()}
+    diff = difference(f, contract(f, "iak,abu->ikbu", m, x), contract(f, "bik,abu->iaku", m, x))
+    return old_grouping(
+        f, rel.dim, (contract(f, "abk,abu->ku", m, x), 1, r.unit, "m(e)=1"),
+        (contract(f, "ixyu,xyk->iku", diff, proj), 2, None, "bilinear"))
+
+
+def old_unit_system(m, f, n):
+    x, one = old_unknowns(f, n), identity(f, n)
+    return old_grouping(f, n, (contract(f, "ijk,iu->jku", m, x), 2, one, "left unit"),
+                        (contract(f, "jik,iu->jku", m, x), 2, one, "right unit"))
+
+
+def old_trace_form_system(a):
+    f, m = a.field, a.mult
+    traces = contract(f, "kdx,xd->k", m, identity(f, a.dim))
+    form = contract(f, "ijk,k->ij", m, traces)
+    return old_grouping(f, a.dim, (form, 1, None, "trace form"))
+
+
+def old_wedge_system(x, py, e):
+    f = e.field
+    px = quotient_maps(f, x)[0]
+    if not px or not py:  # a zero quotient: the wedge is everything, and no rows are built
+        return None
+    rows = contract(f, "pi,kij,qj->pqk", px, e.comult, py)
+    return old_grouping(f, e.dim, (rows, 2, None, "wedge"))
+
+
+def old_counit_system(h):
+    return old_grouping(h.field, h.dim, (h.coa.counit, 0, None, "counit"))
+
+
+def _recording(monkeypatch, module, name):
+    """Wrap ``module.name``: each call appends ``(args, systems)``, the snapshots
+    of the systems that ``AffineSystem.conditions`` assembled inside the call
+    (taken at once, since ``relative_tensor`` eliminates its rows in place)."""
+    calls, active = [], []
+    build, inner = AffineSystem.conditions, getattr(module, name)
+
+    def conditions(*args):
+        system = build(*args)
+        if active:
+            active[-1].append(_snapshot(system))
+        return system
+
+    def wrapper(*args, **kwargs):
+        calls.append((args, []))
+        active.append(calls[-1][1])
+        try:
+            return inner(*args, **kwargs)
+        finally:
+            active.pop()
+
+    monkeypatch.setattr(AffineSystem, "conditions", staticmethod(conditions))
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("spec,char", GRID)
+def test_certificate_systems_equal_the_identity_tensor_route(spec, char, preset_cache,
+                                                            monkeypatch):
+    """Integral, ad-(co)invariant, idempotent, retraction and fs systems equal,
+    row for row, the route through the identity tensor and ``difference``."""
+    h = preset_cache(spec, char)
+    coinvariant = _recording(monkeypatch, integrals, "ad_coinvariant_integral")
+    integrals.ad_coinvariant_integral(h)
+    pairs = [(integrals._integral_system(h, side), old_integral_system(h, side))
+             for side in ("left", "right")]
+    pairs += [(integrals._ad_invariant_system(h), old_ad_invariant_system(h)),
+              (integrals.idempotent_system(h.alg), old_idempotent_system(h.alg)),
+              (integrals.retraction_system(h), old_retraction_system(h))]
+    pairs.append((coinvariant[0][1][0], old_ad_coinvariant_system(h)))
+    if h.dim > 1:
+        yd_plus, hp = h_plus_yd(h)
+        yd_bar, split = h_bar_yd(h)
+        for complete in (False, True):
+            pairs += [(smoothness._fs_section_system(h, yd_plus, hp, complete),
+                       old_fs_section_system(h, yd_plus, hp, complete)),
+                      (smoothness._fs_retraction_system(h, yd_bar, split, complete),
+                       old_fs_retraction_system(h, yd_bar, split, complete))]
+    for new, old in pairs:
+        assert (new if isinstance(new, tuple) else _snapshot(new)) == old
+
+
+@pytest.mark.parametrize("spec,char", GRID)
+def test_structure_systems_equal_the_identity_tensor_route(spec, char, preset_cache, monkeypatch):
+    """The linear-lift and coboundary systems of ``lift-section`` and
+    ``weak-projection``, the relative tensor and extension idempotent of D(H)
+    over H, the unit solve, the trace form, the wedge and the counit rows equal,
+    row for row, the route through the identity tensor and ``difference``."""
+    h = preset_cache(spec, char)
+    olds = {"_solve_linear_lift": (lifting, old_linear_lift_system),
+            "_solve_coboundary": (lifting, old_coboundary_system),
+            "relative_tensor": (doubles, old_relative_tensor_system),
+            "_solve_unit": (serialize, old_unit_system),
+            "_trace_form_kernel": (filtration, old_trace_form_system),
+            "_wedge": (filtration, old_wedge_system),
+            "augmentation_ideal": (hopf, old_counit_system)}
+    calls = {name: _recording(monkeypatch, module, name) for name, (module, _) in olds.items()}
+    where = ["--preset", spec, "--char", str(char)]
+    queries = [["lift-section"], ["lift-section", "--colinear"], ["weak-projection"],
+               ["weak-projection", "--bilinear"], ["wedge-filtration"], ["coradical"]]
+    if spec.startswith("group:C") and char:  # kC_{pn} -> kC_n has a nilpotent kernel over F_p
+        queries.append(["lift-section", "--problem", f"cyclic-cover:{char}"])
+    for argv in queries:  # the verdicts are checked elsewhere; here only the systems
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            cli.main(argv + where)
+    for bim in (lifting.regular_bimodule(h.alg), lifting.eps_bimodule(h)):
+        lifting.hochschild_coboundary_solve(h.alg, bim, {})
+    hopf.augmentation_ideal(h)
+    filtration._trace_form_kernel(h.alg)
+    serialize._solve_unit(h.alg.mult, h.field, h.dim)
+    _, ext = drinfeld_double(h)
+    rel = doubles.relative_tensor(ext)
+    assert _snapshot(doubles._extension_idempotent_system(ext, rel)) == \
+        old_extension_idempotent_system(ext, rel)
+    for name, (_, old) in olds.items():
+        assert calls[name], name
+        for args, systems in calls[name]:
+            assert systems == [s for s in [old(*args)] if s is not None], name
+
+
+@st.composite
+def signed_conditions(draw):
+    """Conditions on an unknown of random shape: random known tensors on random
+    index names, signs +-1, some terms repeated with the opposite sign so that
+    they cancel, and unknown indices that no known carries (broadcast)."""
+    field = draw(st.sampled_from([FieldSpec(0), FieldSpec(2), FieldSpec(3), FieldSpec(7)]))
+    shape = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    var = "abc"[:len(shape)]
+    sizes = {**dict(zip(var, shape)), "g": draw(st.integers(1, 3)), "h": draw(st.integers(1, 2)),
+             "k": draw(st.integers(1, 3))}
+    scalars = (st.integers(-3, 3).map(field.from_int) if field.characteristic else
+               st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)))
+
+    def tensor(name):
+        keys = st.tuples(*(st.integers(0, sizes[c] - 1) for c in name))
+        return {k: v for k, v in draw(st.dictionaries(keys, scalars, max_size=8)).items() if v}
+
+    conds = []
+    for label in draw(st.lists(st.sampled_from("xyz"), min_size=1, max_size=3)):
+        out = "".join(draw(st.permutations(var + "gh"))[:draw(st.integers(0, 3))])
+        terms = []
+        for _ in range(draw(st.integers(0, 3))):
+            names = ["".join(draw(st.permutations(var + "ghk"))[:draw(st.integers(1, 3))])
+                     for _ in range(draw(st.integers(0, 2)))]
+            missing = "".join(c for c in out if c not in var and c not in "".join(names))
+            names += [missing] if missing else []
+            spec = ",".join(names + [var]) + "->" + out
+            terms.append((draw(st.sampled_from([1, -1])), spec, *map(tensor, names)))
+            if draw(st.booleans()):
+                sign, spec, *knowns = terms[-1]
+                terms.append((-sign, spec, *knowns))
+        row = st.tuples(*(st.integers(0, sizes[c] - 1) for c in out))
+        const = draw(st.none() | st.dictionaries(row, scalars, max_size=3))
+        conds.append((label, draw(st.permutations(terms)), const))
+    return field, shape, conds
+
+
+@settings(max_examples=300, deadline=None)
+@given(signed_conditions())
+def test_assembled_rows_equal_the_identity_tensor_route(case):
+    field, shape, conds = case
+    assert _snapshot(AffineSystem.conditions(field, shape, *conds)) == \
+        old_route(field, shape, *conds)

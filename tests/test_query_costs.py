@@ -13,7 +13,7 @@ from hopfsmith import (FieldSpec, cli, doubles, filtration, hopf, integrals, lif
                        presets, resolve_preset, serialize, smoothness, yd)
 from hopfsmith.filtration import ideal_powers, is_nilpotent_ideal
 from hopfsmith.hopf import SubspaceBasis
-from hopfsmith.linalg import contract, dense, failed_labels, solve_affine, unknowns
+from hopfsmith.linalg import contract, dense, failed_labels, solve_affine
 from hopfsmith.lifting import SurjectionProblem, square_zero_extension
 
 from test_loop_oracles import _mul
@@ -88,8 +88,7 @@ def test_kernels_do_no_fraction_arithmetic_over_q(monkeypatch):
     f = h.field
     yd_plus, hp = yd.h_plus_yd(h)
     system = smoothness._fs_section_system(h, yd_plus, hp, False)
-    n, m = h.dim, hp.dim
-    x = unknowns(f, n, m, m)
+    m = hp.dim
     first = system.rhs.index(f.one)  # a row of (ii) that the zero vector violates
     wrong = [f.zero] * system.unknowns
     ops = {}
@@ -97,9 +96,9 @@ def test_kernels_do_no_fraction_arithmetic_over_q(monkeypatch):
                  "__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
         _count_calls(monkeypatch, Fraction, name, ops)
     sol = solve_affine(system)
-    # unknown (i*m + a)*m + b is the entry of tau(v_b) at e_i (x) v_a
+    # the unknown has shape (n, m, m): entry (i, a, b) is tau(v_b) at e_i (x) v_a
     tau = {(u // (m * m), u // m % m, u % m): v for u, v in enumerate(sol.particular) if v}
-    images = contract(f, "jip,iabu->jbpau", h.alg.mult, x)
+    images = contract(f, "jip,iab->jbpa", h.alg.mult, tau)
     counit = contract(f, "iab,i->ab", tau, h.coa.counit)
     passed, failed = failed_labels(system, sol.particular), failed_labels(system, wrong)
     assert sum(ops.values()) == 0, ops
@@ -108,6 +107,21 @@ def test_kernels_do_no_fraction_arithmetic_over_q(monkeypatch):
     assert system.labels[first] in failed
     assert images and not counit  # tau lands in H^+ (x) H^+
     assert max(v.denominator for v in sol.particular) > 1
+
+
+@pytest.mark.parametrize("spec,char", [("group:Q8", 0), ("taft:3:2", 7)])
+def test_fs_section_assembly_subtracts_no_field_elements(monkeypatch, spec, char):
+    """The signed terms of a condition go straight into its rows: assembling the
+    fs-section system (plain and complete) makes no ``FieldSpec.sub`` call, where
+    subtracting two contracted tensors entry by entry made one per entry."""
+    h = resolve_preset(spec, FieldSpec(char))
+    yd_plus, hp = yd.h_plus_yd(h)
+    calls = {}
+    _count_calls(monkeypatch, FieldSpec, "sub", calls)
+    systems = [smoothness._fs_section_system(h, yd_plus, hp, complete)
+               for complete in (False, True)]
+    assert calls.get("sub", 0) == 0
+    assert all(len(s.rhs) > 1000 for s in systems)
 
 
 def test_double_separable_query_never_densifies_the_double(monkeypatch):
