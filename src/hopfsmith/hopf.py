@@ -28,7 +28,12 @@ Conventions, fixed once for the whole package:
   complement (:func:`quotient_maps`) is the pivot columns of one elimination.
 
 Constructions (duals, op/cop) are re-validated through the axiom checker; a
-failed report raises rather than returning a silently broken object.
+failed report raises rather than returning a silently broken object.  Every
+Hopf algebra a query builds is checked exactly once: a constructor that builds
+on an intermediate structure skips the intermediate's check (``validate=False``)
+and checks only what it returns, and ``check-axioms`` loads its input unchecked
+and reports the one check.  H* is never built to read its integrals: they are
+solved on H's own comultiplication and unit (:func:`integrals.integral_space`).
 """
 
 from __future__ import annotations
@@ -154,9 +159,10 @@ def curvature(f: FieldSpec, m_src: dict, m_tgt: dict, g: dict) -> dict:
 
 def _check(width: int, *pairs) -> AxiomCheck:
     """Whether every pair of tensors agrees; the witness is the least index
-    prefix of length ``width`` on which a pair differs."""
-    bad = set().union(*(differing(lhs, rhs, width) for lhs, rhs in pairs))
-    return AxiomCheck(not bad, min(bad) if bad else None)
+    prefix of length ``width`` on which a pair differs, collected only then."""
+    if all(lhs == rhs for lhs, rhs in pairs):
+        return AxiomCheck(True)
+    return AxiomCheck(False, min(set().union(*(differing(lhs, rhs, width) for lhs, rhs in pairs))))
 
 
 def check_algebra(a: AlgebraData) -> AxiomReport:
@@ -185,12 +191,12 @@ def check_hopf(h: HopfData) -> AxiomReport:
     checks = {**check_algebra(h.alg).checks, **check_coalgebra(h.coa).checks}
 
     # bialgebra compatibility: Delta and eps are algebra maps
-    bad_delta = differing(contract(f, "ijk,kpq->ijpq", m, d),
-                          contract(f, "iac,abp,jbd,cdq->ijpq", d, m, d, m), 2)
-    bad = bad_delta | differing(contract(f, "ijk,k->ij", m, e), contract(f, "i,j->ij", e, e), 2)
+    delta = (contract(f, "ijk,kpq->ijpq", m, d), contract(f, "iac,abp,jbd,cdq->ijpq", d, m, d, m))
+    eps = (contract(f, "ijk,k->ij", m, e), contract(f, "i,j->ij", e, e))
     witness = None
-    if bad:
-        first = min(bad)
+    if delta[0] != delta[1] or eps[0] != eps[1]:
+        bad_delta = differing(*delta, 2)
+        first = min(bad_delta | differing(*eps, 2))
         witness = first + ("delta" if first in bad_delta else "eps",)
     elif contract(f, "k,kab->ab", u, d) != contract(f, "a,b->ab", u, u):
         witness = ("unit", "delta")

@@ -37,35 +37,44 @@ class SeparabilityCertificate:
     shape: tuple = ()       # (dim, dim^2), the matrix shape of theta
 
 
-def _integral_terms(h: HopfData, side: str) -> list:
+def _integral_terms(h: HopfData, side: str, carrier: str = "in_h") -> list:
     """e_i t - eps(e_i) t, or t e_i - eps(e_i) t for the right side, in the
-    unknown vector t; rows (i, r)."""
-    return [(1, "ijr,j->ir" if side == "left" else "jir,j->ir", h.alg.mult),
-            (-1, "i,r->ir", h.coa.counit)]
+    unknown vector t; rows (i, r).  In H*, f_i f_j = sum_r Delta_rij f_r and eps(f) = f(1)."""
+    left = side == "left"
+    if carrier == "in_h":
+        return [(1, "ijr,j->ir" if left else "jir,j->ir", h.alg.mult),
+                (-1, "i,r->ir", h.coa.counit)]
+    return [(1, "rij,j->ir" if left else "rji,j->ir", h.coa.comult),
+            (-1, "i,r->ir", h.alg.unit)]
 
 
-def _integral_system(h: HopfData, side: str) -> AffineSystem:
-    """The rows whose solutions are the (left|right) integrals."""
-    return AffineSystem.conditions(h.field, (h.dim,), (side, _integral_terms(h, side), None))
+def _integral_system(h: HopfData, side: str, carrier: str = "in_h") -> AffineSystem:
+    """The rows whose solutions are the (left|right) integrals in H or in H*."""
+    return AffineSystem.conditions(h.field, (h.dim,),
+                                   (side, _integral_terms(h, side, carrier), None))
 
 
 def integral_space(h: HopfData, side: str = "left", carrier: str = "in_h") -> SubspaceBasis:
-    """Basis of the space of (left|right) integrals in H or in H*."""
+    """Basis of the space of (left|right) integrals in H or in H*.
+
+    An integral in H* is an integral of the dual Hopf algebra, whose product
+    and counit are H's comultiplication (transposed) and unit; the H* system is
+    stated on those two tensors of H, in the coordinates of the dual basis, so
+    H* is never built."""
     if carrier not in ("in_h", "in_dual"):
         raise ValueError(f"carrier must be in_h or in_dual, got {carrier!r}")
     if side not in ("left", "right"):
         raise ValueError(f"side must be left or right, got {side!r}")
-    from .hopf import dual_hopf
-    target = h if carrier == "in_h" else dual_hopf(h)
-    sys = _integral_system(target, side)
+    sys = _integral_system(h, side, carrier)
     basis = SubspaceBasis(h.dim, nullspace(sys.matrix))
-    _verify_integral_space(target, basis, side, sys)
+    _verify_integral_space(h, basis, side, sys)
     return basis
 
 
 def _verify_integral_space(h: HopfData, basis: SubspaceBasis, side: str,
                            sys: Optional[AffineSystem] = None):
-    """Check every basis vector against the rows h t = eps(h) t (or t h = eps(h) t)."""
+    """Check every basis vector against the rows of ``sys``, by default those
+    of h t = eps(h) t (or t h = eps(h) t) in H."""
     sys = sys or _integral_system(h, side)
     for t in basis.vectors:
         require_labels(sys, t, "integral space vector")

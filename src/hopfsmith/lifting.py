@@ -246,7 +246,9 @@ def _lift(p: SurjectionProblem, alpha: dict, beta: dict, equivariant: bool):
         if h is None:
             return LiftObstruction(r, curv, True, "curvature class is not a coboundary",
                                    (na, na, mdim))
-        corrected = difference(f, g, contract(f, "xt,ty->xy", w, h))
+        # g + h has curvature c - (a h(b) - h(ab) + h(a) b) = 0, as h(a) h(b) lies in I^2r = 0
+        minus_w = {k: f.neg(v) for k, v in w.items()}
+        corrected = difference(f, g, contract(f, "xt,ty->xy", minus_w, h))
         _assert_stage(f, m_a, m_cur, p_r, stage, corrected, alpha, beta_r)
         stage = corrected
         stages.append(stage)

@@ -3,7 +3,9 @@
 Group presets are driven by Cayley tables (``table[i][j]`` = index of the
 product).  Each constructor writes the nonzero structure constants straight
 into the sparse tensors of :mod:`hopf` and ends in the axiom checker, so a bad
-table or an inadmissible parameter fails loudly.
+table or an inadmissible parameter fails loudly.  ``validate=False`` skips
+that one check, for a caller that checks the result itself (``check-axioms``
+reports it, and k^G checks the dual of an unchecked kG once).
 """
 
 from __future__ import annotations
@@ -110,7 +112,8 @@ def group_inverse(table: list, identity: int, i: int) -> int:
 # Presets
 # ---------------------------------------------------------------------------
 
-def preset_group_algebra(table: list, field: FieldSpec, names=None) -> HopfData:
+def preset_group_algebra(table: list, field: FieldSpec, names=None,
+                         validate: bool = True) -> HopfData:
     """KG with Delta(g) = g(x)g, eps(g) = 1, S(g) = g^{-1}."""
     identity = check_group_table(table)
     n = len(table)
@@ -120,20 +123,19 @@ def preset_group_algebra(table: list, field: FieldSpec, names=None) -> HopfData:
     comult = {(i, i, i): o for i in range(n)}
     s = {(group_inverse(table, identity, i), i): o for i in range(n)}
     basis = names or [f"g{i}" for i in range(n)]
-    return validated(HopfData(AlgebraData(f, n, mult, {(identity,): o}),
-                              CoalgebraData(f, n, comult, {(i,): o for i in range(n)}),
-                              s, None, basis))
+    out = HopfData(AlgebraData(f, n, mult, {(identity,): o}),
+                   CoalgebraData(f, n, comult, {(i,): o for i in range(n)}), s, None, basis)
+    return validated(out) if validate else out
 
 
-def preset_function_algebra(table: list, field: FieldSpec) -> HopfData:
-    """K^G, realized as the dual of the group algebra."""
-    kg = preset_group_algebra(table, field)
-    out = dual_hopf(kg)
+def preset_function_algebra(table: list, field: FieldSpec, validate: bool = True) -> HopfData:
+    """K^G, realized as the dual of the group algebra; only K^G is checked."""
+    out = dual_hopf(preset_group_algebra(table, field, validate=False), validate)
     out.basis = [f"d{i}" for i in range(len(table))]
     return out
 
 
-def preset_sweedler(field: FieldSpec) -> HopfData:
+def preset_sweedler(field: FieldSpec, validate: bool = True) -> HopfData:
     """The 4-dimensional Sweedler algebra on basis {1, g, x, gx}.
 
     Relations g^2 = 1, x^2 = 0, xg = -gx; Delta(g) = g(x)g,
@@ -161,12 +163,13 @@ def preset_sweedler(field: FieldSpec) -> HopfData:
     s = {(E, E): o, (G, G): o,
          (GX, X): m,   # S(x) = -gx
          (X, GX): o}   # S(gx) = S(x)S(g) = -gx·g = x
-    return validated(HopfData(AlgebraData(f, 4, mult, {(E,): o}),
-                              CoalgebraData(f, 4, comult, {(E,): o, (G,): o}), s, None,
-                              ["1", "g", "x", "gx"]))
+    out = HopfData(AlgebraData(f, 4, mult, {(E,): o}),
+                   CoalgebraData(f, 4, comult, {(E,): o, (G,): o}), s, None,
+                   ["1", "g", "x", "gx"])
+    return validated(out) if validate else out
 
 
-def preset_taft(n: int, q: Scalar, field: FieldSpec) -> HopfData:
+def preset_taft(n: int, q: Scalar, field: FieldSpec, validate: bool = True) -> HopfData:
     """Taft algebra of dimension n^2: g^n = 1, x^n = 0, xg = q·gx.
 
     Basis g^a x^b at index b*n + a; q must be a primitive n-th root of unity.
@@ -237,29 +240,31 @@ def preset_taft(n: int, q: Scalar, field: FieldSpec) -> HopfData:
         return (ga + xb) or "1"
 
     names = [_nm(a, b) for b in range(n) for a in range(n)]
-    return validated(HopfData(alg, CoalgebraData(f, dim, comult, counit), s, None, names))
+    out = HopfData(alg, CoalgebraData(f, dim, comult, counit), s, None, names)
+    return validated(out) if validate else out
 
 
 # ---------------------------------------------------------------------------
 # Preset resolution for the CLI and tests
 # ---------------------------------------------------------------------------
 
-def resolve_preset(spec: str, field: FieldSpec) -> HopfData:
-    """Build a preset from a name like group:C3, functions:S3, sweedler, taft:3:2."""
+def resolve_preset(spec: str, field: FieldSpec, validate: bool = True) -> HopfData:
+    """Build a preset from a name like group:C3, functions:S3, sweedler, taft:3:2;
+    ``validate=False`` skips its axiom check, as in :func:`serialize.hopf_from_dict`."""
     parts = spec.split(":")
     kind = parts[0]
     if kind == "group" and len(parts) == 2:
         name = parts[1]
         if name not in GROUP_TABLES:
             raise ValueError(f"unknown group {name!r}; have {sorted(GROUP_TABLES)}")
-        return preset_group_algebra(GROUP_TABLES[name](), field)
+        return preset_group_algebra(GROUP_TABLES[name](), field, validate=validate)
     if kind == "functions" and len(parts) == 2:
         name = parts[1]
         if name not in GROUP_TABLES:
             raise ValueError(f"unknown group {name!r}; have {sorted(GROUP_TABLES)}")
-        return preset_function_algebra(GROUP_TABLES[name](), field)
+        return preset_function_algebra(GROUP_TABLES[name](), field, validate)
     if kind == "sweedler" and len(parts) == 1:
-        return preset_sweedler(field)
+        return preset_sweedler(field, validate)
     if kind == "taft" and len(parts) == 3:
-        return preset_taft(int(parts[1]), field.parse(parts[2]), field)
+        return preset_taft(int(parts[1]), field.parse(parts[2]), field, validate)
     raise ValueError(f"cannot parse preset spec {spec!r}")

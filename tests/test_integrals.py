@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from hopfsmith import GF, QQ, FieldSpec, dual_hopf, resolve_preset
+from hopfsmith import GF, QQ, FieldSpec, dual_hopf, integrals, resolve_preset
 from hopfsmith.integrals import (ad_coinvariant_integral, ad_invariant_integral,
                                  coseparability_retraction, four_coinvariance_flags,
                                  four_linearity_flags, integral_space, is_unimodular,
@@ -76,6 +76,19 @@ def test_ad_invariant_for_group_algebras(preset_cache):
 def test_ad_invariant_missing_for_sweedler():
     assert ad_invariant_integral(preset_sweedler(QQ)) is None
     assert ad_invariant_integral(preset_sweedler(GF(5))) is None
+
+
+@pytest.mark.parametrize("spec,char", GRID)
+def test_dual_integral_systems_are_stated_on_the_tensors_of_h(spec, char, preset_cache):
+    """The H* integral systems, read off H's comultiplication and unit, equal row
+    for row the integral systems of the dual Hopf algebra built as an object
+    (the old route, kept here as the oracle), and so do their nullspaces."""
+    h = preset_cache(spec, char)
+    hstar = dual_hopf(h, validate=False)
+    for side in ("left", "right"):
+        system = integrals._integral_system(h, side, "in_dual")
+        assert system == integrals._integral_system(hstar, side), (spec, char, side)
+        assert integral_space(h, side, "in_dual") == integral_space(hstar, side, "in_h")
 
 
 def test_ad_invariant_solution_space_is_at_most_one_dimensional(preset_cache):

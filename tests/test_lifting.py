@@ -1,15 +1,17 @@
+import json
 from fractions import Fraction
 
 import pytest
 
-from hopfsmith import GF, QQ, FieldSpec, resolve_preset
+from hopfsmith import GF, QQ, FieldSpec, cli, resolve_preset
+from hopfsmith.hopf import curvature
 from hopfsmith.lifting import (Bimodule, LiftCertificate, LiftObstruction,
                                SurjectionProblem, WeakProjectionCertificate,
                                _is_two_cocycle, cyclic_cover_problem, eps_bimodule,
                                hochschild_coboundary_solve, lift_algebra_section,
                                regular_bimodule, square_zero_extension,
                                weak_projection)
-from hopfsmith.linalg import dense, identity, nullspace, rank, sparse
+from hopfsmith.linalg import contract, dense, identity, nullspace, rank, sparse
 from hopfsmith.presets import preset_sweedler
 
 from conftest import F
@@ -231,3 +233,44 @@ def test_bimodule_validation():
     bad = Bimodule(h.alg, 2, {}, bim.right)
     with pytest.raises(ValueError):
         bad.check()
+
+
+@pytest.mark.parametrize("char", [3, 5])
+def test_cyclic_cover_of_c2_lifts_in_odd_characteristic(char, capsys):
+    """kC_{2p} -> kC2 over F_p, p odd: kC2 is separable there, so a section
+    exists.  The coboundary h solves a h(b) - h(ab) + h(a) b = c, so each stage
+    is corrected to g + h; g - h would carry the curvature 2c, nonzero for odd p."""
+    argv = ["lift-section", "--problem", f"cyclic-cover:{char}", "--preset", "group:C2",
+            "--char", str(char)]
+    assert cli.main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["lifted"] and report["certificate"]["algebra_map"]
+    # the final section, read back from the report, splits pi and is a unital algebra map
+    f = GF(char)
+    prob = cyclic_cover_problem(2, char, f)
+    sigma = sparse(report["certificate"]["final"])
+    assert contract(f, "ax,xy->ay", prob.pi, sigma) == identity(f, 2)
+    assert curvature(f, prob.a.mult, prob.e.mult, sigma) == {}
+    assert contract(f, "xy,y->x", sigma, prob.a.unit) == prob.e.unit
+    assert isinstance(lift_algebra_section(prob), LiftCertificate)
+
+
+@pytest.mark.parametrize("n,char,witness", [
+    (2, 2, [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]),
+    (3, 3, [[[0, 0, 0], [0, 0, 0], [0, 0, 0]], [[0, 0, 0], [0, 0, 0], [2, 0, 0]],
+            [[0, 0, 0], [2, 0, 0], [0, 2, 0]]]),
+    (4, 2, [[[0] * 4] * 4, [[0] * 4] * 3 + [[1, 0, 0, 0]],
+            [[0] * 4] * 2 + [[1, 0, 0, 0], [0, 1, 0, 0]],
+            [[0] * 4, [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]]),
+])
+def test_cyclic_cover_obstructions_keep_their_reports(n, char, witness, capsys):
+    """kC_{pn} -> kC_n over F_p with p dividing n: kC_n is not separable and the
+    first stage's curvature class is not a coboundary; the witness is c(a_i, a_j)
+    in I/I^2."""
+    argv = ["lift-section", "--problem", f"cyclic-cover:{char}", "--preset", f"group:C{n}",
+            "--char", str(char)]
+    assert cli.main(argv) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "lift-section", "lifted": False,
+        "obstruction": {"delta_closed": True, "reason": "curvature class is not a coboundary",
+                        "stage": 1, "type": "lift_obstruction", "witness": witness}}

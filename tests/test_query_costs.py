@@ -39,8 +39,63 @@ def test_integrals_query_builds_each_space_and_the_dual_once(monkeypatch):
     counted(integrals, "integral_space")
     counted(hopf, "check_hopf")
     assert _quiet(["integrals", "--preset", "sweedler"]) == 0
-    # left and right, in H and in H*; one check for the preset and one for H*
-    assert calls == {"integral_space": 4, "check_hopf": 2}
+    # left and right, in H and in H*; one check for the preset, and H* is never built
+    assert calls == {"integral_space": 4, "check_hopf": 1}
+
+
+def _recorded_checks(monkeypatch) -> list:
+    """Rebind ``check_hopf`` in every module of the package that binds it to a
+    wrapper recording the dimension of each structure it checks."""
+    inner, dims = hopf.check_hopf, []
+
+    def wrapper(h):
+        dims.append(h.dim)
+        return inner(h)
+
+    for module in (cli, doubles, filtration, hopf, integrals, lifting, linalg, presets,
+                   serialize, smoothness, yd):
+        if getattr(module, "check_hopf", None) is inner:
+            monkeypatch.setattr(module, "check_hopf", wrapper)
+    return dims
+
+
+@pytest.mark.parametrize("preset,char,coradical", [
+    ("sweedler", 0, 2), ("functions:S3", 2, None), ("taft:3:2", 7, 3)])
+@pytest.mark.parametrize("command", [c for c in cli.SUBCOMMANDS if c != "truth-table"])
+def test_each_hopf_algebra_a_query_builds_is_checked_once(monkeypatch, command, preset, char,
+                                                          coradical):
+    """The input is checked once, D(H) once more for the double queries and the
+    coradical sub-Hopf algebra once more for ``weak-projection``; H* is never
+    built.  On k^S3 over F_2 the coradical is not a subalgebra, so
+    ``weak-projection`` stops (exit 2) before it builds one."""
+    h = resolve_preset(preset, FieldSpec(char))
+    dims = _recorded_checks(monkeypatch)
+    with contextlib.redirect_stderr(io.StringIO()):
+        code = _quiet([command, "--preset", preset, "--char", str(char)])
+    expected = [h.dim]
+    if command in ("double", "double-separable"):
+        expected.append(h.dim ** 2)
+    if command == "weak-projection":
+        expected += [coradical] if coradical else []
+        assert code == (0 if coradical else 2)
+    assert dims == expected
+
+
+def test_check_axioms_reports_one_check_on_a_preset_and_on_its_file(monkeypatch, tmp_path,
+                                                                     capsys):
+    """``check-axioms`` loads its input unchecked and reports the one check it
+    runs, whether the structure comes from a preset or from a file."""
+    path = tmp_path / "taft.json"
+    path.write_text(serialize.hopf_to_json(resolve_preset("taft:3:2", FieldSpec(7))))
+    dims = _recorded_checks(monkeypatch)
+    reports = []
+    for source in (["--preset", "taft:3:2", "--char", "7"], ["--file", str(path)]):
+        dims.clear()
+        assert cli.main(["check-axioms", *source]) == 0
+        reports.append(capsys.readouterr().out)
+        assert dims == [9]
+    assert reports[0] == reports[1]
+    assert '"all_ok": true' in reports[0]
 
 
 def _count_calls(monkeypatch, module, name, calls, keep=lambda *args: True):
