@@ -15,7 +15,7 @@ import sys
 from itertools import chain
 
 from .fields import FieldSpec
-from .hopf import HopfData, SubspaceBasis, _shared_completion, check_hopf, sub_hopf_on_subspace
+from .hopf import HopfData, _shared_completion, check_hopf, sub_hopf_on_subspace, unit_line
 from .presets import NotAGroupError, resolve_preset
 from . import integrals as integ
 from . import smoothness as smo
@@ -134,7 +134,7 @@ def cmd_integrals(args) -> int:
     # integrals in H* are read off H's own tensors; the dual is never built
     for carrier in ("in_h", "in_dual"):
         spaces = {side: integ.integral_space(h, side, carrier) for side in ("left", "right")}
-        block = {side: {"dim": sp.dim, "basis": [[f.to_json(x) for x in v] for v in sp.vectors]}
+        block = {side: {"dim": sp.dim, "basis": ser.vector_lists(f, sp)}
                  for side, sp in spaces.items()}
         tot = integ.total_integral(h, carrier, spaces["left"])
         block["total"] = None if tot is None else ser.integral_to_dict(f, tot)
@@ -178,7 +178,7 @@ def cmd_double_separable(args) -> int:
               "ad_invariant_exists": adinv is not None, "routes_agree": True}
     if cert is not None:
         f = h.field
-        report["idempotent_quotient_coords"] = [f.to_json(x) for x in cert.quotient_coords]
+        report["idempotent_quotient_coords"] = ser.json_lists(f, cert.quotient_coords, (cert.dim,))
     _emit(report, args)
     return 0 if cert is not None else 1
 
@@ -187,8 +187,7 @@ def cmd_coradical(args) -> int:
     h = _load(args)
     f = h.field
     cor = coradical(h.coa)
-    _emit({"command": "coradical", "dim": cor.dim,
-           "basis": [[f.to_json(x) for x in v] for v in cor.vectors]}, args)
+    _emit({"command": "coradical", "dim": cor.dim, "basis": ser.vector_lists(f, cor)}, args)
     return 0
 
 
@@ -199,7 +198,7 @@ def cmd_wedge_filtration(args) -> int:
     if args.start == "coradical":
         start = corad = coradical(h.coa)
     else:
-        start = SubspaceBasis(h.dim, [h.unit_vec])
+        start = unit_line(h)
     record = wedge_filtration(start, h.coa, corad)
     _emit({"command": "wedge-filtration", "start": args.start,
            **ser.filtration_to_dict(f, record)}, args)

@@ -24,8 +24,8 @@ from typing import Optional
 
 from .fields import FieldSpec
 from .hopf import AlgebraData, CoalgebraData, HopfData, curvature, validated
-from .linalg import (AffineSystem, SparseMat, contract, dense, rank, require_keys, require_labels,
-                     solve_affine, sparse, _rref)
+from .linalg import (AffineSystem, SparseMat, contract, rank, require_keys, require_labels,
+                     solve_affine, _rref)
 
 
 @dataclass
@@ -58,7 +58,6 @@ class RelTensor:
     projection_rows: list    # RREF rows of the relation span, as sparse rows
     pivot_cols: list
     free_cols: list
-    ambient: int             # dim(R (x) R)
     field: FieldSpec
 
     @property
@@ -77,22 +76,14 @@ class RelTensor:
             out.update({(p, where[j]): f.neg(rv) for j, rv in row[1:]})
         return out
 
-    def project(self, v: list) -> list:
-        """Coordinates in the quotient basis indexed by free columns."""
-        return dense(self.field, contract(self.field, "j,jk->k", sparse(v), self.projection),
-                     (self.dim,))
-
-    def lift(self, q: list) -> list:
-        """The canonical representative in R (x) R of a quotient vector."""
-        return dense(self.field, {(j,): x for x, j in zip(q, self.free_cols) if x}, (self.ambient,))
-
 
 @dataclass
 class ExtensionIdempotent:
-    """A separability certificate for R/S: e in R (x)_S R."""
+    """A separability certificate for R/S: e in R (x)_S R, keyed (u,) on the
+    quotient basis of :class:`RelTensor`, of dimension ``dim``."""
 
-    quotient_coords: list
-    representative: list  # a lift to R (x) R
+    quotient_coords: dict
+    dim: int
 
 
 def drinfeld_double(h: HopfData):
@@ -138,7 +129,7 @@ def relative_tensor(ext: ExtensionData) -> RelTensor:
     pivots = _rref(rows, amb, f)
     pivot_set = set(pivots)
     free = [c for c in range(amb) if c not in pivot_set]
-    return RelTensor(rows[: len(pivots)], pivots, free, amb, f)
+    return RelTensor(rows[: len(pivots)], pivots, free, f)
 
 
 def _extension_idempotent_system(ext: ExtensionData, rel: RelTensor) -> AffineSystem:
@@ -163,7 +154,7 @@ def separable_extension(ext: ExtensionData) -> Optional[ExtensionIdempotent]:
     sol = solve_affine(sys)
     if sol is None:
         return None
-    cert = ExtensionIdempotent(sol.particular, rel.lift(sol.particular))
+    cert = ExtensionIdempotent(sol.particular, rel.dim)
     _verify_extension_idempotent(ext, rel, cert, sys)
     return cert
 

@@ -19,6 +19,10 @@ subcoalgebra when the coordinates of Delta(X), read off by a left inverse of
 its basis on both legs, rebuild it.  The greedy bases of the ideal powers and
 of the quotient complements are kept, since certificates are written in them;
 each is the pivot columns of one elimination (:func:`linalg.pivot_columns`).
+
+Every subspace, and every spanning set such as the products spanning an ideal
+power, is a basis tensor ``(x, j)``, entry x of vector j (:class:`hopf.SubspaceBasis`),
+so the contractions above take and return them as they are.
 """
 
 from __future__ import annotations
@@ -26,11 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .hopf import (AlgebraData, CoalgebraData, SubspaceBasis, _unitvec, dual_algebra,
-                   quotient_maps)
+from .hopf import AlgebraData, CoalgebraData, SubspaceBasis, dual_algebra, quotient_maps
 from .integrals import idempotent_system
-from .linalg import (AffineSystem, SparseMat, contract, dense, identity, nullspace,
-                     pivot_columns, solve_affine, span_contains_span, spans_equal, sparse)
+from .linalg import (AffineSystem, SparseMat, contract, identity, nullspace, pivot_columns,
+                     solve_affine, span_contains_span, spans_equal)
 
 
 @dataclass
@@ -44,14 +47,14 @@ class FiltrationRecord:
 # Radical
 # ---------------------------------------------------------------------------
 
-def _trace_form_kernel(a: AlgebraData) -> list:
+def _trace_form_kernel(a: AlgebraData) -> SubspaceBasis:
     """Kernel of (x,y) -> trace(L_{xy}); contains the radical in any characteristic."""
     f = a.field
     m = a.mult
     # trace(L_{e_i e_j}) = sum_k m_ijk trace(L_{e_k}), and trace(L_{e_k}) = sum_d m_kdd
     traces = contract(f, "kdx,xd->k", m, identity(f, a.dim))
-    return nullspace(AffineSystem.conditions(
-        f, (a.dim,), ("trace form", [(1, "ijk,k,j->i", m, traces)], None)).matrix)
+    return SubspaceBasis(a.dim, nullspace(AffineSystem.conditions(
+        f, (a.dim,), ("trace form", [(1, "ijk,k,j->i", m, traces)], None)).matrix))
 
 
 def _mul_mod(x: list, y: list, q: int) -> list:
@@ -79,7 +82,7 @@ def _trace_of_power(m: list, e: int, q: int) -> int:
         m = _mul_mod(m, m, q)
 
 
-def _fr_radical_mod_p(a: AlgebraData) -> list:
+def _fr_radical_mod_p(a: AlgebraData) -> SubspaceBasis:
     """Friedl-Ronyai chain over the prime field: iterated divided p-power traces.
 
     Stage 0 is the trace form kernel.  Stage i >= 1 keeps the w in the span of
@@ -94,56 +97,59 @@ def _fr_radical_mod_p(a: AlgebraData) -> list:
     m = a.mult
     current = _trace_form_kernel(a)
     pi = p
-    while current and pi <= n:
+    while current.dim and pi <= n:
         q = pi * p
         rows = [[] for _ in range(n)]
-        for j, w in enumerate(current):
-            # the transposes of L_{w e_y} for all y, keyed (y, x, z): entry z of (w e_y) e_x;
-            # a transpose has the same traces of powers
-            lifts = [[{} for _ in range(n)] for _ in range(n)]
-            for (y, x, z), c in contract(f, "a,ayk,kxz->yxz", sparse(w), m, m).items():
-                lifts[y][x][z] = c
-            for y, lift in enumerate(lifts):
-                tr = _trace_of_power(lift, pi, q)
-                if tr % pi:
-                    raise AssertionError(
-                        "p-power trace not divisible on the chain; radical stage broken")
-                if tr:
-                    rows[y].append((j, tr // pi))
+        # the transposes of L_{w_j e_y} for every basis vector w_j of `current` and
+        # every y, keyed (j, y, x, z): entry z of (w_j e_y) e_x; a transpose has the
+        # same traces of powers
+        lifts = {}
+        for (j, y, x, z), c in contract(f, "aj,ayk,kxz->jyxz", current.basis, m, m).items():
+            lifts.setdefault((j, y), [{} for _ in range(n)])[x][z] = c
+        for (j, y), lift in sorted(lifts.items()):
+            tr = _trace_of_power(lift, pi, q)
+            if tr % pi:
+                raise AssertionError(
+                    "p-power trace not divisible on the chain; radical stage broken")
+            if tr:
+                rows[y].append((j, tr // pi))
         # the kernel is in the coordinates of `current`
-        ker = nullspace(SparseMat(f, n, len(current), rows))
-        current = dense(f, contract(f, "jx,cj->cx", sparse(current), sparse(ker)), (len(ker), n))
+        ker = nullspace(SparseMat(f, n, current.dim, rows))
+        current = SubspaceBasis(n, contract(f, "xj,jc->xc", current.basis, ker))
         pi = q
     return current
 
 
-def _is_two_sided_ideal(a: AlgebraData, vectors: list) -> bool:
+def _is_two_sided_ideal(a: AlgebraData, ideal: SubspaceBasis) -> bool:
     f = a.field
-    n = a.dim
-    v, m = sparse(vectors), a.mult
-    # e_i·v_a and v_a·e_i, keyed (a, i, k)
-    products = [x for spec in ("ax,ixk->aik", "ax,xik->aik")
-                for block in dense(f, contract(f, spec, v, m), (len(vectors), n, n)) for x in block]
-    return span_contains_span(f, vectors, products)
+    n, k = a.dim, ideal.dim
+    v, m = ideal.basis, a.mult
+    # e_i·v_j, then v_j·e_i: product (s, j, i) is vector (s * k + j) * n + i
+    products = {(x, (s * k + j) * n + i): c
+                for s, spec in enumerate(("yj,iyx->xji", "yj,yix->xji"))
+                for (x, j, i), c in contract(f, spec, v, m).items()}
+    return span_contains_span(f, v, products, n)
 
 
-def _ideal_product(a: AlgebraData, xs: list, ys: list) -> list:
+def _ideal_product(a: AlgebraData, xs: SubspaceBasis, ys: SubspaceBasis) -> SubspaceBasis:
     """Independent spanning set of span{x·y}: the products in ``for x in xs for y in
     ys`` order that lie outside the span of the ones before them."""
-    f = a.field
-    prods = contract(f, "ax,by,xyk->abk", sparse(xs), sparse(ys), a.mult)
-    cands = [v for block in dense(f, prods, (len(xs), len(ys), a.dim)) for v in block]
-    return [cands[j] for j in pivot_columns(f, cands)[0]]
+    f, n, width = a.field, a.dim, ys.dim
+    prods = {(x, i * width + j): c for (x, i, j), c in
+             contract(f, "pi,qj,pqx->xij", xs.basis, ys.basis, a.mult).items()}
+    kept = {c: t for t, c in enumerate(pivot_columns(f, prods, n, xs.dim * width)[0])}
+    return SubspaceBasis(n, {(x, kept[c]): v for (x, c), v in prods.items() if c in kept},
+                         len(kept))
 
 
-def ideal_powers(a: AlgebraData, vectors: list) -> Optional[list]:
-    """Spanning sets of I, I^2, ..., ending with the first empty power, for the
-    ideal I spanned by ``vectors``; None when the powers stop shrinking first."""
+def ideal_powers(a: AlgebraData, ideal: SubspaceBasis) -> Optional[list]:
+    """Spanning sets of I, I^2, ..., ending with the first zero power, for the
+    ideal I; None when the powers stop shrinking first."""
     f = a.field
-    powers = [vectors]
-    while powers[-1]:
-        nxt = _ideal_product(a, powers[-1], vectors)
-        if nxt and len(nxt) == len(powers[-1]) and spans_equal(f, powers[-1], nxt):
+    powers = [ideal]
+    while powers[-1].dim:
+        nxt = _ideal_product(a, powers[-1], ideal)
+        if nxt.dim == powers[-1].dim and spans_equal(f, powers[-1].basis, nxt.basis, a.dim):
             return None
         powers.append(nxt)
         if len(powers) > a.dim + 1:
@@ -153,18 +159,18 @@ def ideal_powers(a: AlgebraData, vectors: list) -> Optional[list]:
 
 def is_nilpotent_ideal(ideal: SubspaceBasis, a: AlgebraData) -> Optional[int]:
     """Least k with I^k = 0, or None if I is not nilpotent; raises if not an ideal."""
-    if not _is_two_sided_ideal(a, ideal.vectors):
+    if not _is_two_sided_ideal(a, ideal):
         raise ValueError("subspace is not a two-sided ideal")
-    powers = ideal_powers(a, ideal.vectors)
+    powers = ideal_powers(a, ideal)
     return None if powers is None else len(powers)
 
 
-def _quotient_algebra(a: AlgebraData, ideal_vectors: list):
+def _quotient_algebra(a: AlgebraData, ideal: SubspaceBasis):
     """(quotient AlgebraData, projection, section) modulo a two-sided ideal."""
     f = a.field
-    proj, sect = quotient_maps(f, SubspaceBasis(a.dim, ideal_vectors))
+    proj, sect = quotient_maps(f, ideal)
     mult = contract(f, "xa,yb,xyk,ck->abc", sect, sect, a.mult, proj)
-    quotient = AlgebraData(f, a.dim - len(ideal_vectors), mult,
+    quotient = AlgebraData(f, a.dim - ideal.dim, mult,
                            contract(f, "ck,k->c", proj, a.unit))
     return quotient, proj, sect
 
@@ -180,18 +186,14 @@ def _has_separability_idempotent(a: AlgebraData) -> bool:
 def radical(a: AlgebraData) -> SubspaceBasis:
     """The Jacobson radical, certified: nilpotent ideal with semisimple quotient."""
     f = a.field
-    if f.characteristic == 0:
-        vectors = _trace_form_kernel(a)
-    else:
-        vectors = _fr_radical_mod_p(a)
-    basis = SubspaceBasis(a.dim, vectors)
-    if not _is_two_sided_ideal(a, vectors):
+    basis = _fr_radical_mod_p(a) if f.characteristic else _trace_form_kernel(a)
+    if not _is_two_sided_ideal(a, basis):
         raise AssertionError("computed radical is not a two-sided ideal")
-    if vectors and ideal_powers(a, vectors) is None:
+    if basis.dim and ideal_powers(a, basis) is None:
         raise AssertionError("computed radical is not nilpotent")
-    quotient, _, _ = _quotient_algebra(a, vectors)
+    quotient, _, _ = _quotient_algebra(a, basis)
     if f.characteristic == 0:
-        if _trace_form_kernel(quotient):
+        if _trace_form_kernel(quotient).dim:
             raise AssertionError("radical quotient has degenerate trace form")
     else:
         if not _has_separability_idempotent(quotient):
@@ -208,11 +210,11 @@ def coradical(c: CoalgebraData) -> SubspaceBasis:
     f = c.field
     n = c.dim
     rad = radical(dual_algebra(c))
-    if not rad.vectors:
-        out = SubspaceBasis(n, [_unitvec(f, n, i) for i in range(n)])
-    else:
-        rows = [[(j, x) for j, x in enumerate(v) if x] for v in rad.vectors]
-        out = SubspaceBasis(n, nullspace(SparseMat(f, len(rows), n, rows)))
+    if not rad.dim:
+        out = SubspaceBasis(n, identity(f, n))
+    else:  # one row per radical vector
+        rows = SparseMat.from_tensor(f, contract(f, "xj->jx", rad.basis), rad.dim, n)
+        out = SubspaceBasis(n, nullspace(rows))
     if not is_subcoalgebra(out, c):
         raise AssertionError("coradical is not a subcoalgebra")
     return out
@@ -222,7 +224,7 @@ def is_subcoalgebra(x: SubspaceBasis, c: CoalgebraData) -> bool:
     """Delta(X) inside X (x) X: the coordinates of each Delta(x_j) in the basis
     {x_a (x) x_b}, read off by a left inverse on both legs, must rebuild it."""
     f = c.field
-    if not x.vectors:
+    if not x.dim:
         return True
     basis, coords = x.tensors(f)
     delta = contract(f, "xj,xab->jab", basis, c.comult)
@@ -246,7 +248,7 @@ def _wedge(x: SubspaceBasis, py: dict, e: CoalgebraData) -> SubspaceBasis:
         raise ValueError("wedge arguments live in the wrong ambient space")
     px = quotient_maps(f, x)[0]
     if not px or not py:  # a zero quotient: X or Y is everything
-        return SubspaceBasis(n, [_unitvec(f, n, i) for i in range(n)])
+        return SubspaceBasis(n, identity(f, n))
     ker = nullspace(AffineSystem.conditions(
         f, (n,), ("wedge", [(1, "pi,kij,qj,k->pq", px, e.comult, py)], None)).matrix)
     return SubspaceBasis(n, ker)
@@ -263,13 +265,13 @@ def wedge_filtration(c: SubspaceBasis, e: CoalgebraData,
     f = e.field
     if not is_subcoalgebra(c, e):
         raise ValueError("filtration needs a subcoalgebra to start from")
-    stages = [c]  # C itself for the steps, so the completion made by the check serves them
+    stages = [c]  # C itself, so the completion made by the check serves the steps
     pc = quotient_maps(f, c)[0]  # C's projection, for every step
     while True:
         nxt = _wedge(stages[-1], pc, e)
         if nxt.dim == stages[-1].dim:
             break
-        if not span_contains_span(f, nxt.vectors, stages[-1].vectors):
+        if not span_contains_span(f, nxt.basis, stages[-1].basis, e.dim):
             raise AssertionError("wedge filtration is not increasing")
         stages.append(nxt)
         if nxt.dim == e.dim:
@@ -277,8 +279,7 @@ def wedge_filtration(c: SubspaceBasis, e: CoalgebraData,
     exhausted = stages[-1].dim == e.dim
     if corad is None:
         corad = coradical(e)
-    contained = span_contains_span(f, c.vectors, corad.vectors)
+    contained = span_contains_span(f, c.basis, corad.basis, e.dim)
     if exhausted != contained:
         raise AssertionError("exhaustion criterion violated: filtration vs coradical")
-    stages[0] = SubspaceBasis(e.dim, [v[:] for v in c.vectors])  # the record holds a copy
     return FiltrationRecord(stages, exhausted, len(stages))

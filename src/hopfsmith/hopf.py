@@ -12,12 +12,15 @@ Conventions, fixed once for the whole package:
   ``contract(...) != e.unit`` compares values, not representations.  The data
   classes keep each tensor in key order, so every contraction of them, and
   every system row assembled from one, comes out in one order whichever
-  construction built the map.  Nested
-  lists appear only at the JSON edge (:mod:`serialize`) and in the coordinate
-  lists :attr:`HopfData.unit_vec` and :meth:`HopfData.basis_vec`.
+  construction built the map.  Nested lists appear only at the JSON edge
+  (:mod:`serialize`, :mod:`cli`).
 * every other linear map g (a projection, a section, an inclusion) is a sparse
   tensor in the same form as the antipode: ``g[(x, y)]`` is entry x of g(e_y).
-* H (x) H coordinates are flattened as ``i * dim + j``.
+  An element of H is a sparse vector ``(x,)``, like the unit; a subspace
+  (:class:`SubspaceBasis`) is its basis tensor ``(x, j)``, entry x of basis
+  vector j, which is also the inclusion of the subspace into H.
+* a tensor keeps the two legs of H (x) H as two indices; where one index must
+  hold both (JSON lists, the columns of R (x) R), it is ``i * dim + j``.
 * the identities between these maps are contractions (:func:`linalg.contract`),
   so the antipode axiom reads ``"kij,ai,ajt->kt"`` over (comult, antipode, mult)
   against ``"k,t->kt"`` over (counit, unit).  Axiom witnesses are the least
@@ -43,8 +46,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .fields import FieldSpec
-from .linalg import (AffineSystem, SparseMat, contract, dense, difference, differing, identity,
-                     in_coordinates, in_span, invert, nullspace, ordered, pivot_columns)
+from .linalg import (AffineSystem, SparseMat, contract, difference, differing, identity,
+                     in_coordinates, invert, nullspace, ordered, pivot_columns, require_keys,
+                     span_contains_span)
 
 
 @dataclass
@@ -134,20 +138,6 @@ class HopfData:
     def dim(self) -> int:
         return self.alg.dim
 
-    @property
-    def unit_vec(self) -> list:
-        """The coordinates of 1, as a list."""
-        return dense(self.field, self.alg.unit, (self.dim,))
-
-    def basis_vec(self, i: int) -> list:
-        return _unitvec(self.field, self.dim, i)
-
-
-def _unitvec(field: FieldSpec, n: int, i: int) -> list:
-    v = [field.zero] * n
-    v[i] = field.one
-    return v
-
 
 def curvature(f: FieldSpec, m_src: dict, m_tgt: dict, g: dict) -> dict:
     """g(a_i a_j) - g(a_i) g(a_j), keyed (i, j, x), for a linear map g between the
@@ -230,28 +220,37 @@ def validated(h: HopfData) -> HopfData:
 
 @dataclass
 class SubspaceBasis:
+    """A subspace of K^ambient_dim by its basis tensor ``basis[(x, j)]``, entry x
+    of basis vector j, kept in key order; the ``dim`` vectors are linearly
+    independent, and ``dim`` defaults to the number of vectors the tensor holds.
+    A key outside ``(ambient_dim, dim)`` raises ``ValueError``."""
+
     ambient_dim: int
-    vectors: list  # list of coordinate lists, linearly independent
+    basis: dict
+    dim: Optional[int] = None
 
-    @property
-    def dim(self) -> int:
-        return len(self.vectors)
+    def __post_init__(self):
+        self.basis = ordered(self.basis)
+        if self.dim is None:
+            self.dim = len({j for _, j in self.basis})
+        require_keys(self.basis, (self.ambient_dim, self.dim), "subspace basis")
 
-    def contains(self, field: FieldSpec, v: list) -> bool:
-        return in_span(field, self.vectors, v)
+    def contains(self, field: FieldSpec, v: dict) -> bool:
+        """Whether the vector ``v``, keyed ``(x,)``, lies in the subspace."""
+        require_keys(v, (self.ambient_dim,), "vector")
+        return span_contains_span(field, self.basis, {(x, 0): c for (x,), c in v.items()},
+                                  self.ambient_dim)
 
     def _completed(self, field: FieldSpec) -> tuple:
-        """:func:`_completion` of the vectors as they are now."""
-        return _shared_completion(field, self.ambient_dim, tuple(map(tuple, self.vectors)))
+        """:func:`_completion` of the basis as it is now."""
+        return _shared_completion(field, self.ambient_dim, self.dim, tuple(self.basis.items()))
 
     def tensors(self, field: FieldSpec) -> tuple:
-        """(basis, coordinates) as sparse tensors: ``basis[(x, j)]`` is entry x of
-        vector j, and ``coordinates[(c, x)]`` is a left inverse of it, which reads
-        off the coordinates of any vector of the span."""
+        """(basis, coordinates) as sparse tensors: the basis tensor, and
+        ``coordinates[(c, x)]``, a left inverse of it, which reads off the
+        coordinates of any vector of the span."""
         inv, d = self._completed(field)[1], self.dim
-        basis = {(x, j): v[x] for x in range(self.ambient_dim)
-                 for j, v in enumerate(self.vectors) if v[x]}
-        return basis, {k: x for k, x in inv.items() if k[0] < d}
+        return self.basis, {k: x for k, x in inv.items() if k[0] < d}
 
 
 @dataclass
@@ -269,30 +268,35 @@ def augmentation_ideal(h: HopfData) -> SubspaceBasis:
     return SubspaceBasis(h.dim, nullspace(eps.matrix))
 
 
+def unit_line(h: HopfData) -> SubspaceBasis:
+    """K·1, the line through the unit of H."""
+    return SubspaceBasis(h.dim, {(x, 0): c for (x,), c in h.alg.unit.items()}, 1)
+
+
 @functools.lru_cache(maxsize=64)
-def _shared_completion(field: FieldSpec, n: int, vectors: tuple) -> tuple:
+def _shared_completion(field: FieldSpec, n: int, k: int, items: tuple) -> tuple:
     """:func:`_completion` memoized on content; ``cli.main`` empties it per query."""
-    return _completion(field, n, vectors)
+    return _completion(field, n, k, dict(items))
 
 
-def _completion(field: FieldSpec, n: int, vectors: list) -> tuple:
-    """(basis, inverse): ``vectors`` completed greedily by e_0, e_1, ... to a basis
-    of K^n, and the inverse of the matrix with that basis as its columns, as a
-    sparse tensor (row, column) in key order.
+def _completion(field: FieldSpec, n: int, k: int, basis: dict) -> tuple:
+    """(pivots, inverse): the k vectors of the basis tensor ``basis`` completed
+    greedily by e_0, e_1, ... to a basis of K^n, given as the pivot columns of
+    [basis | identity] (column k + i is e_i), and the inverse of the matrix with
+    that basis as its columns, as a sparse tensor (row, column) in key order.
 
-    One elimination of [vectors | identity] gives both: its pivot columns are
-    the greedy pick B, and its reduced form is B^{-1} [vectors | identity], so
+    One elimination of [basis | identity] gives both: its pivot columns are
+    the greedy pick B, and its reduced form is B^{-1} [basis | identity], so
     the identity block holds B^{-1}.
     """
-    k = len(vectors)
-    cands = [list(v) for v in vectors] + [_unitvec(field, n, i) for i in range(n)]
-    pivots, rows = pivot_columns(field, cands)
+    cands = {**basis, **{(i, k + i): field.one for i in range(n)}}
+    pivots, rows = pivot_columns(field, cands, n, k + n)
     if pivots[:k] != list(range(k)):
         # dependent vectors are not completed, so their matrix is singular or not square
         raise ValueError("subspace vectors are not linearly independent" if k == n
                          else "only square matrices can be inverted")
     inv = {(t, j - k): x for t, row in enumerate(rows[:n]) for j, x in row if j >= k}
-    return [cands[j] for j in pivots], inv
+    return pivots, inv
 
 
 def quotient_maps(field: FieldSpec, sub: SubspaceBasis) -> tuple:
@@ -302,16 +306,15 @@ def quotient_maps(field: FieldSpec, sub: SubspaceBasis) -> tuple:
     matching rows of the inverse basis change and the section sends the quotient
     basis to the picked e_i.
     """
-    chosen, inv = sub._completed(field)
+    pivots, inv = sub._completed(field)
     d = sub.dim
-    section = {(x, c): v[x] for x in range(sub.ambient_dim)
-               for c, v in enumerate(chosen[d:]) if v[x]}
+    section = {(j - d, c): field.one for c, j in enumerate(pivots[d:])}
     return {(t - d, x): v for (t, x), v in inv.items() if t >= d}, section
 
 
 def unit_cokernel(h: HopfData) -> QuotientSplitting:
     """Hbar = coker(u) with a fixed splitting H = K·1 (+) Hbar."""
-    unit = SubspaceBasis(h.dim, [h.unit_vec])
+    unit = unit_line(h)
     return QuotientSplitting(*quotient_maps(h.field, unit), unit)
 
 

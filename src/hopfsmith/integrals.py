@@ -6,6 +6,11 @@ formula built from a total integral (sigma_t resp. theta_lambda) and a blind
 affine search for any certificate.  Their agreement is asserted on every
 call; it is the computable content of the equivalence between total
 integrals and (co)separability.
+
+An integral, a functional and an idempotent are sparse tensors like the
+structure maps: t and lambda keyed ``(x,)``, e keyed ``(i, j)`` for
+sum e_ij e_i (x) e_j, and theta keyed ``(p, i, j)``, entry p of
+theta(e_i (x) e_j), each on the shape of the unknown its system solves for.
 """
 
 from __future__ import annotations
@@ -14,8 +19,8 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 from .hopf import AlgebraData, HopfData, SubspaceBasis
-from .linalg import (AffineSystem, contract, dense, identity, nullspace, require_labels,
-                     solve_affine, sparse, spans_equal)
+from .linalg import (AffineSystem, contract, identity, nullspace, require_labels, solve_affine,
+                     spans_equal)
 from .yd import ACTIONS, COACTIONS, adjoint_action, adjoint_coaction
 
 
@@ -23,7 +28,8 @@ from .yd import ACTIONS, COACTIONS, adjoint_action, adjoint_coaction
 class IntegralCertificate:
     side: str               # "left" | "right"
     carrier: str            # "in_h" | "in_dual"
-    vector: list            # element of H, or functional coefficients on H
+    vector: dict            # element of H, or the values of a functional on H, keyed (x,)
+    dim: int                # dim H, the length of the vector
     total: bool = False
     ad_invariant: bool = False
     ad_coinvariant: bool = False
@@ -32,9 +38,9 @@ class IntegralCertificate:
 @dataclass
 class SeparabilityCertificate:
     kind: str               # "idempotent_for_algebra" | "retraction_for_coalgebra"
-    data: object            # e in H (x) H (flat list), or theta: H (x) H -> H as (p, i * dim + j)
+    data: dict              # e in H (x) H as (i, j), or theta: H (x) H -> H as (p, i, j)
     verified: list = dc_field(default_factory=list)
-    shape: tuple = ()       # (dim, dim^2), the matrix shape of theta
+    shape: tuple = ()       # the shape of data: (dim, dim) or (dim, dim, dim)
 
 
 def _integral_terms(h: HopfData, side: str, carrier: str = "in_h") -> list:
@@ -76,7 +82,10 @@ def _verify_integral_space(h: HopfData, basis: SubspaceBasis, side: str,
     """Check every basis vector against the rows of ``sys``, by default those
     of h t = eps(h) t (or t h = eps(h) t) in H."""
     sys = sys or _integral_system(h, side)
-    for t in basis.vectors:
+    vectors = {}
+    for (x, j), c in basis.basis.items():
+        vectors.setdefault(j, {})[(x,)] = c
+    for t in vectors.values():
         require_labels(sys, t, "integral space vector")
 
 
@@ -86,7 +95,7 @@ def is_unimodular(h: HopfData, carrier: str = "in_h", left: Optional[SubspaceBas
     computed) span the same space."""
     left = left or integral_space(h, "left", carrier)
     right = right or integral_space(h, "right", carrier)
-    return spans_equal(h.field, left.vectors, right.vectors)
+    return spans_equal(h.field, left.basis, right.basis, h.dim)
 
 
 def total_integral(h: HopfData, carrier: str = "in_h",
@@ -96,14 +105,16 @@ def total_integral(h: HopfData, carrier: str = "in_h",
     f = h.field
     # normalization functional: eps over in_h, evaluation at 1 over in_dual
     normal = h.coa.counit if carrier == "in_h" else h.alg.unit
-    for t in (space or integral_space(h, "left", carrier)).vectors:
-        val = contract(f, "k,k->", sparse(t), normal).get((), f.zero)
-        if val:
-            inv = f.inv(val)
-            return IntegralCertificate("left", carrier, [f.mul(inv, x) for x in t], total=True)
+    basis = (space or integral_space(h, "left", carrier)).basis
+    values = contract(f, "kj,k->j", basis, normal)
     # the normalization functional can vanish on single basis vectors yet not on
     # a combination only if it vanishes on all of them (it is linear), so "none"
-    return None
+    if not values:
+        return None
+    first = min(values)  # the least basis vector on which it does not vanish
+    inv = f.inv(values[first])
+    t = {(x,): f.mul(inv, c) for (x, j), c in basis.items() if (j,) == first}
+    return IntegralCertificate("left", carrier, t, h.dim, total=True)
 
 
 def _ad_invariant_system(h: HopfData) -> AffineSystem:
@@ -128,10 +139,10 @@ def ad_invariant_integral(h: HopfData) -> Optional[IntegralCertificate]:
         raise AssertionError("ad-invariant integral is not unique; theory violated")
     lam = sol.particular
     _verify_ad_invariant(h, lam, sys)
-    return IntegralCertificate("left", "in_dual", lam, total=True, ad_invariant=True)
+    return IntegralCertificate("left", "in_dual", lam, h.dim, total=True, ad_invariant=True)
 
 
-def _verify_ad_invariant(h: HopfData, lam: list, sys: Optional[AffineSystem] = None) -> list:
+def _verify_ad_invariant(h: HopfData, lam: dict, sys: Optional[AffineSystem] = None) -> list:
     return require_labels(sys or _ad_invariant_system(h), lam, "ad-invariant integral")
 
 
@@ -150,24 +161,22 @@ def ad_coinvariant_integral(h: HopfData) -> Optional[IntegralCertificate]:
         raise AssertionError("ad-coinvariant integral is not unique; theory violated")
     lam = sol.particular
     require_labels(sys, lam, "ad-coinvariant integral")
-    return IntegralCertificate("left", "in_h", lam, total=True, ad_coinvariant=True)
+    return IntegralCertificate("left", "in_h", lam, h.dim, total=True, ad_coinvariant=True)
 
 
-def four_linearity_flags(h: HopfData, lam: list) -> dict:
+def four_linearity_flags(h: HopfData, lam: dict) -> dict:
     """For a functional lam, whether it is (co)linear for |>, <|, |>>, <<|.
 
     For a total integral the four answers must agree pairwise.
     """
     f = h.field
-    lam = sparse(lam)
     return {which: contract(f, "ktj,j->kt", adjoint_action(h, which).tensor, lam)
             == contract(f, "k,t->kt", h.coa.counit, lam) for which in ACTIONS}
 
 
-def four_coinvariance_flags(h: HopfData, t: list) -> dict:
+def four_coinvariance_flags(h: HopfData, t: dict) -> dict:
     """For an element t, coinvariance under the four adjoint coactions."""
     f = h.field
-    t = sparse(t)
     return {which: contract(f, "jik,j->ik", adjoint_coaction(h, which).tensor, t)
             == contract(f, "i,k->ik", h.alg.unit, t) for which in COACTIONS}
 
@@ -201,12 +210,12 @@ def separability_idempotent(h: HopfData) -> Optional[SeparabilityCertificate]:
         raise AssertionError("total-integral route and blind idempotent search disagree")
     if cert_total is None:
         return None
-    e = contract(f, "a,aij,kj->ik", sparse(cert_total.vector), h.coa.comult, h.antipode)
-    e = [x for row in dense(f, e, (n, n)) for x in row]
-    return SeparabilityCertificate("idempotent_for_algebra", e, _verify_idempotent(h, e, sys))
+    e = contract(f, "a,aij,kj->ik", cert_total.vector, h.coa.comult, h.antipode)
+    return SeparabilityCertificate("idempotent_for_algebra", e, _verify_idempotent(h, e, sys),
+                                   (n, n))
 
 
-def _verify_idempotent(h: HopfData, e: list, sys: Optional[AffineSystem] = None) -> list:
+def _verify_idempotent(h: HopfData, e: dict, sys: Optional[AffineSystem] = None) -> list:
     return require_labels(sys or idempotent_system(h.alg), e, "separability idempotent")
 
 
@@ -241,23 +250,20 @@ def coseparability_retraction(h: HopfData) -> Optional[SeparabilityCertificate]:
     if cert_total is None:
         return None
     lam = cert_total.vector
-    theta = contract(f, "ipq,qyz,yj,z->pij", h.coa.comult, h.alg.mult, h.antipode, sparse(lam))
-    theta = {(p, i * n + j): v for (p, i, j), v in theta.items()}
+    theta = contract(f, "ipq,qyz,yj,z->pij", h.coa.comult, h.alg.mult, h.antipode, lam)
     verified = _verify_retraction(h, theta, lam, sys)
-    return SeparabilityCertificate("retraction_for_coalgebra", theta, verified, (n, n * n))
+    return SeparabilityCertificate("retraction_for_coalgebra", theta, verified, (n, n, n))
 
 
-def _verify_retraction(h: HopfData, theta: dict, lam: Optional[list] = None,
+def _verify_retraction(h: HopfData, theta: dict, lam: Optional[dict] = None,
                        sys: Optional[AffineSystem] = None) -> list:
     f = h.field
-    n = h.dim
-    verified = require_labels(sys or retraction_system(h),
-                              [x for row in dense(f, theta, (n, n * n)) for x in row], "retraction")
+    verified = require_labels(sys or retraction_system(h), theta, "retraction")
     if lam is not None:
         # both sides of the defining exchange identity:
         # x_1 lam(x_2 S(y)) = lam(x S(y_1)) y_2
-        rhs = contract(f, "iyz,ya,z,jab->bij", h.alg.mult, h.antipode, sparse(lam), h.coa.comult)
-        if {(p, c // n, c % n): v for (p, c), v in theta.items()} != rhs:
+        rhs = contract(f, "iyz,ya,z,jab->bij", h.alg.mult, h.antipode, lam, h.coa.comult)
+        if theta != rhs:
             raise AssertionError("retraction fails the exchange identity")
         verified.append("exchange-identity")
     return verified

@@ -19,19 +19,23 @@ exit; :func:`contract` and :func:`failed_labels` also scale once to ints.  A
 greedy basis, the vectors of a list outside the span of the ones before them,
 is the pivot columns of one elimination (:func:`pivot_columns`).
 
-A linear map is a sparse tensor ``(x, y)``, entry x of the image of e_y, like
-every structure map; :meth:`SparseMat.from_tensor` reads it as the matrix the
-solvers take.  :func:`solve_affine`, :func:`nullspace`, :func:`rank` and
-:func:`invert` all take a :class:`SparseMat`; a nullspace is a list of basis
-vectors and an inverse is again a sparse tensor.
+Every vector, map and subspace basis is a sparse tensor, a dict ``{index
+tuple: nonzero scalar}``, the one form in which :mod:`hopf` stores every
+structure map.  A vector is keyed ``(x,)``; a linear map ``(x, y)``, entry x of
+the image of e_y, and :meth:`SparseMat.from_tensor` reads it as the matrix the
+solvers take; a basis of a subspace, or any list of k vectors, is keyed ``(x,
+j)``, entry x of vector j, the inclusion of the subspace.  :func:`solve_affine`,
+:func:`nullspace`, :func:`rank` and :func:`invert` all take a
+:class:`SparseMat`; a nullspace is a basis tensor, a particular solution is
+keyed on the shape of the unknown, and an inverse is again a sparse tensor.
+:func:`pivot_columns`, :func:`span_contains_span` and :func:`spans_equal` read
+basis tensors.
 
-Structure-constant identities are contractions of sparse tensors, dicts
-``{index tuple: nonzero scalar}``, the one form in which :mod:`hopf` stores
-every structure map: :func:`contract` evaluates an einsum-style spec such as
-``"ipq,pjx,yq,xyk->ijk"``.  :func:`sparse` and :func:`dense` convert from and
-to nested lists, for coordinate vectors and at the JSON edge; :func:`ordered`
-puts a tensor's entries in key order, the order ``sparse`` gives, and
-:func:`require_keys` rejects a key outside a declared shape.  A linear
+Structure-constant identities are contractions of sparse tensors:
+:func:`contract` evaluates an einsum-style spec such as
+``"ipq,pjx,yq,xyk->ijk"``.  :func:`sparse` reads nested lists at the JSON edge;
+:func:`ordered` puts a tensor's entries in key order, the order ``sparse``
+gives, and :func:`require_keys` rejects a key outside a declared shape.  A linear
 condition on an unknown map of a declared shape is a signed sum of
 contractions whose last operand is the unknown: :meth:`AffineSystem.conditions`
 contracts the known operands once and adds each entry, with its sign, straight
@@ -41,7 +45,7 @@ into the labelled sparse row and column it names.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, prod
@@ -77,7 +81,9 @@ class SparseMat:
 
 @dataclass
 class AffineSystem:
-    """A · x = b with ``unknowns`` columns, A a :class:`SparseMat`.
+    """A · x = b, A a :class:`SparseMat` whose columns are the entries of an
+    unknown tensor of the given ``shape`` in row-major order (by default a
+    vector, ``(A.cols,)``); solutions and candidates are sparse tensors on it.
 
     ``labels`` names for each row the condition it encodes, so a candidate
     solution can be checked condition by condition (:func:`failed_labels`); it
@@ -86,12 +92,12 @@ class AffineSystem:
 
     matrix: SparseMat
     rhs: list
-    unknowns: int = dc_field(default=-1)
+    shape: Optional[tuple] = None
     labels: Optional[list] = None
 
     def __post_init__(self):
-        if self.unknowns < 0:
-            self.unknowns = self.matrix.cols
+        if self.shape is None:
+            self.shape = (self.matrix.cols,)
         if self.matrix.cols != self.unknowns:
             raise ValueError("coefficient matrix width differs from unknown count")
         if len(self.rhs) != self.matrix.rows:
@@ -155,7 +161,11 @@ class AffineSystem:
             rows += [by_row.get(k, []) for k in keys]
             rhs += [const.get(k, field.zero) for k in keys]
             labels += [label] * len(keys)
-        return cls(SparseMat(field, len(rows), len(columns), rows), rhs, len(columns), labels)
+        return cls(SparseMat(field, len(rows), len(columns), rows), rhs, tuple(shape), labels)
+
+    @property
+    def unknowns(self) -> int:
+        return prod(self.shape)
 
     def condition_labels(self) -> list:
         """The distinct row labels, in row order."""
@@ -164,27 +174,32 @@ class AffineSystem:
 
 @dataclass
 class AffineSolution:
-    particular: list
-    nullspace: list  # basis vectors of the homogeneous solution space
+    particular: dict  # the solution with every free variable 0, keyed on the unknown's shape
+    nullspace: dict   # basis tensor (c, j) of the homogeneous solutions, c the column
 
 
-def failed_labels(sys: AffineSystem, x: list) -> list:
-    """The distinct labels, in row order, of the rows of ``sys`` that ``x`` violates."""
+def failed_labels(sys: AffineSystem, x: dict) -> list:
+    """The distinct labels, in row order, of the rows of ``sys`` that ``x``, a
+    sparse tensor on the unknown's shape, violates."""
+    require_keys(x, sys.shape, "candidate solution")
     p = sys.matrix.field.characteristic
-    dx, x = (1, x) if p else _integers(list(enumerate(x)))
+    strides = [prod(sys.shape[d + 1:]) for d in range(len(sys.shape))]
+    x = {sum(map(mul, k, strides)): v for k, v in x.items()}
+    dx, x = (1, x) if p else _integers(x.items())
+    get = x.get
     bad = {}
     for row, b, label in zip(sys.matrix.data, sys.rhs, sys.labels):
         if p:
-            ok = sum(a * x[j] for j, a in row) % p == b
+            ok = sum(a * get(j, 0) for j, a in row) % p == b
         else:
             d, r = _integers(row)
-            ok = sum(a * x[j] for j, a in r.items()) * b.denominator == b.numerator * d * dx
+            ok = sum(a * get(j, 0) for j, a in r.items()) * b.denominator == b.numerator * d * dx
         if not ok:
             bad[label] = None
     return list(bad)
 
 
-def require_labels(sys: AffineSystem, x: list, what: str) -> list:
+def require_labels(sys: AffineSystem, x: dict, what: str) -> list:
     """The condition labels of ``sys`` once ``x`` is checked against every row;
     raises ``AssertionError`` naming the violated conditions otherwise."""
     bad = failed_labels(sys, x)
@@ -271,20 +286,26 @@ def _integers(pairs) -> tuple:
     return d, {k: x.numerator * (d // x.denominator) for k, x in pairs}
 
 
-def _kernel_basis(rows: list, pivots: list, n: int, field: FieldSpec) -> list:
-    """Nullspace basis of the first ``n`` columns of reduced rows: one vector per
-    free variable, set to 1, with the other free variables 0."""
+def _kernel_basis(rows: list, pivots: list, n: int, field: FieldSpec) -> dict:
+    """Nullspace basis tensor (c, t) of the first ``n`` columns of reduced rows:
+    vector t for the t-th free variable, set to 1, with the other free variables 0."""
     pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
-    where = {c: t for t, c in enumerate(free)}
-    basis = [[field.zero] * n for _ in free]
-    for c, t in where.items():
-        basis[t][c] = field.one
+    where = {c: t for t, c in enumerate(c for c in range(n) if c not in pivot_set)}
+    basis = {(c, t): field.one for c, t in where.items()}
     for pc, row in zip(pivots, rows):
         for j, a in row[1:]:
             if j < n:
-                basis[where[j]][pc] = field.neg(a)
-    return basis
+                basis[pc, where[j]] = field.neg(a)
+    return ordered(basis)
+
+
+def _unravel(c: int, shape: tuple) -> tuple:
+    """The index tuple of entry c of a tensor of ``shape`` in row-major order."""
+    key = []
+    for d in reversed(shape[1:]):
+        c, r = divmod(c, d)
+        key.append(r)
+    return (c, *reversed(key))
 
 
 def solve_affine(sys: AffineSystem) -> Optional[AffineSolution]:
@@ -295,12 +316,13 @@ def solve_affine(sys: AffineSystem) -> Optional[AffineSolution]:
     pivots = _rref(rows, n + 1, f)
     if pivots and pivots[-1] == n:  # pivot in the augmented column: 0 = 1
         return None
-    particular = {(pc,): row[-1][1] for pc, row in zip(pivots, rows) if row[-1][0] == n}
-    return AffineSolution(dense(f, particular, (n,)), _kernel_basis(rows, pivots, n, f))
+    particular = {_unravel(pc, sys.shape): row[-1][1]
+                  for pc, row in zip(pivots, rows) if row[-1][0] == n}
+    return AffineSolution(particular, _kernel_basis(rows, pivots, n, f))
 
 
-def nullspace(m: SparseMat) -> list:
-    """Basis vectors of ker(m)."""
+def nullspace(m: SparseMat) -> dict:
+    """The basis tensor (c, t) of ker(m)."""
     rows = m.data[:]
     pivots = _rref(rows, m.cols, m.field)
     return _kernel_basis(rows, pivots, m.cols, m.field)
@@ -323,50 +345,38 @@ def invert(m: SparseMat) -> Optional[dict]:
     return {(i, j - n): a for i, row in enumerate(rows[:n]) for j, a in row[1:]}
 
 
-def pivot_columns(field: FieldSpec, vectors: list) -> tuple:
-    """(pivots, rows): the pivot columns and reduced rows of the matrix whose
-    columns are ``vectors``, from one elimination.  Vector j is a pivot exactly
-    when it lies outside the span of the vectors before it, so the pivots are
-    the subset a greedy pass over the list keeps; zero vectors are never kept."""
-    n = len(vectors[0]) if vectors else 0
-    rows = [[(j, v[i]) for j, v in enumerate(vectors) if v[i]] for i in range(n)]
-    return _rref(rows, len(vectors), field), rows
+def pivot_columns(field: FieldSpec, vectors: dict, n: int, k: int) -> tuple:
+    """(pivots, rows): the pivot columns and reduced rows of the n x k matrix
+    whose columns are the k vectors of the basis tensor ``vectors``, from one
+    elimination.  Vector j is a pivot exactly when it lies outside the span of
+    the vectors before it, so the pivots are the subset a greedy pass over the
+    vectors keeps; zero vectors are never kept."""
+    rows = SparseMat.from_tensor(field, vectors, n, k).data
+    return _rref(rows, k, field), rows
 
 
-def span_coordinates(field: FieldSpec, basis_vecs: list, v: list) -> Optional[list]:
-    """Coefficients c with sum_j c_j basis_vecs[j] = v, or None if v is outside the span.
-
-    The system has one sparse row per coordinate of v; the free-variable-zero
-    solution is returned, so for independent vectors it is the unique one.
-    """
-    rows = [[(j, b[i]) for j, b in enumerate(basis_vecs) if b[i]] for i in range(len(v))]
-    sol = solve_affine(AffineSystem(SparseMat(field, len(rows), len(basis_vecs), rows), v))
-    return None if sol is None else sol.particular
+def _vector_rows(t: dict) -> list:
+    """The nonzero vectors of the basis tensor ``t`` as sparse rows, in vector order."""
+    rows = defaultdict(list)
+    for (x, j), v in t.items():
+        rows[j].append((x, v))
+    return [rows[j] for j in sorted(rows)]
 
 
-def in_span(field: FieldSpec, basis_vecs: list, v: list) -> bool:
-    """Whether v lies in the span of basis_vecs."""
-    if not any(v):
-        return True
-    if not basis_vecs:
-        return False
-    return span_coordinates(field, basis_vecs, v) is not None
-
-
-def span_contains_span(field: FieldSpec, big: list, small: list) -> bool:
-    """Whether every vector of ``small`` lies in the span of ``big``, decided by
-    one rank comparison: rank(big + small) == rank(big), zero vectors skipped."""
-    small = [v for v in small if any(v)]
+def span_contains_span(field: FieldSpec, big: dict, small: dict, n: int) -> bool:
+    """Whether every vector of the basis tensor ``small`` lies in the span of
+    those of ``big``, both in K^n, decided by one rank comparison:
+    rank(big + small) == rank(big)."""
     if not small:
         return True
-    n = len(small[0])
-    rows = [[(j, x) for j, x in enumerate(v) if x] for v in big + small]
-    return rank(SparseMat(field, len(rows), n, rows)) == \
-        rank(SparseMat(field, len(big), n, rows[:len(big)]))
+    rows = _vector_rows(big)
+    k = len(rows)
+    rows += _vector_rows(small)
+    return rank(SparseMat(field, len(rows), n, rows)) == rank(SparseMat(field, k, n, rows[:k]))
 
 
-def spans_equal(field: FieldSpec, a: list, b: list) -> bool:
-    return span_contains_span(field, a, b) and span_contains_span(field, b, a)
+def spans_equal(field: FieldSpec, a: dict, b: dict, n: int) -> bool:
+    return span_contains_span(field, a, b, n) and span_contains_span(field, b, a, n)
 
 
 # ---------------------------------------------------------------------------
@@ -444,20 +454,6 @@ def sparse(nested: list) -> dict:
         return {(i, *k): c for i, sub in enumerate(nested) if any(sub)
                 for k, c in sparse(sub).items()}
     return {(i,): c for i, c in enumerate(nested) if c}
-
-
-def dense(field: FieldSpec, t: dict, shape: tuple) -> list:
-    """The nested lists of the given shape holding the sparse tensor ``t``."""
-    def zeros(dims):
-        return [field.zero] * dims[0] if len(dims) == 1 else [zeros(dims[1:]) for _ in range(dims[0])]
-
-    out = zeros(shape)
-    for key, v in t.items():
-        row = out
-        for i in key[:-1]:
-            row = row[i]
-        row[key[-1]] = v
-    return out
 
 
 def in_coordinates(field: FieldSpec, t: dict, basis: dict, coords: dict, what: str,

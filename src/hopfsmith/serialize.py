@@ -11,11 +11,11 @@ prime-field scalars as ints.  The unit is not stored: it is recovered as the
 unique two-sided identity of the multiplication tensor on load.
 
 The schema is unchanged by the in-memory form: the structure maps, and every
-linear map of a certificate, live as sparse tensors (:mod:`hopf`), so loading
-checks the nested-list shapes, parses the scalars and then keeps only the
-nonzero entries; writing converts only the nonzero entries (:func:`json_lists`)
-and :mod:`cli` prints the report exactly as ``json.dumps(..., sort_keys=True,
-indent=2)`` would, from flat rows of tokens.
+vector, subspace basis and linear map of a certificate, live as sparse tensors
+(:mod:`hopf`), so loading checks the nested-list shapes, parses the scalars
+and then keeps only the nonzero entries; writing converts only the nonzero
+entries (:func:`json_lists`) and :mod:`cli` prints the report exactly as
+``json.dumps(..., sort_keys=True, indent=2)`` would, from flat rows of tokens.
 """
 
 from __future__ import annotations
@@ -30,14 +30,23 @@ from .hopf import AlgebraData, CoalgebraData, HopfData, validated
 from .linalg import AffineSystem, identity, solve_affine, sparse
 
 
-def json_lists(f: FieldSpec, t: dict, shape: tuple) -> list:
-    """The sparse tensor ``t`` as JSON nested lists of ``shape``, sliced from one flat row."""
+def json_lists(f: FieldSpec, t: dict, shape: tuple, lists: Optional[tuple] = None) -> list:
+    """The sparse tensor ``t`` of ``shape`` as JSON nested lists of the shape
+    ``lists`` (by default ``shape``) holding the same entries in row-major
+    order, sliced from one flat row."""
+    lists = lists or shape
     flat, strides = [0] * prod(shape), [prod(shape[d + 1:]) for d in range(len(shape))]
     for key, v in t.items():
         flat[sum(map(mul, key, strides))] = f.to_json(v)
-    for d in range(len(shape) - 1, 0, -1):
-        flat = [flat[r * shape[d]:(r + 1) * shape[d]] for r in range(prod(shape[:d]))]
+    for d in range(len(lists) - 1, 0, -1):
+        flat = [flat[r * lists[d]:(r + 1) * lists[d]] for r in range(prod(lists[:d]))]
     return flat
+
+
+def vector_lists(f: FieldSpec, sub) -> list:
+    """The basis vectors of a :class:`hopf.SubspaceBasis` as JSON lists, one per vector."""
+    return json_lists(f, {(j, x): v for (x, j), v in sub.basis.items()},
+                      (sub.dim, sub.ambient_dim))
 
 
 def hopf_to_dict(h: HopfData) -> dict:
@@ -57,7 +66,7 @@ def _solve_unit(m: dict, f: FieldSpec, n: int) -> dict:
         ("right unit", [(1, "jik,i->jk", m)], one)))
     if sol is None:
         raise ValueError("multiplication tensor has no two-sided unit")
-    return sparse(sol.particular)
+    return sol.particular
 
 
 def _check_shape(name: str, value, shape: tuple) -> None:
@@ -129,22 +138,29 @@ def integral_to_dict(f: FieldSpec, cert, kind: Optional[str] = None) -> dict:
     verified = ["a", "b", "c"] if kind in ("ad_invariant_integral",
                                            "ad_coinvariant_integral") else []
     key = "lambda" if cert.carrier == "in_dual" else "t"
-    return {"type": kind, key: list(map(f.to_json, cert.vector)),
+    return {"type": kind, key: json_lists(f, cert.vector, (cert.dim,)),
             "side": cert.side, "carrier": cert.carrier, "verified": verified}
 
 
 def separability_to_dict(f: FieldSpec, cert) -> dict:
+    """e as one flat list of its n^2 entries, theta as its n x n^2 matrix."""
+    n = cert.shape[0]
     if cert.kind == "idempotent_for_algebra":
-        return {"type": "separability_idempotent", "e": list(map(f.to_json, cert.data)),
+        return {"type": "separability_idempotent",
+                "e": json_lists(f, cert.data, cert.shape, (n * n,)),
                 "verified": list(cert.verified)}
-    return {"type": "coseparability_retraction", "theta": json_lists(f, cert.data, cert.shape),
+    return {"type": "coseparability_retraction",
+            "theta": json_lists(f, cert.data, cert.shape, (n, n * n)),
             "verified": list(cert.verified)}
 
 
 def section_to_dict(f: FieldSpec, cert) -> dict:
-    return {"type": cert.kind, "matrix": json_lists(f, cert.matrix, cert.shape),
+    """The map as its matrix: tau (i, a, b) with rows (i, a), chi (c, i, a) with columns (i, a)."""
+    split = 2 if cert.kind.endswith("section") else 1
+    lists = (prod(cert.shape[:split]), prod(cert.shape[split:]))
+    return {"type": cert.kind, "matrix": json_lists(f, cert.matrix, cert.shape, lists),
             "verified_conditions": list(cert.verified_conditions),
-            "nullity": 0 if cert.nullspace is None else len(cert.nullspace)}
+            "nullity": 0 if cert.nullspace is None else cert.nullspace.dim}
 
 
 def extension_to_dict(ext) -> dict:
@@ -159,7 +175,7 @@ def filtration_to_dict(f: FieldSpec, record) -> dict:
     return {
         "type": "wedge_filtration",
         "stage_dims": [s.dim for s in record.stages],
-        "stages": [[list(map(f.to_json, v)) for v in s.vectors] for s in record.stages],
+        "stages": [vector_lists(f, s) for s in record.stages],
         "exhausted": record.exhausted,
         "stabilization_index": record.stabilization_index,
     }

@@ -15,7 +15,9 @@ and an fs-retraction a linear chi: H (x) Hbar -> Hbar with
 
 Feasibility over the basis is an affine problem in the n(n-1)^2 entries of
 the map; bilinearity of every condition makes basis verification equivalent
-to the universally quantified statement.
+to the universally quantified statement.  The map is the solution tensor on
+the unknown's shape: tau as ``(i, a, b)``, entry e_i (x) v_a of tau(v_b), and
+chi as ``(c, i, a)``, entry vbar_c of chi(e_i (x) vbar_a).
 """
 
 from __future__ import annotations
@@ -24,19 +26,19 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .hopf import HopfData, QuotientSplitting, SubspaceBasis
-from .linalg import AffineSystem, contract, dense, failed_labels, in_coordinates, solve_affine
+from .hopf import HopfData, QuotientSplitting, SubspaceBasis, unit_line
+from .linalg import AffineSystem, contract, failed_labels, in_coordinates, solve_affine
 from .yd import h_bar_yd, h_plus_yd
 
 
 @dataclass
 class SectionCertificate:
     kind: str                      # fs_section | complete_fs_section | fs_retraction | complete_fs_retraction
-    matrix: dict                   # tau: H^+ -> H (x) H^+, or chi: H (x) Hbar -> Hbar; (x, y)
+    matrix: dict                   # tau (i, a, b) or chi (c, i, a), as in the module docstring
     verified_conditions: list
-    nullspace: Optional[list] = None  # basis vectors of the solved system's nullspace
+    nullspace: Optional[SubspaceBasis] = None  # of the solved system, in its columns
     context: dict = dc_field(default_factory=dict)  # basis/splitting data for re-evaluation
-    shape: tuple = (0, 0)          # (rows, columns) of the map's matrix
+    shape: tuple = (0, 0, 0)       # the shape of the map's tensor
 
 
 def _conditions(complete: bool) -> list:
@@ -45,21 +47,18 @@ def _conditions(complete: bool) -> list:
 
 def _checked(sys: AffineSystem, cert: SectionCertificate) -> list:
     """The conditions of ``sys`` whose rows the certificate's map satisfies; the
-    unknowns of every system here are the map's entries in row-major order."""
-    flat = [x for row in dense(sys.matrix.field, cert.matrix, cert.shape) for x in row]
-    bad = failed_labels(sys, flat)
+    unknown of every system here is the map's tensor."""
+    bad = failed_labels(sys, cert.matrix)
     return [c for c in sys.condition_labels() if c not in bad]
 
 
-def _solve(sys: AffineSystem, kind: str, nrows: int,
-           context: dict) -> Optional[SectionCertificate]:
-    """Solve ``sys`` for a map with ``nrows`` matrix rows; nothing verified yet."""
+def _solve(sys: AffineSystem, kind: str, context: dict) -> Optional[SectionCertificate]:
+    """Solve ``sys`` for a map; nothing verified yet."""
     sol = solve_affine(sys)
     if sol is None:
         return None
-    width = sys.unknowns // nrows
-    g = {divmod(c, width): v for c, v in enumerate(sol.particular) if v}
-    return SectionCertificate(kind, g, [], sol.nullspace, context, (nrows, width))
+    return SectionCertificate(kind, sol.particular, [], SubspaceBasis(sys.unknowns, sol.nullspace),
+                              context, sys.shape)
 
 
 def _accept(cert: SectionCertificate, verified: list, sys: AffineSystem) -> SectionCertificate:
@@ -113,10 +112,11 @@ def find_complete_fs_section(h: HopfData) -> Optional[SectionCertificate]:
 def _find_section(h: HopfData, complete: bool) -> Optional[SectionCertificate]:
     kind = "complete_fs_section" if complete else "fs_section"
     if h.dim == 1:
-        return SectionCertificate(kind, {}, _conditions(complete), None, {"hplus_basis": []})
+        return SectionCertificate(kind, {}, _conditions(complete), None,
+                                  {"hplus_basis": SubspaceBasis(1, {})})
     yd, hp = h_plus_yd(h)
     sys = _fs_section_system(h, yd, hp, complete)
-    cert = _solve(sys, kind, h.dim * hp.dim, {"hplus_basis": hp.vectors, "yd": yd})
+    cert = _solve(sys, kind, {"hplus_basis": hp, "yd": yd})
     if cert is None:
         return None
     return _accept(cert, verify_fs_section(h, cert, complete, sys), sys)
@@ -128,19 +128,17 @@ def verify_fs_section(h: HopfData, cert: SectionCertificate, complete: bool,
     evaluated on the rows ``sys`` the finder solved, or on rows rebuilt over the
     certificate's H^+ basis."""
     if sys is None:
-        hp_vectors = cert.context["hplus_basis"]
-        if not hp_vectors:
+        hp = cert.context["hplus_basis"]
+        if not hp.dim:
             return _conditions(complete)
-        yd, hp = h_plus_yd(h, SubspaceBasis(h.dim, hp_vectors))
+        yd, hp = h_plus_yd(h, hp)
         sys = _fs_section_system(h, yd, hp, complete)
     return _checked(sys, cert)
 
 
 def check_im_tau(h: HopfData, cert: SectionCertificate) -> bool:
     """Whether Im(tau) lands in H^+ (x) H^+: (eps (x) id) tau = 0."""
-    m = len(cert.context["hplus_basis"])
-    tau = {(r // m, r % m, b): v for (r, b), v in cert.matrix.items()}
-    return not contract(h.field, "iab,i->ab", tau, h.coa.counit)
+    return not contract(h.field, "iab,i->ab", cert.matrix, h.coa.counit)
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +182,7 @@ def _find_retraction(h: HopfData, complete: bool) -> Optional[SectionCertificate
         return SectionCertificate(kind, {}, _conditions(complete), None, {})
     yd, split = h_bar_yd(h)
     sys = _fs_retraction_system(h, yd, split, complete)
-    cert = _solve(sys, kind, h.dim - 1, {"projection": split.projection,
-                                         "section": split.section, "yd": yd})
+    cert = _solve(sys, kind, {"projection": split.projection, "section": split.section, "yd": yd})
     if cert is None:
         return None
     return _accept(cert, verify_fs_retraction(h, cert, complete, sys), sys)
@@ -201,16 +198,14 @@ def verify_fs_retraction(h: HopfData, cert: SectionCertificate, complete: bool,
             return _conditions(complete)
         ctx = cert.context
         yd, split = h_bar_yd(h, QuotientSplitting(ctx["projection"], ctx["section"],
-                                                  SubspaceBasis(h.dim, [h.unit_vec])))
+                                                  unit_line(h)))
         sys = _fs_retraction_system(h, yd, split, complete)
     return _checked(sys, cert)
 
 
 def check_chi_quotients(h: HopfData, cert: SectionCertificate) -> bool:
     """Whether chi kills 1 (x) Hbar, i.e. quotients to Hbar (x) Hbar -> Hbar."""
-    m = h.dim - 1
-    chi = {(c, r // m, r % m): v for (c, r), v in cert.matrix.items()}
-    return not contract(h.field, "cia,i->ca", chi, h.alg.unit)
+    return not contract(h.field, "cia,i->ca", cert.matrix, h.alg.unit)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from typing import Optional
 
 from .hopf import (AlgebraData, CoalgebraData, HopfData, QuotientSplitting, SubspaceBasis,
                    augmentation_ideal, unit_cokernel)
-from .linalg import contract, dense, differing, identity, in_coordinates, ordered, sparse
+from .linalg import contract, differing, identity, in_coordinates, ordered
 
 ACTIONS = ("adl", "adr", "adl_bar", "adr_bar")      # |>, <|, |>>, <<|
 COACTIONS = ("rho_l", "rho_r", "rho_r_bar", "rho_l_bar")
@@ -39,11 +39,6 @@ class ModuleAction:
 
     def __post_init__(self):
         self.tensor = ordered(self.tensor)
-
-    def act(self, hvec: list, vvec: list) -> list:
-        f = self.over.field
-        t = contract(f, "i,ijk,j->k", sparse(hvec), self.tensor, sparse(vvec))
-        return dense(f, t, (self.space_dim,))
 
     def check(self) -> tuple:
         """(ok, witness): unit acts as identity, action is associative."""
@@ -68,14 +63,6 @@ class ComoduleCoaction:
 
     def __post_init__(self):
         self.tensor = ordered(self.tensor)
-
-    def coact(self, vvec: list) -> list:
-        """Flattened coordinates in H(x)V (left: i*m+k) or V(x)H (right: k*n+i)."""
-        f = self.over.field
-        n, m = self.over.dim, self.space_dim
-        t = contract(f, "j,jik->ik" if self.side == "left" else "j,jik->ki",
-                     sparse(vvec), self.tensor)
-        return [x for row in dense(f, t, (n, m) if self.side == "left" else (m, n)) for x in row]
 
     def check(self) -> tuple:
         """(ok, witness): counit property and coassociativity; the witness is the

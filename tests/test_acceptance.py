@@ -13,7 +13,6 @@ from hopfsmith import (GF, QQ, FieldSpec, augmentation_ideal, check_hopf,
                        dual_hopf, resolve_preset)
 from hopfsmith.doubles import drinfeld_double, separable_extension
 from hopfsmith.filtration import coradical, wedge_filtration
-from hopfsmith.hopf import SubspaceBasis
 from hopfsmith.integrals import (ad_coinvariant_integral, ad_invariant_integral,
                                  coseparability_retraction, four_linearity_flags,
                                  separability_idempotent, total_integral)
@@ -26,7 +25,8 @@ from hopfsmith.smoothness import (find_fs_retraction, find_fs_section,
                                   laurent_fs_section_window_check)
 
 from conftest import GRID, F
-from test_loop_oracles import _lists, _sparse_mat
+from test_loop_oracles import (_basis_vec, _coords, _lists, _nullity, _sparse_mat, _subspace,
+                               _unit_vec, _vec, _vectors, dense)
 
 
 def _line(n, ok, text):
@@ -51,8 +51,6 @@ def test_criterion_1_cyclic_truth_table(preset_cache):
 
 
 def test_criterion_2_group_algebra_ad_invariant(preset_cache):
-    from hopfsmith.hopf import _unitvec
-    from hopfsmith.linalg import dense, nullspace
     from hopfsmith.yd import adjoint_action
     names = [f"C{k}" for k in range(1, 13)] + ["S3", "Q8"]
     checked = 0
@@ -63,7 +61,7 @@ def test_criterion_2_group_algebra_ad_invariant(preset_cache):
             n = h.dim
             cert = ad_invariant_integral(h)
             want = [f.one] + [f.zero] * (n - 1)
-            assert cert is not None and cert.vector == want, (name, ch)
+            assert cert is not None and _coords(h, cert.vector) == want, (name, ch)
             # homogeneous system (a)+(b): solution space is one-dimensional
             adl = adjoint_action(h, "adl")
             _, comult, unit, counit, _, _ = _lists(h)
@@ -84,7 +82,7 @@ def test_criterion_2_group_algebra_ad_invariant(preset_cache):
                     row = list(adl_t[k][t])
                     row[t] = f.sub(row[t], ek)
                     rows.append(row)
-            assert len(nullspace(_sparse_mat(f, rows, n))) == 1, (name, ch)
+            assert _nullity(_sparse_mat(f, rows, n)) == 1, (name, ch)
             checked += 1
     _line(2, checked == len(names) * 4,
           f"lambda = delta_e with one-dimensional solution space on {checked} group cases")
@@ -156,30 +154,31 @@ def test_criterion_7_wedge_coradical_suite(preset_cache):
     assert rec.exhausted and rec.stabilization_index == 2
 
     instances = [
-        (h4, SubspaceBasis(4, [h4.unit_vec])),
+        (h4, _subspace(4, [_unit_vec(h4)])),
         (h4, cor),
-        (h4, SubspaceBasis(4, [h4.basis_vec(0), h4.basis_vec(1), h4.basis_vec(2)])),
-        (h4, SubspaceBasis(4, [h4.basis_vec(i) for i in range(4)])),
+        (h4, _subspace(4, [_basis_vec(h4, 0), _basis_vec(h4, 1), _basis_vec(h4, 2)])),
+        (h4, _subspace(4, [_basis_vec(h4, i) for i in range(4)])),
     ]
     hc4 = preset_cache("group:C4", 0)
     instances += [
-        (hc4, SubspaceBasis(4, [hc4.basis_vec(0)])),
-        (hc4, SubspaceBasis(4, [hc4.basis_vec(0), hc4.basis_vec(2)])),
-        (hc4, SubspaceBasis(4, [hc4.basis_vec(i) for i in range(4)])),
+        (hc4, _subspace(4, [_basis_vec(hc4, 0)])),
+        (hc4, _subspace(4, [_basis_vec(hc4, 0), _basis_vec(hc4, 2)])),
+        (hc4, _subspace(4, [_basis_vec(hc4, i) for i in range(4)])),
     ]
     hm = preset_cache("group:C2", 2)
     instances += [
-        (hm, SubspaceBasis(2, [hm.basis_vec(0)])),
-        (hm, SubspaceBasis(2, [hm.basis_vec(0), hm.basis_vec(1)])),
+        (hm, _subspace(2, [_basis_vec(hm, 0)])),
+        (hm, _subspace(2, [_basis_vec(hm, 0), _basis_vec(hm, 1)])),
     ]
     kf2 = preset_cache("functions:C2", 2)
-    instances += [(kf2, SubspaceBasis(2, [kf2.unit_vec]))]
+    instances += [(kf2, _subspace(2, [_unit_vec(kf2)]))]
     kf3 = preset_cache("functions:C3", 0)
-    instances += [(kf3, SubspaceBasis(3, [kf3.unit_vec]))]
+    instances += [(kf3, _subspace(3, [_unit_vec(kf3)]))]
     count = 0
     for h, sub in instances:
         rec = wedge_filtration(sub, h.coa)
-        contained = all(sub.contains(h.field, v) for v in coradical(h.coa).vectors)
+        contained = all(sub.contains(h.field, _vec(v))
+                        for v in _vectors(h.field, coradical(h.coa)))
         assert rec.exhausted == contained
         count += 1
     _line(7, count >= 10,

@@ -7,10 +7,11 @@ evaluation that passes vacuously, say one handed zero rows.
 
 import json
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
-from hopfsmith import QQ, SubspaceBasis, cli, resolve_preset
+from hopfsmith import QQ, cli, resolve_preset
 from hopfsmith.doubles import (ExtensionIdempotent, _verify_extension_idempotent,
                                drinfeld_double, relative_tensor, separable_extension)
 from hopfsmith.integrals import (_verify_ad_invariant, _verify_idempotent,
@@ -19,13 +20,14 @@ from hopfsmith.integrals import (_verify_ad_invariant, _verify_idempotent,
                                  coseparability_retraction, integral_space,
                                  separability_idempotent)
 from hopfsmith.lifting import LiftObstruction, lift_algebra_section, square_zero_extension
-from hopfsmith.linalg import AffineSystem, SparseMat, dense, failed_labels, identity
+from hopfsmith.linalg import AffineSystem, SparseMat, failed_labels, identity
 from hopfsmith.presets import cyclic_table, preset_group_algebra
 from hopfsmith.smoothness import (SectionCertificate, find_complete_fs_retraction,
                                   find_complete_fs_section, find_fs_retraction,
                                   find_fs_section, verify_fs_retraction, verify_fs_section)
 
 from test_lifting_oracles import _bumped
+from test_loop_oracles import _subspace, _vec, _vectors
 
 
 def _with_matrix(cert: SectionCertificate, mat: dict) -> SectionCertificate:
@@ -56,7 +58,7 @@ def test_fs_check_drops_a_label_for_a_changed_entry(finder, verify, spec, comple
     assert verify(h, cert, complete) == full
     # entry (0, 0) adds e_0 (x) v_0 to tau(v_0), resp. vbar_0 to chi(e_0 (x) vbar_0);
     # the sums that (ii) takes pick the extra term up, so (ii) fails
-    kept = verify(h, _with_matrix(cert, _bumped(h.field, cert.matrix, (0, 0))), complete)
+    kept = verify(h, _with_matrix(cert, _bumped(h.field, cert.matrix, (0, 0, 0))), complete)
     assert "ii" not in kept and set(kept) < set(full)
 
 
@@ -69,11 +71,10 @@ def test_plain_kernel_shift_keeps_i_ii_and_drops_iii(finder, verify, spec):
     # and (ii); for these non-cocommutative cases it breaks completeness (iii)
     h = resolve_preset(spec, QQ)
     cert = finder(h)
-    shift = cert.nullspace[0]
-    flat = [QQ.add(x, y) for x, y in
-            zip((x for row in dense(QQ, cert.matrix, cert.shape) for x in row), shift)]
-    w = cert.shape[1]
-    moved = {divmod(c, w): x for c, x in enumerate(flat) if x}
+    shift = _vectors(QQ, cert.nullspace)[0]
+    keys = list(product(*map(range, cert.shape)))  # the unknowns in row-major order
+    flat = [QQ.add(x, y) for x, y in zip((cert.matrix.get(k, QQ.zero) for k in keys), shift)]
+    moved = {k: x for k, x in zip(keys, flat) if x}
     assert verify(h, cert, complete=True) == ["i", "ii", "iii"]
     assert verify(h, _with_matrix(cert, moved), complete=True) == ["i", "ii"]
 
@@ -85,7 +86,7 @@ def test_plain_kernel_shift_keeps_i_ii_and_drops_iii(finder, verify, spec):
 def test_integral_space_check_rejects_a_changed_vector():
     h = resolve_preset("group:C3", QQ)
     basis = integral_space(h, "left")
-    bad = SubspaceBasis(h.dim, [_bump(basis.vectors[0], 1, h.field)])
+    bad = _subspace(h.dim, [_bump(_vectors(h.field, basis)[0], 1, h.field)])
     with pytest.raises(AssertionError, match="left"):
         _verify_integral_space(h, bad, "left")
 
@@ -96,7 +97,7 @@ def test_idempotent_check_rejects_a_changed_entry():
     assert _verify_idempotent(h, cert.data) == ["m(e)=1", "bilinear"]
     # e_0 (x) e_0 multiplies to e_0 = 1, so m(e) moves off the unit
     with pytest.raises(AssertionError, match=r"m\(e\)=1"):
-        _verify_idempotent(h, _bump(cert.data, 0, h.field))
+        _verify_idempotent(h, _bumped(h.field, cert.data, (0, 0)))
 
 
 def test_retraction_check_rejects_a_changed_entry():
@@ -105,7 +106,7 @@ def test_retraction_check_rejects_a_changed_entry():
     assert _verify_retraction(h, cert.data) == ["theta∘Delta=id", "bicolinear"]
     # theta(e_0 (x) e_0) gains e_0, and Delta(e_0) = e_0 (x) e_0 + ...
     with pytest.raises(AssertionError, match="theta∘Delta=id"):
-        _verify_retraction(h, _bumped(h.field, cert.data, (0, 0)))
+        _verify_retraction(h, _bumped(h.field, cert.data, (0, 0, 0)))
 
 
 def test_ad_invariant_check_rejects_a_changed_value():
@@ -114,7 +115,7 @@ def test_ad_invariant_check_rejects_a_changed_value():
     assert _verify_ad_invariant(h, cert.vector) == ["a", "b", "c"]
     # lam(1) = lam(e_0) moves off 1, while (a) and (b) still hold for a group algebra
     with pytest.raises(AssertionError, match="fails c$"):
-        _verify_ad_invariant(h, _bump(cert.vector, 0, h.field))
+        _verify_ad_invariant(h, _bumped(h.field, cert.vector, (0,)))
 
 
 def _corrupting(solve):
@@ -122,8 +123,7 @@ def _corrupting(solve):
     def corrupted(sys):
         sol = solve(sys)
         if sol is not None:
-            f = sys.matrix.field
-            sol.particular[0] = f.add(sol.particular[0], f.one)
+            sol.particular = _bumped(sys.matrix.field, sol.particular, (0,) * len(sys.shape))
         return sol
     return corrupted
 
@@ -169,9 +169,9 @@ def test_extension_idempotent_check_rejects_a_changed_coordinate():
     assert cert is not None
     rel = relative_tensor(ext)
     assert _verify_extension_idempotent(ext, rel, cert) == ["m(e)=1", "bilinear"]
-    coords = _bump(cert.quotient_coords, 0, h.field)
+    coords = _bumped(h.field, cert.quotient_coords, (0,))
     with pytest.raises(AssertionError, match="extension idempotent"):
-        _verify_extension_idempotent(ext, rel, ExtensionIdempotent(coords, rel.lift(coords)))
+        _verify_extension_idempotent(ext, rel, ExtensionIdempotent(coords, rel.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -181,16 +181,16 @@ def test_extension_idempotent_check_rejects_a_changed_coordinate():
 def test_failed_labels_reports_violated_conditions_in_row_order():
     one = QQ.one
     sys = AffineSystem(SparseMat(QQ, 3, 2, [[(0, one)], [(1, one)], [(0, one), (1, one)]]),
-                       [one, QQ.zero, one], 2, ["b", "a", "b"])
+                       [one, QQ.zero, one], (2,), ["b", "a", "b"])
     assert sys.condition_labels() == ["b", "a"]
-    assert failed_labels(sys, [QQ.one, QQ.zero]) == []
-    assert failed_labels(sys, [QQ.zero, QQ.one]) == ["b", "a"]
-    assert failed_labels(sys, [QQ.one, QQ.one]) == ["a", "b"]
+    assert failed_labels(sys, _vec([QQ.one, QQ.zero])) == []
+    assert failed_labels(sys, _vec([QQ.zero, QQ.one])) == ["b", "a"]
+    assert failed_labels(sys, _vec([QQ.one, QQ.one])) == ["a", "b"]
 
 
 def test_labels_must_match_the_rows():
     with pytest.raises(ValueError):
-        AffineSystem(SparseMat(QQ, 1, 1, [[(0, QQ.one)]]), [QQ.one], 1, ["a", "b"])
+        AffineSystem(SparseMat(QQ, 1, 1, [[(0, QQ.one)]]), [QQ.one], (1,), ["a", "b"])
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfsmith import FieldSpec
-from hopfsmith.linalg import AffineSystem, SparseMat, contract, dense, in_coordinates, sparse
+from hopfsmith.linalg import AffineSystem, SparseMat, contract, in_coordinates, sparse
 
-from test_loop_oracles import old_unknowns
+from test_loop_oracles import dense, old_unknowns
 
 FIELDS = [FieldSpec(0), FieldSpec(2), FieldSpec(3), FieldSpec(7)]
 LETTERS = "abcde"
@@ -150,7 +150,7 @@ def _dict_row_system(field, unknowns, *conds):
         rhs += [const.get(k, field.zero) for k in keys]
         labels += [label] * len(keys)
     data = [[(j, x) for j, x in row.items() if x] for row in rows]
-    return AffineSystem(SparseMat(field, len(data), unknowns, data), rhs, unknowns, labels)
+    return AffineSystem(SparseMat(field, len(data), unknowns, data), rhs, (unknowns,), labels)
 
 
 @st.composite

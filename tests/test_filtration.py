@@ -11,6 +11,7 @@ from hopfsmith.linalg import spans_equal
 from hopfsmith.presets import preset_sweedler, preset_taft
 
 from conftest import F
+from test_loop_oracles import _basis_vec, _columns, _subspace, _unit_vec, _vec, _vectors
 
 
 def test_radical_semisimple_group_algebras():
@@ -21,7 +22,7 @@ def test_radical_semisimple_group_algebras():
 
 def test_radical_modular_group_algebras():
     r = radical(resolve_preset("group:C2", GF(2)).alg)
-    assert r.dim == 1 and r.contains(GF(2), [1, 1])
+    assert r.dim == 1 and r.contains(GF(2), _vec([1, 1]))
     assert radical(resolve_preset("group:C4", GF(2)).alg).dim == 3
     assert radical(resolve_preset("group:C6", GF(2)).alg).dim == 3
     assert radical(resolve_preset("group:C6", GF(3)).alg).dim == 4
@@ -34,8 +35,8 @@ def test_radical_sweedler():
     h4 = preset_sweedler(QQ)
     r = radical(h4.alg)
     assert r.dim == 2
-    assert r.contains(QQ, [F(0), F(0), F(1), F(0)])
-    assert r.contains(QQ, [F(0), F(0), F(0), F(1)])
+    assert r.contains(QQ, _vec([F(0), F(0), F(1), F(0)]))
+    assert r.contains(QQ, _vec([F(0), F(0), F(0), F(1)]))
 
 
 def test_radical_taft():
@@ -47,8 +48,8 @@ def test_coradical_examples():
     h4 = preset_sweedler(QQ)
     cor = coradical(h4.coa)
     assert cor.dim == 2
-    assert cor.contains(QQ, [F(1), F(0), F(0), F(0)])
-    assert cor.contains(QQ, [F(0), F(1), F(0), F(0)])
+    assert cor.contains(QQ, _vec([F(1), F(0), F(0), F(0)]))
+    assert cor.contains(QQ, _vec([F(0), F(1), F(0), F(0)]))
     # group algebras are pointed with every basis vector group-like
     for spec, ch in [("group:C3", 0), ("group:C3", 3), ("group:C4", 2)]:
         h = resolve_preset(spec, FieldSpec(ch))
@@ -61,7 +62,7 @@ def test_coradical_function_algebra_modular():
     h = resolve_preset("functions:C2", GF(2))
     cor = coradical(h.coa)
     assert cor.dim == 1
-    assert cor.contains(GF(2), [1, 1])
+    assert cor.contains(GF(2), _vec([1, 1]))
 
 
 def test_wedge_basic_identities():
@@ -69,9 +70,9 @@ def test_wedge_basic_identities():
     cor = coradical(h4.coa)
     assert wedge(cor, cor, h4.coa).dim == 4
     hc2 = resolve_preset("group:C2", QQ)
-    zero = SubspaceBasis(2, [])
+    zero = _subspace(2, [])
     assert wedge(zero, zero, hc2.coa).dim == 0  # Delta is injective
-    full = SubspaceBasis(4, [h4.basis_vec(i) for i in range(4)])
+    full = _subspace(4, [_basis_vec(h4, i) for i in range(4)])
     assert wedge(cor, full, h4.coa).dim == 4
     assert wedge(full, cor, h4.coa).dim == 4
 
@@ -79,28 +80,28 @@ def test_wedge_basic_identities():
 def test_wedge_and_filtration_reject_a_space_of_another_dimension():
     h4 = preset_sweedler(QQ)
     cor = coradical(h4.coa)
-    other = SubspaceBasis(2, [[QQ.one, QQ.zero]])
+    other = _subspace(2, [[QQ.one, QQ.zero]])
     for x, y in ((other, cor), (cor, other)):
         with pytest.raises(ValueError, match="wrong ambient space"):
             wedge(x, y, h4.coa)
     with pytest.raises(ValueError, match="wrong ambient space"):
-        wedge_filtration(SubspaceBasis(2, []), h4.coa)
+        wedge_filtration(_subspace(2, []), h4.coa)
 
 
 def test_wedge_contains_sum():
     h4 = preset_sweedler(QQ)
-    one = SubspaceBasis(4, [h4.unit_vec])
-    g = SubspaceBasis(4, [h4.basis_vec(1)])
+    one = _subspace(4, [_unit_vec(h4)])
+    g = _subspace(4, [_basis_vec(h4, 1)])
     w = wedge(one, g, h4.coa)
-    for v in one.vectors + g.vectors:
-        assert w.contains(QQ, v)
+    for v in _vectors(QQ, one) + _vectors(QQ, g):
+        assert w.contains(QQ, _vec(v))
 
 
 def _grouplike_subcoalgebras(h, indices_pool):
     out = []
     for r in range(1, len(indices_pool) + 1):
         for subset in itertools.combinations(indices_pool, r):
-            out.append(SubspaceBasis(h.dim, [h.basis_vec(i) for i in subset]))
+            out.append(_subspace(h.dim, [_basis_vec(h, i) for i in subset]))
     return out
 
 
@@ -110,13 +111,13 @@ def test_wedge_associativity_on_subcoalgebra_triples():
     for x, y, z in itertools.islice(itertools.product(subs, repeat=3), 0, 27, 4):
         lhs = wedge(wedge(x, y, h.coa), z, h.coa)
         rhs = wedge(x, wedge(y, z, h.coa), h.coa)
-        assert spans_equal(QQ, lhs.vectors, rhs.vectors)
+        assert spans_equal(QQ, lhs.basis, rhs.basis, lhs.ambient_dim)
 
 
 def test_wedge_of_subcoalgebras_is_subcoalgebra():
     h4 = preset_sweedler(QQ)
-    one = SubspaceBasis(4, [h4.unit_vec])
-    g = SubspaceBasis(4, [h4.basis_vec(1)])
+    one = _subspace(4, [_unit_vec(h4)])
+    g = _subspace(4, [_basis_vec(h4, 1)])
     w = wedge(one, g, h4.coa)
     assert is_subcoalgebra(w, h4.coa)
 
@@ -130,14 +131,14 @@ def test_filtration_of_sweedler_coradical():
 
 def test_filtration_not_exhausted_without_coradical():
     h4 = preset_sweedler(QQ)
-    one = SubspaceBasis(4, [h4.unit_vec])
+    one = _subspace(4, [_unit_vec(h4)])
     rec = wedge_filtration(one, h4.coa)
     assert not rec.exhausted
 
 
 def test_filtration_full_start():
     h4 = preset_sweedler(QQ)
-    full = SubspaceBasis(4, [h4.basis_vec(i) for i in range(4)])
+    full = _subspace(4, [_basis_vec(h4, i) for i in range(4)])
     rec = wedge_filtration(full, h4.coa)
     assert rec.exhausted and rec.stabilization_index == 1
 
@@ -147,58 +148,59 @@ def test_exhaustion_criterion_both_directions():
     instances = []
     h4 = preset_sweedler(QQ)
     cor4 = coradical(h4.coa)
-    instances.append((h4, SubspaceBasis(4, [h4.unit_vec]), False))
+    instances.append((h4, _subspace(4, [_unit_vec(h4)]), False))
     instances.append((h4, cor4, True))
-    instances.append((h4, SubspaceBasis(4, [h4.basis_vec(0), h4.basis_vec(1),
-                                            h4.basis_vec(2)]), True))
-    instances.append((h4, SubspaceBasis(4, [h4.basis_vec(i) for i in range(4)]), True))
+    instances.append((h4, _subspace(4, [_basis_vec(h4, 0), _basis_vec(h4, 1),
+                                            _basis_vec(h4, 2)]), True))
+    instances.append((h4, _subspace(4, [_basis_vec(h4, i) for i in range(4)]), True))
     hc4 = resolve_preset("group:C4", QQ)
-    instances.append((hc4, SubspaceBasis(4, [hc4.basis_vec(0)]), False))
-    instances.append((hc4, SubspaceBasis(4, [hc4.basis_vec(0), hc4.basis_vec(2)]), False))
-    instances.append((hc4, SubspaceBasis(4, [hc4.basis_vec(i) for i in range(4)]), True))
+    instances.append((hc4, _subspace(4, [_basis_vec(hc4, 0)]), False))
+    instances.append((hc4, _subspace(4, [_basis_vec(hc4, 0), _basis_vec(hc4, 2)]), False))
+    instances.append((hc4, _subspace(4, [_basis_vec(hc4, i) for i in range(4)]), True))
     hc2m = resolve_preset("group:C2", GF(2))
-    instances.append((hc2m, SubspaceBasis(2, [hc2m.basis_vec(0)]), False))
-    instances.append((hc2m, SubspaceBasis(2, [hc2m.basis_vec(0), hc2m.basis_vec(1)]), True))
+    instances.append((hc2m, _subspace(2, [_basis_vec(hc2m, 0)]), False))
+    instances.append((hc2m, _subspace(2, [_basis_vec(hc2m, 0), _basis_vec(hc2m, 1)]), True))
     kf2 = resolve_preset("functions:C2", GF(2))
-    instances.append((kf2, SubspaceBasis(2, [kf2.unit_vec]), True))  # span{1} = coradical here
+    instances.append((kf2, _subspace(2, [_unit_vec(kf2)]), True))  # span{1} = coradical here
     kf3 = resolve_preset("functions:C3", QQ)
-    instances.append((kf3, SubspaceBasis(3, [kf3.unit_vec]), False))
+    instances.append((kf3, _subspace(3, [_unit_vec(kf3)]), False))
     assert len(instances) >= 10
     for h, sub, want in instances:
         rec = wedge_filtration(sub, h.coa)
         corad = coradical(h.coa)
-        contained = all(sub.contains(h.field, v) for v in corad.vectors)
+        contained = all(sub.contains(h.field, _vec(v)) for v in _vectors(h.field, corad))
         assert rec.exhausted == want == contained
 
 
 def test_span_one_in_sweedler_is_subcoalgebra_check():
     h4 = preset_sweedler(QQ)
-    assert is_subcoalgebra(SubspaceBasis(4, [h4.unit_vec]), h4.coa)
+    assert is_subcoalgebra(_subspace(4, [_unit_vec(h4)]), h4.coa)
     # span{x} is not a subcoalgebra: Delta(x) = x(x)1 + g(x)x
-    assert not is_subcoalgebra(SubspaceBasis(4, [h4.basis_vec(2)]), h4.coa)
+    assert not is_subcoalgebra(_subspace(4, [_basis_vec(h4, 2)]), h4.coa)
 
 
 def test_a_subspace_changed_after_use_is_completed_afresh():
-    """A SubspaceBasis keeps the completion of its vectors between calls; changing
-    the vectors, in place or by replacing the list, makes the next call redo it."""
+    """A SubspaceBasis keeps the completion of its basis between calls; changing
+    the basis tensor, in place or by replacing it, makes the next call redo it."""
     h4 = preset_sweedler(QQ)
     e = lambda i: [QQ.one if j == i else QQ.zero for j in range(4)]  # 1, g, x, gx
-    sub = SubspaceBasis(4, [e(0), e(1)])
+    sub = _subspace(4, [e(0), e(1)])
     assert is_subcoalgebra(sub, h4.coa)  # span{1, g}
-    sub.vectors[1][1], sub.vectors[1][2] = QQ.zero, QQ.one
+    del sub.basis[1, 1]  # a tensor holds no zero entry
+    sub.basis[2, 1] = QQ.one
     assert not is_subcoalgebra(sub, h4.coa)  # span{1, x}: Delta(x) = x(x)1 + g(x)x
-    fresh = SubspaceBasis(4, [e(0), e(2)])
+    fresh = _subspace(4, [e(0), e(2)])
     assert sub.tensors(QQ) == fresh.tensors(QQ)
     assert quotient_maps(QQ, sub) == quotient_maps(QQ, fresh)
-    sub.vectors = [e(3)]
-    assert sub.tensors(QQ) == SubspaceBasis(4, [e(3)]).tensors(QQ)
-    assert sub == SubspaceBasis(4, [e(3)]) and "completion" not in repr(sub)
+    sub.basis, sub.dim = _columns([e(3)]), 1
+    assert sub.tensors(QQ) == _subspace(4, [e(3)]).tensors(QQ)
+    assert sub == _subspace(4, [e(3)]) and "completion" not in repr(sub)
 
 
 def test_filtration_rejects_non_subcoalgebra():
     h4 = preset_sweedler(QQ)
     with pytest.raises(ValueError):
-        wedge_filtration(SubspaceBasis(4, [h4.basis_vec(2)]), h4.coa)
+        wedge_filtration(_subspace(4, [_basis_vec(h4, 2)]), h4.coa)
 
 
 def test_nilpotent_ideal_examples():
@@ -206,10 +208,10 @@ def test_nilpotent_ideal_examples():
     assert is_nilpotent_ideal(radical(h4.alg), h4.alg) == 2
     hm = resolve_preset("group:C2", GF(2))
     assert is_nilpotent_ideal(augmentation_ideal(hm), hm.alg) == 2
-    full = SubspaceBasis(2, [hm.basis_vec(0), hm.basis_vec(1)])
+    full = _subspace(2, [_basis_vec(hm, 0), _basis_vec(hm, 1)])
     assert is_nilpotent_ideal(full, hm.alg) is None  # contains 1
     with pytest.raises(ValueError):
-        is_nilpotent_ideal(SubspaceBasis(4, [h4.basis_vec(1)]), h4.alg)
+        is_nilpotent_ideal(_subspace(4, [_basis_vec(h4, 1)]), h4.alg)
 
 
 def test_nilpotency_index_of_larger_modular_radical():
@@ -225,11 +227,10 @@ def test_nilpotency_index_of_larger_modular_radical():
 from hypothesis import given, settings, strategies as st
 
 from hopfsmith.filtration import _fr_radical_mod_p, _trace_form_kernel
-from hopfsmith.hopf import _unitvec, dual_algebra
-from hopfsmith.linalg import dense, nullspace
+from hopfsmith.hopf import dual_algebra
 
 from conftest import GRID
-from test_loop_oracles import _mul, _sparse_mat
+from test_loop_oracles import _e, _mul, _nullspace, _sparse_mat, dense
 
 
 def _dense_fr_radical_mod_p(a):
@@ -271,14 +272,14 @@ def _dense_fr_radical_mod_p(a):
         cap *= p
         level += 1
 
-    current = [_unitvec(f, n, i) for i in range(n)]
+    current = [_e(f, n, i) for i in range(n)]
     for i_stage in range(level + 1):
         pi = p ** i_stage
         rows = []
         for w in current:
             row = []
             for y in range(n):
-                wy = _mul(f, mult, w, _unitvec(f, n, y))
+                wy = _mul(f, mult, w, _e(f, n, y))
                 tr = int_trace_power(lift_matrix(wy), pi)
                 assert tr % pi == 0
                 row.append((tr // pi) % p)
@@ -286,7 +287,7 @@ def _dense_fr_radical_mod_p(a):
         coeff = _sparse_mat(f, [[rows[j][y] for j in range(len(current))] for y in range(n)],
                             len(current))
         nxt = []
-        for col in nullspace(coeff):
+        for col in _nullspace(coeff):
             vec = [f.zero] * n
             for j, c in enumerate(col):
                 if c:
@@ -310,7 +311,7 @@ _ORACLE_CASES = [(spec, ch) for spec, ch in GRID if ch] + [
 def test_fr_radical_equals_dense_oracle(preset_cache, spec, char):
     h = preset_cache(spec, char)
     for a in (h.alg, dual_algebra(h.coa)):
-        assert _fr_radical_mod_p(a) == _dense_fr_radical_mod_p(a)
+        assert _vectors(a.field, _fr_radical_mod_p(a)) == _dense_fr_radical_mod_p(a)
 
 
 @settings(max_examples=25, deadline=None)
@@ -319,7 +320,21 @@ def test_fr_radical_equals_dense_oracle(preset_cache, spec, char):
 def test_fr_radical_equals_dense_oracle_drawn(spec, p, dual):
     h = resolve_preset(spec, GF(p))
     a = dual_algebra(h.coa) if dual else h.alg
-    vectors = _fr_radical_mod_p(a)
+    vectors = _vectors(a.field, _fr_radical_mod_p(a))
     assert vectors == _dense_fr_radical_mod_p(a)
     if p > a.dim:  # the chain stops at stage 0, the trace form
-        assert radical(a).vectors == _trace_form_kernel(a)
+        assert radical(a).basis == _trace_form_kernel(a).basis
+
+
+def test_subspace_basis_rejects_keys_outside_its_shape():
+    """A basis entry outside (ambient_dim, dim), or a vector entry outside
+    (ambient_dim,), raises ValueError instead of being read as another vector."""
+    line = SubspaceBasis(3, {(0, 0): QQ.one})
+    assert line.dim == 1 and line.contains(QQ, {(0,): QQ.one})
+    assert not line.contains(QQ, {(1,): QQ.one})
+    with pytest.raises(ValueError, match=r"vector must be 3, got an entry at \(3,\)"):
+        line.contains(QQ, {(3,): QQ.one})
+    with pytest.raises(ValueError, match=r"subspace basis must be 3 x 1, got an entry at \(3, 0\)"):
+        SubspaceBasis(3, {(3, 0): QQ.one})
+    with pytest.raises(ValueError, match=r"subspace basis must be 3 x 1, got an entry at \(0, 1\)"):
+        SubspaceBasis(3, {(0, 1): QQ.one}, 1)

@@ -10,11 +10,25 @@ from hypothesis import given, settings, strategies as st
 
 from hopfsmith import GF, QQ, resolve_preset
 from hopfsmith.filtration import _fr_radical_mod_p, _ideal_product, _trace_form_kernel
-from hopfsmith.hopf import _completion, _unitvec, dual_algebra
-from hopfsmith.linalg import dense, in_span, invert, rank
+from hopfsmith.hopf import _completion, dual_algebra
+from hopfsmith.linalg import invert, rank
 
 from conftest import GRID
-from test_loop_oracles import _mul, _sparse_mat
+from test_loop_oracles import _columns, _e, _mul, _sparse_mat, _subspace, dense, in_span
+from test_loop_oracles import _vectors as _lists_of
+
+
+def _completed(field, n, vectors):
+    """(basis, inverse) from ``_completion``, the completed basis as coordinate lists:
+    pivot j < k is vector j, pivot k + i the unit vector e_i."""
+    k = len(vectors)
+    pivots, inv = _completion(field, n, k, _columns(vectors))
+    return [list(vectors[j]) if j < k else _e(field, n, j - k) for j in pivots], inv
+
+
+def _product(a, xs, ys):
+    """``_ideal_product`` on lists of coordinate lists."""
+    return _lists_of(a.field, _ideal_product(a, _subspace(a.dim, xs), _subspace(a.dim, ys)))
 
 
 def _completion_oracle(field, n, vectors):
@@ -23,7 +37,7 @@ def _completion_oracle(field, n, vectors):
     for i in range(n):
         if len(chosen) == n:
             break
-        cand = chosen + [_unitvec(field, n, i)]
+        cand = chosen + [_e(field, n, i)]
         if rank(_sparse_mat(field, cand, n)) == len(cand):
             chosen = cand
     inv = invert(_sparse_mat(field, [list(row) for row in zip(*chosen)], len(chosen)))
@@ -85,15 +99,15 @@ def completion_case(draw):
 @given(completion_case())
 def test_completion_equals_rank_per_candidate(case):
     f, n, vectors = case
-    assert _outcome(_completion, f, n, vectors) == _outcome(_completion_oracle, f, n, vectors)
+    assert _outcome(_completed, f, n, vectors) == _outcome(_completion_oracle, f, n, vectors)
 
 
 def test_completion_of_dependent_vectors_raises():
     f = GF(5)
     with pytest.raises(ValueError, match="not linearly independent"):
-        _completion(f, 2, [[1, 2], [2, 4]])
+        _completed(f, 2, [[1, 2], [2, 4]])
     with pytest.raises(ValueError):
-        _completion(f, 3, [[1, 2, 0], [0, 0, 0]])
+        _completed(f, 3, [[1, 2, 0], [0, 0, 0]])
 
 
 _SPECS = {5: ["sweedler", "group:C4", "group:S3", "functions:C2"],
@@ -112,13 +126,13 @@ def product_case(draw):
 @given(product_case())
 def test_ideal_product_equals_in_span_loop(case):
     a, xs, ys = case
-    assert _ideal_product(a, xs, ys) == _ideal_product_oracle(a, xs, ys)
+    assert _product(a, xs, ys) == _ideal_product_oracle(a, xs, ys)
 
 
 @pytest.mark.parametrize("spec, char", GRID)
 def test_radical_products_equal_in_span_loop(preset_cache, spec, char):
     h = preset_cache(spec, char)
     for a in (h.alg, dual_algebra(h.coa)):
-        rad = _fr_radical_mod_p(a) if char else _trace_form_kernel(a)
-        for xs in (rad, [_unitvec(a.field, a.dim, i) for i in range(a.dim)]):
-            assert _ideal_product(a, xs, rad) == _ideal_product_oracle(a, xs, rad)
+        rad = _lists_of(a.field, _fr_radical_mod_p(a) if char else _trace_form_kernel(a))
+        for xs in (rad, [_e(a.field, a.dim, i) for i in range(a.dim)]):
+            assert _product(a, xs, rad) == _ideal_product_oracle(a, xs, rad)

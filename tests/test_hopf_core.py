@@ -8,17 +8,17 @@ from hopfsmith import (GF, QQ, FieldSpec, augmentation_ideal, check_algebra,
                        check_hopf, dual_hopf, op_cop, resolve_preset,
                        unit_cokernel)
 from hopfsmith.hopf import validated
-from hopfsmith.linalg import dense, spans_equal
+from hopfsmith.linalg import spans_equal
 from hopfsmith.presets import (NotAGroupError, cyclic_table, preset_function_algebra,
                                preset_group_algebra, preset_sweedler, preset_taft,
                                s3_table, q8_table)
 
 from conftest import GRID, F
-from test_loop_oracles import _delta, _eye, _matmul, _matvec
+from test_loop_oracles import _columns, _delta, _eye, _matmul, _matvec, _unit_vec, dense
 
 
 def _antipode(h):
-    """The antipode of h as dense rows, read through ``linalg.dense``."""
+    """The antipode of h as dense rows, read through ``dense``."""
     return dense(h.field, h.antipode, (h.dim, h.dim))
 
 
@@ -103,7 +103,7 @@ def test_function_algebra_is_dual_of_group_algebra():
     d = dual_hopf(kg)
     assert kf.alg.mult == d.alg.mult and kf.coa.comult == d.coa.comult
     # idempotent basis sums to the identity
-    one = kf.unit_vec
+    one = _unit_vec(kf)
     assert one == [F(1), F(1)]
 
 
@@ -143,11 +143,11 @@ def test_unit_and_counit_laws(preset_cache):
         f = h.field
         n = h.dim
         counit, comult = dense(f, h.coa.counit, (n,)), dense(f, h.coa.comult, (n, n, n))
-        assert f.eq(functools.reduce(f.add, map(f.mul, h.unit_vec, counit)), f.one)
-        d1 = _delta(f, comult, h.unit_vec)
+        assert f.eq(functools.reduce(f.add, map(f.mul, _unit_vec(h), counit)), f.one)
+        d1 = _delta(f, comult, _unit_vec(h))
         expect = [f.zero] * (n * n)
-        for i, x in enumerate(h.unit_vec):
-            for j, y in enumerate(h.unit_vec):
+        for i, x in enumerate(_unit_vec(h)):
+            for j, y in enumerate(_unit_vec(h)):
                 if x and y:
                     expect[i * n + j] = f.mul(x, y)
         assert d1 == expect
@@ -157,13 +157,13 @@ def test_augmentation_ideal():
     h = resolve_preset("group:C2", QQ)
     hp = augmentation_ideal(h)
     assert hp.dim == 1
-    assert spans_equal(QQ, hp.vectors, [[F(1), F(-1)]])
+    assert spans_equal(QQ, hp.basis, _columns([[F(1), F(-1)]]), 2)
     h4 = preset_sweedler(QQ)
     hp4 = augmentation_ideal(h4)
     assert hp4.dim == 3
-    assert spans_equal(QQ, hp4.vectors,
-                       [[F(1), F(-1), F(0), F(0)], [F(0), F(0), F(1), F(0)],
-                        [F(0), F(0), F(0), F(1)]])
+    assert spans_equal(QQ, hp4.basis,
+                       _columns([[F(1), F(-1), F(0), F(0)], [F(0), F(0), F(1), F(0)],
+                                 [F(0), F(0), F(0), F(1)]]), 4)
 
 
 def test_augmentation_ideal_dimension(preset_cache):
@@ -180,7 +180,7 @@ def test_unit_cokernel_splitting(preset_cache):
         n = h.dim
         proj = dense(f, split.projection, (n - 1, n))
         assert _matmul(f, proj, dense(f, split.section, (n, n - 1))) == _eye(f, n - 1)
-        assert all(f.is_zero(x) for x in _matvec(f, proj, h.unit_vec))
+        assert all(f.is_zero(x) for x in _matvec(f, proj, _unit_vec(h)))
 
 
 def test_grid_scalars_are_canonical(preset_cache):

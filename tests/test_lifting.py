@@ -11,12 +11,12 @@ from hopfsmith.lifting import (Bimodule, LiftCertificate, LiftObstruction,
                                hochschild_coboundary_solve, lift_algebra_section,
                                regular_bimodule, square_zero_extension,
                                weak_projection)
-from hopfsmith.linalg import contract, dense, identity, nullspace, rank, sparse
+from hopfsmith.linalg import contract, identity, rank, sparse
 from hopfsmith.presets import preset_sweedler
 
 from conftest import F
 from test_lifting_oracles import _action_mats
-from test_loop_oracles import _matvec, _sparse_mat
+from test_loop_oracles import _matvec, _nullity, _sparse_mat, dense
 
 
 def test_square_zero_lift_plain():
@@ -161,7 +161,7 @@ def _second_cohomology_dim(bim):
                             row[(s * n + i) * n + j] = f.sub(row[(s * n + i) * n + j], v)
                     d2_rows.append(row)
 
-    cocycles = len(nullspace(_sparse_mat(f, d2_rows, m * n * n)))
+    cocycles = _nullity(_sparse_mat(f, d2_rows, m * n * n))
     coboundaries = rank(_sparse_mat(f, d1_rows, m * n))
     return cocycles - coboundaries
 

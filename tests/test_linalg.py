@@ -5,10 +5,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfsmith.fields import GF, QQ
-from hopfsmith.linalg import (AffineSystem, SparseMat, dense, identity, invert, nullspace, rank,
+from hopfsmith.hopf import SubspaceBasis
+from hopfsmith.linalg import (AffineSolution, AffineSystem, SparseMat, identity, invert, rank,
                               solve_affine, spans_equal)
 
-from test_loop_oracles import _eye, _matmul, _matvec
+from test_loop_oracles import _columns, _eye, _matmul, _matvec, _nullspace, _vec, _vectors, dense
+
+
+def _solve(sys: AffineSystem):
+    """``solve_affine(sys)`` with the particular solution and the nullspace basis
+    as coordinate lists."""
+    sol = solve_affine(sys)
+    if sol is None:
+        return None
+    f = sys.matrix.field
+    return AffineSolution(dense(f, sol.particular, sys.shape),
+                          _vectors(f, SubspaceBasis(sys.unknowns, sol.nullspace)))
 
 
 @dataclass
@@ -37,14 +49,14 @@ def qmat(rows):
 
 
 def test_solve_affine_identity_case():
-    sol = solve_affine(AffineSystem(qmat([[1]]).sparse(), [Fraction(0)]))
+    sol = _solve(AffineSystem(qmat([[1]]).sparse(), [Fraction(0)]))
     assert sol.particular == [Fraction(0)]
     assert sol.nullspace == []
 
 
 def test_solve_affine_underdetermined():
     a = qmat([[1, 1], [1, 1]])
-    sol = solve_affine(AffineSystem(a.sparse(), [Fraction(2), Fraction(2)]))
+    sol = _solve(AffineSystem(a.sparse(), [Fraction(2), Fraction(2)]))
     assert a.matvec(sol.particular) == [Fraction(2), Fraction(2)]
     assert len(sol.nullspace) == 1
     v = sol.nullspace[0]
@@ -56,16 +68,16 @@ def test_solve_affine_underdetermined():
 
 
 def test_solve_affine_infeasible():
-    assert solve_affine(AffineSystem(qmat([[1], [0]]).sparse(),
+    assert _solve(AffineSystem(qmat([[1], [0]]).sparse(),
                                      [Fraction(0), Fraction(1)])) is None
 
 
 def test_nullspace_examples():
-    assert nullspace(Dense(QQ, 3, 3, _eye(QQ, 3)).sparse()) == []
-    assert len(nullspace(qmat([[0, 0], [0, 0]]).sparse())) == 2
-    ns = nullspace(qmat([[1, 2], [2, 4]]).sparse())
+    assert _nullspace(Dense(QQ, 3, 3, _eye(QQ, 3)).sparse()) == []
+    assert len(_nullspace(qmat([[0, 0], [0, 0]]).sparse())) == 2
+    ns = _nullspace(qmat([[1, 2], [2, 4]]).sparse())
     assert len(ns) == 1
-    assert spans_equal(QQ, ns, [[Fraction(2), Fraction(-1)]])
+    assert spans_equal(QQ, _columns(ns), _columns([[Fraction(2), Fraction(-1)]]), 2)
 
 
 def test_invert_examples():
@@ -80,7 +92,7 @@ def test_invert_examples():
 def test_prime_field_solving():
     f = GF(3)
     a = _from_rows(f, [[1, 2], [2, 2]])
-    sol = solve_affine(AffineSystem(a.sparse(), [1, 2]))
+    sol = _solve(AffineSystem(a.sparse(), [1, 2]))
     assert sol is not None
     assert a.matvec(sol.particular) == [1, 2]
     inv = invert(a.sparse())
@@ -100,13 +112,13 @@ def small_qq_matrix(draw):
 @settings(max_examples=60, deadline=None)
 @given(small_qq_matrix())
 def test_rank_nullity(m):
-    assert rank(m.sparse()) + len(nullspace(m.sparse())) == m.cols
+    assert rank(m.sparse()) + len(_nullspace(m.sparse())) == m.cols
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_qq_matrix())
 def test_nullspace_vectors_annihilate(m):
-    for v in nullspace(m.sparse()):
+    for v in _nullspace(m.sparse()):
         assert all(x == 0 for x in m.matvec(v))
 
 
@@ -116,7 +128,7 @@ def test_solve_affine_exactness(m, data):
     x = data.draw(st.lists(st.integers(-3, 3).map(Fraction),
                            min_size=m.cols, max_size=m.cols))
     b = m.matvec(x)
-    sol = solve_affine(AffineSystem(m.sparse(), b))
+    sol = _solve(AffineSystem(m.sparse(), b))
     assert sol is not None
     assert m.matvec(sol.particular) == b
 
@@ -141,7 +153,7 @@ def test_prime_field_rank_nullity(seed):
     f = GF(5)
     rows, cols = rng.randint(1, 5), rng.randint(1, 5)
     m = Dense(f, rows, cols, [[rng.randrange(5) for _ in range(cols)] for _ in range(rows)])
-    assert rank(m.sparse()) + len(nullspace(m.sparse())) == cols
+    assert rank(m.sparse()) + len(_nullspace(m.sparse())) == cols
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +162,7 @@ def test_prime_field_rank_nullity(seed):
 
 from hopfsmith.fields import FieldSpec
 from hopfsmith.linalg import _rref, failed_labels, require_labels
-from hopfsmith.linalg import dense as linalg_dense
+from test_loop_oracles import dense as linalg_dense
 
 
 def _dense_rref(rows: list, ncols: int, field: FieldSpec):
@@ -353,7 +365,7 @@ def test_solve_affine_equals_dense_oracle(m, data):
     else:
         rhs = [data.draw(st.sampled_from([f.zero, f.one])) for _ in range(m.rows)]
     want = _oracle_solve(m, rhs)
-    got = solve_affine(AffineSystem(m.sparse(), rhs))
+    got = _solve(AffineSystem(m.sparse(), rhs))
     if want is None:
         assert got is None
     else:
@@ -368,7 +380,7 @@ def test_nullspace_and_rank_equal_dense_oracle(m):
     dense = [row[:] for row in m.data]
     pivots = _dense_rref(dense, m.cols, m.field)
     kernel = _oracle_kernel(dense, m.cols, pivots, m.field)
-    ns = nullspace(m.sparse())
+    ns = _nullspace(m.sparse())
     assert ns == kernel
     assert all(len(v) == m.cols for v in ns)
     assert rank(m.sparse()) == len(pivots)
@@ -419,7 +431,7 @@ def test_solve_affine_with_denominators_equals_dense_oracle(m, data):
     else:
         rhs = data.draw(st.lists(BIG_Q, min_size=m.rows, max_size=m.rows))
     want = _oracle_solve(m, rhs)
-    got = solve_affine(AffineSystem(m.sparse(), rhs))
+    got = _solve(AffineSystem(m.sparse(), rhs))
     if want is None:
         assert got is None
     else:
@@ -463,7 +475,7 @@ def test_failed_labels_equals_row_by_row_evaluation(m, data):
     want = list(dict.fromkeys(label for row, b, label in zip(m.data, rhs, labels)
                               if _row_value(f, row, x) != b))
     assert want
-    assert failed_labels(AffineSystem(m.sparse(), rhs, labels=labels), x) == want
+    assert failed_labels(AffineSystem(m.sparse(), rhs, labels=labels), _vec(x)) == want
 
 
 def test_an_unlabelled_system_names_its_failing_rows():
@@ -472,12 +484,12 @@ def test_an_unlabelled_system_names_its_failing_rows():
     sys = AffineSystem(SparseMat(QQ, 2, 2, [[(0, Fraction(1))], [(1, Fraction(1, 2))]]),
                        [Fraction(1), Fraction(3)])
     assert sys.condition_labels() == [0, 1]
-    assert failed_labels(sys, [Fraction(1), Fraction(6)]) == []
-    assert failed_labels(sys, [Fraction(1), Fraction(0)]) == [1]
-    assert failed_labels(sys, [Fraction(0), Fraction(0)]) == [0, 1]
+    assert failed_labels(sys, _vec([Fraction(1), Fraction(6)])) == []
+    assert failed_labels(sys, _vec([Fraction(1), Fraction(0)])) == [1]
+    assert failed_labels(sys, _vec([Fraction(0), Fraction(0)])) == [0, 1]
     with pytest.raises(AssertionError, match="fails 0, 1"):
-        require_labels(sys, [Fraction(0), Fraction(0)], "x")
-    assert failed_labels(AffineSystem(SparseMat(GF(3), 1, 1, [[(0, 2)]]), [1]), [1]) == [0]
+        require_labels(sys, _vec([Fraction(0), Fraction(0)]), "x")
+    assert failed_labels(AffineSystem(SparseMat(GF(3), 1, 1, [[(0, 2)]]), [1]), _vec([1])) == [0]
 
 
 @pytest.mark.parametrize("f", FIELDS)
@@ -485,21 +497,21 @@ def test_kernel_edge_cases(f):
     one, two = f.one, f.from_int(2)
     # zero rows among nonzero ones, and a repeated row
     m = Dense(f, 4, 3, [[f.zero] * 3, [one, two, f.zero], [f.zero] * 3, [one, two, f.zero]])
-    sol = solve_affine(AffineSystem(m.sparse(), [f.zero, one, f.zero, one]))
+    sol = _solve(AffineSystem(m.sparse(), [f.zero, one, f.zero, one]))
     assert (sol.particular, sol.nullspace) == _oracle_solve(m, [f.zero, one, f.zero, one])
     # an empty row with a nonzero right-hand side is 0 = 1
     sparse = SparseMat(f, 2, 3, [[(0, one)], []])
-    assert solve_affine(AffineSystem(sparse, [one, one])) is None
-    assert solve_affine(AffineSystem(SparseMat(f, 2, 3, [[], []]), [f.zero, one])) is None
+    assert _solve(AffineSystem(sparse, [one, one])) is None
+    assert _solve(AffineSystem(SparseMat(f, 2, 3, [[], []]), [f.zero, one])) is None
     # all-zero matrix: every vector is in the kernel
     zero = SparseMat(f, 3, 4, [[], [], []])
     assert rank(zero) == 0
-    assert nullspace(zero) == _eye(f, 4)
-    sol = solve_affine(AffineSystem(zero, [f.zero] * 3))
+    assert _nullspace(zero) == _eye(f, 4)
+    sol = _solve(AffineSystem(zero, [f.zero] * 3))
     assert sol.particular == [f.zero] * 4 and sol.nullspace == _eye(f, 4)
     # a 0-row system
     mat = SparseMat(f, 0, 3, [])
-    sol = solve_affine(AffineSystem(mat, []))
+    sol = _solve(AffineSystem(mat, []))
     assert sol.particular == [f.zero] * 3 and sol.nullspace == _eye(f, 3)
     assert rank(mat) == 0
 
@@ -557,14 +569,23 @@ def test_relative_tensor_matches_dense_oracle(spec, char):
                 for k, rv in enumerate(row):
                     if rv:
                         w[k] = f.sub(w[k], f.mul(c, rv))
-        assert rel.project(unit) == [w[k] for k in rel.free_cols]
+        assert [rel.projection.get((j, k), f.zero) for k in range(rel.dim)] == \
+            [w[k] for k in rel.free_cols]
 
 
 # ---------------------------------------------------------------------------
 # span_contains_span: one rank comparison against the vector-by-vector test
 # ---------------------------------------------------------------------------
 
-from hopfsmith.linalg import in_span, span_contains_span
+from hopfsmith.linalg import span_contains_span
+
+from test_loop_oracles import in_span
+
+
+def _contains(f, big: list, small: list) -> bool:
+    """``span_contains_span`` on lists of coordinate lists."""
+    n = len((big + small)[0]) if big + small else 0
+    return span_contains_span(f, _columns(big), _columns(small), n)
 
 
 @st.composite
@@ -599,13 +620,13 @@ def span_pair(draw):
 @given(span_pair())
 def test_span_contains_span_equals_vectorwise_in_span(case):
     f, big, small = case
-    assert span_contains_span(f, big, small) == all(in_span(f, big, v) for v in small)
+    assert _contains(f, big, small) == all(in_span(f, big, v) for v in small)
 
 
 def test_span_contains_span_edge_cases():
     f = GF(2)
-    assert span_contains_span(f, [], [])
-    assert span_contains_span(f, [], [[0, 0]])
-    assert not span_contains_span(f, [], [[0, 1]])
-    assert span_contains_span(f, [[1, 1], [1, 1]], [[0, 0], [1, 1]])
-    assert not span_contains_span(f, [[1, 1], [1, 1]], [[1, 0]])
+    assert _contains(f, [], [])
+    assert _contains(f, [], [[0, 0]])
+    assert not _contains(f, [], [[0, 1]])
+    assert _contains(f, [[1, 1], [1, 1]], [[0, 0], [1, 1]])
+    assert not _contains(f, [[1, 1], [1, 1]], [[1, 0]])

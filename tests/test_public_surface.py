@@ -44,10 +44,9 @@ def test_class_attributes():
                                                     SubspaceBasis, SparseMat, AffineSystem)} == {
         "AlgebraData": ["dim", "field", "mult", "unit"],
         "CoalgebraData": ["comult", "counit", "dim", "field"],
-        "HopfData": ["alg", "antipode", "antipode_inverse", "basis", "basis_vec", "coa",
-                     "dim", "field", "unit_vec"],
-        "SubspaceBasis": ["ambient_dim", "contains", "dim", "tensors", "vectors"],
+        "HopfData": ["alg", "antipode", "antipode_inverse", "basis", "coa", "dim", "field"],
+        "SubspaceBasis": ["ambient_dim", "basis", "contains", "dim", "tensors"],
         "SparseMat": ["cols", "data", "field", "from_tensor", "rows"],
-        "AffineSystem": ["condition_labels", "conditions", "labels", "matrix", "rhs",
+        "AffineSystem": ["condition_labels", "conditions", "labels", "matrix", "rhs", "shape",
                          "unknowns"],
     }

@@ -12,11 +12,10 @@ import pytest
 from hopfsmith import (FieldSpec, cli, doubles, filtration, hopf, integrals, lifting, linalg,
                        presets, resolve_preset, serialize, smoothness, yd)
 from hopfsmith.filtration import ideal_powers, is_nilpotent_ideal
-from hopfsmith.hopf import SubspaceBasis
-from hopfsmith.linalg import contract, dense, failed_labels, solve_affine
+from hopfsmith.linalg import contract, failed_labels, solve_affine
 from hopfsmith.lifting import SurjectionProblem, square_zero_extension
 
-from test_loop_oracles import _mul
+from test_loop_oracles import _basis_vec, _mul, _subspace, _vectors, dense
 
 
 def _quiet(argv):
@@ -59,22 +58,32 @@ def _recorded_checks(monkeypatch) -> list:
     return dims
 
 
-@pytest.mark.parametrize("preset,char,coradical", [
-    ("sweedler", 0, 2), ("functions:S3", 2, None), ("taft:3:2", 7, 3)])
-@pytest.mark.parametrize("command", [c for c in cli.SUBCOMMANDS if c != "truth-table"])
+@pytest.mark.parametrize("command,preset,char,coradical,cover", [
+    pytest.param(command, preset, char, coradical, None,
+                 id=f"{command}-{preset}-{char}-{coradical}")
+    for preset, char, coradical in (("sweedler", 0, 2), ("functions:S3", 2, None),
+                                    ("taft:3:2", 7, 3))
+    for command in cli.SUBCOMMANDS if command != "truth-table"] + [
+    pytest.param("lift-section", "group:C2", 3, None, 3,
+                 id="lift-section-cyclic-cover:3-group:C2-3")])
 def test_each_hopf_algebra_a_query_builds_is_checked_once(monkeypatch, command, preset, char,
-                                                          coradical):
-    """The input is checked once, D(H) once more for the double queries and the
-    coradical sub-Hopf algebra once more for ``weak-projection``; H* is never
-    built.  On k^S3 over F_2 the coradical is not a subalgebra, so
-    ``weak-projection`` stops (exit 2) before it builds one."""
+                                                          coradical, cover):
+    """The input is checked once, D(H) once more for the double queries, the
+    coradical sub-Hopf algebra once more for ``weak-projection`` and KC_{Mn}
+    once more for a ``cyclic-cover:M`` lift; H* is never built.  On k^S3 over
+    F_2 the coradical is not a subalgebra, so ``weak-projection`` stops (exit 2)
+    before it builds one."""
     h = resolve_preset(preset, FieldSpec(char))
     dims = _recorded_checks(monkeypatch)
+    argv = [command, "--preset", preset, "--char", str(char)]
     with contextlib.redirect_stderr(io.StringIO()):
-        code = _quiet([command, "--preset", preset, "--char", str(char)])
+        code = _quiet(argv + (["--problem", f"cyclic-cover:{cover}"] if cover else []))
     expected = [h.dim]
     if command in ("double", "double-separable"):
         expected.append(h.dim ** 2)
+    if cover:
+        expected.append(h.dim * cover)
+        assert code == 0
     if command == "weak-projection":
         expected += [coradical] if coradical else []
         assert code == (0 if coradical else 2)
@@ -145,14 +154,14 @@ def test_kernels_do_no_fraction_arithmetic_over_q(monkeypatch):
     system = smoothness._fs_section_system(h, yd_plus, hp, False)
     m = hp.dim
     first = system.rhs.index(f.one)  # a row of (ii) that the zero vector violates
-    wrong = [f.zero] * system.unknowns
+    wrong = {}
     ops = {}
     for name in ("__add__", "__radd__", "__sub__", "__rsub__",
                  "__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
         _count_calls(monkeypatch, Fraction, name, ops)
     sol = solve_affine(system)
     # the unknown has shape (n, m, m): entry (i, a, b) is tau(v_b) at e_i (x) v_a
-    tau = {(u // (m * m), u // m % m, u % m): v for u, v in enumerate(sol.particular) if v}
+    tau = sol.particular
     images = contract(f, "jip,iab->jbpa", h.alg.mult, tau)
     counit = contract(f, "iab,i->ab", tau, h.coa.counit)
     passed, failed = failed_labels(system, sol.particular), failed_labels(system, wrong)
@@ -161,7 +170,7 @@ def test_kernels_do_no_fraction_arithmetic_over_q(monkeypatch):
     assert sol is not None and passed == []
     assert system.labels[first] in failed
     assert images and not counit  # tau lands in H^+ (x) H^+
-    assert max(v.denominator for v in sol.particular) > 1
+    assert max(v.denominator for v in sol.particular.values()) > 1
 
 
 @pytest.mark.parametrize("spec,char", [("group:Q8", 0), ("taft:3:2", 7)])
@@ -230,14 +239,14 @@ def test_surjection_with_a_padded_map_is_rejected_by_shape():
 
 def test_ideal_powers_end_at_zero_exactly_at_the_nilpotency_index():
     h = resolve_preset("sweedler", FieldSpec(0))
-    x = h.basis_vec(2)  # the nilpotent generator x, with x^2 = 0
-    ideal = SubspaceBasis(4, [h.basis_vec(2), h.basis_vec(3)])
-    powers = ideal_powers(h.alg, ideal.vectors)
-    assert powers is not None and powers[-1] == [] and len(powers) == 2
+    x = _basis_vec(h, 2)  # the nilpotent generator x, with x^2 = 0
+    ideal = _subspace(4, [_basis_vec(h, 2), _basis_vec(h, 3)])
+    powers = ideal_powers(h.alg, ideal)
+    assert powers is not None and _vectors(h.field, powers[-1]) == [] and len(powers) == 2
     assert is_nilpotent_ideal(ideal, h.alg) == 2
     assert _mul(h.field, dense(h.field, h.alg.mult, (4, 4, 4)), x, x) == [h.field.zero] * 4
-    whole = SubspaceBasis(4, [h.basis_vec(i) for i in range(4)])
-    assert ideal_powers(h.alg, whole.vectors) is None
+    whole = _subspace(4, [_basis_vec(h, i) for i in range(4)])
+    assert ideal_powers(h.alg, whole) is None
     assert is_nilpotent_ideal(whole, h.alg) is None
 
 
@@ -250,36 +259,44 @@ def test_unknown_adjoint_structure_is_rejected():
         adjoint_coaction(h, "adl")
 
 
-# Callers that densify coordinate vectors, never a linear map: the particular
-# solution of a solve and the spanning lists of ideal products.
-VECTOR_BUILDERS = {"solve_affine", "_is_two_sided_ideal", "_ideal_product"}
+# The JSON edge: the only modules that turn sparse tensors into nested lists or back.
+JSON_EDGE = {"hopfsmith.serialize", "hopfsmith.cli"}
+PACKAGE = (cli, doubles, filtration, hopf, integrals, lifting, linalg, presets, serialize,
+           smoothness, yd)
 
 
-@pytest.mark.parametrize("preset, char, cover", [
-    ("group:C2", 2, 2), ("group:C3", 3, 3), ("group:C4", 2, 2)])
-def test_lift_section_densifies_no_linear_map(monkeypatch, preset, char, cover):
-    """Every map of a lift (pi, the stage maps, the bimodule actions, the
-    obstruction witness) stays a sparse tensor until ``serialize``: outside it,
-    ``dense`` runs only for coordinate vectors.  Each of these modular covers
-    ends in an obstruction, so a stage bimodule is built and checked."""
-    real = linalg.dense
+@pytest.mark.parametrize("argv", [
+    pytest.param([command, "--preset", preset, "--char", str(char)],
+                 id=f"{command}-{preset}-{char}")
+    for preset, char in (("sweedler", 0), ("functions:S3", 2), ("taft:3:2", 7))
+    for command in cli.SUBCOMMANDS if command != "truth-table"] + [
+    pytest.param(["truth-table"], id="truth-table")] + [
+    pytest.param(["lift-section", "--preset", preset, "--char", str(char),
+                  "--problem", f"cyclic-cover:{cover}"], id=f"lift-section-{preset}-{char}-{cover}")
+    for preset, char, cover in (("group:C2", 2, 2), ("group:C3", 3, 3), ("group:C4", 2, 2))])
+def test_nothing_densifies_outside_the_json_edge(monkeypatch, argv):
+    """Vectors, subspace bases, solutions, certificates and maps stay sparse
+    tensors: outside ``serialize`` and ``cli``, no module calls ``linalg.sparse``
+    (or a ``linalg.dense``, where one exists).  Each modular cover ends in an
+    obstruction, so a stage bimodule is built and checked."""
     callers = []
+    for name in ("dense", "sparse"):
+        real = getattr(linalg, name, None)
+        if real is None:
+            continue
 
-    def recording(*args, **kwargs):
-        frame = sys._getframe(1)
-        while frame.f_code.co_name.startswith("<"):  # a comprehension's own frame
-            frame = frame.f_back
-        callers.append(frame.f_code.co_name)
-        return real(*args, **kwargs)
+        def recording(*args, _real=real, **kwargs):
+            frame = sys._getframe(1)
+            if frame.f_code is not _real.__code__:  # not the converter's own recursion
+                callers.append(frame.f_globals["__name__"])
+            return _real(*args, **kwargs)
 
-    for module in (cli, doubles, filtration, hopf, integrals, lifting, linalg, presets,
-                   smoothness, yd):
-        if getattr(module, "dense", None) is real:
-            monkeypatch.setattr(module, "dense", recording)
-    argv = ["lift-section", "--preset", preset, "--char", str(char),
-            "--problem", f"cyclic-cover:{cover}"]
-    assert _quiet(argv) == 1
-    assert callers and [c for c in callers if c not in VECTOR_BUILDERS] == []
+        for module in PACKAGE:
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, recording)
+    with contextlib.redirect_stderr(io.StringIO()):
+        _quiet(argv)
+    assert [c for c in callers if c not in JSON_EDGE] == []
 
 
 def test_double_report_converts_only_nonzero_scalars(monkeypatch):
@@ -321,9 +338,9 @@ def test_weak_projection_completes_each_distinct_basis_once(monkeypatch, argv):
     seen = []
     inner = hopf._completion
 
-    def recording(field, n, vectors):
-        seen.append((n, tuple(map(tuple, vectors))))
-        return inner(field, n, vectors)
+    def recording(field, n, k, basis):
+        seen.append((n, k, tuple(sorted(basis.items()))))
+        return inner(field, n, k, basis)
 
     monkeypatch.setattr(hopf, "_completion", recording)
     assert _quiet(argv) == 0

@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from hopfsmith import GF, QQ, FieldSpec, dual_hopf, resolve_preset
-from hopfsmith.hopf import _unitvec
 from hopfsmith.integrals import ad_invariant_integral, separability_idempotent
 from hopfsmith.presets import preset_sweedler
 from hopfsmith.smoothness import (SectionCertificate, check_chi_quotients,
@@ -91,8 +90,8 @@ def test_im_tau_can_fail_without_condition_i():
     h = resolve_preset("group:C2", QQ)
     from hopfsmith.yd import h_plus_yd
     _, hp = h_plus_yd(h)
-    bad = {(0, 0): F(1)}  # tau(v) = e0 (x) v
-    cert = SectionCertificate("fs_section", bad, [], None, {"hplus_basis": hp.vectors}, (2, 1))
+    bad = {(0, 0, 0): F(1)}  # tau(v) = e0 (x) v
+    cert = SectionCertificate("fs_section", bad, [], None, {"hplus_basis": hp}, (2, 1, 1))
     assert not check_im_tau(h, cert)
     # and indeed it fails (ii): e0·v = v but the certificate never checked
     assert verify_fs_section(h, cert, complete=False) != ["i", "ii"]

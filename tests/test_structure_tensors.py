@@ -124,9 +124,8 @@ def test_no_module_converts_a_structure_map():
     offences = []
     for path in sorted(SRC.glob("*.py")):
         for line, name, attr, func in _converted_structure_maps(ast.parse(path.read_text())):
-            # the JSON edge densifies for the report, and unit_vec is a coordinate list
-            allowed = name == "dense" and (path.name == "serialize.py" or
-                                           (path.name == "hopf.py" and func == "unit_vec"))
+            # only the JSON edge may densify, for the report
+            allowed = name == "dense" and path.name == "serialize.py"
             if not allowed:
                 offences.append(f"{path.name}:{line}: {name}(.{attr})")
     assert offences == []
