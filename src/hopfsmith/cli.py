@@ -208,9 +208,12 @@ def cmd_wedge_filtration(args) -> int:
 def cmd_lift_section(args) -> int:
     h = _load(args)
     if args.problem == "square-zero":
-        prob = square_zero_extension(h, with_coaction=True)
+        prob = square_zero_extension(h)
     elif args.problem.startswith("cyclic-cover:"):
-        m = int(args.problem.split(":", 1)[1])
+        try:
+            m = int(args.problem.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(f"{args.problem} needs a cover degree M >= 1") from None
         n = h.dim
         if args.preset is None or not args.preset.startswith("group:C"):
             raise ValueError("cyclic-cover problems need a cyclic group preset")

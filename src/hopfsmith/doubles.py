@@ -164,15 +164,3 @@ def _verify_extension_idempotent(ext: ExtensionData, rel: RelTensor, cert: Exten
     return require_labels(sys or _extension_idempotent_system(ext, rel), cert.quotient_coords,
                           "extension idempotent")
 
-
-def trivial_extension_over_base(alg: AlgebraData) -> ExtensionData:
-    """R/K with S = K embedded on the unit."""
-    f = alg.field
-    small = AlgebraData(f, 1, {(0, 0, 0): f.one}, {(0,): f.one})
-    return ExtensionData(alg, small, {(k, 0): x for (k,), x in alg.unit.items()}).validate()
-
-
-def double_separable_over_h(h: HopfData) -> bool:
-    """Whether D(H)/H is separable; the paper ties this to ad-invariant integrals."""
-    _, ext = drinfeld_double(h)
-    return separable_extension(ext) is not None

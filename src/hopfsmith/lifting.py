@@ -160,18 +160,12 @@ def _equivariance_pairs_from_problem(p: SurjectionProblem) -> tuple:
     return alpha, beta
 
 
-def lift_algebra_section(p: SurjectionProblem, colinear: bool = False,
-                         extra_pairs: Optional[list] = None):
-    """A verified multiplicative (optionally equivariant) section of pi, or a
-    LiftObstruction carrying a delta-closed curvature witness.  ``extra_pairs``
-    are further (alpha on A, beta on E) pairs of maps (x, y) to intertwine."""
+def lift_algebra_section(p: SurjectionProblem, colinear: bool = False):
+    """A verified multiplicative (optionally right H-colinear) section of pi, or
+    a LiftObstruction carrying a delta-closed curvature witness."""
     p.validate()
     alpha, beta = _equivariance_pairs_from_problem(p) if colinear else ({}, {})
-    first = p.hopf.dim if colinear else 0
-    for u, (a_u, b_u) in enumerate(extra_pairs or [], first):
-        alpha.update({(u, *k): x for k, x in a_u.items()})
-        beta.update({(u, *k): x for k, x in b_u.items()})
-    return _lift(p, alpha, beta, colinear or bool(extra_pairs))
+    return _lift(p, alpha, beta, colinear)
 
 
 def _lift(p: SurjectionProblem, alpha: dict, beta: dict, equivariant: bool):
@@ -285,8 +279,8 @@ def _is_two_cocycle(bim: Bimodule, c: dict) -> bool:
                    contract(f, "jky,iyt->ijkt", m, c))
 
 
-def _solve_coboundary(bim: Bimodule, c: dict, alpha: Optional[dict] = None,
-                      beta: Optional[dict] = None, equivariant: bool = False) -> Optional[dict]:
+def _solve_coboundary(bim: Bimodule, c: dict, alpha: dict, beta: dict,
+                      equivariant: bool) -> Optional[dict]:
     """h: A -> M, as (t, y), with a·h(b) - h(ab) + h(a)·b = c(a,b), c keyed (i, j, t);
     when ``equivariant``, also h alpha_u = beta_u h with beta keyed (u, s, t)."""
     a = bim.algebra
@@ -324,40 +318,14 @@ def _verify_final(p: SurjectionProblem, cert: LiftCertificate, alpha: dict, beta
 
 
 # ---------------------------------------------------------------------------
-# Standalone Hochschild 2-coboundary solving
-# ---------------------------------------------------------------------------
-
-def hochschild_coboundary_solve(a: AlgebraData, bim: Bimodule, cocycle: dict) -> Optional[dict]:
-    """Solve delta h = c for a checked 2-cocycle c keyed (i, j, t); h: A -> M is
-    returned as (t, y), and None signals a nonzero class."""
-    if bim.algebra is not a and bim.algebra != a:
-        raise ValueError("bimodule is not over the given algebra")
-    bim.check()
-    if not _is_two_cocycle(bim, cocycle):
-        raise ValueError("input is not a 2-cocycle")
-    return _solve_coboundary(bim, cocycle)
-
-
-def eps_bimodule(h: HopfData) -> Bimodule:
-    """K as an H-bimodule through the counit on both sides."""
-    eps = {(i, 0, 0): x for (i,), x in h.coa.counit.items()}
-    return Bimodule(h.alg, 1, eps, eps).check()
-
-
-def regular_bimodule(a: AlgebraData) -> Bimodule:
-    m = a.mult
-    return Bimodule(a, a.dim, m, {(i, s, t): x for (s, i, t), x in m.items()}).check()
-
-
-# ---------------------------------------------------------------------------
 # Ready-made surjection problems
 # ---------------------------------------------------------------------------
 
-def square_zero_extension(h: HopfData, with_coaction: bool = True) -> SurjectionProblem:
+def square_zero_extension(h: HopfData) -> SurjectionProblem:
     """E = A (+) A·eps with eps^2 = 0, pi forgetting eps; A = underlying algebra.
 
-    When requested, E and A carry the right regular H-coaction (H = h), making
-    the data a surjection of comodule algebras.
+    E and A carry the right regular H-coaction (H = h), making the data a
+    surjection of comodule algebras; a plain lift never reads it.
     """
     a = h.alg
     f = a.field
@@ -367,14 +335,11 @@ def square_zero_extension(h: HopfData, with_coaction: bool = True) -> Surjection
     mult = {**m, **{(i, n + j, n + k): x for (i, j, k), x in m.items()},
             **{(n + i, j, n + k): x for (i, j, k), x in m.items()}}
     e_alg = AlgebraData(f, 2 * n, mult, a.unit)
-    problem = SurjectionProblem(e_alg, a, identity(f, n))
-    if with_coaction:
-        # Delta as a coaction on A, and on both summands of E
-        rho = h.coa.comult
-        problem.hopf = h
-        problem.coact_a = dict(rho)
-        problem.coact_e = {**rho, **{(n + c, n + v, u): x for (c, v, u), x in rho.items()}}
-    return problem
+    # Delta as a coaction on A, and on both summands of E
+    rho = h.coa.comult
+    coact_e = {**rho, **{(n + c, n + v, u): x for (c, v, u), x in rho.items()}}
+    return SurjectionProblem(e_alg, a, identity(f, n), hopf=h, coact_e=coact_e,
+                             coact_a=dict(rho))
 
 
 def cyclic_cover_problem(n: int, m: int, field) -> SurjectionProblem:

@@ -8,7 +8,9 @@ The Hopf document format is::
 
 Rational scalars appear as "p/q" strings (plain ints when integral);
 prime-field scalars as ints.  The unit is not stored: it is recovered as the
-unique two-sided identity of the multiplication tensor on load.
+unique two-sided identity of the multiplication tensor on load.  A ``basis``
+that is absent or null names the vectors e0, e1, ...; any other value must be
+a list of n strings.
 
 The schema is unchanged by the in-memory form: the structure maps, and every
 vector, subspace basis and linear map of a certificate, live as sparse tensors
@@ -20,7 +22,6 @@ entries (:func:`json_lists`) and :mod:`cli` prints the report exactly as
 
 from __future__ import annotations
 
-import json
 from math import prod
 from operator import mul
 from typing import Optional
@@ -98,7 +99,8 @@ def hopf_from_dict(d: dict, validate: bool = True) -> HopfData:
         for name, shape in (("mult", (n, n, n)), ("comult", (n, n, n)),
                             ("counit", (n,)), ("antipode", (n, n))):
             _check_shape(name, d[name], shape)
-        basis = d.get("basis") or [f"e{i}" for i in range(n)]
+        if (basis := d.get("basis")) is None:  # absent or null: the default names
+            basis = [f"e{i}" for i in range(n)]
         _check_shape("basis", basis, (n,))
         if not all(isinstance(name, str) for name in basis):
             raise ValueError("malformed Hopf document: basis names must be strings")
@@ -114,29 +116,19 @@ def hopf_from_dict(d: dict, validate: bool = True) -> HopfData:
     return validated(h) if validate else h
 
 
-def hopf_to_json(h: HopfData) -> str:
-    return json.dumps(hopf_to_dict(h), sort_keys=True)
-
-
-def hopf_from_json(text: str, validate: bool = True) -> HopfData:
-    return hopf_from_dict(json.loads(text), validate=validate)
-
-
 # ---------------------------------------------------------------------------
 # Certificates
 # ---------------------------------------------------------------------------
 
-def integral_to_dict(f: FieldSpec, cert, kind: Optional[str] = None) -> dict:
-    if kind is None:
-        if cert.ad_invariant:
-            kind = "ad_invariant_integral"
-        elif cert.ad_coinvariant:
-            kind = "ad_coinvariant_integral"
-        else:
-            kind = "total_integral" if cert.total else "integral"
+def integral_to_dict(f: FieldSpec, cert) -> dict:
+    if cert.ad_invariant:
+        kind = "ad_invariant_integral"
+    elif cert.ad_coinvariant:
+        kind = "ad_coinvariant_integral"
+    else:
+        kind = "total_integral" if cert.total else "integral"
     # the finders check (a), (b) and (c) on the solver's rows and raise on failure
-    verified = ["a", "b", "c"] if kind in ("ad_invariant_integral",
-                                           "ad_coinvariant_integral") else []
+    verified = ["a", "b", "c"] if cert.ad_invariant or cert.ad_coinvariant else []
     key = "lambda" if cert.carrier == "in_dual" else "t"
     return {"type": kind, key: json_lists(f, cert.vector, (cert.dim,)),
             "side": cert.side, "carrier": cert.carrier, "verified": verified}

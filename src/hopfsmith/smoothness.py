@@ -23,8 +23,7 @@ chi as ``(c, i, a)``, entry vbar_c of chi(e_i (x) vbar_a).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 from .hopf import HopfData, QuotientSplitting, SubspaceBasis, unit_line
 from .linalg import AffineSystem, contract, failed_labels, in_coordinates, solve_affine
@@ -207,118 +206,3 @@ def check_chi_quotients(h: HopfData, cert: SectionCertificate) -> bool:
     """Whether chi kills 1 (x) Hbar, i.e. quotients to Hbar (x) Hbar -> Hbar."""
     return not contract(h.field, "cia,i->ca", cert.matrix, h.alg.unit)
 
-
-# ---------------------------------------------------------------------------
-# The group algebra of the integers, checked on a finite window
-# ---------------------------------------------------------------------------
-
-def _lmul(a: dict, b: dict) -> dict:
-    out = {}
-    for i, x in a.items():
-        for j, y in b.items():
-            k = i + j
-            out[k] = out.get(k, Fraction(0)) + x * y
-    return {k: v for k, v in out.items() if v}
-
-
-def _lsub(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, Fraction(0)) - v
-    return {k: v for k, v in out.items() if v}
-
-
-def _tensor_flatten(pairs: list) -> dict:
-    out = {}
-    for left, right in pairs:
-        for i, x in left.items():
-            for j, y in right.items():
-                k = (i, j)
-                out[k] = out.get(k, Fraction(0)) + x * y
-    return {k: v for k, v in out.items() if v}
-
-
-def _tensor_diff(a: list, b: list) -> bool:
-    fa, fb = _tensor_flatten(a), _tensor_flatten(b)
-    return any(fa.get(k, Fraction(0)) != fb.get(k, Fraction(0)) for k in set(fa) | set(fb))
-
-
-def default_laurent_tau(n: int) -> list:
-    """tau(g^n - g^{n+1}) = g^n (x) (1 - g), as a list of (left, right) pairs."""
-    return [({n: Fraction(1)}, {0: Fraction(1), 1: Fraction(-1)})]
-
-
-def laurent_fs_section_window_check(window: int,
-                                    tau: Callable[[int], list] = default_laurent_tau) -> bool:
-    """Verify (i), (ii) and cocommutative completeness for the integer group
-    algebra on the basis g^n - g^{n+1}, |n| <= window, multipliers g^a,
-    |a| <= window.  Exact on the window: all identities are degree shifts."""
-    if window < 1:
-        raise ValueError("window must be >= 1")
-
-    def basis_elt(n):
-        return {n: Fraction(1), n + 1: Fraction(-1)}
-
-    # (ii): multiply-and-sum
-    for n in range(-window, window + 1):
-        acc = {}
-        for left, right in tau(n):
-            term = _lmul(left, right)
-            for k, v in term.items():
-                acc[k] = acc.get(k, Fraction(0)) + v
-        if _lsub(acc, basis_elt(n)):
-            return False
-
-    # (i): tau(g^a (g^n - g^{n+1})) = (g^a (x) 1) tau(g^n - g^{n+1})
-    for a in range(-window, window + 1):
-        for n in range(-window, window + 1):
-            lhs = tau(a + n)
-            rhs = [(_lmul({a: Fraction(1)}, left), right) for left, right in tau(n)]
-            if _tensor_diff(lhs, rhs):
-                return False
-
-    # (iii) on basis vectors; group-likes collapse the first leg, but the two
-    # sides are computed from their own displays
-    for n in range(-window, window + 1):
-        lhs = {}
-        for left, right in tau(n):
-            for p, x in left.items():
-                for q, y in right.items():
-                    # a = g^p, b = g^q: a1 b1 S(a3 b3) (x) a2 (x) b2
-                    key = ((p + q) - (p + q), p, q)
-                    lhs[key] = lhs.get(key, Fraction(0)) + x * y
-        rhs = {}
-        # x_1 S(x_3) (x) tau(x_2) with Delta^2(g^k) = g^k (x) g^k (x) g^k
-        collected = {}
-        for k, v in basis_elt(n).items():
-            second = collected.setdefault(k - k, {})
-            second[k] = second.get(k, Fraction(0)) + v
-        for first, second in collected.items():
-            for base_n, lam in _hplus_basis_expand(second).items():
-                for left, right in tau(base_n):
-                    for p, x in left.items():
-                        for q, y in right.items():
-                            key = (first, p, q)
-                            rhs[key] = rhs.get(key, Fraction(0)) + lam * x * y
-        keys = set(lhs) | set(rhs)
-        if any(lhs.get(k, Fraction(0)) != rhs.get(k, Fraction(0)) for k in keys):
-            return False
-    return True
-
-
-def _hplus_basis_expand(v: dict) -> dict:
-    """Coefficients of a zero-augmentation Laurent element over the basis
-    (g^n - g^{n+1}), by telescoping partial sums."""
-    v = {k: x for k, x in v.items() if x}
-    if not v:
-        return {}
-    if sum(v.values()) != 0:
-        raise ValueError("element is not in the augmentation ideal")
-    lo, hi = min(v), max(v)
-    out = {}
-    running = Fraction(0)
-    for k in range(lo, hi):
-        running += v.get(k, Fraction(0))
-        if running:
-            out[k] = running
-    return out

@@ -19,7 +19,7 @@ from hopfsmith.integrals import (_verify_ad_invariant, _verify_idempotent,
                                  ad_coinvariant_integral, ad_invariant_integral,
                                  coseparability_retraction, integral_space,
                                  separability_idempotent)
-from hopfsmith.lifting import LiftObstruction, lift_algebra_section, square_zero_extension
+from hopfsmith.lifting import LiftObstruction, _lift, square_zero_extension
 from hopfsmith.linalg import AffineSystem, SparseMat, failed_labels, identity
 from hopfsmith.presets import cyclic_table, preset_group_algebra
 from hopfsmith.smoothness import (SectionCertificate, find_complete_fs_retraction,
@@ -199,11 +199,13 @@ def test_labels_must_match_the_rows():
 
 def test_infeasible_linear_lift_is_not_delta_closed():
     h = preset_group_algebra(cyclic_table(2), QQ)
-    prob = square_zero_extension(h, with_coaction=False)
+    prob = square_zero_extension(h).validate()
     n = h.dim
-    # beta(a + b eps) = a + (a + b) eps on E = A (+) A eps
+    # one pair to intertwine, alpha_0 = id on A and beta_0 on E = A (+) A eps with
+    # beta_0(a + b eps) = a + (a + b) eps
     beta = {**identity(QQ, 2 * n), **{(n + i, i): QQ.one for i in range(n)}}
-    res = lift_algebra_section(prob, extra_pairs=[(identity(QQ, n), beta)])
+    res = _lift(prob, {(0, *k): x for k, x in identity(QQ, n).items()},
+                {(0, *k): x for k, x in beta.items()}, True)
     assert isinstance(res, LiftObstruction)
     assert res.stage == 1 and res.witness == {}
     assert res.delta_closed is False

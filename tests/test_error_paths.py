@@ -1,6 +1,6 @@
 """Rejections of malformed input, with the exact messages the CLI reports:
 ring extensions that are not injective algebra maps, multiplications without
-a two-sided unit, and cyclic covers of degree below one."""
+a two-sided unit, and cyclic covers whose degree is not an integer M >= 1."""
 
 import json
 
@@ -73,6 +73,14 @@ def test_cyclic_cover_of_degree_below_one_is_rejected(degree, capsys):
     assert cli.main(argv + ["--colinear"]) == 2
     err = json.loads(capsys.readouterr().err)["error"]
     assert err == "cyclic-cover ships without comodule data; drop --colinear"
+
+
+@pytest.mark.parametrize("degree", ["x", ""])
+def test_cyclic_cover_without_an_integer_degree_is_rejected(degree, capsys):
+    argv = ["lift-section", "--problem", f"cyclic-cover:{degree}", "--preset", "group:C2"]
+    assert cli.main(argv) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == f"cyclic-cover:{degree} needs a cover degree M >= 1"
 
 
 def test_cyclic_cover_of_degree_one_still_lifts(capsys):

@@ -7,21 +7,20 @@ from hopfsmith import GF, QQ, FieldSpec, cli, resolve_preset
 from hopfsmith.hopf import curvature
 from hopfsmith.lifting import (Bimodule, LiftCertificate, LiftObstruction,
                                SurjectionProblem, WeakProjectionCertificate,
-                               _is_two_cocycle, cyclic_cover_problem, eps_bimodule,
-                               hochschild_coboundary_solve, lift_algebra_section,
-                               regular_bimodule, square_zero_extension,
-                               weak_projection)
+                               _is_two_cocycle, cyclic_cover_problem, lift_algebra_section,
+                               square_zero_extension, weak_projection)
 from hopfsmith.linalg import contract, identity, rank, sparse
 from hopfsmith.presets import preset_sweedler
 
 from conftest import F
-from test_lifting_oracles import _action_mats
+from test_lifting_oracles import (_action_mats, eps_bimodule, hochschild_coboundary_solve,
+                                  regular_bimodule)
 from test_loop_oracles import _matvec, _nullity, _sparse_mat, dense
 
 
 def test_square_zero_lift_plain():
     h = resolve_preset("group:C2", QQ)
-    cert = lift_algebra_section(square_zero_extension(h, with_coaction=False))
+    cert = lift_algebra_section(square_zero_extension(h))
     assert isinstance(cert, LiftCertificate)
     assert cert.algebra_map
 

@@ -757,8 +757,10 @@ def test_structure_systems_equal_the_identity_tensor_route(spec, char, preset_ca
     for argv in queries:  # the verdicts are checked elsewhere; here only the systems
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             cli.main(argv + where)
-    for bim in (lifting.regular_bimodule(h.alg), lifting.eps_bimodule(h)):
-        lifting.hochschild_coboundary_solve(h.alg, bim, {})
+    # imported here: test_lifting_oracles imports this module at its top
+    from test_lifting_oracles import eps_bimodule, hochschild_coboundary_solve, regular_bimodule
+    for bim in (regular_bimodule(h.alg), eps_bimodule(h)):
+        hochschild_coboundary_solve(h.alg, bim, {})
     hopf.augmentation_ideal(h)
     filtration._trace_form_kernel(h.alg)
     serialize._solve_unit(h.alg.mult, h.field, h.dim)

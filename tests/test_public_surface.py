@@ -1,8 +1,13 @@
 """The public surface, pinned: the package exports, the CLI subcommands and the
 public attributes of the core classes.  A change to any of them edits this
-snapshot in the same change that logs it in CHANGES.md."""
+snapshot in the same change that logs it in CHANGES.md.
 
+The package holds only what a query, an export or the benchmark tracer uses:
+every top-level definition in ``src/hopfsmith`` must be reachable from them."""
+
+import ast
 from dataclasses import fields
+from pathlib import Path
 
 import hopfsmith
 from hopfsmith import cli
@@ -50,3 +55,91 @@ def test_class_attributes():
         "AffineSystem": ["condition_labels", "conditions", "labels", "matrix", "rhs", "shape",
                          "unknowns"],
     }
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _bound_names(target) -> list:
+    """The names an assignment target binds, or updates through ``x[k] =`` / ``x.a =``."""
+    while isinstance(target, (ast.Attribute, ast.Subscript)):
+        target = target.value
+    return [n.id for n in ast.walk(target) if isinstance(n, ast.Name)]
+
+
+def _definitions(path: Path) -> dict:
+    """(module, name) -> the (module, name) pairs referenced by that top-level
+    definition of one package module; (module, None) holds what runs on import
+    outside every definition.  A name resolves through the module's relative
+    imports (function-local ones included), or else to the module itself, and
+    ``alias.name`` through a module imported as ``alias``.  Locals and the
+    attributes of objects resolve to nothing defined, and drop out."""
+    mod, tree = path.stem, ast.parse(path.read_text())
+    aliases = {}  # local name -> (module, name), or (module, None) for a module
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for a in node.names:
+                aliases[a.asname or a.name] = ((node.module, a.name) if node.module
+                                               else (a.name, None))
+
+    def refs(node) -> set:
+        out = set()
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                out.add(aliases.get(sub.id, (mod, sub.id)))
+            elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
+                module, name = aliases.get(sub.value.id, (None, ""))
+                if name is None:
+                    out.add((module, sub.attr))
+            elif isinstance(sub, ast.ImportFrom) and sub.level == 1 and sub.module:
+                out.update((sub.module, a.name) for a in sub.names)
+        return out
+
+    defs = {(mod, None): set()}
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owners = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            owners = [name for t in targets for name in _bound_names(t)]
+        else:  # docstrings and ``if __name__ == "__main__":``
+            owners = [None]
+        for owner in owners:
+            defs.setdefault((mod, owner), set()).update(refs(stmt))
+    return defs
+
+
+def _bench_roots() -> set:
+    """The functions the benchmark tracer wraps by name, read from
+    ``perfbench/layers.py`` without importing it."""
+    tables = {stmt.targets[0].id: ast.literal_eval(stmt.value)
+              for stmt in ast.parse((ROOT / "perfbench" / "layers.py").read_text()).body
+              if isinstance(stmt, ast.Assign) and isinstance(stmt.targets[0], ast.Name)
+              and stmt.targets[0].id in ("LAYERS", "PRIVATE_LINALG", "BLIND")}
+    roots = {(mod, name) for entries in tables["LAYERS"].values()
+             for mod, names in entries for name in names}
+    mod, names = tables["BLIND"]
+    return roots | {tables["PRIVATE_LINALG"]} | {(mod, name) for name in names}
+
+
+def test_every_src_definition_is_reachable():
+    """Every top-level definition in ``src/hopfsmith`` is reached from the CLI
+    (``main``, ``build_parser``, ``HANDLERS``), from ``hopfsmith.__all__`` or from
+    a function the benchmark tracer wraps.  What only tests use lives in tests."""
+    defs = {}
+    for path in sorted((ROOT / "src" / "hopfsmith").glob("*.py")):
+        defs.update(_definitions(path))
+    roots = {("cli", "main"), ("cli", "build_parser"), ("cli", "HANDLERS"),
+             ("__init__", "__all__")} | {key for key in defs if key[1] is None}
+    roots |= {(getattr(hopfsmith, name).__module__.rpartition(".")[2], name)
+              for name in hopfsmith.__all__} | _bench_roots()
+    reached, todo = set(), [key for key in roots if key in defs]
+    while todo:
+        key = todo.pop()
+        if key not in reached:
+            reached.add(key)
+            todo += [ref for ref in defs[key] if ref in defs]
+    unreached = sorted(f"{mod}.{name}" for mod, name in set(defs) - reached)
+    assert not unreached, f"defined in src but used by no query, export or tracer: {unreached}"

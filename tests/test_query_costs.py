@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import io
+import json
 import sys
 import types
 from fractions import Fraction
@@ -95,7 +96,8 @@ def test_check_axioms_reports_one_check_on_a_preset_and_on_its_file(monkeypatch,
     """``check-axioms`` loads its input unchecked and reports the one check it
     runs, whether the structure comes from a preset or from a file."""
     path = tmp_path / "taft.json"
-    path.write_text(serialize.hopf_to_json(resolve_preset("taft:3:2", FieldSpec(7))))
+    taft = resolve_preset("taft:3:2", FieldSpec(7))
+    path.write_text(json.dumps(serialize.hopf_to_dict(taft), sort_keys=True))
     dims = _recorded_checks(monkeypatch)
     reports = []
     for source in (["--preset", "taft:3:2", "--char", "7"], ["--file", str(path)]):
@@ -229,7 +231,7 @@ def test_parser_is_built_once_and_namespaces_stay_independent(monkeypatch):
 
 
 def test_surjection_with_a_padded_map_is_rejected_by_shape():
-    prob = square_zero_extension(resolve_preset("group:C2", FieldSpec(0)), with_coaction=False)
+    prob = square_zero_extension(resolve_preset("group:C2", FieldSpec(0)))
     # a third row: entry (2, 0) on the 2-dimensional target A
     pi = {**prob.pi, (2, 0): prob.e.field.one}
     padded = SurjectionProblem(prob.e, prob.a, pi)
