@@ -107,11 +107,13 @@ def _dumps(obj, pad: str = "\n") -> str:
 
 
 def _emit(report: dict, args) -> None:
+    """Write the report to ``--output``, if given, and then print it, so that a
+    path that cannot be written leaves stdout empty."""
     text = _dumps(report)
-    print(text)
     if getattr(args, "output", None):
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
+    print(text)
 
 
 def _axiom_report_dict(rep) -> dict:

@@ -14,6 +14,12 @@ is pushed through the axiom checker, antipode axioms and S_D S_D^{-1} = id too.
 The relations r·i(s) (x) r' - r (x) i(s)·r' of R (x)_S R are two contractions
 of the multiplication with the embedding, and an embedding is checked to be
 multiplicative by the same defect as a lifting stage (:func:`hopf.curvature`).
+D(H) is free as a right H-module on the f_a |><| 1, since (f_a |><| h)(eps |><|
+h') = f_a |><| hh' (Kassel, IX.4): the relation matrix of D(H) (x)_H D(H) is
+block diagonal, with n equal blocks on consecutive column ranges, and its
+unique reduced echelon form is one block's shifted n times.  So
+:func:`relative_tensor` assembles and eliminates one block only; it reads the
+repeat off the right action of S on R, for any extension.
 """
 
 from __future__ import annotations
@@ -118,18 +124,46 @@ def drinfeld_double(h: HopfData):
     return double, ext
 
 
+def _repeat(action: dict, nr: int) -> int:
+    """The least b dividing ``nr`` such that the right action ``action`` of S on
+    R, keyed (i, c, x): entry x of e_i·s_c, maps each run [kb, (k+1)b) of R's
+    basis into itself with exactly the entries of run 0, shifted by kb."""
+    for b in range(1, nr + 1):
+        if nr % b == 0 and sum(i < b for i, _, _ in action) * (nr // b) == len(action) and all(
+                i // b == x // b and action.get((i % b, c, x % b)) == v
+                for (i, c, x), v in action.items()):
+            return b
+
+
 def relative_tensor(ext: ExtensionData) -> RelTensor:
-    """R (x)_S R as the quotient of R (x) R by r·i(s) (x) r' - r (x) i(s)·r'."""
+    """R (x)_S R as the quotient of R (x) R by r·i(s) (x) r' - r (x) i(s)·r'.
+
+    The relation of (c, i, j), e_i·s_c (x) e_j - e_i (x) s_c·e_j, lives on the
+    columns e_a (x) e_b (column a*nr + b) whose a lies with i in one run of the
+    right action of S on R (:func:`_repeat`), and the relations of run k are
+    those of run 0 shifted by k·b·nr columns.  So the relation matrix is block
+    diagonal with equal blocks on consecutive column ranges, and its reduced row
+    echelon form, which is unique, is run 0's shifted along: only run 0's rows
+    are assembled and eliminated.  For D(H) over H the runs are the n right
+    H-submodules f_a |><| H, so b = n; over the field b = 1, and for R over
+    itself b = nr.
+    """
     r = ext.big
     f, nr, m, emb = r.field, r.dim, r.mult, ext.embedding
-    amb = nr * nr
-    # row (c, i, j): (e_i·s_c) (x) e_j - e_i (x) (s_c·e_j), with e_a (x) e_b in column a*nr + b
-    rows = AffineSystem.conditions(f, (nr, nr), ("relation", [
-        (1, "yc,iya,aj->cij", emb, m), (-1, "yc,yjb,ib->cij", emb, m)], None)).matrix.data
-    pivots = _rref(rows, amb, f)
-    pivot_set = set(pivots)
-    free = [c for c in range(amb) if c not in pivot_set]
-    return RelTensor(rows[: len(pivots)], pivots, free, f)
+    action = contract(f, "yc,iya->ica", emb, m)
+    b = _repeat(action, nr)
+    width = b * nr
+    # row (c, i, j) for i in run 0: (e_i·s_c) (x) e_j - e_i (x) (s_c·e_j)
+    rows = AffineSystem.conditions(f, (b, nr), ("relation", [
+        (1, "ica,aj->cij", {k: v for k, v in action.items() if k[0] < b}),
+        (-1, "yc,yjb,ib->cij", emb, m)], None)).matrix.data
+    pivots = _rref(rows, width, f)
+    shifts = range(0, nr * nr, width)
+    pivot_cols = [s + c for s in shifts for c in pivots]
+    pivot_set = set(pivot_cols)
+    free = [c for c in range(nr * nr) if c not in pivot_set]
+    return RelTensor([[(s + c, v) for c, v in row] for s in shifts for row in rows[: len(pivots)]],
+                     pivot_cols, free, f)
 
 
 def _extension_idempotent_system(ext: ExtensionData, rel: RelTensor) -> AffineSystem:

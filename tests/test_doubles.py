@@ -4,14 +4,15 @@ from fractions import Fraction
 import pytest
 
 from hopfsmith import GF, QQ, FieldSpec, check_hopf, resolve_preset
-from hopfsmith.doubles import (ExtensionData, drinfeld_double, relative_tensor,
+from hopfsmith.doubles import (ExtensionData, _repeat, drinfeld_double, relative_tensor,
                                separable_extension)
 from hopfsmith.hopf import AlgebraData
 from hopfsmith.integrals import ad_invariant_integral, separability_idempotent
-from hopfsmith.linalg import identity
+from hopfsmith.linalg import contract, identity
 from hopfsmith.presets import preset_sweedler
 
-from conftest import F
+from conftest import F, GRID
+from test_loop_oracles import old_relative_tensor
 
 
 def _over_the_field(alg):
@@ -61,6 +62,48 @@ def test_relative_tensor_of_sweedler_double():
     _, ext = drinfeld_double(h4)
     rel = relative_tensor(ext)
     assert rel.dim == 64  # free of rank 4 over H4: 4 * 16
+
+
+def _assert_block_route(ext, b):
+    """The run length that ``relative_tensor`` reads off the right action is b,
+    and its shifted run-0 elimination equals the elimination of every relation."""
+    r = ext.big
+    assert _repeat(contract(r.field, "yc,iya->ica", ext.embedding, r.mult), r.dim) == b
+    got, want = relative_tensor(ext), old_relative_tensor(ext)
+    assert (got.pivot_cols, got.projection_rows, got.free_cols, got.projection) == \
+        (want.pivot_cols, want.projection_rows, want.free_cols, want.projection)
+
+
+@pytest.mark.parametrize("spec,char", GRID)
+def test_block_route_equals_full_elimination_on_doubles(spec, char, preset_cache):
+    """D(H) is free as a right H-module on the f_a |><| 1, so the run is dim H."""
+    h = preset_cache(spec, char)
+    _assert_block_route(drinfeld_double(h)[1], h.dim)
+
+
+@pytest.mark.parametrize("spec,build,b", [
+    ("group:C3", _over_the_field, 1),
+    ("group:C3", lambda a: ExtensionData(a, a, identity(a.field, a.dim)).validate(), 3),
+    # e_i·e_c = delta_ic e_i: diagonal, but block i holds only c = i, so no run is shorter
+    ("functions:C2", lambda a: ExtensionData(a, a, identity(a.field, a.dim)).validate(), 2)])
+def test_block_route_on_generic_extensions(spec, build, b):
+    _assert_block_route(build(resolve_preset(spec, QQ).alg), b)
+
+
+@pytest.mark.parametrize("char", [0, 3])
+def test_block_route_needs_equal_coefficients_not_only_equal_block_shapes(char):
+    """kC2 -> kC2 x kC2, g -> (g, -g): on the basis (1,0), (g,0), (0,1), (0,g)
+    the right action of g swaps each pair of basis vectors, by +1 in the first
+    and by -1 in the second.  The blocks have one shape but not one set of
+    coefficients, so the run is the whole basis."""
+    f = FieldSpec(char)
+    one, neg = f.one, f.neg(f.one)
+    small = resolve_preset("group:C2", f).alg
+    mult = {(2 * k + i, 2 * k + j, 2 * k + (i + j) % 2): one
+            for k in range(2) for i in range(2) for j in range(2)}
+    big = AlgebraData(f, 4, mult, {(0,): one, (2,): one})
+    ext = ExtensionData(big, small, {(0, 0): one, (2, 0): one, (1, 1): one, (3, 1): neg})
+    _assert_block_route(ext.validate(), 4)
 
 
 def test_separable_extension_reduces_to_idempotent_over_base(preset_cache):

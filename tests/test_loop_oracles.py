@@ -31,7 +31,7 @@ from hopfsmith import (FieldSpec, cli, doubles, filtration, hopf, integrals, lif
 from hopfsmith.hopf import check_hopf, quotient_maps
 from hopfsmith.doubles import drinfeld_double
 from hopfsmith.hopf import SubspaceBasis
-from hopfsmith.linalg import (AffineSystem, SparseMat, contract, difference, identity,
+from hopfsmith.linalg import (AffineSystem, SparseMat, _rref, contract, difference, identity,
                               in_coordinates, nullspace, solve_affine, sparse)
 from hopfsmith.yd import (ACTIONS, COACTIONS, adjoint_action, adjoint_coaction, check_yd,
                           h_bar_yd, h_plus_yd, yd_on_h)
@@ -636,13 +636,26 @@ def old_coboundary_system(bim, c, alpha=None, beta=None, equivariant=False):
     return old_grouping(f, bim.dim * na, *conds)
 
 
-def old_relative_tensor_system(ext):
+def old_relative_tensor_system(ext, b=None):
+    """The relation rows (c, i, j) of R (x)_S R over all of R (x) R, or, given a
+    run length b, only the rows with i < b, over the b·nr columns they touch."""
     r = ext.big
     f, nr = r.field, r.dim
+    b = nr if b is None else b
     m, emb, x = r.mult, ext.embedding, old_unknowns(f, nr, nr)
     rel = difference(f, contract(f, "yc,iya,aju->ciju", emb, m, x),
                      contract(f, "yc,yjb,ibu->ciju", emb, m, x))
-    return old_grouping(f, nr * nr, (rel, 3, None, "relation"))
+    return old_grouping(f, b * nr, ({k: v for k, v in rel.items() if k[1] < b}, 3, None,
+                                    "relation"))
+
+
+def old_relative_tensor(ext):
+    """``relative_tensor`` by the old route: every relation row eliminated at once."""
+    width, rows, _, _ = old_relative_tensor_system(ext)
+    pivots = _rref(rows, width, ext.big.field)
+    pivot_set = set(pivots)
+    return doubles.RelTensor(rows[: len(pivots)], pivots,
+                             [c for c in range(width) if c not in pivot_set], ext.big.field)
 
 
 def old_extension_idempotent_system(ext, rel):
@@ -739,11 +752,16 @@ def test_structure_systems_equal_the_identity_tensor_route(spec, char, preset_ca
     """The linear-lift and coboundary systems of ``lift-section`` and
     ``weak-projection``, the relative tensor and extension idempotent of D(H)
     over H, the unit solve, the trace form, the wedge and the counit rows equal,
-    row for row, the route through the identity tensor and ``difference``."""
+    row for row, the route through the identity tensor and ``difference``.  The
+    relative tensor assembles only the relation rows of its first run (left
+    index i < dim H), and the ``RelTensor`` it returns equals the elimination of
+    every relation row of the old route."""
     h = preset_cache(spec, char)
     olds = {"_solve_linear_lift": (lifting, old_linear_lift_system),
             "_solve_coboundary": (lifting, old_coboundary_system),
-            "relative_tensor": (doubles, old_relative_tensor_system),
+            # D(H) is free over H on the f_a |><| 1: only the run i < dim H is assembled
+            "relative_tensor": (doubles, lambda ext: old_relative_tensor_system(
+                ext, ext.small.dim)),
             "_solve_unit": (serialize, old_unit_system),
             "_trace_form_kernel": (filtration, old_trace_form_system),
             "_wedge": (filtration, old_wedge_system),
@@ -766,6 +784,9 @@ def test_structure_systems_equal_the_identity_tensor_route(spec, char, preset_ca
     serialize._solve_unit(h.alg.mult, h.field, h.dim)
     _, ext = drinfeld_double(h)
     rel = doubles.relative_tensor(ext)
+    want = old_relative_tensor(ext)
+    assert (rel.pivot_cols, rel.projection_rows, rel.free_cols, rel.projection) == \
+        (want.pivot_cols, want.projection_rows, want.free_cols, want.projection)
     assert _snapshot(doubles._extension_idempotent_system(ext, rel)) == \
         old_extension_idempotent_system(ext, rel)
     for name, (_, old) in olds.items():

@@ -16,7 +16,8 @@ from hopfsmith.filtration import ideal_powers, is_nilpotent_ideal
 from hopfsmith.linalg import contract, failed_labels, solve_affine
 from hopfsmith.lifting import SurjectionProblem, square_zero_extension
 
-from test_loop_oracles import _basis_vec, _mul, _subspace, _vectors, dense
+from test_loop_oracles import (_basis_vec, _mul, _subspace, _vectors, dense,
+                               old_relative_tensor_system)
 
 
 def _quiet(argv):
@@ -205,6 +206,30 @@ def test_double_separable_query_never_densifies_the_double(monkeypatch):
                          and isinstance(t[0], list) and isinstance(t[0][0], list))
     assert _quiet(["double-separable", "--preset", "group:S3", "--char", "3"]) == 0
     assert calls.get("dense", 0) == calls.get("sparse", 0) == 0
+
+
+def test_double_separable_assembles_and_eliminates_one_run_of_relations(monkeypatch):
+    """D(S3) over S3 over F_3: D(H) is free as a right H-module on the six
+    f_a |><| 1, so the relation rows of one run, a sixth of all of them, are
+    assembled, and ``relative_tensor`` eliminates once, at width 6 * 36, not 36^2."""
+    build, inner_rref = linalg.AffineSystem.conditions, doubles._rref
+    widths, relation_rows = [], []
+
+    def conditions(field, shape, *conds):
+        system = build(field, shape, *conds)
+        relation_rows.append(system.labels.count("relation"))
+        return system
+
+    def rref(rows, ncols, field):
+        widths.append(ncols)
+        return inner_rref(rows, ncols, field)
+
+    monkeypatch.setattr(linalg.AffineSystem, "conditions", staticmethod(conditions))
+    monkeypatch.setattr(doubles, "_rref", rref)
+    assert _quiet(["double-separable", "--preset", "group:S3", "--char", "3"]) == 0
+    _, ext = doubles.drinfeld_double(resolve_preset("group:S3", FieldSpec(3)))
+    assert 6 * sum(relation_rows) == len(old_relative_tensor_system(ext)[3])
+    assert widths == [216]
 
 
 def test_parser_is_built_once_and_namespaces_stay_independent(monkeypatch):

@@ -207,6 +207,15 @@ def test_cli_output_file(tmp_path, capsys):
     assert on_disk == report
 
 
+def test_cli_output_to_an_unwritable_path_prints_no_report(tmp_path, capsys):
+    rc = main(["double-separable", "--preset", "group:C2", "--output",
+               str(tmp_path / "missing" / "x.json")])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "error" in json.loads(err)
+
+
 def test_cli_deterministic_output(capsys):
     code1, r1, _ = run_cli(capsys, "integrals", "--preset", "group:C3", "--char", "2")
     code2, r2, _ = run_cli(capsys, "integrals", "--preset", "group:C3", "--char", "2")
