@@ -189,12 +189,10 @@ def separable_extension(ext: ExtensionData) -> Optional[ExtensionIdempotent]:
     if sol is None:
         return None
     cert = ExtensionIdempotent(sol.particular, rel.dim)
-    _verify_extension_idempotent(ext, rel, cert, sys)
+    _verify_extension_idempotent(cert, sys)
     return cert
 
 
-def _verify_extension_idempotent(ext: ExtensionData, rel: RelTensor, cert: ExtensionIdempotent,
-                                 sys: Optional[AffineSystem] = None) -> list:
-    return require_labels(sys or _extension_idempotent_system(ext, rel), cert.quotient_coords,
-                          "extension idempotent")
+def _verify_extension_idempotent(cert: ExtensionIdempotent, sys: AffineSystem) -> list:
+    return require_labels(sys, cert.quotient_coords, "extension idempotent")
 

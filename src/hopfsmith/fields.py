@@ -95,20 +95,17 @@ class FieldSpec:
         return a == b
 
     def parse(self, obj) -> Scalar:
-        """Read a scalar from its JSON form: int, or "p/q" string over Q."""
+        """Read a scalar from its JSON form: an int, or its string, or a "p/q"
+        string over Q; anything else raises ValueError naming ``obj``."""
         if isinstance(obj, bool):
             raise ValueError(f"cannot parse a scalar from the boolean {obj!r}")
-        if self.characteristic == 0:
-            if isinstance(obj, str):
-                return Fraction(obj)
-            if isinstance(obj, int):
-                return Fraction(obj)
-            raise ValueError(f"cannot parse rational scalar from {obj!r}")
-        if isinstance(obj, str):
-            obj = int(obj)
-        if not isinstance(obj, int):
-            raise ValueError(f"cannot parse F_{self.characteristic} scalar from {obj!r}")
-        return obj % self.characteristic
+        p = self.characteristic
+        if isinstance(obj, (int, str)):
+            try:
+                return int(obj) % p if p else Fraction(obj)
+            except (ValueError, ZeroDivisionError):  # not a numeral, or a zero denominator
+                pass
+        raise ValueError(f"cannot parse {f'F_{p}' if p else 'rational'} scalar from {obj!r}")
 
     def to_json(self, a: Scalar):
         if self.characteristic == 0:

@@ -93,9 +93,6 @@ class AxiomReport:
     def all_ok(self) -> bool:
         return all(c.ok for c in self.checks.values())
 
-    def failed(self) -> list:
-        return sorted(name for name, c in self.checks.items() if not c.ok)
-
     def __str__(self):
         parts = []
         for name in sorted(self.checks):
@@ -259,7 +256,6 @@ class QuotientSplitting:
 
     projection: dict  # H -> quotient, (c, x)
     section: dict     # quotient -> H, (x, c); projection∘section = id
-    kernel: SubspaceBasis
 
 
 def augmentation_ideal(h: HopfData) -> SubspaceBasis:
@@ -314,8 +310,7 @@ def quotient_maps(field: FieldSpec, sub: SubspaceBasis) -> tuple:
 
 def unit_cokernel(h: HopfData) -> QuotientSplitting:
     """Hbar = coker(u) with a fixed splitting H = K·1 (+) Hbar."""
-    unit = unit_line(h)
-    return QuotientSplitting(*quotient_maps(h.field, unit), unit)
+    return QuotientSplitting(*quotient_maps(h.field, unit_line(h)))
 
 
 def sub_hopf_on_subspace(h: HopfData, sub: SubspaceBasis) -> tuple:

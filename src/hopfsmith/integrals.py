@@ -73,15 +73,12 @@ def integral_space(h: HopfData, side: str = "left", carrier: str = "in_h") -> Su
         raise ValueError(f"side must be left or right, got {side!r}")
     sys = _integral_system(h, side, carrier)
     basis = SubspaceBasis(h.dim, nullspace(sys.matrix))
-    _verify_integral_space(h, basis, side, sys)
+    _verify_integral_space(basis, sys)
     return basis
 
 
-def _verify_integral_space(h: HopfData, basis: SubspaceBasis, side: str,
-                           sys: Optional[AffineSystem] = None):
-    """Check every basis vector against the rows of ``sys``, by default those
-    of h t = eps(h) t (or t h = eps(h) t) in H."""
-    sys = sys or _integral_system(h, side)
+def _verify_integral_space(basis: SubspaceBasis, sys: AffineSystem):
+    """Check every basis vector against the rows ``sys`` it was solved from."""
     vectors = {}
     for (x, j), c in basis.basis.items():
         vectors.setdefault(j, {})[(x,)] = c
@@ -128,22 +125,29 @@ def _ad_invariant_system(h: HopfData) -> AffineSystem:
         ("c", [(1, "j,j->", h.alg.unit)], {(): h.field.one}))
 
 
-def ad_invariant_integral(h: HopfData) -> Optional[IntegralCertificate]:
-    """The unique functional with (a) h_1 lam(h_2) = 1 lam(h), (b) lam(h|>x) =
-    eps(h) lam(x), (c) lam(1) = 1; or None."""
-    sys = _ad_invariant_system(h)
+def _unique_solution(sys: AffineSystem, what: str) -> Optional[dict]:
+    """The solution of ``sys``, which the theory makes unique, or None."""
     sol = solve_affine(sys)
     if sol is None:
         return None
     if sol.nullspace:
-        raise AssertionError("ad-invariant integral is not unique; theory violated")
-    lam = sol.particular
-    _verify_ad_invariant(h, lam, sys)
+        raise AssertionError(f"{what} is not unique; theory violated")
+    return sol.particular
+
+
+def ad_invariant_integral(h: HopfData) -> Optional[IntegralCertificate]:
+    """The unique functional with (a) h_1 lam(h_2) = 1 lam(h), (b) lam(h|>x) =
+    eps(h) lam(x), (c) lam(1) = 1; or None."""
+    sys = _ad_invariant_system(h)
+    lam = _unique_solution(sys, "ad-invariant integral")
+    if lam is None:
+        return None
+    _verify_ad_invariant(lam, sys)
     return IntegralCertificate("left", "in_dual", lam, h.dim, total=True, ad_invariant=True)
 
 
-def _verify_ad_invariant(h: HopfData, lam: dict, sys: Optional[AffineSystem] = None) -> list:
-    return require_labels(sys or _ad_invariant_system(h), lam, "ad-invariant integral")
+def _verify_ad_invariant(lam: dict, sys: AffineSystem) -> list:
+    return require_labels(sys, lam, "ad-invariant integral")
 
 
 def ad_coinvariant_integral(h: HopfData) -> Optional[IntegralCertificate]:
@@ -154,12 +158,9 @@ def ad_coinvariant_integral(h: HopfData) -> Optional[IntegralCertificate]:
         h.field, (h.dim,), ("a", _integral_terms(h, "left"), None),
         ("b", [(1, "jik,j->ik", rho), (-1, "i,k->ik", h.alg.unit)], None),
         ("c", [(1, "j,j->", h.coa.counit)], {(): h.field.one}))
-    sol = solve_affine(sys)
-    if sol is None:
+    lam = _unique_solution(sys, "ad-coinvariant integral")
+    if lam is None:
         return None
-    if sol.nullspace:
-        raise AssertionError("ad-coinvariant integral is not unique; theory violated")
-    lam = sol.particular
     require_labels(sys, lam, "ad-coinvariant integral")
     return IntegralCertificate("left", "in_h", lam, h.dim, total=True, ad_coinvariant=True)
 
@@ -211,12 +212,11 @@ def separability_idempotent(h: HopfData) -> Optional[SeparabilityCertificate]:
     if cert_total is None:
         return None
     e = contract(f, "a,aij,kj->ik", cert_total.vector, h.coa.comult, h.antipode)
-    return SeparabilityCertificate("idempotent_for_algebra", e, _verify_idempotent(h, e, sys),
-                                   (n, n))
+    return SeparabilityCertificate("idempotent_for_algebra", e, _verify_idempotent(e, sys), (n, n))
 
 
-def _verify_idempotent(h: HopfData, e: dict, sys: Optional[AffineSystem] = None) -> list:
-    return require_labels(sys or idempotent_system(h.alg), e, "separability idempotent")
+def _verify_idempotent(e: dict, sys: AffineSystem) -> list:
+    return require_labels(sys, e, "separability idempotent")
 
 
 def retraction_system(h: HopfData) -> AffineSystem:
@@ -255,15 +255,11 @@ def coseparability_retraction(h: HopfData) -> Optional[SeparabilityCertificate]:
     return SeparabilityCertificate("retraction_for_coalgebra", theta, verified, (n, n, n))
 
 
-def _verify_retraction(h: HopfData, theta: dict, lam: Optional[dict] = None,
-                       sys: Optional[AffineSystem] = None) -> list:
-    f = h.field
-    verified = require_labels(sys or retraction_system(h), theta, "retraction")
-    if lam is not None:
-        # both sides of the defining exchange identity:
-        # x_1 lam(x_2 S(y)) = lam(x S(y_1)) y_2
-        rhs = contract(f, "iyz,ya,z,jab->bij", h.alg.mult, h.antipode, lam, h.coa.comult)
-        if theta != rhs:
-            raise AssertionError("retraction fails the exchange identity")
-        verified.append("exchange-identity")
-    return verified
+def _verify_retraction(h: HopfData, theta: dict, lam: dict, sys: AffineSystem) -> list:
+    verified = require_labels(sys, theta, "retraction")
+    # both sides of the defining exchange identity:
+    # x_1 lam(x_2 S(y)) = lam(x S(y_1)) y_2
+    rhs = contract(h.field, "iyz,ya,z,jab->bij", h.alg.mult, h.antipode, lam, h.coa.comult)
+    if theta != rhs:
+        raise AssertionError("retraction fails the exchange identity")
+    return verified + ["exchange-identity"]

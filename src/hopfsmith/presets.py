@@ -10,6 +10,8 @@ reports it, and k^G checks the dual of an unchecked kG once).
 
 from __future__ import annotations
 
+from math import isqrt
+
 from .fields import FieldSpec, Scalar
 from .hopf import AlgebraData, CoalgebraData, HopfData, dual_hopf, validated
 from .linalg import contract
@@ -112,8 +114,7 @@ def group_inverse(table: list, identity: int, i: int) -> int:
 # Presets
 # ---------------------------------------------------------------------------
 
-def preset_group_algebra(table: list, field: FieldSpec, names=None,
-                         validate: bool = True) -> HopfData:
+def preset_group_algebra(table: list, field: FieldSpec, validate: bool = True) -> HopfData:
     """KG with Delta(g) = g(x)g, eps(g) = 1, S(g) = g^{-1}."""
     identity = check_group_table(table)
     n = len(table)
@@ -122,9 +123,9 @@ def preset_group_algebra(table: list, field: FieldSpec, names=None,
     mult = {(i, j, table[i][j]): o for i in range(n) for j in range(n)}
     comult = {(i, i, i): o for i in range(n)}
     s = {(group_inverse(table, identity, i), i): o for i in range(n)}
-    basis = names or [f"g{i}" for i in range(n)]
     out = HopfData(AlgebraData(f, n, mult, {(identity,): o}),
-                   CoalgebraData(f, n, comult, {(i,): o for i in range(n)}), s, None, basis)
+                   CoalgebraData(f, n, comult, {(i,): o for i in range(n)}), s, None,
+                   [f"g{i}" for i in range(n)])
     return validated(out) if validate else out
 
 
@@ -178,13 +179,24 @@ def preset_taft(n: int, q: Scalar, field: FieldSpec, validate: bool = True) -> H
     q = f.parse(q) if isinstance(q, (int, str)) else q
     if n < 1:
         raise ValueError("n must be positive")
-    pw = f.one
-    for k in range(1, n):
-        pw = f.mul(pw, q)
-        if f.eq(pw, f.one):
-            raise ValueError(f"q is not a primitive {n}-th root of unity (q^{k} = 1)")
-    if not f.eq(f.mul(pw, q), f.one):
-        raise ValueError(f"q is not an {n}-th root of unity")
+    p = f.characteristic
+    # the roots of unity of Q are 1 and -1; F_p^x is cyclic of order p - 1
+    if not p and n > 2:
+        raise ValueError(f"Q has no primitive n-th root of unity for n = {n} > 2")
+    if p and (p - 1) % n:
+        raise ValueError(f"F_{p} has no primitive n-th root of unity for n = {n}: "
+                         f"{n} does not divide {p - 1}")
+
+    def power(e):
+        return pow(q, e, p) if p else q ** e
+
+    if power(n) != f.one:
+        raise ValueError(f"q is not an n-th root of unity for n = {n}")
+    # the order of q: the least divisor d of n with q^d = 1, the divisors in pairs (k, n/k)
+    order = min(d for k in range(1, isqrt(n) + 1) if n % k == 0 for d in (k, n // k)
+                if power(d) == f.one)
+    if order < n:
+        raise ValueError(f"q is not a primitive n-th root of unity for n = {n} (q^{order} = 1)")
 
     dim = n * n
     o = f.one
@@ -265,6 +277,10 @@ def resolve_preset(spec: str, field: FieldSpec, validate: bool = True) -> HopfDa
         return preset_function_algebra(GROUP_TABLES[name](), field, validate)
     if kind == "sweedler" and len(parts) == 1:
         return preset_sweedler(field, validate)
-    if kind == "taft" and len(parts) == 3:
-        return preset_taft(int(parts[1]), field.parse(parts[2]), field, validate)
+    if kind == "taft" and len(parts) == 3 and parts[1].isdecimal():
+        try:
+            q = field.parse(parts[2])
+        except ValueError as exc:
+            raise ValueError(f"cannot parse preset spec {spec!r}: {exc}") from exc
+        return preset_taft(int(parts[1]), q, field, validate)
     raise ValueError(f"cannot parse preset spec {spec!r}")

@@ -76,7 +76,7 @@ def _check_shape(name: str, value, shape: tuple) -> None:
         return
     if not isinstance(value, list) or len(value) != shape[0]:
         dims = " x ".join(map(str, shape))
-        raise ValueError(f"malformed Hopf document: {name} must have shape {dims}")
+        raise ValueError(f"{name} must have shape {dims}")
     for item in value:
         _check_shape(name, item, shape[1:])
 
@@ -86,7 +86,7 @@ def _int_entry(d: dict, *keys) -> int:
     for key in keys:
         value = value[key]
     if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"malformed Hopf document: {'.'.join(keys)} must be an integer")
+        raise ValueError(f"{'.'.join(keys)} must be an integer")
     return value
 
 
@@ -94,7 +94,7 @@ def hopf_from_dict(d: dict, validate: bool = True) -> HopfData:
     try:
         n = _int_entry(d, "dim")
         if n < 1:
-            raise ValueError("malformed Hopf document: dim must be positive")
+            raise ValueError("dim must be positive")
         f = FieldSpec(_int_entry(d, "field", "char"))
         for name, shape in (("mult", (n, n, n)), ("comult", (n, n, n)),
                             ("counit", (n,)), ("antipode", (n, n))):
@@ -103,12 +103,12 @@ def hopf_from_dict(d: dict, validate: bool = True) -> HopfData:
             basis = [f"e{i}" for i in range(n)]
         _check_shape("basis", basis, (n,))
         if not all(isinstance(name, str) for name in basis):
-            raise ValueError("malformed Hopf document: basis names must be strings")
+            raise ValueError("basis names must be strings")
         mult = sparse([[[f.parse(x) for x in row] for row in block] for block in d["mult"]])
         comult = sparse([[[f.parse(x) for x in row] for row in block] for block in d["comult"]])
         counit = sparse([f.parse(x) for x in d["counit"]])
         antipode = sparse([[f.parse(x) for x in row] for row in d["antipode"]])
-    except (KeyError, TypeError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed Hopf document: {exc}") from exc
     unit = _solve_unit(mult, f, n)
     h = HopfData(AlgebraData(f, n, mult, unit), CoalgebraData(f, n, comult, counit),

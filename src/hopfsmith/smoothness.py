@@ -17,15 +17,16 @@ Feasibility over the basis is an affine problem in the n(n-1)^2 entries of
 the map; bilinearity of every condition makes basis verification equivalent
 to the universally quantified statement.  The map is the solution tensor on
 the unknown's shape: tau as ``(i, a, b)``, entry e_i (x) v_a of tau(v_b), and
-chi as ``(c, i, a)``, entry vbar_c of chi(e_i (x) vbar_a).
+chi as ``(c, i, a)``, entry vbar_c of chi(e_i (x) vbar_a).  A certificate is
+checked on the rows that were solved for it, label by label.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Optional
 
-from .hopf import HopfData, QuotientSplitting, SubspaceBasis, unit_line
+from .hopf import HopfData, QuotientSplitting, SubspaceBasis
 from .linalg import AffineSystem, contract, failed_labels, in_coordinates, solve_affine
 from .yd import h_bar_yd, h_plus_yd
 
@@ -36,36 +37,29 @@ class SectionCertificate:
     matrix: dict                   # tau (i, a, b) or chi (c, i, a), as in the module docstring
     verified_conditions: list
     nullspace: Optional[SubspaceBasis] = None  # of the solved system, in its columns
-    context: dict = dc_field(default_factory=dict)  # basis/splitting data for re-evaluation
     shape: tuple = (0, 0, 0)       # the shape of the map's tensor
 
 
-def _conditions(complete: bool) -> list:
-    return ["i", "ii", "iii"] if complete else ["i", "ii"]
-
-
-def _checked(sys: AffineSystem, cert: SectionCertificate) -> list:
-    """The conditions of ``sys`` whose rows the certificate's map satisfies; the
-    unknown of every system here is the map's tensor."""
-    bad = failed_labels(sys, cert.matrix)
-    return [c for c in sys.condition_labels() if c not in bad]
-
-
-def _solve(sys: AffineSystem, kind: str, context: dict) -> Optional[SectionCertificate]:
-    """Solve ``sys`` for a map; nothing verified yet."""
+def _find(h: HopfData, kind: str, complete: bool) -> Optional[SectionCertificate]:
+    """Solve for the map of ``kind`` ("fs_section" or "fs_retraction") and check
+    it on the rows that were solved.  The YD builders and the checks are called
+    by their module-level names, so that a wrapper bound in their place runs."""
+    name = f"complete_{kind}" if complete else kind
+    if h.dim == 1:  # H^+ and Hbar are zero: the empty map satisfies every condition
+        return SectionCertificate(name, {}, ["i", "ii", "iii"] if complete else ["i", "ii"])
+    if kind == "fs_section":
+        sys, verify = _fs_section_system(h, *h_plus_yd(h), complete), verify_fs_section
+    else:
+        sys, verify = _fs_retraction_system(h, *h_bar_yd(h), complete), verify_fs_retraction
     sol = solve_affine(sys)
     if sol is None:
         return None
-    return SectionCertificate(kind, sol.particular, [], SubspaceBasis(sys.unknowns, sol.nullspace),
-                              context, sys.shape)
-
-
-def _accept(cert: SectionCertificate, verified: list, sys: AffineSystem) -> SectionCertificate:
-    """Record the verified conditions; the solver's output must satisfy them all."""
-    cert.verified_conditions = verified
-    if verified != sys.condition_labels():
-        raise AssertionError(f"{cert.kind} solution fails its own conditions: "
-                             f"verified only {verified}")
+    cert = SectionCertificate(name, sol.particular, [], SubspaceBasis(sys.unknowns, sol.nullspace),
+                              sys.shape)
+    cert.verified_conditions = verify(cert, sys)
+    if cert.verified_conditions != sys.condition_labels():
+        raise AssertionError(f"{name} solution fails its own conditions: "
+                             f"verified only {cert.verified_conditions}")
     return cert
 
 
@@ -101,38 +95,18 @@ def _fs_section_system(h: HopfData, yd, hp: SubspaceBasis, complete: bool) -> Af
 
 
 def find_fs_section(h: HopfData) -> Optional[SectionCertificate]:
-    return _find_section(h, complete=False)
+    return _find(h, "fs_section", complete=False)
 
 
 def find_complete_fs_section(h: HopfData) -> Optional[SectionCertificate]:
-    return _find_section(h, complete=True)
+    return _find(h, "fs_section", complete=True)
 
 
-def _find_section(h: HopfData, complete: bool) -> Optional[SectionCertificate]:
-    kind = "complete_fs_section" if complete else "fs_section"
-    if h.dim == 1:
-        return SectionCertificate(kind, {}, _conditions(complete), None,
-                                  {"hplus_basis": SubspaceBasis(1, {})})
-    yd, hp = h_plus_yd(h)
-    sys = _fs_section_system(h, yd, hp, complete)
-    cert = _solve(sys, kind, {"hplus_basis": hp, "yd": yd})
-    if cert is None:
-        return None
-    return _accept(cert, verify_fs_section(h, cert, complete, sys), sys)
-
-
-def verify_fs_section(h: HopfData, cert: SectionCertificate, complete: bool,
-                      sys: Optional[AffineSystem] = None) -> list:
-    """The conditions (i), (ii) (and (iii)) that a given tau matrix satisfies,
-    evaluated on the rows ``sys`` the finder solved, or on rows rebuilt over the
-    certificate's H^+ basis."""
-    if sys is None:
-        hp = cert.context["hplus_basis"]
-        if not hp.dim:
-            return _conditions(complete)
-        yd, hp = h_plus_yd(h, hp)
-        sys = _fs_section_system(h, yd, hp, complete)
-    return _checked(sys, cert)
+def verify_fs_section(cert: SectionCertificate, sys: AffineSystem) -> list:
+    """The conditions (i), (ii) (and (iii)) whose rows in the solved system
+    ``sys`` the certificate's tau satisfies."""
+    bad = failed_labels(sys, cert.matrix)
+    return [c for c in sys.condition_labels() if c not in bad]
 
 
 def check_im_tau(h: HopfData, cert: SectionCertificate) -> bool:
@@ -168,38 +142,17 @@ def _fs_retraction_system(h: HopfData, yd, split: QuotientSplitting,
 
 
 def find_fs_retraction(h: HopfData) -> Optional[SectionCertificate]:
-    return _find_retraction(h, complete=False)
+    return _find(h, "fs_retraction", complete=False)
 
 
 def find_complete_fs_retraction(h: HopfData) -> Optional[SectionCertificate]:
-    return _find_retraction(h, complete=True)
+    return _find(h, "fs_retraction", complete=True)
 
 
-def _find_retraction(h: HopfData, complete: bool) -> Optional[SectionCertificate]:
-    kind = "complete_fs_retraction" if complete else "fs_retraction"
-    if h.dim == 1:
-        return SectionCertificate(kind, {}, _conditions(complete), None, {})
-    yd, split = h_bar_yd(h)
-    sys = _fs_retraction_system(h, yd, split, complete)
-    cert = _solve(sys, kind, {"projection": split.projection, "section": split.section, "yd": yd})
-    if cert is None:
-        return None
-    return _accept(cert, verify_fs_retraction(h, cert, complete, sys), sys)
-
-
-def verify_fs_retraction(h: HopfData, cert: SectionCertificate, complete: bool,
-                         sys: Optional[AffineSystem] = None) -> list:
-    """The conditions (i), (ii) (and (iii)) that a given chi matrix satisfies,
-    evaluated on the rows ``sys`` the finder solved, or on rows rebuilt over the
-    certificate's splitting of Hbar."""
-    if sys is None:
-        if h.dim == 1:
-            return _conditions(complete)
-        ctx = cert.context
-        yd, split = h_bar_yd(h, QuotientSplitting(ctx["projection"], ctx["section"],
-                                                  unit_line(h)))
-        sys = _fs_retraction_system(h, yd, split, complete)
-    return _checked(sys, cert)
+def verify_fs_retraction(cert: SectionCertificate, sys: AffineSystem) -> list:
+    """The conditions (i), (ii) (and (iii)) whose rows in the solved system
+    ``sys`` the certificate's chi satisfies, read as for tau."""
+    return verify_fs_section(cert, sys)
 
 
 def check_chi_quotients(h: HopfData, cert: SectionCertificate) -> bool:

@@ -20,10 +20,8 @@ on the right.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from .hopf import (AlgebraData, CoalgebraData, HopfData, QuotientSplitting, SubspaceBasis,
-                   augmentation_ideal, unit_cokernel)
+from .hopf import AlgebraData, CoalgebraData, HopfData, augmentation_ideal, unit_cokernel
 from .linalg import contract, differing, identity, in_coordinates, ordered
 
 ACTIONS = ("adl", "adr", "adl_bar", "adr_bar")      # |>, <|, |>>, <<|
@@ -241,11 +239,11 @@ def _yd_of(h: HopfData, m: int, act: dict, coat: dict, name: str) -> YDStructure
     return yd
 
 
-def h_plus_yd(h: HopfData, hp: Optional[SubspaceBasis] = None) -> tuple:
+def h_plus_yd(h: HopfData) -> tuple:
     """(YDStructure, SubspaceBasis): H^+ with h·x = hx and rho(x) = x_1 S(x_3) (x) x_2,
-    on the basis ``hp`` of H^+ (by default the nullspace basis of eps)."""
+    on the nullspace basis of eps."""
     f = h.field
-    hp = hp or augmentation_ideal(h)
+    hp = augmentation_ideal(h)
     basis, coords = hp.tensors(f)
     act = in_coordinates(f, contract(f, "xj,ixk->ijk", basis, h.alg.mult), basis, coords,
                          "H·H^+ escaped H^+; counit is not an algebra map?")
@@ -255,12 +253,12 @@ def h_plus_yd(h: HopfData, hp: Optional[SubspaceBasis] = None) -> tuple:
     return _yd_of(h, hp.dim, act, coat, "H^+"), hp
 
 
-def h_bar_yd(h: HopfData, split: Optional[QuotientSplitting] = None) -> tuple:
+def h_bar_yd(h: HopfData) -> tuple:
     """(YDStructure, QuotientSplitting): Hbar with the induced adjoint action
     h·xbar = (h_1 x S(h_2))bar and coaction rho(xbar) = x_1 (x) xbar_2, on the
-    splitting ``split`` (by default :func:`unit_cokernel`)."""
+    splitting of :func:`unit_cokernel`."""
     f = h.field
-    split = split or unit_cokernel(h)
+    split = unit_cokernel(h)
     sect, proj = split.section, split.projection
     adl = adjoint_action(h, "adl").tensor
     act = contract(f, "xj,ixy,cy->ijc", sect, adl, proj)

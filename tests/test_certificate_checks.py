@@ -12,19 +12,22 @@ from itertools import product
 import pytest
 
 from hopfsmith import QQ, cli, resolve_preset
-from hopfsmith.doubles import (ExtensionIdempotent, _verify_extension_idempotent,
-                               drinfeld_double, relative_tensor, separable_extension)
-from hopfsmith.integrals import (_verify_ad_invariant, _verify_idempotent,
-                                 _verify_integral_space, _verify_retraction,
+from hopfsmith.doubles import (ExtensionIdempotent, _extension_idempotent_system,
+                               _verify_extension_idempotent, drinfeld_double, relative_tensor,
+                               separable_extension)
+from hopfsmith.integrals import (_ad_invariant_system, _integral_system, _verify_ad_invariant,
+                                 _verify_idempotent, _verify_integral_space, _verify_retraction,
                                  ad_coinvariant_integral, ad_invariant_integral,
-                                 coseparability_retraction, integral_space,
-                                 separability_idempotent)
+                                 coseparability_retraction, idempotent_system, integral_space,
+                                 retraction_system, separability_idempotent, total_integral)
 from hopfsmith.lifting import LiftObstruction, _lift, square_zero_extension
 from hopfsmith.linalg import AffineSystem, SparseMat, failed_labels, identity
 from hopfsmith.presets import cyclic_table, preset_group_algebra
-from hopfsmith.smoothness import (SectionCertificate, find_complete_fs_retraction,
-                                  find_complete_fs_section, find_fs_retraction,
-                                  find_fs_section, verify_fs_retraction, verify_fs_section)
+from hopfsmith.smoothness import (SectionCertificate, _fs_retraction_system, _fs_section_system,
+                                  find_complete_fs_retraction, find_complete_fs_section,
+                                  find_fs_retraction, find_fs_section, verify_fs_retraction,
+                                  verify_fs_section)
+from hopfsmith.yd import h_bar_yd, h_plus_yd
 
 from test_lifting_oracles import _bumped
 from test_loop_oracles import _subspace, _vec, _vectors
@@ -32,6 +35,13 @@ from test_loop_oracles import _subspace, _vec, _vectors
 
 def _with_matrix(cert: SectionCertificate, mat: dict) -> SectionCertificate:
     return replace(cert, matrix=mat, verified_conditions=[])
+
+
+def _fs_system(verify, h, complete: bool) -> AffineSystem:
+    """The rows that the finder of ``verify``'s map solves."""
+    if verify is verify_fs_section:
+        return _fs_section_system(h, *h_plus_yd(h), complete)
+    return _fs_retraction_system(h, *h_bar_yd(h), complete)
 
 
 def _bump(v: list, i: int, field) -> list:
@@ -55,10 +65,11 @@ def test_fs_check_drops_a_label_for_a_changed_entry(finder, verify, spec, comple
     cert = finder(h)
     full = ["i", "ii", "iii"] if complete else ["i", "ii"]
     assert cert is not None and cert.verified_conditions == full
-    assert verify(h, cert, complete) == full
+    sys = _fs_system(verify, h, complete)
+    assert verify(cert, sys) == full
     # entry (0, 0) adds e_0 (x) v_0 to tau(v_0), resp. vbar_0 to chi(e_0 (x) vbar_0);
     # the sums that (ii) takes pick the extra term up, so (ii) fails
-    kept = verify(h, _with_matrix(cert, _bumped(h.field, cert.matrix, (0, 0, 0))), complete)
+    kept = verify(_with_matrix(cert, _bumped(h.field, cert.matrix, (0, 0, 0))), sys)
     assert "ii" not in kept and set(kept) < set(full)
 
 
@@ -75,8 +86,9 @@ def test_plain_kernel_shift_keeps_i_ii_and_drops_iii(finder, verify, spec):
     keys = list(product(*map(range, cert.shape)))  # the unknowns in row-major order
     flat = [QQ.add(x, y) for x, y in zip((cert.matrix.get(k, QQ.zero) for k in keys), shift)]
     moved = {k: x for k, x in zip(keys, flat) if x}
-    assert verify(h, cert, complete=True) == ["i", "ii", "iii"]
-    assert verify(h, _with_matrix(cert, moved), complete=True) == ["i", "ii"]
+    sys = _fs_system(verify, h, complete=True)
+    assert verify(cert, sys) == ["i", "ii", "iii"]
+    assert verify(_with_matrix(cert, moved), sys) == ["i", "ii"]
 
 
 # ---------------------------------------------------------------------------
@@ -88,34 +100,38 @@ def test_integral_space_check_rejects_a_changed_vector():
     basis = integral_space(h, "left")
     bad = _subspace(h.dim, [_bump(_vectors(h.field, basis)[0], 1, h.field)])
     with pytest.raises(AssertionError, match="left"):
-        _verify_integral_space(h, bad, "left")
+        _verify_integral_space(bad, _integral_system(h, "left", "in_h"))
 
 
 def test_idempotent_check_rejects_a_changed_entry():
     h = resolve_preset("group:C3", QQ)
     cert = separability_idempotent(h)
-    assert _verify_idempotent(h, cert.data) == ["m(e)=1", "bilinear"]
+    sys = idempotent_system(h.alg)
+    assert _verify_idempotent(cert.data, sys) == ["m(e)=1", "bilinear"]
     # e_0 (x) e_0 multiplies to e_0 = 1, so m(e) moves off the unit
     with pytest.raises(AssertionError, match=r"m\(e\)=1"):
-        _verify_idempotent(h, _bumped(h.field, cert.data, (0, 0)))
+        _verify_idempotent(_bumped(h.field, cert.data, (0, 0)), sys)
 
 
 def test_retraction_check_rejects_a_changed_entry():
     h = resolve_preset("functions:C3", QQ)
     cert = coseparability_retraction(h)
-    assert _verify_retraction(h, cert.data) == ["theta∘Delta=id", "bicolinear"]
+    sys, lam = retraction_system(h), total_integral(h, "in_dual").vector
+    assert _verify_retraction(h, cert.data, lam, sys) == ["theta∘Delta=id", "bicolinear",
+                                                          "exchange-identity"]
     # theta(e_0 (x) e_0) gains e_0, and Delta(e_0) = e_0 (x) e_0 + ...
     with pytest.raises(AssertionError, match="theta∘Delta=id"):
-        _verify_retraction(h, _bumped(h.field, cert.data, (0, 0, 0)))
+        _verify_retraction(h, _bumped(h.field, cert.data, (0, 0, 0)), lam, sys)
 
 
 def test_ad_invariant_check_rejects_a_changed_value():
     h = resolve_preset("group:C3", QQ)
     cert = ad_invariant_integral(h)
-    assert _verify_ad_invariant(h, cert.vector) == ["a", "b", "c"]
+    sys = _ad_invariant_system(h)
+    assert _verify_ad_invariant(cert.vector, sys) == ["a", "b", "c"]
     # lam(1) = lam(e_0) moves off 1, while (a) and (b) still hold for a group algebra
     with pytest.raises(AssertionError, match="fails c$"):
-        _verify_ad_invariant(h, _bumped(h.field, cert.vector, (0,)))
+        _verify_ad_invariant(_bumped(h.field, cert.vector, (0,)), sys)
 
 
 def _corrupting(solve):
@@ -168,10 +184,11 @@ def test_extension_idempotent_check_rejects_a_changed_coordinate():
     cert = separable_extension(ext)
     assert cert is not None
     rel = relative_tensor(ext)
-    assert _verify_extension_idempotent(ext, rel, cert) == ["m(e)=1", "bilinear"]
+    sys = _extension_idempotent_system(ext, rel)
+    assert _verify_extension_idempotent(cert, sys) == ["m(e)=1", "bilinear"]
     coords = _bumped(h.field, cert.quotient_coords, (0,))
     with pytest.raises(AssertionError, match="extension idempotent"):
-        _verify_extension_idempotent(ext, rel, ExtensionIdempotent(coords, rel.dim))
+        _verify_extension_idempotent(ExtensionIdempotent(coords, rel.dim), sys)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Rejections of malformed input, with the exact messages the CLI reports:
 ring extensions that are not injective algebra maps, multiplications without
-a two-sided unit, and cyclic covers whose degree is not an integer M >= 1."""
+a two-sided unit, cyclic covers whose degree is not an integer M >= 1, and
+malformed scalars and Taft orders."""
 
 import json
 
 import pytest
 
-from hopfsmith import QQ, cli, resolve_preset
+from hopfsmith import GF, QQ, cli, resolve_preset
 from hopfsmith.doubles import ExtensionData
 from hopfsmith.lifting import cyclic_cover_problem
 from hopfsmith.serialize import hopf_from_dict, hopf_to_dict
@@ -87,3 +88,30 @@ def test_cyclic_cover_of_degree_one_still_lifts(capsys):
     argv = ["lift-section", "--problem", "cyclic-cover:1", "--preset", "group:C2"]
     assert cli.main(argv) == 0
     assert json.loads(capsys.readouterr().out)["lifted"] is True
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--preset", "taft:2:1/0"],
+     "cannot parse preset spec 'taft:2:1/0': cannot parse rational scalar from '1/0'"),
+    (["--preset", "taft:x:2"], "cannot parse preset spec 'taft:x:2'"),
+    (["--preset", "taft:3:y", "--char", "7"],
+     "cannot parse preset spec 'taft:3:y': cannot parse F_7 scalar from 'y'"),
+    # rejected from n and the field alone, before any power of q is taken
+    (["--preset", "taft:100000:2"], "Q has no primitive n-th root of unity for n = 100000 > 2"),
+    (["--preset", "taft:4:2", "--char", "7"],
+     "F_7 has no primitive n-th root of unity for n = 4: 4 does not divide 6"),
+    (["--preset", "taft:3:3", "--char", "7"], "q is not an n-th root of unity for n = 3"),
+])
+def test_cli_rejects_a_taft_spec_by_name(argv, message, capsys):
+    assert cli.main(["integrals", *argv]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": message}
+
+
+def test_cli_file_with_a_malformed_scalar_is_a_malformed_document(tmp_path, capsys):
+    doc = hopf_to_dict(resolve_preset("group:C2", GF(3)))
+    doc["counit"][1] = "1/2"
+    path = tmp_path / "scalar.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["integrals", "--file", str(path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "malformed Hopf document: cannot parse F_3 scalar from '1/2'"}

@@ -54,3 +54,15 @@ def test_reduced_representations():
     # residues always land in [0, p)
     g = GF(11)
     assert 0 <= g.sub(3, 9) < 11
+
+
+@pytest.mark.parametrize("field, obj, message", [
+    (QQ, "1/0", "cannot parse rational scalar from '1/0'"),
+    (QQ, "x", "cannot parse rational scalar from 'x'"),
+    (GF(3), "1/2", "cannot parse F_3 scalar from '1/2'"),
+    (GF(7), "y", "cannot parse F_7 scalar from 'y'"),
+])
+def test_parse_rejects_a_malformed_scalar_by_name(field, obj, message):
+    with pytest.raises(ValueError) as exc:
+        field.parse(obj)
+    assert str(exc.value) == message

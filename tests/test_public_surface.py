@@ -3,7 +3,8 @@ public attributes of the core classes.  A change to any of them edits this
 snapshot in the same change that logs it in CHANGES.md.
 
 The package holds only what a query, an export or the benchmark tracer uses:
-every top-level definition in ``src/hopfsmith`` must be reachable from them."""
+every top-level definition in ``src/hopfsmith`` must be reachable from them,
+and every defaulted parameter outside the exports must be set by some call."""
 
 import ast
 from dataclasses import fields
@@ -143,3 +144,66 @@ def test_every_src_definition_is_reachable():
             todo += [ref for ref in defs[key] if ref in defs]
     unreached = sorted(f"{mod}.{name}" for mod, name in set(defs) - reached)
     assert not unreached, f"defined in src but used by no query, export or tracer: {unreached}"
+
+
+def _defaulted(tree: ast.Module) -> list:
+    """(name, callee, parameter, position) for each defaulted parameter of a
+    function or method, and each defaulted dataclass field that ``__init__``
+    takes, of one module.  ``callee`` is the name a call uses: the function's,
+    the method's, or the class's for ``__init__`` and for fields; ``position``
+    counts the arguments a call passes before it, ``self`` not among them."""
+    out = []
+
+    def params(fn, owner, skip):
+        args = fn.args.posonlyargs + fn.args.args
+        callee = owner if fn.name == "__init__" else fn.name
+        name = f"{owner}.{fn.name}" if owner else fn.name
+        for pos, a in enumerate(args[len(args) - len(fn.args.defaults):],
+                                len(args) - len(fn.args.defaults)):
+            out.append((name, callee, a.arg, pos - skip))
+        for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+            if d is not None:
+                out.append((name, callee, a.arg, None))
+
+    for stmt in tree.body:
+        if isinstance(stmt, ast.FunctionDef):
+            params(stmt, None, 0)
+        elif isinstance(stmt, ast.ClassDef):
+            dataclass = any("dataclass" in ast.unparse(d) for d in stmt.decorator_list)
+            pos = 0
+            for item in stmt.body:
+                if isinstance(item, ast.FunctionDef):
+                    static = any(ast.unparse(d) == "staticmethod" for d in item.decorator_list)
+                    params(item, stmt.name, 0 if static else 1)
+                elif dataclass and isinstance(item, ast.AnnAssign) and item.simple:
+                    value = item.value
+                    if isinstance(value, ast.Call) and any(
+                            k.arg == "init" and isinstance(k.value, ast.Constant)
+                            and k.value.value is False for k in value.keywords):
+                        continue  # init=False: set by the class itself
+                    if value is not None:
+                        out.append((f"{stmt.name}.{item.target.id}", stmt.name,
+                                    item.target.id, pos))
+                    pos += 1
+    return out
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    """Every defaulted parameter, and every defaulted dataclass field that
+    ``__init__`` takes, of a definition in ``src/hopfsmith`` outside
+    ``hopfsmith.__all__`` and ``cli.main`` is passed by at least one call in
+    ``src/``: an option that no caller sets is a constant."""
+    trees = [ast.parse(p.read_text()) for p in sorted((ROOT / "src" / "hopfsmith").glob("*.py"))]
+    passed = {}  # callee name -> [(positional count, keyword names)]; a starred argument passes all
+    for node in (n for t in trees for n in ast.walk(t) if isinstance(n, ast.Call)):
+        func = node.func
+        callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        many = any(isinstance(a, ast.Starred) for a in node.args)
+        keys = {k.arg for k in node.keywords}
+        passed.setdefault(callee, []).append((float("inf") if many else len(node.args), keys))
+    exported = set(hopfsmith.__all__) | {"main"}
+    unset = sorted(name for t in trees for name, callee, param, pos in _defaulted(t)
+                   if name.split(".")[0] not in exported
+                   and not any((pos is not None and n > pos) or param in keys or None in keys
+                               for n, keys in passed.get(callee, [])))
+    assert not unset, f"defaulted parameters no call in src sets: {unset}"

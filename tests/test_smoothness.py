@@ -6,10 +6,11 @@ import pytest
 from hopfsmith import GF, QQ, FieldSpec, dual_hopf, resolve_preset
 from hopfsmith.integrals import ad_invariant_integral, separability_idempotent
 from hopfsmith.presets import preset_sweedler
-from hopfsmith.smoothness import (SectionCertificate, check_chi_quotients,
+from hopfsmith.smoothness import (SectionCertificate, _fs_section_system, check_chi_quotients,
                                   check_im_tau, find_complete_fs_retraction,
                                   find_complete_fs_section, find_fs_retraction,
                                   find_fs_section, verify_fs_section)
+from hopfsmith.yd import h_plus_yd
 
 from conftest import F
 
@@ -48,7 +49,7 @@ def test_complete_certificate_passes_plain_checks():
     h = resolve_preset("group:C3", QQ)
     cert = find_complete_fs_section(h)
     assert cert is not None
-    plain = verify_fs_section(h, cert, complete=False)
+    plain = verify_fs_section(cert, _fs_section_system(h, *h_plus_yd(h), False))
     assert plain == ["i", "ii"]
 
 
@@ -87,13 +88,11 @@ def test_im_tau_can_fail_without_condition_i():
     # hand-built map violating (i): send the single H^+ basis vector of KC2
     # to 1 (x) v, whose first leg has nonzero counit
     h = resolve_preset("group:C2", QQ)
-    from hopfsmith.yd import h_plus_yd
-    _, hp = h_plus_yd(h)
     bad = {(0, 0, 0): F(1)}  # tau(v) = e0 (x) v
-    cert = SectionCertificate("fs_section", bad, [], None, {"hplus_basis": hp}, (2, 1, 1))
+    cert = SectionCertificate("fs_section", bad, [], None, (2, 1, 1))
     assert not check_im_tau(h, cert)
     # and indeed it fails (ii): e0·v = v but the certificate never checked
-    assert verify_fs_section(h, cert, complete=False) != ["i", "ii"]
+    assert verify_fs_section(cert, _fs_section_system(h, *h_plus_yd(h), False)) != ["i", "ii"]
 
 
 def test_zero_dimensional_hplus_is_vacuous():
