@@ -10,6 +10,8 @@ explicitly and never touches floating point.
 
 from __future__ import annotations
 
+import re
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -95,16 +97,16 @@ class FieldSpec:
         return a == b
 
     def parse(self, obj) -> Scalar:
-        """Read a scalar from its JSON form: an int, or its string, or a "p/q"
-        string over Q; anything else raises ValueError naming ``obj``."""
+        """Read a scalar from its JSON form: an int, or its ASCII decimal string
+        ``-?[0-9]+``, or over Q a ``-?[0-9]+/[0-9]+`` string with a nonzero
+        denominator; anything else raises ValueError naming ``obj``."""
         if isinstance(obj, bool):
             raise ValueError(f"cannot parse a scalar from the boolean {obj!r}")
         p = self.characteristic
-        if isinstance(obj, (int, str)):
-            try:
+        if isinstance(obj, int) or isinstance(obj, str) and re.fullmatch(
+                r"-?[0-9]+" if p else r"-?[0-9]+(/0*[1-9][0-9]*)?", obj):
+            with suppress(ValueError):  # a numeral longer than int() reads
                 return int(obj) % p if p else Fraction(obj)
-            except (ValueError, ZeroDivisionError):  # not a numeral, or a zero denominator
-                pass
         raise ValueError(f"cannot parse {f'F_{p}' if p else 'rational'} scalar from {obj!r}")
 
     def to_json(self, a: Scalar):

@@ -175,14 +175,6 @@ def _quotient_algebra(a: AlgebraData, ideal: SubspaceBasis):
     return quotient, proj, sect
 
 
-def _has_separability_idempotent(a: AlgebraData) -> bool:
-    """Affine search for e in A (x) A with m(e) = 1 and (x (x) 1)e = e(1 (x) x).
-
-    Over perfect ground fields (Q and F_p) this is exactly semisimplicity.
-    """
-    return a.dim == 0 or solve_affine(idempotent_system(a)) is not None
-
-
 def radical(a: AlgebraData) -> SubspaceBasis:
     """The Jacobson radical, certified: nilpotent ideal with semisimple quotient."""
     f = a.field
@@ -192,12 +184,12 @@ def radical(a: AlgebraData) -> SubspaceBasis:
     if basis.dim and ideal_powers(a, basis) is None:
         raise AssertionError("computed radical is not nilpotent")
     quotient, _, _ = _quotient_algebra(a, basis)
-    if f.characteristic == 0:
-        if _trace_form_kernel(quotient).dim:
-            raise AssertionError("radical quotient has degenerate trace form")
-    else:
-        if not _has_separability_idempotent(quotient):
-            raise AssertionError("radical quotient is not separable over a perfect field")
+    if f.characteristic == 0 and _trace_form_kernel(quotient).dim:
+        raise AssertionError("radical quotient has degenerate trace form")
+    # over the perfect F_p, semisimple means separable: an e in A (x) A with m(e) = 1
+    # and (x (x) 1)e = e(1 (x) x) exists
+    if f.characteristic and quotient.dim and solve_affine(idempotent_system(quotient)) is None:
+        raise AssertionError("radical quotient is not separable over a perfect field")
     return basis
 
 

@@ -46,8 +46,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .fields import FieldSpec
-from .linalg import (AffineSystem, SparseMat, contract, difference, differing, identity,
-                     in_coordinates, invert, nullspace, ordered, pivot_columns, require_keys,
+from .linalg import (AffineSystem, SparseMat, contract, differing, identity, in_coordinates,
+                     invert, nullspace, ordered, pivot_columns, require_keys, signed_sum,
                      span_contains_span)
 
 
@@ -140,8 +140,7 @@ def curvature(f: FieldSpec, m_src: dict, m_tgt: dict, g: dict) -> dict:
     """g(a_i a_j) - g(a_i) g(a_j), keyed (i, j, x), for a linear map g between the
     algebras with multiplications ``m_src`` and ``m_tgt``; empty exactly when g
     is multiplicative."""
-    return difference(f, contract(f, "ijy,xy->ijx", m_src, g),
-                      contract(f, "ai,bj,abx->ijx", g, g, m_tgt))
+    return signed_sum(f, [(1, "ijy,xy->ijx", m_src, g), (-1, "ai,bj,abx->ijx", g, g, m_tgt)])
 
 
 def _check(width: int, *pairs) -> AxiomCheck:

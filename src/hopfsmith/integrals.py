@@ -3,9 +3,12 @@
 
 Two independent routes are kept for each separability question: the closed
 formula built from a total integral (sigma_t resp. theta_lambda) and a blind
-affine search for any certificate.  Their agreement is asserted on every
-call; it is the computable content of the equivalence between total
-integrals and (co)separability.
+affine search for any certificate, both stated by one condition list.  Their
+agreement is shown on every call, which is the computable content of the
+equivalence between total integrals and (co)separability: on "yes" the
+formula's certificate is evaluated on the conditions of the blind system, a
+witness that the system is feasible, so that system is never assembled; on
+"no" the blind system is assembled and eliminated and must be infeasible.
 
 An integral, a functional and an idempotent are sparse tensors like the
 structure maps: t and lambda keyed ``(x,)``, e keyed ``(i, j)`` for
@@ -18,9 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
+from .fields import FieldSpec
 from .hopf import AlgebraData, HopfData, SubspaceBasis
-from .linalg import (AffineSystem, contract, identity, nullspace, require_labels, solve_affine,
-                     spans_equal)
+from .linalg import (AffineSystem, contract, identity, nullspace, require_conditions,
+                     require_labels, solve_affine, spans_equal)
 from .yd import ACTIONS, COACTIONS, adjoint_action, adjoint_coaction
 
 
@@ -186,14 +190,17 @@ def four_coinvariance_flags(h: HopfData, t: dict) -> dict:
 # Separability idempotents and coseparability retractions
 # ---------------------------------------------------------------------------
 
-def idempotent_system(a: AlgebraData) -> AffineSystem:
-    """The affine system for e = sum e_ij e_i (x) e_j in A (x) A, an unknown of
-    shape (n, n), with m(e) = 1 and (x (x) 1)e = e(1 (x) x)."""
+def idempotent_conditions(a: AlgebraData) -> list:
+    """m(e) = 1 and (x (x) 1)e = e(1 (x) x) for e = sum e_ij e_i (x) e_j in
+    A (x) A, an unknown of shape (n, n)."""
     m = a.mult
     # (e_x (x) 1) e - e (1 (x) e_x), components (p, q)
-    return AffineSystem.conditions(
-        a.field, (a.dim, a.dim), ("m(e)=1", [(1, "ijk,ij->k", m)], a.unit),
-        ("bilinear", [(1, "xip,iq->xpq", m), (-1, "jxq,pj->xpq", m)], None))
+    return [("m(e)=1", [(1, "ijk,ij->k", m)], a.unit),
+            ("bilinear", [(1, "xip,iq->xpq", m), (-1, "jxq,pj->xpq", m)], None)]
+
+
+def idempotent_system(a: AlgebraData) -> AffineSystem:
+    return AffineSystem.conditions(a.field, (a.dim, a.dim), *idempotent_conditions(a))
 
 
 def _blind_idempotent(sys: AffineSystem) -> bool:
@@ -202,36 +209,37 @@ def _blind_idempotent(sys: AffineSystem) -> bool:
 
 
 def separability_idempotent(h: HopfData) -> Optional[SeparabilityCertificate]:
-    """e = t_1 (x) S(t_2) from a total integral; blind search cross-checked."""
+    """e = t_1 (x) S(t_2) from a total integral, checked against the idempotent
+    identity; without one, the blind search must be infeasible."""
     f = h.field
-    n = h.dim
     cert_total = total_integral(h, "in_h")
-    sys = idempotent_system(h.alg)
-    if (cert_total is not None) != _blind_idempotent(sys):
-        raise AssertionError("total-integral route and blind idempotent search disagree")
     if cert_total is None:
+        if _blind_idempotent(idempotent_system(h.alg)):
+            raise AssertionError("total-integral route and blind idempotent search disagree")
         return None
     e = contract(f, "a,aij,kj->ik", cert_total.vector, h.coa.comult, h.antipode)
-    return SeparabilityCertificate("idempotent_for_algebra", e, _verify_idempotent(e, sys), (n, n))
+    verified = _verify_idempotent(f, e, idempotent_conditions(h.alg))
+    return SeparabilityCertificate("idempotent_for_algebra", e, verified, (h.dim,) * 2)
 
 
-def _verify_idempotent(e: dict, sys: AffineSystem) -> list:
-    return require_labels(sys, e, "separability idempotent")
+def _verify_idempotent(f: FieldSpec, e: dict, conds: list) -> list:
+    return require_conditions(f, conds, e, "separability idempotent")
 
 
-def retraction_system(h: HopfData) -> AffineSystem:
-    """The affine system for bicolinear theta: H (x) H -> H with theta∘Delta = id,
-    in the entries theta[k][(i, j)], an unknown of shape (n, n, n)."""
-    f = h.field
-    n = h.dim
+def retraction_conditions(h: HopfData) -> list:
+    """theta∘Delta = id and bicolinearity for theta: H (x) H -> H, an unknown of
+    shape (n, n, n) holding the entries theta[k][(i, j)]."""
     d = h.coa.comult
     delta_theta = (-1, "kpq,kij->ijpq", d)
     # left colinearity: (id (x) theta)(Delta (x) id) = Delta∘theta on e_i (x) e_j,
     # right colinearity: (theta (x) id)(id (x) Delta) = Delta∘theta; components (p, q)
-    return AffineSystem.conditions(
-        f, (n, n, n), ("theta∘Delta=id", [(1, "kij,oij->ko", d)], identity(f, n)),
-        ("bicolinear", [(1, "ipa,qaj->ijpq", d), delta_theta], None),
-        ("bicolinear", [(1, "jaq,pia->ijpq", d), delta_theta], None))
+    return [("theta∘Delta=id", [(1, "kij,oij->ko", d)], identity(h.field, h.dim)),
+            ("bicolinear", [(1, "ipa,qaj->ijpq", d), delta_theta], None),
+            ("bicolinear", [(1, "jaq,pia->ijpq", d), delta_theta], None)]
+
+
+def retraction_system(h: HopfData) -> AffineSystem:
+    return AffineSystem.conditions(h.field, (h.dim,) * 3, *retraction_conditions(h))
 
 
 def _blind_retraction(sys: AffineSystem) -> bool:
@@ -240,26 +248,23 @@ def _blind_retraction(sys: AffineSystem) -> bool:
 
 
 def coseparability_retraction(h: HopfData) -> Optional[SeparabilityCertificate]:
-    """theta_lambda(x (x) y) = x_1 lam(x_2 S(y)) from a total lam in H*."""
+    """theta_lambda(x (x) y) = x_1 lam(x_2 S(y)) from a total lam in H*, checked
+    against the retraction identity; without one, the blind search must be
+    infeasible."""
     f = h.field
-    n = h.dim
     cert_total = total_integral(h, "in_dual")
-    sys = retraction_system(h)
-    if (cert_total is not None) != _blind_retraction(sys):
-        raise AssertionError("total-integral route and blind retraction search disagree")
     if cert_total is None:
+        if _blind_retraction(retraction_system(h)):
+            raise AssertionError("total-integral route and blind retraction search disagree")
         return None
     lam = cert_total.vector
     theta = contract(f, "ipq,qyz,yj,z->pij", h.coa.comult, h.alg.mult, h.antipode, lam)
-    verified = _verify_retraction(h, theta, lam, sys)
-    return SeparabilityCertificate("retraction_for_coalgebra", theta, verified, (n, n, n))
+    verified = _verify_retraction(h, theta, lam, retraction_conditions(h))
+    return SeparabilityCertificate("retraction_for_coalgebra", theta, verified, (h.dim,) * 3)
 
 
-def _verify_retraction(h: HopfData, theta: dict, lam: dict, sys: AffineSystem) -> list:
-    verified = require_labels(sys, theta, "retraction")
-    # both sides of the defining exchange identity:
-    # x_1 lam(x_2 S(y)) = lam(x S(y_1)) y_2
-    rhs = contract(h.field, "iyz,ya,z,jab->bij", h.alg.mult, h.antipode, lam, h.coa.comult)
-    if theta != rhs:
-        raise AssertionError("retraction fails the exchange identity")
-    return verified + ["exchange-identity"]
+def _verify_retraction(h: HopfData, theta: dict, lam: dict, conds: list) -> list:
+    """``conds`` and the exchange identity x_1 lam(x_2 S(y)) = lam(x S(y_1)) y_2."""
+    exchange = contract(h.field, "iyz,ya,z,jab->bij", h.alg.mult, h.antipode, lam, h.coa.comult)
+    return require_conditions(h.field, [*conds, ("exchange-identity", [(1, "bij->bij")], exchange)],
+                              theta, "retraction")

@@ -36,8 +36,8 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 from .hopf import AlgebraData, HopfData, SubspaceBasis, curvature, dual_algebra
-from .linalg import (AffineSystem, SparseMat, contract, difference, differing, identity,
-                     in_coordinates, invert, nullspace, rank, require_keys, solve_affine,
+from .linalg import (AffineSystem, SparseMat, contract, differing, identity, in_coordinates,
+                     invert, nullspace, rank, require_keys, signed_sum, solve_affine,
                      span_contains_span)
 from .filtration import (_is_two_sided_ideal, _quotient_algebra, ideal_powers, coradical,
                          wedge_filtration)
@@ -239,8 +239,7 @@ def _lift(p: SurjectionProblem, alpha: dict, beta: dict, equivariant: bool):
             return LiftObstruction(r, curv, True, "curvature class is not a coboundary",
                                    (na, na, mdim))
         # g + h has curvature c - (a h(b) - h(ab) + h(a) b) = 0, as h(a) h(b) lies in I^2r = 0
-        minus_w = {k: f.neg(v) for k, v in w.items()}
-        corrected = difference(f, g, contract(f, "xt,ty->xy", minus_w, h))
+        corrected = signed_sum(f, [(1, "xy->xy", g), (1, "xt,ty->xy", w, h)])
         _assert_stage(f, m_a, m_cur, p_r, stage, corrected, alpha, beta_r)
         stage = corrected
         stages.append(stage)
@@ -271,10 +270,8 @@ def _is_two_cocycle(bim: Bimodule, c: dict) -> bool:
     for c keyed (i, j, t)."""
     f = bim.algebra.field
     m, left, right = bim.algebra.mult, bim.left, bim.right
-    return difference(f, contract(f, "jks,ist->ijkt", c, left),
-                      contract(f, "ijy,ykt->ijkt", m, c)) == \
-        difference(f, contract(f, "ijs,kst->ijkt", c, right),
-                   contract(f, "jky,iyt->ijkt", m, c))
+    return not signed_sum(f, [(1, "jks,ist->ijkt", c, left), (-1, "ijy,ykt->ijkt", m, c),
+                              (1, "jky,iyt->ijkt", m, c), (-1, "ijs,kst->ijkt", c, right)])
 
 
 def _solve_coboundary(bim: Bimodule, c: dict, alpha: dict, beta: dict,

@@ -39,7 +39,9 @@ gives, and :func:`require_keys` rejects a key outside a declared shape.  A linea
 condition on an unknown map of a declared shape is a signed sum of
 contractions whose last operand is the unknown: :meth:`AffineSystem.conditions`
 contracts the known operands once and adds each entry, with its sign, straight
-into the labelled sparse row and column it names.
+into the labelled sparse row and column it names; :func:`failed_conditions`
+evaluates the same condition list on a given tensor, a :func:`signed_sum` per
+condition, and assembles no row.
 """
 
 from __future__ import annotations
@@ -206,6 +208,23 @@ def require_labels(sys: AffineSystem, x: dict, what: str) -> list:
     if bad:
         raise AssertionError(f"{what} fails {', '.join(map(str, bad))}")
     return sys.condition_labels()
+
+
+def failed_conditions(field: FieldSpec, conds: list, x: dict) -> list:
+    """The distinct labels, in order, of the conditions ``(label, terms, constant)``
+    of :meth:`AffineSystem.conditions` whose terms, each contracted with ``x`` as its
+    last operand, do not sum to the constant; no row is assembled, no shape checked."""
+    return list({label: None for label, terms, const in conds
+                 if signed_sum(field, [(s, spec, *knowns, x) for s, spec, *knowns in terms])
+                 != {k: v for k, v in (const or {}).items() if v}})
+
+
+def require_conditions(field: FieldSpec, conds: list, x: dict, what: str) -> list:
+    """The labels of ``conds`` once ``x`` meets them all; raises ``AssertionError``
+    naming the violated conditions otherwise."""
+    if bad := failed_conditions(field, conds, x):
+        raise AssertionError(f"{what} fails {', '.join(map(str, bad))}")
+    return list(dict.fromkeys(label for label, *_ in conds))
 
 
 def _rref(rows: list, ncols: int, field: FieldSpec) -> list:
@@ -487,15 +506,20 @@ def identity(field: FieldSpec, n: int) -> dict:
     return {(i, i): field.one for i in range(n)}
 
 
-def difference(field: FieldSpec, a: dict, b: dict) -> dict:
-    """a - b for sparse tensors, zero entries dropped."""
-    out = dict(a)
-    for k, v in b.items():
-        w = field.sub(out.get(k, field.zero), v)
-        if w:
-            out[k] = w
-        else:
-            out.pop(k, None)
+def signed_sum(field: FieldSpec, terms: list) -> dict:
+    """The sum of the contractions ``(sign, spec, *tensors)``, sign 1 or -1, zeros dropped."""
+    p, out = field.characteristic, {}
+    for n, (sign, spec, *tensors) in enumerate(terms):
+        t = contract(field, spec, *tensors)
+        if not n and sign > 0:  # the sum so far is the first term, as contract returns it
+            out = t
+            continue
+        for k, v in t.items():
+            w = out.get(k, 0) + v if sign > 0 else out.get(k, 0) - v
+            if w := w % p if p else w:
+                out[k] = w
+            else:
+                out.pop(k, None)
     return out
 
 

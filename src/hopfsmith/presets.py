@@ -76,8 +76,9 @@ class NotAGroupError(ValueError):
     pass
 
 
-def check_group_table(table: list):
-    """Closure, identity, inverses, associativity; raises with a witness."""
+def check_group_table(table: list) -> tuple:
+    """Closure, identity, inverses, associativity; raises with a witness.
+    Returns the identity and the list of inverses."""
     n = len(table)
     for i, row in enumerate(table):
         if len(row) != n:
@@ -92,22 +93,16 @@ def check_group_table(table: list):
             break
     if identity is None:
         raise NotAGroupError("no two-sided identity element")
-    for i in range(n):
-        if not any(table[i][j] == identity and table[j][i] == identity for j in range(n)):
-            raise NotAGroupError(f"element {i} has no two-sided inverse")
+    inverse = [next((j for j in range(n) if table[i][j] == identity == table[j][i]), None)
+               for i in range(n)]
+    if None in inverse:
+        raise NotAGroupError(f"element {inverse.index(None)} has no two-sided inverse")
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 if table[table[i][j]][k] != table[i][table[j][k]]:
                     raise NotAGroupError(f"associativity fails at ({i},{j},{k})")
-    return identity
-
-
-def group_inverse(table: list, identity: int, i: int) -> int:
-    for j in range(len(table)):
-        if table[i][j] == identity and table[j][i] == identity:
-            return j
-    raise NotAGroupError(f"element {i} has no inverse")
+    return identity, inverse
 
 
 # ---------------------------------------------------------------------------
@@ -116,13 +111,13 @@ def group_inverse(table: list, identity: int, i: int) -> int:
 
 def preset_group_algebra(table: list, field: FieldSpec, validate: bool = True) -> HopfData:
     """KG with Delta(g) = g(x)g, eps(g) = 1, S(g) = g^{-1}."""
-    identity = check_group_table(table)
+    identity, inverse = check_group_table(table)
     n = len(table)
     f = field
     o = f.one
     mult = {(i, j, table[i][j]): o for i in range(n) for j in range(n)}
     comult = {(i, i, i): o for i in range(n)}
-    s = {(group_inverse(table, identity, i), i): o for i in range(n)}
+    s = {(inverse[i], i): o for i in range(n)}
     out = HopfData(AlgebraData(f, n, mult, {(identity,): o}),
                    CoalgebraData(f, n, comult, {(i,): o for i in range(n)}), s, None,
                    [f"g{i}" for i in range(n)])
@@ -265,19 +260,15 @@ def resolve_preset(spec: str, field: FieldSpec, validate: bool = True) -> HopfDa
     ``validate=False`` skips its axiom check, as in :func:`serialize.hopf_from_dict`."""
     parts = spec.split(":")
     kind = parts[0]
-    if kind == "group" and len(parts) == 2:
+    if kind in ("group", "functions") and len(parts) == 2:
         name = parts[1]
         if name not in GROUP_TABLES:
             raise ValueError(f"unknown group {name!r}; have {sorted(GROUP_TABLES)}")
-        return preset_group_algebra(GROUP_TABLES[name](), field, validate=validate)
-    if kind == "functions" and len(parts) == 2:
-        name = parts[1]
-        if name not in GROUP_TABLES:
-            raise ValueError(f"unknown group {name!r}; have {sorted(GROUP_TABLES)}")
-        return preset_function_algebra(GROUP_TABLES[name](), field, validate)
+        preset = preset_group_algebra if kind == "group" else preset_function_algebra
+        return preset(GROUP_TABLES[name](), field, validate=validate)
     if kind == "sweedler" and len(parts) == 1:
         return preset_sweedler(field, validate)
-    if kind == "taft" and len(parts) == 3 and parts[1].isdecimal():
+    if kind == "taft" and len(parts) == 3 and parts[1].isascii() and parts[1].isdecimal():
         try:
             q = field.parse(parts[2])
         except ValueError as exc:

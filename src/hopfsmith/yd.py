@@ -133,22 +133,25 @@ def _evaluate(h: HopfData, which: str, specs: dict) -> dict:
     return contract(h.field, spec, *_maps(h, names))
 
 
+def _passed(structure, what: str, result=None):
+    """``structure`` once its check (``result``, or its own ``check()``) passes;
+    raises ``AssertionError`` with ``what`` and the witness otherwise."""
+    ok, witness = result or structure.check()
+    if not ok:
+        raise AssertionError(f"{what} at {witness}")
+    return structure
+
+
 def adjoint_action(h: HopfData, which: str) -> ModuleAction:
     side = "left" if which in ("adl", "adl_bar") else "right"
     act = ModuleAction(h.alg, h.dim, _evaluate(h, which, _ACTION_SPECS), side)
-    ok, witness = act.check()
-    if not ok:
-        raise AssertionError(f"adjoint action {which} failed module axioms at {witness}")
-    return act
+    return _passed(act, f"adjoint action {which} failed module axioms")
 
 
 def adjoint_coaction(h: HopfData, which: str) -> ComoduleCoaction:
     side = "left" if which in ("rho_l", "rho_l_bar") else "right"
     coact = ComoduleCoaction(h.coa, h.dim, _evaluate(h, which, _COACTION_SPECS), side)
-    ok, witness = coact.check()
-    if not ok:
-        raise AssertionError(f"adjoint coaction {which} failed comodule axioms at {witness}")
-    return coact
+    return _passed(coact, f"adjoint coaction {which} failed comodule axioms")
 
 
 # ---------------------------------------------------------------------------
@@ -206,37 +209,24 @@ def yd_on_h(h: HopfData, kind: str) -> YDStructure:
         cside = "left" if variant in ("LL", "RL") else "right"
         # Delta(v) = e_i (x) v_j on the left, v_i (x) e_j on the right
         spec = "kij->kij" if cside == "left" else "kij->kji"
-        coaction = ComoduleCoaction(h.coa, n, contract(f, spec, h.coa.comult), cside)
-        ok, witness = coaction.check()
-        if not ok:
-            raise AssertionError(f"regular coaction failed at {witness}")
+        coaction = _passed(ComoduleCoaction(h.coa, n, contract(f, spec, h.coa.comult), cside),
+                           "regular coaction failed")
     else:
         coaction = adjoint_coaction(h, kind)
         side = "left" if variant in ("LL", "LR") else "right"
         spec = "ijk->ijk" if side == "left" else "jik->ijk"
-        action = ModuleAction(h.alg, n, contract(f, spec, h.alg.mult), side)
-        ok, witness = action.check()
-        if not ok:
-            raise AssertionError(f"regular action failed at {witness}")
+        action = _passed(ModuleAction(h.alg, n, contract(f, spec, h.alg.mult), side),
+                         "regular action failed")
     return YDStructure(action, coaction, variant)
 
 
 def _yd_of(h: HopfData, m: int, act: dict, coat: dict, name: str) -> YDStructure:
     """The LL Yetter-Drinfeld module on m basis vectors with the given action and
     coaction tensors, each of its three axioms checked."""
-    action = ModuleAction(h.alg, m, act, "left")
-    ok, witness = action.check()
-    if not ok:
-        raise AssertionError(f"{name} action failed at {witness}")
-    coaction = ComoduleCoaction(h.coa, m, coat, "left")
-    ok, witness = coaction.check()
-    if not ok:
-        raise AssertionError(f"{name} coaction failed at {witness}")
+    action = _passed(ModuleAction(h.alg, m, act, "left"), f"{name} action failed")
+    coaction = _passed(ComoduleCoaction(h.coa, m, coat, "left"), f"{name} coaction failed")
     yd = YDStructure(action, coaction, "LL")
-    ok, witness = check_yd(yd, h)
-    if not ok:
-        raise AssertionError(f"{name} YD compatibility failed at {witness}")
-    return yd
+    return _passed(yd, f"{name} YD compatibility failed", check_yd(yd, h))
 
 
 def h_plus_yd(h: HopfData) -> tuple:

@@ -11,17 +11,19 @@ from itertools import product
 
 import pytest
 
-from hopfsmith import QQ, cli, resolve_preset
+from hopfsmith import QQ, FieldSpec, cli, resolve_preset
 from hopfsmith.doubles import (ExtensionIdempotent, _extension_idempotent_system,
                                _verify_extension_idempotent, drinfeld_double, relative_tensor,
                                separable_extension)
 from hopfsmith.integrals import (_ad_invariant_system, _integral_system, _verify_ad_invariant,
                                  _verify_idempotent, _verify_integral_space, _verify_retraction,
                                  ad_coinvariant_integral, ad_invariant_integral,
-                                 coseparability_retraction, idempotent_system, integral_space,
-                                 retraction_system, separability_idempotent, total_integral)
+                                 coseparability_retraction, idempotent_conditions,
+                                 integral_space, retraction_conditions, separability_idempotent,
+                                 total_integral)
 from hopfsmith.lifting import LiftObstruction, _lift, square_zero_extension
-from hopfsmith.linalg import AffineSystem, SparseMat, failed_labels, identity
+from hopfsmith.linalg import (AffineSystem, SparseMat, contract, failed_conditions,
+                              failed_labels, identity)
 from hopfsmith.presets import cyclic_table, preset_group_algebra
 from hopfsmith.smoothness import (SectionCertificate, _fs_retraction_system, _fs_section_system,
                                   find_complete_fs_retraction, find_complete_fs_section,
@@ -29,6 +31,7 @@ from hopfsmith.smoothness import (SectionCertificate, _fs_retraction_system, _fs
                                   verify_fs_section)
 from hopfsmith.yd import h_bar_yd, h_plus_yd
 
+from conftest import GRID
 from test_lifting_oracles import _bumped
 from test_loop_oracles import _subspace, _vec, _vectors
 
@@ -106,22 +109,22 @@ def test_integral_space_check_rejects_a_changed_vector():
 def test_idempotent_check_rejects_a_changed_entry():
     h = resolve_preset("group:C3", QQ)
     cert = separability_idempotent(h)
-    sys = idempotent_system(h.alg)
-    assert _verify_idempotent(cert.data, sys) == ["m(e)=1", "bilinear"]
+    conds = idempotent_conditions(h.alg)
+    assert _verify_idempotent(h.field, cert.data, conds) == ["m(e)=1", "bilinear"]
     # e_0 (x) e_0 multiplies to e_0 = 1, so m(e) moves off the unit
     with pytest.raises(AssertionError, match=r"m\(e\)=1"):
-        _verify_idempotent(_bumped(h.field, cert.data, (0, 0)), sys)
+        _verify_idempotent(h.field, _bumped(h.field, cert.data, (0, 0)), conds)
 
 
 def test_retraction_check_rejects_a_changed_entry():
     h = resolve_preset("functions:C3", QQ)
     cert = coseparability_retraction(h)
-    sys, lam = retraction_system(h), total_integral(h, "in_dual").vector
-    assert _verify_retraction(h, cert.data, lam, sys) == ["theta∘Delta=id", "bicolinear",
-                                                          "exchange-identity"]
+    conds, lam = retraction_conditions(h), total_integral(h, "in_dual").vector
+    assert _verify_retraction(h, cert.data, lam, conds) == ["theta∘Delta=id", "bicolinear",
+                                                            "exchange-identity"]
     # theta(e_0 (x) e_0) gains e_0, and Delta(e_0) = e_0 (x) e_0 + ...
     with pytest.raises(AssertionError, match="theta∘Delta=id"):
-        _verify_retraction(h, _bumped(h.field, cert.data, (0, 0, 0)), lam, sys)
+        _verify_retraction(h, _bumped(h.field, cert.data, (0, 0, 0)), lam, conds)
 
 
 def test_ad_invariant_check_rejects_a_changed_value():
@@ -132,6 +135,74 @@ def test_ad_invariant_check_rejects_a_changed_value():
     # lam(1) = lam(e_0) moves off 1, while (a) and (b) still hold for a group algebra
     with pytest.raises(AssertionError, match="fails c$"):
         _verify_ad_invariant(_bumped(h.field, cert.vector, (0,)), sys)
+
+
+# the closed formulas: sigma_t = t_1 (x) S(t_2), keyed (i, k), and
+# theta_lambda(e_i (x) e_j) = (e_i)_1 lam((e_i)_2 S(e_j)), keyed (p, i, j)
+SIGMA = "a,aij,kj->ik"
+THETA = "ipq,qyz,yj,z->pij"
+
+
+def _formula_cases(h):
+    """(conditions, assembled system, shape, formula tensor, package certificate)
+    for the idempotent and the retraction.  The formula is built from the total
+    integral when there is one, else from the first left integral, whose
+    normalization fails, so that every case evaluates tensors with failing and
+    with holding conditions."""
+    f = h.field
+    sigma = lambda t: contract(f, SIGMA, t, h.coa.comult, h.antipode)
+    theta = lambda lam: contract(f, THETA, h.coa.comult, h.alg.mult, h.antipode, lam)
+    for carrier, formula_of, conds, shape, finder in (
+            ("in_h", sigma, idempotent_conditions(h.alg), (h.dim,) * 2, separability_idempotent),
+            ("in_dual", theta, retraction_conditions(h), (h.dim,) * 3,
+             coseparability_retraction)):
+        total = total_integral(h, carrier)
+        first = {(x,): c for (x, j), c in integral_space(h, "left", carrier).basis.items()
+                 if j == 0}
+        yield (conds, AffineSystem.conditions(f, shape, *conds), shape,
+               formula_of(total.vector if total else first), finder(h) if total else None)
+
+
+@pytest.mark.parametrize("spec,char", GRID)
+def test_condition_evaluation_agrees_with_the_assembled_rows(spec, char, preset_cache):
+    """On every GRID case, ``failed_conditions`` on the idempotent and retraction
+    conditions returns the labels that ``failed_labels`` returns on the rows
+    assembled from them: for the formula tensor, and for each single-entry
+    corruption of it (every entry of the idempotent; every entry of the
+    retraction's support and every theta(e_i (x) e_i) entry)."""
+    h = preset_cache(spec, char)
+    f = h.field
+    for conds, sys, shape, formula, cert in _formula_cases(h):
+        if cert is not None:  # the package's certificate is this formula, fully verified
+            assert cert.data == formula and failed_conditions(f, conds, formula) == []
+        if len(shape) == 2:
+            keys = list(product(range(h.dim), repeat=2))
+        else:
+            keys = sorted(set(formula) | {(p, i, i) for p in range(h.dim) for i in range(h.dim)})
+        for x in [formula] + [_bumped(f, formula, k) for k in keys]:
+            assert failed_conditions(f, conds, x) == failed_labels(sys, x)
+
+
+@pytest.mark.parametrize("command,spec,char", [
+    (command, spec, char) for spec, char in GRID
+    for command, carrier in (("separable", "in_h"), ("coseparable", "in_dual"))
+    if total_integral(resolve_preset(spec, FieldSpec(char)), carrier) is not None])
+def test_cli_exits_2_when_the_formula_is_changed_in_one_entry(command, spec, char,
+                                                              monkeypatch, capsys):
+    """A formula that comes out with one entry bumped fails its condition check,
+    which stands in for the blind solve: the query exits 2 and prints no report."""
+    import hopfsmith.integrals as integ
+    inner = integ.contract
+
+    def bumped(f, spec_, *tensors):
+        out = inner(f, spec_, *tensors)
+        return _bumped(f, out, min(out)) if spec_ in (SIGMA, THETA) else out
+
+    monkeypatch.setattr(integ, "contract", bumped)
+    assert cli.main([command, "--preset", spec, "--char", str(char)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal verification failed" in json.loads(captured.err)["error"]
 
 
 def _corrupting(solve):

@@ -101,6 +101,12 @@ def test_cyclic_cover_of_degree_one_still_lifts(capsys):
     (["--preset", "taft:4:2", "--char", "7"],
      "F_7 has no primitive n-th root of unity for n = 4: 4 does not divide 6"),
     (["--preset", "taft:3:3", "--char", "7"], "q is not an n-th root of unity for n = 3"),
+    # the order and q are ASCII numerals: no full-width digit, padding or plus sign
+    (["--preset", "taft:\uff13:2", "--char", "7"], "cannot parse preset spec 'taft:\uff13:2'"),
+    (["--preset", "taft:3:+2", "--char", "7"],
+     "cannot parse preset spec 'taft:3:+2': cannot parse F_7 scalar from '+2'"),
+    (["--preset", "taft:2:-1.0"],
+     "cannot parse preset spec 'taft:2:-1.0': cannot parse rational scalar from '-1.0'"),
 ])
 def test_cli_rejects_a_taft_spec_by_name(argv, message, capsys):
     assert cli.main(["integrals", *argv]) == 2

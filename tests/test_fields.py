@@ -66,3 +66,26 @@ def test_parse_rejects_a_malformed_scalar_by_name(field, obj, message):
     with pytest.raises(ValueError) as exc:
         field.parse(obj)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("field, obj", [
+    (QQ, "1.5"), (QQ, "1e-3"), (QQ, " 2 "), (QQ, "1_000"), (QQ, "３"), (QQ, "+3"),
+    (QQ, "1/-2"), (QQ, "1/00"), (QQ, "3\n"),
+    (GF(7), " 2 "), (GF(7), "1_000"), (GF(7), "３"), (GF(7), "1.5"), (GF(7), "+3"),
+])
+def test_parse_reads_only_ascii_decimal_numerals(field, obj):
+    """A scalar string is ``-?[0-9]+``, or over Q ``-?[0-9]+/[0-9]+`` with a
+    nonzero denominator; decimal points, exponents, padding, digit separators,
+    signs other than a leading minus and non-ASCII digits are rejected by name."""
+    name = f"F_{field.characteristic}" if field.characteristic else "rational"
+    with pytest.raises(ValueError) as exc:
+        field.parse(obj)
+    assert str(exc.value) == f"cannot parse {name} scalar from {obj!r}"
+
+
+@pytest.mark.parametrize("field, obj, value", [
+    (QQ, "-12", Fraction(-12)), (QQ, "-4/6", Fraction(-2, 3)), (QQ, "0/5", Fraction(0)),
+    (QQ, "7/001", Fraction(7)), (GF(7), "-3", 4), (GF(7), "0012", 5),
+])
+def test_parse_reads_signed_numerals_and_fractions(field, obj, value):
+    assert field.parse(obj) == value

@@ -31,12 +31,26 @@ from hopfsmith import (FieldSpec, cli, doubles, filtration, hopf, integrals, lif
 from hopfsmith.hopf import check_hopf, quotient_maps
 from hopfsmith.doubles import drinfeld_double
 from hopfsmith.hopf import SubspaceBasis
-from hopfsmith.linalg import (AffineSystem, SparseMat, _rref, contract, difference, identity,
-                              in_coordinates, nullspace, solve_affine, sparse)
+from hopfsmith.linalg import (AffineSystem, SparseMat, _rref, contract, failed_conditions,
+                              failed_labels, identity, in_coordinates, nullspace, solve_affine,
+                              sparse)
 from hopfsmith.yd import (ACTIONS, COACTIONS, adjoint_action, adjoint_coaction, check_yd,
                           h_bar_yd, h_plus_yd, yd_on_h)
 
 from conftest import GRID
+
+
+def difference(field, a, b):
+    """a - b for sparse tensors, entry by entry, zero entries dropped; the
+    subtraction the identity-tensor route used before ``linalg.signed_sum``."""
+    out = dict(a)
+    for k, v in b.items():
+        w = field.sub(out.get(k, field.zero), v)
+        if w:
+            out[k] = w
+        else:
+            out.pop(k, None)
+    return out
 
 
 def dense(field, t, shape):
@@ -838,3 +852,16 @@ def test_assembled_rows_equal_the_identity_tensor_route(case):
     field, shape, conds = case
     assert _snapshot(AffineSystem.conditions(field, shape, *conds)) == \
         old_route(field, shape, *conds)
+
+
+@settings(max_examples=300, deadline=None)
+@given(signed_conditions(), st.data())
+def test_condition_evaluation_equals_the_assembled_rows(case, data):
+    """``failed_conditions`` on a condition list returns, for any tensor on the
+    unknown's shape, the labels that ``failed_labels`` returns on its rows."""
+    field, shape, conds = case
+    scalars = st.integers(-2, 2).map(field.from_int)
+    keys = st.tuples(*(st.integers(0, d - 1) for d in shape))
+    x = {k: v for k, v in data.draw(st.dictionaries(keys, scalars, max_size=6)).items() if v}
+    system = AffineSystem.conditions(field, shape, *conds)
+    assert failed_conditions(field, conds, x) == failed_labels(system, x)

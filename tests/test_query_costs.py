@@ -372,3 +372,49 @@ def test_weak_projection_completes_each_distinct_basis_once(monkeypatch, argv):
     monkeypatch.setattr(hopf, "_completion", recording)
     assert _quiet(argv) == 0
     assert seen and len(seen) == len(set(seen))
+
+
+def _blind_work(monkeypatch, argv) -> tuple:
+    """(exit code, calls of the blind searches, unknown counts of every system
+    assembled and of every system solved) for one query."""
+    blind, assembled, solved = {}, [], []
+    for name in ("_blind_idempotent", "_blind_retraction"):
+        _count_calls(monkeypatch, integrals, name, blind)
+    conditions = linalg.AffineSystem.conditions.__func__
+
+    def recorded(cls, field, shape, *conds):
+        system = conditions(cls, field, shape, *conds)
+        assembled.append(system.unknowns)
+        return system
+
+    monkeypatch.setattr(linalg.AffineSystem, "conditions", classmethod(recorded))
+    inner = integrals.solve_affine
+
+    def solve(system):
+        solved.append(system.unknowns)
+        return inner(system)
+
+    monkeypatch.setattr(integrals, "solve_affine", solve)
+    return _quiet(argv), blind, assembled, solved
+
+
+@pytest.mark.parametrize("command", ["separable", "coseparable"])
+def test_a_formula_certificate_needs_no_blind_system(monkeypatch, command):
+    """kS3 over Q has total integrals in H and in H*: the checked formula
+    certificate proves the blind system feasible, so that system, in n^2 or n^3
+    unknowns, is neither assembled nor eliminated."""
+    code, blind, assembled, solved = _blind_work(monkeypatch,
+                                                 [command, "--preset", "group:S3"])
+    assert code == 0
+    assert sum(blind.values()) == 0
+    assert assembled and max(assembled) == 6 and not solved  # only the integral spaces
+
+
+@pytest.mark.parametrize("command,unknowns", [("separable", 4 ** 2), ("coseparable", 4 ** 3)])
+def test_a_refutation_eliminates_its_blind_system_once(monkeypatch, command, unknowns):
+    """Sweedler's algebra has no total integral in H or H*: the "no" is backed
+    by one elimination of the blind system, which must be infeasible."""
+    code, blind, assembled, solved = _blind_work(monkeypatch, [command, "--preset", "sweedler"])
+    assert code == 1
+    assert sum(blind.values()) == 1
+    assert assembled.count(unknowns) == 1 and solved == [unknowns]
