@@ -11,14 +11,15 @@ explicitly and never touches floating point.
 from __future__ import annotations
 
 import re
-from contextlib import suppress
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from math import isqrt
 
 Scalar = object  # Fraction (char 0) or int (char p)
 
 _MAX_PRIME = 2**31
+_BIG = 10**4000  # int() and str() convert at most 4,300 digits unless the limit is raised
 _Q_ZERO = Fraction(0)
 _Q_ONE = Fraction(1)
 
@@ -103,16 +104,21 @@ class FieldSpec:
         if isinstance(obj, bool):
             raise ValueError(f"cannot parse a scalar from the boolean {obj!r}")
         p = self.characteristic
-        if isinstance(obj, int) or isinstance(obj, str) and re.fullmatch(
+        if isinstance(obj, str) and re.fullmatch(
                 r"-?[0-9]+" if p else r"-?[0-9]+(/0*[1-9][0-9]*)?", obj):
-            with suppress(ValueError):  # a numeral longer than int() reads
-                return int(obj) % p if p else Fraction(obj)
+            # Decimal reads a numeral of any length, int() only up to 4,300 digits
+            obj = Fraction(*(int(Decimal(k)) for k in obj.split("/")))
+            return int(obj) % p if p else obj
+        if isinstance(obj, int):
+            return obj % p if p else Fraction(obj)
         raise ValueError(f"cannot parse {f'F_{p}' if p else 'rational'} scalar from {obj!r}")
 
     def to_json(self, a: Scalar):
         if self.characteristic == 0:
-            f = Fraction(a)
-            return int(f) if f.denominator == 1 else str(f)
+            # past the digits str() writes, Decimal writes a numeral string parse reads back
+            num, den = (k if -_BIG < k < _BIG else str(Decimal(k))
+                        for k in Fraction(a).as_integer_ratio())
+            return num if den == 1 else f"{num}/{den}"
         return int(a) % self.characteristic
 
 

@@ -41,6 +41,7 @@ from .linalg import (AffineSystem, SparseMat, contract, differing, identity, in_
                      span_contains_span)
 from .filtration import (_is_two_sided_ideal, _quotient_algebra, ideal_powers, coradical,
                          wedge_filtration)
+from .yd import ComoduleCoaction
 
 
 @dataclass
@@ -133,15 +134,13 @@ def _intertwines(f, g: dict, alpha: dict, beta: dict) -> bool:
 
 
 def _check_right_comodule(rho: dict, space_dim: int, h: HopfData) -> dict:
-    """The coaction tensor (c, v, u), once the counit law and coassociativity hold."""
-    f = h.field
-    # counit: (id (x) eps) rho = id
-    if contract(f, "cvu,u->cv", rho, h.coa.counit) != identity(f, space_dim):
-        raise ValueError("coaction fails the counit law")
-    # coassociativity: (rho (x) id) rho = (id (x) Delta) rho
-    if contract(f, "cvu,vwt->cwtu", rho, rho) != \
-            contract(f, "cvu,upq->cvpq", rho, h.coa.comult):
-        raise ValueError("coaction fails coassociativity")
+    """The coaction tensor (c, v, u), once its transpose (c, u, v) passes the counit
+    and coassociativity checks of a right :class:`yd.ComoduleCoaction`."""
+    ok, witness = ComoduleCoaction(h.coa, space_dim, {(c, u, v): x for (c, v, u), x in rho.items()},
+                                   "right").check()
+    if not ok:
+        raise ValueError("coaction fails " + ("the counit law" if witness[0] == "counit"
+                                              else "coassociativity"))
     return rho
 
 

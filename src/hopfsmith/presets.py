@@ -36,35 +36,14 @@ def s3_table() -> list:
 
 
 def q8_table() -> list:
-    # elements 1, -1, i, -i, j, -j, k, -k
-    names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    base = {
-        ("i", "i"): "-1", ("j", "j"): "-1", ("k", "k"): "-1",
-        ("i", "j"): "k", ("j", "k"): "i", ("k", "i"): "j",
-        ("j", "i"): "-k", ("k", "j"): "-i", ("i", "k"): "-j",
-    }
+    # element 2u + s is (-1)^s u for the units u = 1, i, j, k: 1, -1, i, -i, j, -j, k, -k
+    def unit_product(u, v):  # (sign, unit) of u v, where i j = k, j k = i, k i = j
+        if u == 0 or v == 0:
+            return 0, u + v
+        return (1, 0) if u == v else ((v - u) % 3 == 2, 6 - u - v)
 
-    def unsign(x):
-        return (x[1:], -1) if x.startswith("-") else (x, 1)
-
-    def sign_apply(x, s):
-        if s == 1:
-            return x
-        return x[1:] if x.startswith("-") else "-" + x
-
-    def mul(a, b):
-        xa, sa = unsign(a)
-        xb, sb = unsign(b)
-        s = sa * sb
-        if xa == "1":
-            return sign_apply(xb, s)
-        if xb == "1":
-            return sign_apply(xa, s)
-        prod = base[(xa, xb)]
-        return sign_apply(prod, s)
-
-    idx = {nm: i for i, nm in enumerate(names)}
-    return [[idx[mul(a, b)] for b in names] for a in names]
+    return [[2 * w + (s ^ a % 2 ^ b % 2) for b in range(8)
+             for s, w in [unit_product(a // 2, b // 2)]] for a in range(8)]
 
 
 GROUP_TABLES = {f"C{n}": (lambda n=n: cyclic_table(n)) for n in range(1, 13)}

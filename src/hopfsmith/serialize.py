@@ -147,12 +147,12 @@ def separability_to_dict(f: FieldSpec, cert) -> dict:
 
 
 def section_to_dict(f: FieldSpec, cert) -> dict:
-    """The map as its matrix: tau (i, a, b) with rows (i, a), chi (c, i, a) with columns (i, a)."""
+    """The formula map, tau (i, a, b) with rows (i, a) or chi (c, i, a) with columns
+    (i, a), and the conditions it was checked on (a "no" is an infeasible solve)."""
     split = 2 if cert.kind.endswith("section") else 1
     lists = (prod(cert.shape[:split]), prod(cert.shape[split:]))
     return {"type": cert.kind, "matrix": json_lists(f, cert.matrix, cert.shape, lists),
-            "verified_conditions": list(cert.verified_conditions),
-            "nullity": 0 if cert.nullspace is None else cert.nullspace.dim}
+            "verified_conditions": list(cert.verified_conditions)}
 
 
 def extension_to_dict(ext) -> dict:

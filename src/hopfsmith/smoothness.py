@@ -13,12 +13,14 @@ and an fs-retraction a linear chi: H (x) Hbar -> Hbar with
     (ii)  chi(x_1 (x) xbar_2) = xbar
     (iii) [complete] chi[h_1 x S(h_4) (x) (h_2 y S(h_3))bar] = (h_1 a S(h_2))bar.
 
-Feasibility over the basis is an affine problem in the n(n-1)^2 entries of
-the map; bilinearity of every condition makes basis verification equivalent
-to the universally quantified statement.  The map is the solution tensor on
-the unknown's shape: tau as ``(i, a, b)``, entry e_i (x) v_a of tau(v_b), and
-chi as ``(c, i, a)``, entry vbar_c of chi(e_i (x) vbar_a).  A certificate is
-checked on the rows that were solved for it, label by label.
+Each is stated once, as a condition list on the map's tensor: tau as ``(i, a,
+b)``, entry e_i (x) v_a of tau(v_b), and chi as ``(c, i, a)``, entry vbar_c of
+chi(e_i (x) vbar_a); by bilinearity the basis check is the universal statement.
+For finite-dimensional H, formal smoothness is separability (Cuntz-Quillen; H
+is Frobenius), and dually, so a normalized integral writes the map down: tau(x)
+= t_1 (x) S(t_2)x for t in H, chi(x (x) ybar) = lam(x S(y_1)) ybar_2 for lam in
+H*, checked on the conditions with no system assembled.  Without one, the
+system in the n(n-1)^2 entries is assembled from them and must be infeasible.
 """
 
 from __future__ import annotations
@@ -26,8 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .fields import FieldSpec
 from .hopf import HopfData, QuotientSplitting, SubspaceBasis
-from .linalg import AffineSystem, contract, failed_labels, in_coordinates, solve_affine
+from .integrals import total_integral
+from .linalg import AffineSystem, contract, failed_conditions, in_coordinates, solve_affine
 from .yd import h_bar_yd, h_plus_yd
 
 
@@ -36,29 +40,41 @@ class SectionCertificate:
     kind: str                      # fs_section | complete_fs_section | fs_retraction | complete_fs_retraction
     matrix: dict                   # tau (i, a, b) or chi (c, i, a), as in the module docstring
     verified_conditions: list
-    nullspace: Optional[SubspaceBasis] = None  # of the solved system, in its columns
     shape: tuple = (0, 0, 0)       # the shape of the map's tensor
 
 
 def _find(h: HopfData, kind: str, complete: bool) -> Optional[SectionCertificate]:
-    """Solve for the map of ``kind`` ("fs_section" or "fs_retraction") and check
-    it on the rows that were solved.  The YD builders and the checks are called
-    by their module-level names, so that a wrapper bound in their place runs."""
+    """The formula map of ``kind`` ("fs_section" or "fs_retraction") checked on its
+    conditions, or None once its blind system is infeasible.  The YD structures,
+    the integral and the checks are called by their module-level names, so that a
+    wrapper bound there runs."""
     name = f"complete_{kind}" if complete else kind
     if h.dim == 1:  # H^+ and Hbar are zero: the empty map satisfies every condition
         return SectionCertificate(name, {}, ["i", "ii", "iii"] if complete else ["i", "ii"])
+    f, n, m, d, s, mult = h.field, h.dim, h.dim - 1, h.coa.comult, h.antipode, h.alg.mult
     if kind == "fs_section":
-        sys, verify = _fs_section_system(h, *h_plus_yd(h), complete), verify_fs_section
+        yd, hp = h_plus_yd(h)
+        total, verify = total_integral(h, "in_h"), verify_fs_section
+        conds, shape = fs_section_conditions(h, yd, hp, complete), (n, m, m)
+        if total is not None:  # tau(v_b) = t_1 (x) S(t_2) v_b, its H^+ leg in H^+ coordinates
+            basis, coords = hp.tensors(f)
+            matrix = contract(f, "k,kij,lj,xb,lxz,az->iab", total.vector, d, s, basis, mult,
+                              coords)
     else:
-        sys, verify = _fs_retraction_system(h, *h_bar_yd(h), complete), verify_fs_retraction
-    sol = solve_affine(sys)
-    if sol is None:
+        yd, split = h_bar_yd(h)
+        total, verify = total_integral(h, "in_dual"), verify_fs_retraction
+        conds, shape = fs_retraction_conditions(h, yd, split, complete), (m, n, m)
+        if total is not None:  # chi(e_i (x) vbar_a) = lam(e_i S(y_1)) ybar_2, y the lift of vbar_a
+            matrix = contract(f, "xa,xpq,sp,isz,z,cq->cia", split.section, d, s, mult,
+                              total.vector, split.projection)
+    if total is None:
+        if solve_affine(AffineSystem.conditions(f, shape, *conds)) is not None:
+            raise AssertionError(f"no normalized integral, yet the blind {name} system is feasible")
         return None
-    cert = SectionCertificate(name, sol.particular, [], SubspaceBasis(sys.unknowns, sol.nullspace),
-                              sys.shape)
-    cert.verified_conditions = verify(cert, sys)
-    if cert.verified_conditions != sys.condition_labels():
-        raise AssertionError(f"{name} solution fails its own conditions: "
+    cert = SectionCertificate(name, matrix, [], shape)
+    cert.verified_conditions = verify(f, cert, conds)
+    if len(cert.verified_conditions) < len(conds):
+        raise AssertionError(f"{name} formula fails its own conditions: "
                              f"verified only {cert.verified_conditions}")
     return cert
 
@@ -67,12 +83,10 @@ def _find(h: HopfData, kind: str, complete: bool) -> Optional[SectionCertificate
 # fs-sections
 # ---------------------------------------------------------------------------
 
-def _fs_section_system(h: HopfData, yd, hp: SubspaceBasis, complete: bool) -> AffineSystem:
-    """Rows of (i), (ii) and, when complete, (iii) in the entries of
+def fs_section_conditions(h: HopfData, yd, hp: SubspaceBasis, complete: bool) -> list:
+    """(i), (ii) and, when complete, (iii) on the entries of
     tau(v_b) = sum T[i][a][b] e_i (x) v_a, an unknown of shape (n, m, m)."""
-    f = h.field
-    n, m = h.dim, hp.dim
-    mult = h.alg.mult
+    f, mult = h.field, h.alg.mult
     basis, coords = hp.tensors(f)
     # (i) tau(e_j v_b) = (e_j (x) 1) tau(v_b), components (p, a); e_j v_b in H^+
     # coordinates is the action tensor of the YD structure.  (ii) sum a_i b_i = x,
@@ -91,7 +105,7 @@ def _fs_section_system(h: HopfData, yd, hp: SubspaceBasis, complete: bool) -> Af
         # against x_1 S(x_3) (x) tau(x_2) = rho(v_b) with tau applied to its H^+ leg
         conds.append(("iii", [(1, "iawqd,iab->bwqd", theta_hp),
                               (-1, "bwc,qdc->bwqd", yd.coaction.tensor)], None))
-    return AffineSystem.conditions(f, (n, m, m), *conds)
+    return conds
 
 
 def find_fs_section(h: HopfData) -> Optional[SectionCertificate]:
@@ -102,11 +116,11 @@ def find_complete_fs_section(h: HopfData) -> Optional[SectionCertificate]:
     return _find(h, "fs_section", complete=True)
 
 
-def verify_fs_section(cert: SectionCertificate, sys: AffineSystem) -> list:
-    """The conditions (i), (ii) (and (iii)) whose rows in the solved system
-    ``sys`` the certificate's tau satisfies."""
-    bad = failed_labels(sys, cert.matrix)
-    return [c for c in sys.condition_labels() if c not in bad]
+def verify_fs_section(f: FieldSpec, cert: SectionCertificate, conds: list) -> list:
+    """The conditions (i), (ii) (and (iii)) of ``conds`` that the certificate's tau
+    meets, evaluated without assembling a row."""
+    bad = failed_conditions(f, conds, cert.matrix)
+    return [label for label, *_ in conds if label not in bad]
 
 
 def check_im_tau(h: HopfData, cert: SectionCertificate) -> bool:
@@ -118,12 +132,11 @@ def check_im_tau(h: HopfData, cert: SectionCertificate) -> bool:
 # fs-retractions
 # ---------------------------------------------------------------------------
 
-def _fs_retraction_system(h: HopfData, yd, split: QuotientSplitting,
-                          complete: bool) -> AffineSystem:
-    """Rows of (i), (ii) and, when complete, (iii) in the entries of
+def fs_retraction_conditions(h: HopfData, yd, split: QuotientSplitting,
+                             complete: bool) -> list:
+    """(i), (ii) and, when complete, (iii) on the entries of
     chi(e_i (x) vbar_a) = sum X[c][i][a] vbar_c, an unknown of shape (m, n, m)."""
     f = h.field
-    n, m = h.dim, h.dim - 1
     d, mult, proj = h.coa.comult, h.alg.mult, split.projection
     # Hbar coaction tensor: rho(vbar_c) = sum R[c][w][d] e_w (x) vbar_d
     # (i): for inputs (i, a), components (w, d); (ii): chi(x_1 (x) xbar_2) = xbar
@@ -138,7 +151,7 @@ def _fs_retraction_system(h: HopfData, yd, split: QuotientSplitting,
             (1, "hpo,oqt,trw,pig,sw,gsI,qxG,xa,Sr,GSy,dy,cId->hiac",
              d, d, d, mult, anti, mult, mult, split.section, anti, mult, proj),
             (-1, "hcC,cia->hiaC", yd.action.tensor)], None))
-    return AffineSystem.conditions(f, (m, n, m), *conds)
+    return conds
 
 
 def find_fs_retraction(h: HopfData) -> Optional[SectionCertificate]:
@@ -149,13 +162,11 @@ def find_complete_fs_retraction(h: HopfData) -> Optional[SectionCertificate]:
     return _find(h, "fs_retraction", complete=True)
 
 
-def verify_fs_retraction(cert: SectionCertificate, sys: AffineSystem) -> list:
-    """The conditions (i), (ii) (and (iii)) whose rows in the solved system
-    ``sys`` the certificate's chi satisfies, read as for tau."""
-    return verify_fs_section(cert, sys)
+def verify_fs_retraction(f: FieldSpec, cert: SectionCertificate, conds: list) -> list:
+    """The conditions of ``conds`` that the certificate's chi meets, read as for tau."""
+    return verify_fs_section(f, cert, conds)
 
 
 def check_chi_quotients(h: HopfData, cert: SectionCertificate) -> bool:
     """Whether chi kills 1 (x) Hbar, i.e. quotients to Hbar (x) Hbar -> Hbar."""
     return not contract(h.field, "cia,i->ca", cert.matrix, h.alg.unit)
-

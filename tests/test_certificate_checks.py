@@ -15,6 +15,7 @@ from hopfsmith import QQ, FieldSpec, cli, resolve_preset
 from hopfsmith.doubles import (ExtensionIdempotent, _extension_idempotent_system,
                                _verify_extension_idempotent, drinfeld_double, relative_tensor,
                                separable_extension)
+from hopfsmith.hopf import SubspaceBasis
 from hopfsmith.integrals import (_ad_invariant_system, _integral_system, _verify_ad_invariant,
                                  _verify_idempotent, _verify_integral_space, _verify_retraction,
                                  ad_coinvariant_integral, ad_invariant_integral,
@@ -23,12 +24,12 @@ from hopfsmith.integrals import (_ad_invariant_system, _integral_system, _verify
                                  total_integral)
 from hopfsmith.lifting import LiftObstruction, _lift, square_zero_extension
 from hopfsmith.linalg import (AffineSystem, SparseMat, contract, failed_conditions,
-                              failed_labels, identity)
+                              failed_labels, identity, solve_affine)
 from hopfsmith.presets import cyclic_table, preset_group_algebra
-from hopfsmith.smoothness import (SectionCertificate, _fs_retraction_system, _fs_section_system,
-                                  find_complete_fs_retraction, find_complete_fs_section,
-                                  find_fs_retraction, find_fs_section, verify_fs_retraction,
-                                  verify_fs_section)
+from hopfsmith.smoothness import (SectionCertificate, find_complete_fs_retraction,
+                                  find_complete_fs_section, find_fs_retraction, find_fs_section,
+                                  fs_retraction_conditions, fs_section_conditions,
+                                  verify_fs_retraction, verify_fs_section)
 from hopfsmith.yd import h_bar_yd, h_plus_yd
 
 from conftest import GRID
@@ -40,11 +41,11 @@ def _with_matrix(cert: SectionCertificate, mat: dict) -> SectionCertificate:
     return replace(cert, matrix=mat, verified_conditions=[])
 
 
-def _fs_system(verify, h, complete: bool) -> AffineSystem:
-    """The rows that the finder of ``verify``'s map solves."""
+def _fs_conditions(verify, h, complete: bool) -> list:
+    """The conditions that ``verify`` checks, and that the blind system of its map states."""
     if verify is verify_fs_section:
-        return _fs_section_system(h, *h_plus_yd(h), complete)
-    return _fs_retraction_system(h, *h_bar_yd(h), complete)
+        return fs_section_conditions(h, *h_plus_yd(h), complete)
+    return fs_retraction_conditions(h, *h_bar_yd(h), complete)
 
 
 def _bump(v: list, i: int, field) -> list:
@@ -68,11 +69,11 @@ def test_fs_check_drops_a_label_for_a_changed_entry(finder, verify, spec, comple
     cert = finder(h)
     full = ["i", "ii", "iii"] if complete else ["i", "ii"]
     assert cert is not None and cert.verified_conditions == full
-    sys = _fs_system(verify, h, complete)
-    assert verify(cert, sys) == full
+    conds = _fs_conditions(verify, h, complete)
+    assert verify(h.field, cert, conds) == full
     # entry (0, 0) adds e_0 (x) v_0 to tau(v_0), resp. vbar_0 to chi(e_0 (x) vbar_0);
     # the sums that (ii) takes pick the extra term up, so (ii) fails
-    kept = verify(_with_matrix(cert, _bumped(h.field, cert.matrix, (0, 0, 0))), sys)
+    kept = verify(h.field, _with_matrix(cert, _bumped(h.field, cert.matrix, (0, 0, 0))), conds)
     assert "ii" not in kept and set(kept) < set(full)
 
 
@@ -85,13 +86,68 @@ def test_plain_kernel_shift_keeps_i_ii_and_drops_iii(finder, verify, spec):
     # and (ii); for these non-cocommutative cases it breaks completeness (iii)
     h = resolve_preset(spec, QQ)
     cert = finder(h)
-    shift = _vectors(QQ, cert.nullspace)[0]
+    plain = AffineSystem.conditions(QQ, cert.shape, *_fs_conditions(verify, h, complete=False))
+    shift = _vectors(QQ, SubspaceBasis(plain.unknowns, solve_affine(plain).nullspace))[0]
     keys = list(product(*map(range, cert.shape)))  # the unknowns in row-major order
     flat = [QQ.add(x, y) for x, y in zip((cert.matrix.get(k, QQ.zero) for k in keys), shift)]
     moved = {k: x for k, x in zip(keys, flat) if x}
-    sys = _fs_system(verify, h, complete=True)
-    assert verify(cert, sys) == ["i", "ii", "iii"]
-    assert verify(_with_matrix(cert, moved), sys) == ["i", "ii"]
+    conds = _fs_conditions(verify, h, complete=True)
+    assert verify(h.field, cert, conds) == ["i", "ii", "iii"]
+    assert verify(h.field, _with_matrix(cert, moved), conds) == ["i", "ii"]
+
+
+# the closed formulas of the fs maps: tau(v_b) = t_1 (x) S(t_2) v_b, keyed (i, a, b)
+# with its H^+ leg in H^+ coordinates, and chi(e_i (x) vbar_a) = lam(e_i S(y_1)) ybar_2
+# for y the lift of vbar_a, keyed (c, i, a)
+TAU = "k,kij,lj,xb,lxz,az->iab"
+CHI = "xa,xpq,sp,isz,z,cq->cia"
+
+
+@pytest.mark.parametrize("spec,char", GRID)
+def test_fs_verdicts_and_formulas_agree_with_the_blind_systems(spec, char, preset_cache):
+    """On every GRID case, each fs finder says "yes" exactly when its blind
+    system is feasible, and its certificate is the formula map of the
+    normalized integral, which no row of the plain or the complete blind
+    system fails."""
+    h = preset_cache(spec, char)
+    f = h.field
+    if h.dim == 1:
+        return
+    n, m, d, s, mult = h.dim, h.dim - 1, h.coa.comult, h.antipode, h.alg.mult
+    yd_plus, hp = h_plus_yd(h)
+    yd_bar, split = h_bar_yd(h)
+    basis, coords = hp.tensors(f)
+    for carrier, finders, shape, conditions, formula in (
+            ("in_h", (find_fs_section, find_complete_fs_section), (n, m, m),
+             lambda complete: fs_section_conditions(h, yd_plus, hp, complete),
+             lambda t: contract(f, TAU, t, d, s, basis, mult, coords)),
+            ("in_dual", (find_fs_retraction, find_complete_fs_retraction), (m, n, m),
+             lambda complete: fs_retraction_conditions(h, yd_bar, split, complete),
+             lambda lam: contract(f, CHI, split.section, d, s, mult, lam, split.projection))):
+        total = total_integral(h, carrier)
+        systems = []
+        for finder, complete in zip(finders, (False, True)):
+            cert = finder(h)
+            systems.append(AffineSystem.conditions(f, shape, *conditions(complete)))
+            assert (cert is not None) == (solve_affine(systems[-1]) is not None), finder
+            assert (cert is not None) == (total is not None), finder
+            if cert is not None:
+                assert cert.matrix == formula(total.vector) and cert.shape == shape
+        if total is not None:
+            assert [failed_labels(sys, formula(total.vector)) for sys in systems] == [[], []]
+
+
+def test_a_feasible_blind_system_without_an_integral_exits_2(monkeypatch, capsys):
+    """kS3 over Q is separable, so with the normalized integral hidden the blind
+    fs-section system is feasible: the two routes disagree, and the query exits
+    2 with no report."""
+    import hopfsmith.smoothness as smo
+    monkeypatch.setattr(smo, "total_integral", lambda h, carrier: None)
+    assert cli.main(["fs-algebra", "--preset", "group:S3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert "internal verification failed" in error and "feasible" in error
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +293,17 @@ def test_cli_ad_coinvariant_exits_2_on_a_corrupted_solution(monkeypatch, capsys)
     ["fs-coalgebra", "--preset", "functions:C2"],
 ])
 def test_cli_fs_exits_2_on_a_corrupted_solution(argv, monkeypatch, capsys):
+    """A formula map that comes out with one entry bumped fails its condition
+    check, which stands in for the blind solve: the query exits 2 and prints
+    no report."""
     import hopfsmith.smoothness as smo
-    monkeypatch.setattr(smo, "solve_affine", _corrupting(smo.solve_affine))
+    inner = smo.contract
+
+    def bumped(f, spec_, *tensors):
+        out = inner(f, spec_, *tensors)
+        return _bumped(f, out, min(out)) if spec_ in (TAU, CHI) else out
+
+    monkeypatch.setattr(smo, "contract", bumped)
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

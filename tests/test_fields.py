@@ -89,3 +89,51 @@ def test_parse_reads_only_ascii_decimal_numerals(field, obj):
 ])
 def test_parse_reads_signed_numerals_and_fractions(field, obj, value):
     assert field.parse(obj) == value
+
+
+LONG = "1" * 5000  # past the 4,300 digits that int() reads from a string by default
+
+
+@pytest.mark.parametrize("field, obj, value", [
+    (QQ, LONG, Fraction((10 ** 5000 - 1) // 9)),
+    (GF(7), LONG, (10 ** 5000 - 1) // 9 % 7),
+    (QQ, "-" + LONG, Fraction(-(10 ** 5000 - 1) // 9)),
+    (QQ, f"{LONG}/3", Fraction((10 ** 5000 - 1) // 9, 3)),
+    (GF(7), "-" + LONG, -((10 ** 5000 - 1) // 9) % 7),
+])
+def test_parse_reads_a_numeral_of_any_length(field, obj, value):
+    assert field.parse(obj) == value
+
+
+def test_a_scalar_past_the_digit_limit_is_written_as_a_numeral_parse_reads_back():
+    big = Fraction(-(10 ** 5000 - 1) // 9, 10 ** 4999)
+    for x in (Fraction(10 ** 5000), big, 1 / big, Fraction(3, 4), Fraction(-12)):
+        assert QQ.parse(QQ.to_json(x)) == x
+    assert QQ.to_json(Fraction(-12)) == -12 and QQ.to_json(Fraction(3, 4)) == "3/4"
+    assert QQ.to_json(Fraction(10 ** 5000)) == "1" + "0" * 5000
+
+
+def _scaled_group_c2(digits: int) -> dict:
+    """kC2 over Q on the basis 1, N g with N = 10^digits: (N g)^2 = N^2, Delta(N g)
+    = (N g) (x) (N g) / N, eps(N g) = N and S(N g) = N g."""
+    n = "1" + "0" * digits
+    return {"field": {"char": 0}, "dim": 2, "basis": ["1", "Ng"],
+            "mult": [[[1, 0], [0, 1]], [[0, 1], [n + "0" * digits, 0]]],
+            "comult": [[[1, 0], [0, 0]], [[0, 0], [0, f"1/{n}"]]],
+            "counit": [1, n], "antipode": [[1, 0], [0, 1]]}
+
+
+def test_cli_reads_and_writes_scalars_past_the_digit_limit(tmp_path, capsys):
+    """A document whose scalars have 5,001 and 10,001 digits loads, and the
+    separability idempotent e = (1 (x) 1 + (N g) (x) (N g) / N^2) / 2 is
+    reported with the entry 1/(2 N^2) as a numeral string."""
+    import json
+    from hopfsmith import cli
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(_scaled_group_c2(5000)))
+    assert cli.main(["separable", "--file", str(path)]) == 0
+    captured = capsys.readouterr()
+    e = json.loads(captured.out)["certificate"]["e"]
+    assert captured.err == ""
+    assert [QQ.parse(x) for x in e] == [Fraction(1, 2), 0, 0, Fraction(1, 2 * 10 ** 10000)]
+    assert e[3] == "1/2" + "0" * 10000

@@ -585,6 +585,19 @@ def old_retraction_system(h):
         (left, 4, None, "bicolinear"), (right, 4, None, "bicolinear"))
 
 
+def fs_section_system(h, yd, hp, complete):
+    """The blind fs-section system: the rows of ``smoothness.fs_section_conditions``."""
+    return AffineSystem.conditions(h.field, (h.dim, hp.dim, hp.dim),
+                                   *smoothness.fs_section_conditions(h, yd, hp, complete))
+
+
+def fs_retraction_system(h, yd, split, complete):
+    """The blind fs-retraction system: the rows of ``smoothness.fs_retraction_conditions``."""
+    m = h.dim - 1
+    return AffineSystem.conditions(h.field, (m, h.dim, m),
+                                   *smoothness.fs_retraction_conditions(h, yd, split, complete))
+
+
 def old_fs_section_system(h, yd, hp, complete):
     f = h.field
     n, m = h.dim, hp.dim
@@ -753,9 +766,9 @@ def test_certificate_systems_equal_the_identity_tensor_route(spec, char, preset_
         yd_plus, hp = h_plus_yd(h)
         yd_bar, split = h_bar_yd(h)
         for complete in (False, True):
-            pairs += [(smoothness._fs_section_system(h, yd_plus, hp, complete),
+            pairs += [(fs_section_system(h, yd_plus, hp, complete),
                        old_fs_section_system(h, yd_plus, hp, complete)),
-                      (smoothness._fs_retraction_system(h, yd_bar, split, complete),
+                      (fs_retraction_system(h, yd_bar, split, complete),
                        old_fs_retraction_system(h, yd_bar, split, complete))]
     for new, old in pairs:
         assert (new if isinstance(new, tuple) else _snapshot(new)) == old

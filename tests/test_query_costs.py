@@ -7,6 +7,7 @@ import json
 import sys
 import types
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -16,7 +17,7 @@ from hopfsmith.filtration import ideal_powers, is_nilpotent_ideal
 from hopfsmith.linalg import contract, failed_labels, solve_affine
 from hopfsmith.lifting import SurjectionProblem, square_zero_extension
 
-from test_loop_oracles import (_basis_vec, _mul, _subspace, _vectors, dense,
+from test_loop_oracles import (_basis_vec, _mul, _subspace, _vectors, dense, fs_section_system,
                                old_relative_tensor_system)
 
 
@@ -154,7 +155,7 @@ def test_kernels_do_no_fraction_arithmetic_over_q(monkeypatch):
     h = resolve_preset("group:Q8", FieldSpec(0))
     f = h.field
     yd_plus, hp = yd.h_plus_yd(h)
-    system = smoothness._fs_section_system(h, yd_plus, hp, False)
+    system = fs_section_system(h, yd_plus, hp, False)
     m = hp.dim
     first = system.rhs.index(f.one)  # a row of (ii) that the zero vector violates
     wrong = {}
@@ -185,7 +186,7 @@ def test_fs_section_assembly_subtracts_no_field_elements(monkeypatch, spec, char
     yd_plus, hp = yd.h_plus_yd(h)
     calls = {}
     _count_calls(monkeypatch, FieldSpec, "sub", calls)
-    systems = [smoothness._fs_section_system(h, yd_plus, hp, complete)
+    systems = [fs_section_system(h, yd_plus, hp, complete)
                for complete in (False, True)]
     assert calls.get("sub", 0) == 0
     assert all(len(s.rhs) > 1000 for s in systems)
@@ -418,3 +419,28 @@ def test_a_refutation_eliminates_its_blind_system_once(monkeypatch, command, unk
     assert code == 1
     assert sum(blind.values()) == 1
     assert assembled.count(unknowns) == 1 and solved == [unknowns]
+
+
+@pytest.mark.parametrize("argv,n", [
+    (["fs-algebra", "--preset", "group:Q8"], 8),
+    (["fs-algebra-complete", "--preset", "group:Q8"], 8),
+    (["fs-coalgebra", "--preset", "functions:S3"], 6),
+    (["fs-coalgebra-complete", "--preset", "functions:S3"], 6)])
+def test_an_fs_formula_certificate_needs_no_blind_system(monkeypatch, argv, n):
+    """kQ8 and k^S3 over Q have normalized integrals in H and in H*: the map
+    written from the integral is checked on the fs conditions, so no system in
+    the n(n-1)^2 entries of the map is assembled, and none is eliminated."""
+    assembled, solved = [], {}
+    conditions = linalg.AffineSystem.conditions.__func__
+
+    def recorded(cls, field, shape, *conds):
+        assembled.append(shape)
+        return conditions(cls, field, shape, *conds)
+
+    monkeypatch.setattr(linalg.AffineSystem, "conditions", classmethod(recorded))
+    for module in PACKAGE:
+        if getattr(module, "solve_affine", None) is solve_affine:
+            _count_calls(monkeypatch, module, "solve_affine", solved)
+    assert _quiet(argv) == 0
+    assert assembled and all(prod(shape) < n * (n - 1) ** 2 for shape in assembled)
+    assert sum(solved.values()) == 0

@@ -4,12 +4,13 @@ from typing import Callable
 import pytest
 
 from hopfsmith import GF, QQ, FieldSpec, dual_hopf, resolve_preset
+from hopfsmith.doubles import drinfeld_double
 from hopfsmith.integrals import ad_invariant_integral, separability_idempotent
 from hopfsmith.presets import preset_sweedler
-from hopfsmith.smoothness import (SectionCertificate, _fs_section_system, check_chi_quotients,
-                                  check_im_tau, find_complete_fs_retraction,
-                                  find_complete_fs_section, find_fs_retraction,
-                                  find_fs_section, verify_fs_section)
+from hopfsmith.smoothness import (SectionCertificate, check_chi_quotients, check_im_tau,
+                                  find_complete_fs_retraction, find_complete_fs_section,
+                                  find_fs_retraction, find_fs_section, fs_section_conditions,
+                                  verify_fs_section)
 from hopfsmith.yd import h_plus_yd
 
 from conftest import F
@@ -49,7 +50,7 @@ def test_complete_certificate_passes_plain_checks():
     h = resolve_preset("group:C3", QQ)
     cert = find_complete_fs_section(h)
     assert cert is not None
-    plain = verify_fs_section(cert, _fs_section_system(h, *h_plus_yd(h), False))
+    plain = verify_fs_section(h.field, cert, fs_section_conditions(h, *h_plus_yd(h), False))
     assert plain == ["i", "ii"]
 
 
@@ -89,10 +90,24 @@ def test_im_tau_can_fail_without_condition_i():
     # to 1 (x) v, whose first leg has nonzero counit
     h = resolve_preset("group:C2", QQ)
     bad = {(0, 0, 0): F(1)}  # tau(v) = e0 (x) v
-    cert = SectionCertificate("fs_section", bad, [], None, (2, 1, 1))
+    cert = SectionCertificate("fs_section", bad, [], (2, 1, 1))
     assert not check_im_tau(h, cert)
     # and indeed it fails (ii): e0·v = v but the certificate never checked
-    assert verify_fs_section(cert, _fs_section_system(h, *h_plus_yd(h), False)) != ["i", "ii"]
+    conds = fs_section_conditions(h, *h_plus_yd(h), False)
+    assert verify_fs_section(h.field, cert, conds) != ["i", "ii"]
+
+
+def test_formula_maps_are_complete_on_a_hopf_algebra_neither_commutative_nor_cocommutative():
+    """D(S3) over F_5 (dimension 36) is semisimple with a semisimple dual, and
+    neither commutative nor cocommutative: tau and chi written from its
+    normalized integrals meet (i), (ii) and (iii), and no system in their
+    44,100 entries is solved."""
+    d, _ = drinfeld_double(resolve_preset("group:S3", GF(5)))
+    commuted = {(j, i, k): v for (i, j, k), v in d.alg.mult.items()}
+    cocommuted = {(k, j, i): v for (k, i, j), v in d.coa.comult.items()}
+    assert commuted != d.alg.mult and cocommuted != d.coa.comult
+    for finder in (find_complete_fs_section, find_complete_fs_retraction):
+        assert finder(d).verified_conditions == ["i", "ii", "iii"]
 
 
 def test_zero_dimensional_hplus_is_vacuous():
