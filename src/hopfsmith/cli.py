@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from itertools import chain
 
@@ -70,9 +71,17 @@ def _load(args) -> HopfData:
         if args.char:
             raise ValueError("--char only applies to presets; files carry their field")
         with open(args.file) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_int=_int_or_numeral)
         return ser.hopf_from_dict(doc, validate=validate)
     return resolve_preset(args.preset, FieldSpec(args.char), validate=validate)
+
+
+def _int_or_numeral(numeral: str):
+    """A JSON integer as an int, or past int()'s digit limit as its numeral string."""
+    try:
+        return int(numeral)
+    except ValueError:
+        return numeral
 
 
 _TOKENS = json.JSONEncoder(separators=("\n", ":")).encode  # the C encoder, one token a line
@@ -212,9 +221,12 @@ def cmd_lift_section(args) -> int:
     if args.problem == "square-zero":
         prob = square_zero_extension(h)
     elif args.problem.startswith("cyclic-cover:"):
-        try:
-            m = int(args.problem.split(":", 1)[1])
-        except ValueError:
+        degree = args.problem.split(":", 1)[1]
+        try:  # an ASCII numeral, signed so that cyclic_cover_problem names a degree below 1
+            if not re.fullmatch("-?[0-9]+", degree):
+                raise ValueError  # int() alone also reads other digits, "_" and spaces
+            m = int(degree)
+        except ValueError:  # or past int()'s digit limit
             raise ValueError(f"{args.problem} needs a cover degree M >= 1") from None
         n = h.dim
         if args.preset is None or not args.preset.startswith("group:C"):

@@ -12,8 +12,8 @@ Hopf axioms.  The antipode is the closed form S_D(f |><| h) = (eps |><| S(h)) ·
 is pushed through the axiom checker, antipode axioms and S_D S_D^{-1} = id too.
 
 The relations r·i(s) (x) r' - r (x) i(s)·r' of R (x)_S R are two contractions
-of the multiplication with the embedding, and an embedding is checked to be
-multiplicative by the same defect as a lifting stage (:func:`hopf.curvature`).
+of the multiplication with the embedding, which is checked to be an algebra map
+by the one check that every algebra map passes (:func:`hopf.require_algebra_map`).
 D(H) is free as a right H-module on the f_a |><| 1, since (f_a |><| h)(eps |><|
 h') = f_a |><| hh' (Kassel, IX.4): the relation matrix of D(H) (x)_H D(H) is
 block diagonal, with n equal blocks on consecutive column ranges, and its
@@ -29,7 +29,7 @@ from functools import cached_property
 from typing import Optional
 
 from .fields import FieldSpec
-from .hopf import AlgebraData, CoalgebraData, HopfData, curvature, validated
+from .hopf import AlgebraData, CoalgebraData, HopfData, require_algebra_map, validated
 from .linalg import (AffineSystem, SparseMat, contract, rank, require_keys, require_labels,
                      solve_affine, _rref)
 
@@ -49,11 +49,7 @@ class ExtensionData:
         require_keys(emb, (r.dim, s.dim), "embedding")
         if rank(SparseMat.from_tensor(f, emb, r.dim, s.dim)) != s.dim:
             raise ValueError("embedding is not injective")
-        if contract(f, "xj,j->x", emb, s.unit) != r.unit:
-            raise ValueError("embedding does not preserve the unit")
-        bad = curvature(f, s.mult, r.mult, emb)
-        if bad:
-            raise ValueError("embedding is not multiplicative at ({},{})".format(*min(bad)[:2]))
+        require_algebra_map(s, r, emb, "embedding", ValueError)
         return self
 
 

@@ -15,10 +15,10 @@ trace form is the condition ``"trace form"`` (rows i), the Friedl-Ronyai lifts
 L_{w e_y} for all y are one contraction per w (``"a,ayk,kxz->yxz"``), the
 products spanning an ideal power are ``"ax,by,xyk->abk"``, the wedge X ^ Y is
 the kernel of ``"wedge"``, (pi_X (x) pi_Y) Delta (rows (p, q)), and X is a
-subcoalgebra when the coordinates of Delta(X), read off by a left inverse of
-its basis on both legs, rebuild it.  The greedy bases of the ideal powers and
-of the quotient complements are kept, since certificates are written in them;
-each is the pivot columns of one elimination (:func:`linalg.pivot_columns`).
+subcoalgebra when Delta restricts to it (:func:`hopf.restricted_comult`).  The
+greedy bases of the ideal powers and of the quotient complements are kept, since
+certificates are written in them; each is the pivot columns of one elimination
+(:func:`linalg.pivot_columns`).
 
 Every subspace, and every spanning set such as the products spanning an ideal
 power, is a basis tensor ``(x, j)``, entry x of vector j (:class:`hopf.SubspaceBasis`),
@@ -30,7 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .hopf import AlgebraData, CoalgebraData, SubspaceBasis, dual_algebra, quotient_maps
+from .hopf import (AlgebraData, CoalgebraData, SubspaceBasis, dual_algebra, quotient_maps,
+                   restricted_comult)
 from .integrals import idempotent_system
 from .linalg import (AffineSystem, SparseMat, contract, identity, nullspace, pivot_columns,
                      solve_affine, span_contains_span, spans_equal)
@@ -213,15 +214,8 @@ def coradical(c: CoalgebraData) -> SubspaceBasis:
 
 
 def is_subcoalgebra(x: SubspaceBasis, c: CoalgebraData) -> bool:
-    """Delta(X) inside X (x) X: the coordinates of each Delta(x_j) in the basis
-    {x_a (x) x_b}, read off by a left inverse on both legs, must rebuild it."""
-    f = c.field
-    if not x.dim:
-        return True
-    basis, coords = x.tensors(f)
-    delta = contract(f, "xj,xab->jab", basis, c.comult)
-    legs = contract(f, "jab,ca,db->jcd", delta, coords, coords)
-    return contract(f, "jcd,ac,bd->jab", legs, basis, basis) == delta
+    """Delta(X) inside X (x) X: Delta restricts to X (:func:`hopf.restricted_comult`)."""
+    return not x.dim or restricted_comult(c, x) is not None
 
 
 def wedge(x: SubspaceBasis, y: SubspaceBasis, e: CoalgebraData) -> SubspaceBasis:

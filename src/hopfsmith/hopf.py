@@ -25,10 +25,11 @@ Conventions, fixed once for the whole package:
   so the antipode axiom reads ``"kij,ai,ajt->kt"`` over (comult, antipode, mult)
   against ``"k,t->kt"`` over (counit, unit).  Axiom witnesses are the least
   failing index prefixes.
-* the data classes carry no vector arithmetic: products, coproducts and
-  counit values are such contractions, and :func:`curvature` is the
-  multiplicativity defect of a linear map between algebras.  A greedy
-  complement (:func:`quotient_maps`) is the pivot columns of one elimination.
+* the data classes carry no vector arithmetic: products, coproducts and counit
+  values are such contractions.  Each morphism check is written once: the unit and
+  :func:`curvature` in :func:`require_algebra_map`, Delta and eps in
+  :func:`require_coalgebra_map`, Delta on a subcoalgebra in :func:`restricted_comult`.
+  A greedy complement (:func:`quotient_maps`) is the pivot columns of one elimination.
 
 Constructions (duals, op/cop) are re-validated through the axiom checker; a
 failed report raises rather than returning a silently broken object.  Every
@@ -141,6 +142,26 @@ def curvature(f: FieldSpec, m_src: dict, m_tgt: dict, g: dict) -> dict:
     algebras with multiplications ``m_src`` and ``m_tgt``; empty exactly when g
     is multiplicative."""
     return signed_sum(f, [(1, "ijy,xy->ijx", m_src, g), (-1, "ai,bj,abx->ijx", g, g, m_tgt)])
+
+
+def require_algebra_map(src: AlgebraData, tgt: AlgebraData, g: dict, what: str, error: type):
+    """Raise ``error`` naming the unit, else the least failing pair, unless g is an algebra map."""
+    f = src.field
+    if contract(f, "xy,y->x", g, src.unit) != tgt.unit:
+        raise error(f"{what} does not preserve the unit")
+    if bad := curvature(f, src.mult, tgt.mult, g):
+        raise error("{} is not multiplicative at ({},{})".format(what, *min(bad)[:2]))
+
+
+def require_coalgebra_map(src: CoalgebraData, tgt: CoalgebraData, g: dict, what: str, error: type):
+    """Raise ``error`` unless the linear map g: src -> tgt is comultiplicative and counital;
+    the message names the law that fails at the least failing basis vector, Delta first."""
+    f = src.field
+    bad_delta = differing(contract(f, "ak,aij->kij", g, tgt.comult),
+                          contract(f, "kxy,ix,jy->kij", src.comult, g, g), 1)
+    if bad := bad_delta | differing(src.counit, contract(f, "ak,a->k", g, tgt.counit), 1):
+        raise error(f"{what} is not comultiplicative" if min(bad) in bad_delta
+                    else f"{what} does not preserve the counit")
 
 
 def _check(width: int, *pairs) -> AxiomCheck:
@@ -312,6 +333,15 @@ def unit_cokernel(h: HopfData) -> QuotientSplitting:
     return QuotientSplitting(*quotient_maps(h.field, unit_line(h)))
 
 
+def restricted_comult(c: CoalgebraData, sub: SubspaceBasis) -> Optional[dict]:
+    """Delta on ``sub`` in its basis, keyed (k, i, j), or None if ``sub`` is no subcoalgebra."""
+    f = c.field
+    basis, coords = sub.tensors(f)
+    delta = contract(f, "xk,xab->kab", basis, c.comult)
+    comult = contract(f, "kab,ia,jb->kij", delta, coords, coords)
+    return comult if contract(f, "kij,ai,bj->kab", comult, basis, basis) == delta else None
+
+
 def sub_hopf_on_subspace(h: HopfData, sub: SubspaceBasis) -> tuple:
     """(validated Hopf structure on ``sub``, inclusion (x, j)) for a subspace that
     must be a Hopf subalgebra; raises ValueError when it is not.  Each structure
@@ -327,9 +357,7 @@ def sub_hopf_on_subspace(h: HopfData, sub: SubspaceBasis) -> tuple:
     mult = restrict(contract(f, "ai,bj,abk->ijk", basis, basis, h.alg.mult),
                     "subspace is not closed under multiplication")
     unit = restrict(h.alg.unit, "subspace does not contain the unit")
-    delta = contract(f, "xk,xab->kab", basis, h.coa.comult)
-    comult = contract(f, "kab,ia,jb->kij", delta, coords, coords)
-    if contract(f, "kij,ai,bj->kab", comult, basis, basis) != delta:
+    if (comult := restricted_comult(h.coa, sub)) is None:
         raise ValueError("subspace is not a subcoalgebra")
     counit = contract(f, "xk,x->k", basis, h.coa.counit)
     antipode = restrict(contract(f, "ax,xk->ka", h.antipode, basis),

@@ -23,11 +23,11 @@ a linear map g as ``(x, y)``, entry x of g(e_y).
   to preserve the kernel filtration and are descended to each quotient.
 
 The conditions are labelled sums of signed contractions on the unknown map
-(:meth:`AffineSystem.conditions`), whose shape is the map's (x, y) layout.
-The linear lift g: A -> E/I^{r+1}, of shape (dim E/I^{r+1}, dim A), is
-``projects`` (p_r g is the previous stage), ``unital`` and ``equivariant``; the
-correction h: A -> I^r/I^{r+1}, of shape (dim I^r/I^{r+1}, dim A), is
-``coboundary`` (a h(b) - h(ab) + h(a) b = c(a, b)) and ``equivariant``.
+(:meth:`AffineSystem.conditions`) in its (x, y) layout, each written once.  A stage
+map g: A -> E/I^{r+1} is ``projects`` (p_r g is the previous stage), ``unital`` and
+``equivariant``; the correction h: A -> I^r/I^{r+1} is ``coboundary`` (a h(b) - h(ab)
++ h(a) b = c(a, b)) and ``equivariant``.  The solved lists also check, with the
+curvature, each corrected stage and the final section (p_r = pi).
 """
 
 from __future__ import annotations
@@ -35,10 +35,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
-from .hopf import AlgebraData, HopfData, SubspaceBasis, curvature, dual_algebra
-from .linalg import (AffineSystem, SparseMat, contract, differing, identity, in_coordinates,
-                     invert, nullspace, rank, require_keys, signed_sum, solve_affine,
-                     span_contains_span)
+from .hopf import (AlgebraData, HopfData, SubspaceBasis, curvature, dual_algebra,
+                   require_algebra_map, require_coalgebra_map)
+from .linalg import (AffineSystem, SparseMat, contract, differing, failed_conditions, identity,
+                     in_coordinates, invert, nullspace, rank, require_conditions, require_keys,
+                     signed_sum, solve_affine, span_contains_span)
 from .filtration import (_is_two_sided_ideal, _quotient_algebra, ideal_powers, coradical,
                          wedge_filtration)
 from .yd import ComoduleCoaction
@@ -87,7 +88,6 @@ class SurjectionProblem:
     kernel: Optional[SubspaceBasis] = dc_field(default=None, init=False)  # ker pi, set by validate
 
     def validate(self):
-        f = self.e.field
         pi = self.pi
         require_keys(pi, (self.a.dim, self.e.dim), "pi")
         for name, coact, n in (("coact_e", self.coact_e, self.e.dim),
@@ -95,15 +95,11 @@ class SurjectionProblem:
             if coact is not None and self.hopf is not None:
                 require_keys(coact, (n, n, self.hopf.dim), name)
         # one elimination: pi is onto exactly when its kernel has the complementary dimension
-        kernel = SubspaceBasis(self.e.dim,
-                               nullspace(SparseMat.from_tensor(f, pi, self.a.dim, self.e.dim)))
+        kernel = SubspaceBasis(self.e.dim, nullspace(
+            SparseMat.from_tensor(self.e.field, pi, self.a.dim, self.e.dim)))
         if kernel.dim != self.e.dim - self.a.dim:
             raise ValueError("pi is not surjective")
-        if contract(f, "ak,k->a", pi, self.e.unit) != self.a.unit:
-            raise ValueError("pi does not preserve the unit")
-        bad = curvature(f, self.e.mult, self.a.mult, pi)
-        if bad:
-            raise ValueError("pi is not an algebra map at ({},{})".format(*min(bad)[:2]))
+        require_algebra_map(self.e, self.a, pi, "pi", ValueError)
         if not _is_two_sided_ideal(self.e, kernel):
             raise ValueError("kernel is not a two-sided ideal")
         self.kernel = kernel
@@ -128,9 +124,15 @@ class LiftObstruction:
     shape: tuple = (0,)     # (dim A, dim A, dim I^r/I^{r+1}); (0,) for the empty witness
 
 
-def _intertwines(f, g: dict, alpha: dict, beta: dict) -> bool:
-    """Whether g alpha_u = beta_u g for every u."""
-    return contract(f, "xy,uyz->uxz", g, alpha) == contract(f, "uxy,yz->uxz", beta, g)
+def _equivariant(alpha: dict, beta: dict) -> tuple:
+    """g alpha_u = beta_u g for every u, a condition on a map g keyed (x, y)."""
+    return ("equivariant", [(1, "uty,xt->uxy", alpha), (-1, "uxt,ty->uxy", beta)], None)
+
+
+def _stage_conditions(p_r: dict, prev: dict, u_a: dict, u_cur: dict, alpha: dict, beta: dict):
+    """g: A -> Q_{r+1} projects to the previous stage (p_r g = prev), is unital and equivariant."""
+    return [("projects", [(1, "ax,xy->ay", p_r)], prev), ("unital", [(1, "y,xy->x", u_a)], u_cur),
+            _equivariant(alpha, beta)]
 
 
 def _check_right_comodule(rho: dict, space_dim: int, h: HopfData) -> dict:
@@ -152,7 +154,7 @@ def _equivariance_pairs_from_problem(p: SurjectionProblem) -> tuple:
     rho_a = _check_right_comodule(p.coact_a, p.a.dim, p.hopf)
     alpha, beta = ({(u, v, c): x for (c, v, u), x in rho.items()} for rho in (rho_a, rho_e))
     # pi must intertwine the coactions
-    if not _intertwines(p.e.field, p.pi, beta, alpha):
+    if failed_conditions(p.e.field, [_equivariant(beta, alpha)], p.pi):
         raise ValueError("pi is not colinear")
     return alpha, beta
 
@@ -167,55 +169,46 @@ def lift_algebra_section(p: SurjectionProblem, colinear: bool = False):
 
 def _lift(p: SurjectionProblem, alpha: dict, beta: dict, equivariant: bool):
     """The stage-by-stage lift of a validated problem."""
-    f = p.e.field
-    na = p.a.dim
-    m_a, u_a = p.a.mult, p.a.unit
+    f, na, m_a, u_a = p.e.field, p.a.dim, p.a.mult, p.a.unit
 
     # kernel powers I = P[0] > P[1] = I^2 > ... until zero
     powers = ideal_powers(p.e, p.kernel)
     if powers is None:
         raise ValueError("kernel is not nilpotent")
 
-    # quotients Q_r = E/I^r for r = 1..nu (Q_nu = E): (dim, mult, unit, projection, section)
-    quots = []
-    for pw in powers:
-        q, proj, sect = _quotient_algebra(p.e, pw)
-        quots.append((q.dim, q.mult, q.unit, proj, sect))
+    # quotients Q_r = E/I^r for r = 1..nu (Q_nu = E): (algebra, projection, section)
+    quots = [_quotient_algebra(p.e, pw) for pw in powers]
 
     # equivariance endomorphisms must preserve every kernel power: beta_u(I^r) dies in E/I^r
-    for pw, (_, _, _, proj, _) in zip(powers[:-1], quots):
+    for pw, (_, proj, _) in zip(powers[:-1], quots):
         if contract(f, "ax,uxy,yj->uaj", proj, beta, pw.basis):
             raise ValueError("equivariance operator does not preserve the kernel filtration")
 
     def descend(r: int) -> dict:
-        _, _, _, proj, sect = quots[r]
+        _, proj, sect = quots[r]
         return contract(f, "ax,uxy,yb->uab", proj, beta, sect)
 
-    # stage 1: A ~ E/I
-    sect1 = quots[0][4]
-    stage = invert(SparseMat.from_tensor(f, contract(f, "ax,xb->ab", p.pi, sect1), na, na))
+    # stage 1: A ~ E/I, the inverse of pi on the complement of I
+    stage = invert(SparseMat.from_tensor(f, contract(f, "ax,xb->ab", p.pi, quots[0][2]), na, na))
     if stage is None:
         raise AssertionError("E/I -> A is not invertible; pi was not surjective?")
-    if not _intertwines(f, stage, alpha, descend(0)):
-        raise AssertionError("initial stage map is not equivariant")
+    require_conditions(f, [_equivariant(alpha, descend(0))], stage, "initial stage map")
     stages = [stage]
 
     for r in range(1, len(powers)):
-        nprev, _, _, proj_prev, _ = quots[r - 1]
-        ncur, m_cur, u_cur, _, sect = quots[r]
+        (q_prev, proj_prev, _), (q, _, sect) = quots[r - 1], quots[r]
         p_r = contract(f, "ax,xb->ab", proj_prev, sect)
         # I^r/I^{r+1} inside Q_{r+1}, with a left inverse reading off coordinates
-        kernel = SubspaceBasis(ncur, nullspace(SparseMat.from_tensor(f, p_r, nprev, ncur)))
+        kernel = SubspaceBasis(q.dim, nullspace(SparseMat.from_tensor(f, p_r, q_prev.dim, q.dim)))
         w, coords = kernel.tensors(f)
-        mdim = kernel.dim
         beta_r = descend(r)
 
-        g = _solve_linear_lift(f, ncur, na, p_r, stage, u_a, u_cur, alpha, beta_r, equivariant)
+        g = _solve_linear_lift(f, q.dim, na, p_r, stage, u_a, q.unit, alpha, beta_r, equivariant)
         if g is None:
             # no curvature was formed, so the empty witness is not a closed cocycle
             return LiftObstruction(r, {}, False,
                                    "no equivariant linear lift through E/I^{r+1}")
-        curv = in_coordinates(f, curvature(f, m_a, m_cur, g), w, coords,
+        curv = in_coordinates(f, curvature(f, m_a, q.mult, g), w, coords,
                               "curvature escaped I^r/I^{r+1}")
         if not curv:
             stage = g
@@ -223,10 +216,10 @@ def _lift(p: SurjectionProblem, alpha: dict, beta: dict, equivariant: bool):
             continue
 
         # A-bimodule structure on I^r/I^{r+1} through the lift g
-        left, right = (in_coordinates(f, contract(f, spec, g, w, m_cur), w, coords,
+        left, right = (in_coordinates(f, contract(f, spec, g, w, q.mult), w, coords,
                                       "bimodule action escaped I^r/I^{r+1}")
                        for spec in ("ai,bs,abt->ist", "ai,bs,bat->ist"))
-        bim = Bimodule(p.a, mdim, left, right).check()
+        bim = Bimodule(p.a, kernel.dim, left, right).check()
         if not _is_two_cocycle(bim, curv):
             raise AssertionError("curvature is not delta-closed; lifting engine bug")
 
@@ -236,31 +229,28 @@ def _lift(p: SurjectionProblem, alpha: dict, beta: dict, equivariant: bool):
         h = _solve_coboundary(bim, curv, alpha, beta_m, equivariant)
         if h is None:
             return LiftObstruction(r, curv, True, "curvature class is not a coboundary",
-                                   (na, na, mdim))
+                                   (na, na, kernel.dim))
         # g + h has curvature c - (a h(b) - h(ab) + h(a) b) = 0, as h(a) h(b) lies in I^2r = 0
         corrected = signed_sum(f, [(1, "xy->xy", g), (1, "xt,ty->xy", w, h)])
-        _assert_stage(f, m_a, m_cur, p_r, stage, corrected, alpha, beta_r)
+        _assert_stage(f, m_a, q.mult, _stage_conditions(p_r, stage, u_a, q.unit, alpha, beta_r),
+                      corrected, "stage map")
         stage = corrected
         stages.append(stage)
 
     # Q_nu = E/0: translate back to E coordinates
-    sigma = contract(f, "xa,ay->xy", quots[-1][4], stage)
+    sigma = contract(f, "xa,ay->xy", quots[-1][2], stage)
     # stage r maps A into Q_{r+1}, so its shape is (dim Q_{r+1}, dim A); Q_1 = E/I ~ A
     cert = LiftCertificate(stages, sigma, True, equivariant or None,
-                           [(dim, na) for dim, *_ in quots])
+                           [(q.dim, na) for q, *_ in quots])
     _verify_final(p, cert, alpha, beta)
     return cert
 
 
 def _solve_linear_lift(f, ncur: int, na: int, p_r: dict, prev: dict, u_a: dict, u_cur: dict,
                        alpha: dict, beta: dict, equivariant: bool) -> Optional[dict]:
-    """Linear g: A -> Q_{r+1} with p_r g = prev, g(1) = 1 and g alpha_u = beta_u g."""
-    conds = [("projects", [(1, "ax,xy->ay", p_r)], prev),
-             ("unital", [(1, "y,xy->x", u_a)], u_cur)]
-    if equivariant:
-        conds.append(("equivariant", [(1, "uty,xt->uxy", alpha), (-1, "uxt,ty->uxy", beta)],
-                      None))
-    sol = solve_affine(AffineSystem.conditions(f, (ncur, na), *conds))
+    """Linear g: A -> Q_{r+1} meeting the stage conditions, equivariant only if asked."""
+    conds = _stage_conditions(p_r, prev, u_a, u_cur, alpha, beta)
+    sol = solve_affine(AffineSystem.conditions(f, (ncur, na), *conds[:3 if equivariant else 2]))
     return None if sol is None else sol.particular
 
 
@@ -275,40 +265,30 @@ def _is_two_cocycle(bim: Bimodule, c: dict) -> bool:
 
 def _solve_coboundary(bim: Bimodule, c: dict, alpha: dict, beta: dict,
                       equivariant: bool) -> Optional[dict]:
-    """h: A -> M, as (t, y), with a·h(b) - h(ab) + h(a)·b = c(a,b), c keyed (i, j, t);
-    when ``equivariant``, also h alpha_u = beta_u h with beta keyed (u, s, t)."""
+    """h: A -> M, as (t, y), with a·h(b) - h(ab) + h(a)·b = c(a,b), c keyed (i, j, t); when
+    ``equivariant``, also h alpha_u = beta_u h, beta keyed (u, s, t): entry t of beta_u(w_s)."""
     a = bim.algebra
     f, na = a.field, a.dim
     conds = [("coboundary", [(1, "ist,sj->ijt", bim.left), (-1, "ijy,ty->ijt", a.mult),
                              (1, "jst,si->ijt", bim.right)], c)]
     if equivariant:
-        conds.append(("equivariant", [(1, "uzy,tz->uty", alpha), (-1, "ust,sy->uty", beta)],
-                      None))
+        conds.append(_equivariant(alpha, {(u, t, s): x for (u, s, t), x in beta.items()}))
     sol = solve_affine(AffineSystem.conditions(f, (bim.dim, na), *conds))
     return None if sol is None else sol.particular
 
 
-def _assert_stage(f, m_a: dict, m_cur: dict, p_r: dict, prev: dict, new: dict,
-                  alpha: dict, beta: dict):
-    if contract(f, "ax,xy->ay", p_r, new) != prev:
-        raise AssertionError("stage map does not project to the previous stage")
-    if curvature(f, m_a, m_cur, new):
-        raise AssertionError("stage map is not multiplicative after correction")
-    if not _intertwines(f, new, alpha, beta):
-        raise AssertionError("stage map lost equivariance")
+def _assert_stage(f, m_a: dict, m_cur: dict, conds: list, g: dict, what: str):
+    """g meets its stage conditions ``conds``, the unit among them, and is multiplicative."""
+    require_conditions(f, conds, g, what)
+    if curvature(f, m_a, m_cur, g):
+        raise AssertionError(f"{what} is not multiplicative")
 
 
 def _verify_final(p: SurjectionProblem, cert: LiftCertificate, alpha: dict, beta: dict):
+    """The final section is the stage with p_r = pi and prev = id: it splits pi."""
     f = p.e.field
-    sigma = cert.final
-    if contract(f, "ax,xy->ay", p.pi, sigma) != identity(f, p.a.dim):
-        raise AssertionError("final section does not split pi")
-    if curvature(f, p.a.mult, p.e.mult, sigma):
-        raise AssertionError("final section is not multiplicative")
-    if contract(f, "xy,y->x", sigma, p.a.unit) != p.e.unit:
-        raise AssertionError("final section is not unital")
-    if not _intertwines(f, sigma, alpha, beta):
-        raise AssertionError("final section is not equivariant")
+    _assert_stage(f, p.a.mult, p.e.mult, _stage_conditions(
+        p.pi, identity(f, p.a.dim), p.a.unit, p.e.unit, alpha, beta), cert.final, "final section")
 
 
 # ---------------------------------------------------------------------------
@@ -377,14 +357,8 @@ def weak_projection(e: HopfData, h: HopfData, inclusion: dict,
     require_keys(incl, (ne, nh), "inclusion")
     if rank(SparseMat.from_tensor(f, incl, ne, nh)) != nh:
         raise ValueError("inclusion is not injective")
-    # algebra + coalgebra map checks
-    if contract(f, "xk,k->x", incl, h.alg.unit) != e.alg.unit:
-        raise ValueError("inclusion does not preserve the unit")
-    if curvature(f, h.alg.mult, e.alg.mult, incl):
-        raise ValueError("inclusion is not an algebra map")
-    if contract(f, "xk,xab->kab", incl, e.coa.comult) != \
-            contract(f, "kij,ai,bj->kab", h.coa.comult, incl, incl):
-        raise ValueError("inclusion is not a coalgebra map")
+    require_algebra_map(h.alg, e.alg, incl, "inclusion", ValueError)
+    require_coalgebra_map(h.coa, e.coa, incl, "inclusion", ValueError)
 
     transposed = {(k, x): v for (x, k), v in incl.items()}  # E* -> H*, the dual surjection
     sub = SubspaceBasis(ne, incl, nh)  # the inclusion is the basis tensor of its image
@@ -420,15 +394,8 @@ def _verify_weak_projection(e: HopfData, h: HopfData, incl: dict, p: dict,
     f = e.field
     if contract(f, "ax,xy->ay", p, incl) != identity(f, h.dim):
         raise AssertionError("weak projection does not retract the inclusion")
-    verified = ["retraction"]
-    # coalgebra map, checked basis vector by basis vector: Delta first, then eps
-    bad_delta = differing(contract(f, "ak,aij->kij", p, h.coa.comult),
-                          contract(f, "kxy,ix,jy->kij", e.coa.comult, p, p), 1)
-    bad = bad_delta | differing(e.coa.counit, contract(f, "ak,a->k", p, h.coa.counit), 1)
-    if bad:
-        raise AssertionError("weak projection is not comultiplicative" if min(bad) in bad_delta
-                             else "weak projection does not preserve the counit")
-    verified.append("coalgebra-map")
+    require_coalgebra_map(e.coa, h.coa, p, "weak projection", AssertionError)
+    verified = ["retraction", "coalgebra-map"]
     sides = [("left", "zu,zxy,ay->uxa", "bx,uba->uxa")]
     if bilinear:
         sides.append(("right", "zu,xzy,ay->uxa", "bx,bua->uxa"))

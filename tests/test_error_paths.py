@@ -1,6 +1,7 @@
 """Rejections of malformed input, with the exact messages the CLI reports:
-ring extensions that are not injective algebra maps, multiplications without
-a two-sided unit, cyclic covers whose degree is not an integer M >= 1, and
+ring extensions that are not injective algebra maps, surjections and
+inclusions that are not algebra or coalgebra maps, multiplications without a
+two-sided unit, cyclic covers whose degree is not an integer M >= 1, and
 malformed scalars and Taft orders."""
 
 import json
@@ -9,7 +10,7 @@ import pytest
 
 from hopfsmith import GF, QQ, cli, resolve_preset
 from hopfsmith.doubles import ExtensionData
-from hopfsmith.lifting import cyclic_cover_problem
+from hopfsmith.lifting import SurjectionProblem, cyclic_cover_problem, weak_projection
 from hopfsmith.serialize import hopf_from_dict, hopf_to_dict
 
 
@@ -35,6 +36,39 @@ def _columns(cols):
 def test_extension_validate_rejects(small, cols, message):
     with pytest.raises(ValueError, match=message):
         ExtensionData(_group(4), _group(small), _columns(cols)).validate()
+
+
+# each validator of an algebra map, on a map KC_small -> KC4 given as a tensor (x, j); pi
+# takes its transpose, a surjection KC4 -> KC_small, and the inclusion the Hopf algebras
+VALIDATORS = {
+    "pi": lambda small, g: SurjectionProblem(_group(4), _group(small),
+                                             {(j, x): c for (x, j), c in g.items()}).validate(),
+    "embedding": lambda small, g: ExtensionData(_group(4), _group(small), g).validate(),
+    "inclusion": lambda small, g: weak_projection(resolve_preset("group:C4", QQ),
+                                                  resolve_preset(f"group:C{small}", QQ), g),
+}
+
+
+@pytest.mark.parametrize("what", VALIDATORS)
+@pytest.mark.parametrize("small, g, message", [
+    (1, _columns([1]), "{} does not preserve the unit"),
+    # g -> h from KC3 to KC4 fails at g·g^2, and its transpose h^k -> g^k (k < 3),
+    # h^3 -> 0 at h·h^2: the least failing pair is (1,2) either way
+    (3, _columns([0, 1, 2]), "{} is not multiplicative at (1,2)"),
+], ids=["unit", "pair"])
+def test_every_algebra_map_check_names_the_unit_or_the_least_failing_pair(what, small, g,
+                                                                         message):
+    with pytest.raises(ValueError) as exc:
+        VALIDATORS[what](small, g)
+    assert str(exc.value) == message.format(what)
+
+
+def test_a_multiplicative_inclusion_that_is_not_comultiplicative_is_rejected():
+    # g -> -h^2 from KC2 to KC4: (-h^2)^2 = 1, but Delta(-h^2) = -h^2 (x) h^2
+    incl = {(0, 0): QQ.one, (2, 1): -QQ.one}
+    with pytest.raises(ValueError) as exc:
+        VALIDATORS["inclusion"](2, incl)
+    assert str(exc.value) == "inclusion is not comultiplicative"
 
 
 def _no_unit_document():
@@ -76,7 +110,8 @@ def test_cyclic_cover_of_degree_below_one_is_rejected(degree, capsys):
     assert err == "cyclic-cover ships without comodule data; drop --colinear"
 
 
-@pytest.mark.parametrize("degree", ["x", ""])
+# int() also reads an Arabic-Indic three, a padded two and an underscored ten
+@pytest.mark.parametrize("degree", ["x", "", "\u0663", " 2", "1_0"])
 def test_cyclic_cover_without_an_integer_degree_is_rejected(degree, capsys):
     argv = ["lift-section", "--problem", f"cyclic-cover:{degree}", "--preset", "group:C2"]
     assert cli.main(argv) == 2

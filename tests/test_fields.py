@@ -137,3 +137,25 @@ def test_cli_reads_and_writes_scalars_past_the_digit_limit(tmp_path, capsys):
     assert captured.err == ""
     assert [QQ.parse(x) for x in e] == [Fraction(1, 2), 0, 0, Fraction(1, 2 * 10 ** 10000)]
     assert e[3] == "1/2" + "0" * 10000
+
+
+def test_cli_reads_a_json_number_past_the_digit_limit_as_its_numeral(tmp_path, capsys):
+    """The 10,001-digit product (N g)^2 = N^2 written as a JSON number gives the
+    same exit code and report as written as a string; ``dim`` must stay an int."""
+    import json
+    from hopfsmith import cli
+    text = json.dumps(_scaled_group_c2(5000))
+    square = "1" + "0" * 10000  # built as a string: no process-wide limit is touched
+    assert text.count(f'"{square}"') == 1
+    outcomes = []
+    for name, doc in (("string", text), ("number", text.replace(f'"{square}"', square))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(doc)
+        outcomes.append((cli.main(["separable", "--file", str(path)]), capsys.readouterr()))
+    (code, out), (code_n, out_n) = outcomes
+    assert code == code_n == 0 and out.out == out_n.out and out_n.err == ""
+    path = tmp_path / "dim.json"
+    path.write_text(text.replace('"dim": 2', f'"dim": {square}'))
+    assert cli.main(["separable", "--file", str(path)]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "malformed Hopf document: dim must be an integer"}

@@ -5,7 +5,8 @@ Each oracle below is the nested-loop evaluation of an identity over dense
 lists, written with no help from the package beyond field arithmetic (and, for
 the wedge, the quotient maps and the nullspace the loops fed): the bimodule
 axioms, the comodule axioms of a coaction, the Hochschild 2-cocycle condition,
-the wedge rows, the trace form and the weak-projection checks.  The package
+the wedge rows, the trace form, the final lifted section and the
+weak-projection checks.  The package
 must agree with them exactly, including on every single-entry corruption.
 """
 
@@ -20,10 +21,11 @@ from hopfsmith.hopf import dual_algebra, quotient_maps, sub_hopf_on_subspace
 from hopfsmith.linalg import SparseMat, sparse
 import hopfsmith.lifting as lifting
 from hopfsmith.lifting import (Bimodule, LiftObstruction, _check_right_comodule,
-                               _is_two_cocycle, _verify_weak_projection, cyclic_cover_problem,
+                               _equivariance_pairs_from_problem, _is_two_cocycle, _verify_final,
+                               _verify_weak_projection, cyclic_cover_problem,
                                lift_algebra_section, square_zero_extension, weak_projection)
 
-from conftest import GRID
+from conftest import GRID, SMALL_GRID
 from test_loop_oracles import _nullspace, _subspace, _unit_vec, _vectors, dense
 
 SMALL = [("group:C2", 0), ("group:C2", 2), ("sweedler", 0)]
@@ -423,6 +425,67 @@ def test_verify_weak_projection_matches_loops(spec, char, preset_cache):
                 bad = _bumped(f, res.matrix, (r, s))
                 args = (h, sub, incl, bad, bilinear)
                 assert _verify_outcome(*args) == oracle_verify_weak_projection(*args), (r, s)
+
+
+def oracle_final_section_ok(p, sigma, colinear):
+    """Whether sigma: A -> E splits pi, is unital, is multiplicative and, when
+    ``colinear``, carries rho_A to rho_E: (sigma (x) id) rho_A = rho_E sigma."""
+    f, ne, na = p.e.field, p.e.dim, p.a.dim
+    s, pi = dense(f, sigma, (ne, na)), dense(f, p.pi, (na, ne))
+    m_e, m_a = dense(f, p.e.mult, (ne,) * 3), dense(f, p.a.mult, (na,) * 3)
+
+    def col(mat, j):
+        return [row[j] for row in mat]
+
+    def mul(u, v):
+        out = [f.zero] * ne
+        for i, x in enumerate(u):
+            for j, y in enumerate(v):
+                for k, c in enumerate(m_e[i][j]):
+                    out[k] = f.add(out[k], f.mul(f.mul(x, y), c))
+        return out
+
+    if _matmul(f, pi, s) != [[f.one if i == j else f.zero for j in range(na)] for i in range(na)]:
+        return False
+    if _apply(f, s, dense(f, p.a.unit, (na,))) != dense(f, p.e.unit, (ne,)):
+        return False
+    if any(_apply(f, s, m_a[i][j]) != mul(col(s, i), col(s, j))
+           for i in range(na) for j in range(na)):
+        return False
+    if not colinear:
+        return True
+    nh = p.hopf.dim
+    rho_a, rho_e = dense(f, p.coact_a, (na, na, nh)), dense(f, p.coact_e, (ne, ne, nh))
+    return all(_sum(f, (f.mul(rho_a[c][v][u], s[x][v]) for v in range(na)))
+               == _sum(f, (f.mul(s[y][c], rho_e[y][x][u]) for y in range(ne)))
+               for c in range(na) for x in range(ne) for u in range(nh))
+
+
+def _final_accepted(p, cert, alpha, beta):
+    try:
+        _verify_final(p, cert, alpha, beta)
+    except AssertionError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("spec,char", SMALL_GRID)
+def test_verify_final_matches_loops_on_every_corruption(spec, char, preset_cache):
+    """The plain and the colinear square-zero lift: ``_verify_final`` accepts the
+    final section and rejects each single-entry corruption exactly when the loops do."""
+    h = preset_cache(spec, char)
+    f = h.field
+    for colinear in (False, True):
+        p = square_zero_extension(h)
+        cert = lift_algebra_section(p, colinear=colinear)
+        alpha, beta = _equivariance_pairs_from_problem(p) if colinear else ({}, {})
+        assert _final_accepted(p, cert, alpha, beta)
+        assert oracle_final_section_ok(p, cert.final, colinear)
+        for x in range(p.e.dim):
+            for y in range(p.a.dim):
+                bad = replace(cert, final=_bumped(f, cert.final, (x, y)))
+                assert _final_accepted(p, bad, alpha, beta) == \
+                    oracle_final_section_ok(p, bad.final, colinear), (colinear, x, y)
 
 
 def _recorded_labels(monkeypatch, run) -> set:
