@@ -19,7 +19,9 @@ h') = f_a |><| hh' (Kassel, IX.4): the relation matrix of D(H) (x)_H D(H) is
 block diagonal, with n equal blocks on consecutive column ranges, and its
 unique reduced echelon form is one block's shifted n times.  So
 :func:`relative_tensor` assembles and eliminates one block only; it reads the
-repeat off the right action of S on R, for any extension.
+repeat off the right action of S on R, for any extension.  The idempotent of
+R/S, m(e) = 1 and r·e = e·r, is one condition list on the quotient coordinates
+of e: the solve is assembled from it and the solution checked on it.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from typing import Optional
 
 from .fields import FieldSpec
 from .hopf import AlgebraData, CoalgebraData, HopfData, require_algebra_map, validated
-from .linalg import (AffineSystem, SparseMat, contract, rank, require_keys, require_labels,
-                     solve_affine, _rref)
+from .linalg import (AffineSystem, SparseMat, contract, rank, require_conditions, require_keys,
+                     solve_affine, _kernel_basis, _rref)
 
 
 @dataclass
@@ -70,13 +72,9 @@ class RelTensor:
     def projection(self) -> dict:
         """The quotient map as a sparse tensor keyed (ambient column, quotient index):
         a free column is a quotient basis vector, and a pivot column is minus the
-        free part of its reduced relation row."""
-        f = self.field
-        where = {c: t for t, c in enumerate(self.free_cols)}
-        out = {(c, t): f.one for c, t in where.items()}
-        for p, row in zip(self.pivot_cols, self.projection_rows):
-            out.update({(p, where[j]): f.neg(rv) for j, rv in row[1:]})
-        return out
+        free part of its reduced relation row: the nullspace basis of those rows."""
+        return _kernel_basis(self.projection_rows, self.pivot_cols,
+                             len(self.pivot_cols) + len(self.free_cols), self.field)
 
 
 @dataclass
@@ -162,8 +160,9 @@ def relative_tensor(ext: ExtensionData) -> RelTensor:
                      pivot_cols, free, f)
 
 
-def _extension_idempotent_system(ext: ExtensionData, rel: RelTensor) -> AffineSystem:
-    """Rows of m(e) = 1 and r·e = e·r in the quotient coordinates of e in R (x)_S R."""
+def _extension_idempotent_conditions(ext: ExtensionData, rel: RelTensor) -> list:
+    """m(e) = 1 and r·e = e·r in the quotient coordinates of e in R (x)_S R, an
+    unknown of shape (rel.dim,)."""
     r = ext.big
     f, nr, m = r.field, r.dim, r.mult
     # quotient basis vector u is the class of e_a (x) e_b for the free column a*nr + b
@@ -171,24 +170,24 @@ def _extension_idempotent_system(ext: ExtensionData, rel: RelTensor) -> AffineSy
     # quotient coordinates k of the ambient basis vector e_a (x) e_b
     proj = {(*divmod(c, nr), k): v for (c, k), v in rel.projection.items()}
     # e_i·(e_a (x) e_b) - (e_a (x) e_b)·e_i, in R (x) R and then in the quotient
-    return AffineSystem.conditions(
-        f, (rel.dim,), ("m(e)=1", [(1, "abk,abu,u->k", m, lift)], r.unit),
-        ("bilinear", [(1, "iay,abu,ybk,u->ik", m, lift, proj),
-                      (-1, "bix,abu,axk,u->ik", m, lift, proj)], None))
+    return [("m(e)=1", [(1, "abk,abu,u->k", m, lift)], r.unit),
+            ("bilinear", [(1, "iay,abu,ybk,u->ik", m, lift, proj),
+                          (-1, "bix,abu,axk,u->ik", m, lift, proj)], None)]
 
 
 def separable_extension(ext: ExtensionData) -> Optional[ExtensionIdempotent]:
     """Search for e in R (x)_S R with m(e) = 1 and r·e = e·r for all r."""
     rel = relative_tensor(ext)
-    sys = _extension_idempotent_system(ext, rel)
-    sol = solve_affine(sys)
+    f = ext.big.field
+    conds = _extension_idempotent_conditions(ext, rel)
+    sol = solve_affine(AffineSystem.conditions(f, (rel.dim,), *conds))
     if sol is None:
         return None
     cert = ExtensionIdempotent(sol.particular, rel.dim)
-    _verify_extension_idempotent(cert, sys)
+    _verify_extension_idempotent(f, cert, conds)
     return cert
 
 
-def _verify_extension_idempotent(cert: ExtensionIdempotent, sys: AffineSystem) -> list:
-    return require_labels(sys, cert.quotient_coords, "extension idempotent")
+def _verify_extension_idempotent(f: FieldSpec, cert: ExtensionIdempotent, conds: list) -> list:
+    return require_conditions(f, conds, cert.quotient_coords, "extension idempotent")
 

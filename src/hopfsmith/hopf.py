@@ -24,7 +24,7 @@ Conventions, fixed once for the whole package:
 * the identities between these maps are contractions (:func:`linalg.contract`),
   so the antipode axiom reads ``"kij,ai,ajt->kt"`` over (comult, antipode, mult)
   against ``"k,t->kt"`` over (counit, unit).  Axiom witnesses are the least
-  failing index prefixes.
+  failing index prefixes, each found by :func:`linalg.least_failure`.
 * the data classes carry no vector arithmetic: products, coproducts and counit
   values are such contractions.  Each morphism check is written once: the unit and
   :func:`curvature` in :func:`require_algebra_map`, Delta and eps in
@@ -47,8 +47,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .fields import FieldSpec
-from .linalg import (AffineSystem, SparseMat, contract, differing, identity, in_coordinates,
-                     invert, nullspace, ordered, pivot_columns, require_keys, signed_sum,
+from .linalg import (AffineSystem, SparseMat, contract, identity, in_coordinates, invert,
+                     least_failure, nullspace, ordered, pivot_columns, require_keys, signed_sum,
                      span_contains_span)
 
 
@@ -157,19 +157,18 @@ def require_coalgebra_map(src: CoalgebraData, tgt: CoalgebraData, g: dict, what:
     """Raise ``error`` unless the linear map g: src -> tgt is comultiplicative and counital;
     the message names the law that fails at the least failing basis vector, Delta first."""
     f = src.field
-    bad_delta = differing(contract(f, "ak,aij->kij", g, tgt.comult),
-                          contract(f, "kxy,ix,jy->kij", src.comult, g, g), 1)
-    if bad := bad_delta | differing(src.counit, contract(f, "ak,a->k", g, tgt.counit), 1):
-        raise error(f"{what} is not comultiplicative" if min(bad) in bad_delta
-                    else f"{what} does not preserve the counit")
+    if failure := least_failure(
+            1, ("is not comultiplicative", contract(f, "ak,aij->kij", g, tgt.comult),
+                contract(f, "kxy,ix,jy->kij", src.comult, g, g)),
+            ("does not preserve the counit", src.counit, contract(f, "ak,a->k", g, tgt.counit))):
+        raise error(f"{what} {failure[1]}")
 
 
 def _check(width: int, *pairs) -> AxiomCheck:
     """Whether every pair of tensors agrees; the witness is the least index
-    prefix of length ``width`` on which a pair differs, collected only then."""
-    if all(lhs == rhs for lhs, rhs in pairs):
-        return AxiomCheck(True)
-    return AxiomCheck(False, min(set().union(*(differing(lhs, rhs, width) for lhs, rhs in pairs))))
+    prefix of length ``width`` on which a pair differs."""
+    failure = least_failure(width, *((None, lhs, rhs) for lhs, rhs in pairs))
+    return AxiomCheck(True) if failure is None else AxiomCheck(False, failure[0])
 
 
 def check_algebra(a: AlgebraData) -> AxiomReport:
@@ -201,10 +200,8 @@ def check_hopf(h: HopfData) -> AxiomReport:
     delta = (contract(f, "ijk,kpq->ijpq", m, d), contract(f, "iac,abp,jbd,cdq->ijpq", d, m, d, m))
     eps = (contract(f, "ijk,k->ij", m, e), contract(f, "i,j->ij", e, e))
     witness = None
-    if delta[0] != delta[1] or eps[0] != eps[1]:
-        bad_delta = differing(*delta, 2)
-        first = min(bad_delta | differing(*eps, 2))
-        witness = first + ("delta" if first in bad_delta else "eps",)
+    if failure := least_failure(2, ("delta", *delta), ("eps", *eps)):
+        witness = (*failure[0], failure[1])
     elif contract(f, "k,kab->ab", u, d) != contract(f, "a,b->ab", u, u):
         witness = ("unit", "delta")
     elif contract(f, "k,k->", u, e) != {(): f.one}:

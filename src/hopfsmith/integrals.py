@@ -1,14 +1,19 @@
 """Integrals in H and H*, ad-(co)invariant integrals, and the explicit
 (co)separability certificates they generate.
 
+Each object (an integral space, an ad-(co)invariant integral, the idempotent,
+the retraction) is stated once, as a condition list: a solve is assembled from
+it, and every answer is checked on it with no row assembled
+(:func:`linalg.require_conditions`).
+
 Two independent routes are kept for each separability question: the closed
 formula built from a total integral (sigma_t resp. theta_lambda) and a blind
-affine search for any certificate, both stated by one condition list.  Their
-agreement is shown on every call, which is the computable content of the
-equivalence between total integrals and (co)separability: on "yes" the
-formula's certificate is evaluated on the conditions of the blind system, a
-witness that the system is feasible, so that system is never assembled; on
-"no" the blind system is assembled and eliminated and must be infeasible.
+affine search for any certificate.  Their agreement is shown on every call,
+which is the computable content of the equivalence between total integrals
+and (co)separability: on "yes" the formula's certificate is evaluated on the
+conditions of the blind system, a witness that the system is feasible, so
+that system is never assembled; on "no" the blind system is assembled and
+eliminated and must be infeasible.
 
 An integral, a functional and an idempotent are sparse tensors like the
 structure maps: t and lambda keyed ``(x,)``, e keyed ``(i, j)`` for
@@ -24,7 +29,7 @@ from typing import Optional
 from .fields import FieldSpec
 from .hopf import AlgebraData, HopfData, SubspaceBasis
 from .linalg import (AffineSystem, contract, identity, nullspace, require_conditions,
-                     require_labels, solve_affine, spans_equal)
+                     solve_affine, spans_equal)
 from .yd import ACTIONS, COACTIONS, adjoint_action, adjoint_coaction
 
 
@@ -58,12 +63,6 @@ def _integral_terms(h: HopfData, side: str, carrier: str = "in_h") -> list:
             (-1, "i,r->ir", h.alg.unit)]
 
 
-def _integral_system(h: HopfData, side: str, carrier: str = "in_h") -> AffineSystem:
-    """The rows whose solutions are the (left|right) integrals in H or in H*."""
-    return AffineSystem.conditions(h.field, (h.dim,),
-                                   (side, _integral_terms(h, side, carrier), None))
-
-
 def integral_space(h: HopfData, side: str = "left", carrier: str = "in_h") -> SubspaceBasis:
     """Basis of the space of (left|right) integrals in H or in H*.
 
@@ -75,19 +74,20 @@ def integral_space(h: HopfData, side: str = "left", carrier: str = "in_h") -> Su
         raise ValueError(f"carrier must be in_h or in_dual, got {carrier!r}")
     if side not in ("left", "right"):
         raise ValueError(f"side must be left or right, got {side!r}")
-    sys = _integral_system(h, side, carrier)
+    conds = [(side, _integral_terms(h, side, carrier), None)]
+    sys = AffineSystem.conditions(h.field, (h.dim,), *conds)
     basis = SubspaceBasis(h.dim, nullspace(sys.matrix))
-    _verify_integral_space(basis, sys)
+    _verify_integral_space(h.field, basis, conds)
     return basis
 
 
-def _verify_integral_space(basis: SubspaceBasis, sys: AffineSystem):
-    """Check every basis vector against the rows ``sys`` it was solved from."""
+def _verify_integral_space(f: FieldSpec, basis: SubspaceBasis, conds: list):
+    """Check every basis vector on the conditions ``conds`` its space was solved from."""
     vectors = {}
     for (x, j), c in basis.basis.items():
         vectors.setdefault(j, {})[(x,)] = c
     for t in vectors.values():
-        require_labels(sys, t, "integral space vector")
+        require_conditions(f, conds, t, "integral space vector")
 
 
 def is_unimodular(h: HopfData, carrier: str = "in_h", left: Optional[SubspaceBasis] = None,
@@ -118,20 +118,18 @@ def total_integral(h: HopfData, carrier: str = "in_h",
     return IntegralCertificate("left", carrier, t, h.dim, total=True)
 
 
-def _ad_invariant_system(h: HopfData) -> AffineSystem:
-    """Rows of (a) h_1 lam(h_2) = 1 lam(h), (b) lam(h|>x) = eps(h) lam(x) and
-    (c) lam(1) = 1 in the values lam(e_j)."""
+def _ad_invariant_conditions(h: HopfData) -> list:
+    """(a) h_1 lam(h_2) = 1 lam(h), (b) lam(h|>x) = eps(h) lam(x) and (c) lam(1) = 1
+    in the values lam(e_j)."""
     adl = adjoint_action(h, "adl").tensor
-    return AffineSystem.conditions(
-        h.field, (h.dim,),
-        ("a", [(1, "kij,j->ki", h.coa.comult), (-1, "i,k->ki", h.alg.unit)], None),
-        ("b", [(1, "ktj,j->kt", adl), (-1, "k,t->kt", h.coa.counit)], None),
-        ("c", [(1, "j,j->", h.alg.unit)], {(): h.field.one}))
+    return [("a", [(1, "kij,j->ki", h.coa.comult), (-1, "i,k->ki", h.alg.unit)], None),
+            ("b", [(1, "ktj,j->kt", adl), (-1, "k,t->kt", h.coa.counit)], None),
+            ("c", [(1, "j,j->", h.alg.unit)], {(): h.field.one})]
 
 
-def _unique_solution(sys: AffineSystem, what: str) -> Optional[dict]:
-    """The solution of ``sys``, which the theory makes unique, or None."""
-    sol = solve_affine(sys)
+def _unique_solution(h: HopfData, conds: list, what: str) -> Optional[dict]:
+    """The vector meeting ``conds``, which the theory makes unique, or None."""
+    sol = solve_affine(AffineSystem.conditions(h.field, (h.dim,), *conds))
     if sol is None:
         return None
     if sol.nullspace:
@@ -142,30 +140,29 @@ def _unique_solution(sys: AffineSystem, what: str) -> Optional[dict]:
 def ad_invariant_integral(h: HopfData) -> Optional[IntegralCertificate]:
     """The unique functional with (a) h_1 lam(h_2) = 1 lam(h), (b) lam(h|>x) =
     eps(h) lam(x), (c) lam(1) = 1; or None."""
-    sys = _ad_invariant_system(h)
-    lam = _unique_solution(sys, "ad-invariant integral")
+    conds = _ad_invariant_conditions(h)
+    lam = _unique_solution(h, conds, "ad-invariant integral")
     if lam is None:
         return None
-    _verify_ad_invariant(lam, sys)
+    _verify_ad_invariant(h.field, lam, conds)
     return IntegralCertificate("left", "in_dual", lam, h.dim, total=True, ad_invariant=True)
 
 
-def _verify_ad_invariant(lam: dict, sys: AffineSystem) -> list:
-    return require_labels(sys, lam, "ad-invariant integral")
+def _verify_ad_invariant(f: FieldSpec, lam: dict, conds: list) -> list:
+    return require_conditions(f, conds, lam, "ad-invariant integral")
 
 
 def ad_coinvariant_integral(h: HopfData) -> Optional[IntegralCertificate]:
     """The unique t with (a) ht = eps(h)t, (b) t_1 S(t_3) (x) t_2 = 1 (x) t,
     (c) eps(t) = 1; or None."""
     rho = adjoint_coaction(h, "rho_l").tensor
-    sys = AffineSystem.conditions(
-        h.field, (h.dim,), ("a", _integral_terms(h, "left"), None),
-        ("b", [(1, "jik,j->ik", rho), (-1, "i,k->ik", h.alg.unit)], None),
-        ("c", [(1, "j,j->", h.coa.counit)], {(): h.field.one}))
-    lam = _unique_solution(sys, "ad-coinvariant integral")
+    conds = [("a", _integral_terms(h, "left"), None),
+             ("b", [(1, "jik,j->ik", rho), (-1, "i,k->ik", h.alg.unit)], None),
+             ("c", [(1, "j,j->", h.coa.counit)], {(): h.field.one})]
+    lam = _unique_solution(h, conds, "ad-coinvariant integral")
     if lam is None:
         return None
-    require_labels(sys, lam, "ad-coinvariant integral")
+    require_conditions(h.field, conds, lam, "ad-coinvariant integral")
     return IntegralCertificate("left", "in_h", lam, h.dim, total=True, ad_coinvariant=True)
 
 

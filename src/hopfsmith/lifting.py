@@ -37,9 +37,9 @@ from typing import Optional
 
 from .hopf import (AlgebraData, HopfData, SubspaceBasis, curvature, dual_algebra,
                    require_algebra_map, require_coalgebra_map)
-from .linalg import (AffineSystem, SparseMat, contract, differing, failed_conditions, identity,
-                     in_coordinates, invert, nullspace, rank, require_conditions, require_keys,
-                     signed_sum, solve_affine, span_contains_span)
+from .linalg import (AffineSystem, SparseMat, contract, failed_conditions, identity,
+                     in_coordinates, invert, least_failure, nullspace, rank, require_conditions,
+                     require_keys, signed_sum, solve_affine, span_contains_span)
 from .filtration import (_is_two_sided_ideal, _quotient_algebra, ideal_powers, coradical,
                          wedge_filtration)
 from .yd import ComoduleCoaction
@@ -62,18 +62,16 @@ class Bimodule:
         m, one = a.mult, identity(f, self.dim)
         if any(contract(f, "a,ast->st", a.unit, act) != one for act in (left, right)):
             raise ValueError("bimodule: unit does not act as identity")
-        sides = {"left action not associative": (contract(f, "ijk,kst->ijst", m, left),
-                                                 contract(f, "jsr,irt->ijst", left, left)),
-                 "right action not associative": (contract(f, "ijk,kst->ijst", m, right),
-                                                  contract(f, "isr,jrt->ijst", right, right)),
-                 "actions do not commute": (contract(f, "jsr,irt->ijst", right, left),
-                                            contract(f, "isr,jrt->ijst", left, right))}
-        bad = {what: differing(lhs, rhs, 2) for what, (lhs, rhs) in sides.items()}
-        if any(bad.values()):
-            # report the least failing (i, j), and there the first law in this order
-            first = min(set().union(*bad.values()))
-            what = next(what for what, at in bad.items() if first in at)
-            raise ValueError(f"bimodule: {what} at ({first[0]},{first[1]})")
+        laws = [("left action not associative", contract(f, "ijk,kst->ijst", m, left),
+                 contract(f, "jsr,irt->ijst", left, left)),
+                ("right action not associative", contract(f, "ijk,kst->ijst", m, right),
+                 contract(f, "isr,jrt->ijst", right, right)),
+                ("actions do not commute", contract(f, "jsr,irt->ijst", right, left),
+                 contract(f, "isr,jrt->ijst", left, right))]
+        # report the least failing (i, j), and there the first law in this order
+        if failure := least_failure(2, *laws):
+            (i, j), what = failure
+            raise ValueError(f"bimodule: {what} at ({i},{j})")
         return self
 
 

@@ -15,9 +15,9 @@ particular solution (free variables 0), the nullspace basis and every
 certificate built from them are canonical.  Over F_p the kernel works on raw
 ints reduced mod p once per entry per pass; over Q on integer rows, scaled on
 entry and kept primitive with their leads, that become ``Fraction``s only on
-exit; :func:`contract` and :func:`failed_labels` also scale once to ints.  A
-greedy basis, the vectors of a list outside the span of the ones before them,
-is the pivot columns of one elimination (:func:`pivot_columns`).
+exit; :func:`contract` also scales once to ints.  A greedy basis, the vectors
+of a list outside the span of the ones before them, is the pivot columns of
+one elimination (:func:`pivot_columns`).
 
 Every vector, map and subspace basis is a sparse tensor, a dict ``{index
 tuple: nonzero scalar}``, the one form in which :mod:`hopf` stores every
@@ -41,7 +41,10 @@ contractions whose last operand is the unknown: :meth:`AffineSystem.conditions`
 contracts the known operands once and adds each entry, with its sign, straight
 into the labelled sparse row and column it names; :func:`failed_conditions`
 evaluates the same condition list on a given tensor, a :func:`signed_sum` per
-condition, and assembles no row.
+condition, and assembles no row, so a certificate is checked on the list that
+stated its solve and never on the rows it was solved from.  An identity that
+fails is reported at its least failing index prefix, and there by the first law
+that fails (:func:`least_failure`).
 """
 
 from __future__ import annotations
@@ -87,9 +90,8 @@ class AffineSystem:
     unknown tensor of the given ``shape`` in row-major order (by default a
     vector, ``(A.cols,)``); solutions and candidates are sparse tensors on it.
 
-    ``labels`` names for each row the condition it encodes, so a candidate
-    solution can be checked condition by condition (:func:`failed_labels`); it
-    defaults to the row indices.
+    ``labels`` names for each row the condition it encodes; it defaults to the
+    row indices.
     """
 
     matrix: SparseMat
@@ -178,36 +180,6 @@ class AffineSystem:
 class AffineSolution:
     particular: dict  # the solution with every free variable 0, keyed on the unknown's shape
     nullspace: dict   # basis tensor (c, j) of the homogeneous solutions, c the column
-
-
-def failed_labels(sys: AffineSystem, x: dict) -> list:
-    """The distinct labels, in row order, of the rows of ``sys`` that ``x``, a
-    sparse tensor on the unknown's shape, violates."""
-    require_keys(x, sys.shape, "candidate solution")
-    p = sys.matrix.field.characteristic
-    strides = [prod(sys.shape[d + 1:]) for d in range(len(sys.shape))]
-    x = {sum(map(mul, k, strides)): v for k, v in x.items()}
-    dx, x = (1, x) if p else _integers(x.items())
-    get = x.get
-    bad = {}
-    for row, b, label in zip(sys.matrix.data, sys.rhs, sys.labels):
-        if p:
-            ok = sum(a * get(j, 0) for j, a in row) % p == b
-        else:
-            d, r = _integers(row)
-            ok = sum(a * get(j, 0) for j, a in r.items()) * b.denominator == b.numerator * d * dx
-        if not ok:
-            bad[label] = None
-    return list(bad)
-
-
-def require_labels(sys: AffineSystem, x: dict, what: str) -> list:
-    """The condition labels of ``sys`` once ``x`` is checked against every row;
-    raises ``AssertionError`` naming the violated conditions otherwise."""
-    bad = failed_labels(sys, x)
-    if bad:
-        raise AssertionError(f"{what} fails {', '.join(map(str, bad))}")
-    return sys.condition_labels()
 
 
 def failed_conditions(field: FieldSpec, conds: list, x: dict) -> list:
@@ -523,6 +495,15 @@ def signed_sum(field: FieldSpec, terms: list) -> dict:
     return out
 
 
-def differing(a: dict, b: dict, width: int) -> set:
-    """The index prefixes of length ``width`` on which two sparse tensors differ."""
-    return {k[:width] for k, _ in a.items() ^ b.items()}
+def least_failure(width: int, *laws) -> Optional[tuple]:
+    """(prefix, name): the least index prefix of length ``width`` on which a law
+    ``(name, lhs, rhs)``, two sparse tensors, fails, and the first law, in order,
+    that fails there; None when every law holds.  The sides of each law are
+    compared whole, and the prefixes where they differ collected only for the
+    laws that fail."""
+    bad = [(name, {k[:width] for k, _ in lhs.items() ^ rhs.items()})
+           for name, lhs, rhs in laws if lhs != rhs]
+    if not bad:
+        return None
+    first = min(set().union(*(at for _, at in bad)))
+    return first, next(name for name, at in bad if first in at)

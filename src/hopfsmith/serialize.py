@@ -127,7 +127,7 @@ def integral_to_dict(f: FieldSpec, cert) -> dict:
         kind = "ad_coinvariant_integral"
     else:
         kind = "total_integral" if cert.total else "integral"
-    # the finders check (a), (b) and (c) on the solver's rows and raise on failure
+    # the finders check (a), (b) and (c) on the conditions they solved and raise on failure
     verified = ["a", "b", "c"] if cert.ad_invariant or cert.ad_coinvariant else []
     key = "lambda" if cert.carrier == "in_dual" else "t"
     return {"type": kind, key: json_lists(f, cert.vector, (cert.dim,)),

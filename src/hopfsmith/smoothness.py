@@ -31,7 +31,7 @@ from typing import Optional
 from .fields import FieldSpec
 from .hopf import HopfData, QuotientSplitting, SubspaceBasis
 from .integrals import total_integral
-from .linalg import AffineSystem, contract, failed_conditions, in_coordinates, solve_affine
+from .linalg import AffineSystem, contract, in_coordinates, require_conditions, solve_affine
 from .yd import h_bar_yd, h_plus_yd
 
 
@@ -73,9 +73,6 @@ def _find(h: HopfData, kind: str, complete: bool) -> Optional[SectionCertificate
         return None
     cert = SectionCertificate(name, matrix, [], shape)
     cert.verified_conditions = verify(f, cert, conds)
-    if len(cert.verified_conditions) < len(conds):
-        raise AssertionError(f"{name} formula fails its own conditions: "
-                             f"verified only {cert.verified_conditions}")
     return cert
 
 
@@ -117,10 +114,9 @@ def find_complete_fs_section(h: HopfData) -> Optional[SectionCertificate]:
 
 
 def verify_fs_section(f: FieldSpec, cert: SectionCertificate, conds: list) -> list:
-    """The conditions (i), (ii) (and (iii)) of ``conds`` that the certificate's tau
-    meets, evaluated without assembling a row."""
-    bad = failed_conditions(f, conds, cert.matrix)
-    return [label for label, *_ in conds if label not in bad]
+    """The labels of ``conds``, (i), (ii) (and (iii)), once the certificate's tau
+    meets them all, evaluated without assembling a row; raises otherwise."""
+    return require_conditions(f, conds, cert.matrix, cert.kind)
 
 
 def check_im_tau(h: HopfData, cert: SectionCertificate) -> bool:
@@ -163,7 +159,7 @@ def find_complete_fs_retraction(h: HopfData) -> Optional[SectionCertificate]:
 
 
 def verify_fs_retraction(f: FieldSpec, cert: SectionCertificate, conds: list) -> list:
-    """The conditions of ``conds`` that the certificate's chi meets, read as for tau."""
+    """The labels of ``conds`` once the certificate's chi meets them all, as for tau."""
     return verify_fs_section(f, cert, conds)
 
 

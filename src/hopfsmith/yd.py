@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .hopf import AlgebraData, CoalgebraData, HopfData, augmentation_ideal, unit_cokernel
-from .linalg import contract, differing, identity, in_coordinates, ordered
+from .linalg import contract, identity, in_coordinates, least_failure, ordered
 
 ACTIONS = ("adl", "adr", "adl_bar", "adr_bar")      # |>, <|, |>>, <<|
 COACTIONS = ("rho_l", "rho_r", "rho_r_bar", "rho_l_bar")
@@ -42,14 +42,14 @@ class ModuleAction:
         """(ok, witness): unit acts as identity, action is associative."""
         f = self.over.field
         t, m = self.tensor, self.over.mult
-        bad = differing(contract(f, "a,ajk->jk", self.over.unit, t),
-                        identity(f, self.space_dim), 1)
-        if bad:
-            return False, ("unit", *min(bad))
+        if failure := least_failure(1, ("unit", contract(f, "a,ajk->jk", self.over.unit, t),
+                                        identity(f, self.space_dim))):
+            return False, (failure[1], *failure[0])
         # left: e_i (e_p v_j), right: (v_j e_i) e_p
         twice = "pjl,ilk->ipjk" if self.side == "left" else "ijl,plk->ipjk"
-        bad = differing(contract(f, "ipa,ajk->ipjk", m, t), contract(f, twice, t, t), 3)
-        return (False, ("associativity", *min(bad))) if bad else (True, None)
+        failure = least_failure(3, ("associativity", contract(f, "ipa,ajk->ipjk", m, t),
+                                    contract(f, twice, t, t)))
+        return (False, (failure[1], *failure[0])) if failure else (True, None)
 
 
 @dataclass
@@ -68,16 +68,14 @@ class ComoduleCoaction:
         (Delta (x) id)rho(v_j) for coassociativity."""
         f = self.over.field
         t = self.tensor
-        bad = differing(contract(f, "i,jik->jk", self.over.counit, t),
-                        identity(f, self.space_dim), 1)
-        if bad:
-            return False, ("counit", *min(bad))
+        if failure := least_failure(1, ("counit", contract(f, "i,jik->jk", self.over.counit, t),
+                                        identity(f, self.space_dim))):
+            return False, (failure[1], *failure[0])
         twice = "jik,kpl->jipl" if self.side == "left" else "jik,kpl->jpil"
-        bad = differing(contract(f, "jik,ipq->jpqk", t, self.over.comult),
-                        contract(f, twice, t, t), 4)
-        if bad:
-            j, *key = min(bad)
-            return False, ("coassociativity", j, tuple(key))
+        delta_rho = contract(f, "jik,ipq->jpqk", t, self.over.comult)
+        if failure := least_failure(4, ("coassociativity", delta_rho, contract(f, twice, t, t))):
+            (j, *key), name = failure
+            return False, (name, j, tuple(key))
         return True, None
 
 
@@ -182,8 +180,8 @@ def check_yd(s: YDStructure, h: HopfData) -> tuple:
     lhs = contract(f, "abl,lIK->abIK", act, coact)
     rhs = contract(f, f"apx,xqr,{hleg},qkK,bik->abIK", h.coa.comult, h.coa.comult,
                    *_maps(h, names), act, coact)
-    bad = differing(lhs, rhs, 2)
-    return (False, min(bad)) if bad else (True, None)
+    failure = least_failure(2, ("compatibility", lhs, rhs))
+    return (False, failure[0]) if failure else (True, None)
 
 
 # ---------------------------------------------------------------------------

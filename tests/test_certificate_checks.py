@@ -1,8 +1,9 @@
-"""Each certificate check evaluates the labelled rows its finder solves.
+"""Each certificate check evaluates the condition list its finder solves.
 
 A certificate the solver produced is changed in one entry; the check must
-then drop the condition that entry breaks, or raise.  This guards against an
-evaluation that passes vacuously, say one handed zero rows.
+then name the condition that entry breaks, and raise.  This guards against an
+evaluation that passes vacuously, say one handed no condition.  The check
+never reads the assembled rows, so a fault in the assembly is caught too.
 """
 
 import json
@@ -12,19 +13,19 @@ from itertools import product
 import pytest
 
 from hopfsmith import QQ, FieldSpec, cli, resolve_preset
-from hopfsmith.doubles import (ExtensionIdempotent, _extension_idempotent_system,
+from hopfsmith.doubles import (ExtensionIdempotent, _extension_idempotent_conditions,
                                _verify_extension_idempotent, drinfeld_double, relative_tensor,
                                separable_extension)
 from hopfsmith.hopf import SubspaceBasis
-from hopfsmith.integrals import (_ad_invariant_system, _integral_system, _verify_ad_invariant,
+from hopfsmith.integrals import (_ad_invariant_conditions, _integral_terms, _verify_ad_invariant,
                                  _verify_idempotent, _verify_integral_space, _verify_retraction,
                                  ad_coinvariant_integral, ad_invariant_integral,
                                  coseparability_retraction, idempotent_conditions,
                                  integral_space, retraction_conditions, separability_idempotent,
                                  total_integral)
 from hopfsmith.lifting import LiftObstruction, _lift, square_zero_extension
-from hopfsmith.linalg import (AffineSystem, SparseMat, contract, failed_conditions,
-                              failed_labels, identity, solve_affine)
+from hopfsmith.linalg import (AffineSystem, SparseMat, contract, failed_conditions, identity,
+                              solve_affine)
 from hopfsmith.presets import cyclic_table, preset_group_algebra
 from hopfsmith.smoothness import (SectionCertificate, find_complete_fs_retraction,
                                   find_complete_fs_section, find_fs_retraction, find_fs_section,
@@ -34,7 +35,7 @@ from hopfsmith.yd import h_bar_yd, h_plus_yd
 
 from conftest import GRID
 from test_lifting_oracles import _bumped
-from test_loop_oracles import _subspace, _vec, _vectors
+from test_loop_oracles import _subspace, _vec, _vectors, failed_labels
 
 
 def _with_matrix(cert: SectionCertificate, mat: dict) -> SectionCertificate:
@@ -73,8 +74,11 @@ def test_fs_check_drops_a_label_for_a_changed_entry(finder, verify, spec, comple
     assert verify(h.field, cert, conds) == full
     # entry (0, 0) adds e_0 (x) v_0 to tau(v_0), resp. vbar_0 to chi(e_0 (x) vbar_0);
     # the sums that (ii) takes pick the extra term up, so (ii) fails
-    kept = verify(h.field, _with_matrix(cert, _bumped(h.field, cert.matrix, (0, 0, 0))), conds)
-    assert "ii" not in kept and set(kept) < set(full)
+    bumped = _with_matrix(cert, _bumped(h.field, cert.matrix, (0, 0, 0)))
+    bad = failed_conditions(h.field, conds, bumped.matrix)
+    assert "ii" in bad and set(bad) <= set(full)
+    with pytest.raises(AssertionError, match=f"^{cert.kind} fails {', '.join(bad)}$"):
+        verify(h.field, bumped, conds)
 
 
 @pytest.mark.parametrize("finder, verify, spec", [
@@ -93,7 +97,9 @@ def test_plain_kernel_shift_keeps_i_ii_and_drops_iii(finder, verify, spec):
     moved = {k: x for k, x in zip(keys, flat) if x}
     conds = _fs_conditions(verify, h, complete=True)
     assert verify(h.field, cert, conds) == ["i", "ii", "iii"]
-    assert verify(h.field, _with_matrix(cert, moved), conds) == ["i", "ii"]
+    assert failed_conditions(h.field, conds, moved) == ["iii"]
+    with pytest.raises(AssertionError, match="fails iii$"):
+        verify(h.field, _with_matrix(cert, moved), conds)
 
 
 # the closed formulas of the fs maps: tau(v_b) = t_1 (x) S(t_2) v_b, keyed (i, a, b)
@@ -159,7 +165,7 @@ def test_integral_space_check_rejects_a_changed_vector():
     basis = integral_space(h, "left")
     bad = _subspace(h.dim, [_bump(_vectors(h.field, basis)[0], 1, h.field)])
     with pytest.raises(AssertionError, match="left"):
-        _verify_integral_space(bad, _integral_system(h, "left", "in_h"))
+        _verify_integral_space(h.field, bad, [("left", _integral_terms(h, "left", "in_h"), None)])
 
 
 def test_idempotent_check_rejects_a_changed_entry():
@@ -186,11 +192,11 @@ def test_retraction_check_rejects_a_changed_entry():
 def test_ad_invariant_check_rejects_a_changed_value():
     h = resolve_preset("group:C3", QQ)
     cert = ad_invariant_integral(h)
-    sys = _ad_invariant_system(h)
-    assert _verify_ad_invariant(cert.vector, sys) == ["a", "b", "c"]
+    conds = _ad_invariant_conditions(h)
+    assert _verify_ad_invariant(h.field, cert.vector, conds) == ["a", "b", "c"]
     # lam(1) = lam(e_0) moves off 1, while (a) and (b) still hold for a group algebra
     with pytest.raises(AssertionError, match="fails c$"):
-        _verify_ad_invariant(_bumped(h.field, cert.vector, (0,)), sys)
+        _verify_ad_invariant(h.field, _bumped(h.field, cert.vector, (0,)), conds)
 
 
 # the closed formulas: sigma_t = t_1 (x) S(t_2), keyed (i, k), and
@@ -320,15 +326,43 @@ def test_extension_idempotent_check_rejects_a_changed_coordinate():
     cert = separable_extension(ext)
     assert cert is not None
     rel = relative_tensor(ext)
-    sys = _extension_idempotent_system(ext, rel)
-    assert _verify_extension_idempotent(cert, sys) == ["m(e)=1", "bilinear"]
+    conds = _extension_idempotent_conditions(ext, rel)
+    assert _verify_extension_idempotent(h.field, cert, conds) == ["m(e)=1", "bilinear"]
     coords = _bumped(h.field, cert.quotient_coords, (0,))
     with pytest.raises(AssertionError, match="extension idempotent"):
-        _verify_extension_idempotent(ExtensionIdempotent(coords, rel.dim), sys)
+        _verify_extension_idempotent(h.field, ExtensionIdempotent(coords, rel.dim), conds)
 
 
 # ---------------------------------------------------------------------------
-# The row-label evaluation itself
+# A fault in the assembly: the checks read the conditions, not the rows
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["ad-invariant", "--preset", "group:C3"],
+    ["ad-coinvariant", "--preset", "functions:C3"],
+    ["double-separable", "--preset", "group:C2"],
+])
+def test_cli_exits_2_when_the_assembly_doubles_every_constant(argv, monkeypatch, capsys):
+    """An assembly that doubles every right-hand side hands the solver a wrong
+    system, whose solution is off by a factor 2.  A check of that solution on
+    the same rows passes; the check on the condition list fails, so the query
+    exits 2 and prints no report."""
+    build = AffineSystem.conditions
+
+    def doubled(field, shape, *conds):
+        system = build(field, shape, *conds)
+        system.rhs = [field.add(b, b) for b in system.rhs]
+        return system
+
+    monkeypatch.setattr(AffineSystem, "conditions", staticmethod(doubled))
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal verification failed" in json.loads(captured.err)["error"]
+
+
+# ---------------------------------------------------------------------------
+# The reference row evaluation itself
 # ---------------------------------------------------------------------------
 
 def test_failed_labels_reports_violated_conditions_in_row_order():

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from hopfsmith.fields import GF, QQ
 from hopfsmith.hopf import SubspaceBasis
-from hopfsmith.linalg import (AffineSolution, AffineSystem, SparseMat, identity, invert, rank,
-                              solve_affine, spans_equal)
+from hopfsmith.linalg import (AffineSolution, AffineSystem, SparseMat, identity, invert,
+                              least_failure, rank, solve_affine, spans_equal)
 
 from test_loop_oracles import _columns, _eye, _matmul, _matvec, _nullspace, _vec, _vectors, dense
 
@@ -161,8 +161,8 @@ def test_prime_field_rank_nullity(seed):
 # ---------------------------------------------------------------------------
 
 from hopfsmith.fields import FieldSpec
-from hopfsmith.linalg import _rref, failed_labels, require_labels
-from test_loop_oracles import dense as linalg_dense
+from hopfsmith.linalg import _rref
+from test_loop_oracles import dense as linalg_dense, failed_labels
 
 
 def _dense_rref(rows: list, ncols: int, field: FieldSpec):
@@ -463,8 +463,10 @@ def _row_value(f, row, x):
 @given(st.one_of(field_matrix(max_rows=8), field_matrix(max_rows=8, q_scalar=BIG_Q))
        .filter(lambda m: m.rows), st.data())
 def test_failed_labels_equals_row_by_row_evaluation(m, data):
-    """Rows labelled from a few names, x drawn at random, and some right-hand
-    sides moved off their row's value, so at least one row is violated."""
+    """The sparse row evaluator that condition checks are tested against equals
+    a dense evaluation: rows labelled from a few names, x drawn at random, and
+    some right-hand sides moved off their row's value, so at least one row is
+    violated."""
     f = m.field
     scalar = st.integers(0, f.characteristic - 1) if f.characteristic else BIG_Q
     x = data.draw(st.lists(scalar, min_size=m.cols, max_size=m.cols))
@@ -479,16 +481,14 @@ def test_failed_labels_equals_row_by_row_evaluation(m, data):
 
 
 def test_an_unlabelled_system_names_its_failing_rows():
-    """Built without labels, a system labels each row by its index, so the label
-    methods name the violated rows instead of failing."""
+    """Built without labels, a system labels each row by its index, so the rows
+    that a candidate violates are named by their indices."""
     sys = AffineSystem(SparseMat(QQ, 2, 2, [[(0, Fraction(1))], [(1, Fraction(1, 2))]]),
                        [Fraction(1), Fraction(3)])
     assert sys.condition_labels() == [0, 1]
     assert failed_labels(sys, _vec([Fraction(1), Fraction(6)])) == []
     assert failed_labels(sys, _vec([Fraction(1), Fraction(0)])) == [1]
     assert failed_labels(sys, _vec([Fraction(0), Fraction(0)])) == [0, 1]
-    with pytest.raises(AssertionError, match="fails 0, 1"):
-        require_labels(sys, _vec([Fraction(0), Fraction(0)]), "x")
     assert failed_labels(AffineSystem(SparseMat(GF(3), 1, 1, [[(0, 2)]]), [1]), _vec([1])) == [0]
 
 
@@ -630,3 +630,15 @@ def test_span_contains_span_edge_cases():
     assert not _contains(f, [], [[0, 1]])
     assert _contains(f, [[1, 1], [1, 1]], [[0, 0], [1, 1]])
     assert not _contains(f, [[1, 1], [1, 1]], [[1, 0]])
+
+
+def test_least_failure_names_the_least_failing_prefix_and_there_the_first_law():
+    a = {(0, 1): 1, (2, 0): 1}
+    assert least_failure(1, ("x", a, dict(a)), ("y", {}, {})) is None
+    # x fails at (2,) and (3,), y at (1,): the least prefix is y's
+    assert least_failure(1, ("x", a, {(0, 1): 1, (3, 0): 1}), ("y", {(1, 0): 2}, {})) == \
+        ((1,), "y")
+    # both fail at (0,): the first law in order is named there
+    assert least_failure(1, ("x", {(0, 0): 1}, {}), ("y", {(0, 5): 1}, {})) == ((0,), "x")
+    # a changed value fails as a missing entry does, at the prefix of the given width
+    assert least_failure(2, ("x", {(0, 1, 2): 1}, {(0, 1, 2): 2})) == ((0, 1), "x")

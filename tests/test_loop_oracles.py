@@ -32,7 +32,7 @@ from hopfsmith.hopf import check_hopf, quotient_maps
 from hopfsmith.doubles import drinfeld_double
 from hopfsmith.hopf import SubspaceBasis
 from hopfsmith.linalg import (AffineSystem, SparseMat, _rref, contract, failed_conditions,
-                              failed_labels, identity, in_coordinates, nullspace, solve_affine,
+                              identity, in_coordinates, nullspace, require_keys, solve_affine,
                               sparse)
 from hopfsmith.yd import (ACTIONS, COACTIONS, adjoint_action, adjoint_coaction, check_yd,
                           h_bar_yd, h_plus_yd, yd_on_h)
@@ -527,6 +527,23 @@ def _snapshot(system):
             list(system.labels))
 
 
+def failed_labels(system, x):
+    """The distinct labels, in row order, of the rows of ``system`` that ``x``, a
+    sparse tensor on the unknown's shape, violates: each row evaluated on its own,
+    the reference that ``failed_conditions`` must agree with."""
+    require_keys(x, system.shape, "candidate solution")
+    f = system.matrix.field
+    flat = {sum(i * prod(system.shape[d + 1:]) for d, i in enumerate(k)): v for k, v in x.items()}
+    bad = {}
+    for row, b, label in zip(system.matrix.data, system.rhs, system.labels):
+        value = f.zero
+        for j, a in row:
+            value = f.add(value, f.mul(a, flat.get(j, f.zero)))
+        if value != b:
+            bad[label] = None
+    return list(bad)
+
+
 def old_integral_condition(h, side, x):
     f = h.field
     lhs = contract(f, "ijr,ju->iru" if side == "left" else "jir,ju->iru", h.alg.mult, x)
@@ -754,11 +771,15 @@ def test_certificate_systems_equal_the_identity_tensor_route(spec, char, preset_
     """Integral, ad-(co)invariant, idempotent, retraction and fs systems equal,
     row for row, the route through the identity tensor and ``difference``."""
     h = preset_cache(spec, char)
+    spaces = _recording(monkeypatch, integrals, "integral_space")
     coinvariant = _recording(monkeypatch, integrals, "ad_coinvariant_integral")
+    for side in ("left", "right"):
+        integrals.integral_space(h, side)
     integrals.ad_coinvariant_integral(h)
-    pairs = [(integrals._integral_system(h, side), old_integral_system(h, side))
-             for side in ("left", "right")]
-    pairs += [(integrals._ad_invariant_system(h), old_ad_invariant_system(h)),
+    pairs = [(spaces[k][1][0], old_integral_system(h, side))
+             for k, side in enumerate(("left", "right"))]
+    pairs += [(AffineSystem.conditions(h.field, (h.dim,), *integrals._ad_invariant_conditions(h)),
+               old_ad_invariant_system(h)),
               (integrals.idempotent_system(h.alg), old_idempotent_system(h.alg)),
               (integrals.retraction_system(h), old_retraction_system(h))]
     pairs.append((coinvariant[0][1][0], old_ad_coinvariant_system(h)))
@@ -814,7 +835,8 @@ def test_structure_systems_equal_the_identity_tensor_route(spec, char, preset_ca
     want = old_relative_tensor(ext)
     assert (rel.pivot_cols, rel.projection_rows, rel.free_cols, rel.projection) == \
         (want.pivot_cols, want.projection_rows, want.free_cols, want.projection)
-    assert _snapshot(doubles._extension_idempotent_system(ext, rel)) == \
+    assert _snapshot(AffineSystem.conditions(
+        h.field, (rel.dim,), *doubles._extension_idempotent_conditions(ext, rel))) == \
         old_extension_idempotent_system(ext, rel)
     for name, (_, old) in olds.items():
         assert calls[name], name

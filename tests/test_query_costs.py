@@ -14,7 +14,7 @@ import pytest
 from hopfsmith import (FieldSpec, cli, doubles, filtration, hopf, integrals, lifting, linalg,
                        presets, resolve_preset, serialize, smoothness, yd)
 from hopfsmith.filtration import ideal_powers, is_nilpotent_ideal
-from hopfsmith.linalg import contract, failed_labels, solve_affine
+from hopfsmith.linalg import contract, solve_affine
 from hopfsmith.lifting import SurjectionProblem, square_zero_extension
 
 from test_loop_oracles import (_basis_vec, _mul, _subspace, _vectors, dense, fs_section_system,
@@ -148,17 +148,13 @@ def test_wedge_filtration_completes_each_subspace_once(monkeypatch):
 
 
 def test_kernels_do_no_fraction_arithmetic_over_q(monkeypatch):
-    """solve_affine, contract and failed_labels take and return Fractions but
-    compute on integers: on the fs-section system of Q8 over Q, whose solution
-    has denominators up to 8, no Fraction is added, subtracted, multiplied or
-    divided."""
+    """solve_affine and contract take and return Fractions but compute on
+    integers: on the fs-section system of Q8 over Q, whose solution has
+    denominators up to 8, no Fraction is added, subtracted, multiplied or divided."""
     h = resolve_preset("group:Q8", FieldSpec(0))
     f = h.field
     yd_plus, hp = yd.h_plus_yd(h)
     system = fs_section_system(h, yd_plus, hp, False)
-    m = hp.dim
-    first = system.rhs.index(f.one)  # a row of (ii) that the zero vector violates
-    wrong = {}
     ops = {}
     for name in ("__add__", "__radd__", "__sub__", "__rsub__",
                  "__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
@@ -168,11 +164,9 @@ def test_kernels_do_no_fraction_arithmetic_over_q(monkeypatch):
     tau = sol.particular
     images = contract(f, "jip,iab->jbpa", h.alg.mult, tau)
     counit = contract(f, "iab,i->ab", tau, h.coa.counit)
-    passed, failed = failed_labels(system, sol.particular), failed_labels(system, wrong)
     assert sum(ops.values()) == 0, ops
     monkeypatch.undo()
-    assert sol is not None and passed == []
-    assert system.labels[first] in failed
+    assert sol is not None
     assert images and not counit  # tau lands in H^+ (x) H^+
     assert max(v.denominator for v in sol.particular.values()) > 1
 
