@@ -282,7 +282,13 @@ def cmd_truth_table(args) -> int:
 
 
 ADJOINT_REASON = "affine system (a)+(b)+(c) infeasible"
-FS_REASON = "affine feasibility system has no solution"
+# a "no" from separable, coseparable or an fs query is read off the left integral
+# space, which is one-dimensional (Larson-Sweedler), and names the theorem it uses
+NO_INTEGRAL_IN_H = ("no normalized integral in H: every left integral t has eps(t) = 0, "
+                    "so H is not separable (Maschke) and not formally smooth as an algebra")
+NO_INTEGRAL_IN_DUAL = ("no normalized integral in H*: every left integral lambda in H* has "
+                       "lambda(1) = 0, so H is not coseparable (dual Maschke) and not "
+                       "formally smooth as a coalgebra")
 
 HANDLERS = {
     "check-axioms": cmd_check_axioms,
@@ -294,20 +300,19 @@ HANDLERS = {
     "ad-coinvariant": lambda a: _cmd_certificate(
         a, integ.ad_coinvariant_integral, "exists", ADJOINT_REASON, ser.integral_to_dict),
     "separable": lambda a: _cmd_certificate(
-        a, integ.separability_idempotent, "separable",
-        "no total integral; blind idempotent search infeasible", ser.separability_to_dict),
+        a, integ.separability_idempotent, "separable", NO_INTEGRAL_IN_H,
+        ser.separability_to_dict),
     "coseparable": lambda a: _cmd_certificate(
-        a, integ.coseparability_retraction, "coseparable",
-        "no total integral in the dual; blind retraction search infeasible",
+        a, integ.coseparability_retraction, "coseparable", NO_INTEGRAL_IN_DUAL,
         ser.separability_to_dict),
     "fs-algebra": lambda a: _cmd_certificate(
-        a, smo.find_fs_section, "feasible", FS_REASON, ser.section_to_dict),
+        a, smo.find_fs_section, "feasible", NO_INTEGRAL_IN_H, ser.section_to_dict),
     "fs-algebra-complete": lambda a: _cmd_certificate(
-        a, smo.find_complete_fs_section, "feasible", FS_REASON, ser.section_to_dict),
+        a, smo.find_complete_fs_section, "feasible", NO_INTEGRAL_IN_H, ser.section_to_dict),
     "fs-coalgebra": lambda a: _cmd_certificate(
-        a, smo.find_fs_retraction, "feasible", FS_REASON, ser.section_to_dict),
+        a, smo.find_fs_retraction, "feasible", NO_INTEGRAL_IN_DUAL, ser.section_to_dict),
     "fs-coalgebra-complete": lambda a: _cmd_certificate(
-        a, smo.find_complete_fs_retraction, "feasible", FS_REASON, ser.section_to_dict),
+        a, smo.find_complete_fs_retraction, "feasible", NO_INTEGRAL_IN_DUAL, ser.section_to_dict),
     "double": cmd_double,
     "double-separable": cmd_double_separable,
     "coradical": cmd_coradical,

@@ -6,14 +6,12 @@ the retraction) is stated once, as a condition list: a solve is assembled from
 it, and every answer is checked on it with no row assembled
 (:func:`linalg.require_conditions`).
 
-Two independent routes are kept for each separability question: the closed
-formula built from a total integral (sigma_t resp. theta_lambda) and a blind
-affine search for any certificate.  Their agreement is shown on every call,
-which is the computable content of the equivalence between total integrals
-and (co)separability: on "yes" the formula's certificate is evaluated on the
-conditions of the blind system, a witness that the system is feasible, so
-that system is never assembled; on "no" the blind system is assembled and
-eliminated and must be infeasible.
+Each separability question is decided by its total integral (Maschke and its
+dual): on "yes" the closed formula built from it (sigma_t resp. theta_lambda)
+is checked on the conditions of the idempotent (resp. retraction); on "no" the
+normalization vanishes on the left integral space, one-dimensional by
+Larson-Sweedler, so no certificate exists.  The blind searches for any
+certificate are the reference the tests hold this verdict to.
 
 An integral, a functional and an idempotent are sparse tensors like the
 structure maps: t and lambda keyed ``(x,)``, e keyed ``(i, j)`` for
@@ -101,20 +99,23 @@ def is_unimodular(h: HopfData, carrier: str = "in_h", left: Optional[SubspaceBas
 
 def total_integral(h: HopfData, carrier: str = "in_h",
                    space: Optional[SubspaceBasis] = None) -> Optional[IntegralCertificate]:
-    """A left integral normalized against the augmentation, when possible;
-    ``space`` is the left integral space when already computed."""
+    """A left integral normalized against the augmentation, or None when the
+    augmentation vanishes on the left integral space, which proves that none
+    exists; ``space`` is that space when already computed, and must be
+    one-dimensional (Larson-Sweedler)."""
     f = h.field
     # normalization functional: eps over in_h, evaluation at 1 over in_dual
     normal = h.coa.counit if carrier == "in_h" else h.alg.unit
-    basis = (space or integral_space(h, "left", carrier)).basis
+    space = space or integral_space(h, "left", carrier)
+    if space.dim != 1:
+        raise AssertionError(f"left integral space {carrier} is not one-dimensional; "
+                             "theory violated")
+    basis = space.basis
     values = contract(f, "kj,k->j", basis, normal)
-    # the normalization functional can vanish on single basis vectors yet not on
-    # a combination only if it vanishes on all of them (it is linear), so "none"
-    if not values:
+    if not values:  # it vanishes on the one basis vector, so on every integral
         return None
-    first = min(values)  # the least basis vector on which it does not vanish
-    inv = f.inv(values[first])
-    t = {(x,): f.mul(inv, c) for (x, j), c in basis.items() if (j,) == first}
+    inv = f.inv(values[(0,)])
+    t = {(x,): f.mul(inv, c) for (x, _), c in basis.items()}
     return IntegralCertificate("left", carrier, t, h.dim, total=True)
 
 
@@ -207,12 +208,10 @@ def _blind_idempotent(sys: AffineSystem) -> bool:
 
 def separability_idempotent(h: HopfData) -> Optional[SeparabilityCertificate]:
     """e = t_1 (x) S(t_2) from a total integral, checked against the idempotent
-    identity; without one, the blind search must be infeasible."""
+    identity; None when there is no total integral, which proves H not separable."""
     f = h.field
     cert_total = total_integral(h, "in_h")
     if cert_total is None:
-        if _blind_idempotent(idempotent_system(h.alg)):
-            raise AssertionError("total-integral route and blind idempotent search disagree")
         return None
     e = contract(f, "a,aij,kj->ik", cert_total.vector, h.coa.comult, h.antipode)
     verified = _verify_idempotent(f, e, idempotent_conditions(h.alg))
@@ -235,24 +234,18 @@ def retraction_conditions(h: HopfData) -> list:
             ("bicolinear", [(1, "jaq,pia->ijpq", d), delta_theta], None)]
 
 
-def retraction_system(h: HopfData) -> AffineSystem:
-    return AffineSystem.conditions(h.field, (h.dim,) * 3, *retraction_conditions(h))
-
-
 def _blind_retraction(sys: AffineSystem) -> bool:
-    """Whether the retraction system has any solution theta, formula or not."""
+    """Whether a retraction system has any solution theta, formula or not."""
     return solve_affine(sys) is not None
 
 
 def coseparability_retraction(h: HopfData) -> Optional[SeparabilityCertificate]:
     """theta_lambda(x (x) y) = x_1 lam(x_2 S(y)) from a total lam in H*, checked
-    against the retraction identity; without one, the blind search must be
-    infeasible."""
+    against the retraction identity; None when there is no total integral in H*,
+    which proves H not coseparable."""
     f = h.field
     cert_total = total_integral(h, "in_dual")
     if cert_total is None:
-        if _blind_retraction(retraction_system(h)):
-            raise AssertionError("total-integral route and blind retraction search disagree")
         return None
     lam = cert_total.vector
     theta = contract(f, "ipq,qyz,yj,z->pij", h.coa.comult, h.alg.mult, h.antipode, lam)

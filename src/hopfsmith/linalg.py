@@ -171,10 +171,6 @@ class AffineSystem:
     def unknowns(self) -> int:
         return prod(self.shape)
 
-    def condition_labels(self) -> list:
-        """The distinct row labels, in row order."""
-        return list(dict.fromkeys(self.labels))
-
 
 @dataclass
 class AffineSolution:

@@ -148,7 +148,7 @@ def separability_to_dict(f: FieldSpec, cert) -> dict:
 
 def section_to_dict(f: FieldSpec, cert) -> dict:
     """The formula map, tau (i, a, b) with rows (i, a) or chi (c, i, a) with columns
-    (i, a), and the conditions it was checked on (a "no" is an infeasible solve)."""
+    (i, a), and the conditions it was checked on (a "no" has no normalized integral)."""
     split = 2 if cert.kind.endswith("section") else 1
     lists = (prod(cert.shape[:split]), prod(cert.shape[split:]))
     return {"type": cert.kind, "matrix": json_lists(f, cert.matrix, cert.shape, lists),

@@ -19,8 +19,9 @@ chi(e_i (x) vbar_a); by bilinearity the basis check is the universal statement.
 For finite-dimensional H, formal smoothness is separability (Cuntz-Quillen; H
 is Frobenius), and dually, so a normalized integral writes the map down: tau(x)
 = t_1 (x) S(t_2)x for t in H, chi(x (x) ybar) = lam(x S(y_1)) ybar_2 for lam in
-H*, checked on the conditions with no system assembled.  Without one, the
-system in the n(n-1)^2 entries is assembled from them and must be infeasible.
+H*, checked on the conditions with no system assembled.  Without one, the same
+theorem proves that no map exists: the "no" is read off the one-dimensional
+left integral space, and neither the YD structures nor the conditions are built.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Optional
 from .fields import FieldSpec
 from .hopf import HopfData, QuotientSplitting, SubspaceBasis
 from .integrals import total_integral
-from .linalg import AffineSystem, contract, in_coordinates, require_conditions, solve_affine
+from .linalg import contract, in_coordinates, require_conditions
 from .yd import h_bar_yd, h_plus_yd
 
 
@@ -45,32 +46,31 @@ class SectionCertificate:
 
 def _find(h: HopfData, kind: str, complete: bool) -> Optional[SectionCertificate]:
     """The formula map of ``kind`` ("fs_section" or "fs_retraction") checked on its
-    conditions, or None once its blind system is infeasible.  The YD structures,
-    the integral and the checks are called by their module-level names, so that a
-    wrapper bound there runs."""
+    conditions, or None when there is no normalized integral (in H for a section,
+    in H* for a retraction), which proves that no such map exists.  The YD
+    structures, the integral and the checks are called by their module-level
+    names, so that a wrapper bound there runs."""
     name = f"complete_{kind}" if complete else kind
     if h.dim == 1:  # H^+ and Hbar are zero: the empty map satisfies every condition
         return SectionCertificate(name, {}, ["i", "ii", "iii"] if complete else ["i", "ii"])
     f, n, m, d, s, mult = h.field, h.dim, h.dim - 1, h.coa.comult, h.antipode, h.alg.mult
+    total = total_integral(h, "in_h" if kind == "fs_section" else "in_dual")
+    if total is None:
+        return None
     if kind == "fs_section":
         yd, hp = h_plus_yd(h)
-        total, verify = total_integral(h, "in_h"), verify_fs_section
+        verify = verify_fs_section
         conds, shape = fs_section_conditions(h, yd, hp, complete), (n, m, m)
-        if total is not None:  # tau(v_b) = t_1 (x) S(t_2) v_b, its H^+ leg in H^+ coordinates
-            basis, coords = hp.tensors(f)
-            matrix = contract(f, "k,kij,lj,xb,lxz,az->iab", total.vector, d, s, basis, mult,
-                              coords)
+        # tau(v_b) = t_1 (x) S(t_2) v_b, its H^+ leg in H^+ coordinates
+        basis, coords = hp.tensors(f)
+        matrix = contract(f, "k,kij,lj,xb,lxz,az->iab", total.vector, d, s, basis, mult, coords)
     else:
         yd, split = h_bar_yd(h)
-        total, verify = total_integral(h, "in_dual"), verify_fs_retraction
+        verify = verify_fs_retraction
         conds, shape = fs_retraction_conditions(h, yd, split, complete), (m, n, m)
-        if total is not None:  # chi(e_i (x) vbar_a) = lam(e_i S(y_1)) ybar_2, y the lift of vbar_a
-            matrix = contract(f, "xa,xpq,sp,isz,z,cq->cia", split.section, d, s, mult,
-                              total.vector, split.projection)
-    if total is None:
-        if solve_affine(AffineSystem.conditions(f, shape, *conds)) is not None:
-            raise AssertionError(f"no normalized integral, yet the blind {name} system is feasible")
-        return None
+        # chi(e_i (x) vbar_a) = lam(e_i S(y_1)) ybar_2, y the lift of vbar_a
+        matrix = contract(f, "xa,xpq,sp,isz,z,cq->cia", split.section, d, s, mult,
+                          total.vector, split.projection)
     cert = SectionCertificate(name, matrix, [], shape)
     cert.verified_conditions = verify(f, cert, conds)
     return cert

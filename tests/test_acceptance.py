@@ -113,7 +113,7 @@ def test_criterion_4_integrals_iff_idempotents(preset_cache):
     for spec, ch in GRID:
         h = preset_cache(spec, ch)
         t = total_integral(h, "in_h")
-        e = separability_idempotent(h)  # asserts formula/blind agreement inside
+        e = separability_idempotent(h)  # sigma_t, checked on the idempotent conditions inside
         assert (t is None) == (e is None), (spec, ch)
         lam = total_integral(h, "in_dual")
         th = coseparability_retraction(h)

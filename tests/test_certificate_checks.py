@@ -143,17 +143,22 @@ def test_fs_verdicts_and_formulas_agree_with_the_blind_systems(spec, char, prese
             assert [failed_labels(sys, formula(total.vector)) for sys in systems] == [[], []]
 
 
-def test_a_feasible_blind_system_without_an_integral_exits_2(monkeypatch, capsys):
-    """kS3 over Q is separable, so with the normalized integral hidden the blind
-    fs-section system is feasible: the two routes disagree, and the query exits
-    2 with no report."""
-    import hopfsmith.smoothness as smo
-    monkeypatch.setattr(smo, "total_integral", lambda h, carrier: None)
-    assert cli.main(["fs-algebra", "--preset", "group:S3"]) == 2
+def test_a_left_integral_space_of_dimension_2_exits_2(monkeypatch, capsys):
+    """A "no" rests on the left integral space being one-dimensional
+    (Larson-Sweedler).  Handed Sweedler's left and right integrals as one
+    two-dimensional space, on which eps vanishes, ``separable`` must not read
+    it as a refutation: it exits 2 with no report."""
+    import hopfsmith.integrals as integ
+    h = resolve_preset("sweedler", QQ)
+    vectors = [_vectors(h.field, integral_space(h, side))[0] for side in ("left", "right")]
+    two = _subspace(h.dim, vectors)
+    assert two.dim == 2 and not contract(h.field, "kj,k->j", two.basis, h.coa.counit)
+    monkeypatch.setattr(integ, "integral_space", lambda h, side="left", carrier="in_h": two)
+    assert cli.main(["separable", "--preset", "sweedler"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     error = json.loads(captured.err)["error"]
-    assert "internal verification failed" in error and "feasible" in error
+    assert "internal verification failed" in error and "not one-dimensional" in error
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +374,7 @@ def test_failed_labels_reports_violated_conditions_in_row_order():
     one = QQ.one
     sys = AffineSystem(SparseMat(QQ, 3, 2, [[(0, one)], [(1, one)], [(0, one), (1, one)]]),
                        [one, QQ.zero, one], (2,), ["b", "a", "b"])
-    assert sys.condition_labels() == ["b", "a"]
+    assert list(dict.fromkeys(sys.labels)) == ["b", "a"]
     assert failed_labels(sys, _vec([QQ.one, QQ.zero])) == []
     assert failed_labels(sys, _vec([QQ.zero, QQ.one])) == ["b", "a"]
     assert failed_labels(sys, _vec([QQ.one, QQ.one])) == ["a", "b"]

@@ -4,16 +4,16 @@ from itertools import product
 import pytest
 
 from hopfsmith import GF, QQ, FieldSpec, dual_hopf, integrals, resolve_preset
-from hopfsmith.integrals import (IntegralCertificate, ad_coinvariant_integral,
-                                 ad_invariant_integral, coseparability_retraction,
-                                 four_coinvariance_flags,
-                                 four_linearity_flags, integral_space, is_unimodular,
-                                 separability_idempotent, total_integral)
+from hopfsmith.integrals import (IntegralCertificate, _blind_idempotent, _blind_retraction,
+                                 ad_coinvariant_integral, ad_invariant_integral,
+                                 coseparability_retraction, four_coinvariance_flags,
+                                 four_linearity_flags, idempotent_system, integral_space,
+                                 is_unimodular, separability_idempotent, total_integral)
 from hopfsmith.linalg import AffineSystem, spans_equal
 from hopfsmith.presets import preset_sweedler
 
 from conftest import GRID, SMALL_GRID, F
-from test_loop_oracles import _lists, _nullity, _sparse_mat, _vec, dense
+from test_loop_oracles import _lists, _nullity, _sparse_mat, _vec, dense, retraction_system
 
 
 def _entries(cert) -> list:
@@ -190,16 +190,15 @@ def test_coseparability_retraction_examples():
 
 
 def test_routes_agree_on_grid(preset_cache):
-    # total integral exists iff the blind idempotent search succeeds (and
-    # dually); the library asserts agreement internally on every call
+    # the finders decide by the total integral; the blind searches for any
+    # idempotent e in n^2 unknowns and any retraction theta in n^3 unknowns
+    # must find one exactly when the finder returns a certificate
     for spec, char in GRID:
         h = preset_cache(spec, char)
         sep = separability_idempotent(h)
-        tot = total_integral(h, "in_h")
-        assert (sep is None) == (tot is None), (spec, char)
+        assert (sep is not None) == _blind_idempotent(idempotent_system(h.alg)), (spec, char)
         cosep = coseparability_retraction(h)
-        lam = total_integral(h, "in_dual")
-        assert (cosep is None) == (lam is None), (spec, char)
+        assert (cosep is not None) == _blind_retraction(retraction_system(h)), (spec, char)
 
 
 def test_four_linearity_flags_agree(preset_cache):

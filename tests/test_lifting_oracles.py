@@ -495,7 +495,7 @@ def _recorded_labels(monkeypatch, run) -> set:
     real = lifting.solve_affine
 
     def recording(sys):
-        seen.add(tuple(sys.condition_labels()) if sys.labels else None)
+        seen.add(tuple(dict.fromkeys(sys.labels)) if sys.labels else None)
         return real(sys)
 
     monkeypatch.setattr(lifting, "solve_affine", recording)

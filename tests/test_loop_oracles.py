@@ -602,6 +602,11 @@ def old_retraction_system(h):
         (left, 4, None, "bicolinear"), (right, 4, None, "bicolinear"))
 
 
+def retraction_system(h):
+    """The blind retraction system: the rows of ``integrals.retraction_conditions``."""
+    return AffineSystem.conditions(h.field, (h.dim,) * 3, *integrals.retraction_conditions(h))
+
+
 def fs_section_system(h, yd, hp, complete):
     """The blind fs-section system: the rows of ``smoothness.fs_section_conditions``."""
     return AffineSystem.conditions(h.field, (h.dim, hp.dim, hp.dim),
@@ -781,7 +786,7 @@ def test_certificate_systems_equal_the_identity_tensor_route(spec, char, preset_
     pairs += [(AffineSystem.conditions(h.field, (h.dim,), *integrals._ad_invariant_conditions(h)),
                old_ad_invariant_system(h)),
               (integrals.idempotent_system(h.alg), old_idempotent_system(h.alg)),
-              (integrals.retraction_system(h), old_retraction_system(h))]
+              (retraction_system(h), old_retraction_system(h))]
     pairs.append((coinvariant[0][1][0], old_ad_coinvariant_system(h)))
     if h.dim > 1:
         yd_plus, hp = h_plus_yd(h)

@@ -53,8 +53,7 @@ def test_class_attributes():
         "HopfData": ["alg", "antipode", "antipode_inverse", "basis", "coa", "dim", "field"],
         "SubspaceBasis": ["ambient_dim", "basis", "contains", "dim", "tensors"],
         "SparseMat": ["cols", "data", "field", "from_tensor", "rows"],
-        "AffineSystem": ["condition_labels", "conditions", "labels", "matrix", "rhs", "shape",
-                         "unknowns"],
+        "AffineSystem": ["conditions", "labels", "matrix", "rhs", "shape", "unknowns"],
     }
 
 

@@ -371,25 +371,28 @@ def test_weak_projection_completes_each_distinct_basis_once(monkeypatch, argv):
 
 def _blind_work(monkeypatch, argv) -> tuple:
     """(exit code, calls of the blind searches, unknown counts of every system
-    assembled and of every system solved) for one query."""
+    constructed and of every system or matrix solved, in any module) for one query."""
     blind, assembled, solved = {}, [], []
     for name in ("_blind_idempotent", "_blind_retraction"):
         _count_calls(monkeypatch, integrals, name, blind)
-    conditions = linalg.AffineSystem.conditions.__func__
+    post_init = linalg.AffineSystem.__post_init__
 
-    def recorded(cls, field, shape, *conds):
-        system = conditions(cls, field, shape, *conds)
+    def recorded(system):
+        post_init(system)
         assembled.append(system.unknowns)
-        return system
 
-    monkeypatch.setattr(linalg.AffineSystem, "conditions", classmethod(recorded))
-    inner = integrals.solve_affine
+    monkeypatch.setattr(linalg.AffineSystem, "__post_init__", recorded)
+    for name, unknowns in (("solve_affine", lambda system: system.unknowns),
+                           ("nullspace", lambda mat: mat.cols)):
+        inner = getattr(linalg, name)
 
-    def solve(system):
-        solved.append(system.unknowns)
-        return inner(system)
+        def solve(arg, inner=inner, unknowns=unknowns):
+            solved.append(unknowns(arg))
+            return inner(arg)
 
-    monkeypatch.setattr(integrals, "solve_affine", solve)
+        for module in PACKAGE:
+            if getattr(module, name, None) is inner:
+                monkeypatch.setattr(module, name, solve)
     return _quiet(argv), blind, assembled, solved
 
 
@@ -402,17 +405,25 @@ def test_a_formula_certificate_needs_no_blind_system(monkeypatch, command):
                                                  [command, "--preset", "group:S3"])
     assert code == 0
     assert sum(blind.values()) == 0
-    assert assembled and max(assembled) == 6 and not solved  # only the integral spaces
+    assert assembled and max(assembled) == 6 and solved == [6]  # only the integral space
 
 
-@pytest.mark.parametrize("command,unknowns", [("separable", 4 ** 2), ("coseparable", 4 ** 3)])
-def test_a_refutation_eliminates_its_blind_system_once(monkeypatch, command, unknowns):
-    """Sweedler's algebra has no total integral in H or H*: the "no" is backed
-    by one elimination of the blind system, which must be infeasible."""
-    code, blind, assembled, solved = _blind_work(monkeypatch, [command, "--preset", "sweedler"])
+@pytest.mark.parametrize("command", ["separable", "coseparable", "fs-algebra",
+                                     "fs-algebra-complete", "fs-coalgebra",
+                                     "fs-coalgebra-complete"])
+@pytest.mark.parametrize("preset,n", [pytest.param(["sweedler"], 4, id="sweedler"),
+                                      pytest.param(["taft:5:3", "--char", "11"], 25, id="taft5")])
+def test_a_refutation_needs_no_blind_system(monkeypatch, command, preset, n):
+    """Sweedler's algebra and Taft(5) over F_11 have no normalized integral in H
+    or in H*: the "no" is read off the left integral space, so no blind search
+    runs and no system in more than n unknowns is assembled or solved (on
+    Taft(5) the blind systems would have 625, 15,625 or 14,400 unknowns).
+    Counted in systems, not seconds."""
+    code, blind, assembled, solved = _blind_work(monkeypatch, [command, "--preset", *preset])
     assert code == 1
-    assert sum(blind.values()) == 1
-    assert assembled.count(unknowns) == 1 and solved == [unknowns]
+    assert sum(blind.values()) == 0
+    assert assembled and max(assembled) <= n
+    assert solved and max(solved) <= n
 
 
 @pytest.mark.parametrize("argv,n", [
