@@ -19,21 +19,21 @@ h') = f_a |><| hh' (Kassel, IX.4): the relation matrix of D(H) (x)_H D(H) is
 block diagonal, with n equal blocks on consecutive column ranges, and its
 unique reduced echelon form is one block's shifted n times.  So
 :func:`relative_tensor` assembles and eliminates one block only; it reads the
-repeat off the right action of S on R, for any extension.  The idempotent of
-R/S, m(e) = 1 and r·e = e·r, is one condition list on the quotient coordinates
-of e: the solve is assembled from it and the solution checked on it.
+repeat off the right action of S on R, for any extension.  D(H) is separable
+over H exactly when H has an ad-invariant integral lambda, and
+:func:`separable_extension` writes the idempotent e from lambda, with no solve,
+and checks m(e) = 1 and r·e = e·r on its quotient coordinates in R (x)_S R.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 from .fields import FieldSpec
 from .hopf import AlgebraData, CoalgebraData, HopfData, require_algebra_map, validated
 from .linalg import (AffineSystem, SparseMat, contract, rank, require_conditions, require_keys,
-                     solve_affine, _kernel_basis, _rref)
+                     _kernel_basis, _rref)
 
 
 @dataclass
@@ -161,8 +161,7 @@ def relative_tensor(ext: ExtensionData) -> RelTensor:
 
 
 def _extension_idempotent_conditions(ext: ExtensionData, rel: RelTensor) -> list:
-    """m(e) = 1 and r·e = e·r in the quotient coordinates of e in R (x)_S R, an
-    unknown of shape (rel.dim,)."""
+    """m(e) = 1 and r·e = e·r on the coordinates of e in R (x)_S R, of shape (rel.dim,)."""
     r = ext.big
     f, nr, m = r.field, r.dim, r.mult
     # quotient basis vector u is the class of e_a (x) e_b for the free column a*nr + b
@@ -175,16 +174,16 @@ def _extension_idempotent_conditions(ext: ExtensionData, rel: RelTensor) -> list
                           (-1, "bix,abu,axk,u->ik", m, lift, proj)], None)]
 
 
-def separable_extension(ext: ExtensionData) -> Optional[ExtensionIdempotent]:
-    """Search for e in R (x)_S R with m(e) = 1 and r·e = e·r for all r."""
+def separable_extension(h: HopfData, ext: ExtensionData, lam: dict) -> ExtensionIdempotent:
+    """The idempotent e = sum lam(e_x e_y) (f_x |><| 1) (x)_H (S*(f_y) |><| 1) of D(H)/H,
+    S*(f) = f o S, from an ad-invariant integral ``lam`` keyed (x,): checked, not solved."""
     rel = relative_tensor(ext)
-    f = ext.big.field
-    conds = _extension_idempotent_conditions(ext, rel)
-    sol = solve_affine(AffineSystem.conditions(f, (rel.dim,), *conds))
-    if sol is None:
-        return None
-    cert = ExtensionIdempotent(sol.particular, rel.dim)
-    _verify_extension_idempotent(f, cert, conds)
+    f, n, nr, u = h.field, h.dim, ext.big.dim, h.alg.unit
+    # entry (x, i, b, j): coefficient of (f_x |><| e_i) (x) (f_b |><| e_j); S*(f_y) = S[y][b] f_b
+    ambient = contract(f, "xyk,k,yb,i,j->xibj", h.alg.mult, lam, h.antipode, u, u)
+    e = {((x * n + i) * nr + b * n + j,): v for (x, i, b, j), v in ambient.items()}
+    cert = ExtensionIdempotent(contract(f, "c,ck->k", e, rel.projection), rel.dim)
+    _verify_extension_idempotent(f, cert, _extension_idempotent_conditions(ext, rel))
     return cert
 
 

@@ -328,14 +328,30 @@ def test_cli_fs_exits_2_on_a_corrupted_solution(argv, monkeypatch, capsys):
 def test_extension_idempotent_check_rejects_a_changed_coordinate():
     h = resolve_preset("group:C2", QQ)
     _, ext = drinfeld_double(h)
-    cert = separable_extension(ext)
-    assert cert is not None
+    cert = separable_extension(h, ext, ad_invariant_integral(h).vector)
     rel = relative_tensor(ext)
     conds = _extension_idempotent_conditions(ext, rel)
     assert _verify_extension_idempotent(h.field, cert, conds) == ["m(e)=1", "bilinear"]
     coords = _bumped(h.field, cert.quotient_coords, (0,))
     with pytest.raises(AssertionError, match="extension idempotent"):
         _verify_extension_idempotent(h.field, ExtensionIdempotent(coords, rel.dim), conds)
+
+
+def test_cli_exits_2_when_the_idempotent_is_written_from_a_wrong_integral(monkeypatch, capsys):
+    """Twice the ad-invariant integral of kC2 writes an element e with m(e) = 2:
+    the check of the idempotent fails, so the query exits 2 and prints no report."""
+    import hopfsmith.integrals as integ
+    inner = integ.ad_invariant_integral
+
+    def doubled(h):
+        lam = inner(h)
+        return replace(lam, vector={k: h.field.add(v, v) for k, v in lam.vector.items()})
+
+    monkeypatch.setattr(integ, "ad_invariant_integral", doubled)
+    assert cli.main(["double-separable", "--preset", "group:C2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal verification failed" in json.loads(captured.err)["error"]
 
 
 # ---------------------------------------------------------------------------

@@ -3,16 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from hopfsmith import GF, QQ, FieldSpec, check_hopf, resolve_preset
-from hopfsmith.doubles import (ExtensionData, _repeat, drinfeld_double, relative_tensor,
-                               separable_extension)
+from hopfsmith import GF, QQ, FieldSpec, check_hopf, dual_hopf, resolve_preset
+from hopfsmith.doubles import (ExtensionData, _extension_idempotent_conditions,
+                               _verify_extension_idempotent, _repeat, drinfeld_double,
+                               relative_tensor, separable_extension)
 from hopfsmith.hopf import AlgebraData
 from hopfsmith.integrals import ad_invariant_integral, separability_idempotent
 from hopfsmith.linalg import contract, identity
 from hopfsmith.presets import preset_sweedler
 
 from conftest import F, GRID
-from test_loop_oracles import old_relative_tensor
+from test_loop_oracles import blind_separable_extension, old_relative_tensor
 
 
 def _over_the_field(alg):
@@ -111,7 +112,7 @@ def test_separable_extension_reduces_to_idempotent_over_base(preset_cache):
                        ("sweedler", 0)]:
         h = preset_cache(spec, char)
         ext = _over_the_field(h.alg)
-        blind = separable_extension(ext)
+        blind = blind_separable_extension(ext)
         direct = separability_idempotent(h)
         assert (blind is None) == (direct is None), (spec, char)
 
@@ -121,11 +122,11 @@ def test_double_separability_group_algebras_all_characteristics(preset_cache):
     # so the double is separable over H even when KG itself is not semisimple
     for spec, char in [("group:C2", 0), ("group:C2", 2), ("group:C3", 3)]:
         h = preset_cache(spec, char)
-        assert separable_extension(drinfeld_double(h)[1]) is not None, (spec, char)
+        assert blind_separable_extension(drinfeld_double(h)[1]) is not None, (spec, char)
 
 
 def test_double_not_separable_for_sweedler():
-    assert separable_extension(drinfeld_double(preset_sweedler(QQ))[1]) is None
+    assert blind_separable_extension(drinfeld_double(preset_sweedler(QQ))[1]) is None
 
 
 def test_three_way_agreement(preset_cache):
@@ -136,7 +137,7 @@ def test_three_way_agreement(preset_cache):
     for spec, char in cases:
         h = preset_cache(spec, char)
         adinv = ad_invariant_integral(h) is not None
-        sep = separable_extension(drinfeld_double(h)[1]) is not None
+        sep = blind_separable_extension(drinfeld_double(h)[1]) is not None
         assert adinv == sep, (spec, char)
 
 
@@ -144,16 +145,43 @@ def test_one_dimensional_double():
     h = resolve_preset("group:C1", QQ)
     d, ext = drinfeld_double(h)
     assert d.dim == 1
-    assert separable_extension(ext) is not None
+    assert blind_separable_extension(ext) is not None
 
 
 def test_largest_solve_within_budget():
     h4 = preset_sweedler(QQ)
     t0 = time.time()
     d, ext = drinfeld_double(h4)
-    assert separable_extension(ext) is None
+    assert blind_separable_extension(ext) is None
     elapsed = time.time() - t0
     assert elapsed < 60, f"double separability took {elapsed:.1f}s"
+
+
+# every H whose double the blind route decides in this module, in
+# test_acceptance.py::test_criterion_3_double_equivalence or in the certificate
+# checks; True marks the dual H* of the preset
+FORMULA_CASES = [("group:C1", 0, False), ("sweedler", 0, False), ("sweedler", 3, False)] + [
+    (spec, char, False) for spec in ("group:C2", "group:C3", "functions:C2")
+    for char in (0, 2, 3)] + [("group:C2", 0, True), ("group:C2", 2, True), ("sweedler", 0, True)]
+
+
+@pytest.mark.parametrize("spec,char,dual", FORMULA_CASES)
+def test_formula_idempotent_agrees_with_the_blind_route(spec, char, dual, preset_cache):
+    """D(H)/H is separable by the blind solve exactly when H has an ad-invariant
+    integral, and then the idempotent written from it passes its check; on a
+    group algebra it is the blind solve's particular solution itself."""
+    h = preset_cache(spec, char)
+    h = dual_hopf(h) if dual else h
+    _, ext = drinfeld_double(h)
+    blind = blind_separable_extension(ext)
+    lam = ad_invariant_integral(h)
+    assert (lam is None) == (blind is None)
+    if lam is not None:
+        cert = separable_extension(h, ext, lam.vector)
+        conds = _extension_idempotent_conditions(ext, relative_tensor(ext))
+        assert _verify_extension_idempotent(h.field, cert, conds) == ["m(e)=1", "bilinear"]
+        if spec.startswith("group:") and not dual:
+            assert cert.quotient_coords == blind.quotient_coords
 
 
 def test_extension_validation_rejects_bad_embedding():
@@ -170,7 +198,7 @@ def test_dual_route_coseparability_of_double():
     for spec, char in [("group:C2", 0), ("group:C2", 2), ("sweedler", 0)]:
         h = resolve_preset(spec, FieldSpec(char))
         hstar = dual_hopf(h)
-        lhs = separable_extension(drinfeld_double(hstar)[1]) is not None
+        lhs = blind_separable_extension(drinfeld_double(hstar)[1]) is not None
         rhs = ad_invariant_integral(hstar) is not None
         assert lhs == rhs, (spec, char)
         assert rhs == (ad_coinvariant_integral(h) is not None)

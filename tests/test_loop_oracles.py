@@ -9,6 +9,8 @@ exactly, including on every single-entry corruption of the structure maps.
 The antipode of a Drinfeld double is the one cross-check by a different
 route instead of by loops: the closed form that ``drinfeld_double`` uses
 against the blind solve of both antipode axioms in all N^2 entries of S_D.
+The idempotent of D(H)/H, which ``separable_extension`` writes from the
+ad-invariant integral, is held to the blind solve of its conditions the same way.
 
 Every linear system is checked against the route that ``AffineSystem.conditions``
 replaced: each condition contracted with the identity tensor of all the
@@ -705,6 +707,21 @@ def old_relative_tensor(ext):
     pivot_set = set(pivots)
     return doubles.RelTensor(rows[: len(pivots)], pivots,
                              [c for c in range(width) if c not in pivot_set], ext.big.field)
+
+
+def blind_separable_extension(ext):
+    """R/S separability by blind search, for any extension: m(e) = 1 and r·e = e·r
+    solved on the quotient coordinates of R (x)_S R and the solution checked on
+    the same conditions; the reference for ``doubles.separable_extension``."""
+    rel = doubles.relative_tensor(ext)
+    f = ext.big.field
+    conds = doubles._extension_idempotent_conditions(ext, rel)
+    sol = solve_affine(AffineSystem.conditions(f, (rel.dim,), *conds))
+    if sol is None:
+        return None
+    cert = doubles.ExtensionIdempotent(sol.particular, rel.dim)
+    doubles._verify_extension_idempotent(f, cert, conds)
+    return cert
 
 
 def old_extension_idempotent_system(ext, rel):

@@ -68,21 +68,24 @@ def _recorded_checks(monkeypatch) -> list:
                                     ("taft:3:2", 7, 3))
     for command in cli.SUBCOMMANDS if command != "truth-table"] + [
     pytest.param("lift-section", "group:C2", 3, None, 3,
-                 id="lift-section-cyclic-cover:3-group:C2-3")])
+                 id="lift-section-cyclic-cover:3-group:C2-3"),
+    pytest.param("double-separable", "group:S3", 3, None, None,
+                 id="double-separable-group:S3-3-yes")])
 def test_each_hopf_algebra_a_query_builds_is_checked_once(monkeypatch, command, preset, char,
                                                           coradical, cover):
-    """The input is checked once, D(H) once more for the double queries, the
-    coradical sub-Hopf algebra once more for ``weak-projection`` and KC_{Mn}
-    once more for a ``cyclic-cover:M`` lift; H* is never built.  On k^S3 over
-    F_2 the coradical is not a subalgebra, so ``weak-projection`` stops (exit 2)
-    before it builds one."""
+    """The input is checked once, D(H) once more for ``double`` and for a "yes"
+    of ``double-separable`` (none of the three presets above has an ad-invariant
+    integral, kS3 has one), the coradical sub-Hopf algebra once more for
+    ``weak-projection`` and KC_{Mn} once more for a ``cyclic-cover:M`` lift; H*
+    is never built.  On k^S3 over F_2 the coradical is not a subalgebra, so
+    ``weak-projection`` stops (exit 2) before it builds one."""
     h = resolve_preset(preset, FieldSpec(char))
     dims = _recorded_checks(monkeypatch)
     argv = [command, "--preset", preset, "--char", str(char)]
     with contextlib.redirect_stderr(io.StringIO()):
         code = _quiet(argv + (["--problem", f"cyclic-cover:{cover}"] if cover else []))
     expected = [h.dim]
-    if command in ("double", "double-separable"):
+    if command == "double" or (command == "double-separable" and preset == "group:S3"):
         expected.append(h.dim ** 2)
     if cover:
         expected.append(h.dim * cover)
@@ -91,6 +94,17 @@ def test_each_hopf_algebra_a_query_builds_is_checked_once(monkeypatch, command, 
         expected += [coradical] if coradical else []
         assert code == (0 if coradical else 2)
     assert dims == expected
+
+
+@pytest.mark.parametrize("argv", [["--preset", "taft:4:2", "--char", "5"],
+                                  ["--preset", "sweedler"]])
+def test_double_separable_refutes_without_building_the_double(monkeypatch, argv):
+    """A "no" is read off the ad-invariant system of H alone: D(H) is never built."""
+    def unbuilt(h):
+        raise AssertionError("D(H) built for a refutation")
+
+    monkeypatch.setattr(cli, "drinfeld_double", unbuilt)
+    assert _quiet(["double-separable", *argv]) == 1
 
 
 def test_check_axioms_reports_one_check_on_a_preset_and_on_its_file(monkeypatch, tmp_path,

@@ -158,6 +158,7 @@ def test_cli_double_and_double_separable(capsys):
     code, report, _ = run_cli(capsys, "double-separable", "--preset", "sweedler")
     assert code == 1
     assert report["separable_over_h"] is False and report["ad_invariant_exists"] is False
+    assert "ad-invariant integral" in report["reason"] and "routes_agree" not in report
     code, report, _ = run_cli(capsys, "double-separable", "--preset", "group:C2", "--char", "2")
     assert code == 0
     assert report["separable_over_h"] is True

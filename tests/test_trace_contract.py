@@ -46,6 +46,7 @@ TRACED_QUERIES = [
     (["lift-section", "--preset", "group:C2", "--char", "2", "--problem", "cyclic-cover:2"], 1),
     (["weak-projection", "--preset", "taft:3:2", "--char", "7"], 0),
     (["double-separable", "--preset", "sweedler"], 1),
+    (["double-separable", "--preset", "group:C2", "--char", "2"], 0),
 ]
 
 _TRACED_RUN = """
