@@ -26,8 +26,9 @@ The conditions are labelled sums of signed contractions on the unknown map
 (:meth:`AffineSystem.conditions`) in its (x, y) layout, each written once.  A stage
 map g: A -> E/I^{r+1} is ``projects`` (p_r g is the previous stage), ``unital`` and
 ``equivariant``; the correction h: A -> I^r/I^{r+1} is ``coboundary`` (a h(b) - h(ab)
-+ h(a) b = c(a, b)) and ``equivariant``.  The solved lists also check, with the
-curvature, each corrected stage and the final section (p_r = pi).
++ h(a) b = c(a, b)) and ``equivariant``, a condition only when there are alpha_u.  The
+solved lists also check, with the curvature, each corrected stage and the final
+section (p_r = pi).
 """
 
 from __future__ import annotations
@@ -122,15 +123,16 @@ class LiftObstruction:
     shape: tuple = (0,)     # (dim A, dim A, dim I^r/I^{r+1}); (0,) for the empty witness
 
 
-def _equivariant(alpha: dict, beta: dict) -> tuple:
-    """g alpha_u = beta_u g for every u, a condition on a map g keyed (x, y)."""
-    return ("equivariant", [(1, "uty,xt->uxy", alpha), (-1, "uxt,ty->uxy", beta)], None)
+def _equivariant(alpha: dict, beta: dict) -> list:
+    """[g alpha_u = beta_u g for every u] on a map g keyed (x, y); [] when there is no alpha_u."""
+    cond = ("equivariant", [(1, "uty,xt->uxy", alpha), (-1, "uxt,ty->uxy", beta)], None)
+    return [cond] if alpha else []
 
 
 def _stage_conditions(p_r: dict, prev: dict, u_a: dict, u_cur: dict, alpha: dict, beta: dict):
     """g: A -> Q_{r+1} projects to the previous stage (p_r g = prev), is unital and equivariant."""
     return [("projects", [(1, "ax,xy->ay", p_r)], prev), ("unital", [(1, "y,xy->x", u_a)], u_cur),
-            _equivariant(alpha, beta)]
+            *_equivariant(alpha, beta)]
 
 
 def _check_right_comodule(rho: dict, space_dim: int, h: HopfData) -> dict:
@@ -152,7 +154,7 @@ def _equivariance_pairs_from_problem(p: SurjectionProblem) -> tuple:
     rho_a = _check_right_comodule(p.coact_a, p.a.dim, p.hopf)
     alpha, beta = ({(u, v, c): x for (c, v, u), x in rho.items()} for rho in (rho_a, rho_e))
     # pi must intertwine the coactions
-    if failed_conditions(p.e.field, [_equivariant(beta, alpha)], p.pi):
+    if failed_conditions(p.e.field, _equivariant(beta, alpha), p.pi):
         raise ValueError("pi is not colinear")
     return alpha, beta
 
@@ -162,11 +164,11 @@ def lift_algebra_section(p: SurjectionProblem, colinear: bool = False):
     a LiftObstruction carrying a delta-closed curvature witness."""
     p.validate()
     alpha, beta = _equivariance_pairs_from_problem(p) if colinear else ({}, {})
-    return _lift(p, alpha, beta, colinear)
+    return _lift(p, alpha, beta)
 
 
-def _lift(p: SurjectionProblem, alpha: dict, beta: dict, equivariant: bool):
-    """The stage-by-stage lift of a validated problem."""
+def _lift(p: SurjectionProblem, alpha: dict, beta: dict):
+    """The stage-by-stage lift of a validated problem, equivariant for any alpha_u."""
     f, na, m_a, u_a = p.e.field, p.a.dim, p.a.mult, p.a.unit
 
     # kernel powers I = P[0] > P[1] = I^2 > ... until zero
@@ -190,7 +192,7 @@ def _lift(p: SurjectionProblem, alpha: dict, beta: dict, equivariant: bool):
     stage = invert(SparseMat.from_tensor(f, contract(f, "ax,xb->ab", p.pi, quots[0][2]), na, na))
     if stage is None:
         raise AssertionError("E/I -> A is not invertible; pi was not surjective?")
-    require_conditions(f, [_equivariant(alpha, descend(0))], stage, "initial stage map")
+    require_conditions(f, _equivariant(alpha, descend(0)), stage, "initial stage map")
     stages = [stage]
 
     for r in range(1, len(powers)):
@@ -201,7 +203,7 @@ def _lift(p: SurjectionProblem, alpha: dict, beta: dict, equivariant: bool):
         w, coords = kernel.tensors(f)
         beta_r = descend(r)
 
-        g = _solve_linear_lift(f, q.dim, na, p_r, stage, u_a, q.unit, alpha, beta_r, equivariant)
+        g = _solve_linear_lift(f, q.dim, na, p_r, stage, u_a, q.unit, alpha, beta_r)
         if g is None:
             # no curvature was formed, so the empty witness is not a closed cocycle
             return LiftObstruction(r, {}, False,
@@ -224,7 +226,7 @@ def _lift(p: SurjectionProblem, alpha: dict, beta: dict, equivariant: bool):
         # equivariance operators restricted to the kernel stage, (u, s, t)
         beta_m = in_coordinates(f, contract(f, "uxy,ys->usx", beta_r, w), w, coords,
                                 "equivariance operator escaped I^r/I^{r+1}")
-        h = _solve_coboundary(bim, curv, alpha, beta_m, equivariant)
+        h = _solve_coboundary(bim, curv, alpha, beta_m)
         if h is None:
             return LiftObstruction(r, curv, True, "curvature class is not a coboundary",
                                    (na, na, kernel.dim))
@@ -238,17 +240,17 @@ def _lift(p: SurjectionProblem, alpha: dict, beta: dict, equivariant: bool):
     # Q_nu = E/0: translate back to E coordinates
     sigma = contract(f, "xa,ay->xy", quots[-1][2], stage)
     # stage r maps A into Q_{r+1}, so its shape is (dim Q_{r+1}, dim A); Q_1 = E/I ~ A
-    cert = LiftCertificate(stages, sigma, True, equivariant or None,
+    cert = LiftCertificate(stages, sigma, True, bool(alpha) or None,
                            [(q.dim, na) for q, *_ in quots])
     _verify_final(p, cert, alpha, beta)
     return cert
 
 
 def _solve_linear_lift(f, ncur: int, na: int, p_r: dict, prev: dict, u_a: dict, u_cur: dict,
-                       alpha: dict, beta: dict, equivariant: bool) -> Optional[dict]:
-    """Linear g: A -> Q_{r+1} meeting the stage conditions, equivariant only if asked."""
+                       alpha: dict, beta: dict) -> Optional[dict]:
+    """Linear g: A -> Q_{r+1} meeting the stage conditions."""
     conds = _stage_conditions(p_r, prev, u_a, u_cur, alpha, beta)
-    sol = solve_affine(AffineSystem.conditions(f, (ncur, na), *conds[:3 if equivariant else 2]))
+    sol = solve_affine(AffineSystem.conditions(f, (ncur, na), *conds))
     return None if sol is None else sol.particular
 
 
@@ -261,16 +263,14 @@ def _is_two_cocycle(bim: Bimodule, c: dict) -> bool:
                               (1, "jky,iyt->ijkt", m, c), (-1, "ijs,kst->ijkt", c, right)])
 
 
-def _solve_coboundary(bim: Bimodule, c: dict, alpha: dict, beta: dict,
-                      equivariant: bool) -> Optional[dict]:
-    """h: A -> M, as (t, y), with a·h(b) - h(ab) + h(a)·b = c(a,b), c keyed (i, j, t); when
-    ``equivariant``, also h alpha_u = beta_u h, beta keyed (u, s, t): entry t of beta_u(w_s)."""
+def _solve_coboundary(bim: Bimodule, c: dict, alpha: dict, beta: dict) -> Optional[dict]:
+    """h: A -> M, as (t, y), with a·h(b) - h(ab) + h(a)·b = c(a,b), c keyed (i, j, t), and
+    h alpha_u = beta_u h for any alpha_u, beta keyed (u, s, t): entry t of beta_u(w_s)."""
     a = bim.algebra
     f, na = a.field, a.dim
     conds = [("coboundary", [(1, "ist,sj->ijt", bim.left), (-1, "ijy,ty->ijt", a.mult),
-                             (1, "jst,si->ijt", bim.right)], c)]
-    if equivariant:
-        conds.append(_equivariant(alpha, {(u, t, s): x for (u, s, t), x in beta.items()}))
+                             (1, "jst,si->ijt", bim.right)], c),
+             *_equivariant(alpha, {(u, t, s): x for (u, s, t), x in beta.items()})]
     sol = solve_affine(AffineSystem.conditions(f, (bim.dim, na), *conds))
     return None if sol is None else sol.particular
 
@@ -378,7 +378,7 @@ def weak_projection(e: HopfData, h: HopfData, inclusion: dict,
         beta.update({(nh + u, x, y): c for (u, x, y), c in
                      contract(f, "zu,xzy->uxy", incl, e.alg.mult).items()})
 
-    result = _lift(problem, alpha, beta, True)
+    result = _lift(problem, alpha, beta)
     if isinstance(result, LiftObstruction):
         return result
     # sigma: H* -> E*, transposed to E -> H

@@ -37,12 +37,13 @@ Structure-constant identities are contractions of sparse tensors:
 :func:`ordered` puts a tensor's entries in key order, the order ``sparse``
 gives, and :func:`require_keys` rejects a key outside a declared shape.  A linear
 condition on an unknown map of a declared shape is a signed sum of
-contractions whose last operand is the unknown: :meth:`AffineSystem.conditions`
-contracts the known operands once and adds each entry, with its sign, straight
-into the labelled sparse row and column it names; :func:`failed_conditions`
-evaluates the same condition list on a given tensor, a :func:`signed_sum` per
-condition, and assembles no row, so a certificate is checked on the list that
-stated its solve and never on the rows it was solved from.  An identity that
+contractions whose last operand is the unknown, and one evaluator reads it
+both ways: :func:`failed_conditions` takes a :func:`signed_sum` per condition
+on a given tensor, and :meth:`AffineSystem.conditions` takes the same
+:func:`signed_sum` on the identity tensor of the unknowns, whose extra column
+index spreads each entry into the labelled sparse row and column it names.  So
+a certificate is checked on the list that stated its solve, by the code that
+assembled it, and never on the rows it was solved from.  An identity that
 fails is reported at its least failing index prefix, and there by the first law
 that fails (:func:`least_failure`).
 """
@@ -52,9 +53,8 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import gcd, lcm, prod
-from operator import itemgetter, mul
+from operator import itemgetter
 from typing import Optional
 
 from .fields import FieldSpec
@@ -120,52 +120,31 @@ class AffineSystem:
         equals ``constant``, a sparse tensor on the row indices or None.  A term
         ``(sign, spec, *knowns)``, sign 1 or -1, is the contraction ``spec`` of the
         known tensors and, as its last operand, the unknown; the output of ``spec``
-        names the row indices.  The knowns are contracted once onto the indices
-        that the rows and the unknown need, an unknown index that no known carries
-        runs over its range, and each entry goes with its sign straight into its
-        row and column.  Rows come in key order; a condition whose rows all cancel
-        keeps one empty row, so its label stays."""
-        p = field.characteristic
-        strides = [prod(shape[d + 1:]) for d in range(len(shape))]
-        columns = list(range(prod(shape)))  # one int object per column, shared by the rows
+        names the row indices, and no index of ``spec`` is ``#``.  The rows are
+        the :func:`signed_sum` that :func:`failed_conditions` evaluates, taken on
+        the identity tensor of the unknowns, keyed ``(*index, column)``, with the
+        column as one more index ``#`` on the unknown and on the output.  Rows come
+        in key order; a condition whose rows all cancel keeps one empty row, so
+        its label stays."""
+        unknown = {(*_unravel(c, shape), c): field.one for c in range(prod(shape))}
         rows, rhs, labels = [], [], []
         for label, terms, const in conds:
-            const = const or {}
-            by_row = defaultdict(dict)
+            const, signed = const or {}, []
             for sign, spec, *knowns in terms:
                 inputs, out = spec.split("->")
                 *names, var = inputs.split(",")
-                carried = set("".join(names))
-                idx = "".join(dict.fromkeys(c for c in out + var if c in carried))
-                spread = [c for c in var if c not in carried]
-                full = idx + "".join(spread)
-                if sign not in (1, -1) or len(names) != len(knowns) or len(var) != len(shape) \
-                        or len(set(var)) != len(var) or set(out) - set(full):
+                if sign not in (1, -1) or len(names) != len(knowns) or "#" in spec \
+                        or not len(set(var)) == len(var) == len(shape) or set(out) - set(inputs):
                     raise ValueError(f"bad condition term {spec!r} on an unknown of shape {shape}")
-                t = contract(field, f"{','.join(names)}->{idx}", *knowns) if names \
-                    else {(): field.one}
-                row_of = _picker([full.index(c) for c in out])
-                steps = [(idx.index(c), s) for c, s in zip(var, strides) if c in carried]
-                spreads = [(b, sum(map(mul, b, (strides[var.index(c)] for c in spread))))
-                           for b in product(*(range(shape[var.index(c)]) for c in spread))]
-                for key, v in t.items():
-                    if sign < 0:
-                        v = p - v if p else -v
-                    base = sum(key[i] * s for i, s in steps)
-                    for b, off in spreads:
-                        row, col = by_row[row_of(key + b)], base + off
-                        if col not in row:
-                            row[columns[col]] = v
-                        elif w := (row[col] + v) % p if p else row[col] + v:
-                            row[col] = w
-                        else:  # the terms cancel here
-                            del row[col]
-            by_row = {k: list(r.items()) for k, r in by_row.items() if r}
+                signed.append((sign, f"{inputs}#->{out}#", *knowns, unknown))
+            by_row = defaultdict(list)
+            for key, v in signed_sum(field, signed).items():
+                by_row[key[:-1]].append((key[-1], v))
             keys = sorted(by_row.keys() | const.keys()) or [None]
             rows += [by_row.get(k, []) for k in keys]
             rhs += [const.get(k, field.zero) for k in keys]
             labels += [label] * len(keys)
-        return cls(SparseMat(field, len(rows), len(columns), rows), rhs, tuple(shape), labels)
+        return cls(SparseMat(field, len(rows), prod(shape), rows), rhs, tuple(shape), labels)
 
     @property
     def unknowns(self) -> int:

@@ -413,7 +413,7 @@ def test_infeasible_linear_lift_is_not_delta_closed():
     # beta_0(a + b eps) = a + (a + b) eps
     beta = {**identity(QQ, 2 * n), **{(n + i, i): QQ.one for i in range(n)}}
     res = _lift(prob, {(0, *k): x for k, x in identity(QQ, n).items()},
-                {(0, *k): x for k, x in beta.items()}, True)
+                {(0, *k): x for k, x in beta.items()})
     assert isinstance(res, LiftObstruction)
     assert res.stage == 1 and res.witness == {}
     assert res.delta_closed is False

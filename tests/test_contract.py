@@ -1,5 +1,6 @@
 """The sparse contraction kernel against brute-force index loops."""
 
+import re
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -176,9 +177,11 @@ def condition_lists(draw):
     ((2,), (1, "ij,j->ik", {(0, 0): 1})),     # a row index that no operand carries
     ((2,), (1, "ij,j->i")),                   # a known operand missing
     ((2, 2), (1, "jj->j")),                   # an unknown index named twice
+    ((2,), (1, "i#,#->i", {(0, 0): 1})),      # the column index that the assembly adds
 ])
 def test_conditions_reject_a_malformed_term(shape, term):
-    with pytest.raises(ValueError):
+    # the message names the term's spec as the caller wrote it
+    with pytest.raises(ValueError, match=re.escape(f"bad condition term {term[1]!r}")):
         AffineSystem.conditions(FieldSpec(5), shape, ("bad", [term], None))
 
 

@@ -65,7 +65,7 @@ def hochschild_coboundary_solve(a, bim, cocycle):
     bim.check()
     if not _is_two_cocycle(bim, cocycle):
         raise ValueError("input is not a 2-cocycle")
-    return lifting._solve_coboundary(bim, cocycle, {}, {}, False)
+    return lifting._solve_coboundary(bim, cocycle, {}, {})
 
 
 def eps_bimodule(h):

@@ -12,10 +12,13 @@ against the blind solve of both antipode axioms in all N^2 entries of S_D.
 The idempotent of D(H)/H, which ``separable_extension`` writes from the
 ad-invariant integral, is held to the blind solve of its conditions the same way.
 
-Every linear system is checked against the route that ``AffineSystem.conditions``
-replaced: each condition contracted with the identity tensor of all the
-unknowns, the two sides subtracted with ``difference`` and the result grouped
-into rows by hand.  The systems must agree row for row.
+Every linear system is checked against an independent restatement of the
+route that ``AffineSystem.conditions`` takes: each condition contracted with the
+identity tensor of all the unknowns, but the terms combined with this module's
+own ``difference`` instead of ``linalg.signed_sum``, and the result grouped into
+rows by hand.  Most systems are also written out here a second time, term by
+term, instead of read from the package's condition lists.  The systems must
+agree row for row.
 """
 
 import contextlib
@@ -44,7 +47,7 @@ from conftest import GRID
 
 def difference(field, a, b):
     """a - b for sparse tensors, entry by entry, zero entries dropped; the
-    subtraction the identity-tensor route used before ``linalg.signed_sum``."""
+    oracles' own subtraction, written without ``linalg.signed_sum``."""
     out = dict(a)
     for k, v in b.items():
         w = field.sub(out.get(k, field.zero), v)
@@ -480,7 +483,7 @@ def test_double_antipode_formula_equals_the_blind_solve(spec, char, preset_cache
 
 
 # ---------------------------------------------------------------------------
-# Linear systems: the identity-tensor route that the assembler replaced
+# Linear systems: the identity-tensor route, restated without signed_sum
 # ---------------------------------------------------------------------------
 
 def old_unknowns(f, *shape):
@@ -507,9 +510,9 @@ def old_grouping(f, width, *conds):
 
 
 def old_route(f, shape, *conds):
-    """New-form conditions ``(label, terms, constant)`` evaluated the old way: each
-    term contracted with the identity tensor of the unknowns (a fresh last index
-    Z), the terms combined by ``difference`` and the result grouped into rows."""
+    """Conditions ``(label, terms, constant)`` evaluated by the oracle: each term
+    contracted with the identity tensor of the unknowns (a fresh last index Z),
+    the terms combined by ``difference`` and the result grouped into rows."""
     x = old_unknowns(f, *shape)
     grouped = []
     for label, terms, const in conds:
@@ -663,17 +666,17 @@ def old_fs_retraction_system(h, yd, split, complete):
     return old_grouping(f, m * n * m, *conds)
 
 
-def old_linear_lift_system(f, ncur, na, p_r, prev, u_a, u_cur, alpha, beta, equivariant):
+def old_linear_lift_system(f, ncur, na, p_r, prev, u_a, u_cur, alpha, beta):
     x = old_unknowns(f, ncur, na)
     conds = [(contract(f, "ax,xyc->ayc", p_r, x), 2, prev, "projects"),
              (contract(f, "y,xyc->xc", u_a, x), 1, u_cur, "unital")]
-    if equivariant:
+    if alpha:  # operators to intertwine
         conds.append((difference(f, contract(f, "uty,xtc->uxyc", alpha, x),
                                  contract(f, "uxt,tyc->uxyc", beta, x)), 3, None, "equivariant"))
     return old_grouping(f, ncur * na, *conds)
 
 
-def old_coboundary_system(bim, c, alpha=None, beta=None, equivariant=False):
+def old_coboundary_system(bim, c, alpha, beta):
     a = bim.algebra
     f, na = a.field, a.dim
     x = old_unknowns(f, bim.dim, na)
@@ -681,7 +684,7 @@ def old_coboundary_system(bim, c, alpha=None, beta=None, equivariant=False):
                        difference(f, contract(f, "ijy,tyc->ijtc", a.mult, x),
                                   contract(f, "jst,sic->ijtc", bim.right, x)))
     conds = [(delta, 3, c, "coboundary")]
-    if equivariant:
+    if alpha:  # operators to intertwine
         conds.append((difference(f, contract(f, "uzy,tzc->utyc", alpha, x),
                                  contract(f, "ust,syc->utyc", beta, x)), 3, None, "equivariant"))
     return old_grouping(f, bim.dim * na, *conds)

@@ -4,7 +4,8 @@ snapshot in the same change that logs it in CHANGES.md.
 
 The package holds only what a query, an export or the benchmark tracer uses:
 every top-level definition in ``src/hopfsmith`` must be reachable from them,
-and every defaulted parameter outside the exports must be set by some call."""
+every imported name must be referenced, and every defaulted parameter outside
+the exports must be set by some call."""
 
 import ast
 from dataclasses import fields
@@ -143,6 +144,23 @@ def test_every_src_definition_is_reachable():
             todo += [ref for ref in defs[key] if ref in defs]
     unreached = sorted(f"{mod}.{name}" for mod, name in set(defs) - reached)
     assert not unreached, f"defined in src but used by no query, export or tracer: {unreached}"
+
+
+def test_every_src_import_is_used():
+    """Every name that a module of ``src/hopfsmith`` imports is referenced in that
+    module; ``__init__`` only re-exports, and ``__future__`` imports bind nothing
+    used.  The project runs no linter, so this keeps dead imports out."""
+    unused = []
+    for path in sorted((ROOT / "src" / "hopfsmith").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = [(a.asname or a.name).partition(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom)
+                    and node.module != "__future__" for a in node.names]
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [f"{path.stem}.{name}" for name in imported if name not in used]
+    assert not unused, f"imported in src but never referenced: {unused}"
 
 
 def _defaulted(tree: ast.Module) -> list:
