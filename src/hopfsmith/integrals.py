@@ -1,22 +1,18 @@
 """Integrals in H and H*, ad-(co)invariant integrals, and the explicit
 (co)separability certificates they generate.
 
-Each object (an integral space, an ad-(co)invariant integral, the idempotent,
-the retraction) is stated once, as a condition list: a solve is assembled from
-it, and every answer is checked on it with no row assembled
-(:func:`linalg.require_conditions`).
-
-Each separability question is decided by its total integral (Maschke and its
-dual): on "yes" the closed formula built from it (sigma_t resp. theta_lambda)
-is checked on the conditions of the idempotent (resp. retraction); on "no" the
-normalization vanishes on the left integral space, one-dimensional by
-Larson-Sweedler, so no certificate exists.  The blind searches for any
-certificate are the reference the tests hold this verdict to.
+Each object is stated once, as a condition list, and every answer is checked
+on it with no row assembled (:func:`linalg.require_conditions`).  Only the
+integral spaces are solved, and the blind searches that the tests hold the
+verdicts to.  The rest is read off the total integral, the left integral
+normalized by eps (in H) or by evaluation at 1 (in H*), unique as the left
+integrals form a line (Larson-Sweedler): (co)separability by the closed
+formula built from it (sigma_t resp. theta_lambda; Maschke and its dual),
+ad-(co)invariance by its check on (b).  Without it, no certificate exists.
 
 An integral, a functional and an idempotent are sparse tensors like the
 structure maps: t and lambda keyed ``(x,)``, e keyed ``(i, j)`` for
-sum e_ij e_i (x) e_j, and theta keyed ``(p, i, j)``, entry p of
-theta(e_i (x) e_j), each on the shape of the unknown its system solves for.
+sum e_ij e_i (x) e_j, and theta keyed ``(p, i, j)``, entry p of theta(e_i (x) e_j).
 """
 
 from __future__ import annotations
@@ -26,8 +22,8 @@ from typing import Optional
 
 from .fields import FieldSpec
 from .hopf import AlgebraData, HopfData, SubspaceBasis
-from .linalg import (AffineSystem, contract, identity, nullspace, require_conditions,
-                     solve_affine, spans_equal)
+from .linalg import (AffineSystem, contract, failed_conditions, identity, nullspace,
+                     require_conditions, solve_affine, spans_equal)
 from .yd import ACTIONS, COACTIONS, adjoint_action, adjoint_coaction
 
 
@@ -120,33 +116,43 @@ def total_integral(h: HopfData, carrier: str = "in_h",
 
 
 def _ad_invariant_conditions(h: HopfData) -> list:
-    """(a) h_1 lam(h_2) = 1 lam(h), (b) lam(h|>x) = eps(h) lam(x) and (c) lam(1) = 1
-    in the values lam(e_j)."""
+    """(a) lam is a left integral in H*, (b) lam(h|>x) = eps(h) lam(x), (c) lam(1) = 1."""
     adl = adjoint_action(h, "adl").tensor
-    return [("a", [(1, "kij,j->ki", h.coa.comult), (-1, "i,k->ki", h.alg.unit)], None),
+    return [("a", _integral_terms(h, "left", "in_dual"), None),
             ("b", [(1, "ktj,j->kt", adl), (-1, "k,t->kt", h.coa.counit)], None),
             ("c", [(1, "j,j->", h.alg.unit)], {(): h.field.one})]
 
 
-def _unique_solution(h: HopfData, conds: list, what: str) -> Optional[dict]:
-    """The vector meeting ``conds``, which the theory makes unique, or None."""
-    sol = solve_affine(AffineSystem.conditions(h.field, (h.dim,), *conds))
-    if sol is None:
+def _ad_coinvariant_conditions(h: HopfData) -> list:
+    """(a) ht = eps(h)t, (b) t_1 S(t_3) (x) t_2 = 1 (x) t, (c) eps(t) = 1."""
+    rho = adjoint_coaction(h, "rho_l").tensor
+    return [("a", _integral_terms(h, "left"), None),
+            ("b", [(1, "jik,j->ik", rho), (-1, "i,k->ik", h.alg.unit)], None),
+            ("c", [(1, "j,j->", h.coa.counit)], {(): h.field.one})]
+
+
+def _adjoint_integral(h: HopfData, carrier: str, conditions,
+                      verify) -> Optional[IntegralCertificate]:
+    """The total integral in ``carrier`` once ``verify`` passes it on ``conditions(h)``;
+    None when there is none or it fails (b) alone.  (a) and (c) say "normalized left
+    integral", which is unique (Larson-Sweedler), so None proves (a)+(b)+(c)
+    infeasible; failing (a) or (c) is a fault, on which ``verify`` raises."""
+    total = total_integral(h, carrier)
+    if total is None or failed_conditions(h.field, conds := conditions(h), total.vector) == ["b"]:
         return None
-    if sol.nullspace:
-        raise AssertionError(f"{what} is not unique; theory violated")
-    return sol.particular
+    verify(h.field, total.vector, conds)
+    return IntegralCertificate("left", carrier, total.vector, h.dim, total=True,
+                               ad_invariant=carrier == "in_dual", ad_coinvariant=carrier == "in_h")
 
 
 def ad_invariant_integral(h: HopfData) -> Optional[IntegralCertificate]:
-    """The unique functional with (a) h_1 lam(h_2) = 1 lam(h), (b) lam(h|>x) =
-    eps(h) lam(x), (c) lam(1) = 1; or None."""
-    conds = _ad_invariant_conditions(h)
-    lam = _unique_solution(h, conds, "ad-invariant integral")
-    if lam is None:
-        return None
-    _verify_ad_invariant(h.field, lam, conds)
-    return IntegralCertificate("left", "in_dual", lam, h.dim, total=True, ad_invariant=True)
+    """The total integral in H* if it meets (b) lam(h|>x) = eps(h) lam(x), else None.
+
+    In characteristic 0 it always does: H is then cosemisimple, so semisimple
+    with S^2 = id (Larson-Radford), and lam, the regular character over dim H,
+    is a trace, so lam(h_1 x S(h_2)) = lam(x S(h_2) h_1) = eps(h) lam(x), as
+    S(h_2) h_1 = S(S(h_1) h_2) = eps(h) 1."""
+    return _adjoint_integral(h, "in_dual", _ad_invariant_conditions, _verify_ad_invariant)
 
 
 def _verify_ad_invariant(f: FieldSpec, lam: dict, conds: list) -> list:
@@ -154,17 +160,9 @@ def _verify_ad_invariant(f: FieldSpec, lam: dict, conds: list) -> list:
 
 
 def ad_coinvariant_integral(h: HopfData) -> Optional[IntegralCertificate]:
-    """The unique t with (a) ht = eps(h)t, (b) t_1 S(t_3) (x) t_2 = 1 (x) t,
-    (c) eps(t) = 1; or None."""
-    rho = adjoint_coaction(h, "rho_l").tensor
-    conds = [("a", _integral_terms(h, "left"), None),
-             ("b", [(1, "jik,j->ik", rho), (-1, "i,k->ik", h.alg.unit)], None),
-             ("c", [(1, "j,j->", h.coa.counit)], {(): h.field.one})]
-    lam = _unique_solution(h, conds, "ad-coinvariant integral")
-    if lam is None:
-        return None
-    require_conditions(h.field, conds, lam, "ad-coinvariant integral")
-    return IntegralCertificate("left", "in_h", lam, h.dim, total=True, ad_coinvariant=True)
+    """The total integral in H if it meets (b) t_1 S(t_3) (x) t_2 = 1 (x) t, else None."""
+    return _adjoint_integral(h, "in_h", _ad_coinvariant_conditions, lambda f, t, conds:
+                             require_conditions(f, conds, t, "ad-coinvariant integral"))
 
 
 def four_linearity_flags(h: HopfData, lam: dict) -> dict:

@@ -248,9 +248,11 @@ def _lift(p: SurjectionProblem, alpha: dict, beta: dict):
 
 def _solve_linear_lift(f, ncur: int, na: int, p_r: dict, prev: dict, u_a: dict, u_cur: dict,
                        alpha: dict, beta: dict) -> Optional[dict]:
-    """Linear g: A -> Q_{r+1} meeting the stage conditions."""
+    """Linear g: A -> Q_{r+1} meeting the stage conditions, checked on them."""
     conds = _stage_conditions(p_r, prev, u_a, u_cur, alpha, beta)
     sol = solve_affine(AffineSystem.conditions(f, (ncur, na), *conds))
+    if sol is not None:
+        require_conditions(f, conds, sol.particular, "linear lift")
     return None if sol is None else sol.particular
 
 

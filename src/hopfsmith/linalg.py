@@ -37,9 +37,9 @@ Structure-constant identities are contractions of sparse tensors:
 :func:`ordered` puts a tensor's entries in key order, the order ``sparse``
 gives, and :func:`require_keys` rejects a key outside a declared shape.  A linear
 condition on an unknown map of a declared shape is a signed sum of
-contractions whose last operand is the unknown, and one evaluator reads it
-both ways: :func:`failed_conditions` takes a :func:`signed_sum` per condition
-on a given tensor, and :meth:`AffineSystem.conditions` takes the same
+contractions whose last operand is the unknown, and one evaluator reads it both
+ways: :func:`failed_conditions` takes a :func:`signed_sum` per condition on a
+given tensor, moved first, and :meth:`AffineSystem.conditions` takes the same
 :func:`signed_sum` on the identity tensor of the unknowns, whose extra column
 index spreads each entry into the labelled sparse row and column it names.  So
 a certificate is checked on the list that stated its solve, by the code that
@@ -50,9 +50,11 @@ that fails (:func:`least_failure`).
 
 from __future__ import annotations
 
+import re
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
 from math import gcd, lcm, prod
 from operator import itemgetter
 from typing import Optional
@@ -157,12 +159,17 @@ class AffineSolution:
     nullspace: dict   # basis tensor (c, j) of the homogeneous solutions, c the column
 
 
+# a term's spec with its last operand, the unknown, moved first (memoized: specs are literals)
+_unknown_first = cache(partial(re.sub, r"(.*),(\w+)->", r"\2,\1->"))
+
+
 def failed_conditions(field: FieldSpec, conds: list, x: dict) -> list:
-    """The distinct labels, in order, of the conditions ``(label, terms, constant)``
-    of :meth:`AffineSystem.conditions` whose terms, each contracted with ``x`` as its
-    last operand, do not sum to the constant; no row is assembled, no shape checked."""
+    """The distinct labels, in order, of the conditions ``(label, terms, constant)`` of
+    :meth:`AffineSystem.conditions` whose terms do not sum to the constant on ``x``, which
+    each term contracts first, so no known is copied whole; no row built, no shape checked."""
     return list({label: None for label, terms, const in conds
-                 if signed_sum(field, [(s, spec, *knowns, x) for s, spec, *knowns in terms])
+                 if signed_sum(field, [(s, _unknown_first(spec), x, *knowns)
+                                       for s, spec, *knowns in terms])
                  != {k: v for k, v in (const or {}).items() if v}})
 
 

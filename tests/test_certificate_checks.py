@@ -35,7 +35,8 @@ from hopfsmith.yd import h_bar_yd, h_plus_yd
 
 from conftest import GRID
 from test_lifting_oracles import _bumped
-from test_loop_oracles import _subspace, _vec, _vectors, failed_labels
+from test_loop_oracles import (_subspace, _vec, _vectors, ad_coinvariant_system,
+                               ad_invariant_system, failed_labels)
 
 
 def _with_matrix(cert: SectionCertificate, mat: dict) -> SectionCertificate:
@@ -272,31 +273,68 @@ def test_cli_exits_2_when_the_formula_is_changed_in_one_entry(command, spec, cha
     assert "internal verification failed" in json.loads(captured.err)["error"]
 
 
-def _corrupting(solve):
-    """solve_affine with 1 added to the first entry of every particular solution."""
-    def corrupted(sys):
-        sol = solve(sys)
-        if sol is not None:
-            sol.particular = _bumped(sys.matrix.field, sol.particular, (0,) * len(sys.shape))
-        return sol
+def _corrupting(total_integral, how):
+    """total_integral with its vector doubled, or with 1 added to its first entry."""
+    def corrupted(h, *args):
+        cert = total_integral(h, *args)
+        f = h.field
+        return cert and replace(cert, vector={k: f.add(v, v) for k, v in cert.vector.items()}
+                                if how == "doubled" else _bumped(f, cert.vector, (0,)))
     return corrupted
 
 
-def test_ad_coinvariant_rejects_a_corrupted_solution(monkeypatch):
+@pytest.mark.parametrize("how", ["doubled", "bumped"])
+def test_ad_coinvariant_rejects_a_corrupted_total_integral(how, monkeypatch):
+    """A total integral that is no longer normalized, or no longer an integral,
+    fails (c) or (a): a fault, never a "no"."""
     import hopfsmith.integrals as integ
     h = resolve_preset("group:C3", QQ)
     assert ad_coinvariant_integral(h) is not None
-    monkeypatch.setattr(integ, "solve_affine", _corrupting(integ.solve_affine))
-    with pytest.raises(AssertionError, match="ad-coinvariant"):
+    monkeypatch.setattr(integ, "total_integral", _corrupting(integ.total_integral, how))
+    with pytest.raises(AssertionError, match="ad-coinvariant integral fails (a|c)"):
         ad_coinvariant_integral(h)
 
 
-def test_cli_ad_coinvariant_exits_2_on_a_corrupted_solution(monkeypatch, capsys):
+@pytest.mark.parametrize("how", ["doubled", "bumped"])
+@pytest.mark.parametrize("argv", [["ad-invariant", "--preset", "group:C3"],
+                                  ["ad-coinvariant", "--preset", "group:C3"],
+                                  ["double-separable", "--preset", "group:C2"]])
+def test_cli_ad_queries_exit_2_on_a_corrupted_total_integral(argv, how, monkeypatch, capsys):
+    """The ad-(co)invariant integral is the total integral checked on (a)+(b)+(c):
+    a corrupted one fails (a) or (c), so the query exits 2, never 1, and prints
+    no report."""
     import hopfsmith.integrals as integ
-    monkeypatch.setattr(integ, "solve_affine", _corrupting(integ.solve_affine))
-    assert cli.main(["ad-coinvariant", "--preset", "group:C3"]) == 2
-    err = json.loads(capsys.readouterr().err)
-    assert "internal verification failed" in err["error"]
+    monkeypatch.setattr(integ, "total_integral", _corrupting(integ.total_integral, how))
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal verification failed" in json.loads(captured.err)["error"]
+
+
+@pytest.mark.parametrize("argv", [["ad-invariant", "--preset", "group:C2"],
+                                  ["ad-coinvariant", "--preset", "functions:C2"],
+                                  ["double-separable", "--preset", "group:C2"]])
+def test_cli_ad_queries_exit_1_when_the_total_integral_fails_b_alone(argv, monkeypatch, capsys):
+    """With the adjoint (co)action changed in one entry, the total integral still
+    meets (a) and (c) and fails (b) alone, so the answer is "no" (exit 1), and
+    the (a)+(b)+(c) solve of the test oracle agrees that there is no solution."""
+    import hopfsmith.integrals as integ
+    h = resolve_preset(argv[2], QQ)
+    invariant = argv[0] != "ad-coinvariant"
+    name = "adjoint_action" if invariant else "adjoint_coaction"
+    inner = getattr(integ, name)
+
+    def perturbed(h_, which):
+        out = inner(h_, which)
+        return replace(out, tensor=_bumped(h_.field, out.tensor, (0, 0, 0)))
+
+    monkeypatch.setattr(integ, name, perturbed)
+    conds = (integ._ad_invariant_conditions if invariant else integ._ad_coinvariant_conditions)(h)
+    total = total_integral(h, "in_dual" if invariant else "in_h").vector
+    assert failed_conditions(h.field, conds, total) == ["b"]
+    assert solve_affine((ad_invariant_system if invariant else ad_coinvariant_system)(h)) is None
+    assert cli.main(argv) == 1
+    assert cli.ADJOINT_REASON in json.loads(capsys.readouterr().out)["reason"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -359,15 +397,17 @@ def test_cli_exits_2_when_the_idempotent_is_written_from_a_wrong_integral(monkey
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("argv", [
-    ["ad-invariant", "--preset", "group:C3"],
-    ["ad-coinvariant", "--preset", "functions:C3"],
-    ["double-separable", "--preset", "group:C2"],
+    ["weak-projection", "--preset", "sweedler", "--char", "3"],
+    ["lift-section", "--problem", "square-zero", "--preset", "group:C2"],
+    ["lift-section", "--colinear", "--preset", "sweedler"],
 ])
 def test_cli_exits_2_when_the_assembly_doubles_every_constant(argv, monkeypatch, capsys):
     """An assembly that doubles every right-hand side hands the solver a wrong
     system, whose solution is off by a factor 2.  A check of that solution on
     the same rows passes; the check on the condition list fails, so the query
     exits 2 and prints no report."""
+    assert cli.main(argv) == 0
+    capsys.readouterr()
     build = AffineSystem.conditions
 
     def doubled(field, shape, *conds):
@@ -379,7 +419,9 @@ def test_cli_exits_2_when_the_assembly_doubles_every_constant(argv, monkeypatch,
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "internal verification failed" in json.loads(captured.err)["error"]
+    error = json.loads(captured.err)["error"]
+    assert "internal verification failed" in error
+    assert "linear lift fails projects, unital" in error  # the condition-list check
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,15 @@ from hopfsmith.integrals import (IntegralCertificate, _blind_idempotent, _blind_
                                  coseparability_retraction, four_coinvariance_flags,
                                  four_linearity_flags, idempotent_system, integral_space,
                                  is_unimodular, separability_idempotent, total_integral)
-from hopfsmith.linalg import AffineSystem, spans_equal
+from hopfsmith.linalg import AffineSystem, contract, identity, solve_affine, spans_equal
 from hopfsmith.presets import preset_sweedler
 
 from conftest import GRID, SMALL_GRID, F
-from test_loop_oracles import _lists, _nullity, _sparse_mat, _vec, dense, retraction_system
+from test_loop_oracles import (_lists, _nullity, _sparse_mat, _vec, ad_coinvariant_system,
+                               ad_invariant_system, dense, retraction_system)
+
+# the GRID and the two largest Taft cases of the scale ladder
+AD_CASES = GRID + [("taft:4:2", 5), ("taft:5:3", 11)]
 
 
 def _entries(cert) -> list:
@@ -164,6 +168,45 @@ def test_ad_invariant_is_the_total_integral(preset_cache):
         tot = total_integral(h, "in_dual")
         assert tot is not None
         assert lam.vector == tot.vector, (spec, char)
+
+
+def _solved(system):
+    """The solution of ``system``, which (a) and (c) alone make unique, or None."""
+    sol = solve_affine(system)
+    if sol is None:
+        return None
+    assert not sol.nullspace
+    return sol.particular
+
+
+@pytest.mark.parametrize("spec,char", AD_CASES)
+def test_ad_integrals_equal_the_solve_of_a_b_c(spec, char, preset_cache):
+    """The ad-(co)invariant integral, the total integral checked on (b), equals
+    the unique solution of the (a)+(b)+(c) system, and is None exactly when that
+    system has no solution."""
+    h = preset_cache(spec, char)
+    for finder, system in ((ad_invariant_integral, ad_invariant_system),
+                           (ad_coinvariant_integral, ad_coinvariant_system)):
+        cert = finder(h)
+        assert (None if cert is None else cert.vector) == _solved(system(h)), finder.__name__
+
+
+def test_the_normalized_integral_in_the_dual_is_an_invariant_trace(preset_cache):
+    """Wherever the normalized lam in H* exists, lam is a trace, lam∘S = lam and
+    S^2 = id: the facts by which (b) holds in characteristic 0, and by which the
+    eight one-antipode variants of e_lambda agree."""
+    checked = 0
+    for spec, char in AD_CASES:
+        h = preset_cache(spec, char)
+        total = total_integral(h, "in_dual")
+        if total is None:
+            continue
+        f, lam, m, s = h.field, total.vector, h.alg.mult, h.antipode
+        assert contract(f, "ijk,k->ij", m, lam) == contract(f, "jik,k->ij", m, lam), spec
+        assert contract(f, "ij,i->j", s, lam) == lam, spec
+        assert contract(f, "ij,jk->ik", s, s) == identity(f, h.dim), spec
+        checked += 1
+    assert checked == 23
 
 
 def test_separability_idempotent_c2():

@@ -17,6 +17,7 @@ from hopfsmith.filtration import ideal_powers, is_nilpotent_ideal
 from hopfsmith.linalg import contract, solve_affine
 from hopfsmith.lifting import SurjectionProblem, square_zero_extension
 
+from conftest import GRID
 from test_loop_oracles import (_basis_vec, _mul, _subspace, _vectors, dense, fs_section_system,
                                old_relative_tensor_system)
 
@@ -463,3 +464,18 @@ def test_an_fs_formula_certificate_needs_no_blind_system(monkeypatch, argv, n):
     assert _quiet(argv) == 0
     assert assembled and all(prod(shape) < n * (n - 1) ** 2 for shape in assembled)
     assert sum(solved.values()) == 0
+
+
+@pytest.mark.parametrize("command", ["ad-invariant", "ad-coinvariant"])
+@pytest.mark.parametrize("spec,char", GRID)
+def test_an_ad_query_reads_the_integral_space_once_and_solves_nothing(monkeypatch, command,
+                                                                      spec, char):
+    """The ad-(co)invariant integral is the total integral checked on (b): the
+    query computes one left integral space and runs no affine solve."""
+    calls = {"integral_space": 0, "solve_affine": 0}
+    _count_calls(monkeypatch, integrals, "integral_space", calls)
+    for module in PACKAGE:
+        if getattr(module, "solve_affine", None) is solve_affine:
+            _count_calls(monkeypatch, module, "solve_affine", calls)
+    _quiet([command, "--preset", spec, "--char", str(char)])
+    assert calls == {"integral_space": 1, "solve_affine": 0}
