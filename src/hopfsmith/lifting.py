@@ -267,13 +267,16 @@ def _is_two_cocycle(bim: Bimodule, c: dict) -> bool:
 
 def _solve_coboundary(bim: Bimodule, c: dict, alpha: dict, beta: dict) -> Optional[dict]:
     """h: A -> M, as (t, y), with a·h(b) - h(ab) + h(a)·b = c(a,b), c keyed (i, j, t), and
-    h alpha_u = beta_u h for any alpha_u, beta keyed (u, s, t): entry t of beta_u(w_s)."""
+    h alpha_u = beta_u h for any alpha_u, beta keyed (u, s, t): entry t of beta_u(w_s);
+    checked on those conditions."""
     a = bim.algebra
     f, na = a.field, a.dim
     conds = [("coboundary", [(1, "ist,sj->ijt", bim.left), (-1, "ijy,ty->ijt", a.mult),
                              (1, "jst,si->ijt", bim.right)], c),
              *_equivariant(alpha, {(u, t, s): x for (u, s, t), x in beta.items()})]
     sol = solve_affine(AffineSystem.conditions(f, (bim.dim, na), *conds))
+    if sol is not None:
+        require_conditions(f, conds, sol.particular, "coboundary")
     return None if sol is None else sol.particular
 
 

@@ -5,11 +5,11 @@ Linear systems are stored as sparse rows: a row is a list of
 that row, each column at most once.  Systems built from structure-constant
 identities are overwhelmingly zero, so rows never carry their zeros.
 
-Every elimination goes through one sparse Gauss-Jordan kernel, :func:`_rref`.
-It keeps the pivot rows fully reduced as the rows arrive, so each incoming
-row is reduced in a single pass, and an occurrence index (column -> the pivot
-rows that hold it) sends each new pivot only to the rows it must clear, so the
-work grows with the fill, not with the square of the rank.  The result is the
+Every elimination goes through one sparse Gauss-Jordan kernel, :class:`Echelon`, fed
+one row at a time.  It keeps the pivot rows fully reduced as the rows arrive, so each
+incoming row is reduced in a single pass, and an occurrence index (column -> the pivot
+rows that hold it) sends each new pivot only to the rows it must clear, so the work
+grows with the fill, not with the square of the rank.  The result is the
 reduced row echelon form, which depends only on the row space, so the
 particular solution (free variables 0), the nullspace basis and every
 certificate built from them are canonical.  Over F_p the kernel works on raw
@@ -181,13 +181,9 @@ def require_conditions(field: FieldSpec, conds: list, x: dict, what: str) -> lis
     return list(dict.fromkeys(label for label, *_ in conds))
 
 
-def _rref(rows: list, ncols: int, field: FieldSpec) -> list:
-    """Sparse Gauss-Jordan elimination in place; returns the pivot column list.
-
-    ``rows`` is a list of sparse rows over ``ncols`` columns.  On return,
-    ``rows[k]`` is the reduced row with pivot ``pivots[k]``, as pairs sorted by
-    column with the leading coefficient 1, and the remaining rows are empty.
-    The row lists passed in are replaced, never modified.
+class Echelon:
+    """Sparse Gauss-Jordan elimination taking rows one at a time; ``piv`` maps each pivot
+    column to the rest of its reduced row (its size is the rank), ``lead`` to the row's lead.
 
     Over F_p entries are raw ints mod p and leads are 1.  Over Q rows are scaled
     to integers on entry (the RREF depends only on the row space) and kept as
@@ -197,58 +193,77 @@ def _rref(rows: list, ncols: int, field: FieldSpec) -> list:
     holding column c; each fill-in and each cancellation updates ``occ``.  The
     cost is the entries touched, not a scan of every pivot row per pivot.
     """
-    p = field.characteristic
-    piv = {}  # pivot column -> the rest of its reduced row, {column: coefficient}
-    lead = {}  # pivot column -> the leading coefficient of its row, 1 over F_p
-    occ = defaultdict(set)  # column -> the pivot columns whose reduced row holds it
-    for row in rows:
-        if len(piv) == ncols:
-            break
-        r = dict(row) if p else _integers(row)[1]
-        hits = [c for c in r if c in piv]
-        if hits:
-            # Pivot rows are zero in every other pivot column, so subtracting them leaves
-            # the other hits unchanged; over Q the row is first scaled by the lcm m of the leads.
-            if not p and (m := lcm(*(lead[c] for c in hits))) != 1:
-                r = {j: m * v for j, v in r.items()}
-            get = r.get
-            for c in hits:
-                a = r.pop(c) if p else r.pop(c) // lead[c]
-                for j, v in piv[c].items():
-                    r[j] = get(j, 0) - a * v
-            r = {j: w for j, v in r.items() if (w := v % p)} if p else \
-                {j: v for j, v in r.items() if v}
-        if not r:
-            continue
-        c = min(r)
-        if p and (inv := pow(r[c], p - 2, p)) != 1:
-            r = {j: v * inv % p for j, v in r.items()}
-        elif not p and (g := gcd(*r.values()) * (1 if r[c] > 0 else -1)) != 1:
-            r = {j: v // g for j, v in r.items()}  # over Q: content out, lead positive
-        lead[c] = lead_c = r.pop(c)
-        for q in occ.pop(c, ()):
-            other = piv[q]
-            a = other.pop(c)
-            if lead_c != 1:  # over Q: other <- lead_c * other - a * r
-                piv[q] = other = {j: lead_c * v for j, v in other.items()}
-                lead[q] *= lead_c
-            get = other.get
-            for j, v in r.items():
-                w = (get(j, 0) - a * v) % p if p else get(j, 0) - a * v
-                if w:
-                    other[j] = w
-                    occ[j].add(q)
-                else:
-                    del other[j]
-                    occ[j].remove(q)
-            if lead_c != 1 and (g := gcd(lead[q], *other.values())) != 1:
-                piv[q], lead[q] = {j: v // g for j, v in other.items()}, lead[q] // g
-        for j in r:
-            occ[j].add(c)
-        piv[c] = r
+
+    def __init__(self, field: FieldSpec):
+        self.field, self.piv, self.lead, self.occ = field, {}, {}, defaultdict(set)
+
+    def add(self, row) -> bool:
+        """Whether the sparse row ``row`` is outside the span of the pivot rows, which it joins."""
+        rank = len(self.piv)
+        self.extend([row])
+        return len(self.piv) > rank
+
+    def extend(self, rows, stop: Optional[int] = None):
+        """Reduce the sparse rows, pairs ``(column, coefficient)``, one at a time against
+        the pivot rows; each outside their span becomes one, until there are ``stop``."""
+        p, piv, lead, occ = self.field.characteristic, self.piv, self.lead, self.occ
+        for row in rows:
+            if len(piv) == stop:
+                break
+            r = dict(row) if p else _integers(row)[1]
+            hits = [c for c in r if c in piv]
+            if hits:
+                # Pivot rows are zero in every other pivot column, so subtracting them leaves the
+                # other hits unchanged; over Q the row is first scaled by the lcm m of the leads.
+                if not p and (m := lcm(*(lead[c] for c in hits))) != 1:
+                    r = {j: m * v for j, v in r.items()}
+                get = r.get
+                for c in hits:
+                    a = r.pop(c) if p else r.pop(c) // lead[c]
+                    for j, v in piv[c].items():
+                        r[j] = get(j, 0) - a * v
+                r = {j: w for j, v in r.items() if (w := v % p)} if p else \
+                    {j: v for j, v in r.items() if v}
+            if not r:
+                continue
+            c = min(r)
+            if p and (inv := pow(r[c], p - 2, p)) != 1:
+                r = {j: v * inv % p for j, v in r.items()}
+            elif not p and (g := gcd(*r.values()) * (1 if r[c] > 0 else -1)) != 1:
+                r = {j: v // g for j, v in r.items()}  # over Q: content out, lead positive
+            lead[c] = lead_c = r.pop(c)
+            for q in occ.pop(c, ()):
+                other = piv[q]
+                a = other.pop(c)
+                if lead_c != 1:  # over Q: other <- lead_c * other - a * r
+                    piv[q] = other = {j: lead_c * v for j, v in other.items()}
+                    lead[q] *= lead_c
+                get = other.get
+                for j, v in r.items():
+                    w = (get(j, 0) - a * v) % p if p else get(j, 0) - a * v
+                    if w:
+                        other[j] = w
+                        occ[j].add(q)
+                    else:
+                        del other[j]
+                        occ[j].remove(q)
+                if lead_c != 1 and (g := gcd(lead[q], *other.values())) != 1:
+                    piv[q], lead[q] = {j: v // g for j, v in other.items()}, lead[q] // g
+            for j in r:
+                occ[j].add(c)
+            piv[c] = r
+
+
+def _rref(rows: list, ncols: int, field: FieldSpec) -> list:
+    """The pivot columns of the sparse rows ``rows`` over ``ncols`` columns, reduced in place
+    by one :class:`Echelon`: ``rows[k]`` becomes the row with pivot ``pivots[k]``, pairs sorted
+    by column with lead 1, the rest become empty; the row lists passed in are not modified."""
+    echelon = Echelon(field)
+    echelon.extend(rows, ncols)
+    piv, lead = echelon.piv, echelon.lead
     pivots = sorted(piv)
-    reduced = [[(c, field.one), *(sorted(piv[c].items()) if p else ((j, Fraction(v, lead[c]))
-                for j, v in sorted(piv[c].items())))] for c in pivots]
+    reduced = [[(c, field.one), *(sorted(piv[c].items()) if field.characteristic else
+                ((j, Fraction(v, lead[c])) for j, v in sorted(piv[c].items())))] for c in pivots]
     rows[:] = reduced + [[] for _ in range(len(rows) - len(reduced))]
     return pivots
 

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .hopf import AlgebraData, CoalgebraData, HopfData, augmentation_ideal, unit_cokernel
+from .hopf import (AlgebraData, CoalgebraData, HopfData, augmentation_ideal, generators,
+                   unit_cokernel)
 from .linalg import contract, identity, in_coordinates, least_failure, ordered
 
 ACTIONS = ("adl", "adr", "adl_bar", "adr_bar")      # |>, <|, |>>, <<|
@@ -39,7 +40,9 @@ class ModuleAction:
         self.tensor = ordered(self.tensor)
 
     def check(self) -> tuple:
-        """(ok, witness): unit acts as identity, action is associative."""
+        """(ok, witness): unit acts as identity, action is associative, decided with the
+        acting e_i among :func:`generators` (1 and products keep the law) and explained
+        on a failure.  The algebra must have passed its own check."""
         f = self.over.field
         t, m = self.tensor, self.over.mult
         if failure := least_failure(1, ("unit", contract(f, "a,ajk->jk", self.over.unit, t),
@@ -47,6 +50,11 @@ class ModuleAction:
             return False, (failure[1], *failure[0])
         # left: e_i (e_p v_j), right: (v_j e_i) e_p
         twice = "pjl,ilk->ipjk" if self.side == "left" else "ijl,plk->ipjk"
+        gens = set(generators(self.over))
+        mg, tg = ({k: v for k, v in x.items() if k[0] in gens} for x in (m, t))
+        if contract(f, "ipa,ajk->ipjk", mg, t) == contract(
+                f, twice, *((t, tg) if self.side == "left" else (tg, t))):
+            return True, None
         failure = least_failure(3, ("associativity", contract(f, "ipa,ajk->ipjk", m, t),
                                     contract(f, twice, t, t)))
         return (False, (failure[1], *failure[0])) if failure else (True, None)

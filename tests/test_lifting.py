@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hopfsmith import GF, QQ, FieldSpec, cli, resolve_preset
+from hopfsmith import GF, QQ, FieldSpec, cli, lifting, resolve_preset
 from hopfsmith.hopf import curvature
 from hopfsmith.lifting import (Bimodule, LiftCertificate, LiftObstruction,
                                SurjectionProblem, WeakProjectionCertificate,
@@ -273,3 +273,33 @@ def test_cyclic_cover_obstructions_keep_their_reports(n, char, witness, capsys):
         "command": "lift-section", "lifted": False,
         "obstruction": {"delta_closed": True, "reason": "curvature class is not a coboundary",
                         "stage": 1, "type": "lift_obstruction", "witness": witness}}
+
+
+def test_a_wrong_coboundary_is_caught_by_its_own_condition(monkeypatch, capsys):
+    """``lift-section`` on KC6 -> KC3 over F_2 solves a nonzero coboundary h.
+    One entry of h moved by 1 must fail the coboundary condition it was solved
+    from: the query exits 2 naming that condition, not a later symptom."""
+    argv = ["lift-section", "--preset", "group:C3", "--char", "2", "--problem", "cyclic-cover:2"]
+    solve, seen = lifting.solve_affine, []
+
+    def bumped(system):
+        sol = solve(system)
+        if sol is not None and "coboundary" in system.labels:
+            seen.append(dict(sol.particular))
+            key = min(sol.particular)
+            f = system.matrix.field
+            sol.particular[key] = f.add(sol.particular[key], f.one)
+            if not sol.particular[key]:
+                del sol.particular[key]
+        return sol
+
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(lifting, "solve_affine", bumped)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert seen and all(seen)  # the coboundary solved was nonzero
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert "coboundary fails coboundary" in error
+    assert "not multiplicative" not in error

@@ -330,20 +330,23 @@ def oracle_check_hopf(h):
     return out
 
 
-def _corruptions(h):
-    """Copies of h with one entry of mult, comult, counit or the antipode moved by 1;
-    an entry that becomes zero leaves the tensor."""
+def _corruptions(h, inverse=False):
+    """Copies of h with one entry of mult, comult, counit or the antipode moved by 1,
+    and with ``inverse`` also of S̄ when h has one; an entry that becomes zero
+    leaves the tensor."""
     f = h.field
     n = h.dim
     sites = [("mult", i, j, k) for i in range(n) for j in range(n) for k in range(n)]
     sites += [("comult", i, j, k) for i in range(n) for j in range(n) for k in range(n)]
     sites += [("counit", i) for i in range(n)] + [("antipode", i, j)
                                                    for i in range(n) for j in range(n)]
+    if inverse and h.antipode_inverse is not None:
+        sites += [("antipode_inverse", i, j) for i in range(n) for j in range(n)]
     for site in sites:
         bad = copy.deepcopy(h)
         kind, *idx = site
         target = {"mult": bad.alg.mult, "comult": bad.coa.comult, "counit": bad.coa.counit,
-                  "antipode": bad.antipode}[kind]
+                  "antipode": bad.antipode, "antipode_inverse": bad.antipode_inverse}[kind]
         key = tuple(idx)
         target[key] = f.add(target.get(key, f.zero), f.one)
         if not target[key]:
