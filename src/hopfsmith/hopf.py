@@ -26,8 +26,8 @@ Conventions, fixed once for the whole package:
   against ``"k,t->kt"`` over (counit, unit).  Axiom witnesses are the least
   failing index prefixes, each found by :func:`linalg.least_failure`.
 * the data classes carry no vector arithmetic: products, coproducts and counit
-  values are such contractions.  Each morphism check is written once: the unit and
-  :func:`curvature` in :func:`require_algebra_map`, Delta and eps in
+  values are such contractions.  Each law is written once: the axioms below, the unit
+  and :func:`curvature` in :func:`require_algebra_map`, Delta and eps in
   :func:`require_coalgebra_map`, Delta on a subcoalgebra in :func:`restricted_comult`.
   A greedy complement (:func:`quotient_maps`) is the pivot columns of one elimination.
 
@@ -39,15 +39,14 @@ and checks only what it returns, and ``check-axioms`` loads its input unchecked
 and reports the one check.  H* is never built to read its integrals: they are
 solved on H's own comultiplication and unit (:func:`integrals.integral_space`).
 
-:func:`check_hopf` decides, then explains: only a failed decision is checked on all
-of H for its least witnesses (:func:`_explained`).  It decides on the unit, counit,
-coassociativity, Delta(1) = 1 (x) 1, left antipode and S·Sbar = id laws in full, and
-on (xy)z = x(yz), Delta(xy) = Delta(x)Delta(y) and eps(xy) = eps(x)eps(y) for x among
-the :func:`generators`: the x meeting each law contain 1 and are closed under products
-of their members (the last two once associativity holds), so they hold the left-nested
-words in generators, which span H.  In the finite-dimensional convolution algebra
-End(H) a one-sided inverse is two-sided; S·Sbar = id implies Sbar·S = id; eps(1) = 1 is
-the counit law on Delta(1) = 1 (x) 1.  Generators are read afresh, never stored.
+Each Hopf law is stated once (:func:`_hopf_laws`), and (xy)z = x(yz), Delta(xy) =
+Delta(x)Delta(y) and eps(xy) = eps(x)eps(y) for the x = e_i that :func:`acting` keeps.
+:func:`check_hopf` decides them on the :func:`generators`, and only on a failure runs the
+same statements on all of H for the least witnesses (:func:`_explained`): the x meeting
+each law contain 1 and are closed under products (the last two once associativity holds),
+so they span H.  Only the full run adds the laws the decision gets for free: a one-sided
+inverse in End(H) is two-sided, so the left antipode side and S·Sbar = id give the right
+side and Sbar·S = id, and eps(1) = 1 is the counit law on Delta(1) = 1 (x) 1.
 """
 
 from __future__ import annotations
@@ -174,31 +173,40 @@ def require_coalgebra_map(src: CoalgebraData, tgt: CoalgebraData, g: dict, what:
         raise error(f"{what} {failure[1]}")
 
 
-def _check(width: int, *pairs) -> AxiomCheck:
-    """Whether every pair of tensors agrees; the witness is the least index
-    prefix of length ``width`` on which a pair differs."""
-    failure = least_failure(width, *((None, lhs, rhs) for lhs, rhs in pairs))
-    return AxiomCheck(True) if failure is None else AxiomCheck(False, failure[0])
+def acting(t: dict, gens: Optional[set]) -> dict:
+    """``t`` where its first index, the acting e_i, has i in ``gens``; all of ``t`` for None."""
+    return t if gens is None else {k: v for k, v in t.items() if k[0] in gens}
+
+
+def _algebra_laws(a: AlgebraData, mx: dict) -> dict:
+    """(xy)z = x(yz) for the x = e_i that ``mx`` (:func:`acting`) keeps, and 1x = x = x1."""
+    f, m, u, one = a.field, a.mult, a.unit, identity(a.field, a.dim)
+    return {"associativity": [(contract(f, "ijp,pkq->ijkq", mx, m),
+                               contract(f, "jkp,ipq->ijkq", m, mx))],
+            "unit": [(contract(f, spec, u, m), one) for spec in ("a,aiq->iq", "a,iaq->iq")]}
+
+
+def _coalgebra_laws(c: CoalgebraData) -> dict:
+    """Coassociativity and the counit laws, stated as :func:`_algebra_laws` states its laws."""
+    f, d, e, one = c.field, c.comult, c.counit, identity(c.field, c.dim)
+    return {"coassociativity": [(contract(f, "kim,mqr->kiqr", d, d),
+                                 contract(f, "kmr,mpq->kpqr", d, d))],
+            "counit": [(contract(f, spec, d, e), one) for spec in ("kij,i->kj", "kij,j->ki")]}
+
+
+def _report(laws: dict) -> AxiomReport:
+    """Each law, a list of (lhs, rhs) pairs by report name, checked at its least witness."""
+    bad = {name: least_failure(3 if name == "associativity" else 1, *((None, *p) for p in pairs))
+           for name, pairs in laws.items()}
+    return AxiomReport({name: AxiomCheck(b is None, b[0] if b else None) for name, b in bad.items()})
 
 
 def check_algebra(a: AlgebraData) -> AxiomReport:
-    f = a.field
-    m, u, one = a.mult, a.unit, identity(f, a.dim)
-    return AxiomReport({
-        "associativity": _check(3, (contract(f, "ijp,pkq->ijkq", m, m),
-                                    contract(f, "jkp,ipq->ijkq", m, m))),
-        "unit": _check(1, (contract(f, "a,aiq->iq", u, m), one),
-                       (contract(f, "a,iaq->iq", u, m), one))})
+    return _report(_algebra_laws(a, a.mult))
 
 
 def check_coalgebra(c: CoalgebraData) -> AxiomReport:
-    f = c.field
-    d, e, one = c.comult, c.counit, identity(f, c.dim)
-    return AxiomReport({
-        "coassociativity": _check(1, (contract(f, "kim,mqr->kiqr", d, d),
-                                      contract(f, "kmr,mpq->kpqr", d, d))),
-        "counit": _check(1, (contract(f, "kij,i->kj", d, e), one),
-                         (contract(f, "kij,j->ki", d, e), one))})
+    return _report(_coalgebra_laws(c))
 
 
 def generators(alg: AlgebraData) -> list:
@@ -212,7 +220,7 @@ def generators(alg: AlgebraData) -> list:
         if len(reached.piv) < n and reached.add([(i, f.one)]):
             words.append({i: f.one})
             gens[i] = 0
-            m = {k: v for k, v in alg.mult.items() if k[0] in gens}
+            m = acting(alg.mult, gens.keys())
             while len(reached.piv) < n and (todo := {(g, w, x): a for g, done in gens.items()
                                                      for w in range(done, len(words))
                                                      for x, a in words[w].items()}):
@@ -223,54 +231,44 @@ def generators(alg: AlgebraData) -> list:
     return list(gens)
 
 
+def _hopf_laws(h: HopfData, gens: Optional[set]) -> dict:
+    """Every Hopf law the decision reads, with x = e_i for i in ``gens`` in (xy)z = x(yz),
+    Delta(xy) = Delta(x)Delta(y) and eps(xy) = eps(x)eps(y); on all of H (``gens`` None), also
+    those it gets for free (module docstring): eps(1) = 1, the right antipode and Sbar·S = id."""
+    f, one, si, free = h.field, identity(h.field, h.dim), h.antipode_inverse, gens is None
+    m, d, u, e, s = h.alg.mult, h.coa.comult, h.alg.unit, h.coa.counit, h.antipode
+    mx, dx, ex = (acting(t, gens) for t in (m, d, e))
+    target = contract(f, "k,t->kt", e, u)
+    at_one = [("k,kab->ab", d, contract(f, "a,b->ab", u, u)), ("k,k->", e, {(): f.one})]
+    return {**_algebra_laws(h.alg, mx), **_coalgebra_laws(h.coa),
+            "bialgebra": [(contract(f, "ijk,kpq->ijpq", mx, d),
+                           contract(f, "iac,abp,jbd,cdq->ijpq", dx, m, d, m)),
+                          (contract(f, "ijk,k->ij", mx, e), contract(f, "i,j->ij", ex, e)),
+                          *((contract(f, spec, u, t), rhs) for spec, t, rhs in at_one[:1 + free])],
+            "antipode": [(contract(f, spec, d, s, m), target)
+                         for spec in ("kij,ai,ajt->kt", "kij,bj,ibt->kt")[:1 + free]],
+            **({} if si is None else {"antipode_inverse": [
+                (contract(f, "ij,jk->ik", a, b), one) for a, b in ((s, si), (si, s))[:1 + free]]})}
+
+
 def check_hopf(h: HopfData) -> AxiomReport:
     """Every Hopf axiom, decided on generators and explained on a failure (module docstring)."""
-    f, one, si = h.field, identity(h.field, h.dim), h.antipode_inverse
-    m, d, u, e, s = h.alg.mult, h.coa.comult, h.alg.unit, h.coa.counit, h.antipode
-    gens = set(generators(h.alg))
-    mg, dg, eg = ({k: v for k, v in t.items() if k[0] in gens} for t in (m, d, e))
-    if check_coalgebra(h.coa).all_ok and all(lhs == rhs for lhs, rhs in (
-            (contract(f, "a,aiq->iq", u, m), one), (contract(f, "a,iaq->iq", u, m), one),
-            (contract(f, "k,kab->ab", u, d), contract(f, "a,b->ab", u, u)),
-            (contract(f, "ijp,pkq->ijkq", mg, m), contract(f, "jkp,ipq->ijkq", m, mg)),
-            (contract(f, "ijk,kpq->ijpq", mg, d),
-             contract(f, "iac,abp,jbd,cdq->ijpq", dg, m, d, m)),
-            (contract(f, "ijk,k->ij", mg, e), contract(f, "i,j->ij", eg, e)),
-            (contract(f, "kij,ai,ajt->kt", d, s, m), contract(f, "k,t->kt", e, u)),
-            (one if si is None else contract(f, "ij,jk->ik", s, si), one))):
-        keys = "associativity unit coassociativity counit bialgebra antipode antipode_inverse"
-        return AxiomReport({key: AxiomCheck(True) for key in keys.split()[:7 - (si is None)]})
-    return _explained(h)
+    report = _report(_hopf_laws(h, set(generators(h.alg))))
+    return report if report.all_ok else _explained(h)
 
 
 def _explained(h: HopfData) -> AxiomReport:
-    """Every Hopf axiom checked on all of H, each failure at its least witness."""
-    f = h.field
-    m, d, u, e, s = h.alg.mult, h.coa.comult, h.alg.unit, h.coa.counit, h.antipode
-    checks = {**check_algebra(h.alg).checks, **check_coalgebra(h.coa).checks}
-
-    # bialgebra compatibility: Delta and eps are algebra maps
-    delta = (contract(f, "ijk,kpq->ijpq", m, d), contract(f, "iac,abp,jbd,cdq->ijpq", d, m, d, m))
-    eps = (contract(f, "ijk,k->ij", m, e), contract(f, "i,j->ij", e, e))
-    witness = None
-    if failure := least_failure(2, ("delta", *delta), ("eps", *eps)):
-        witness = (*failure[0], failure[1])
-    elif contract(f, "k,kab->ab", u, d) != contract(f, "a,b->ab", u, u):
-        witness = ("unit", "delta")
-    elif contract(f, "k,k->", u, e) != {(): f.one}:
-        witness = ("unit", "eps")
+    """Every Hopf axiom checked on all of H, each failure at its least witness: the
+    bialgebra laws at the least failing pair, naming Delta or eps, then at the unit."""
+    laws = _hopf_laws(h, None)
+    checks = _report(laws).checks
+    delta, eps, *at_one = laws["bialgebra"]
+    failure = least_failure(2, ("delta", *delta), ("eps", *eps))
+    unit = [("unit", name) for name, (lhs, rhs) in zip(("delta", "eps"), at_one) if lhs != rhs]
+    witness = (*failure[0], failure[1]) if failure else next(iter(unit), None)
     checks["bialgebra"] = AxiomCheck(witness is None, witness)
-
-    # antipode axiom: m(S(x)id)Delta = u eps = m(id(x)S)Delta
-    target = contract(f, "k,t->kt", e, u)
-    checks["antipode"] = _check(1, (contract(f, "kij,ai,ajt->kt", d, s, m), target),
-                                (contract(f, "kij,bj,ibt->kt", d, s, m), target))
-
-    si = h.antipode_inverse
-    if si is not None:
-        one = identity(f, h.dim)
-        good = contract(f, "ij,jk->ik", s, si) == one == contract(f, "ij,jk->ik", si, s)
-        checks["antipode_inverse"] = AxiomCheck(good, None if good else ("S*Sbar != id",))
+    if "antipode_inverse" in checks and not checks["antipode_inverse"].ok:
+        checks["antipode_inverse"] = AxiomCheck(False, ("S*Sbar != id",))
     return AxiomReport(checks)
 
 

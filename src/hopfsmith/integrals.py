@@ -115,34 +115,37 @@ def total_integral(h: HopfData, carrier: str = "in_h",
     return IntegralCertificate("left", carrier, t, h.dim, total=True)
 
 
-def _ad_invariant_conditions(h: HopfData) -> list:
-    """(a) lam is a left integral in H*, (b) lam(h|>x) = eps(h) lam(x), (c) lam(1) = 1."""
-    adl = adjoint_action(h, "adl").tensor
+def _ad_invariant_conditions(h: HopfData, which: str = "adl") -> list:
+    """(a) lam is a left integral in H*, (b) lam(h|>x) = eps(h) lam(x) for the adjoint
+    action ``which`` (|> by default), (c) lam(1) = 1."""
     return [("a", _integral_terms(h, "left", "in_dual"), None),
-            ("b", [(1, "ktj,j->kt", adl), (-1, "k,t->kt", h.coa.counit)], None),
+            ("b", [(1, "ktj,j->kt", adjoint_action(h, which).tensor),
+                   (-1, "k,t->kt", h.coa.counit)], None),
             ("c", [(1, "j,j->", h.alg.unit)], {(): h.field.one})]
 
 
-def _ad_coinvariant_conditions(h: HopfData) -> list:
-    """(a) ht = eps(h)t, (b) t_1 S(t_3) (x) t_2 = 1 (x) t, (c) eps(t) = 1."""
-    rho = adjoint_coaction(h, "rho_l").tensor
+def _ad_coinvariant_conditions(h: HopfData, which: str = "rho_l") -> list:
+    """(a) ht = eps(h)t, (b) t_1 S(t_3) (x) t_2 = 1 (x) t for the adjoint coaction ``which``
+    (rho_l by default), (c) eps(t) = 1."""
     return [("a", _integral_terms(h, "left"), None),
-            ("b", [(1, "jik,j->ik", rho), (-1, "i,k->ik", h.alg.unit)], None),
+            ("b", [(1, "jik,j->ik", adjoint_coaction(h, which).tensor),
+                   (-1, "i,k->ik", h.alg.unit)], None),
             ("c", [(1, "j,j->", h.coa.counit)], {(): h.field.one})]
 
 
-def _adjoint_integral(h: HopfData, carrier: str, conditions,
-                      verify) -> Optional[IntegralCertificate]:
-    """The total integral in ``carrier`` once ``verify`` passes it on ``conditions(h)``;
-    None when there is none or it fails (b) alone.  (a) and (c) say "normalized left
-    integral", which is unique (Larson-Sweedler), so None proves (a)+(b)+(c)
-    infeasible; failing (a) or (c) is a fault, on which ``verify`` raises."""
+def _adjoint_integral(h: HopfData, carrier: str, conditions) -> Optional[IntegralCertificate]:
+    """The total integral in ``carrier`` once :func:`_verify_ad_invariant` passes it on
+    ``conditions(h)``; None when there is none or it fails (b) alone.  (a) and (c) say
+    "normalized left integral", which is unique (Larson-Sweedler), so None proves (a)+(b)+(c)
+    infeasible; failing (a) or (c) is a fault, on which the check raises."""
     total = total_integral(h, carrier)
     if total is None or failed_conditions(h.field, conds := conditions(h), total.vector) == ["b"]:
         return None
-    verify(h.field, total.vector, conds)
+    invariant = carrier == "in_dual"
+    _verify_ad_invariant(h.field, total.vector, conds,
+                         "ad-invariant integral" if invariant else "ad-coinvariant integral")
     return IntegralCertificate("left", carrier, total.vector, h.dim, total=True,
-                               ad_invariant=carrier == "in_dual", ad_coinvariant=carrier == "in_h")
+                               ad_invariant=invariant, ad_coinvariant=not invariant)
 
 
 def ad_invariant_integral(h: HopfData) -> Optional[IntegralCertificate]:
@@ -152,34 +155,29 @@ def ad_invariant_integral(h: HopfData) -> Optional[IntegralCertificate]:
     with S^2 = id (Larson-Radford), and lam, the regular character over dim H,
     is a trace, so lam(h_1 x S(h_2)) = lam(x S(h_2) h_1) = eps(h) lam(x), as
     S(h_2) h_1 = S(S(h_1) h_2) = eps(h) 1."""
-    return _adjoint_integral(h, "in_dual", _ad_invariant_conditions, _verify_ad_invariant)
+    return _adjoint_integral(h, "in_dual", _ad_invariant_conditions)
 
 
-def _verify_ad_invariant(f: FieldSpec, lam: dict, conds: list) -> list:
-    return require_conditions(f, conds, lam, "ad-invariant integral")
+def _verify_ad_invariant(f: FieldSpec, vector: dict, conds: list, what: str) -> list:
+    return require_conditions(f, conds, vector, what)
 
 
 def ad_coinvariant_integral(h: HopfData) -> Optional[IntegralCertificate]:
     """The total integral in H if it meets (b) t_1 S(t_3) (x) t_2 = 1 (x) t, else None."""
-    return _adjoint_integral(h, "in_h", _ad_coinvariant_conditions, lambda f, t, conds:
-                             require_conditions(f, conds, t, "ad-coinvariant integral"))
+    return _adjoint_integral(h, "in_h", _ad_coinvariant_conditions)
 
 
 def four_linearity_flags(h: HopfData, lam: dict) -> dict:
-    """For a functional lam, whether it is (co)linear for |>, <|, |>>, <<|.
-
-    For a total integral the four answers must agree pairwise.
-    """
-    f = h.field
-    return {which: contract(f, "ktj,j->kt", adjoint_action(h, which).tensor, lam)
-            == contract(f, "k,t->kt", h.coa.counit, lam) for which in ACTIONS}
+    """For a functional lam, whether it meets (b) for each of |>, <|, |>>, <<|; for a
+    total integral the four answers must agree pairwise."""
+    return {which: not failed_conditions(h.field, _ad_invariant_conditions(h, which)[1:2], lam)
+            for which in ACTIONS}
 
 
 def four_coinvariance_flags(h: HopfData, t: dict) -> dict:
-    """For an element t, coinvariance under the four adjoint coactions."""
-    f = h.field
-    return {which: contract(f, "jik,j->ik", adjoint_coaction(h, which).tensor, t)
-            == contract(f, "i,k->ik", h.alg.unit, t) for which in COACTIONS}
+    """For an element t, whether it meets (b) for each of the four adjoint coactions."""
+    return {which: not failed_conditions(h.field, _ad_coinvariant_conditions(h, which)[1:2], t)
+            for which in COACTIONS}
 
 
 # ---------------------------------------------------------------------------

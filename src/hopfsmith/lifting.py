@@ -43,13 +43,14 @@ from .linalg import (AffineSystem, SparseMat, contract, failed_conditions, ident
                      require_keys, signed_sum, solve_affine, span_contains_span)
 from .filtration import (_is_two_sided_ideal, _quotient_algebra, ideal_powers, coradical,
                          wedge_filtration)
-from .yd import ComoduleCoaction
+from .yd import ComoduleCoaction, module_laws
 
 
 @dataclass
 class Bimodule:
     """An A-bimodule on ``dim`` basis vectors w_s: a_i · w_s = sum_t left[(i, s, t)] w_t
-    and w_s · a_i = sum_t right[(i, s, t)] w_t."""
+    and w_s · a_i = sum_t right[(i, s, t)] w_t.  :meth:`check` reads the laws of each side
+    from :func:`yd.module_laws` and states only that the actions commute."""
 
     algebra: AlgebraData
     dim: int
@@ -57,20 +58,18 @@ class Bimodule:
     right: dict
 
     def check(self):
-        a = self.algebra
-        f = a.field
-        left, right = self.left, self.right
-        m, one = a.mult, identity(f, self.dim)
-        if any(contract(f, "a,ast->st", a.unit, act) != one for act in (left, right)):
+        f, left, right = self.algebra.field, self.left, self.right
+        (left_unit, left_assoc), (right_unit, right_assoc) = (
+            module_laws(self.algebra, self.dim, act, side, None).values()
+            for act, side in ((left, "left"), (right, "right")))
+        if any(lhs != rhs for lhs, rhs in (left_unit, right_unit)):
             raise ValueError("bimodule: unit does not act as identity")
-        laws = [("left action not associative", contract(f, "ijk,kst->ijst", m, left),
-                 contract(f, "jsr,irt->ijst", left, left)),
-                ("right action not associative", contract(f, "ijk,kst->ijst", m, right),
-                 contract(f, "isr,jrt->ijst", right, right)),
-                ("actions do not commute", contract(f, "jsr,irt->ijst", right, left),
-                 contract(f, "isr,jrt->ijst", left, right))]
         # report the least failing (i, j), and there the first law in this order
-        if failure := least_failure(2, *laws):
+        if failure := least_failure(2, ("left action not associative", *left_assoc),
+                                    ("right action not associative", *right_assoc),
+                                    ("actions do not commute",
+                                     contract(f, "jsr,irt->ijst", right, left),
+                                     contract(f, "isr,jrt->ijst", left, right))):
             (i, j), what = failure
             raise ValueError(f"bimodule: {what} at ({i},{j})")
         return self

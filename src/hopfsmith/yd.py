@@ -20,8 +20,9 @@ on the right.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
-from .hopf import (AlgebraData, CoalgebraData, HopfData, augmentation_ideal, generators,
+from .hopf import (AlgebraData, CoalgebraData, HopfData, acting, augmentation_ideal, generators,
                    unit_cokernel)
 from .linalg import contract, identity, in_coordinates, least_failure, ordered
 
@@ -40,24 +41,26 @@ class ModuleAction:
         self.tensor = ordered(self.tensor)
 
     def check(self) -> tuple:
-        """(ok, witness): unit acts as identity, action is associative, decided with the
-        acting e_i among :func:`generators` (1 and products keep the law) and explained
-        on a failure.  The algebra must have passed its own check."""
-        f = self.over.field
-        t, m = self.tensor, self.over.mult
-        if failure := least_failure(1, ("unit", contract(f, "a,ajk->jk", self.over.unit, t),
-                                        identity(f, self.space_dim))):
-            return False, (failure[1], *failure[0])
-        # left: e_i (e_p v_j), right: (v_j e_i) e_p
-        twice = "pjl,ilk->ipjk" if self.side == "left" else "ijl,plk->ipjk"
-        gens = set(generators(self.over))
-        mg, tg = ({k: v for k, v in x.items() if k[0] in gens} for x in (m, t))
-        if contract(f, "ipa,ajk->ipjk", mg, t) == contract(
-                f, twice, *((t, tg) if self.side == "left" else (tg, t))):
+        """(ok, witness): :func:`module_laws` decided on the acting :func:`generators` (1 and
+        products keep the law), and on a failure run in full for the least witness.  The
+        algebra must have passed its own check."""
+        laws = (self.over, self.space_dim, self.tensor, self.side)
+        if all(lhs == rhs for lhs, rhs in module_laws(*laws, set(generators(self.over))).values()):
             return True, None
-        failure = least_failure(3, ("associativity", contract(f, "ipa,ajk->ipjk", m, t),
-                                    contract(f, twice, t, t)))
-        return (False, (failure[1], *failure[0])) if failure else (True, None)
+        unit, assoc = module_laws(*laws, None).values()
+        failure = least_failure(1, ("unit", *unit)) or least_failure(3, ("associativity", *assoc))
+        return False, (failure[1], *failure[0])
+
+
+def module_laws(over: AlgebraData, dim: int, t: dict, side: str, gens: Optional[set]) -> dict:
+    """{"unit": (lhs, rhs), "associativity": (lhs, rhs)} for an action ``t`` of ``over`` on
+    ``dim`` vectors v_j from ``side``: 1 v_j = v_j, and (e_i e_p) v_j = e_i (e_p v_j), resp.
+    v_j (e_i e_p) = (v_j e_i) e_p, keyed (i, p, j, k), for the e_i :func:`hopf.acting` keeps."""
+    f, tx = over.field, acting(t, gens)
+    twice = ("pjl,ilk->ipjk", t, tx) if side == "left" else ("ijl,plk->ipjk", tx, t)
+    return {"unit": (contract(f, "a,ajk->jk", over.unit, t), identity(f, dim)),
+            "associativity": (contract(f, "ipa,ajk->ipjk", acting(over.mult, gens), t),
+                              contract(f, *twice))}
 
 
 @dataclass

@@ -199,10 +199,12 @@ def test_ad_invariant_check_rejects_a_changed_value():
     h = resolve_preset("group:C3", QQ)
     cert = ad_invariant_integral(h)
     conds = _ad_invariant_conditions(h)
-    assert _verify_ad_invariant(h.field, cert.vector, conds) == ["a", "b", "c"]
+    assert _verify_ad_invariant(h.field, cert.vector, conds, "ad-invariant integral") == [
+        "a", "b", "c"]
     # lam(1) = lam(e_0) moves off 1, while (a) and (b) still hold for a group algebra
     with pytest.raises(AssertionError, match="fails c$"):
-        _verify_ad_invariant(h.field, _bumped(h.field, cert.vector, (0,)), conds)
+        _verify_ad_invariant(h.field, _bumped(h.field, cert.vector, (0,)), conds,
+                             "ad-invariant integral")
 
 
 # the closed formulas: sigma_t = t_1 (x) S(t_2), keyed (i, k), and

@@ -264,6 +264,19 @@ def test_four_coinvariance_flags_agree(preset_cache):
         assert len(set(flags.values())) == 1, (spec, char, flags)
 
 
+@pytest.mark.parametrize("spec,char", GRID)
+def test_each_flag_is_the_verdict_of_its_adjoint_integral(spec, char, preset_cache):
+    """Each of the four flags on the total integral is condition (b) of its adjoint
+    structure, so it equals whether the ad-(co)invariant integral exists."""
+    h = preset_cache(spec, char)
+    for carrier, flags, verdict in (("in_dual", four_linearity_flags, ad_invariant_integral),
+                                    ("in_h", four_coinvariance_flags, ad_coinvariant_integral)):
+        total = total_integral(h, carrier)
+        if total is not None:
+            exists = verdict(h) is not None
+            assert set(flags(h, total.vector).values()) == {exists}, (spec, char, carrier)
+
+
 def test_cocommutative_semisimple_has_ad_coinvariant():
     # group algebras in good characteristic are cocommutative semisimple
     for n in (2, 3, 5):

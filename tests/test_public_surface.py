@@ -224,3 +224,21 @@ def test_every_defaulted_parameter_is_set_by_a_caller():
                    and not any((pos is not None and n > pos) or param in keys or None in keys
                                for n, keys in passed.get(callee, [])))
     assert not unset, f"defaulted parameters no call in src sets: {unset}"
+
+
+def _spec_literals(path: Path) -> list:
+    """The contraction specs a module spells out: string constants holding ``->`` and no
+    blank, so docstrings drop out."""
+    return [node.value for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and "->" in node.value and not any(c.isspace() for c in node.value)]
+
+
+def test_each_closure_law_is_spelled_once():
+    """Each Hopf and module law is one statement, which both the decision on generators
+    and the witness search evaluate: no contraction spec repeats in ``hopf`` or ``yd``,
+    and ``lifting`` takes the module laws of its bimodules from ``yd.module_laws``."""
+    for name in ("hopf.py", "yd.py"):
+        specs = _spec_literals(ROOT / "src" / "hopfsmith" / name)
+        assert specs and not [s for s in set(specs) if specs.count(s) > 1], name
+    assert "ijk,kst->ijst" not in _spec_literals(ROOT / "src" / "hopfsmith" / "lifting.py")

@@ -479,3 +479,31 @@ def test_an_ad_query_reads_the_integral_space_once_and_solves_nothing(monkeypatc
             _count_calls(monkeypatch, module, "solve_affine", calls)
     _quiet([command, "--preset", spec, "--char", str(char)])
     assert calls == {"integral_space": 1, "solve_affine": 0}
+
+
+def _contractions(monkeypatch, preset, char):
+    """(H, calls): the preset and a count of the ``contract`` calls made through the ``hopf``
+    and ``yd`` bindings from now on, with ``generators`` answering from the list it gave
+    once, so the count leaves out the contractions it makes."""
+    h = resolve_preset(preset, FieldSpec(char))
+    gens, calls = hopf.generators(h.alg), {}
+    for module in (hopf, yd):
+        monkeypatch.setattr(module, "generators", lambda alg: gens)
+        _count_calls(monkeypatch, module, "contract", calls)
+    return h, calls
+
+
+@pytest.mark.parametrize("preset,char", [("group:S3", 0), ("sweedler", 3), ("taft:3:2", 7),
+                                         ("functions:C3", 3)])
+def test_a_passing_check_makes_a_fixed_number_of_contractions(monkeypatch, preset, char):
+    """Each law is evaluated once: a passing ``check_hopf`` makes 17 contractions, the full
+    check with its witnesses (``_explained``) 20, and the module check of an adjoint action
+    3, outside those of ``generators``."""
+    h, calls = _contractions(monkeypatch, preset, char)
+    assert hopf.check_hopf(h).all_ok and calls == {"contract": 17}
+    calls.clear()
+    assert hopf._explained(h).all_ok and calls == {"contract": 20}
+    for which in yd.ACTIONS:
+        act = yd.adjoint_action(h, which)
+        calls.clear()
+        assert act.check() == (True, None) and calls == {"contract": 3}, which

@@ -56,30 +56,41 @@ layers = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(layers)
 tracer = layers.Tracer()
 main = layers.install(tracer)
-codes = []
+codes, verify = [], []
 for argv in json.loads(sys.argv[2]):
+    before = tracer.calls["integrals.verify"]
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(main(argv))
+    verify.append(tracer.calls["integrals.verify"] - before)
 print(json.dumps({"codes": codes, "rows": tracer.linalg["rows"],
-                  "calls": tracer.calls["linalg"]}))
+                  "calls": tracer.calls["linalg"], "verify": verify}))
 """
 
 
-def test_traced_queries_run_through_the_installed_wrappers():
-    """One traced query per kind, in a fresh interpreter since ``install`` rebinds
-    package globals: every wrapped linalg entry point must accept what the
-    package passes it (the tracer reads ``.field/.rows/.cols/.data`` from the
-    first argument), and the answers must not change under the wrappers."""
-    import json
-    import subprocess
-    import sys
-
+def _traced(argvs: list) -> dict:
+    """The exit codes, the linalg rows and calls, and the ``integrals.verify`` calls of
+    each query, of the ``argvs`` run in turn under ``layers.install`` in a fresh
+    interpreter, since ``install`` rebinds package globals."""
     src = Path(__file__).resolve().parent.parent / "src"
-    argvs = [argv for argv, _ in TRACED_QUERIES]
     proc = subprocess.run([sys.executable, "-c", _TRACED_RUN, str(LAYERS_PY), json.dumps(argvs)],
                           capture_output=True, text=True, timeout=300,
                           env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_traced_queries_run_through_the_installed_wrappers():
+    """One traced query per kind: every wrapped linalg entry point must accept what
+    the package passes it (the tracer reads ``.field/.rows/.cols/.data`` from the
+    first argument), and the answers must not change under the wrappers."""
+    out = _traced([argv for argv, _ in TRACED_QUERIES])
     assert out["codes"] == [code for _, code in TRACED_QUERIES]
     assert out["rows"] > 0 and out["calls"] > 0
+
+
+def test_both_adjoint_integrals_are_checked_in_the_traced_verify_layer():
+    """``ad-invariant`` and ``ad-coinvariant`` each check two certificates in
+    ``integrals.verify``: the integral space vector and the ad-(co)invariant integral."""
+    out = _traced([[command, "--preset", "group:S3"] for command in ("ad-invariant",
+                                                                     "ad-coinvariant")])
+    assert out["codes"] == [0, 0] and out["verify"] == [2, 2]
