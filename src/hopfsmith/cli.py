@@ -186,9 +186,8 @@ def cmd_double_separable(args) -> int:
         _emit({**report, "reason": NO_AD_INVARIANT}, args)
         return 1
     _, ext = drinfeld_double(h)
-    cert = separable_extension(h, ext, adinv.vector)
-    report["idempotent_quotient_coords"] = ser.json_lists(h.field, cert.quotient_coords,
-                                                          (cert.dim,))
+    cert = separable_extension(h, ext, adinv.tensor)
+    report["idempotent_quotient_coords"] = ser.json_lists(h.field, cert.tensor, cert.shape)
     _emit(report, args)
     return 0
 
@@ -257,7 +256,7 @@ def cmd_weak_projection(args) -> int:
         return 1
     _emit({"command": "weak-projection", "found": True,
            "onto_dim": sub_hopf.dim,
-           "matrix": ser.json_lists(f, res.matrix, (sub_hopf.dim, h.dim)),
+           "matrix": ser.json_lists(f, res.tensor, res.shape),
            "verified": res.verified}, args)
     return 0
 

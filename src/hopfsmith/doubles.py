@@ -32,8 +32,8 @@ from functools import cached_property
 
 from .fields import FieldSpec
 from .hopf import AlgebraData, CoalgebraData, HopfData, require_algebra_map, validated
-from .linalg import (AffineSystem, SparseMat, contract, rank, require_conditions, require_keys,
-                     _kernel_basis, _rref)
+from .linalg import (AffineSystem, Certificate, SparseMat, contract, rank, require_conditions,
+                     require_keys, _kernel_basis, _rref)
 
 
 @dataclass
@@ -51,7 +51,7 @@ class ExtensionData:
         require_keys(emb, (r.dim, s.dim), "embedding")
         if rank(SparseMat.from_tensor(f, emb, r.dim, s.dim)) != s.dim:
             raise ValueError("embedding is not injective")
-        require_algebra_map(s, r, emb, "embedding", ValueError)
+        require_algebra_map(s, r, emb, "embedding")
         return self
 
 
@@ -75,15 +75,6 @@ class RelTensor:
         free part of its reduced relation row: the nullspace basis of those rows."""
         return _kernel_basis(self.projection_rows, self.pivot_cols,
                              len(self.pivot_cols) + len(self.free_cols), self.field)
-
-
-@dataclass
-class ExtensionIdempotent:
-    """A separability certificate for R/S: e in R (x)_S R, keyed (u,) on the
-    quotient basis of :class:`RelTensor`, of dimension ``dim``."""
-
-    quotient_coords: dict
-    dim: int
 
 
 def drinfeld_double(h: HopfData):
@@ -174,9 +165,10 @@ def _extension_idempotent_conditions(ext: ExtensionData, rel: RelTensor) -> list
                           (-1, "bix,abu,axk,u->ik", m, lift, proj)], None)]
 
 
-def separable_extension(h: HopfData, ext: ExtensionData, lam: dict) -> ExtensionIdempotent:
+def separable_extension(h: HopfData, ext: ExtensionData, lam: dict) -> Certificate:
     """The idempotent e = sum lam(e_x e_y) (f_x |><| 1) (x)_H (S*(f_y) |><| 1) of D(H)/H,
-    S*(f) = f o S, from an ad-invariant integral ``lam`` keyed (x,): checked, not solved.
+    S*(f) = f o S, from an ad-invariant integral ``lam`` keyed (x,): checked, not solved,
+    and keyed (u,) on the quotient basis of :class:`RelTensor`.
     Read with lam(e_y e_x), with S^{-1}, or with S* on the left leg, it is the same e,
     as lam is a trace, lam∘S = lam and S^2 = id on every input tested."""
     rel = relative_tensor(ext)
@@ -184,11 +176,11 @@ def separable_extension(h: HopfData, ext: ExtensionData, lam: dict) -> Extension
     # entry (x, i, b, j): coefficient of (f_x |><| e_i) (x) (f_b |><| e_j); S*(f_y) = S[y][b] f_b
     ambient = contract(f, "xyk,k,yb,i,j->xibj", h.alg.mult, lam, h.antipode, u, u)
     e = {((x * n + i) * nr + b * n + j,): v for (x, i, b, j), v in ambient.items()}
-    cert = ExtensionIdempotent(contract(f, "c,ck->k", e, rel.projection), rel.dim)
-    _verify_extension_idempotent(f, cert, _extension_idempotent_conditions(ext, rel))
-    return cert
+    coords = contract(f, "c,ck->k", e, rel.projection)
+    return Certificate("extension_idempotent", coords, (rel.dim,), _verify_extension_idempotent(
+        f, coords, _extension_idempotent_conditions(ext, rel)))
 
 
-def _verify_extension_idempotent(f: FieldSpec, cert: ExtensionIdempotent, conds: list) -> list:
-    return require_conditions(f, conds, cert.quotient_coords, "extension idempotent")
+def _verify_extension_idempotent(f: FieldSpec, coords: dict, conds: list) -> list:
+    return require_conditions(f, conds, coords, "extension idempotent")
 

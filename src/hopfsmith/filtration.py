@@ -32,9 +32,9 @@ from typing import Optional
 
 from .hopf import (AlgebraData, CoalgebraData, SubspaceBasis, dual_algebra, quotient_maps,
                    restricted_comult)
-from .integrals import idempotent_system
+from .integrals import idempotent_conditions
 from .linalg import (AffineSystem, SparseMat, contract, identity, nullspace, pivot_columns,
-                     solve_affine, span_contains_span, spans_equal)
+                     require_conditions, solve_affine, span_contains_span, spans_equal)
 
 
 @dataclass
@@ -188,9 +188,13 @@ def radical(a: AlgebraData) -> SubspaceBasis:
     if f.characteristic == 0 and _trace_form_kernel(quotient).dim:
         raise AssertionError("radical quotient has degenerate trace form")
     # over the perfect F_p, semisimple means separable: an e in A (x) A with m(e) = 1
-    # and (x (x) 1)e = e(1 (x) x) exists
-    if f.characteristic and quotient.dim and solve_affine(idempotent_system(quotient)) is None:
-        raise AssertionError("radical quotient is not separable over a perfect field")
+    # and (x (x) 1)e = e(1 (x) x) exists, and the one solved is checked on those conditions
+    if f.characteristic and quotient.dim:
+        conds = idempotent_conditions(quotient)
+        sol = solve_affine(AffineSystem.conditions(f, (quotient.dim,) * 2, *conds))
+        if sol is None:
+            raise AssertionError("radical quotient is not separable over a perfect field")
+        require_conditions(f, conds, sol.particular, "radical quotient separability idempotent")
     return basis
 
 

@@ -153,13 +153,14 @@ def curvature(f: FieldSpec, m_src: dict, m_tgt: dict, g: dict) -> dict:
     return signed_sum(f, [(1, "ijy,xy->ijx", m_src, g), (-1, "ai,bj,abx->ijx", g, g, m_tgt)])
 
 
-def require_algebra_map(src: AlgebraData, tgt: AlgebraData, g: dict, what: str, error: type):
-    """Raise ``error`` naming the unit, else the least failing pair, unless g is an algebra map."""
+def require_algebra_map(src: AlgebraData, tgt: AlgebraData, g: dict, what: str):
+    """Raise ``ValueError`` naming the unit, else the least failing pair, unless g is an
+    algebra map."""
     f = src.field
     if contract(f, "xy,y->x", g, src.unit) != tgt.unit:
-        raise error(f"{what} does not preserve the unit")
+        raise ValueError(f"{what} does not preserve the unit")
     if bad := curvature(f, src.mult, tgt.mult, g):
-        raise error("{} is not multiplicative at ({},{})".format(what, *min(bad)[:2]))
+        raise ValueError("{} is not multiplicative at ({},{})".format(what, *min(bad)[:2]))
 
 
 def require_coalgebra_map(src: CoalgebraData, tgt: CoalgebraData, g: dict, what: str, error: type):

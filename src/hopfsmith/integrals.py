@@ -17,33 +17,23 @@ sum e_ij e_i (x) e_j, and theta keyed ``(p, i, j)``, entry p of theta(e_i (x) e_
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Optional
 
 from .fields import FieldSpec
 from .hopf import AlgebraData, HopfData, SubspaceBasis
-from .linalg import (AffineSystem, contract, failed_conditions, identity, nullspace,
-                     require_conditions, solve_affine, spans_equal)
+from .linalg import (AffineSystem, Certificate, contract, failed_conditions, identity,
+                     nullspace, require_conditions, solve_affine, spans_equal)
 from .yd import ACTIONS, COACTIONS, adjoint_action, adjoint_coaction
 
 
 @dataclass
-class IntegralCertificate:
-    side: str               # "left" | "right"
-    carrier: str            # "in_h" | "in_dual"
-    vector: dict            # element of H, or the values of a functional on H, keyed (x,)
-    dim: int                # dim H, the length of the vector
-    total: bool = False
-    ad_invariant: bool = False
-    ad_coinvariant: bool = False
+class IntegralCertificate(Certificate):
+    """A normalized left integral of ``kind`` total_integral, ad_invariant_integral or
+    ad_coinvariant_integral, of shape (dim H,): an element of H, or the values of a
+    functional on H, as ``carrier`` is "in_h" or "in_dual"."""
 
-
-@dataclass
-class SeparabilityCertificate:
-    kind: str               # "idempotent_for_algebra" | "retraction_for_coalgebra"
-    data: dict              # e in H (x) H as (i, j), or theta: H (x) H -> H as (p, i, j)
-    verified: list = dc_field(default_factory=list)
-    shape: tuple = ()       # the shape of data: (dim, dim) or (dim, dim, dim)
+    carrier: str
 
 
 def _integral_terms(h: HopfData, side: str, carrier: str = "in_h") -> list:
@@ -112,7 +102,8 @@ def total_integral(h: HopfData, carrier: str = "in_h",
         return None
     inv = f.inv(values[(0,)])
     t = {(x,): f.mul(inv, c) for (x, _), c in basis.items()}
-    return IntegralCertificate("left", carrier, t, h.dim, total=True)
+    # a basis vector checked with its space, rescaled: no condition list of its own
+    return IntegralCertificate("total_integral", t, (h.dim,), [], carrier)
 
 
 def _ad_invariant_conditions(h: HopfData, which: str = "adl") -> list:
@@ -139,13 +130,12 @@ def _adjoint_integral(h: HopfData, carrier: str, conditions) -> Optional[Integra
     "normalized left integral", which is unique (Larson-Sweedler), so None proves (a)+(b)+(c)
     infeasible; failing (a) or (c) is a fault, on which the check raises."""
     total = total_integral(h, carrier)
-    if total is None or failed_conditions(h.field, conds := conditions(h), total.vector) == ["b"]:
+    if total is None or failed_conditions(h.field, conds := conditions(h), total.tensor) == ["b"]:
         return None
-    invariant = carrier == "in_dual"
-    _verify_ad_invariant(h.field, total.vector, conds,
-                         "ad-invariant integral" if invariant else "ad-coinvariant integral")
-    return IntegralCertificate("left", carrier, total.vector, h.dim, total=True,
-                               ad_invariant=invariant, ad_coinvariant=not invariant)
+    what = "ad-invariant integral" if carrier == "in_dual" else "ad-coinvariant integral"
+    verified = _verify_ad_invariant(h.field, total.tensor, conds, what)
+    return IntegralCertificate(what.replace("-", "_").replace(" ", "_"), total.tensor,
+                               total.shape, verified, carrier)
 
 
 def ad_invariant_integral(h: HopfData) -> Optional[IntegralCertificate]:
@@ -193,25 +183,21 @@ def idempotent_conditions(a: AlgebraData) -> list:
             ("bilinear", [(1, "xip,iq->xpq", m), (-1, "jxq,pj->xpq", m)], None)]
 
 
-def idempotent_system(a: AlgebraData) -> AffineSystem:
-    return AffineSystem.conditions(a.field, (a.dim, a.dim), *idempotent_conditions(a))
-
-
 def _blind_idempotent(sys: AffineSystem) -> bool:
     """Whether the idempotent system has any solution e, formula or not."""
     return solve_affine(sys) is not None
 
 
-def separability_idempotent(h: HopfData) -> Optional[SeparabilityCertificate]:
+def separability_idempotent(h: HopfData) -> Optional[Certificate]:
     """e = t_1 (x) S(t_2) from a total integral, checked against the idempotent
     identity; None when there is no total integral, which proves H not separable."""
     f = h.field
     cert_total = total_integral(h, "in_h")
     if cert_total is None:
         return None
-    e = contract(f, "a,aij,kj->ik", cert_total.vector, h.coa.comult, h.antipode)
-    verified = _verify_idempotent(f, e, idempotent_conditions(h.alg))
-    return SeparabilityCertificate("idempotent_for_algebra", e, verified, (h.dim,) * 2)
+    e = contract(f, "a,aij,kj->ik", cert_total.tensor, h.coa.comult, h.antipode)
+    return Certificate("idempotent_for_algebra", e, (h.dim,) * 2,
+                       _verify_idempotent(f, e, idempotent_conditions(h.alg)))
 
 
 def _verify_idempotent(f: FieldSpec, e: dict, conds: list) -> list:
@@ -235,7 +221,7 @@ def _blind_retraction(sys: AffineSystem) -> bool:
     return solve_affine(sys) is not None
 
 
-def coseparability_retraction(h: HopfData) -> Optional[SeparabilityCertificate]:
+def coseparability_retraction(h: HopfData) -> Optional[Certificate]:
     """theta_lambda(x (x) y) = x_1 lam(x_2 S(y)) from a total lam in H*, checked
     against the retraction identity; None when there is no total integral in H*,
     which proves H not coseparable."""
@@ -243,10 +229,10 @@ def coseparability_retraction(h: HopfData) -> Optional[SeparabilityCertificate]:
     cert_total = total_integral(h, "in_dual")
     if cert_total is None:
         return None
-    lam = cert_total.vector
+    lam = cert_total.tensor
     theta = contract(f, "ipq,qyz,yj,z->pij", h.coa.comult, h.alg.mult, h.antipode, lam)
-    verified = _verify_retraction(h, theta, lam, retraction_conditions(h))
-    return SeparabilityCertificate("retraction_for_coalgebra", theta, verified, (h.dim,) * 3)
+    return Certificate("retraction_for_coalgebra", theta, (h.dim,) * 3,
+                       _verify_retraction(h, theta, lam, retraction_conditions(h)))
 
 
 def _verify_retraction(h: HopfData, theta: dict, lam: dict, conds: list) -> list:

@@ -38,9 +38,10 @@ from typing import Optional
 
 from .hopf import (AlgebraData, HopfData, SubspaceBasis, curvature, dual_algebra,
                    require_algebra_map, require_coalgebra_map)
-from .linalg import (AffineSystem, SparseMat, contract, failed_conditions, identity,
-                     in_coordinates, invert, least_failure, nullspace, rank, require_conditions,
-                     require_keys, signed_sum, solve_affine, span_contains_span)
+from .linalg import (AffineSystem, Certificate, SparseMat, contract, failed_conditions,
+                     identity, in_coordinates, invert, least_failure, nullspace, rank,
+                     require_conditions, require_keys, signed_sum, solve_affine,
+                     span_contains_span)
 from .filtration import (_is_two_sided_ideal, _quotient_algebra, ideal_powers, coradical,
                          wedge_filtration)
 from .yd import ComoduleCoaction, module_laws
@@ -97,7 +98,7 @@ class SurjectionProblem:
             SparseMat.from_tensor(self.e.field, pi, self.a.dim, self.e.dim)))
         if kernel.dim != self.e.dim - self.a.dim:
             raise ValueError("pi is not surjective")
-        require_algebra_map(self.e, self.a, pi, "pi", ValueError)
+        require_algebra_map(self.e, self.a, pi, "pi")
         if not _is_two_sided_ideal(self.e, kernel):
             raise ValueError("kernel is not a two-sided ideal")
         self.kernel = kernel
@@ -106,11 +107,13 @@ class SurjectionProblem:
 
 @dataclass
 class LiftCertificate:
+    """A section of pi, built once :func:`_verify_final` has checked that it is one and an
+    algebra map."""
+
     stages: list            # stage maps A -> E/I^{r+1}, each a tensor (x, y)
     final: dict             # sigma: A -> E, (x, y)
-    algebra_map: bool
-    colinear: Optional[bool] = None
-    shapes: list = dc_field(default_factory=list)  # (rows, columns) per stage; final: the last
+    colinear: Optional[bool]  # True for a colinear lift, None for a plain one
+    shapes: list            # (rows, columns) per stage; final: the last
 
 
 @dataclass
@@ -239,10 +242,8 @@ def _lift(p: SurjectionProblem, alpha: dict, beta: dict):
     # Q_nu = E/0: translate back to E coordinates
     sigma = contract(f, "xa,ay->xy", quots[-1][2], stage)
     # stage r maps A into Q_{r+1}, so its shape is (dim Q_{r+1}, dim A); Q_1 = E/I ~ A
-    cert = LiftCertificate(stages, sigma, True, bool(alpha) or None,
-                           [(q.dim, na) for q, *_ in quots])
-    _verify_final(p, cert, alpha, beta)
-    return cert
+    _verify_final(p, sigma, alpha, beta)
+    return LiftCertificate(stages, sigma, bool(alpha) or None, [(q.dim, na) for q, *_ in quots])
 
 
 def _solve_linear_lift(f, ncur: int, na: int, p_r: dict, prev: dict, u_a: dict, u_cur: dict,
@@ -286,11 +287,11 @@ def _assert_stage(f, m_a: dict, m_cur: dict, conds: list, g: dict, what: str):
         raise AssertionError(f"{what} is not multiplicative")
 
 
-def _verify_final(p: SurjectionProblem, cert: LiftCertificate, alpha: dict, beta: dict):
-    """The final section is the stage with p_r = pi and prev = id: it splits pi."""
+def _verify_final(p: SurjectionProblem, sigma: dict, alpha: dict, beta: dict):
+    """The final section sigma is the stage with p_r = pi and prev = id: it splits pi."""
     f = p.e.field
     _assert_stage(f, p.a.mult, p.e.mult, _stage_conditions(
-        p.pi, identity(f, p.a.dim), p.a.unit, p.e.unit, alpha, beta), cert.final, "final section")
+        p.pi, identity(f, p.a.dim), p.a.unit, p.e.unit, alpha, beta), sigma, "final section")
 
 
 # ---------------------------------------------------------------------------
@@ -334,18 +335,12 @@ def cyclic_cover_problem(n: int, m: int, field) -> SurjectionProblem:
 # Weak projections by dualization
 # ---------------------------------------------------------------------------
 
-@dataclass
-class WeakProjectionCertificate:
-    matrix: dict            # pi: E -> H, (k, x)
-    verified: list = dc_field(default_factory=list)
-
-
 def weak_projection(e: HopfData, h: HopfData, inclusion: dict,
                     bilinear: bool = False, corad: Optional[SubspaceBasis] = None):
     """A left H-linear coalgebra retraction E -> H of a Hopf subalgebra
     inclusion with Corad(E) inside H, built by lifting an algebra section of
     the dual surjection E* -> H*.  ``inclusion`` is keyed (x, k), entry x of the
-    image of h_k.  Returns a certificate or a LiftObstruction.
+    image of h_k.  Returns a certificate, pi: E -> H keyed (k, x), or a LiftObstruction.
     ``corad`` is Corad(E) as ``coradical(e.coa)`` returned it, when the caller
     already has it; otherwise it is computed here.
 
@@ -359,7 +354,7 @@ def weak_projection(e: HopfData, h: HopfData, inclusion: dict,
     require_keys(incl, (ne, nh), "inclusion")
     if rank(SparseMat.from_tensor(f, incl, ne, nh)) != nh:
         raise ValueError("inclusion is not injective")
-    require_algebra_map(h.alg, e.alg, incl, "inclusion", ValueError)
+    require_algebra_map(h.alg, e.alg, incl, "inclusion")
     require_coalgebra_map(h.coa, e.coa, incl, "inclusion", ValueError)
 
     transposed = {(k, x): v for (x, k), v in incl.items()}  # E* -> H*, the dual surjection
@@ -368,7 +363,7 @@ def weak_projection(e: HopfData, h: HopfData, inclusion: dict,
         corad = coradical(e.coa)
     if not span_contains_span(f, incl, corad.basis, ne):
         raise ValueError("coradical of E is not contained in H")
-    # the wedge filtration of H in E must exhaust; its length bounds the stages
+    # the wedge filtration of H in E must exhaust, as Corad(E) lies in H
     record = wedge_filtration(sub, e.coa, corad)
     if not record.exhausted:
         raise AssertionError("filtration fails to exhaust despite coradical containment")
@@ -387,8 +382,8 @@ def weak_projection(e: HopfData, h: HopfData, inclusion: dict,
         return result
     # sigma: H* -> E*, transposed to E -> H
     proj = {(k, x): v for (x, k), v in result.final.items()}
-    verified = _verify_weak_projection(e, h, incl, proj, bilinear)
-    return WeakProjectionCertificate(proj, verified)
+    return Certificate("weak_projection", proj, (nh, ne),
+                       _verify_weak_projection(e, h, incl, proj, bilinear))
 
 
 def _verify_weak_projection(e: HopfData, h: HopfData, incl: dict, p: dict,

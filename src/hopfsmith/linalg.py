@@ -43,7 +43,8 @@ given tensor, moved first, and :meth:`AffineSystem.conditions` takes the same
 :func:`signed_sum` on the identity tensor of the unknowns, whose extra column
 index spreads each entry into the labelled sparse row and column it names.  So
 a certificate is checked on the list that stated its solve, by the code that
-assembled it, and never on the rows it was solved from.  An identity that
+assembled it, and never on the rows it was solved from; once it passes, a
+:class:`Certificate` records its tensor with the labels it met.  An identity that
 fails is reported at its least failing index prefix, and there by the first law
 that fails (:func:`least_failure`).
 """
@@ -179,6 +180,18 @@ def require_conditions(field: FieldSpec, conds: list, x: dict, what: str) -> lis
     if bad := failed_conditions(field, conds, x):
         raise AssertionError(f"{what} fails {', '.join(map(str, bad))}")
     return list(dict.fromkeys(label for label, *_ in conds))
+
+
+@dataclass
+class Certificate:
+    """A map of the paper's criteria as the sparse ``tensor`` of ``shape``, built once it met
+    the conditions ``verified``, the labels :func:`require_conditions` returned; ``kind``
+    names the map, and the report its serializer writes."""
+
+    kind: str
+    tensor: dict
+    shape: tuple
+    verified: list
 
 
 class Echelon:

@@ -187,37 +187,27 @@ def preset_taft(n: int, q: Scalar, field: FieldSpec, validate: bool = True) -> H
          for a in range(n) for b in range(n) for c in range(n) for d in range(n - b)}
     alg = AlgebraData(f, dim, m, {(idx(0, 0),): o})
 
-    # comultiplication: extend Delta(g) = g(x)g, Delta(x) = x(x)1 + g(x)x
-    # multiplicatively inside the tensor-square algebra
-    def mul2(u, v):
-        return contract(f, "ab,acp,cd,bdq->pq", u, m, v, m)
+    def powers(t, legs):
+        """t^0, ..., t^{n-1} for t in H (``legs`` 1) or in the algebra H (x) H (``legs`` 2),
+        keyed (exponent, *basis indices)."""
+        spec = ("u,v,uvk->k", "ab,cd,acp,bdq->pq")[legs - 1]
+        out = [{(idx(0, 0),) * legs: o}]
+        for _ in range(n - 1):
+            out.append(contract(f, spec, out[-1], t, *[m] * legs))
+        return {(e, *k): c for e, pw in enumerate(out) for k, c in pw.items()}
 
+    # comultiplication: Delta(g) = g(x)g and Delta(x) = x(x)1 + g(x)x extended multiplicatively,
+    # so Delta(g^a x^b) = Delta(g)^a Delta(x)^b, one product of their powers in H (x) H
     one, g, x = idx(0, 0), idx(1 % n, 0), idx(0, 1 % n)
-    dg = {(g, g): o}
-    dx = {(x, one): o, (g, x): o}
-    comult = {}
-    cur = {(one, one): o}
-    for a in range(n):
-        inner = cur
-        for b in range(n):
-            comult.update({(idx(a, b), *key): c for key, c in inner.items()})
-            if b + 1 < n:
-                inner = mul2(inner, dx)
-        if a + 1 < n:
-            cur = mul2(cur, dg)
+    comult = contract(f, "apq,prk,brs,qsl->abkl", powers({(g, g): o}, 2), m,
+                      powers({(x, one): o, (g, x): o}, 2), m)
+    comult = {(idx(a, b), k, l): c for (a, b, k, l), c in comult.items()}
     counit = {(idx(a, 0),): o for a in range(n)}
 
     # antipode: S(g) = g^{n-1}, S(x) = -g^{-1} x, extended antimultiplicatively,
     # so S(g^a x^b) = S(x)^b S(g)^a, one product of the powers of S(x) and S(g)
-    def powers(t):
-        """t^0, ..., t^{n-1}, keyed (exponent, basis index)."""
-        out = [{(idx(0, 0),): o}]
-        for _ in range(n - 1):
-            out.append(contract(f, "u,v,uvk->k", out[-1], t, m))
-        return {(e, *k): c for e, pw in enumerate(out) for k, c in pw.items()}
-
     sx = {(idx(n - 1, 1),): f.neg(o)} if n > 1 else {}  # -g^{n-1} x
-    s = contract(f, "bu,av,uvk->kba", powers(sx), powers({(idx((n - 1) % n, 0),): o}), m)
+    s = contract(f, "bu,av,uvk->kba", powers(sx, 1), powers({(idx((n - 1) % n, 0),): o}, 1), m)
     s = {(k, b * n + a): c for (k, b, a), c in s.items()}
 
     def _nm(a, b):

@@ -28,7 +28,7 @@ from typing import Optional
 
 from .fields import FieldSpec
 from .hopf import AlgebraData, CoalgebraData, HopfData, validated
-from .linalg import AffineSystem, identity, solve_affine, sparse
+from .linalg import AffineSystem, identity, require_conditions, solve_affine, sparse
 
 
 def json_lists(f: FieldSpec, t: dict, shape: tuple, lists: Optional[tuple] = None) -> list:
@@ -60,13 +60,14 @@ def hopf_to_dict(h: HopfData) -> dict:
 
 
 def _solve_unit(m: dict, f: FieldSpec, n: int) -> dict:
-    """The unit u with sum_i u_i e_i·e_j = e_j = sum_i u_i e_j·e_i, rows (j, k)."""
+    """The unit u with sum_i u_i e_i·e_j = e_j = sum_i u_i e_j·e_i, rows (j, k), checked
+    on those conditions."""
     one = identity(f, n)
-    sol = solve_affine(AffineSystem.conditions(
-        f, (n,), ("left unit", [(1, "ijk,i->jk", m)], one),
-        ("right unit", [(1, "jik,i->jk", m)], one)))
+    conds = [("left unit", [(1, "ijk,i->jk", m)], one), ("right unit", [(1, "jik,i->jk", m)], one)]
+    sol = solve_affine(AffineSystem.conditions(f, (n,), *conds))
     if sol is None:
         raise ValueError("multiplication tensor has no two-sided unit")
+    require_conditions(f, conds, sol.particular, "unit")
     return sol.particular
 
 
@@ -121,17 +122,11 @@ def hopf_from_dict(d: dict, validate: bool = True) -> HopfData:
 # ---------------------------------------------------------------------------
 
 def integral_to_dict(f: FieldSpec, cert) -> dict:
-    if cert.ad_invariant:
-        kind = "ad_invariant_integral"
-    elif cert.ad_coinvariant:
-        kind = "ad_coinvariant_integral"
-    else:
-        kind = "total_integral" if cert.total else "integral"
-    # the finders check (a), (b) and (c) on the conditions they solved and raise on failure
-    verified = ["a", "b", "c"] if cert.ad_invariant or cert.ad_coinvariant else []
+    """A normalized left integral and the labels it was checked on: (a), (b) and (c) for an
+    ad-(co)invariant one, none for the total integral."""
     key = "lambda" if cert.carrier == "in_dual" else "t"
-    return {"type": kind, key: json_lists(f, cert.vector, (cert.dim,)),
-            "side": cert.side, "carrier": cert.carrier, "verified": verified}
+    return {"type": cert.kind, key: json_lists(f, cert.tensor, cert.shape),
+            "side": "left", "carrier": cert.carrier, "verified": list(cert.verified)}
 
 
 def separability_to_dict(f: FieldSpec, cert) -> dict:
@@ -139,10 +134,10 @@ def separability_to_dict(f: FieldSpec, cert) -> dict:
     n = cert.shape[0]
     if cert.kind == "idempotent_for_algebra":
         return {"type": "separability_idempotent",
-                "e": json_lists(f, cert.data, cert.shape, (n * n,)),
+                "e": json_lists(f, cert.tensor, cert.shape, (n * n,)),
                 "verified": list(cert.verified)}
     return {"type": "coseparability_retraction",
-            "theta": json_lists(f, cert.data, cert.shape, (n, n * n)),
+            "theta": json_lists(f, cert.tensor, cert.shape, (n, n * n)),
             "verified": list(cert.verified)}
 
 
@@ -151,8 +146,8 @@ def section_to_dict(f: FieldSpec, cert) -> dict:
     (i, a), and the conditions it was checked on (a "no" has no normalized integral)."""
     split = 2 if cert.kind.endswith("section") else 1
     lists = (prod(cert.shape[:split]), prod(cert.shape[split:]))
-    return {"type": cert.kind, "matrix": json_lists(f, cert.matrix, cert.shape, lists),
-            "verified_conditions": list(cert.verified_conditions)}
+    return {"type": cert.kind, "matrix": json_lists(f, cert.tensor, cert.shape, lists),
+            "verified_conditions": list(cert.verified)}
 
 
 def extension_to_dict(ext) -> dict:
@@ -178,7 +173,7 @@ def lift_to_dict(f: FieldSpec, cert) -> dict:
         "type": "lift_certificate",
         "stages": [json_lists(f, g, shape) for g, shape in zip(cert.stages, cert.shapes)],
         "final": json_lists(f, cert.final, cert.shapes[-1]),
-        "algebra_map": cert.algebra_map,
+        "algebra_map": True,  # the final section passed _verify_final, multiplicativity too
         "colinear": cert.colinear,
     }
 

@@ -26,33 +26,23 @@ left integral space, and neither the YD structures nor the conditions are built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .fields import FieldSpec
 from .hopf import HopfData, QuotientSplitting, SubspaceBasis
 from .integrals import total_integral
-from .linalg import contract, in_coordinates, require_conditions
+from .linalg import Certificate, contract, in_coordinates, require_conditions
 from .yd import h_bar_yd, h_plus_yd
 
 
-@dataclass
-class SectionCertificate:
-    kind: str                      # fs_section | complete_fs_section | fs_retraction | complete_fs_retraction
-    matrix: dict                   # tau (i, a, b) or chi (c, i, a), as in the module docstring
-    verified_conditions: list
-    shape: tuple = (0, 0, 0)       # the shape of the map's tensor
-
-
-def _find(h: HopfData, kind: str, complete: bool) -> Optional[SectionCertificate]:
+def _find(h: HopfData, kind: str, complete: bool) -> Optional[Certificate]:
     """The formula map of ``kind`` ("fs_section" or "fs_retraction") checked on its
-    conditions, or None when there is no normalized integral (in H for a section,
+    conditions, a :class:`linalg.Certificate` of kind ``complete_<kind>`` when
+    ``complete``, or None when there is no normalized integral (in H for a section,
     in H* for a retraction), which proves that no such map exists.  The YD
     structures, the integral and the checks are called by their module-level
     names, so that a wrapper bound there runs."""
     name = f"complete_{kind}" if complete else kind
-    if h.dim == 1:  # H^+ and Hbar are zero: the empty map satisfies every condition
-        return SectionCertificate(name, {}, ["i", "ii", "iii"] if complete else ["i", "ii"])
     f, n, m, d, s, mult = h.field, h.dim, h.dim - 1, h.coa.comult, h.antipode, h.alg.mult
     total = total_integral(h, "in_h" if kind == "fs_section" else "in_dual")
     if total is None:
@@ -63,17 +53,15 @@ def _find(h: HopfData, kind: str, complete: bool) -> Optional[SectionCertificate
         conds, shape = fs_section_conditions(h, yd, hp, complete), (n, m, m)
         # tau(v_b) = t_1 (x) S(t_2) v_b, its H^+ leg in H^+ coordinates
         basis, coords = hp.tensors(f)
-        matrix = contract(f, "k,kij,lj,xb,lxz,az->iab", total.vector, d, s, basis, mult, coords)
+        tensor = contract(f, "k,kij,lj,xb,lxz,az->iab", total.tensor, d, s, basis, mult, coords)
     else:
         yd, split = h_bar_yd(h)
         verify = verify_fs_retraction
         conds, shape = fs_retraction_conditions(h, yd, split, complete), (m, n, m)
         # chi(e_i (x) vbar_a) = lam(e_i S(y_1)) ybar_2, y the lift of vbar_a
-        matrix = contract(f, "xa,xpq,sp,isz,z,cq->cia", split.section, d, s, mult,
-                          total.vector, split.projection)
-    cert = SectionCertificate(name, matrix, [], shape)
-    cert.verified_conditions = verify(f, cert, conds)
-    return cert
+        tensor = contract(f, "xa,xpq,sp,isz,z,cq->cia", split.section, d, s, mult,
+                          total.tensor, split.projection)
+    return Certificate(name, tensor, shape, verify(f, name, tensor, conds))
 
 
 # ---------------------------------------------------------------------------
@@ -105,23 +93,23 @@ def fs_section_conditions(h: HopfData, yd, hp: SubspaceBasis, complete: bool) ->
     return conds
 
 
-def find_fs_section(h: HopfData) -> Optional[SectionCertificate]:
+def find_fs_section(h: HopfData) -> Optional[Certificate]:
     return _find(h, "fs_section", complete=False)
 
 
-def find_complete_fs_section(h: HopfData) -> Optional[SectionCertificate]:
+def find_complete_fs_section(h: HopfData) -> Optional[Certificate]:
     return _find(h, "fs_section", complete=True)
 
 
-def verify_fs_section(f: FieldSpec, cert: SectionCertificate, conds: list) -> list:
-    """The labels of ``conds``, (i), (ii) (and (iii)), once the certificate's tau
+def verify_fs_section(f: FieldSpec, kind: str, tau: dict, conds: list) -> list:
+    """The labels of ``conds``, (i), (ii) (and (iii)), once the map ``tau`` of ``kind``
     meets them all, evaluated without assembling a row; raises otherwise."""
-    return require_conditions(f, conds, cert.matrix, cert.kind)
+    return require_conditions(f, conds, tau, kind)
 
 
-def check_im_tau(h: HopfData, cert: SectionCertificate) -> bool:
+def check_im_tau(h: HopfData, cert: Certificate) -> bool:
     """Whether Im(tau) lands in H^+ (x) H^+: (eps (x) id) tau = 0."""
-    return not contract(h.field, "iab,i->ab", cert.matrix, h.coa.counit)
+    return not contract(h.field, "iab,i->ab", cert.tensor, h.coa.counit)
 
 
 # ---------------------------------------------------------------------------
@@ -150,19 +138,19 @@ def fs_retraction_conditions(h: HopfData, yd, split: QuotientSplitting,
     return conds
 
 
-def find_fs_retraction(h: HopfData) -> Optional[SectionCertificate]:
+def find_fs_retraction(h: HopfData) -> Optional[Certificate]:
     return _find(h, "fs_retraction", complete=False)
 
 
-def find_complete_fs_retraction(h: HopfData) -> Optional[SectionCertificate]:
+def find_complete_fs_retraction(h: HopfData) -> Optional[Certificate]:
     return _find(h, "fs_retraction", complete=True)
 
 
-def verify_fs_retraction(f: FieldSpec, cert: SectionCertificate, conds: list) -> list:
-    """The labels of ``conds`` once the certificate's chi meets them all, as for tau."""
-    return verify_fs_section(f, cert, conds)
+def verify_fs_retraction(f: FieldSpec, kind: str, chi: dict, conds: list) -> list:
+    """The labels of ``conds`` once the map ``chi`` of ``kind`` meets them all, as for tau."""
+    return verify_fs_section(f, kind, chi, conds)
 
 
-def check_chi_quotients(h: HopfData, cert: SectionCertificate) -> bool:
+def check_chi_quotients(h: HopfData, cert: Certificate) -> bool:
     """Whether chi kills 1 (x) Hbar, i.e. quotients to Hbar (x) Hbar -> Hbar."""
-    return not contract(h.field, "cia,i->ca", cert.matrix, h.alg.unit)
+    return not contract(h.field, "cia,i->ca", cert.tensor, h.alg.unit)

@@ -12,10 +12,9 @@ from itertools import product
 
 import pytest
 
-from hopfsmith import QQ, FieldSpec, cli, resolve_preset
-from hopfsmith.doubles import (ExtensionIdempotent, _extension_idempotent_conditions,
-                               _verify_extension_idempotent, drinfeld_double, relative_tensor,
-                               separable_extension)
+from hopfsmith import QQ, FieldSpec, cli, resolve_preset, serialize
+from hopfsmith.doubles import (_extension_idempotent_conditions, _verify_extension_idempotent,
+                               drinfeld_double, relative_tensor, separable_extension)
 from hopfsmith.hopf import SubspaceBasis
 from hopfsmith.integrals import (_ad_invariant_conditions, _integral_terms, _verify_ad_invariant,
                                  _verify_idempotent, _verify_integral_space, _verify_retraction,
@@ -27,7 +26,7 @@ from hopfsmith.lifting import LiftObstruction, _lift, square_zero_extension
 from hopfsmith.linalg import (AffineSystem, SparseMat, contract, failed_conditions, identity,
                               solve_affine)
 from hopfsmith.presets import cyclic_table, preset_group_algebra
-from hopfsmith.smoothness import (SectionCertificate, find_complete_fs_retraction,
+from hopfsmith.smoothness import (find_complete_fs_retraction,
                                   find_complete_fs_section, find_fs_retraction, find_fs_section,
                                   fs_retraction_conditions, fs_section_conditions,
                                   verify_fs_retraction, verify_fs_section)
@@ -37,10 +36,6 @@ from conftest import GRID
 from test_lifting_oracles import _bumped
 from test_loop_oracles import (_subspace, _vec, _vectors, ad_coinvariant_system,
                                ad_invariant_system, failed_labels)
-
-
-def _with_matrix(cert: SectionCertificate, mat: dict) -> SectionCertificate:
-    return replace(cert, matrix=mat, verified_conditions=[])
 
 
 def _fs_conditions(verify, h, complete: bool) -> list:
@@ -70,16 +65,16 @@ def test_fs_check_drops_a_label_for_a_changed_entry(finder, verify, spec, comple
     h = resolve_preset(spec, QQ)
     cert = finder(h)
     full = ["i", "ii", "iii"] if complete else ["i", "ii"]
-    assert cert is not None and cert.verified_conditions == full
+    assert cert is not None and cert.verified == full
     conds = _fs_conditions(verify, h, complete)
-    assert verify(h.field, cert, conds) == full
+    assert verify(h.field, cert.kind, cert.tensor, conds) == full
     # entry (0, 0) adds e_0 (x) v_0 to tau(v_0), resp. vbar_0 to chi(e_0 (x) vbar_0);
     # the sums that (ii) takes pick the extra term up, so (ii) fails
-    bumped = _with_matrix(cert, _bumped(h.field, cert.matrix, (0, 0, 0)))
-    bad = failed_conditions(h.field, conds, bumped.matrix)
+    bumped = _bumped(h.field, cert.tensor, (0, 0, 0))
+    bad = failed_conditions(h.field, conds, bumped)
     assert "ii" in bad and set(bad) <= set(full)
     with pytest.raises(AssertionError, match=f"^{cert.kind} fails {', '.join(bad)}$"):
-        verify(h.field, bumped, conds)
+        verify(h.field, cert.kind, bumped, conds)
 
 
 @pytest.mark.parametrize("finder, verify, spec", [
@@ -94,13 +89,13 @@ def test_plain_kernel_shift_keeps_i_ii_and_drops_iii(finder, verify, spec):
     plain = AffineSystem.conditions(QQ, cert.shape, *_fs_conditions(verify, h, complete=False))
     shift = _vectors(QQ, SubspaceBasis(plain.unknowns, solve_affine(plain).nullspace))[0]
     keys = list(product(*map(range, cert.shape)))  # the unknowns in row-major order
-    flat = [QQ.add(x, y) for x, y in zip((cert.matrix.get(k, QQ.zero) for k in keys), shift)]
+    flat = [QQ.add(x, y) for x, y in zip((cert.tensor.get(k, QQ.zero) for k in keys), shift)]
     moved = {k: x for k, x in zip(keys, flat) if x}
     conds = _fs_conditions(verify, h, complete=True)
-    assert verify(h.field, cert, conds) == ["i", "ii", "iii"]
+    assert verify(h.field, cert.kind, cert.tensor, conds) == ["i", "ii", "iii"]
     assert failed_conditions(h.field, conds, moved) == ["iii"]
     with pytest.raises(AssertionError, match="fails iii$"):
-        verify(h.field, _with_matrix(cert, moved), conds)
+        verify(h.field, cert.kind, moved, conds)
 
 
 # the closed formulas of the fs maps: tau(v_b) = t_1 (x) S(t_2) v_b, keyed (i, a, b)
@@ -139,9 +134,9 @@ def test_fs_verdicts_and_formulas_agree_with_the_blind_systems(spec, char, prese
             assert (cert is not None) == (solve_affine(systems[-1]) is not None), finder
             assert (cert is not None) == (total is not None), finder
             if cert is not None:
-                assert cert.matrix == formula(total.vector) and cert.shape == shape
+                assert cert.tensor == formula(total.tensor) and cert.shape == shape
         if total is not None:
-            assert [failed_labels(sys, formula(total.vector)) for sys in systems] == [[], []]
+            assert [failed_labels(sys, formula(total.tensor)) for sys in systems] == [[], []]
 
 
 def test_a_left_integral_space_of_dimension_2_exits_2(monkeypatch, capsys):
@@ -178,32 +173,32 @@ def test_idempotent_check_rejects_a_changed_entry():
     h = resolve_preset("group:C3", QQ)
     cert = separability_idempotent(h)
     conds = idempotent_conditions(h.alg)
-    assert _verify_idempotent(h.field, cert.data, conds) == ["m(e)=1", "bilinear"]
+    assert _verify_idempotent(h.field, cert.tensor, conds) == ["m(e)=1", "bilinear"]
     # e_0 (x) e_0 multiplies to e_0 = 1, so m(e) moves off the unit
     with pytest.raises(AssertionError, match=r"m\(e\)=1"):
-        _verify_idempotent(h.field, _bumped(h.field, cert.data, (0, 0)), conds)
+        _verify_idempotent(h.field, _bumped(h.field, cert.tensor, (0, 0)), conds)
 
 
 def test_retraction_check_rejects_a_changed_entry():
     h = resolve_preset("functions:C3", QQ)
     cert = coseparability_retraction(h)
-    conds, lam = retraction_conditions(h), total_integral(h, "in_dual").vector
-    assert _verify_retraction(h, cert.data, lam, conds) == ["theta∘Delta=id", "bicolinear",
+    conds, lam = retraction_conditions(h), total_integral(h, "in_dual").tensor
+    assert _verify_retraction(h, cert.tensor, lam, conds) == ["theta∘Delta=id", "bicolinear",
                                                             "exchange-identity"]
     # theta(e_0 (x) e_0) gains e_0, and Delta(e_0) = e_0 (x) e_0 + ...
     with pytest.raises(AssertionError, match="theta∘Delta=id"):
-        _verify_retraction(h, _bumped(h.field, cert.data, (0, 0, 0)), lam, conds)
+        _verify_retraction(h, _bumped(h.field, cert.tensor, (0, 0, 0)), lam, conds)
 
 
 def test_ad_invariant_check_rejects_a_changed_value():
     h = resolve_preset("group:C3", QQ)
     cert = ad_invariant_integral(h)
     conds = _ad_invariant_conditions(h)
-    assert _verify_ad_invariant(h.field, cert.vector, conds, "ad-invariant integral") == [
+    assert _verify_ad_invariant(h.field, cert.tensor, conds, "ad-invariant integral") == [
         "a", "b", "c"]
     # lam(1) = lam(e_0) moves off 1, while (a) and (b) still hold for a group algebra
     with pytest.raises(AssertionError, match="fails c$"):
-        _verify_ad_invariant(h.field, _bumped(h.field, cert.vector, (0,)), conds,
+        _verify_ad_invariant(h.field, _bumped(h.field, cert.tensor, (0,)), conds,
                              "ad-invariant integral")
 
 
@@ -230,7 +225,7 @@ def _formula_cases(h):
         first = {(x,): c for (x, j), c in integral_space(h, "left", carrier).basis.items()
                  if j == 0}
         yield (conds, AffineSystem.conditions(f, shape, *conds), shape,
-               formula_of(total.vector if total else first), finder(h) if total else None)
+               formula_of(total.tensor if total else first), finder(h) if total else None)
 
 
 @pytest.mark.parametrize("spec,char", GRID)
@@ -244,7 +239,7 @@ def test_condition_evaluation_agrees_with_the_assembled_rows(spec, char, preset_
     f = h.field
     for conds, sys, shape, formula, cert in _formula_cases(h):
         if cert is not None:  # the package's certificate is this formula, fully verified
-            assert cert.data == formula and failed_conditions(f, conds, formula) == []
+            assert cert.tensor == formula and failed_conditions(f, conds, formula) == []
         if len(shape) == 2:
             keys = list(product(range(h.dim), repeat=2))
         else:
@@ -280,8 +275,8 @@ def _corrupting(total_integral, how):
     def corrupted(h, *args):
         cert = total_integral(h, *args)
         f = h.field
-        return cert and replace(cert, vector={k: f.add(v, v) for k, v in cert.vector.items()}
-                                if how == "doubled" else _bumped(f, cert.vector, (0,)))
+        return cert and replace(cert, tensor={k: f.add(v, v) for k, v in cert.tensor.items()}
+                                if how == "doubled" else _bumped(f, cert.tensor, (0,)))
     return corrupted
 
 
@@ -332,7 +327,7 @@ def test_cli_ad_queries_exit_1_when_the_total_integral_fails_b_alone(argv, monke
 
     monkeypatch.setattr(integ, name, perturbed)
     conds = (integ._ad_invariant_conditions if invariant else integ._ad_coinvariant_conditions)(h)
-    total = total_integral(h, "in_dual" if invariant else "in_h").vector
+    total = total_integral(h, "in_dual" if invariant else "in_h").tensor
     assert failed_conditions(h.field, conds, total) == ["b"]
     assert solve_affine((ad_invariant_system if invariant else ad_coinvariant_system)(h)) is None
     assert cli.main(argv) == 1
@@ -368,13 +363,14 @@ def test_cli_fs_exits_2_on_a_corrupted_solution(argv, monkeypatch, capsys):
 def test_extension_idempotent_check_rejects_a_changed_coordinate():
     h = resolve_preset("group:C2", QQ)
     _, ext = drinfeld_double(h)
-    cert = separable_extension(h, ext, ad_invariant_integral(h).vector)
+    cert = separable_extension(h, ext, ad_invariant_integral(h).tensor)
     rel = relative_tensor(ext)
     conds = _extension_idempotent_conditions(ext, rel)
-    assert _verify_extension_idempotent(h.field, cert, conds) == ["m(e)=1", "bilinear"]
-    coords = _bumped(h.field, cert.quotient_coords, (0,))
+    assert _verify_extension_idempotent(h.field, cert.tensor, conds) == ["m(e)=1", "bilinear"]
+    assert cert.verified == ["m(e)=1", "bilinear"] and cert.shape == (rel.dim,)
+    coords = _bumped(h.field, cert.tensor, (0,))
     with pytest.raises(AssertionError, match="extension idempotent"):
-        _verify_extension_idempotent(h.field, ExtensionIdempotent(coords, rel.dim), conds)
+        _verify_extension_idempotent(h.field, coords, conds)
 
 
 def test_cli_exits_2_when_the_idempotent_is_written_from_a_wrong_integral(monkeypatch, capsys):
@@ -385,7 +381,7 @@ def test_cli_exits_2_when_the_idempotent_is_written_from_a_wrong_integral(monkey
 
     def doubled(h):
         lam = inner(h)
-        return replace(lam, vector={k: h.field.add(v, v) for k, v in lam.vector.items()})
+        return replace(lam, tensor={k: h.field.add(v, v) for k, v in lam.tensor.items()})
 
     monkeypatch.setattr(integ, "ad_invariant_integral", doubled)
     assert cli.main(["double-separable", "--preset", "group:C2"]) == 2
@@ -398,16 +394,22 @@ def test_cli_exits_2_when_the_idempotent_is_written_from_a_wrong_integral(monkey
 # A fault in the assembly: the checks read the conditions, not the rows
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("argv", [
-    ["weak-projection", "--preset", "sweedler", "--char", "3"],
-    ["lift-section", "--problem", "square-zero", "--preset", "group:C2"],
-    ["lift-section", "--colinear", "--preset", "sweedler"],
+LIFT_CHECK = "linear lift fails projects, unital"
+
+
+@pytest.mark.parametrize("argv, check", [
+    # the coradical's radical, over F_3, is certified by a solved separability
+    # idempotent of its quotient before any lift is solved
+    (["weak-projection", "--preset", "sweedler", "--char", "3"],
+     "radical quotient separability idempotent fails m(e)=1"),
+    (["lift-section", "--problem", "square-zero", "--preset", "group:C2"], LIFT_CHECK),
+    (["lift-section", "--colinear", "--preset", "sweedler"], LIFT_CHECK),
 ])
-def test_cli_exits_2_when_the_assembly_doubles_every_constant(argv, monkeypatch, capsys):
+def test_cli_exits_2_when_the_assembly_doubles_every_constant(argv, check, monkeypatch, capsys):
     """An assembly that doubles every right-hand side hands the solver a wrong
     system, whose solution is off by a factor 2.  A check of that solution on
     the same rows passes; the check on the condition list fails, so the query
-    exits 2 and prints no report."""
+    exits 2 and prints no report, naming the first solve checked."""
     assert cli.main(argv) == 0
     capsys.readouterr()
     build = AffineSystem.conditions
@@ -423,7 +425,38 @@ def test_cli_exits_2_when_the_assembly_doubles_every_constant(argv, monkeypatch,
     assert captured.out == ""
     error = json.loads(captured.err)["error"]
     assert "internal verification failed" in error
-    assert "linear lift fails projects, unital" in error  # the condition-list check
+    assert check in error  # the condition-list check
+
+
+@pytest.mark.parametrize("module, argv", [
+    ("serialize", ["check-axioms", "--file", "{doc}"]),  # the unit of a loaded document
+    ("filtration", ["coradical", "--preset", "taft:3:2", "--char", "7"]),  # rad(H*) over F_7
+])
+def test_cli_exits_2_when_a_solved_witness_is_doubled(module, argv, monkeypatch, capsys,
+                                                      tmp_path):
+    """The unit solved from a loaded multiplication, and the separability idempotent that
+    certifies a radical quotient semisimple over F_p, are checked on the conditions they
+    were solved from: doubled, each fails its check, so the query exits 2 and prints no
+    report, neither a refutation (``check-axioms`` exit 1) nor an unchecked answer."""
+    import importlib
+    doc = tmp_path / "kc3.json"
+    doc.write_text(json.dumps(serialize.hopf_to_dict(resolve_preset("group:C3", QQ))))
+    argv = [str(doc) if a == "{doc}" else a for a in argv]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    target = importlib.import_module(f"hopfsmith.{module}")
+    solve = target.solve_affine
+
+    def doubled(system):
+        sol = solve(system)
+        f = system.matrix.field
+        return sol and replace(sol, particular={k: f.add(v, v) for k, v in sol.particular.items()})
+
+    monkeypatch.setattr(target, "solve_affine", doubled)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal verification failed" in json.loads(captured.err)["error"]
 
 
 # ---------------------------------------------------------------------------

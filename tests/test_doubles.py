@@ -177,11 +177,12 @@ def test_formula_idempotent_agrees_with_the_blind_route(spec, char, dual, preset
     lam = ad_invariant_integral(h)
     assert (lam is None) == (blind is None)
     if lam is not None:
-        cert = separable_extension(h, ext, lam.vector)
+        cert = separable_extension(h, ext, lam.tensor)
         conds = _extension_idempotent_conditions(ext, relative_tensor(ext))
-        assert _verify_extension_idempotent(h.field, cert, conds) == ["m(e)=1", "bilinear"]
+        assert _verify_extension_idempotent(h.field, cert.tensor, conds) == ["m(e)=1", "bilinear"]
+        assert cert.verified == ["m(e)=1", "bilinear"]
         if spec.startswith("group:") and not dual:
-            assert cert.quotient_coords == blind.quotient_coords
+            assert cert.tensor == blind.tensor
 
 
 def test_extension_validation_rejects_bad_embedding():

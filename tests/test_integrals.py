@@ -4,28 +4,25 @@ from itertools import product
 import pytest
 
 from hopfsmith import GF, QQ, FieldSpec, dual_hopf, integrals, resolve_preset
-from hopfsmith.integrals import (IntegralCertificate, _blind_idempotent, _blind_retraction,
-                                 ad_coinvariant_integral, ad_invariant_integral,
-                                 coseparability_retraction, four_coinvariance_flags,
-                                 four_linearity_flags, idempotent_system, integral_space,
+from hopfsmith.integrals import (_blind_idempotent, _blind_retraction, ad_coinvariant_integral,
+                                 ad_invariant_integral, coseparability_retraction,
+                                 four_coinvariance_flags, four_linearity_flags, integral_space,
                                  is_unimodular, separability_idempotent, total_integral)
 from hopfsmith.linalg import AffineSystem, contract, identity, solve_affine, spans_equal
 from hopfsmith.presets import preset_sweedler
 
 from conftest import GRID, SMALL_GRID, F
 from test_loop_oracles import (_lists, _nullity, _sparse_mat, _vec, ad_coinvariant_system,
-                               ad_invariant_system, dense, retraction_system)
+                               ad_invariant_system, dense, idempotent_system, retraction_system)
 
 # the GRID and the two largest Taft cases of the scale ladder
 AD_CASES = GRID + [("taft:4:2", 5), ("taft:5:3", 11)]
 
 
 def _entries(cert) -> list:
-    """The entries of an integral's vector, or of an idempotent's tensor, in
+    """The entries of a certificate's tensor, an integral's vector or an idempotent, in
     row-major order."""
-    if isinstance(cert, IntegralCertificate):
-        return [cert.vector.get((x,), 0) for x in range(cert.dim)]
-    return [cert.data.get(k, 0) for k in product(*map(range, cert.shape))]
+    return [cert.tensor.get(k, 0) for k in product(*map(range, cert.shape))]
 
 
 def test_integral_space_of_cyclic_groups(preset_cache):
@@ -61,7 +58,7 @@ def test_one_dimensional_hopf_integrals():
 def test_total_integral_normalization():
     h = resolve_preset("group:C2", QQ)
     t = total_integral(h, "in_h")
-    assert t is not None and t.total
+    assert t is not None and t.kind == "total_integral"
     assert _entries(t) == [F(1, 2), F(1, 2)]
 
 
@@ -167,7 +164,7 @@ def test_ad_invariant_is_the_total_integral(preset_cache):
             continue
         tot = total_integral(h, "in_dual")
         assert tot is not None
-        assert lam.vector == tot.vector, (spec, char)
+        assert lam.tensor == tot.tensor, (spec, char)
 
 
 def _solved(system):
@@ -188,7 +185,7 @@ def test_ad_integrals_equal_the_solve_of_a_b_c(spec, char, preset_cache):
     for finder, system in ((ad_invariant_integral, ad_invariant_system),
                            (ad_coinvariant_integral, ad_coinvariant_system)):
         cert = finder(h)
-        assert (None if cert is None else cert.vector) == _solved(system(h)), finder.__name__
+        assert (None if cert is None else cert.tensor) == _solved(system(h)), finder.__name__
 
 
 def test_the_normalized_integral_in_the_dual_is_an_invariant_trace(preset_cache):
@@ -201,7 +198,7 @@ def test_the_normalized_integral_in_the_dual_is_an_invariant_trace(preset_cache)
         total = total_integral(h, "in_dual")
         if total is None:
             continue
-        f, lam, m, s = h.field, total.vector, h.alg.mult, h.antipode
+        f, lam, m, s = h.field, total.tensor, h.alg.mult, h.antipode
         assert contract(f, "ijk,k->ij", m, lam) == contract(f, "jik,k->ij", m, lam), spec
         assert contract(f, "ij,i->j", s, lam) == lam, spec
         assert contract(f, "ij,jk->ik", s, s) == identity(f, h.dim), spec
@@ -250,7 +247,7 @@ def test_four_linearity_flags_agree(preset_cache):
         lam = total_integral(h, "in_dual")
         if lam is None:
             continue
-        flags = four_linearity_flags(h, lam.vector)
+        flags = four_linearity_flags(h, lam.tensor)
         assert len(set(flags.values())) == 1, (spec, char, flags)
 
 
@@ -260,7 +257,7 @@ def test_four_coinvariance_flags_agree(preset_cache):
         t = total_integral(h, "in_h")
         if t is None:
             continue
-        flags = four_coinvariance_flags(h, t.vector)
+        flags = four_coinvariance_flags(h, t.tensor)
         assert len(set(flags.values())) == 1, (spec, char, flags)
 
 
@@ -274,7 +271,7 @@ def test_each_flag_is_the_verdict_of_its_adjoint_integral(spec, char, preset_cac
         total = total_integral(h, carrier)
         if total is not None:
             exists = verdict(h) is not None
-            assert set(flags(h, total.vector).values()) == {exists}, (spec, char, carrier)
+            assert set(flags(h, total.tensor).values()) == {exists}, (spec, char, carrier)
 
 
 def test_cocommutative_semisimple_has_ad_coinvariant():

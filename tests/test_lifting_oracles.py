@@ -416,13 +416,13 @@ def test_verify_weak_projection_matches_loops(spec, char, preset_cache):
         res = weak_projection(h, sub, incl, bilinear=bilinear, corad=cor)
         if isinstance(res, LiftObstruction):
             continue
-        args = (h, sub, incl, res.matrix, bilinear)
+        args = (h, sub, incl, res.tensor, bilinear)
         assert _verify_outcome(*args) == oracle_verify_weak_projection(*args) == res.verified
         if h.dim > 6:
             continue
         for r in range(sub.dim):
             for s in range(h.dim):
-                bad = _bumped(f, res.matrix, (r, s))
+                bad = _bumped(f, res.tensor, (r, s))
                 args = (h, sub, incl, bad, bilinear)
                 assert _verify_outcome(*args) == oracle_verify_weak_projection(*args), (r, s)
 
@@ -461,9 +461,9 @@ def oracle_final_section_ok(p, sigma, colinear):
                for c in range(na) for x in range(ne) for u in range(nh))
 
 
-def _final_accepted(p, cert, alpha, beta):
+def _final_accepted(p, sigma, alpha, beta):
     try:
-        _verify_final(p, cert, alpha, beta)
+        _verify_final(p, sigma, alpha, beta)
     except AssertionError:
         return False
     return True
@@ -479,13 +479,13 @@ def test_verify_final_matches_loops_on_every_corruption(spec, char, preset_cache
         p = square_zero_extension(h)
         cert = lift_algebra_section(p, colinear=colinear)
         alpha, beta = _equivariance_pairs_from_problem(p) if colinear else ({}, {})
-        assert _final_accepted(p, cert, alpha, beta)
+        assert _final_accepted(p, cert.final, alpha, beta)
         assert oracle_final_section_ok(p, cert.final, colinear)
         for x in range(p.e.dim):
             for y in range(p.a.dim):
-                bad = replace(cert, final=_bumped(f, cert.final, (x, y)))
+                bad = _bumped(f, cert.final, (x, y))
                 assert _final_accepted(p, bad, alpha, beta) == \
-                    oracle_final_section_ok(p, bad.final, colinear), (colinear, x, y)
+                    oracle_final_section_ok(p, bad, colinear), (colinear, x, y)
 
 
 def _recorded_labels(monkeypatch, run) -> set:

@@ -38,9 +38,9 @@ from hopfsmith import (FieldSpec, cli, doubles, filtration, hopf, integrals, lif
 from hopfsmith.hopf import check_hopf, quotient_maps
 from hopfsmith.doubles import drinfeld_double
 from hopfsmith.hopf import SubspaceBasis
-from hopfsmith.linalg import (AffineSystem, SparseMat, _rref, contract, failed_conditions,
-                              identity, in_coordinates, nullspace, require_keys, solve_affine,
-                              sparse)
+from hopfsmith.linalg import (AffineSystem, Certificate, SparseMat, _rref, contract,
+                              failed_conditions, identity, in_coordinates, nullspace, require_keys,
+                              solve_affine, sparse)
 from hopfsmith.yd import (ACTIONS, COACTIONS, adjoint_action, adjoint_coaction, check_yd,
                           h_bar_yd, h_plus_yd, yd_on_h)
 
@@ -623,6 +623,11 @@ def ad_coinvariant_system(h):
     return AffineSystem.conditions(h.field, (h.dim,), *integrals._ad_coinvariant_conditions(h))
 
 
+def idempotent_system(a):
+    """The blind idempotent system: the rows of ``integrals.idempotent_conditions``."""
+    return AffineSystem.conditions(a.field, (a.dim, a.dim), *integrals.idempotent_conditions(a))
+
+
 def retraction_system(h):
     """The blind retraction system: the rows of ``integrals.retraction_conditions``."""
     return AffineSystem.conditions(h.field, (h.dim,) * 3, *integrals.retraction_conditions(h))
@@ -738,9 +743,8 @@ def blind_separable_extension(ext):
     sol = solve_affine(AffineSystem.conditions(f, (rel.dim,), *conds))
     if sol is None:
         return None
-    cert = doubles.ExtensionIdempotent(sol.particular, rel.dim)
-    doubles._verify_extension_idempotent(f, cert, conds)
-    return cert
+    return Certificate("extension_idempotent", sol.particular, (rel.dim,),
+                       doubles._verify_extension_idempotent(f, sol.particular, conds))
 
 
 def old_extension_idempotent_system(ext, rel):
@@ -819,7 +823,7 @@ def test_certificate_systems_equal_the_identity_tensor_route(spec, char, preset_
              for k, side in enumerate(("left", "right"))]
     pairs += [(ad_invariant_system(h), old_ad_invariant_system(h)),
               (ad_coinvariant_system(h), old_ad_coinvariant_system(h)),
-              (integrals.idempotent_system(h.alg), old_idempotent_system(h.alg)),
+              (idempotent_system(h.alg), old_idempotent_system(h.alg)),
               (retraction_system(h), old_retraction_system(h))]
     if h.dim > 1:
         yd_plus, hp = h_plus_yd(h)

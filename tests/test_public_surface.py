@@ -4,10 +4,12 @@ snapshot in the same change that logs it in CHANGES.md.
 
 The package holds only what a query, an export or the benchmark tracer uses:
 every top-level definition in ``src/hopfsmith`` must be reachable from them,
-every imported name must be referenced, and every defaulted parameter outside
-the exports must be set by some call."""
+every imported name must be referenced, every defaulted parameter outside
+the exports must be set by some call, and no parameter may get the same constant
+from every call."""
 
 import ast
+import builtins
 from dataclasses import fields
 from pathlib import Path
 
@@ -163,46 +165,73 @@ def test_every_src_import_is_used():
     assert not unused, f"imported in src but never referenced: {unused}"
 
 
-def _defaulted(tree: ast.Module) -> list:
-    """(name, callee, parameter, position) for each defaulted parameter of a
-    function or method, and each defaulted dataclass field that ``__init__``
-    takes, of one module.  ``callee`` is the name a call uses: the function's,
-    the method's, or the class's for ``__init__`` and for fields; ``position``
-    counts the arguments a call passes before it, ``self`` not among them."""
-    out = []
+def _parameters(trees: list) -> list:
+    """(name, callee, position, default) for each parameter of a function or method,
+    and each dataclass field that ``__init__`` takes, of the modules ``trees``.
+    ``name`` is ``function.parameter``, ``Class.method.parameter`` or ``Class.field``;
+    ``callee`` is the name a call uses: the function's, the method's, or the class's
+    for ``__init__`` and for fields; ``position`` counts the arguments a call passes
+    before it, ``self`` not among them (None for a keyword-only one), and a dataclass's
+    fields follow those of a dataclass base; ``default`` is the default's node, None
+    for a required parameter."""
+    out, dataclasses = [], {}
 
     def params(fn, owner, skip):
         args = fn.args.posonlyargs + fn.args.args
         callee = owner if fn.name == "__init__" else fn.name
         name = f"{owner}.{fn.name}" if owner else fn.name
-        for pos, a in enumerate(args[len(args) - len(fn.args.defaults):],
-                                len(args) - len(fn.args.defaults)):
-            out.append((name, callee, a.arg, pos - skip))
+        defaults = [None] * (len(args) - len(fn.args.defaults)) + fn.args.defaults
+        for pos, (a, d) in enumerate(zip(args, defaults)):
+            if pos >= skip:
+                out.append((f"{name}.{a.arg}", callee, pos - skip, d))
         for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
-            if d is not None:
-                out.append((name, callee, a.arg, None))
+            out.append((f"{name}.{a.arg}", callee, None, d))
 
-    for stmt in tree.body:
+    for stmt in (s for tree in trees for s in tree.body):
         if isinstance(stmt, ast.FunctionDef):
             params(stmt, None, 0)
         elif isinstance(stmt, ast.ClassDef):
-            dataclass = any("dataclass" in ast.unparse(d) for d in stmt.decorator_list)
-            pos = 0
             for item in stmt.body:
                 if isinstance(item, ast.FunctionDef):
                     static = any(ast.unparse(d) == "staticmethod" for d in item.decorator_list)
                     params(item, stmt.name, 0 if static else 1)
-                elif dataclass and isinstance(item, ast.AnnAssign) and item.simple:
-                    value = item.value
-                    if isinstance(value, ast.Call) and any(
-                            k.arg == "init" and isinstance(k.value, ast.Constant)
-                            and k.value.value is False for k in value.keywords):
-                        continue  # init=False: set by the class itself
-                    if value is not None:
-                        out.append((f"{stmt.name}.{item.target.id}", stmt.name,
-                                    item.target.id, pos))
-                    pos += 1
+            if any("dataclass" in ast.unparse(d) for d in stmt.decorator_list):
+                dataclasses[stmt.name] = (
+                    [b.id for b in stmt.bases if isinstance(b, ast.Name)],
+                    [(item.target.id, item.value) for item in stmt.body
+                     if isinstance(item, ast.AnnAssign) and item.simple
+                     and not (isinstance(item.value, ast.Call) and any(  # init=False: set
+                         k.arg == "init" and isinstance(k.value, ast.Constant)  # by the class
+                         and k.value.value is False for k in item.value.keywords))])
+
+    def init_fields(cls):
+        bases, own = dataclasses[cls]
+        return [f for base in bases if base in dataclasses for f in init_fields(base)] + own
+
+    for cls in dataclasses:
+        out += [(f"{cls}.{name}", cls, pos, d) for pos, (name, d) in enumerate(init_fields(cls))]
     return out
+
+
+def _calls(trees: list) -> dict:
+    """Callee name -> the calls of it in the modules ``trees``: a call of ``f`` or of
+    ``x.f`` is a call of ``f``."""
+    calls = {}
+    for node in (n for t in trees for n in ast.walk(t) if isinstance(n, ast.Call)):
+        func = node.func
+        calls.setdefault(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None),
+                         []).append(node)
+    return calls
+
+
+def _src_trees() -> list:
+    return [ast.parse(p.read_text()) for p in sorted((ROOT / "src" / "hopfsmith").glob("*.py"))]
+
+
+def _unexported(name: str) -> bool:
+    """Whether the parameter ``name`` belongs to neither ``hopfsmith.__all__`` nor ``cli.main``,
+    whose callers lie outside ``src``."""
+    return name.split(".")[0] not in set(hopfsmith.__all__) | {"main"}
 
 
 def test_every_defaulted_parameter_is_set_by_a_caller():
@@ -210,20 +239,53 @@ def test_every_defaulted_parameter_is_set_by_a_caller():
     ``__init__`` takes, of a definition in ``src/hopfsmith`` outside
     ``hopfsmith.__all__`` and ``cli.main`` is passed by at least one call in
     ``src/``: an option that no caller sets is a constant."""
-    trees = [ast.parse(p.read_text()) for p in sorted((ROOT / "src" / "hopfsmith").glob("*.py"))]
+    trees = _src_trees()
     passed = {}  # callee name -> [(positional count, keyword names)]; a starred argument passes all
-    for node in (n for t in trees for n in ast.walk(t) if isinstance(n, ast.Call)):
-        func = node.func
-        callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-        many = any(isinstance(a, ast.Starred) for a in node.args)
-        keys = {k.arg for k in node.keywords}
-        passed.setdefault(callee, []).append((float("inf") if many else len(node.args), keys))
-    exported = set(hopfsmith.__all__) | {"main"}
-    unset = sorted(name for t in trees for name, callee, param, pos in _defaulted(t)
-                   if name.split(".")[0] not in exported
-                   and not any((pos is not None and n > pos) or param in keys or None in keys
-                               for n, keys in passed.get(callee, [])))
+    for callee, nodes in _calls(trees).items():
+        passed[callee] = [(float("inf") if any(isinstance(a, ast.Starred) for a in node.args)
+                           else len(node.args), {k.arg for k in node.keywords})
+                          for node in nodes]
+    unset = sorted(name for name, callee, pos, default in _parameters(trees)
+                   if default is not None and _unexported(name)
+                   and not any((pos is not None and n > pos) or name.rpartition(".")[2] in keys
+                               or None in keys for n, keys in passed.get(callee, [])))
     assert not unset, f"defaulted parameters no call in src sets: {unset}"
+
+
+def _passed(call: ast.Call, pos, param: str, default):
+    """The node ``call`` passes for a parameter, its default where the call passes none;
+    None where a starred argument may pass it."""
+    starred = [i for i, a in enumerate(call.args) if isinstance(a, ast.Starred)]
+    if pos is not None and (starred and starred[0] <= pos):
+        return None
+    if pos is not None and pos < len(call.args):
+        return call.args[pos]
+    keys = {k.arg: k.value for k in call.keywords}
+    return keys[param] if param in keys else None if None in keys else default
+
+
+def _constant(node):
+    """A literal, or the name of a builtin such as ``ValueError``, as comparable text; None
+    for any other node."""
+    if isinstance(node, ast.Constant) or isinstance(node, ast.Name) and node.id in dir(builtins):
+        return ast.dump(node)
+    return None
+
+
+def test_no_parameter_keeps_a_single_value():
+    """No parameter, and no dataclass field that ``__init__`` takes, of a definition in
+    ``src/hopfsmith`` outside ``hopfsmith.__all__`` and ``cli.main`` gets the same constant,
+    a literal or a builtin name, from every call in ``src/`` (its default where a call
+    passes none): an option that keeps one value is a constant, and stated as one."""
+    trees = _src_trees()
+    calls, single = _calls(trees), []
+    for name, callee, pos, default in _parameters(trees):
+        if _unexported(name) and callee in calls:
+            param = name.rpartition(".")[2]
+            values = {_constant(_passed(call, pos, param, default)) for call in calls[callee]}
+            if len(values) == 1 and None not in values:
+                single.append(name)
+    assert not single, f"parameters that every call in src passes one constant: {sorted(single)}"
 
 
 def _spec_literals(path: Path) -> list:
