@@ -187,7 +187,7 @@ def cmd_double_separable(args) -> int:
         return 1
     _, ext = drinfeld_double(h)
     cert = separable_extension(h, ext, adinv.tensor)
-    report["idempotent_quotient_coords"] = ser.json_lists(h.field, cert.tensor, cert.shape)
+    report["idempotent_coords"] = ser.json_lists(h.field, cert.tensor, cert.shape)
     _emit(report, args)
     return 0
 

@@ -11,18 +11,16 @@ Hopf axioms.  The antipode is the closed form S_D(f |><| h) = (eps |><| S(h)) ·
 (f o S^{-1} |><| 1) (Kassel, *Quantum Groups*, IX.4).  Every constructed double
 is pushed through the axiom checker, antipode axioms and S_D S_D^{-1} = id too.
 
-The relations r·i(s) (x) r' - r (x) i(s)·r' of R (x)_S R are two contractions
-of the multiplication with the embedding, which is checked to be an algebra map
-by the one check that every algebra map passes (:func:`hopf.require_algebra_map`).
 D(H) is free as a right H-module on the f_a |><| 1, since (f_a |><| h)(eps |><|
-h') = f_a |><| hh' (Kassel, IX.4): the relation matrix of D(H) (x)_H D(H) is
-block diagonal, with n equal blocks on consecutive column ranges, and its
-unique reduced echelon form is one block's shifted n times.  So
-:func:`relative_tensor` assembles and eliminates one block only; it reads the
-repeat off the right action of S on R, for any extension.  D(H) is separable
-over H exactly when H has an ad-invariant integral lambda, and
-:func:`separable_extension` writes the idempotent e from lambda, with no solve,
-and checks m(e) = 1 and r·e = e·r on its quotient coordinates in R (x)_S R.
+h') = f_a |><| hh' (Kassel, IX.4), so D(H) (x)_H D(H) = H* (x) D(H) by
+(f |><| h) (x)_H d -> f (x) (eps |><| h)·d.  D(H) is separable over H exactly
+when H has an ad-invariant integral lambda; :func:`separable_extension` writes
+the idempotent e from lambda in those n·N coordinates and checks it, with the
+freeness identity, on the 2n generators f_a |><| 1 and eps |><| e_i: no R (x)_S R
+is built and nothing is eliminated.  The report's ``idempotent_coords`` (entry
+[a][b·n + j] the coefficient of f_a (x) (f_b |><| e_j)) replaced the coordinates
+``idempotent_quotient_coords`` in a quotient basis of R (x)_S R that the engine
+chose; :func:`relative_tensor` still presents R (x)_S R, for the blind search.
 """
 
 from __future__ import annotations
@@ -32,8 +30,8 @@ from functools import cached_property
 
 from .fields import FieldSpec
 from .hopf import AlgebraData, CoalgebraData, HopfData, require_algebra_map, validated
-from .linalg import (AffineSystem, Certificate, SparseMat, contract, rank, require_conditions,
-                     require_keys, _kernel_basis, _rref)
+from .linalg import (AffineSystem, Certificate, SparseMat, contract, least_failure, rank,
+                     require_conditions, require_keys, _kernel_basis, _rref)
 
 
 @dataclass
@@ -123,15 +121,11 @@ def _repeat(action: dict, nr: int) -> int:
 def relative_tensor(ext: ExtensionData) -> RelTensor:
     """R (x)_S R as the quotient of R (x) R by r·i(s) (x) r' - r (x) i(s)·r'.
 
-    The relation of (c, i, j), e_i·s_c (x) e_j - e_i (x) s_c·e_j, lives on the
-    columns e_a (x) e_b (column a*nr + b) whose a lies with i in one run of the
-    right action of S on R (:func:`_repeat`), and the relations of run k are
-    those of run 0 shifted by k·b·nr columns.  So the relation matrix is block
-    diagonal with equal blocks on consecutive column ranges, and its reduced row
-    echelon form, which is unique, is run 0's shifted along: only run 0's rows
-    are assembled and eliminated.  For D(H) over H the runs are the n right
-    H-submodules f_a |><| H, so b = n; over the field b = 1, and for R over
-    itself b = nr.
+    The relations of (c, i, j) with i in run k of the right action of S on R
+    (:func:`_repeat`) are those of run 0 shifted by k·b·nr columns, so the relation
+    matrix is block diagonal with equal blocks, and its reduced row echelon form,
+    which is unique, is run 0's shifted along: only run 0's rows are assembled and
+    eliminated.  For D(H) over H, b = n; over the field b = 1; for R over itself b = nr.
     """
     r = ext.big
     f, nr, m, emb = r.field, r.dim, r.mult, ext.embedding
@@ -151,34 +145,40 @@ def relative_tensor(ext: ExtensionData) -> RelTensor:
                      pivot_cols, free, f)
 
 
-def _extension_idempotent_conditions(ext: ExtensionData, rel: RelTensor) -> list:
-    """m(e) = 1 and r·e = e·r on the coordinates of e in R (x)_S R, of shape (rel.dim,)."""
-    r = ext.big
-    f, nr, m = r.field, r.dim, r.mult
-    # quotient basis vector u is the class of e_a (x) e_b for the free column a*nr + b
-    lift = {(*divmod(c, nr), u): f.one for u, c in enumerate(rel.free_cols)}
-    # quotient coordinates k of the ambient basis vector e_a (x) e_b
-    proj = {(*divmod(c, nr), k): v for (c, k), v in rel.projection.items()}
-    # e_i·(e_a (x) e_b) - (e_a (x) e_b)·e_i, in R (x) R and then in the quotient
-    return [("m(e)=1", [(1, "abk,abu,u->k", m, lift)], r.unit),
-            ("bilinear", [(1, "iay,abu,ybk,u->ik", m, lift, proj),
-                          (-1, "bix,abu,axk,u->ik", m, lift, proj)], None)]
+def _double_idempotent_conditions(h: HopfData, ext: ExtensionData) -> list:
+    """m(e) = 1 and d·e = e·d for the 2n generators d of D(H), f_a |><| 1 and eps |><| e_i,
+    on e in H* (x) D(H), an unknown of shape (n, N): entry (a, K) is the coefficient of
+    f_a (x) d_K, the image of (f_a |><| 1) (x)_H d_K.  e·d acts on the right leg, d·e on
+    the left, where d·(f_a |><| 1) = sum c_P (f_c |><| e_r), P = c·n + r, moves to
+    f_c (x) (eps |><| e_r)·d_K.  Raises ``AssertionError`` unless (f_a |><| 1)(eps |><| e_i)
+    = f_a |><| e_i, on which these coordinates rest."""
+    r, n = ext.big, h.dim
+    f, m, emb = r.field, r.mult, ext.embedding
+    free = {(a * n + i, a): c for (i,), c in h.alg.unit.items() for a in range(n)}
+    basis = {(a, i, a * n + i): f.one for a in range(n) for i in range(n)}
+    if bad := least_failure(2, ("freeness", contract(f, "Qa,Ri,QRL->aiL", free, emb, m), basis)):
+        raise AssertionError(f"(f_a |><| 1)(eps |><| e_i) != f_a |><| e_i at (a, i) = {bad[0]}")
+    gens = {**free, **{(k, n + i): c for (k, i), c in emb.items()}}
+    split = {(c * n + i, c, k): v for (k, i), v in emb.items() for c in range(n)}
+    return [("m(e)=1", [(1, "Qa,QKL,aK->L", free, m)], r.unit),
+            ("bilinear", [(1, "Qa,DQP,Dd,PcR,RKL,aK->dcL", free, m, gens, split, m),
+                          (-1, "KDL,Dd,aK->daL", m, gens)], None)]
 
 
 def separable_extension(h: HopfData, ext: ExtensionData, lam: dict) -> Certificate:
     """The idempotent e = sum lam(e_x e_y) (f_x |><| 1) (x)_H (S*(f_y) |><| 1) of D(H)/H,
-    S*(f) = f o S, from an ad-invariant integral ``lam`` keyed (x,): checked, not solved,
-    and keyed (u,) on the quotient basis of :class:`RelTensor`.
-    Read with lam(e_y e_x), with S^{-1}, or with S* on the left leg, it is the same e,
-    as lam is a trace, lam∘S = lam and S^2 = id on every input tested."""
-    rel = relative_tensor(ext)
-    f, n, nr, u = h.field, h.dim, ext.big.dim, h.alg.unit
-    # entry (x, i, b, j): coefficient of (f_x |><| e_i) (x) (f_b |><| e_j); S*(f_y) = S[y][b] f_b
-    ambient = contract(f, "xyk,k,yb,i,j->xibj", h.alg.mult, lam, h.antipode, u, u)
-    e = {((x * n + i) * nr + b * n + j,): v for (x, i, b, j), v in ambient.items()}
-    coords = contract(f, "c,ck->k", e, rel.projection)
-    return Certificate("extension_idempotent", coords, (rel.dim,), _verify_extension_idempotent(
-        f, coords, _extension_idempotent_conditions(ext, rel)))
+    S*(f) = f o S, from an ad-invariant integral ``lam`` keyed (x,): written keyed (x, K) on
+    H* (x) D(H) and checked on :func:`_double_idempotent_conditions`.  The d with d·e = e·d
+    form a subalgebra, so it is D(H) once it holds the 2n generators, as f_a |><| e_i =
+    (f_a |><| 1)(eps |><| e_i).  Read with lam(e_y e_x), with S^{-1}, or with S* on the left
+    leg, it is the same e, as lam is a trace, lam∘S = lam and S^2 = id on every input tested."""
+    f, n, u = h.field, h.dim, h.alg.unit
+    conds = _double_idempotent_conditions(h, ext)
+    # S*(f_y) |><| 1 = sum S[y][b] u_j (f_b |><| e_j)
+    e = {(x, b * n + j): v for (x, b, j), v in
+         contract(f, "xyk,k,yb,j->xbj", h.alg.mult, lam, h.antipode, u).items()}
+    return Certificate("extension_idempotent", e, (n, ext.big.dim),
+                       _verify_extension_idempotent(f, e, conds))
 
 
 def _verify_extension_idempotent(f: FieldSpec, coords: dict, conds: list) -> list:

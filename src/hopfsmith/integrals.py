@@ -102,8 +102,8 @@ def total_integral(h: HopfData, carrier: str = "in_h",
         return None
     inv = f.inv(values[(0,)])
     t = {(x,): f.mul(inv, c) for (x, _), c in basis.items()}
-    # a basis vector checked with its space, rescaled: no condition list of its own
-    return IntegralCertificate("total_integral", t, (h.dim,), [], carrier)
+    # a basis vector checked with its space on "left" (_verify_integral_space), rescaled
+    return IntegralCertificate("total_integral", t, (h.dim,), ["left"], carrier)
 
 
 def _ad_invariant_conditions(h: HopfData, which: str = "adl") -> list:

@@ -123,7 +123,7 @@ def hopf_from_dict(d: dict, validate: bool = True) -> HopfData:
 
 def integral_to_dict(f: FieldSpec, cert) -> dict:
     """A normalized left integral and the labels it was checked on: (a), (b) and (c) for an
-    ad-(co)invariant one, none for the total integral."""
+    ad-(co)invariant one, "left" for the total integral, checked with its space."""
     key = "lambda" if cert.carrier == "in_dual" else "t"
     return {"type": cert.kind, key: json_lists(f, cert.tensor, cert.shape),
             "side": "left", "carrier": cert.carrier, "verified": list(cert.verified)}

@@ -13,8 +13,8 @@ from itertools import product
 import pytest
 
 from hopfsmith import QQ, FieldSpec, cli, resolve_preset, serialize
-from hopfsmith.doubles import (_extension_idempotent_conditions, _verify_extension_idempotent,
-                               drinfeld_double, relative_tensor, separable_extension)
+from hopfsmith.doubles import (_double_idempotent_conditions, _verify_extension_idempotent,
+                               drinfeld_double, separable_extension)
 from hopfsmith.hopf import SubspaceBasis
 from hopfsmith.integrals import (_ad_invariant_conditions, _integral_terms, _verify_ad_invariant,
                                  _verify_idempotent, _verify_integral_space, _verify_retraction,
@@ -364,17 +364,53 @@ def test_extension_idempotent_check_rejects_a_changed_coordinate():
     h = resolve_preset("group:C2", QQ)
     _, ext = drinfeld_double(h)
     cert = separable_extension(h, ext, ad_invariant_integral(h).tensor)
-    rel = relative_tensor(ext)
-    conds = _extension_idempotent_conditions(ext, rel)
+    conds = _double_idempotent_conditions(h, ext)
     assert _verify_extension_idempotent(h.field, cert.tensor, conds) == ["m(e)=1", "bilinear"]
-    assert cert.verified == ["m(e)=1", "bilinear"] and cert.shape == (rel.dim,)
-    coords = _bumped(h.field, cert.tensor, (0,))
+    assert cert.verified == ["m(e)=1", "bilinear"] and cert.shape == (h.dim, h.dim ** 2)
+    coords = _bumped(h.field, cert.tensor, (0, 0))
     with pytest.raises(AssertionError, match="extension idempotent"):
         _verify_extension_idempotent(h.field, coords, conds)
 
 
-def test_cli_exits_2_when_the_idempotent_is_written_from_a_wrong_integral(monkeypatch, capsys):
-    """Twice the ad-invariant integral of kC2 writes an element e with m(e) = 2:
+@pytest.mark.parametrize("spec,char", [("group:C2", 0), ("group:S3", 3)])
+def test_every_single_entry_change_of_the_extension_idempotent_fails(spec, char):
+    """Each of the n·n^2 coordinates of e, raised by 1, breaks m(e) = 1 or d·e = e·d
+    for a generator d, and the check names the condition."""
+    h = resolve_preset(spec, FieldSpec(char))
+    _, ext = drinfeld_double(h)
+    cert = separable_extension(h, ext, ad_invariant_integral(h).tensor)
+    conds = _double_idempotent_conditions(h, ext)
+    for key in product(range(h.dim), range(h.dim ** 2)):
+        with pytest.raises(AssertionError,
+                           match=r"extension idempotent fails (m\(e\)=1|bilinear)"):
+            _verify_extension_idempotent(h.field, _bumped(h.field, cert.tensor, key), conds)
+
+
+def test_cli_exits_2_when_the_double_is_not_free_on_the_f_a(monkeypatch, capsys):
+    """D(C2) with (f_0 |><| 1)(f_0 |><| e_0) raised by f_0 |><| e_1 after its validation:
+    the freeness identity (f_0 |><| 1)(eps |><| e_0) = f_0 |><| e_0 fails, on which the
+    identification of D(H) (x)_H D(H) with H* (x) D(H) rests, so the query exits 2."""
+    inner = cli.drinfeld_double
+
+    def corrupted(h):
+        double, ext = inner(h)
+        ext.big.mult = _bumped(h.field, ext.big.mult, (0, 0, 1))
+        return double, ext
+
+    monkeypatch.setattr(cli, "drinfeld_double", corrupted)
+    assert cli.main(["double-separable", "--preset", "group:C2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "internal verification failed: " \
+        "(f_a |><| 1)(eps |><| e_i) != f_a |><| e_i at (a, i) = (0, 0)"
+
+
+@pytest.mark.parametrize("where", [["--preset", "group:C2"],
+                                   ["--preset", "group:S3", "--char", "3"],
+                                   ["--preset", "group:Q8"]])
+def test_cli_exits_2_when_the_idempotent_is_written_from_a_wrong_integral(where, monkeypatch,
+                                                                        capsys):
+    """Twice the ad-invariant integral of kG writes an element e with m(e) = 2:
     the check of the idempotent fails, so the query exits 2 and prints no report."""
     import hopfsmith.integrals as integ
     inner = integ.ad_invariant_integral
@@ -384,7 +420,7 @@ def test_cli_exits_2_when_the_idempotent_is_written_from_a_wrong_integral(monkey
         return replace(lam, tensor={k: h.field.add(v, v) for k, v in lam.tensor.items()})
 
     monkeypatch.setattr(integ, "ad_invariant_integral", doubled)
-    assert cli.main(["double-separable", "--preset", "group:C2"]) == 2
+    assert cli.main(["double-separable", *where]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "internal verification failed" in json.loads(captured.err)["error"]

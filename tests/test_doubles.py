@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from hopfsmith import GF, QQ, FieldSpec, check_hopf, dual_hopf, resolve_preset
-from hopfsmith.doubles import (ExtensionData, _extension_idempotent_conditions,
+from hopfsmith.doubles import (ExtensionData, _double_idempotent_conditions,
                                _verify_extension_idempotent, _repeat, drinfeld_double,
                                relative_tensor, separable_extension)
 from hopfsmith.hopf import AlgebraData
@@ -13,7 +13,8 @@ from hopfsmith.linalg import contract, identity
 from hopfsmith.presets import preset_sweedler
 
 from conftest import F, GRID
-from test_loop_oracles import blind_separable_extension, old_relative_tensor
+from test_loop_oracles import (blind_separable_extension, old_relative_tensor,
+                               quotient_idempotent_conditions)
 
 
 def _over_the_field(alg):
@@ -157,19 +158,38 @@ def test_largest_solve_within_budget():
     assert elapsed < 60, f"double separability took {elapsed:.1f}s"
 
 
-# every H whose double the blind route decides in this module, in
-# test_acceptance.py::test_criterion_3_double_equivalence or in the certificate
-# checks; True marks the dual H* of the preset
-FORMULA_CASES = [("group:C1", 0, False), ("sweedler", 0, False), ("sweedler", 3, False)] + [
-    (spec, char, False) for spec in ("group:C2", "group:C3", "functions:C2")
-    for char in (0, 2, 3)] + [("group:C2", 0, True), ("group:C2", 2, True), ("sweedler", 0, True)]
+# every GRID case, and the duals H* whose double the blind route decides in
+# test_dual_route_coseparability_of_double; True marks the dual H* of the preset
+FORMULA_CASES = [(spec, char, False) for spec, char in GRID] + [
+    ("group:C2", 0, True), ("group:C2", 2, True), ("sweedler", 0, True)]
+
+
+def _h_star_coordinates(h, ext, quotient: dict) -> dict:
+    """An element of D(H) (x)_H D(H) in the quotient coordinates of ``relative_tensor``,
+    lifted through the free columns into D(H) (x) D(H) and carried by
+    (f_c |><| e_r) (x) d -> f_c (x) (eps |><| e_r)·d into H* (x) D(H)."""
+    rel, f, n, N = relative_tensor(ext), h.field, h.dim, ext.big.dim
+    lift = {(u, *divmod(c, N)): f.one for u, c in enumerate(rel.free_cols)}
+    split = {(c * n + r, c, k): v for (k, r), v in ext.embedding.items() for c in range(n)}
+    return contract(f, "u,uAB,AcR,RBL->cL", quotient, lift, split, ext.big.mult)
+
+
+def _quotient_coordinates(h, ext, e: dict) -> dict:
+    """e keyed (a, K) on H* (x) D(H), carried back by f_a (x) d -> (f_a |><| 1) (x)_H d
+    into the quotient coordinates of ``relative_tensor``."""
+    rel, f, n, N = relative_tensor(ext), h.field, h.dim, ext.big.dim
+    free = {(a * n + i, a): c for (i,), c in h.alg.unit.items() for a in range(n)}
+    ambient = {(A * N + K,): v for (A, K), v in contract(f, "Aa,aK->AK", free, e).items()}
+    return contract(f, "c,ck->k", ambient, rel.projection)
 
 
 @pytest.mark.parametrize("spec,char,dual", FORMULA_CASES)
 def test_formula_idempotent_agrees_with_the_blind_route(spec, char, dual, preset_cache):
     """D(H)/H is separable by the blind solve exactly when H has an ad-invariant
-    integral, and then the idempotent written from it passes its check; on a
-    group algebra it is the blind solve's particular solution itself."""
+    integral.  Then the blind solve's particular solution, carried from the quotient
+    of R (x)_S R into H* (x) D(H), passes the conditions that the idempotent written
+    from the integral is checked on; the idempotent, carried back into the quotient,
+    passes the blind solve's conditions; and on a group algebra the two are equal."""
     h = preset_cache(spec, char)
     h = dual_hopf(h) if dual else h
     _, ext = drinfeld_double(h)
@@ -178,11 +198,39 @@ def test_formula_idempotent_agrees_with_the_blind_route(spec, char, dual, preset
     assert (lam is None) == (blind is None)
     if lam is not None:
         cert = separable_extension(h, ext, lam.tensor)
-        conds = _extension_idempotent_conditions(ext, relative_tensor(ext))
+        assert cert.verified == ["m(e)=1", "bilinear"] and cert.shape == (h.dim, h.dim ** 2)
+        conds = _double_idempotent_conditions(h, ext)
         assert _verify_extension_idempotent(h.field, cert.tensor, conds) == ["m(e)=1", "bilinear"]
-        assert cert.verified == ["m(e)=1", "bilinear"]
+        carried = _h_star_coordinates(h, ext, blind.tensor)
+        assert _verify_extension_idempotent(h.field, carried, conds) == ["m(e)=1", "bilinear"]
+        back = _quotient_coordinates(h, ext, cert.tensor)
+        assert _verify_extension_idempotent(h.field, back, quotient_idempotent_conditions(
+            ext, relative_tensor(ext))) == ["m(e)=1", "bilinear"]
         if spec.startswith("group:") and not dual:
-            assert cert.tensor == blind.tensor
+            assert cert.tensor == carried and back == blind.tensor
+
+
+@pytest.mark.parametrize("spec,char", GRID)
+def test_the_2n_generators_are_free_and_their_products_span_the_double(spec, char,
+                                                                       preset_cache):
+    """(f_a |><| 1)(eps |><| e_i) = f_a |><| e_i on every GRID double, read by plain
+    loops over the multiplication: the n^2 products of the 2n generators are the n^2
+    basis vectors, so they span D(H).  The idempotent's conditions check it too."""
+    h = preset_cache(spec, char)
+    _, ext = drinfeld_double(h)
+    f, n, mult = h.field, h.dim, ext.big.mult
+    free = [{a * n + i: c for (i,), c in h.alg.unit.items()} for a in range(n)]
+    emb = [{k: c for (k, j), c in ext.embedding.items() if j == i} for i in range(n)]
+    for a in range(n):
+        for i in range(n):
+            product = {}
+            for (x, y, z), c in mult.items():
+                if x in free[a] and y in emb[i]:
+                    product[z] = f.add(product.get(z, f.zero),
+                                       f.mul(f.mul(free[a][x], emb[i][y]), c))
+            assert {z: c for z, c in product.items() if c} == {a * n + i: f.one}, (a, i)
+    assert [label for label, *_ in _double_idempotent_conditions(h, ext)] == \
+        ["m(e)=1", "bilinear"]
 
 
 def test_extension_validation_rejects_bad_embedding():

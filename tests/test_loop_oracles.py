@@ -733,13 +733,27 @@ def old_relative_tensor(ext):
                              [c for c in range(width) if c not in pivot_set], ext.big.field)
 
 
+def quotient_idempotent_conditions(ext, rel) -> list:
+    """m(e) = 1 and r·e = e·r on the coordinates of e in R (x)_S R, of shape (rel.dim,)."""
+    r = ext.big
+    f, nr, m = r.field, r.dim, r.mult
+    # quotient basis vector u is the class of e_a (x) e_b for the free column a*nr + b
+    lift = {(*divmod(c, nr), u): f.one for u, c in enumerate(rel.free_cols)}
+    # quotient coordinates k of the ambient basis vector e_a (x) e_b
+    proj = {(*divmod(c, nr), k): v for (c, k), v in rel.projection.items()}
+    # e_i·(e_a (x) e_b) - (e_a (x) e_b)·e_i, in R (x) R and then in the quotient
+    return [("m(e)=1", [(1, "abk,abu,u->k", m, lift)], r.unit),
+            ("bilinear", [(1, "iay,abu,ybk,u->ik", m, lift, proj),
+                          (-1, "bix,abu,axk,u->ik", m, lift, proj)], None)]
+
+
 def blind_separable_extension(ext):
     """R/S separability by blind search, for any extension: m(e) = 1 and r·e = e·r
     solved on the quotient coordinates of R (x)_S R and the solution checked on
     the same conditions; the reference for ``doubles.separable_extension``."""
     rel = doubles.relative_tensor(ext)
     f = ext.big.field
-    conds = doubles._extension_idempotent_conditions(ext, rel)
+    conds = quotient_idempotent_conditions(ext, rel)
     sol = solve_affine(AffineSystem.conditions(f, (rel.dim,), *conds))
     if sol is None:
         return None
@@ -878,7 +892,7 @@ def test_structure_systems_equal_the_identity_tensor_route(spec, char, preset_ca
     assert (rel.pivot_cols, rel.projection_rows, rel.free_cols, rel.projection) == \
         (want.pivot_cols, want.projection_rows, want.free_cols, want.projection)
     assert _snapshot(AffineSystem.conditions(
-        h.field, (rel.dim,), *doubles._extension_idempotent_conditions(ext, rel))) == \
+        h.field, (rel.dim,), *quotient_idempotent_conditions(ext, rel))) == \
         old_extension_idempotent_system(ext, rel)
     for name, (_, old) in olds.items():
         assert calls[name], name

@@ -18,8 +18,7 @@ from hopfsmith.linalg import contract, solve_affine
 from hopfsmith.lifting import SurjectionProblem, square_zero_extension
 
 from conftest import GRID
-from test_loop_oracles import (_basis_vec, _mul, _subspace, _vectors, dense, fs_section_system,
-                               old_relative_tensor_system)
+from test_loop_oracles import _basis_vec, _mul, _subspace, _vectors, dense, fs_section_system
 
 
 def _quiet(argv):
@@ -218,28 +217,37 @@ def test_double_separable_query_never_densifies_the_double(monkeypatch):
     assert calls.get("dense", 0) == calls.get("sparse", 0) == 0
 
 
-def test_double_separable_assembles_and_eliminates_one_run_of_relations(monkeypatch):
-    """D(S3) over S3 over F_3: D(H) is free as a right H-module on the six
-    f_a |><| 1, so the relation rows of one run, a sixth of all of them, are
-    assembled, and ``relative_tensor`` eliminates once, at width 6 * 36, not 36^2."""
-    build, inner_rref = linalg.AffineSystem.conditions, doubles._rref
-    widths, relation_rows = [], []
+@pytest.mark.parametrize("where", [["--preset", "group:S3", "--char", "3"],
+                                   ["--preset", "group:Q8"]])
+def test_double_separable_yes_runs_no_elimination_in_the_extension_check(where, monkeypatch):
+    """A "yes" checks the idempotent of D(H)/H on H* (x) D(H) with no R (x)_S R:
+    inside ``separable_extension`` no row is assembled (``AffineSystem.conditions``),
+    no ``_rref`` runs, in ``doubles`` or in ``linalg``, and no ``Echelon`` is made."""
+    inside, calls = [], []
+    inner = cli.separable_extension
 
-    def conditions(field, shape, *conds):
-        system = build(field, shape, *conds)
-        relation_rows.append(system.labels.count("relation"))
-        return system
+    def wrapper(*args):
+        inside.append(1)
+        try:
+            return inner(*args)
+        finally:
+            inside.pop()
 
-    def rref(rows, ncols, field):
-        widths.append(ncols)
-        return inner_rref(rows, ncols, field)
+    def noting(name, fn):
+        def noted(*args, **kwargs):
+            if inside:
+                calls.append(name)
+            return fn(*args, **kwargs)
+        return noted
 
-    monkeypatch.setattr(linalg.AffineSystem, "conditions", staticmethod(conditions))
-    monkeypatch.setattr(doubles, "_rref", rref)
-    assert _quiet(["double-separable", "--preset", "group:S3", "--char", "3"]) == 0
-    _, ext = doubles.drinfeld_double(resolve_preset("group:S3", FieldSpec(3)))
-    assert 6 * sum(relation_rows) == len(old_relative_tensor_system(ext)[3])
-    assert widths == [216]
+    monkeypatch.setattr(cli, "separable_extension", wrapper)
+    monkeypatch.setattr(linalg.AffineSystem, "conditions", staticmethod(
+        noting("conditions", linalg.AffineSystem.conditions)))
+    monkeypatch.setattr(linalg.Echelon, "__init__", noting("Echelon", linalg.Echelon.__init__))
+    for module in (doubles, linalg):
+        monkeypatch.setattr(module, "_rref", noting("_rref", module._rref))
+    assert _quiet(["double-separable", *where]) == 0
+    assert calls == []
 
 
 def test_parser_is_built_once_and_namespaces_stay_independent(monkeypatch):

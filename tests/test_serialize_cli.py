@@ -130,6 +130,16 @@ def test_cli_integrals_report(capsys):
     assert report["in_h"]["total"] is None
 
 
+def test_cli_integrals_report_states_the_check_of_each_total(capsys):
+    """Each total integral is the basis vector of the left integral space, checked there
+    on the condition "left" and rescaled; the report names that label."""
+    code, report, _ = run_cli(capsys, "integrals", "--preset", "group:S3", "--char", "2")
+    assert code == 0 and report["in_h"]["total"] is None
+    assert report["in_dual"]["total"]["verified"] == ["left"]
+    code, report, _ = run_cli(capsys, "integrals", "--preset", "group:C2")
+    assert [report[c]["total"]["verified"] for c in ("in_h", "in_dual")] == [["left"]] * 2
+
+
 def test_cli_separable_coseparable(capsys):
     code, report, _ = run_cli(capsys, "separable", "--preset", "group:C2")
     assert code == 0 and report["separable"] is True

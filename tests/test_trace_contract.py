@@ -47,6 +47,7 @@ TRACED_QUERIES = [
     (["weak-projection", "--preset", "taft:3:2", "--char", "7"], 0),
     (["double-separable", "--preset", "sweedler"], 1),
     (["double-separable", "--preset", "group:C2", "--char", "2"], 0),
+    (["double-separable", "--preset", "group:S3", "--char", "3"], 0),
     # one "yes" per route that builds and serializes a certificate record
     (["separable", "--preset", "group:S3"], 0),
     (["coseparable", "--preset", "group:S3"], 0),
