@@ -31,13 +31,14 @@ Conventions, fixed once for the whole package:
   :func:`require_coalgebra_map`, Delta on a subcoalgebra in :func:`restricted_comult`.
   A greedy complement (:func:`quotient_maps`) is the pivot columns of one elimination.
 
-Constructions (duals, op/cop) are re-validated through the axiom checker; a
-failed report raises rather than returning a silently broken object.  Every
-Hopf algebra a query builds is checked exactly once: a constructor that builds
-on an intermediate structure skips the intermediate's check (``validate=False``)
-and checks only what it returns, and ``check-axioms`` loads its input unchecked
-and reports the one check.  H* is never built to read its integrals: they are
-solved on H's own comultiplication and unit (:func:`integrals.integral_space`).
+Constructors build and queries check: a preset, a loaded document, a dual and an
+op/cop twist come back unchecked, and each Hopf algebra a query reads is checked
+exactly once by :func:`validated`, which raises rather than return a broken object.
+The CLI checks its input (``check-axioms`` reports that check instead), and the
+constructions made at run time check what they return: :func:`sub_hopf_on_subspace`,
+:func:`doubles.drinfeld_double` and the cover of :func:`lifting.cyclic_cover_problem`.
+H* is never built to read its integrals: they are solved on H's own comultiplication
+and unit (:func:`integrals.integral_space`).
 
 Each Hopf law is stated once (:func:`_hopf_laws`), and (xy)z = x(yz), Delta(xy) =
 Delta(x)Delta(y) and eps(xy) = eps(x)eps(y) for the x = e_i that :func:`acting` keeps.
@@ -274,6 +275,7 @@ def _explained(h: HopfData) -> AxiomReport:
 
 
 def validated(h: HopfData) -> HopfData:
+    """``h`` once :func:`check_hopf` passes on it; raises ``ValueError`` with the report."""
     rep = check_hopf(h)
     if not rep.all_ok:
         raise ValueError(f"Hopf axioms failed: {rep}")
@@ -430,17 +432,16 @@ def dual_algebra(c: CoalgebraData) -> AlgebraData:
     return AlgebraData(c.field, c.dim, mult, c.counit)
 
 
-def dual_hopf(h: HopfData, validate: bool = True) -> HopfData:
-    """The dual Hopf algebra on the dual basis (finite dimension)."""
+def dual_hopf(h: HopfData) -> HopfData:
+    """The dual Hopf algebra on the dual basis (finite dimension), unchecked."""
     comult = {(k, a, b): x for (a, b, k), x in h.alg.mult.items()}
     names = [f"{name}*" for name in h.basis]
-    out = HopfData(dual_algebra(h.coa), CoalgebraData(h.field, h.dim, comult, h.alg.unit),
-                   _transposed(h.antipode), _transposed(h.antipode_inverse), names)
-    return validated(out) if validate else out
+    return HopfData(dual_algebra(h.coa), CoalgebraData(h.field, h.dim, comult, h.alg.unit),
+                    _transposed(h.antipode), _transposed(h.antipode_inverse), names)
 
 
-def op_cop(h: HopfData, flip_mult: bool, flip_comult: bool, validate: bool = True) -> HopfData:
-    """Opposite / co-opposite twists; exactly one flip needs the twisted antipode."""
+def op_cop(h: HopfData, flip_mult: bool, flip_comult: bool) -> HopfData:
+    """Opposite / co-opposite twists, unchecked; exactly one flip needs the twisted antipode."""
     f = h.field
     n = h.dim
     mult = h.alg.mult
@@ -457,6 +458,5 @@ def op_cop(h: HopfData, flip_mult: bool, flip_comult: bool, validate: bool = Tru
     else:
         antipode = h.antipode
         sbar = h.antipode_inverse
-    out = HopfData(AlgebraData(f, n, mult, h.alg.unit), CoalgebraData(f, n, comult, h.coa.counit),
-                   antipode, sbar, list(h.basis))
-    return validated(out) if validate else out
+    return HopfData(AlgebraData(f, n, mult, h.alg.unit), CoalgebraData(f, n, comult, h.coa.counit),
+                    antipode, sbar, list(h.basis))

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 from .hopf import (AlgebraData, HopfData, SubspaceBasis, curvature, dual_algebra,
-                   require_algebra_map, require_coalgebra_map)
+                   require_algebra_map, require_coalgebra_map, validated)
 from .linalg import (AffineSystem, Certificate, SparseMat, contract, failed_conditions,
                      identity, in_coordinates, invert, least_failure, nullspace, rank,
                      require_conditions, require_keys, signed_sum, solve_affine,
@@ -320,13 +320,13 @@ def square_zero_extension(h: HopfData) -> SurjectionProblem:
 
 
 def cyclic_cover_problem(n: int, m: int, field) -> SurjectionProblem:
-    """KC_{mn} -> KC_n along g -> g; the kernel is the ideal of 1 - g^n.  Only
-    KC_{mn} is checked: KC_n is the query's input, which the caller has checked."""
+    """KC_{mn} -> KC_n along g -> g; the kernel is the ideal of 1 - g^n.  Only KC_{mn},
+    built here, is checked: KC_n is the query's input, which the caller has checked."""
     if m < 1:
         raise ValueError(f"cyclic-cover:{m} needs a cover degree M >= 1")
     from .presets import cyclic_table, preset_group_algebra
-    e_h = preset_group_algebra(cyclic_table(m * n), field)
-    a_h = preset_group_algebra(cyclic_table(n), field, validate=False)
+    e_h = validated(preset_group_algebra(cyclic_table(m * n), field))
+    a_h = preset_group_algebra(cyclic_table(n), field)
     pi = {(k % n, k): field.one for k in range(m * n)}
     return SurjectionProblem(e_h.alg, a_h.alg, pi)
 

@@ -2,10 +2,10 @@
 
 Group presets are driven by Cayley tables (``table[i][j]`` = index of the
 product).  Each constructor writes the nonzero structure constants straight
-into the sparse tensors of :mod:`hopf` and ends in the axiom checker, so a bad
-table or an inadmissible parameter fails loudly.  ``validate=False`` skips
-that one check, for a caller that checks the result itself (``check-axioms``
-reports it, and k^G checks the dual of an unchecked kG once).
+into the sparse tensors of :mod:`hopf`.  A bad table or an inadmissible
+parameter fails loudly here; the Hopf axioms are not checked, since the query
+that reads a preset checks it once (:func:`hopf.validated`, or ``check-axioms``,
+which reports the check).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from math import isqrt
 
 from .fields import FieldSpec, Scalar
-from .hopf import AlgebraData, CoalgebraData, HopfData, dual_hopf, validated
+from .hopf import AlgebraData, CoalgebraData, HopfData, dual_hopf
 from .linalg import contract
 
 
@@ -88,7 +88,7 @@ def check_group_table(table: list) -> tuple:
 # Presets
 # ---------------------------------------------------------------------------
 
-def preset_group_algebra(table: list, field: FieldSpec, validate: bool = True) -> HopfData:
+def preset_group_algebra(table: list, field: FieldSpec) -> HopfData:
     """KG with Delta(g) = g(x)g, eps(g) = 1, S(g) = g^{-1}."""
     identity, inverse = check_group_table(table)
     n = len(table)
@@ -97,20 +97,19 @@ def preset_group_algebra(table: list, field: FieldSpec, validate: bool = True) -
     mult = {(i, j, table[i][j]): o for i in range(n) for j in range(n)}
     comult = {(i, i, i): o for i in range(n)}
     s = {(inverse[i], i): o for i in range(n)}
-    out = HopfData(AlgebraData(f, n, mult, {(identity,): o}),
-                   CoalgebraData(f, n, comult, {(i,): o for i in range(n)}), s, None,
-                   [f"g{i}" for i in range(n)])
-    return validated(out) if validate else out
+    return HopfData(AlgebraData(f, n, mult, {(identity,): o}),
+                    CoalgebraData(f, n, comult, {(i,): o for i in range(n)}), s, None,
+                    [f"g{i}" for i in range(n)])
 
 
-def preset_function_algebra(table: list, field: FieldSpec, validate: bool = True) -> HopfData:
-    """K^G, realized as the dual of the group algebra; only K^G is checked."""
-    out = dual_hopf(preset_group_algebra(table, field, validate=False), validate)
+def preset_function_algebra(table: list, field: FieldSpec) -> HopfData:
+    """K^G, built as the dual of the group algebra KG; neither is checked."""
+    out = dual_hopf(preset_group_algebra(table, field))
     out.basis = [f"d{i}" for i in range(len(table))]
     return out
 
 
-def preset_sweedler(field: FieldSpec, validate: bool = True) -> HopfData:
+def preset_sweedler(field: FieldSpec) -> HopfData:
     """The 4-dimensional Sweedler algebra on basis {1, g, x, gx}.
 
     Relations g^2 = 1, x^2 = 0, xg = -gx; Delta(g) = g(x)g,
@@ -138,13 +137,12 @@ def preset_sweedler(field: FieldSpec, validate: bool = True) -> HopfData:
     s = {(E, E): o, (G, G): o,
          (GX, X): m,   # S(x) = -gx
          (X, GX): o}   # S(gx) = S(x)S(g) = -gx·g = x
-    out = HopfData(AlgebraData(f, 4, mult, {(E,): o}),
-                   CoalgebraData(f, 4, comult, {(E,): o, (G,): o}), s, None,
-                   ["1", "g", "x", "gx"])
-    return validated(out) if validate else out
+    return HopfData(AlgebraData(f, 4, mult, {(E,): o}),
+                    CoalgebraData(f, 4, comult, {(E,): o, (G,): o}), s, None,
+                    ["1", "g", "x", "gx"])
 
 
-def preset_taft(n: int, q: Scalar, field: FieldSpec, validate: bool = True) -> HopfData:
+def preset_taft(n: int, q: Scalar, field: FieldSpec) -> HopfData:
     """Taft algebra of dimension n^2: g^n = 1, x^n = 0, xg = q·gx.
 
     Basis g^a x^b at index b*n + a; q must be a primitive n-th root of unity.
@@ -216,17 +214,16 @@ def preset_taft(n: int, q: Scalar, field: FieldSpec, validate: bool = True) -> H
         return (ga + xb) or "1"
 
     names = [_nm(a, b) for b in range(n) for a in range(n)]
-    out = HopfData(alg, CoalgebraData(f, dim, comult, counit), s, None, names)
-    return validated(out) if validate else out
+    return HopfData(alg, CoalgebraData(f, dim, comult, counit), s, None, names)
 
 
 # ---------------------------------------------------------------------------
 # Preset resolution for the CLI and tests
 # ---------------------------------------------------------------------------
 
-def resolve_preset(spec: str, field: FieldSpec, validate: bool = True) -> HopfData:
-    """Build a preset from a name like group:C3, functions:S3, sweedler, taft:3:2;
-    ``validate=False`` skips its axiom check, as in :func:`serialize.hopf_from_dict`."""
+def resolve_preset(spec: str, field: FieldSpec) -> HopfData:
+    """Build a preset from a name like group:C3, functions:S3, sweedler, taft:3:2; its
+    Hopf axioms are left to the caller, as for :func:`serialize.hopf_from_dict`."""
     parts = spec.split(":")
     kind = parts[0]
     if kind in ("group", "functions") and len(parts) == 2:
@@ -234,13 +231,13 @@ def resolve_preset(spec: str, field: FieldSpec, validate: bool = True) -> HopfDa
         if name not in GROUP_TABLES:
             raise ValueError(f"unknown group {name!r}; have {sorted(GROUP_TABLES)}")
         preset = preset_group_algebra if kind == "group" else preset_function_algebra
-        return preset(GROUP_TABLES[name](), field, validate=validate)
+        return preset(GROUP_TABLES[name](), field)
     if kind == "sweedler" and len(parts) == 1:
-        return preset_sweedler(field, validate)
+        return preset_sweedler(field)
     if kind == "taft" and len(parts) == 3 and parts[1].isascii() and parts[1].isdecimal():
         try:
             q = field.parse(parts[2])
         except ValueError as exc:
             raise ValueError(f"cannot parse preset spec {spec!r}: {exc}") from exc
-        return preset_taft(int(parts[1]), q, field, validate)
+        return preset_taft(int(parts[1]), q, field)
     raise ValueError(f"cannot parse preset spec {spec!r}")

@@ -27,7 +27,7 @@ from operator import mul
 from typing import Optional
 
 from .fields import FieldSpec
-from .hopf import AlgebraData, CoalgebraData, HopfData, validated
+from .hopf import AlgebraData, CoalgebraData, HopfData
 from .linalg import AffineSystem, identity, require_conditions, solve_affine, sparse
 
 
@@ -91,7 +91,8 @@ def _int_entry(d: dict, *keys) -> int:
     return value
 
 
-def hopf_from_dict(d: dict, validate: bool = True) -> HopfData:
+def hopf_from_dict(d: dict) -> HopfData:
+    """The Hopf data of a document, its shapes and unit checked, its axioms left to the caller."""
     try:
         n = _int_entry(d, "dim")
         if n < 1:
@@ -112,9 +113,8 @@ def hopf_from_dict(d: dict, validate: bool = True) -> HopfData:
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed Hopf document: {exc}") from exc
     unit = _solve_unit(mult, f, n)
-    h = HopfData(AlgebraData(f, n, mult, unit), CoalgebraData(f, n, comult, counit),
-                 antipode, None, list(basis))
-    return validated(h) if validate else h
+    return HopfData(AlgebraData(f, n, mult, unit), CoalgebraData(f, n, comult, counit),
+                    antipode, None, list(basis))
 
 
 # ---------------------------------------------------------------------------

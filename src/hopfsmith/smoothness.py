@@ -129,12 +129,13 @@ def fs_retraction_conditions(h: HopfData, yd, split: QuotientSplitting,
              ("ii", [(1, "kij,dj,cid->kc", d, proj)], contract(f, "ck->kc", proj))]
     if complete:
         # (iii) chi[h1 e_i S(h4) (x) (h2 s(vbar_a) S(h3))bar] = h acting on chi(e_i (x) vbar_a),
-        # Delta^3(e_h) = e_p (x) e_q (x) e_r (x) e_w
+        # Delta^3(e_h) = e_p (x) e_q (x) e_r (x) e_w; the constant argument of chi, contracted
+        # once, shares (I, d) with chi, so no term starts with an outer product
         anti = h.antipode
-        conds.append(("iii", [
-            (1, "hpo,oqt,trw,pig,sw,gsI,qxG,xa,Sr,GSy,dy,cId->hiac",
-             d, d, d, mult, anti, mult, mult, split.section, anti, mult, proj),
-            (-1, "hcC,cia->hiaC", yd.action.tensor)], None))
+        theta = contract(f, "hpo,oqt,trw,pig,sw,gsI,qxG,xa,Sr,GSy,dy->hiaId",
+                         d, d, d, mult, anti, mult, mult, split.section, anti, mult, proj)
+        conds.append(("iii", [(1, "hiaId,cId->hiac", theta),
+                              (-1, "hcC,cia->hiaC", yd.action.tensor)], None))
     return conds
 
 

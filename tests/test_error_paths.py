@@ -83,8 +83,6 @@ def _no_unit_document():
 def test_multiplication_without_two_sided_unit_is_rejected():
     with pytest.raises(ValueError, match="no two-sided unit"):
         hopf_from_dict(_no_unit_document())
-    with pytest.raises(ValueError, match="no two-sided unit"):
-        hopf_from_dict(_no_unit_document(), validate=False)
 
 
 def test_cli_file_without_two_sided_unit_exits_2(tmp_path, capsys):

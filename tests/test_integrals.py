@@ -95,7 +95,7 @@ def test_dual_integral_systems_are_stated_on_the_tensors_of_h(spec, char, preset
     for row the integral systems of the dual Hopf algebra built as an object
     (the old route, kept here as the oracle), and so do their nullspaces."""
     h = preset_cache(spec, char)
-    hstar = dual_hopf(h, validate=False)
+    hstar = dual_hopf(h)
 
     def system(h, side, carrier):  # the one condition that integral_space solves and checks
         return AffineSystem.conditions(h.field, (h.dim,),

@@ -10,12 +10,15 @@ from every call."""
 
 import ast
 import builtins
+import inspect
 from dataclasses import fields
 from pathlib import Path
 
+import pytest
+
 import hopfsmith
-from hopfsmith import cli
-from hopfsmith.hopf import AlgebraData, CoalgebraData, HopfData, SubspaceBasis
+from hopfsmith import cli, serialize
+from hopfsmith.hopf import AlgebraData, CoalgebraData, HopfData, SubspaceBasis, validated
 from hopfsmith.linalg import AffineSystem, SparseMat
 
 
@@ -46,6 +49,32 @@ def test_cli_subcommands():
         "truth-table",
     ]
     assert sorted(cli.HANDLERS) == sorted(cli.SUBCOMMANDS)
+
+
+def test_no_option_offers_a_single_choice():
+    """An option with one choice is a constant: no option of any subcommand offers one."""
+    commands = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
+    single = [(name, "/".join(action.option_strings)) for name, p in commands.items()
+              for action in p._actions if action.choices is not None and len(action.choices) == 1]
+    assert not single
+
+
+def test_constructors_build_and_leave_the_check_to_the_query():
+    """The public constructors take no ``validate`` flag and run no axiom check: a
+    document with a wrong antipode loads, and the check the query runs names it."""
+    constructors = [hopfsmith.resolve_preset, hopfsmith.preset_group_algebra,
+                    hopfsmith.preset_function_algebra, hopfsmith.preset_sweedler,
+                    hopfsmith.preset_taft, hopfsmith.dual_hopf, hopfsmith.op_cop,
+                    serialize.hopf_from_dict]
+    assert [f.__name__ for f in constructors
+            if "validate" in inspect.signature(f).parameters] == []
+    doc = serialize.hopf_to_dict(hopfsmith.resolve_preset("sweedler", hopfsmith.QQ))
+    doc["antipode"] = [[int(i == j) for j in range(4)] for i in range(4)]  # S = id
+    h = serialize.hopf_from_dict(doc)
+    rep = hopfsmith.check_hopf(h)
+    assert not rep.checks["antipode"].ok
+    with pytest.raises(ValueError, match="antipode: FAIL"):
+        validated(h)
 
 
 def test_class_attributes():

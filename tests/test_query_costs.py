@@ -515,3 +515,55 @@ def test_a_passing_check_makes_a_fixed_number_of_contractions(monkeypatch, prese
         act = yd.adjoint_action(h, which)
         calls.clear()
         assert act.check() == (True, None) and calls == {"contract": 3}, which
+
+
+def _contraction_orders(monkeypatch) -> dict:
+    """Rebind ``failed_conditions`` in every module of the package that binds it, and
+    ``AffineSystem.conditions``, to wrappers recording the spec of each condition term
+    with its operands in the order the evaluator contracts them: a checked map first,
+    as ``failed_conditions`` moves it, and the unknown last in an assembled system."""
+    orders = {"checked": set(), "assembled": set()}
+    check, assemble = linalg.failed_conditions, linalg.AffineSystem.conditions.__func__
+
+    def checked(field, conds, x):
+        orders["checked"].update(linalg._unknown_first(spec)
+                                 for _, terms, _ in conds for _, spec, *_ in terms)
+        return check(field, conds, x)
+
+    def assembled(cls, field, shape, *conds):
+        orders["assembled"].update(spec for _, terms, _ in conds for _, spec, *_ in terms)
+        return assemble(cls, field, shape, *conds)
+
+    for module in PACKAGE:
+        if getattr(module, "failed_conditions", None) is check:
+            monkeypatch.setattr(module, "failed_conditions", checked)
+    monkeypatch.setattr(linalg.AffineSystem, "conditions", classmethod(assembled))
+    return orders
+
+
+def _meets_an_outer_product(spec: str) -> bool:
+    """Whether a term of three or more operands, contracted from the left, meets an
+    operand that shares no index with the ones before it."""
+    names = spec.split("->")[0].split(",")
+    return len(names) >= 3 and any(not set(name) & set("".join(names[:t]))
+                                   for t, name in enumerate(names) if t)
+
+
+@pytest.mark.parametrize("preset,char", GRID)
+def test_no_condition_term_contracts_an_outer_product(monkeypatch, preset, char):
+    """Every condition term that a query checks or assembles, over every subcommand and
+    flag, contracts each operand against an index already met; at the parent the 12-operand
+    fs-retraction (iii) term began with chi (x) Delta, 38 s on D(S3) over F_5."""
+    orders = _contraction_orders(monkeypatch)
+    source = ["--preset", preset, "--char", str(char)]
+    queries = [[command] for command in cli.SUBCOMMANDS if command != "truth-table"] + [
+        ["wedge-filtration", "--start", "unit"], ["lift-section", "--colinear"],
+        ["weak-projection", "--bilinear"]]
+    if preset.startswith("group:C"):
+        queries.append(["lift-section", "--problem", "cyclic-cover:2"])
+    with contextlib.redirect_stderr(io.StringIO()):
+        for argv in queries:
+            _quiet(argv + source)
+    assert orders["checked"]
+    assert [spec for specs in orders.values() for spec in sorted(specs)
+            if _meets_an_outer_product(spec)] == []
