@@ -227,12 +227,11 @@ def cmd_lift_section(args) -> int:
             m = int(degree)
         except ValueError:  # or past int()'s digit limit
             raise ValueError(f"{args.problem} needs a cover degree M >= 1") from None
-        n = h.dim
         if args.preset is None or not args.preset.startswith("group:C"):
             raise ValueError("cyclic-cover problems need a cyclic group preset")
         if args.colinear:
             raise ValueError("cyclic-cover ships without comodule data; drop --colinear")
-        prob = cyclic_cover_problem(n, m, h.field)
+        prob = cyclic_cover_problem(h.alg, m)
     else:
         raise ValueError(f"unknown lift problem {args.problem!r}")
     res = lift_algebra_section(prob, colinear=args.colinear)

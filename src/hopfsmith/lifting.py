@@ -319,16 +319,17 @@ def square_zero_extension(h: HopfData) -> SurjectionProblem:
                              coact_a=dict(rho))
 
 
-def cyclic_cover_problem(n: int, m: int, field) -> SurjectionProblem:
-    """KC_{mn} -> KC_n along g -> g; the kernel is the ideal of 1 - g^n.  Only KC_{mn},
-    built here, is checked: KC_n is the query's input, which the caller has checked."""
+def cyclic_cover_problem(a: AlgebraData, m: int) -> SurjectionProblem:
+    """KC_{mn} -> KC_n along g -> g; the kernel is the ideal of 1 - g^n.  ``a`` is KC_n
+    on the basis g^0, ..., g^{n-1}, the query's input, which the caller has checked;
+    only KC_{mn}, built here, is checked here."""
     if m < 1:
         raise ValueError(f"cyclic-cover:{m} needs a cover degree M >= 1")
     from .presets import cyclic_table, preset_group_algebra
+    field, n = a.field, a.dim
     e_h = validated(preset_group_algebra(cyclic_table(m * n), field))
-    a_h = preset_group_algebra(cyclic_table(n), field)
     pi = {(k % n, k): field.one for k in range(m * n)}
-    return SurjectionProblem(e_h.alg, a_h.alg, pi)
+    return SurjectionProblem(e_h.alg, a, pi)
 
 
 # ---------------------------------------------------------------------------

@@ -197,7 +197,7 @@ def test_criterion_8_lifting_round_trip(preset_cache):
     assert not curvature(h.field, problem.a.mult, problem.e.mult, plain.final)
     colinear = lift_algebra_section(square_zero_extension(h), colinear=True)
     assert isinstance(colinear, LiftCertificate) and colinear.colinear
-    res = lift_algebra_section(cyclic_cover_problem(2, 2, GF(2)))
+    res = lift_algebra_section(cyclic_cover_problem(resolve_preset("group:C2", GF(2)).alg, 2))
     obstruction_ok = isinstance(res, LiftObstruction) and res.delta_closed
     _line(8, obstruction_ok,
           "square-zero sections verified (plain and colinear); modular cover "
@@ -217,10 +217,12 @@ def test_criterion_10_property_suite(preset_cache):
     for spec, ch in GRID:
         h = preset_cache(spec, ch)
         assert check_hopf(h).all_ok, (spec, ch)
-        dd = dual_hopf(dual_hopf(h))
+        d = dual_hopf(h)
+        dd = dual_hopf(d)
+        assert check_hopf(d).all_ok and check_hopf(dd).all_ok, (spec, ch)
         assert dd.alg.mult == h.alg.mult and dd.coa.comult == h.coa.comult, (spec, ch)
         a = ad_coinvariant_integral(h) is not None
-        b = ad_invariant_integral(dual_hopf(h)) is not None
+        b = ad_invariant_integral(d) is not None
         assert a == b, (spec, ch)
     for spec, ch in GRID:
         h = preset_cache(spec, ch)

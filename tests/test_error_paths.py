@@ -97,7 +97,7 @@ def test_cli_file_without_two_sided_unit_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("degree", [0, -2])
 def test_cyclic_cover_of_degree_below_one_is_rejected(degree, capsys):
     with pytest.raises(ValueError, match=f"cyclic-cover:{degree} needs a cover degree M >= 1"):
-        cyclic_cover_problem(2, degree, QQ)
+        cyclic_cover_problem(resolve_preset("group:C2", QQ).alg, degree)
     argv = ["lift-section", "--problem", f"cyclic-cover:{degree}", "--preset", "group:C2"]
     assert cli.main(argv) == 2
     err = json.loads(capsys.readouterr().err)["error"]

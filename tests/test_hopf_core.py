@@ -101,6 +101,7 @@ def test_function_algebra_is_dual_of_group_algebra():
     kg = preset_group_algebra(cyclic_table(2), QQ)
     kf = preset_function_algebra(cyclic_table(2), QQ)
     d = dual_hopf(kg)
+    assert check_hopf(d).all_ok and check_hopf(kf).all_ok
     assert kf.alg.mult == d.alg.mult and kf.coa.comult == d.coa.comult
     # idempotent basis sums to the identity
     one = _unit_vec(kf)
@@ -116,7 +117,9 @@ def test_dual_is_involution(preset_cache):
     for spec, char in [("group:C3", 0), ("sweedler", 0), ("functions:S3", 2),
                        ("taft:3:2", 7)]:
         h = preset_cache(spec, char)
-        dd = dual_hopf(dual_hopf(h))
+        d = dual_hopf(h)
+        dd = dual_hopf(d)
+        assert check_hopf(d).all_ok and check_hopf(dd).all_ok, (spec, char)
         assert dd.alg.mult == h.alg.mult
         assert dd.coa.comult == h.coa.comult
         assert dd.antipode == h.antipode

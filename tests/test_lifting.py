@@ -41,7 +41,7 @@ def test_identity_surjection_lift():
 
 
 def test_modular_cover_obstruction_carries_closed_witness():
-    prob = cyclic_cover_problem(2, 2, GF(2))
+    prob = cyclic_cover_problem(resolve_preset("group:C2", GF(2)).alg, 2)
     res = lift_algebra_section(prob)
     assert isinstance(res, LiftObstruction)
     assert res.delta_closed
@@ -50,7 +50,7 @@ def test_modular_cover_obstruction_carries_closed_witness():
 
 def test_modular_cover_witness_is_not_a_coboundary():
     # rebuild the stage bimodule by hand and confirm the witness class is nonzero
-    prob = cyclic_cover_problem(2, 2, GF(2))
+    prob = cyclic_cover_problem(resolve_preset("group:C2", GF(2)).alg, 2)
     res = lift_algebra_section(prob)
     assert isinstance(res, LiftObstruction)
     # the obstruction was reported exactly because the coboundary solve failed,
@@ -60,13 +60,13 @@ def test_modular_cover_witness_is_not_a_coboundary():
 
 def test_non_nilpotent_kernel_rejected():
     with pytest.raises(ValueError):
-        lift_algebra_section(cyclic_cover_problem(2, 2, QQ))
+        lift_algebra_section(cyclic_cover_problem(resolve_preset("group:C2", QQ).alg, 2))
 
 
 def test_good_characteristic_cover_lifts():
     # over Q the C6 -> C3 cover has separable kernel direction; pick instead a
     # genuinely nilpotent case in char 3: KC9 -> KC3
-    prob = cyclic_cover_problem(3, 3, GF(3))
+    prob = cyclic_cover_problem(resolve_preset("group:C3", GF(3)).alg, 3)
     res = lift_algebra_section(prob)
     # KC3 over F3 is not formally smooth, so an obstruction is legitimate;
     # whichever way it lands, any certificate must verify and any obstruction
@@ -246,7 +246,7 @@ def test_cyclic_cover_of_c2_lifts_in_odd_characteristic(char, capsys):
     assert report["lifted"] and report["certificate"]["algebra_map"]
     # the final section, read back from the report, splits pi and is a unital algebra map
     f = GF(char)
-    prob = cyclic_cover_problem(2, char, f)
+    prob = cyclic_cover_problem(resolve_preset("group:C2", f).alg, char)
     sigma = sparse(report["certificate"]["final"])
     assert contract(f, "ax,xy->ay", prob.pi, sigma) == identity(f, 2)
     assert curvature(f, prob.a.mult, prob.e.mult, sigma) == {}

@@ -510,9 +510,10 @@ def test_every_lift_system_carries_its_condition_labels(monkeypatch):
     equivariant = (("projects", "unital", "equivariant"), ("coboundary", "equivariant"))
     cor = coradical(h.coa)
     sub, incl = sub_hopf_on_subspace(h, cor)
+    kc2 = resolve_preset("group:C2", GF(2))
     cases = [
         (lambda: lift_algebra_section(square_zero_extension(h)), plain),
-        (lambda: lift_algebra_section(cyclic_cover_problem(2, 2, GF(2))), plain),
+        (lambda: lift_algebra_section(cyclic_cover_problem(kc2.alg, 2)), plain),
         (lambda: lift_algebra_section(square_zero_extension(h), colinear=True), equivariant),
         (lambda: weak_projection(h, sub, incl, corad=cor), equivariant),
         (lambda: weak_projection(h, sub, incl, bilinear=True, corad=cor), equivariant),

@@ -552,8 +552,8 @@ def _meets_an_outer_product(spec: str) -> bool:
 @pytest.mark.parametrize("preset,char", GRID)
 def test_no_condition_term_contracts_an_outer_product(monkeypatch, preset, char):
     """Every condition term that a query checks or assembles, over every subcommand and
-    flag, contracts each operand against an index already met; at the parent the 12-operand
-    fs-retraction (iii) term began with chi (x) Delta, 38 s on D(S3) over F_5."""
+    flag, contracts each operand against an index already met.  A 12-operand term that
+    began with the outer product chi (x) Delta ran out of memory on D(S3) over F_5."""
     orders = _contraction_orders(monkeypatch)
     source = ["--preset", preset, "--char", str(char)]
     queries = [[command] for command in cli.SUBCOMMANDS if command != "truth-table"] + [

@@ -7,7 +7,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-from hopfsmith import FieldSpec, dual_hopf, op_cop, resolve_preset
+from hopfsmith import FieldSpec, check_hopf, dual_hopf, op_cop, resolve_preset
 from hopfsmith.doubles import drinfeld_double
 from hopfsmith.serialize import hopf_from_dict, hopf_to_dict
 from hopfsmith.yd import ACTIONS, COACTIONS, adjoint_action, adjoint_coaction
@@ -55,9 +55,10 @@ def test_presets_and_their_twists_store_only_nonzero_entries(preset_cache):
     for spec, char in GRID:
         h = preset_cache(spec, char)
         _assert_hopf(h, (spec, char))
-        _assert_hopf(dual_hopf(h), (spec, char, "dual"))
-        for flips in ((True, False), (False, True), (True, True)):
-            _assert_hopf(op_cop(h, *flips), (spec, char, flips))
+        for what, twist in [("dual", dual_hopf(h))] + [
+                (flips, op_cop(h, *flips)) for flips in ((True, False), (False, True), (True, True))]:
+            _assert_hopf(twist, (spec, char, what))
+            assert check_hopf(twist).all_ok, (spec, char, what)
         n = h.dim
         for which in ACTIONS:
             _assert_stored(h.field, adjoint_action(h, which).tensor, (n, n, n), (spec, which))
