@@ -4,10 +4,10 @@ The radical is computed by the trace form over Q and by the p-th-power trace
 chain of Friedl and Ronyai over F_p: stage 0 is the trace form, and stage
 i >= 1 takes divided traces of p^i-th powers of integer lifts, powered as
 sparse rows reduced mod p^{i+1}.  The result is then re-certified from
-scratch: it must be a nilpotent two-sided ideal and the quotient algebra must
-admit a separability idempotent (over perfect fields, Q and F_p included,
-that is exactly semisimplicity).  A failed certificate raises: radical
-answers are never returned on trust.
+scratch: it must be a nilpotent two-sided ideal, and the quotient algebra
+semisimple: over Q its trace form is nondegenerate, and over F_p, a perfect
+field, it has a separability idempotent, solved and checked on its conditions.
+A failed certificate raises: radical answers are never returned on trust.
 
 The identities are contractions of sparse tensors in the layout of :mod:`hopf`
 (``m`` ijk, ``D`` kij, a map as (x, y), entry x of the image of e_y): the
@@ -33,8 +33,8 @@ from typing import Optional
 from .hopf import (AlgebraData, CoalgebraData, SubspaceBasis, dual_algebra, quotient_maps,
                    restricted_comult)
 from .integrals import idempotent_conditions
-from .linalg import (AffineSystem, SparseMat, contract, identity, nullspace, pivot_columns,
-                     require_conditions, solve_affine, span_contains_span, spans_equal)
+from .linalg import (SparseMat, contract, identity, kernel, nullspace, pivot_columns, solve,
+                     span_contains_span, spans_equal)
 
 
 @dataclass
@@ -54,8 +54,8 @@ def _trace_form_kernel(a: AlgebraData) -> SubspaceBasis:
     m = a.mult
     # trace(L_{e_i e_j}) = sum_k m_ijk trace(L_{e_k}), and trace(L_{e_k}) = sum_d m_kdd
     traces = contract(f, "kdx,xd->k", m, identity(f, a.dim))
-    return SubspaceBasis(a.dim, nullspace(AffineSystem.conditions(
-        f, (a.dim,), ("trace form", [(1, "ijk,k,j->i", m, traces)], None)).matrix))
+    conds = [("trace form", [(1, "ijk,k,j->i", m, traces)], None)]
+    return SubspaceBasis(a.dim, kernel(f, a.dim, conds))
 
 
 def _mul_mod(x: list, y: list, q: int) -> list:
@@ -189,12 +189,10 @@ def radical(a: AlgebraData) -> SubspaceBasis:
         raise AssertionError("radical quotient has degenerate trace form")
     # over the perfect F_p, semisimple means separable: an e in A (x) A with m(e) = 1
     # and (x (x) 1)e = e(1 (x) x) exists, and the one solved is checked on those conditions
-    if f.characteristic and quotient.dim:
-        conds = idempotent_conditions(quotient)
-        sol = solve_affine(AffineSystem.conditions(f, (quotient.dim,) * 2, *conds))
-        if sol is None:
-            raise AssertionError("radical quotient is not separable over a perfect field")
-        require_conditions(f, conds, sol.particular, "radical quotient separability idempotent")
+    if f.characteristic and quotient.dim and solve(
+            f, (quotient.dim,) * 2, idempotent_conditions(quotient),
+            "radical quotient separability idempotent") is None:
+        raise AssertionError("radical quotient is not separable over a perfect field")
     return basis
 
 
@@ -239,9 +237,8 @@ def _wedge(x: SubspaceBasis, py: dict, e: CoalgebraData) -> SubspaceBasis:
     px = quotient_maps(f, x)[0]
     if not px or not py:  # a zero quotient: X or Y is everything
         return SubspaceBasis(n, identity(f, n))
-    ker = nullspace(AffineSystem.conditions(
-        f, (n,), ("wedge", [(1, "pi,kij,qj,k->pq", px, e.comult, py)], None)).matrix)
-    return SubspaceBasis(n, ker)
+    conds = [("wedge", [(1, "pi,kij,qj,k->pq", px, e.comult, py)], None)]
+    return SubspaceBasis(n, kernel(f, n, conds))
 
 
 def wedge_filtration(c: SubspaceBasis, e: CoalgebraData,

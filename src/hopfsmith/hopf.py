@@ -57,9 +57,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .fields import FieldSpec
-from .linalg import (AffineSystem, Echelon, SparseMat, contract, identity, in_coordinates,
-                     invert, least_failure, nullspace, ordered, pivot_columns, require_keys,
-                     signed_sum, span_contains_span)
+from .linalg import (Echelon, SparseMat, contract, identity, in_coordinates, invert, kernel,
+                     least_failure, ordered, pivot_columns, require_keys, signed_sum,
+                     span_contains_span)
 
 
 @dataclass
@@ -331,8 +331,8 @@ class QuotientSplitting:
 
 def augmentation_ideal(h: HopfData) -> SubspaceBasis:
     """H^+ = ker(eps), dimension dim-1."""
-    eps = AffineSystem.conditions(h.field, (h.dim,), ("counit", [(1, "i,i->", h.coa.counit)], None))
-    return SubspaceBasis(h.dim, nullspace(eps.matrix))
+    conds = [("counit", [(1, "i,i->", h.coa.counit)], None)]
+    return SubspaceBasis(h.dim, kernel(h.field, h.dim, conds))
 
 
 def unit_line(h: HopfData) -> SubspaceBasis:
@@ -358,10 +358,8 @@ def _completion(field: FieldSpec, n: int, k: int, basis: dict) -> tuple:
     """
     cands = {**basis, **{(i, k + i): field.one for i in range(n)}}
     pivots, rows = pivot_columns(field, cands, n, k + n)
-    if pivots[:k] != list(range(k)):
-        # dependent vectors are not completed, so their matrix is singular or not square
-        raise ValueError("subspace vectors are not linearly independent" if k == n
-                         else "only square matrices can be inverted")
+    if pivots[:k] != list(range(k)):  # a dependent vector is not a pivot
+        raise ValueError("subspace vectors are not linearly independent")
     inv = {(t, j - k): x for t, row in enumerate(rows[:n]) for j, x in row if j >= k}
     return pivots, inv
 

@@ -22,8 +22,8 @@ from typing import Optional
 
 from .fields import FieldSpec
 from .hopf import AlgebraData, HopfData, SubspaceBasis
-from .linalg import (AffineSystem, Certificate, contract, failed_conditions, identity,
-                     nullspace, require_conditions, solve_affine, spans_equal)
+from .linalg import (AffineSystem, Certificate, contract, failed_conditions, identity, kernel,
+                     require_conditions, solve_affine, spans_equal)
 from .yd import ACTIONS, COACTIONS, adjoint_action, adjoint_coaction
 
 
@@ -59,8 +59,7 @@ def integral_space(h: HopfData, side: str = "left", carrier: str = "in_h") -> Su
     if side not in ("left", "right"):
         raise ValueError(f"side must be left or right, got {side!r}")
     conds = [(side, _integral_terms(h, side, carrier), None)]
-    sys = AffineSystem.conditions(h.field, (h.dim,), *conds)
-    basis = SubspaceBasis(h.dim, nullspace(sys.matrix))
+    basis = SubspaceBasis(h.dim, kernel(h.field, h.dim, conds))
     _verify_integral_space(h.field, basis, conds)
     return basis
 

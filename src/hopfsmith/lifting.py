@@ -23,7 +23,7 @@ a linear map g as ``(x, y)``, entry x of g(e_y).
   to preserve the kernel filtration and are descended to each quotient.
 
 The conditions are labelled sums of signed contractions on the unknown map
-(:meth:`AffineSystem.conditions`) in its (x, y) layout, each written once.  A stage
+(:func:`linalg.solve`) in its (x, y) layout, each written once.  A stage
 map g: A -> E/I^{r+1} is ``projects`` (p_r g is the previous stage), ``unital`` and
 ``equivariant``; the correction h: A -> I^r/I^{r+1} is ``coboundary`` (a h(b) - h(ab)
 + h(a) b = c(a, b)) and ``equivariant``, a condition only when there are alpha_u.  The
@@ -38,10 +38,9 @@ from typing import Optional
 
 from .hopf import (AlgebraData, HopfData, SubspaceBasis, curvature, dual_algebra,
                    require_algebra_map, require_coalgebra_map, validated)
-from .linalg import (AffineSystem, Certificate, SparseMat, contract, failed_conditions,
-                     identity, in_coordinates, invert, least_failure, nullspace, rank,
-                     require_conditions, require_keys, signed_sum, solve_affine,
-                     span_contains_span)
+from .linalg import (Certificate, SparseMat, contract, failed_conditions, identity,
+                     in_coordinates, invert, least_failure, nullspace, rank, require_conditions,
+                     require_keys, signed_sum, solve, span_contains_span)
 from .filtration import (_is_two_sided_ideal, _quotient_algebra, ideal_powers, coradical,
                          wedge_filtration)
 from .yd import ComoduleCoaction, module_laws
@@ -205,7 +204,8 @@ def _lift(p: SurjectionProblem, alpha: dict, beta: dict):
         w, coords = kernel.tensors(f)
         beta_r = descend(r)
 
-        g = _solve_linear_lift(f, q.dim, na, p_r, stage, u_a, q.unit, alpha, beta_r)
+        g = solve(f, (q.dim, na), _stage_conditions(p_r, stage, u_a, q.unit, alpha, beta_r),
+                  "linear lift")
         if g is None:
             # no curvature was formed, so the empty witness is not a closed cocycle
             return LiftObstruction(r, {}, False,
@@ -246,16 +246,6 @@ def _lift(p: SurjectionProblem, alpha: dict, beta: dict):
     return LiftCertificate(stages, sigma, bool(alpha) or None, [(q.dim, na) for q, *_ in quots])
 
 
-def _solve_linear_lift(f, ncur: int, na: int, p_r: dict, prev: dict, u_a: dict, u_cur: dict,
-                       alpha: dict, beta: dict) -> Optional[dict]:
-    """Linear g: A -> Q_{r+1} meeting the stage conditions, checked on them."""
-    conds = _stage_conditions(p_r, prev, u_a, u_cur, alpha, beta)
-    sol = solve_affine(AffineSystem.conditions(f, (ncur, na), *conds))
-    if sol is not None:
-        require_conditions(f, conds, sol.particular, "linear lift")
-    return None if sol is None else sol.particular
-
-
 def _is_two_cocycle(bim: Bimodule, c: dict) -> bool:
     """delta c (a,b,d) = a·c(b,d) - c(ab,d) + c(a,bd) - c(a,b)·d = 0 on basis triples,
     for c keyed (i, j, t)."""
@@ -270,14 +260,10 @@ def _solve_coboundary(bim: Bimodule, c: dict, alpha: dict, beta: dict) -> Option
     h alpha_u = beta_u h for any alpha_u, beta keyed (u, s, t): entry t of beta_u(w_s);
     checked on those conditions."""
     a = bim.algebra
-    f, na = a.field, a.dim
-    conds = [("coboundary", [(1, "ist,sj->ijt", bim.left), (-1, "ijy,ty->ijt", a.mult),
-                             (1, "jst,si->ijt", bim.right)], c),
-             *_equivariant(alpha, {(u, t, s): x for (u, s, t), x in beta.items()})]
-    sol = solve_affine(AffineSystem.conditions(f, (bim.dim, na), *conds))
-    if sol is not None:
-        require_conditions(f, conds, sol.particular, "coboundary")
-    return None if sol is None else sol.particular
+    return solve(a.field, (bim.dim, a.dim), [
+        ("coboundary", [(1, "ist,sj->ijt", bim.left), (-1, "ijy,ty->ijt", a.mult),
+                        (1, "jst,si->ijt", bim.right)], c),
+        *_equivariant(alpha, {(u, t, s): x for (u, s, t), x in beta.items()})], "coboundary")
 
 
 def _assert_stage(f, m_a: dict, m_cur: dict, conds: list, g: dict, what: str):
@@ -389,17 +375,16 @@ def weak_projection(e: HopfData, h: HopfData, inclusion: dict,
 
 def _verify_weak_projection(e: HopfData, h: HopfData, incl: dict, p: dict,
                             bilinear: bool) -> list:
-    f = e.field
-    if contract(f, "ax,xy->ay", p, incl) != identity(f, h.dim):
-        raise AssertionError("weak projection does not retract the inclusion")
-    require_coalgebra_map(e.coa, h.coa, p, "weak projection", AssertionError)
-    verified = ["retraction", "coalgebra-map"]
-    sides = [("left", "zu,zxy,ay->uxa", "bx,uba->uxa")]
+    """The labels pi meets: it retracts the inclusion, is a coalgebra map (quadratic in pi,
+    so checked apart) and is left, and for ``bilinear`` also right, H-linear."""
+    f, m_e, m_h = e.field, e.alg.mult, h.alg.mult
+    # pi(iota(u)·x) = u·pi(x), and pi(x·iota(u)) = pi(x)·u
+    conds = [("retraction", [(1, "xy,ax->ay", incl)], identity(f, h.dim)),
+             ("left-H-linear", [(1, "zxy,zu,ay->uxa", m_e, incl), (-1, "uba,bx->uxa", m_h)],
+              None)]
     if bilinear:
-        sides.append(("right", "zu,xzy,ay->uxa", "bx,bua->uxa"))
-    for side, lhs, rhs in sides:
-        # pi(iota(u)·x) = u·pi(x), resp. pi(x·iota(u)) = pi(x)·u
-        if contract(f, lhs, incl, e.alg.mult, p) != contract(f, rhs, p, h.alg.mult):
-            raise AssertionError(f"weak projection is not {side} H-linear")
-        verified.append(f"{side}-H-linear")
-    return verified
+        conds.append(("right-H-linear", [(1, "xzy,zu,ay->uxa", m_e, incl),
+                                         (-1, "bua,bx->uxa", m_h)], None))
+    retraction, *linear = require_conditions(f, conds, p, "weak projection")
+    require_coalgebra_map(e.coa, h.coa, p, "weak projection", AssertionError)
+    return [retraction, "coalgebra-map", *linear]

@@ -29,7 +29,9 @@ j)``, entry x of vector j, the inclusion of the subspace.  :func:`solve_affine`,
 :class:`SparseMat`; a nullspace is a basis tensor, a particular solution is
 keyed on the shape of the unknown, and an inverse is again a sparse tensor.
 :func:`pivot_columns`, :func:`span_contains_span` and :func:`spans_equal` read
-basis tensors.
+basis tensors.  The rest of the package solves a condition list, not a matrix:
+:func:`solve` assembles it, eliminates and checks the answer on it, and
+:func:`kernel` is the nullspace of homogeneous conditions on a vector.
 
 Structure-constant identities are contractions of sparse tensors:
 :func:`contract` evaluates an einsum-style spec such as
@@ -152,12 +154,6 @@ class AffineSystem:
     @property
     def unknowns(self) -> int:
         return prod(self.shape)
-
-
-@dataclass
-class AffineSolution:
-    particular: dict  # the solution with every free variable 0, keyed on the unknown's shape
-    nullspace: dict   # basis tensor (c, j) of the homogeneous solutions, c the column
 
 
 # a term's spec with its last operand, the unknown, moved first (memoized: specs are literals)
@@ -309,17 +305,15 @@ def _unravel(c: int, shape: tuple) -> tuple:
     return (c, *reversed(key))
 
 
-def solve_affine(sys: AffineSystem) -> Optional[AffineSolution]:
-    """One particular solution plus a nullspace basis, or None if infeasible."""
-    f = sys.matrix.field
+def solve_affine(sys: AffineSystem) -> Optional[dict]:
+    """The particular solution, every free variable 0, keyed on the unknown's shape;
+    None if infeasible."""
     n = sys.unknowns
     rows = [[*row, (n, b)] if b else row for row, b in zip(sys.matrix.data, sys.rhs)]
-    pivots = _rref(rows, n + 1, f)
+    pivots = _rref(rows, n + 1, sys.matrix.field)
     if pivots and pivots[-1] == n:  # pivot in the augmented column: 0 = 1
         return None
-    particular = {_unravel(pc, sys.shape): row[-1][1]
-                  for pc, row in zip(pivots, rows) if row[-1][0] == n}
-    return AffineSolution(particular, _kernel_basis(rows, pivots, n, f))
+    return {_unravel(pc, sys.shape): row[-1][1] for pc, row in zip(pivots, rows) if row[-1][0] == n}
 
 
 def nullspace(m: SparseMat) -> dict:
@@ -327,6 +321,22 @@ def nullspace(m: SparseMat) -> dict:
     rows = m.data[:]
     pivots = _rref(rows, m.cols, m.field)
     return _kernel_basis(rows, pivots, m.cols, m.field)
+
+
+def solve(field: FieldSpec, shape: tuple, conds: list, what: str) -> Optional[dict]:
+    """The particular solution of the conditions ``conds`` of :meth:`AffineSystem.conditions`
+    on an unknown of ``shape``, once it meets them (:func:`require_conditions`, which names
+    it ``what``); None when they have no solution."""
+    x = solve_affine(AffineSystem.conditions(field, shape, *conds))
+    if x is not None:
+        require_conditions(field, conds, x, what)
+    return x
+
+
+def kernel(field: FieldSpec, n: int, conds: list) -> dict:
+    """The basis tensor (c, t) of the vectors of K^n that meet the homogeneous conditions
+    ``conds``."""
+    return nullspace(AffineSystem.conditions(field, (n,), *conds).matrix)
 
 
 def rank(m: SparseMat) -> int:

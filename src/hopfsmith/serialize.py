@@ -28,7 +28,7 @@ from typing import Optional
 
 from .fields import FieldSpec
 from .hopf import AlgebraData, CoalgebraData, HopfData
-from .linalg import AffineSystem, identity, require_conditions, solve_affine, sparse
+from .linalg import identity, solve, sparse
 
 
 def json_lists(f: FieldSpec, t: dict, shape: tuple, lists: Optional[tuple] = None) -> list:
@@ -64,11 +64,10 @@ def _solve_unit(m: dict, f: FieldSpec, n: int) -> dict:
     on those conditions."""
     one = identity(f, n)
     conds = [("left unit", [(1, "ijk,i->jk", m)], one), ("right unit", [(1, "jik,i->jk", m)], one)]
-    sol = solve_affine(AffineSystem.conditions(f, (n,), *conds))
-    if sol is None:
+    unit = solve(f, (n,), conds, "unit")
+    if unit is None:
         raise ValueError("multiplication tensor has no two-sided unit")
-    require_conditions(f, conds, sol.particular, "unit")
-    return sol.particular
+    return unit
 
 
 def _check_shape(name: str, value, shape: tuple) -> None:

@@ -12,7 +12,7 @@ from itertools import product
 
 import pytest
 
-from hopfsmith import QQ, FieldSpec, cli, resolve_preset, serialize
+from hopfsmith import QQ, FieldSpec, cli, linalg, resolve_preset, serialize
 from hopfsmith.doubles import (_double_idempotent_conditions, _verify_extension_idempotent,
                                drinfeld_double, separable_extension)
 from hopfsmith.hopf import SubspaceBasis
@@ -24,7 +24,7 @@ from hopfsmith.integrals import (_ad_invariant_conditions, _integral_terms, _ver
                                  total_integral)
 from hopfsmith.lifting import LiftObstruction, _lift, square_zero_extension
 from hopfsmith.linalg import (AffineSystem, SparseMat, contract, failed_conditions, identity,
-                              solve_affine)
+                              nullspace, solve_affine)
 from hopfsmith.presets import cyclic_table, preset_group_algebra
 from hopfsmith.smoothness import (find_complete_fs_retraction,
                                   find_complete_fs_section, find_fs_retraction, find_fs_section,
@@ -87,7 +87,7 @@ def test_plain_kernel_shift_keeps_i_ii_and_drops_iii(finder, verify, spec):
     h = resolve_preset(spec, QQ)
     cert = finder(h)
     plain = AffineSystem.conditions(QQ, cert.shape, *_fs_conditions(verify, h, complete=False))
-    shift = _vectors(QQ, SubspaceBasis(plain.unknowns, solve_affine(plain).nullspace))[0]
+    shift = _vectors(QQ, SubspaceBasis(plain.unknowns, nullspace(plain.matrix)))[0]
     keys = list(product(*map(range, cert.shape)))  # the unknowns in row-major order
     flat = [QQ.add(x, y) for x, y in zip((cert.tensor.get(k, QQ.zero) for k in keys), shift)]
     moved = {k: x for k, x in zip(keys, flat) if x}
@@ -464,34 +464,36 @@ def test_cli_exits_2_when_the_assembly_doubles_every_constant(argv, check, monke
     assert check in error  # the condition-list check
 
 
-@pytest.mark.parametrize("module, argv", [
-    ("serialize", ["check-axioms", "--file", "{doc}"]),  # the unit of a loaded document
-    ("filtration", ["coradical", "--preset", "taft:3:2", "--char", "7"]),  # rad(H*) over F_7
+@pytest.mark.parametrize("label, argv", [
+    ("left unit", ["check-axioms", "--file", "{doc}"]),  # the unit of a loaded document
+    ("m(e)=1", ["coradical", "--preset", "taft:3:2", "--char", "7"]),  # rad(H*) over F_7
 ])
-def test_cli_exits_2_when_a_solved_witness_is_doubled(module, argv, monkeypatch, capsys,
+def test_cli_exits_2_when_a_solved_witness_is_doubled(label, argv, monkeypatch, capsys,
                                                       tmp_path):
     """The unit solved from a loaded multiplication, and the separability idempotent that
     certifies a radical quotient semisimple over F_p, are checked on the conditions they
     were solved from: doubled, each fails its check, so the query exits 2 and prints no
-    report, neither a refutation (``check-axioms`` exit 1) nor an unchecked answer."""
-    import importlib
+    report, neither a refutation (``check-axioms`` exit 1) nor an unchecked answer.  Only
+    the solution of the system holding the condition ``label`` is doubled."""
     doc = tmp_path / "kc3.json"
     doc.write_text(json.dumps(serialize.hopf_to_dict(resolve_preset("group:C3", QQ))))
     argv = [str(doc) if a == "{doc}" else a for a in argv]
     assert cli.main(argv) == 0
     capsys.readouterr()
-    target = importlib.import_module(f"hopfsmith.{module}")
-    solve = target.solve_affine
+    solve, seen = linalg.solve_affine, []
 
     def doubled(system):
         sol = solve(system)
+        if sol is None or label not in system.labels:
+            return sol
+        seen.append(system)
         f = system.matrix.field
-        return sol and replace(sol, particular={k: f.add(v, v) for k, v in sol.particular.items()})
+        return {k: f.add(v, v) for k, v in sol.items()}
 
-    monkeypatch.setattr(target, "solve_affine", doubled)
+    monkeypatch.setattr(linalg, "solve_affine", doubled)
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.out == ""
+    assert seen and captured.out == ""
     assert "internal verification failed" in json.loads(captured.err)["error"]
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from hopfsmith import GF, QQ, resolve_preset
 from hopfsmith.filtration import _fr_radical_mod_p, _ideal_product, _trace_form_kernel
-from hopfsmith.hopf import _completion, dual_algebra
+from hopfsmith.hopf import SubspaceBasis, _completion, dual_algebra
 from hopfsmith.linalg import invert, rank
 
 from conftest import GRID
@@ -40,7 +40,9 @@ def _completion_oracle(field, n, vectors):
         cand = chosen + [_e(field, n, i)]
         if rank(_sparse_mat(field, cand, n)) == len(cand):
             chosen = cand
-    inv = invert(_sparse_mat(field, [list(row) for row in zip(*chosen)], len(chosen)))
+    # dependent vectors are never completed to n, and then no inverse exists
+    inv = invert(_sparse_mat(field, [list(row) for row in zip(*chosen)], n)) \
+        if len(chosen) == n else None
     if inv is None:
         raise ValueError("subspace vectors are not linearly independent")
     return chosen, inv
@@ -106,8 +108,11 @@ def test_completion_of_dependent_vectors_raises():
     f = GF(5)
     with pytest.raises(ValueError, match="not linearly independent"):
         _completed(f, 2, [[1, 2], [2, 4]])
-    with pytest.raises(ValueError):
+    # fewer dependent vectors than the dimension: no square matrix to invert is named
+    with pytest.raises(ValueError, match="not linearly independent"):
         _completed(f, 3, [[1, 2, 0], [0, 0, 0]])
+    with pytest.raises(ValueError, match="not linearly independent"):
+        SubspaceBasis(3, {(0, 0): 1, (0, 1): 1}).tensors(QQ)
 
 
 _SPECS = {5: ["sweedler", "group:C4", "group:S3", "functions:C2"],

@@ -8,7 +8,8 @@ from hopfsmith.integrals import (_blind_idempotent, _blind_retraction, ad_coinva
                                  ad_invariant_integral, coseparability_retraction,
                                  four_coinvariance_flags, four_linearity_flags, integral_space,
                                  is_unimodular, separability_idempotent, total_integral)
-from hopfsmith.linalg import AffineSystem, contract, identity, solve_affine, spans_equal
+from hopfsmith.linalg import (AffineSystem, contract, identity, nullspace, solve_affine,
+                              spans_equal)
 from hopfsmith.presets import preset_sweedler
 
 from conftest import GRID, SMALL_GRID, F
@@ -172,8 +173,8 @@ def _solved(system):
     sol = solve_affine(system)
     if sol is None:
         return None
-    assert not sol.nullspace
-    return sol.particular
+    assert not nullspace(system.matrix)
+    return sol
 
 
 @pytest.mark.parametrize("spec,char", AD_CASES)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hopfsmith import GF, QQ, FieldSpec, cli, lifting, resolve_preset
+from hopfsmith import GF, QQ, FieldSpec, cli, linalg, resolve_preset
 from hopfsmith.hopf import curvature
 from hopfsmith.lifting import (Bimodule, LiftCertificate, LiftObstruction, SurjectionProblem,
                                _is_two_cocycle, cyclic_cover_problem, lift_algebra_section,
@@ -280,22 +280,22 @@ def test_a_wrong_coboundary_is_caught_by_its_own_condition(monkeypatch, capsys):
     One entry of h moved by 1 must fail the coboundary condition it was solved
     from: the query exits 2 naming that condition, not a later symptom."""
     argv = ["lift-section", "--preset", "group:C3", "--char", "2", "--problem", "cyclic-cover:2"]
-    solve, seen = lifting.solve_affine, []
+    solve, seen = linalg.solve_affine, []
 
     def bumped(system):
         sol = solve(system)
         if sol is not None and "coboundary" in system.labels:
-            seen.append(dict(sol.particular))
-            key = min(sol.particular)
+            seen.append(dict(sol))
+            key = min(sol)
             f = system.matrix.field
-            sol.particular[key] = f.add(sol.particular[key], f.one)
-            if not sol.particular[key]:
-                del sol.particular[key]
+            sol[key] = f.add(sol[key], f.one)
+            if not sol[key]:
+                del sol[key]
         return sol
 
     assert cli.main(argv) == 0
     capsys.readouterr()
-    monkeypatch.setattr(lifting, "solve_affine", bumped)
+    monkeypatch.setattr(linalg, "solve_affine", bumped)
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert seen and all(seen)  # the coboundary solved was nonzero

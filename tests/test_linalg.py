@@ -1,26 +1,32 @@
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfsmith.fields import GF, QQ
 from hopfsmith.hopf import SubspaceBasis
-from hopfsmith.linalg import (AffineSolution, AffineSystem, SparseMat, identity, invert,
-                              least_failure, rank, solve_affine, spans_equal)
+from hopfsmith.linalg import (AffineSystem, SparseMat, identity, invert, least_failure,
+                              nullspace, rank, solve_affine, spans_equal)
 
 from test_loop_oracles import _columns, _eye, _matmul, _matvec, _nullspace, _vec, _vectors, dense
 
 
+class Solution(NamedTuple):
+    particular: list  # the solution with every free variable 0
+    nullspace: list   # the basis vectors of the homogeneous solutions
+
+
 def _solve(sys: AffineSystem):
-    """``solve_affine(sys)`` with the particular solution and the nullspace basis
-    as coordinate lists."""
+    """``solve_affine(sys)``, the particular solution, with ``nullspace(sys.matrix)``,
+    both as coordinate lists."""
     sol = solve_affine(sys)
     if sol is None:
         return None
     f = sys.matrix.field
-    return AffineSolution(dense(f, sol.particular, sys.shape),
-                          _vectors(f, SubspaceBasis(sys.unknowns, sol.nullspace)))
+    return Solution(dense(f, sol, sys.shape),
+                    _vectors(f, SubspaceBasis(sys.unknowns, nullspace(sys.matrix))))
 
 
 @dataclass

@@ -474,11 +474,12 @@ def blind_antipode(h):
     f, n = h.field, h.dim
     unit = contract(f, "K,t->Kt", h.coa.counit, h.alg.unit)
     d, m = h.coa.comult, h.alg.mult
-    sol = solve_affine(AffineSystem.conditions(
-        f, (n, n), ("S(x1) x2", [(1, "KIJ,TJt,TI->Kt", d, m)], unit),
-        ("x1 S(x2)", [(1, "KIJ,ITt,TJ->Kt", d, m)], unit)))
-    assert sol is not None and not sol.nullspace  # an antipode is unique when it exists
-    return sol.particular
+    system = AffineSystem.conditions(f, (n, n), ("S(x1) x2", [(1, "KIJ,TJt,TI->Kt", d, m)], unit),
+                                     ("x1 S(x2)", [(1, "KIJ,ITt,TJ->Kt", d, m)], unit))
+    sol = solve_affine(system)
+    # an antipode is unique when it exists
+    assert sol is not None and not nullspace(system.matrix)
+    return sol
 
 
 @pytest.mark.parametrize("spec,char", GRID)
@@ -697,6 +698,14 @@ def old_linear_lift_system(f, ncur, na, p_r, prev, u_a, u_cur, alpha, beta):
     return old_grouping(f, ncur * na, *conds)
 
 
+def old_stage_system(f, shape, conds, what):
+    """``old_linear_lift_system`` on the knowns of the stage conditions ``conds`` that
+    ``lifting`` solves (``linalg.solve``) for a linear lift of ``shape``."""
+    (_, [(_, _, p_r)], prev), (_, [(_, _, u_a)], u_cur), *equivariant = conds
+    alpha, beta = ([t[2] for t in equivariant[0][1]] if equivariant else ({}, {}))
+    return old_linear_lift_system(f, *shape, p_r, prev, u_a, u_cur, alpha, beta)
+
+
 def old_coboundary_system(bim, c, alpha, beta):
     a = bim.algebra
     f, na = a.field, a.dim
@@ -754,11 +763,11 @@ def blind_separable_extension(ext):
     rel = doubles.relative_tensor(ext)
     f = ext.big.field
     conds = quotient_idempotent_conditions(ext, rel)
-    sol = solve_affine(AffineSystem.conditions(f, (rel.dim,), *conds))
-    if sol is None:
+    e = solve_affine(AffineSystem.conditions(f, (rel.dim,), *conds))
+    if e is None:
         return None
-    return Certificate("extension_idempotent", sol.particular, (rel.dim,),
-                       doubles._verify_extension_idempotent(f, sol.particular, conds))
+    return Certificate("extension_idempotent", e, (rel.dim,),
+                       doubles._verify_extension_idempotent(f, e, conds))
 
 
 def old_extension_idempotent_system(ext, rel):
@@ -798,10 +807,11 @@ def old_counit_system(h):
     return old_grouping(h.field, h.dim, (h.coa.counit, 0, None, "counit"))
 
 
-def _recording(monkeypatch, module, name):
-    """Wrap ``module.name``: each call appends ``(args, systems)``, the snapshots
-    of the systems that ``AffineSystem.conditions`` assembled inside the call
-    (taken at once, since ``relative_tensor`` eliminates its rows in place)."""
+def _recording(monkeypatch, module, name, keep=None):
+    """Wrap ``module.name``: each call whose arguments ``keep`` accepts (every call for
+    None) appends ``(args, systems)``, the snapshots of the systems that
+    ``AffineSystem.conditions`` assembled inside the call (taken at once, since
+    ``relative_tensor`` eliminates its rows in place)."""
     calls, active = [], []
     build, inner = AffineSystem.conditions, getattr(module, name)
 
@@ -812,6 +822,8 @@ def _recording(monkeypatch, module, name):
         return system
 
     def wrapper(*args, **kwargs):
+        if keep is not None and not keep(*args):
+            return inner(*args, **kwargs)
         calls.append((args, []))
         active.append(calls[-1][1])
         try:
@@ -861,16 +873,19 @@ def test_structure_systems_equal_the_identity_tensor_route(spec, char, preset_ca
     index i < dim H), and the ``RelTensor`` it returns equals the elimination of
     every relation row of the old route."""
     h = preset_cache(spec, char)
-    olds = {"_solve_linear_lift": (lifting, old_linear_lift_system),
-            "_solve_coboundary": (lifting, old_coboundary_system),
+    # the linear lift is the condition list that lifting solves under that name
+    olds = {"linear lift": (lifting, "solve", lambda *args: args[3] == "linear lift",
+                            old_stage_system),
+            "_solve_coboundary": (lifting, "_solve_coboundary", None, old_coboundary_system),
             # D(H) is free over H on the f_a |><| 1: only the run i < dim H is assembled
-            "relative_tensor": (doubles, lambda ext: old_relative_tensor_system(
-                ext, ext.small.dim)),
-            "_solve_unit": (serialize, old_unit_system),
-            "_trace_form_kernel": (filtration, old_trace_form_system),
-            "_wedge": (filtration, old_wedge_system),
-            "augmentation_ideal": (hopf, old_counit_system)}
-    calls = {name: _recording(monkeypatch, module, name) for name, (module, _) in olds.items()}
+            "relative_tensor": (doubles, "relative_tensor", None,
+                                lambda ext: old_relative_tensor_system(ext, ext.small.dim)),
+            "_solve_unit": (serialize, "_solve_unit", None, old_unit_system),
+            "_trace_form_kernel": (filtration, "_trace_form_kernel", None, old_trace_form_system),
+            "_wedge": (filtration, "_wedge", None, old_wedge_system),
+            "augmentation_ideal": (hopf, "augmentation_ideal", None, old_counit_system)}
+    calls = {name: _recording(monkeypatch, module, attr, keep)
+             for name, (module, attr, keep, _) in olds.items()}
     where = ["--preset", spec, "--char", str(char)]
     queries = [["lift-section"], ["lift-section", "--colinear"], ["weak-projection"],
                ["weak-projection", "--bilinear"], ["wedge-filtration"], ["coradical"]]
@@ -894,7 +909,7 @@ def test_structure_systems_equal_the_identity_tensor_route(spec, char, preset_ca
     assert _snapshot(AffineSystem.conditions(
         h.field, (rel.dim,), *quotient_idempotent_conditions(ext, rel))) == \
         old_extension_idempotent_system(ext, rel)
-    for name, (_, old) in olds.items():
+    for name, (*_, old) in olds.items():
         assert calls[name], name
         for args, systems in calls[name]:
             assert systems == [s for s in [old(*args)] if s is not None], name

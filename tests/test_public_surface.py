@@ -333,3 +333,41 @@ def test_each_closure_law_is_spelled_once():
         specs = _spec_literals(ROOT / "src" / "hopfsmith" / name)
         assert specs and not [s for s in set(specs) if specs.count(s) > 1], name
     assert "ijk,kst->ijst" not in _spec_literals(ROOT / "src" / "hopfsmith" / "lifting.py")
+
+
+# The tracer-only definitions that still assemble or eliminate a system themselves.
+AFFINE_HOLDOUTS = {("integrals", "_blind_idempotent"), ("integrals", "_blind_retraction"),
+                   ("doubles", "relative_tensor")}
+
+
+def _spelled(node):
+    """The identifier a node spells: a name, an attribute or an imported name; else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.name if isinstance(node, ast.alias) else None
+
+
+def test_only_linalg_assembles_and_eliminates_affine_systems():
+    """Outside ``linalg`` a condition list is solved by ``linalg.solve``, which checks its
+    answer on that list, or ``linalg.kernel``: no module names ``AffineSystem``,
+    ``AffineSolution`` or ``solve_affine``, except the tracer-only definitions of
+    ``AFFINE_HOLDOUTS`` and the module-level imports of their modules; ``__init__`` only
+    re-exports."""
+    names = {"AffineSystem", "AffineSolution", "solve_affine"}
+    holdout_modules = {mod for mod, _ in AFFINE_HOLDOUTS}
+    found = []
+    for path in sorted((ROOT / "src" / "hopfsmith").glob("*.py")):
+        mod = path.stem
+        if mod in ("linalg", "__init__"):
+            continue
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, ast.ImportFrom) and mod in holdout_modules:
+                continue
+            owner = getattr(stmt, "name", None)
+            if (mod, owner) in AFFINE_HOLDOUTS:
+                continue
+            found += [f"{mod}.{owner or '<module>'}: {_spelled(node)}"
+                      for node in ast.walk(stmt) if _spelled(node) in names]
+    assert not found, f"affine systems handled outside linalg: {sorted(set(found))}"
