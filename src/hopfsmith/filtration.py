@@ -10,9 +10,10 @@ field, it has a separability idempotent, solved and checked on its conditions.
 A failed certificate raises: radical answers are never returned on trust.
 
 The identities are contractions of sparse tensors in the layout of :mod:`hopf`
-(``m`` ijk, ``D`` kij, a map as (x, y), entry x of the image of e_y): the
-trace form is the condition ``"trace form"`` (rows i), the Friedl-Ronyai lifts
-L_{w e_y} for all y are one contraction per w (``"a,ayk,kxz->yxz"``), the
+(``m`` ijk, ``D`` kij, a map as (x, y), entry x of the image of e_y): the trace
+form is the condition ``"trace form"`` (rows i), a Friedl-Ronyai stage lifts its
+basis vectors w_j in one contraction (``"aj,axz->jxz"``) and reads its rows
+g_i(w_j e_y) off its coordinates in one more (``"l,lk,ayk,aj->yj"``), the
 products spanning an ideal power are ``"ax,by,xyk->abk"``, the wedge X ^ Y is
 the kernel of ``"wedge"``, (pi_X (x) pi_Y) Delta (rows (p, q)), and X is a
 subcoalgebra when Delta restricts to it (:func:`hopf.restricted_comult`).  The
@@ -86,37 +87,36 @@ def _trace_of_power(m: list, e: int, q: int) -> int:
 def _fr_radical_mod_p(a: AlgebraData) -> SubspaceBasis:
     """Friedl-Ronyai chain over the prime field: iterated divided p-power traces.
 
-    Stage 0 is the trace form kernel.  Stage i >= 1 keeps the w in the span of
-    the previous stage with tr(L~_{wy}^{p^i}) / p^i = 0 mod p for every basis
-    vector y, where L~ is the integer lift of L with entries in [0, p).  Only
-    tr mod p^{i+1} is needed, so the lifts are powered as sparse rows reduced
-    mod p^{i+1}.
+    Stage 0 is the trace form kernel I_0; stage i >= 1 keeps the w in I_{i-1} with
+    g_i(w e_y) = 0 for every y, where g_i(x) = tr(L~_x^{p^i}) / p^i mod p, L~ the
+    integer lift of L with entries in [0, p), powered as sparse rows mod p^{i+1}.
+    I_0 is a two-sided ideal as tr(L_{xy}) = tr(L_{yx}); so is each I_i, and g_i is
+    F_p-linear on the ideal I_{i-1} (Ronyai, J. Symbolic Comput. 9, 1990; Cohen,
+    Ivanyos and Wales, J. Pure Appl. Algebra 117-118, 1997).  So a stage powers one
+    lift per basis vector w_l, and reads g_i(w_j e_y) off the coordinates of w_j e_y
+    in I_{i-1}.  :func:`radical` re-certifies the result: a misapplied lemma raises.
     """
-    f = a.field
-    p = f.characteristic
-    n = a.dim
-    m = a.mult
+    f, n, m = a.field, a.dim, a.mult
+    p = pi = f.characteristic
     current = _trace_form_kernel(a)
-    pi = p
     while current.dim and pi <= n:
         q = pi * p
-        rows = [[] for _ in range(n)]
-        # the transposes of L_{w_j e_y} for every basis vector w_j of `current` and
-        # every y, keyed (j, y, x, z): entry z of (w_j e_y) e_x; a transpose has the
-        # same traces of powers
-        lifts = {}
-        for (j, y, x, z), c in contract(f, "aj,ayk,kxz->jyxz", current.basis, m, m).items():
-            lifts.setdefault((j, y), [{} for _ in range(n)])[x][z] = c
-        for (j, y), lift in sorted(lifts.items()):
+        # the transposes of L_{w_j}, keyed (j, x, z): entry z of w_j e_x; a transpose
+        # has the same traces of powers
+        lifts = [[{} for _ in range(n)] for _ in range(current.dim)]
+        for (j, x, z), c in contract(f, "aj,axz->jxz", current.basis, m).items():
+            lifts[j][x][z] = c
+        g = {}  # g_i(w_l), keyed (l,)
+        for j, lift in enumerate(lifts):
             tr = _trace_of_power(lift, pi, q)
             if tr % pi:
-                raise AssertionError(
-                    "p-power trace not divisible on the chain; radical stage broken")
-            if tr:
-                rows[y].append((j, tr // pi))
-        # the kernel is in the coordinates of `current`
-        ker = nullspace(SparseMat(f, n, current.dim, rows))
-        current = SubspaceBasis(n, contract(f, "xj,jc->xc", current.basis, ker))
+                raise AssertionError("p-power trace not divisible; radical stage broken")
+            g[(j,)] = tr // pi
+        # g_i(w_j e_y) at (y, j), by coordinates in `current`, where the kernel lies too
+        basis, coords = current.tensors(f)
+        rows = contract(f, "l,lk,ayk,aj->yj", g, coords, m, basis)
+        ker = nullspace(SparseMat.from_tensor(f, rows, n, current.dim))
+        current = SubspaceBasis(n, contract(f, "xj,jc->xc", basis, ker))
         pi = q
     return current
 

@@ -221,13 +221,16 @@ def test_nilpotency_index_of_larger_modular_radical():
 
 
 # ---------------------------------------------------------------------------
-# The F_p radical against the dense power-trace chain it replaced
+# The F_p radical against two oracles: the dense power-trace chain, and the
+# sparse chain that powers one lift per (w, y) pair
 # ---------------------------------------------------------------------------
 
 from hypothesis import given, settings, strategies as st
 
-from hopfsmith.filtration import _fr_radical_mod_p, _trace_form_kernel
+from hopfsmith.doubles import drinfeld_double
+from hopfsmith.filtration import _fr_radical_mod_p, _trace_form_kernel, _trace_of_power
 from hopfsmith.hopf import dual_algebra
+from hopfsmith.linalg import SparseMat, contract, nullspace
 
 from conftest import GRID
 from test_loop_oracles import _e, _mul, _nullspace, _sparse_mat, dense
@@ -312,6 +315,96 @@ def test_fr_radical_equals_dense_oracle(preset_cache, spec, char):
     h = preset_cache(spec, char)
     for a in (h.alg, dual_algebra(h.coa)):
         assert _vectors(a.field, _fr_radical_mod_p(a)) == _dense_fr_radical_mod_p(a)
+
+
+def _per_pair_fr_radical_mod_p(a):
+    """Oracle: the sparse Friedl-Ronyai chain with one integer lift L~_{w_j e_y}
+    powered for every basis vector w_j of the stage and every y, so that it needs
+    no linearity of g_i on the stage."""
+    f = a.field
+    p = f.characteristic
+    n = a.dim
+    m = a.mult
+    current = _trace_form_kernel(a)
+    pi = p
+    while current.dim and pi <= n:
+        q = pi * p
+        rows = [[] for _ in range(n)]
+        # the transposes of L_{w_j e_y}, keyed (j, y, x, z): entry z of (w_j e_y) e_x
+        lifts = {}
+        for (j, y, x, z), c in contract(f, "aj,ayk,kxz->jyxz", current.basis, m, m).items():
+            lifts.setdefault((j, y), [{} for _ in range(n)])[x][z] = c
+        for (j, y), lift in sorted(lifts.items()):
+            tr = _trace_of_power(lift, pi, q)
+            assert tr % pi == 0
+            if tr:
+                rows[y].append((j, tr // pi))
+        ker = nullspace(SparseMat(f, n, current.dim, rows))
+        current = SubspaceBasis(n, contract(f, "xj,jc->xc", current.basis, ker))
+        pi = q
+    return current
+
+
+def _per_pair_cases():
+    """The algebras of the per-pair oracle: H and H* of each oracle case, of
+    Taft(5) over F_11, and of the doubles D(C4)/F_2 and D(S3)/F_3 (dim 16, 36)."""
+    for spec, char in _ORACLE_CASES + [("taft:5:3", 11)]:
+        yield pytest.param(spec, char, False, id=f"{spec}-{char}")
+    for spec, char in (("group:C4", 2), ("group:S3", 3)):
+        yield pytest.param(spec, char, True, id=f"D({spec})-{char}")
+
+
+@pytest.mark.parametrize("spec,char,double", list(_per_pair_cases()))
+def test_fr_radical_equals_per_pair_oracle(preset_cache, spec, char, double):
+    """Powering one lift per stage basis vector gives the identical basis tensor
+    as powering one per (w, y) pair, where the dense oracle is too slow."""
+    h = preset_cache(spec, char)
+    if double:
+        h = drinfeld_double(h)[0]
+    for a in (h.alg, dual_algebra(h.coa)):
+        got, want = _fr_radical_mod_p(a), _per_pair_fr_radical_mod_p(a)
+        assert (got.dim, list(got.basis.items())) == (want.dim, list(want.basis.items()))
+
+
+@pytest.mark.parametrize("spec,char", [("group:C6", 3), ("group:S3", 2), ("group:C10", 2),
+                                       ("group:C12", 3)])
+def test_divided_power_trace_is_linear_on_the_trace_form_kernel(preset_cache, spec, char):
+    """g_1(x) = tr(L~_x^p) / p mod p is F_p-linear on the ideal I_0, the lemma
+    behind powering one lift per basis vector: g_1(c u + v) = c g_1(u) + g_1(v)
+    on the basis vectors u, v of I_0 and their products with basis vectors of H.
+    On these group algebras g_1 is nonzero on I_0, so the chain has a stage 1."""
+    h = preset_cache(spec, char)
+    f, n, p = h.field, h.dim, char
+
+    def g(x):  # x keyed (a,)
+        lift = [{} for _ in range(n)]
+        for (r, z), c in contract(f, "a,arz->rz", x, h.alg.mult).items():
+            lift[r][z] = c
+        tr = _trace_of_power(lift, p, p * p)
+        assert tr % p == 0
+        return tr // p
+
+    ideal = _trace_form_kernel(h.alg)
+    assert ideal.dim
+    vs = [{(x,): c for (x, k), c in ideal.basis.items() if k == j} for j in range(ideal.dim)]
+    products = contract(f, "aj,ayk->jyk", ideal.basis, h.alg.mult)
+    vs += [v for j, y in itertools.product(range(min(ideal.dim, 3)), range(n))
+           if (v := {(k,): c for (i, z, k), c in products.items() if (i, z) == (j, y)})]
+    assert any(g(v) for v in vs)
+    for u, v in itertools.product(vs[:8], vs):
+        for c in range(1, p):
+            w = {k: f.add(f.mul(c, u.get(k, f.zero)), v.get(k, f.zero)) for k in set(u) | set(v)}
+            assert g({k: x for k, x in w.items() if x}) == (c * g(u) + g(v)) % p
+
+
+def test_coradical_of_the_double_of_taft_4_has_dimension_16():
+    """D(Taft(4)) over F_5 (dim 256) is pointed with group-likes G(H*) x G(H) =
+    C4 x C4, so its coradical has dimension 16.  Run in process: the dense
+    document of the double is about 693 MB."""
+    d, _ = drinfeld_double(resolve_preset("taft:4:2", GF(5)))
+    corad = coradical(d.coa)
+    assert (d.dim, corad.dim) == (256, 16)
+    assert corad.contains(d.field, d.alg.unit)
 
 
 @settings(max_examples=25, deadline=None)

@@ -144,6 +144,30 @@ def test_coradical_query_checks_the_radical_ideal_once(monkeypatch):
     assert calls == {"_is_two_sided_ideal": 1}
 
 
+@pytest.mark.parametrize("preset,char,powers", [("functions:C12", 3, 20), ("taft:4:2", 5, 12)])
+def test_a_radical_stage_powers_one_lift_per_basis_vector(monkeypatch, preset, char, powers):
+    """Each Friedl-Ronyai stage takes at most dim I_{i-1} p-power traces, one per
+    basis vector of the previous stage, not one per (w, y) pair.  A stage ends in
+    the nullspace of its rows, whose columns are the coordinates in I_{i-1}."""
+    stages, taken = [], [0]  # (powers, dim I_{i-1}) per stage; powers since the last
+    power, null = filtration._trace_of_power, filtration.nullspace
+
+    def counted_power(*args):
+        taken[0] += 1
+        return power(*args)
+
+    def stage_end(m):
+        stages.append((taken[0], m.cols))
+        taken[0] = 0
+        return null(m)
+
+    monkeypatch.setattr(filtration, "_trace_of_power", counted_power)
+    monkeypatch.setattr(filtration, "nullspace", stage_end)
+    assert _quiet(["coradical", "--preset", preset, "--char", str(char)]) == 0
+    assert taken == [0] and all(count <= dim for count, dim in stages)
+    assert sum(count for count, _ in stages) == powers
+
+
 def test_wedge_filtration_projects_onto_its_start_once(monkeypatch):
     calls = {}
     _count_calls(monkeypatch, filtration, "quotient_maps", calls)
