@@ -218,7 +218,7 @@ def cmd_wedge_filtration(args) -> int:
 def cmd_lift_section(args) -> int:
     h = _load(args)
     if args.problem == "square-zero":
-        prob = square_zero_extension(h)
+        prob = square_zero_extension(h, args.colinear)
     elif args.problem.startswith("cyclic-cover:"):
         degree = args.problem.split(":", 1)[1]
         try:  # an ASCII numeral, signed so that cyclic_cover_problem names a degree below 1
@@ -234,7 +234,7 @@ def cmd_lift_section(args) -> int:
         prob = cyclic_cover_problem(h.alg, m)
     else:
         raise ValueError(f"unknown lift problem {args.problem!r}")
-    res = lift_algebra_section(prob, colinear=args.colinear)
+    res = lift_algebra_section(prob)
     if isinstance(res, LiftObstruction):
         _emit({"command": "lift-section", "lifted": False,
                "obstruction": ser.obstruction_to_dict(h.field, res)}, args)

@@ -26,8 +26,11 @@ Conventions, fixed once for the whole package:
   against ``"k,t->kt"`` over (counit, unit).  Axiom witnesses are the least
   failing index prefixes, each found by :func:`linalg.least_failure`.
 * the data classes carry no vector arithmetic: products, coproducts and counit
-  values are such contractions.  Each law is written once: the axioms below, the unit
-  and :func:`curvature` in :func:`require_algebra_map`, Delta and eps in
+  values are such contractions.  Each law is written once.  :func:`module_laws` and
+  :func:`comodule_laws` state the laws of an action and of a coaction; every (co)module of
+  :mod:`yd` and :mod:`lifting` is checked on them, and the algebra and coalgebra axioms are
+  those of the left regular (co)module plus the right (co)unit law.  The other axioms are
+  below, the unit and :func:`curvature` in :func:`require_algebra_map`, Delta and eps in
   :func:`require_coalgebra_map`, Delta on a subcoalgebra in :func:`restricted_comult`.
   A greedy complement (:func:`quotient_maps`) is the pivot columns of one elimination.
 
@@ -180,20 +183,44 @@ def acting(t: dict, gens: Optional[set]) -> dict:
     return t if gens is None else {k: v for k, v in t.items() if k[0] in gens}
 
 
-def _algebra_laws(a: AlgebraData, mx: dict) -> dict:
-    """(xy)z = x(yz) for the x = e_i that ``mx`` (:func:`acting`) keeps, and 1x = x = x1."""
-    f, m, u, one = a.field, a.mult, a.unit, identity(a.field, a.dim)
-    return {"associativity": [(contract(f, "ijp,pkq->ijkq", mx, m),
-                               contract(f, "jkp,ipq->ijkq", m, mx))],
-            "unit": [(contract(f, spec, u, m), one) for spec in ("a,aiq->iq", "a,iaq->iq")]}
+def module_laws(over: AlgebraData, dim: int, t: dict, side: str, gens: Optional[set]) -> dict:
+    """{"unit": (lhs, rhs), "associativity": (lhs, rhs)} for an action ``t`` of ``over`` on
+    ``dim`` vectors v_j from ``side``: 1 v_j = v_j, and (e_i e_p) v_j = e_i (e_p v_j), resp.
+    v_j (e_i e_p) = (v_j e_i) e_p, keyed (i, p, j, k), for the e_i :func:`acting` keeps."""
+    f, tx = over.field, acting(t, gens)
+    twice = ("pjl,ilk->ipjk", t, tx) if side == "left" else ("ijl,plk->ipjk", tx, t)
+    return {"unit": (contract(f, "a,ajk->jk", over.unit, t), identity(f, dim)),
+            "associativity": (contract(f, "ipa,ajk->ipjk", acting(over.mult, gens), t),
+                              contract(f, *twice))}
+
+
+def comodule_laws(over: CoalgebraData, dim: int, t: dict, side: str) -> dict:
+    """{"counit": (lhs, rhs), "coassociativity": (lhs, rhs)} for a coaction ``t`` of ``over``
+    on ``dim`` vectors v_j from ``side``, rho(v_j) = sum t[(j, i, k)] e_i (x) v_k, resp. v_k (x)
+    e_i: eps on the H leg gives id, and Delta on the H leg equals rho on the V leg; each side
+    is keyed by v_j first."""
+    f = over.field
+    twice = "jik,kpl->jipl" if side == "left" else "jik,kpl->jpil"
+    return {"counit": (contract(f, "i,jik->jk", over.counit, t), identity(f, dim)),
+            "coassociativity": (contract(f, "jik,ipq->jpqk", t, over.comult),
+                                contract(f, twice, t, t))}
+
+
+def _algebra_laws(a: AlgebraData, gens: Optional[set]) -> dict:
+    """The laws of the left regular module (:func:`module_laws`) for the e_i in ``gens``,
+    (xy)z = x(yz) and 1x = x, and x1 = x."""
+    module = module_laws(a, a.dim, a.mult, "left", gens)
+    right_unit = (contract(a.field, "a,iaq->iq", a.unit, a.mult), identity(a.field, a.dim))
+    return {"associativity": [module["associativity"]], "unit": [module["unit"], right_unit]}
 
 
 def _coalgebra_laws(c: CoalgebraData) -> dict:
-    """Coassociativity and the counit laws, stated as :func:`_algebra_laws` states its laws."""
-    f, d, e, one = c.field, c.comult, c.counit, identity(c.field, c.dim)
-    return {"coassociativity": [(contract(f, "kim,mqr->kiqr", d, d),
-                                 contract(f, "kmr,mpq->kpqr", d, d))],
-            "counit": [(contract(f, spec, d, e), one) for spec in ("kij,i->kj", "kij,j->ki")]}
+    """The laws of the left regular comodule (:func:`comodule_laws`), and (id (x) eps)Delta
+    = id; stated as :func:`_algebra_laws` states its laws."""
+    comodule = comodule_laws(c, c.dim, c.comult, "left")
+    right_counit = (contract(c.field, "kij,j->ki", c.comult, c.counit), identity(c.field, c.dim))
+    return {"coassociativity": [comodule["coassociativity"]],
+            "counit": [comodule["counit"], right_counit]}
 
 
 def _report(laws: dict) -> AxiomReport:
@@ -204,7 +231,7 @@ def _report(laws: dict) -> AxiomReport:
 
 
 def check_algebra(a: AlgebraData) -> AxiomReport:
-    return _report(_algebra_laws(a, a.mult))
+    return _report(_algebra_laws(a, None))
 
 
 def check_coalgebra(c: CoalgebraData) -> AxiomReport:
@@ -242,7 +269,7 @@ def _hopf_laws(h: HopfData, gens: Optional[set]) -> dict:
     mx, dx, ex = (acting(t, gens) for t in (m, d, e))
     target = contract(f, "k,t->kt", e, u)
     at_one = [("k,kab->ab", d, contract(f, "a,b->ab", u, u)), ("k,k->", e, {(): f.one})]
-    return {**_algebra_laws(h.alg, mx), **_coalgebra_laws(h.coa),
+    return {**_algebra_laws(h.alg, gens), **_coalgebra_laws(h.coa),
             "bialgebra": [(contract(f, "ijk,kpq->ijpq", mx, d),
                            contract(f, "iac,abp,jbd,cdq->ijpq", dx, m, d, m)),
                           (contract(f, "ijk,k->ij", mx, e), contract(f, "i,j->ij", ex, e)),

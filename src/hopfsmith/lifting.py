@@ -16,11 +16,13 @@ a linear map g as ``(x, y)``, entry x of g(e_y).
   rho(e_c) = sum rho_cvu e_v (x) h_u.
 * A bimodule action (:class:`Bimodule`) is a pair of tensors ``(i, s, t)``
   laid out like ``m``: a_i · w_s = sum_t L_ist w_t and w_s · a_i = sum_t R_ist w_t.
-* Equivariance is handled uniformly: right-H-colinearity (the components
-  rho_u of the coactions) and H-linearity (multiplication operators) both
-  arrive as two stacked tensors ``(u, x, y)``, alpha on A and beta on E, and
-  every stage map must satisfy g alpha_u = beta_u g.  The beta_u are checked
-  to preserve the kernel filtration and are descended to each quotient.
+* A lift problem (:class:`SurjectionProblem`) is pi and the operator pairs its
+  section must intertwine: two stacked tensors ``(u, x, y)``, alpha on A and beta
+  on E, with g alpha_u = beta_u g for every stage map g.  Right H-colinearity
+  gives the components rho_u of two coactions (:func:`coaction_pairs`), H-linearity
+  the multiplication operators (:func:`weak_projection`); a plain lift has none.
+  The beta_u are checked to preserve the kernel filtration and are descended to
+  each quotient.
 
 The conditions are labelled sums of signed contractions on the unknown map
 (:func:`linalg.solve`) in its (x, y) layout, each written once.  A stage
@@ -36,21 +38,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
-from .hopf import (AlgebraData, HopfData, SubspaceBasis, curvature, dual_algebra,
-                   require_algebra_map, require_coalgebra_map, validated)
+from .hopf import (AlgebraData, HopfData, SubspaceBasis, comodule_laws, curvature, dual_algebra,
+                   module_laws, require_algebra_map, require_coalgebra_map, validated)
 from .linalg import (Certificate, SparseMat, contract, failed_conditions, identity,
                      in_coordinates, invert, least_failure, nullspace, rank, require_conditions,
                      require_keys, signed_sum, solve, span_contains_span)
 from .filtration import (_is_two_sided_ideal, _quotient_algebra, ideal_powers, coradical,
                          wedge_filtration)
-from .yd import ComoduleCoaction, module_laws
 
 
 @dataclass
 class Bimodule:
     """An A-bimodule on ``dim`` basis vectors w_s: a_i · w_s = sum_t left[(i, s, t)] w_t
     and w_s · a_i = sum_t right[(i, s, t)] w_t.  :meth:`check` reads the laws of each side
-    from :func:`yd.module_laws` and states only that the actions commute."""
+    from :func:`hopf.module_laws` and states only that the actions commute."""
 
     algebra: AlgebraData
     dim: int
@@ -77,31 +78,14 @@ class Bimodule:
 
 @dataclass
 class SurjectionProblem:
+    """pi: E -> A and the pairs its section g must intertwine, g alpha_u = beta_u g;
+    none for a plain lift.  Built unchecked: :func:`lift_algebra_section` checks it."""
+
     e: AlgebraData
     a: AlgebraData
     pi: dict                    # E -> A, (a, k): entry a of pi(e_k); a surjective algebra map
-    hopf: Optional[HopfData] = None
-    coact_e: Optional[dict] = None  # rho: E -> E (x) H, (c, v, u)
-    coact_a: Optional[dict] = None
-    kernel: Optional[SubspaceBasis] = dc_field(default=None, init=False)  # ker pi, set by validate
-
-    def validate(self):
-        pi = self.pi
-        require_keys(pi, (self.a.dim, self.e.dim), "pi")
-        for name, coact, n in (("coact_e", self.coact_e, self.e.dim),
-                               ("coact_a", self.coact_a, self.a.dim)):
-            if coact is not None and self.hopf is not None:
-                require_keys(coact, (n, n, self.hopf.dim), name)
-        # one elimination: pi is onto exactly when its kernel has the complementary dimension
-        kernel = SubspaceBasis(self.e.dim, nullspace(
-            SparseMat.from_tensor(self.e.field, pi, self.a.dim, self.e.dim)))
-        if kernel.dim != self.e.dim - self.a.dim:
-            raise ValueError("pi is not surjective")
-        require_algebra_map(self.e, self.a, pi, "pi")
-        if not _is_two_sided_ideal(self.e, kernel):
-            raise ValueError("kernel is not a two-sided ideal")
-        self.kernel = kernel
-        return self
+    alpha: dict = dc_field(default_factory=dict)  # (u, x, y): entry x of alpha_u(a_y), on A
+    beta: dict = dc_field(default_factory=dict)   # (u, x, y): entry x of beta_u(e_y), on E
 
 
 @dataclass
@@ -136,44 +120,42 @@ def _stage_conditions(p_r: dict, prev: dict, u_a: dict, u_cur: dict, alpha: dict
             *_equivariant(alpha, beta)]
 
 
-def _check_right_comodule(rho: dict, space_dim: int, h: HopfData) -> dict:
-    """The coaction tensor (c, v, u), once its transpose (c, u, v) passes the counit
-    and coassociativity checks of a right :class:`yd.ComoduleCoaction`."""
-    ok, witness = ComoduleCoaction(h.coa, space_dim, {(c, u, v): x for (c, v, u), x in rho.items()},
-                                   "right").check()
-    if not ok:
-        raise ValueError("coaction fails " + ("the counit law" if witness[0] == "counit"
-                                              else "coassociativity"))
-    return rho
-
-
-def _equivariance_pairs_from_problem(p: SurjectionProblem) -> tuple:
-    """(alpha, beta): the components rho_u of the coactions on A and on E, stacked (u, x, y)."""
-    if p.hopf is None or p.coact_e is None or p.coact_a is None:
-        raise ValueError("colinear lifting needs hopf, coact_e and coact_a")
-    rho_e = _check_right_comodule(p.coact_e, p.e.dim, p.hopf)
-    rho_a = _check_right_comodule(p.coact_a, p.a.dim, p.hopf)
-    alpha, beta = ({(u, v, c): x for (c, v, u), x in rho.items()} for rho in (rho_a, rho_e))
-    # pi must intertwine the coactions
-    if failed_conditions(p.e.field, _equivariant(beta, alpha), p.pi):
+def coaction_pairs(h: HopfData, pi: dict, coact_e: dict, coact_a: dict, ne: int,
+                   na: int) -> tuple:
+    """(alpha, beta): the components rho_u of right H-coactions on A (dimension ``na``) and
+    on E (``ne``), tensors (c, v, u), stacked (u, v, c), once each has its shape and
+    passes :func:`hopf.comodule_laws` and pi: E -> A intertwines them."""
+    pairs = []
+    for name, rho, n in (("coact_e", coact_e, ne), ("coact_a", coact_a, na)):
+        require_keys(rho, (n, n, h.dim), name)
+        counit, coassoc = comodule_laws(h.coa, n, {(c, u, v): x for (c, v, u), x in rho.items()},
+                                        "right").values()
+        for law, (lhs, rhs) in (("the counit law", counit), ("coassociativity", coassoc)):
+            if lhs != rhs:
+                raise ValueError(f"coaction fails {law}")
+        pairs.append({(u, v, c): x for (c, v, u), x in rho.items()})
+    beta, alpha = pairs
+    if failed_conditions(h.field, _equivariant(beta, alpha), pi):
         raise ValueError("pi is not colinear")
     return alpha, beta
 
 
-def lift_algebra_section(p: SurjectionProblem, colinear: bool = False):
-    """A verified multiplicative (optionally right H-colinear) section of pi, or
-    a LiftObstruction carrying a delta-closed curvature witness."""
-    p.validate()
-    alpha, beta = _equivariance_pairs_from_problem(p) if colinear else ({}, {})
-    return _lift(p, alpha, beta)
-
-
-def _lift(p: SurjectionProblem, alpha: dict, beta: dict):
-    """The stage-by-stage lift of a validated problem, equivariant for any alpha_u."""
-    f, na, m_a, u_a = p.e.field, p.a.dim, p.a.mult, p.a.unit
+def lift_algebra_section(p: SurjectionProblem):
+    """A verified multiplicative section of pi that intertwines the pairs of ``p``, or a
+    LiftObstruction carrying a delta-closed curvature witness; raises ``ValueError`` unless
+    pi is a surjective algebra map onto A whose kernel is a nilpotent two-sided ideal."""
+    f, na, m_a, u_a, alpha, beta = p.e.field, p.a.dim, p.a.mult, p.a.unit, p.alpha, p.beta
+    require_keys(p.pi, (na, p.e.dim), "pi")
+    # one elimination: pi is onto exactly when its kernel has the complementary dimension
+    ideal = SubspaceBasis(p.e.dim, nullspace(SparseMat.from_tensor(f, p.pi, na, p.e.dim)))
+    if ideal.dim != p.e.dim - na:
+        raise ValueError("pi is not surjective")
+    require_algebra_map(p.e, p.a, p.pi, "pi")
+    if not _is_two_sided_ideal(p.e, ideal):
+        raise ValueError("kernel is not a two-sided ideal")
 
     # kernel powers I = P[0] > P[1] = I^2 > ... until zero
-    powers = ideal_powers(p.e, p.kernel)
+    powers = ideal_powers(p.e, ideal)
     if powers is None:
         raise ValueError("kernel is not nilpotent")
 
@@ -242,7 +224,7 @@ def _lift(p: SurjectionProblem, alpha: dict, beta: dict):
     # Q_nu = E/0: translate back to E coordinates
     sigma = contract(f, "xa,ay->xy", quots[-1][2], stage)
     # stage r maps A into Q_{r+1}, so its shape is (dim Q_{r+1}, dim A); Q_1 = E/I ~ A
-    _verify_final(p, sigma, alpha, beta)
+    _verify_final(p, sigma)
     return LiftCertificate(stages, sigma, bool(alpha) or None, [(q.dim, na) for q, *_ in quots])
 
 
@@ -273,22 +255,23 @@ def _assert_stage(f, m_a: dict, m_cur: dict, conds: list, g: dict, what: str):
         raise AssertionError(f"{what} is not multiplicative")
 
 
-def _verify_final(p: SurjectionProblem, sigma: dict, alpha: dict, beta: dict):
+def _verify_final(p: SurjectionProblem, sigma: dict):
     """The final section sigma is the stage with p_r = pi and prev = id: it splits pi."""
     f = p.e.field
     _assert_stage(f, p.a.mult, p.e.mult, _stage_conditions(
-        p.pi, identity(f, p.a.dim), p.a.unit, p.e.unit, alpha, beta), sigma, "final section")
+        p.pi, identity(f, p.a.dim), p.a.unit, p.e.unit, p.alpha, p.beta), sigma, "final section")
 
 
 # ---------------------------------------------------------------------------
 # Ready-made surjection problems
 # ---------------------------------------------------------------------------
 
-def square_zero_extension(h: HopfData) -> SurjectionProblem:
+def square_zero_extension(h: HopfData, colinear: bool = False) -> SurjectionProblem:
     """E = A (+) A·eps with eps^2 = 0, pi forgetting eps; A = underlying algebra.
 
-    E and A carry the right regular H-coaction (H = h), making the data a
-    surjection of comodule algebras; a plain lift never reads it.
+    With ``colinear`` the section must also be right H-colinear (H = h) for the right
+    regular coaction Delta on A and on both summands of E, which makes pi a surjection
+    of comodule algebras.
     """
     a = h.alg
     f = a.field
@@ -297,12 +280,12 @@ def square_zero_extension(h: HopfData) -> SurjectionProblem:
     # a·a', a·(a' eps) and (a eps)·a'
     mult = {**m, **{(i, n + j, n + k): x for (i, j, k), x in m.items()},
             **{(n + i, j, n + k): x for (i, j, k), x in m.items()}}
-    e_alg = AlgebraData(f, 2 * n, mult, a.unit)
-    # Delta as a coaction on A, and on both summands of E
+    e_alg, pi = AlgebraData(f, 2 * n, mult, a.unit), identity(f, n)
+    if not colinear:
+        return SurjectionProblem(e_alg, a, pi)
     rho = h.coa.comult
     coact_e = {**rho, **{(n + c, n + v, u): x for (c, v, u), x in rho.items()}}
-    return SurjectionProblem(e_alg, a, identity(f, n), hopf=h, coact_e=coact_e,
-                             coact_a=dict(rho))
+    return SurjectionProblem(e_alg, a, pi, *coaction_pairs(h, pi, coact_e, rho, 2 * n, n))
 
 
 def cyclic_cover_problem(a: AlgebraData, m: int) -> SurjectionProblem:
@@ -355,7 +338,6 @@ def weak_projection(e: HopfData, h: HopfData, inclusion: dict,
     if not record.exhausted:
         raise AssertionError("filtration fails to exhaust despite coradical containment")
 
-    problem = SurjectionProblem(dual_algebra(e.coa), dual_algebra(h.coa), transposed).validate()
     # right H-action on duals: (phi · u)(x) = phi(iota(u)·x), transposed left
     # multiplications: alpha_u has entry (x, y) = coefficient of h_y in h_u h_x
     alpha, beta = dict(h.alg.mult), contract(f, "zu,zxy->uxy", incl, e.alg.mult)
@@ -364,7 +346,8 @@ def weak_projection(e: HopfData, h: HopfData, inclusion: dict,
         beta.update({(nh + u, x, y): c for (u, x, y), c in
                      contract(f, "zu,xzy->uxy", incl, e.alg.mult).items()})
 
-    result = _lift(problem, alpha, beta)
+    result = lift_algebra_section(SurjectionProblem(dual_algebra(e.coa), dual_algebra(h.coa),
+                                                    transposed, alpha, beta))
     if isinstance(result, LiftObstruction):
         return result
     # sigma: H* -> E*, transposed to E -> H

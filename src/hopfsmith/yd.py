@@ -20,11 +20,10 @@ on the right.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from .hopf import (AlgebraData, CoalgebraData, HopfData, acting, augmentation_ideal, generators,
-                   unit_cokernel)
-from .linalg import contract, identity, in_coordinates, least_failure, ordered
+from .hopf import (AlgebraData, CoalgebraData, HopfData, augmentation_ideal, comodule_laws,
+                   generators, module_laws, unit_cokernel)
+from .linalg import contract, in_coordinates, least_failure, ordered
 
 ACTIONS = ("adl", "adr", "adl_bar", "adr_bar")      # |>, <|, |>>, <<|
 COACTIONS = ("rho_l", "rho_r", "rho_r_bar", "rho_l_bar")
@@ -41,26 +40,15 @@ class ModuleAction:
         self.tensor = ordered(self.tensor)
 
     def check(self) -> tuple:
-        """(ok, witness): :func:`module_laws` decided on the acting :func:`generators` (1 and
-        products keep the law), and on a failure run in full for the least witness.  The
-        algebra must have passed its own check."""
+        """(ok, witness): :func:`hopf.module_laws` decided on the acting :func:`generators`
+        (1 and products keep the law), and on a failure run in full for the least witness.
+        The algebra must have passed its own check."""
         laws = (self.over, self.space_dim, self.tensor, self.side)
         if all(lhs == rhs for lhs, rhs in module_laws(*laws, set(generators(self.over))).values()):
             return True, None
         unit, assoc = module_laws(*laws, None).values()
         failure = least_failure(1, ("unit", *unit)) or least_failure(3, ("associativity", *assoc))
         return False, (failure[1], *failure[0])
-
-
-def module_laws(over: AlgebraData, dim: int, t: dict, side: str, gens: Optional[set]) -> dict:
-    """{"unit": (lhs, rhs), "associativity": (lhs, rhs)} for an action ``t`` of ``over`` on
-    ``dim`` vectors v_j from ``side``: 1 v_j = v_j, and (e_i e_p) v_j = e_i (e_p v_j), resp.
-    v_j (e_i e_p) = (v_j e_i) e_p, keyed (i, p, j, k), for the e_i :func:`hopf.acting` keeps."""
-    f, tx = over.field, acting(t, gens)
-    twice = ("pjl,ilk->ipjk", t, tx) if side == "left" else ("ijl,plk->ipjk", tx, t)
-    return {"unit": (contract(f, "a,ajk->jk", over.unit, t), identity(f, dim)),
-            "associativity": (contract(f, "ipa,ajk->ipjk", acting(over.mult, gens), t),
-                              contract(f, *twice))}
 
 
 @dataclass
@@ -74,17 +62,13 @@ class ComoduleCoaction:
         self.tensor = ordered(self.tensor)
 
     def check(self) -> tuple:
-        """(ok, witness): counit property and coassociativity; the witness is the
-        least failing module index, with the least failing coordinate of
+        """(ok, witness): :func:`hopf.comodule_laws`, the counit law first; the witness is
+        the least failing module index, with the least failing coordinate of
         (Delta (x) id)rho(v_j) for coassociativity."""
-        f = self.over.field
-        t = self.tensor
-        if failure := least_failure(1, ("counit", contract(f, "i,jik->jk", self.over.counit, t),
-                                        identity(f, self.space_dim))):
+        counit, coassoc = comodule_laws(self.over, self.space_dim, self.tensor, self.side).values()
+        if failure := least_failure(1, ("counit", *counit)):
             return False, (failure[1], *failure[0])
-        twice = "jik,kpl->jipl" if self.side == "left" else "jik,kpl->jpil"
-        delta_rho = contract(f, "jik,ipq->jpqk", t, self.over.comult)
-        if failure := least_failure(4, ("coassociativity", delta_rho, contract(f, twice, t, t))):
+        if failure := least_failure(4, ("coassociativity", *coassoc)):
             (j, *key), name = failure
             return False, (name, j, tuple(key))
         return True, None

@@ -195,7 +195,7 @@ def test_criterion_8_lifting_round_trip(preset_cache):
     plain = lift_algebra_section(problem)
     assert isinstance(plain, LiftCertificate)
     assert not curvature(h.field, problem.a.mult, problem.e.mult, plain.final)
-    colinear = lift_algebra_section(square_zero_extension(h), colinear=True)
+    colinear = lift_algebra_section(square_zero_extension(h, colinear=True))
     assert isinstance(colinear, LiftCertificate) and colinear.colinear
     res = lift_algebra_section(cyclic_cover_problem(resolve_preset("group:C2", GF(2)).alg, 2))
     obstruction_ok = isinstance(res, LiftObstruction) and res.delta_closed

@@ -22,7 +22,7 @@ from hopfsmith.integrals import (_ad_invariant_conditions, _integral_terms, _ver
                                  coseparability_retraction, idempotent_conditions,
                                  integral_space, retraction_conditions, separability_idempotent,
                                  total_integral)
-from hopfsmith.lifting import LiftObstruction, _lift, square_zero_extension
+from hopfsmith.lifting import LiftObstruction, lift_algebra_section, square_zero_extension
 from hopfsmith.linalg import (AffineSystem, SparseMat, contract, failed_conditions, identity,
                               nullspace, solve_affine)
 from hopfsmith.presets import cyclic_table, preset_group_algebra
@@ -522,13 +522,13 @@ def test_labels_must_match_the_rows():
 
 def test_infeasible_linear_lift_is_not_delta_closed():
     h = preset_group_algebra(cyclic_table(2), QQ)
-    prob = square_zero_extension(h).validate()
+    prob = square_zero_extension(h)
     n = h.dim
     # one pair to intertwine, alpha_0 = id on A and beta_0 on E = A (+) A eps with
     # beta_0(a + b eps) = a + (a + b) eps
     beta = {**identity(QQ, 2 * n), **{(n + i, i): QQ.one for i in range(n)}}
-    res = _lift(prob, {(0, *k): x for k, x in identity(QQ, n).items()},
-                {(0, *k): x for k, x in beta.items()})
+    alpha, beta = ({(0, *k): x for k, x in op.items()} for op in (identity(QQ, n), beta))
+    res = lift_algebra_section(replace(prob, alpha=alpha, beta=beta))
     assert isinstance(res, LiftObstruction)
     assert res.stage == 1 and res.witness == {}
     assert res.delta_closed is False

@@ -10,7 +10,8 @@ import pytest
 
 from hopfsmith import GF, QQ, cli, resolve_preset
 from hopfsmith.doubles import ExtensionData
-from hopfsmith.lifting import SurjectionProblem, cyclic_cover_problem, weak_projection
+from hopfsmith.lifting import (SurjectionProblem, cyclic_cover_problem, lift_algebra_section,
+                               weak_projection)
 from hopfsmith.serialize import hopf_from_dict, hopf_to_dict
 
 
@@ -41,8 +42,8 @@ def test_extension_validate_rejects(small, cols, message):
 # each validator of an algebra map, on a map KC_small -> KC4 given as a tensor (x, j); pi
 # takes its transpose, a surjection KC4 -> KC_small, and the inclusion the Hopf algebras
 VALIDATORS = {
-    "pi": lambda small, g: SurjectionProblem(_group(4), _group(small),
-                                             {(j, x): c for (x, j), c in g.items()}).validate(),
+    "pi": lambda small, g: lift_algebra_section(SurjectionProblem(
+        _group(4), _group(small), {(j, x): c for (x, j), c in g.items()})),
     "embedding": lambda small, g: ExtensionData(_group(4), _group(small), g).validate(),
     "inclusion": lambda small, g: weak_projection(resolve_preset("group:C4", QQ),
                                                   resolve_preset(f"group:C{small}", QQ), g),

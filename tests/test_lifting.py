@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
@@ -27,9 +28,17 @@ def test_square_zero_lift_plain():
 
 def test_square_zero_lift_colinear():
     h = resolve_preset("group:C2", QQ)
-    cert = lift_algebra_section(square_zero_extension(h), colinear=True)
+    cert = lift_algebra_section(square_zero_extension(h, colinear=True))
     assert isinstance(cert, LiftCertificate)
     assert cert.colinear
+
+
+def test_a_lift_leaves_its_problem_as_built():
+    """The problem is a record: checking and lifting it write nothing back into it."""
+    p = square_zero_extension(resolve_preset("sweedler", QQ), colinear=True)
+    built = asdict(p)
+    assert isinstance(lift_algebra_section(p), LiftCertificate)
+    assert asdict(p) == built
 
 
 def test_identity_surjection_lift():
@@ -80,7 +89,7 @@ def test_good_characteristic_cover_lifts():
 def test_surjection_validation():
     h = resolve_preset("group:C2", QQ)
     with pytest.raises(ValueError, match="pi is not surjective"):
-        SurjectionProblem(square_zero_extension(h).e, h.alg, {}).validate()
+        lift_algebra_section(SurjectionProblem(square_zero_extension(h).e, h.alg, {}))
 
 
 def test_hochschild_round_trip():

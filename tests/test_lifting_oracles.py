@@ -20,9 +20,8 @@ from hopfsmith.filtration import _trace_form_kernel, coradical, wedge
 from hopfsmith.hopf import dual_algebra, quotient_maps, sub_hopf_on_subspace
 from hopfsmith.linalg import SparseMat, sparse
 import hopfsmith.lifting as lifting
-from hopfsmith.lifting import (Bimodule, LiftObstruction, _check_right_comodule,
-                               _equivariance_pairs_from_problem, _is_two_cocycle, _verify_final,
-                               _verify_weak_projection, cyclic_cover_problem,
+from hopfsmith.lifting import (Bimodule, LiftObstruction, _is_two_cocycle, _verify_final,
+                               _verify_weak_projection, coaction_pairs, cyclic_cover_problem,
                                lift_algebra_section, square_zero_extension, weak_projection)
 
 from conftest import GRID, SMALL_GRID
@@ -277,16 +276,23 @@ def test_coboundary_solve_inverts_the_loop_coboundary(spec, char):
 
 @pytest.mark.parametrize("spec,char", SMALL)
 def test_comodule_check_matches_loops_on_every_corruption(spec, char):
+    """``coaction_pairs`` rejects each corrupted coaction of the colinear square-zero
+    extension exactly when the loops do, with their message; pi = 0 intertwines any two
+    coactions, so only the comodule laws can fail."""
     h = resolve_preset(spec, FieldSpec(char))
-    f = h.field
-    p = square_zero_extension(h)
-    for coact, dim in ((p.coact_a, h.dim), (p.coact_e, 2 * h.dim)):
+    f, n = h.field, h.dim
+    p = square_zero_extension(h, colinear=True)
+    coact_e, coact_a = ({(c, v, u): x for (u, v, c), x in pairs.items()}
+                        for pairs in (p.beta, p.alpha))
+    # each coaction with its dimension, and the (coact_e, coact_a) argument pair it sits in
+    for coact, dim, placed in ((coact_a, n, lambda rho: (coact_e, rho)),
+                               (coact_e, 2 * n, lambda rho: (rho, coact_a))):
         assert oracle_comodule_check(coact, dim, h) is None
-        _check_right_comodule(coact, dim, h)
+        coaction_pairs(h, {}, *placed(coact), 2 * n, n)
         for r in range(dim * h.dim):
             for s in range(dim):
                 bad = _bumped(f, coact, (s, *divmod(r, h.dim)))  # row r = v * dim H + u
-                assert _error(_check_right_comodule, bad, dim, h) == \
+                assert _error(coaction_pairs, h, {}, *placed(bad), 2 * n, n) == \
                     oracle_comodule_check(bad, dim, h), (dim, r, s)
 
 
@@ -428,9 +434,10 @@ def test_verify_weak_projection_matches_loops(spec, char, preset_cache):
                 assert _verify_outcome(*args) == oracle_verify_weak_projection(*args), (r, s)
 
 
-def oracle_final_section_ok(p, sigma, colinear):
-    """Whether sigma: A -> E splits pi, is unital, is multiplicative and, when
-    ``colinear``, carries rho_A to rho_E: (sigma (x) id) rho_A = rho_E sigma."""
+def oracle_final_section_ok(p, sigma):
+    """Whether sigma: A -> E splits pi, is unital, is multiplicative and intertwines the
+    pairs of ``p``: sigma alpha_u = beta_u sigma, which for the components of coactions
+    reads (sigma (x) id) rho_A = rho_E sigma."""
     f, ne, na = p.e.field, p.e.dim, p.a.dim
     s, pi = dense(f, sigma, (ne, na)), dense(f, p.pi, (na, ne))
     m_e, m_a = dense(f, p.e.mult, (ne,) * 3), dense(f, p.a.mult, (na,) * 3)
@@ -453,18 +460,18 @@ def oracle_final_section_ok(p, sigma, colinear):
     if any(_apply(f, s, m_a[i][j]) != mul(col(s, i), col(s, j))
            for i in range(na) for j in range(na)):
         return False
-    if not colinear:
+    if not p.alpha:
         return True
-    nh = p.hopf.dim
-    rho_a, rho_e = dense(f, p.coact_a, (na, na, nh)), dense(f, p.coact_e, (ne, ne, nh))
-    return all(_sum(f, (f.mul(rho_a[c][v][u], s[x][v]) for v in range(na)))
-               == _sum(f, (f.mul(s[y][c], rho_e[y][x][u]) for y in range(ne)))
-               for c in range(na) for x in range(ne) for u in range(nh))
+    nu = 1 + max(u for u, _, _ in p.alpha)
+    alpha, beta = dense(f, p.alpha, (nu, na, na)), dense(f, p.beta, (nu, ne, ne))
+    return all(_sum(f, (f.mul(alpha[u][v][c], s[x][v]) for v in range(na)))
+               == _sum(f, (f.mul(s[y][c], beta[u][x][y]) for y in range(ne)))
+               for c in range(na) for x in range(ne) for u in range(nu))
 
 
-def _final_accepted(p, sigma, alpha, beta):
+def _final_accepted(p, sigma):
     try:
-        _verify_final(p, sigma, alpha, beta)
+        _verify_final(p, sigma)
     except AssertionError:
         return False
     return True
@@ -477,16 +484,15 @@ def test_verify_final_matches_loops_on_every_corruption(spec, char, preset_cache
     h = preset_cache(spec, char)
     f = h.field
     for colinear in (False, True):
-        p = square_zero_extension(h)
-        cert = lift_algebra_section(p, colinear=colinear)
-        alpha, beta = _equivariance_pairs_from_problem(p) if colinear else ({}, {})
-        assert _final_accepted(p, cert.final, alpha, beta)
-        assert oracle_final_section_ok(p, cert.final, colinear)
+        p = square_zero_extension(h, colinear)
+        cert = lift_algebra_section(p)
+        assert _final_accepted(p, cert.final)
+        assert oracle_final_section_ok(p, cert.final)
         for x in range(p.e.dim):
             for y in range(p.a.dim):
                 bad = _bumped(f, cert.final, (x, y))
-                assert _final_accepted(p, bad, alpha, beta) == \
-                    oracle_final_section_ok(p, bad, colinear), (colinear, x, y)
+                assert _final_accepted(p, bad) == \
+                    oracle_final_section_ok(p, bad), (colinear, x, y)
 
 
 def _recorded_labels(monkeypatch, run) -> set:
@@ -515,7 +521,7 @@ def test_every_lift_system_carries_its_condition_labels(monkeypatch):
     cases = [
         (lambda: lift_algebra_section(square_zero_extension(h)), plain),
         (lambda: lift_algebra_section(cyclic_cover_problem(kc2.alg, 2)), plain),
-        (lambda: lift_algebra_section(square_zero_extension(h), colinear=True), equivariant),
+        (lambda: lift_algebra_section(square_zero_extension(h, colinear=True)), equivariant),
         (lambda: weak_projection(h, sub, incl, corad=cor), equivariant),
         (lambda: weak_projection(h, sub, incl, bilinear=True, corad=cor), equivariant),
     ]

@@ -19,6 +19,7 @@ import pytest
 import hopfsmith
 from hopfsmith import cli, serialize
 from hopfsmith.hopf import AlgebraData, CoalgebraData, HopfData, SubspaceBasis, validated
+from hopfsmith.lifting import SurjectionProblem
 from hopfsmith.linalg import AffineSystem, SparseMat
 
 
@@ -79,17 +80,32 @@ def test_constructors_build_and_leave_the_check_to_the_query():
 
 def test_class_attributes():
     assert {cls.__name__: _public(cls) for cls in (AlgebraData, CoalgebraData, HopfData,
-                                                    SubspaceBasis, SparseMat, AffineSystem)} == {
+                                                    SubspaceBasis, SparseMat, AffineSystem,
+                                                    SurjectionProblem)} == {
         "AlgebraData": ["dim", "field", "mult", "unit"],
         "CoalgebraData": ["comult", "counit", "dim", "field"],
         "HopfData": ["alg", "antipode", "antipode_inverse", "basis", "coa", "dim", "field"],
         "SubspaceBasis": ["ambient_dim", "basis", "contains", "dim", "tensors"],
         "SparseMat": ["cols", "data", "field", "from_tensor", "rows"],
         "AffineSystem": ["conditions", "labels", "matrix", "rhs", "shape", "unknowns"],
+        "SurjectionProblem": ["a", "alpha", "beta", "e", "pi"],
     }
 
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_no_record_field_is_set_after_construction():
+    """Every dataclass field is a constructor argument: none is declared ``init=False``,
+    to be filled in by a later call."""
+    late = [f"{path.stem}.{cls.name}.{stmt.target.id}"
+            for path in sorted((ROOT / "src" / "hopfsmith").glob("*.py"))
+            for cls in ast.walk(ast.parse(path.read_text())) if isinstance(cls, ast.ClassDef)
+            for stmt in cls.body if isinstance(stmt, ast.AnnAssign)
+            and isinstance(stmt.value, ast.Call)
+            and any(kw.arg == "init" and isinstance(kw.value, ast.Constant)
+                    and kw.value.value is False for kw in stmt.value.keywords)]
+    assert not late, f"fields set after construction: {late}"
 
 
 def _bound_names(target) -> list:
@@ -328,7 +344,7 @@ def _spec_literals(path: Path) -> list:
 def test_each_closure_law_is_spelled_once():
     """Each Hopf and module law is one statement, which both the decision on generators
     and the witness search evaluate: no contraction spec repeats in ``hopf`` or ``yd``,
-    and ``lifting`` takes the module laws of its bimodules from ``yd.module_laws``."""
+    and ``lifting`` takes the module laws of its bimodules from ``hopf.module_laws``."""
     for name in ("hopf.py", "yd.py"):
         specs = _spec_literals(ROOT / "src" / "hopfsmith" / name)
         assert specs and not [s for s in set(specs) if specs.count(s) > 1], name

@@ -15,7 +15,7 @@ from hopfsmith import (FieldSpec, cli, doubles, filtration, hopf, integrals, lif
                        presets, resolve_preset, serialize, smoothness, yd)
 from hopfsmith.filtration import ideal_powers, is_nilpotent_ideal
 from hopfsmith.linalg import contract, solve_affine
-from hopfsmith.lifting import SurjectionProblem, square_zero_extension
+from hopfsmith.lifting import SurjectionProblem, lift_algebra_section, square_zero_extension
 
 from conftest import GRID
 from test_loop_oracles import _basis_vec, _mul, _subspace, _vectors, dense, fs_section_system
@@ -302,7 +302,7 @@ def test_surjection_with_a_padded_map_is_rejected_by_shape():
     pi = {**prob.pi, (2, 0): prob.e.field.one}
     padded = SurjectionProblem(prob.e, prob.a, pi)
     with pytest.raises(ValueError, match=r"pi must be 2 x 4, got an entry at \(2, 0\)"):
-        padded.validate()
+        lift_algebra_section(padded)
 
 
 def test_ideal_powers_end_at_zero_exactly_at_the_nilpotency_index():

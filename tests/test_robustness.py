@@ -8,11 +8,11 @@ import sys
 
 import pytest
 
-from hopfsmith import FieldSpec, QQ, resolve_preset
+from hopfsmith import QQ, resolve_preset
 import hopfsmith.cli as cli
 import hopfsmith.hopf as hopf
 import hopfsmith.linalg as linalg
-from hopfsmith.lifting import lift_algebra_section, square_zero_extension
+from hopfsmith.lifting import coaction_pairs, square_zero_extension
 
 
 @pytest.mark.parametrize("exc", [MemoryError("out of memory"), IndexError("list index")])
@@ -41,29 +41,47 @@ def test_base_exceptions_pass_through(monkeypatch):
         cli.main(["coradical", "--preset", "group:C2"])
 
 
-def _square_zero(char=0):
-    return square_zero_extension(resolve_preset("group:C2", FieldSpec(char)))
+def _regular_coactions(h):
+    """(pi, coact_e, coact_a) of the colinear square-zero extension of ``h``: the coactions
+    (c, v, u) read back from its pairs, stacked (u, v, c)."""
+    p = square_zero_extension(h, colinear=True)
+    coact_e, coact_a = ({(c, v, u): x for (u, v, c), x in pairs.items()}
+                        for pairs in (p.beta, p.alpha))
+    return p.pi, coact_e, coact_a
 
 
 def test_padded_coaction_is_rejected():
     """A coaction tensor (c, v, u) with an image leg v past the 4 basis vectors of E."""
-    p = _square_zero()
-    p.coact_e = {**p.coact_e, (0, 4, 0): QQ.one}
+    h = resolve_preset("group:C2", QQ)
+    pi, coact_e, coact_a = _regular_coactions(h)
+    padded = {**coact_e, (0, 4, 0): QQ.one}
     with pytest.raises(ValueError, match=r"coact_e must be 4 x 4 x 2, got an entry at \(0, 4, 0\)"):
-        lift_algebra_section(p, colinear=True)
+        coaction_pairs(h, pi, padded, coact_a, 4, 2)
 
 
 def test_truncated_coaction_is_rejected():
     """A coaction read on a space or a Hopf algebra too small for one of its keys:
     an H leg u past dim H = 2 on E, a source c past dim A = 2 on A."""
-    p = _square_zero()
-    p.coact_e = {**p.coact_e, (1, 1, 2): QQ.one}
+    h = resolve_preset("group:C2", QQ)
+    pi, coact_e, coact_a = _regular_coactions(h)
+    bad_e = {**coact_e, (1, 1, 2): QQ.one}
     with pytest.raises(ValueError, match=r"coact_e must be 4 x 4 x 2, got an entry at \(1, 1, 2\)"):
-        lift_algebra_section(p, colinear=True)
-    q = _square_zero()
-    q.coact_a = {**q.coact_a, (2, 0, 0): QQ.one}
+        coaction_pairs(h, pi, bad_e, coact_a, 4, 2)
+    bad_a = {**coact_a, (2, 0, 0): QQ.one}
     with pytest.raises(ValueError, match=r"coact_a must be 2 x 2 x 2, got an entry at \(2, 0, 0\)"):
-        lift_algebra_section(q, colinear=True)
+        coaction_pairs(h, pi, coact_e, bad_a, 4, 2)
+
+
+@pytest.mark.parametrize("spec", ["group:C2", "sweedler"])
+def test_a_map_that_does_not_intertwine_the_coactions_is_rejected(spec):
+    """Both coactions are comodules, Delta on E and the trivial v -> v (x) 1 on A, but pi
+    sends Delta on E to Delta on A, not to the trivial coaction."""
+    h = resolve_preset(spec, QQ)
+    n = h.dim
+    pi, coact_e, _ = _regular_coactions(h)
+    trivial = {(c, c, u): x for c in range(n) for (u,), x in h.alg.unit.items()}
+    with pytest.raises(ValueError, match="^pi is not colinear$"):
+        coaction_pairs(h, pi, coact_e, trivial, 2 * n, n)
 
 
 def test_check_hopf_takes_no_sparse_view(monkeypatch):
