@@ -172,9 +172,9 @@ def _cmd_certificate(args, finder, key, reason, serializer) -> int:
 def cmd_double(args) -> int:
     h = _load(args)
     double, ext = drinfeld_double(h)
-    _emit({"command": "double", "dim": double.dim,
-           "double": ser.hopf_to_dict(double),
-           "extension": ser.extension_to_dict(ext)}, args)
+    _emit({"command": "double", "dim": double.dim,  # checked here, as the report states them
+           "double": ser.hopf_to_dict(validated(double)),
+           "extension": ser.extension_to_dict(ext.validate())}, args)
     return 0
 
 
@@ -186,8 +186,7 @@ def cmd_double_separable(args) -> int:
     if adinv is None:
         _emit({**report, "reason": NO_AD_INVARIANT}, args)
         return 1
-    _, ext = drinfeld_double(h)
-    cert = separable_extension(h, ext, adinv.tensor)
+    cert = separable_extension(h, drinfeld_double(h)[1], adinv.tensor)
     report["idempotent_coords"] = ser.json_lists(h.field, cert.tensor, cert.shape)
     _emit(report, args)
     return 0

@@ -8,19 +8,18 @@ a*dim + i) with the straightening rule
 where (h -> f)(x) = f(x h) and (f <- k)(x) = f(k x).  This is the unique
 arrow/side convention under which the Sweedler-algebra double satisfies all
 Hopf axioms.  The antipode is the closed form S_D(f |><| h) = (eps |><| S(h)) ·
-(f o S^{-1} |><| 1) (Kassel, *Quantum Groups*, IX.4).  Every constructed double
-is pushed through the axiom checker, antipode axioms and S_D S_D^{-1} = id too.
+(f o S^{-1} |><| 1) (Kassel, *Quantum Groups*, IX.4).  The double is built
+unchecked; ``double`` checks its Hopf axioms and the extension, which its report states.
 
-D(H) is free as a right H-module on the f_a |><| 1, since (f_a |><| h)(eps |><|
-h') = f_a |><| hh' (Kassel, IX.4), so D(H) (x)_H D(H) = H* (x) D(H) by
-(f |><| h) (x)_H d -> f (x) (eps |><| h)·d.  D(H) is separable over H exactly
-when H has an ad-invariant integral lambda; :func:`separable_extension` writes
-the idempotent e from lambda in those n·N coordinates and checks it, with the
-freeness identity, on the 2n generators f_a |><| 1 and eps |><| e_i: no R (x)_S R
-is built and nothing is eliminated.  The report's ``idempotent_coords`` (entry
-[a][b·n + j] the coefficient of f_a (x) (f_b |><| e_j)) replaced the coordinates
-``idempotent_quotient_coords`` in a quotient basis of R (x)_S R that the engine
-chose; :func:`relative_tensor` still presents R (x)_S R, for the blind search.
+D(H) is free as a right H-module on the f_a |><| 1, since (f_a |><| h)(eps |><| h') =
+f_a |><| hh' (Kassel, IX.4), so D(H) (x)_H D(H) = H* (x) D(H) by (f |><| h) (x)_H d ->
+f (x) (eps |><| h)·d.  D(H) is separable over H exactly when H has an ad-invariant integral
+lambda; :func:`separable_extension` writes the idempotent e from lambda in those n·N
+coordinates, entry (a, b·n + j) the coefficient of f_a (x) (f_b |><| e_j) (the report's
+``idempotent_coords``), and checks it on the 2n generators f_a |><| 1 and eps |><| e_i once
+the freeness identity holds, D(H) is an algebra and H -> D(H) an algebra map: no R (x)_S R
+is built and nothing is eliminated.  :func:`relative_tensor` presents R (x)_S R for the
+blind search.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .fields import FieldSpec
-from .hopf import AlgebraData, CoalgebraData, HopfData, require_algebra_map, validated
+from .hopf import AlgebraData, CoalgebraData, HopfData, check_algebra, require_algebra_map
 from .linalg import (AffineSystem, Certificate, SparseMat, contract, least_failure, rank,
                      require_conditions, require_keys, _kernel_basis, _rref)
 
@@ -43,11 +42,9 @@ class ExtensionData:
     embedding: dict  # S -> R, (x, j): entry x of the image of e_j
 
     def validate(self):
-        r, s = self.big, self.small
-        f = r.field
-        emb = self.embedding
+        r, s, emb = self.big, self.small, self.embedding
         require_keys(emb, (r.dim, s.dim), "embedding")
-        if rank(SparseMat.from_tensor(f, emb, r.dim, s.dim)) != s.dim:
+        if rank(SparseMat.from_tensor(r.field, emb, r.dim, s.dim)) != s.dim:
             raise ValueError("embedding is not injective")
         require_algebra_map(s, r, emb, "embedding")
         return self
@@ -76,12 +73,10 @@ class RelTensor:
 
 
 def drinfeld_double(h: HopfData):
-    """D(H) with its validated Hopf structure and the extension H -> D(H)."""
+    """D(H) with its Hopf structure and the extension H -> D(H), both unchecked."""
     if h.antipode_inverse is None:
         raise ValueError("the double needs a bijective antipode")
-    f = h.field
-    n = h.dim
-    N = n * n
+    f, n, N = h.field, h.dim, h.dim ** 2
     d, m, u, e = h.coa.comult, h.alg.mult, h.alg.unit, h.coa.counit
 
     def flat(tensor: dict) -> dict:
@@ -99,12 +94,9 @@ def drinfeld_double(h: HopfData):
 
     # S_D(f_a |><| e_i) = sum eps_c S[j][i] Sinv[a][b] u_k (f_c |><| e_j)(f_b |><| e_k)
     s = flat(contract(f, "c,ji,ab,k,cjbkpq->pqai", e, h.antipode, h.antipode_inverse, u, mult))
-    double = validated(HopfData(alg, coa, s, None,
-                                [f"{h.basis[a]}*><{h.basis[i]}" for a in range(n) for i in range(n)]))
-
+    names = [f"{h.basis[a]}*><{h.basis[i]}" for a in range(n) for i in range(n)]
     emb = {(a * n + j, j): c for (a,), c in e.items() for j in range(n)}
-    ext = ExtensionData(alg, h.alg, emb).validate()
-    return double, ext
+    return HopfData(alg, coa, s, None, names), ExtensionData(alg, h.alg, emb)
 
 
 def _repeat(action: dict, nr: int) -> int:
@@ -151,13 +143,17 @@ def _double_idempotent_conditions(h: HopfData, ext: ExtensionData) -> list:
     f_a (x) d_K, the image of (f_a |><| 1) (x)_H d_K.  e·d acts on the right leg, d·e on
     the left, where d·(f_a |><| 1) = sum c_P (f_c |><| e_r), P = c·n + r, moves to
     f_c (x) (eps |><| e_r)·d_K.  Raises ``AssertionError`` unless (f_a |><| 1)(eps |><| e_i)
-    = f_a |><| e_i, on which these coordinates rest."""
+    = f_a |><| e_i, on which these coordinates rest and which makes H -> D(H) injective,
+    and unless D(H) is an algebra; ``ValueError`` unless H -> D(H) is an algebra map."""
     r, n = ext.big, h.dim
     f, m, emb = r.field, r.mult, ext.embedding
     free = {(a * n + i, a): c for (i,), c in h.alg.unit.items() for a in range(n)}
     basis = {(a, i, a * n + i): f.one for a in range(n) for i in range(n)}
     if bad := least_failure(2, ("freeness", contract(f, "Qa,Ri,QRL->aiL", free, emb, m), basis)):
         raise AssertionError(f"(f_a |><| 1)(eps |><| e_i) != f_a |><| e_i at (a, i) = {bad[0]}")
+    if not (rep := check_algebra(r)).all_ok:
+        raise AssertionError(f"D(H) fails the algebra axioms: {rep}")
+    require_algebra_map(ext.small, r, emb, "embedding")
     gens = {**free, **{(k, n + i): c for (k, i), c in emb.items()}}
     split = {(c * n + i, c, k): v for (k, i), v in emb.items() for c in range(n)}
     return [("m(e)=1", [(1, "Qa,QKL,aK->L", free, m)], r.unit),

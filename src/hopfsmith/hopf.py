@@ -34,12 +34,12 @@ Conventions, fixed once for the whole package:
   :func:`require_coalgebra_map`, Delta on a subcoalgebra in :func:`restricted_comult`.
   A greedy complement (:func:`quotient_maps`) is the pivot columns of one elimination.
 
-Constructors build and queries check: a preset, a loaded document, a dual and an
-op/cop twist come back unchecked, and each Hopf algebra a query reads is checked
-exactly once by :func:`validated`, which raises rather than return a broken object.
-The CLI checks its input (``check-axioms`` reports that check instead), and the
-constructions made at run time check what they return: :func:`sub_hopf_on_subspace`,
-:func:`doubles.drinfeld_double` and the cover of :func:`lifting.cyclic_cover_problem`.
+Constructors build and queries check: a preset, a loaded document, a dual, an op/cop
+twist and a Drinfeld double come back unchecked.  Each Hopf algebra whose axioms a query
+reads is checked once by :func:`validated`, which raises rather than return a broken
+object: the CLI's input (``check-axioms`` reports that check instead), the double that
+``double`` reports, and what :func:`sub_hopf_on_subspace` and the cover of
+:func:`lifting.cyclic_cover_problem` return; D(H)/H checks only what it reads (:mod:`doubles`).
 H* is never built to read its integrals: they are solved on H's own comultiplication
 and unit (:func:`integrals.integral_space`).
 

@@ -143,9 +143,14 @@ def coaction_pairs(h: HopfData, pi: dict, coact_e: dict, coact_a: dict, ne: int,
 def lift_algebra_section(p: SurjectionProblem):
     """A verified multiplicative section of pi that intertwines the pairs of ``p``, or a
     LiftObstruction carrying a delta-closed curvature witness; raises ``ValueError`` unless
-    pi is a surjective algebra map onto A whose kernel is a nilpotent two-sided ideal."""
+    pi is a surjective algebra map onto A whose kernel is a nilpotent two-sided ideal, and
+    alpha and beta are operators on A and on E indexed by the same u."""
     f, na, m_a, u_a, alpha, beta = p.e.field, p.a.dim, p.a.mult, p.a.unit, p.alpha, p.beta
     require_keys(p.pi, (na, p.e.dim), "pi")
+    if (us := {k[0] for k in alpha}) != {k[0] for k in beta}:
+        raise ValueError("alpha and beta must index the same operators u")
+    for pairs, n, name in ((alpha, na, "alpha"), (beta, p.e.dim, "beta")):
+        require_keys(pairs, (max(us, default=-1) + 1, n, n), name)
     # one elimination: pi is onto exactly when its kernel has the complementary dimension
     ideal = SubspaceBasis(p.e.dim, nullspace(SparseMat.from_tensor(f, p.pi, na, p.e.dim)))
     if ideal.dim != p.e.dim - na:

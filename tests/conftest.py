@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from hopfsmith import FieldSpec, QQ, GF, resolve_preset
+from hopfsmith import FieldSpec, QQ, GF, check_hopf, resolve_preset
+from hopfsmith.doubles import drinfeld_double
 
 
 def F(*args):
@@ -29,6 +30,14 @@ SMALL_GRID = [
     ("group:C2", 0), ("group:C2", 2), ("group:C3", 0), ("group:C3", 3),
     ("functions:C2", 0), ("functions:C2", 2), ("sweedler", 0), ("sweedler", 3),
 ]
+
+
+def checked_double(h):
+    """D(H) and the extension H -> D(H), as ``drinfeld_double`` builds them unchecked,
+    once the Hopf axioms of D(H) and the extension's check pass."""
+    double, ext = drinfeld_double(h)
+    assert check_hopf(double).all_ok, "D(H) fails the Hopf axioms"
+    return double, ext.validate()
 
 
 @pytest.fixture(scope="session")

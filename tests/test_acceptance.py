@@ -11,7 +11,6 @@ import pytest
 
 from hopfsmith import (GF, QQ, FieldSpec, augmentation_ideal, check_hopf,
                        dual_hopf, resolve_preset)
-from hopfsmith.doubles import drinfeld_double
 from hopfsmith.filtration import coradical, wedge_filtration
 from hopfsmith.hopf import curvature
 from hopfsmith.integrals import (ad_coinvariant_integral, ad_invariant_integral,
@@ -23,7 +22,7 @@ from hopfsmith.linalg import Certificate
 from hopfsmith.presets import preset_sweedler
 from hopfsmith.smoothness import find_fs_retraction, find_fs_section
 
-from conftest import GRID, F
+from conftest import GRID, F, checked_double
 from test_loop_oracles import (_basis_vec, _coords, _lists, _nullity, _sparse_mat, _subspace,
                                _unit_vec, _vec, _vectors, blind_separable_extension, dense)
 from test_smoothness import laurent_fs_section_window_check
@@ -99,7 +98,7 @@ def test_criterion_3_double_equivalence(preset_cache):
         h = preset_cache(spec, ch)
         t0 = time.time()
         adinv = ad_invariant_integral(h) is not None
-        _, ext = drinfeld_double(h)
+        _, ext = checked_double(h)
         sep = blind_separable_extension(ext) is not None
         elapsed = time.time() - t0
         worst = max(worst, elapsed)

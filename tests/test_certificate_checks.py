@@ -15,7 +15,7 @@ import pytest
 from hopfsmith import QQ, FieldSpec, cli, linalg, resolve_preset, serialize
 from hopfsmith.doubles import (_double_idempotent_conditions, _verify_extension_idempotent,
                                drinfeld_double, separable_extension)
-from hopfsmith.hopf import SubspaceBasis
+from hopfsmith.hopf import SubspaceBasis, check_algebra
 from hopfsmith.integrals import (_ad_invariant_conditions, _integral_terms, _verify_ad_invariant,
                                  _verify_idempotent, _verify_integral_space, _verify_retraction,
                                  ad_coinvariant_integral, ad_invariant_integral,
@@ -387,7 +387,7 @@ def test_every_single_entry_change_of_the_extension_idempotent_fails(spec, char)
 
 
 def test_cli_exits_2_when_the_double_is_not_free_on_the_f_a(monkeypatch, capsys):
-    """D(C2) with (f_0 |><| 1)(f_0 |><| e_0) raised by f_0 |><| e_1 after its validation:
+    """D(C2) with (f_0 |><| 1)(f_0 |><| e_0) raised by f_0 |><| e_1 after it is built:
     the freeness identity (f_0 |><| 1)(eps |><| e_0) = f_0 |><| e_0 fails, on which the
     identification of D(H) (x)_H D(H) with H* (x) D(H) rests, so the query exits 2."""
     inner = cli.drinfeld_double
@@ -403,6 +403,66 @@ def test_cli_exits_2_when_the_double_is_not_free_on_the_f_a(monkeypatch, capsys)
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == "internal verification failed: " \
         "(f_a |><| 1)(eps |><| e_i) != f_a |><| e_i at (a, i) = (0, 0)"
+
+
+def _transported(f, mult, n, psi, psi_inv):
+    """The multiplication of D(H) carried along id (x) psi on H* (x) H, a linear
+    automorphism that fixes each f_a |><| 1 when psi fixes 1: (x, y) -> phi(phi^{-1}(x)
+    phi^{-1}(y)).  It is an algebra again, and free on the f_a |><| 1 by eps |><| e_i."""
+    phi, phi_inv = ({(a * n + x, a * n + y): v for (x, y), v in t.items() for a in range(n)}
+                    for t in (psi, psi_inv))
+    return contract(f, "pP,qQ,pqr,Rr->PQR", phi_inv, phi_inv, mult, phi)
+
+
+@pytest.mark.parametrize("change,error", [
+    # d_1 d_0 = (f_0 |><| e_1)(f_0 |><| e_0), a product the freeness identity does not read
+    (lambda f, ext: _bumped(f, ext.big.mult, (1, 0, 1)),
+     "internal verification failed: D(H) fails the algebra axioms: "
+     "associativity: FAIL at (1, 0, 0); unit: FAIL at (1,)"),
+    # psi(e_1) = e_0 + e_1 fixes 1 and is not multiplicative, so neither is eps |><| -
+    (lambda f, ext: _transported(f, ext.big.mult, 2, {(0, 0): 1, (0, 1): 1, (1, 1): 1},
+                                 {(0, 0): 1, (0, 1): 2, (1, 1): 1}),
+     "embedding is not multiplicative at (1,1)")], ids=["not-an-algebra", "not-an-algebra-map"])
+def test_cli_exits_2_when_the_double_the_idempotent_reads_is_not_checked(monkeypatch, capsys,
+                                                                        change, error):
+    """D(C2) over F_3 with its multiplication changed after it was built, where the
+    freeness identity still holds: the certificate rests on D(H) being an algebra and
+    on H -> D(H) being an algebra map, so the query checks both and exits 2."""
+    inner = cli.drinfeld_double
+
+    def corrupted(h):
+        double, ext = inner(h)
+        ext.big.mult = change(h.field, ext)
+        return double, ext
+
+    monkeypatch.setattr(cli, "drinfeld_double", corrupted)
+    assert cli.main(["double-separable", "--preset", "group:C2", "--char", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == error
+
+
+def test_no_single_entry_change_of_the_double_that_breaks_its_algebra_is_certified(
+        monkeypatch, capsys):
+    """Each of the 64 entries of D(C2)'s multiplication over F_3, raised by 1 after the
+    double is built: 60 of the changes give a non-algebra, and on each of those the query
+    exits 2 with no report.  16 of them keep the freeness identity and the conditions on
+    the idempotent, so only the check of the algebra D(H) stops them."""
+    inner, broken = cli.drinfeld_double, []
+    for key in product(range(4), repeat=3):
+        def corrupted(h, key=key):
+            double, ext = inner(h)
+            ext.big.mult = _bumped(h.field, ext.big.mult, key)
+            if not check_algebra(ext.big).all_ok:
+                broken.append(key)
+            return double, ext
+
+        monkeypatch.setattr(cli, "drinfeld_double", corrupted)
+        code = cli.main(["double-separable", "--preset", "group:C2", "--char", "3"])
+        captured = capsys.readouterr()
+        if broken and broken[-1] == key:
+            assert (code, captured.out) == (2, ""), key
+    assert len(broken) == 60
 
 
 @pytest.mark.parametrize("where", [["--preset", "group:C2"],

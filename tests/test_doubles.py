@@ -12,7 +12,7 @@ from hopfsmith.integrals import ad_invariant_integral, separability_idempotent
 from hopfsmith.linalg import contract, identity
 from hopfsmith.presets import preset_sweedler
 
-from conftest import F, GRID
+from conftest import F, GRID, checked_double
 from test_loop_oracles import (blind_separable_extension, old_relative_tensor,
                                quotient_idempotent_conditions)
 
@@ -61,7 +61,7 @@ def test_relative_tensor_self_extension():
 
 def test_relative_tensor_of_sweedler_double():
     h4 = preset_sweedler(QQ)
-    _, ext = drinfeld_double(h4)
+    _, ext = checked_double(h4)
     rel = relative_tensor(ext)
     assert rel.dim == 64  # free of rank 4 over H4: 4 * 16
 
@@ -80,7 +80,7 @@ def _assert_block_route(ext, b):
 def test_block_route_equals_full_elimination_on_doubles(spec, char, preset_cache):
     """D(H) is free as a right H-module on the f_a |><| 1, so the run is dim H."""
     h = preset_cache(spec, char)
-    _assert_block_route(drinfeld_double(h)[1], h.dim)
+    _assert_block_route(checked_double(h)[1], h.dim)
 
 
 @pytest.mark.parametrize("spec,build,b", [
@@ -123,11 +123,11 @@ def test_double_separability_group_algebras_all_characteristics(preset_cache):
     # so the double is separable over H even when KG itself is not semisimple
     for spec, char in [("group:C2", 0), ("group:C2", 2), ("group:C3", 3)]:
         h = preset_cache(spec, char)
-        assert blind_separable_extension(drinfeld_double(h)[1]) is not None, (spec, char)
+        assert blind_separable_extension(checked_double(h)[1]) is not None, (spec, char)
 
 
 def test_double_not_separable_for_sweedler():
-    assert blind_separable_extension(drinfeld_double(preset_sweedler(QQ))[1]) is None
+    assert blind_separable_extension(checked_double(preset_sweedler(QQ))[1]) is None
 
 
 def test_three_way_agreement(preset_cache):
@@ -138,13 +138,13 @@ def test_three_way_agreement(preset_cache):
     for spec, char in cases:
         h = preset_cache(spec, char)
         adinv = ad_invariant_integral(h) is not None
-        sep = blind_separable_extension(drinfeld_double(h)[1]) is not None
+        sep = blind_separable_extension(checked_double(h)[1]) is not None
         assert adinv == sep, (spec, char)
 
 
 def test_one_dimensional_double():
     h = resolve_preset("group:C1", QQ)
-    d, ext = drinfeld_double(h)
+    d, ext = checked_double(h)
     assert d.dim == 1
     assert blind_separable_extension(ext) is not None
 
@@ -152,7 +152,7 @@ def test_one_dimensional_double():
 def test_largest_solve_within_budget():
     h4 = preset_sweedler(QQ)
     t0 = time.time()
-    d, ext = drinfeld_double(h4)
+    d, ext = checked_double(h4)
     assert blind_separable_extension(ext) is None
     elapsed = time.time() - t0
     assert elapsed < 60, f"double separability took {elapsed:.1f}s"
@@ -192,7 +192,7 @@ def test_formula_idempotent_agrees_with_the_blind_route(spec, char, dual, preset
     passes the blind solve's conditions; and on a group algebra the two are equal."""
     h = preset_cache(spec, char)
     h = dual_hopf(h) if dual else h
-    _, ext = drinfeld_double(h)
+    _, ext = checked_double(h)
     blind = blind_separable_extension(ext)
     lam = ad_invariant_integral(h)
     assert (lam is None) == (blind is None)
@@ -247,7 +247,7 @@ def test_dual_route_coseparability_of_double():
     for spec, char in [("group:C2", 0), ("group:C2", 2), ("sweedler", 0)]:
         h = resolve_preset(spec, FieldSpec(char))
         hstar = dual_hopf(h)
-        lhs = blind_separable_extension(drinfeld_double(hstar)[1]) is not None
+        lhs = blind_separable_extension(checked_double(hstar)[1]) is not None
         rhs = ad_invariant_integral(hstar) is not None
         assert lhs == rhs, (spec, char)
         assert rhs == (ad_coinvariant_integral(h) is not None)

@@ -227,12 +227,11 @@ def test_nilpotency_index_of_larger_modular_radical():
 
 from hypothesis import given, settings, strategies as st
 
-from hopfsmith.doubles import drinfeld_double
 from hopfsmith.filtration import _fr_radical_mod_p, _trace_form_kernel, _trace_of_power
 from hopfsmith.hopf import dual_algebra
 from hopfsmith.linalg import SparseMat, contract, nullspace
 
-from conftest import GRID
+from conftest import GRID, checked_double
 from test_loop_oracles import _e, _mul, _nullspace, _sparse_mat, dense
 
 
@@ -360,7 +359,7 @@ def test_fr_radical_equals_per_pair_oracle(preset_cache, spec, char, double):
     as powering one per (w, y) pair, where the dense oracle is too slow."""
     h = preset_cache(spec, char)
     if double:
-        h = drinfeld_double(h)[0]
+        h = checked_double(h)[0]
     for a in (h.alg, dual_algebra(h.coa)):
         got, want = _fr_radical_mod_p(a), _per_pair_fr_radical_mod_p(a)
         assert (got.dim, list(got.basis.items())) == (want.dim, list(want.basis.items()))
@@ -401,7 +400,7 @@ def test_coradical_of_the_double_of_taft_4_has_dimension_16():
     """D(Taft(4)) over F_5 (dim 256) is pointed with group-likes G(H*) x G(H) =
     C4 x C4, so its coradical has dimension 16.  Run in process: the dense
     document of the double is about 693 MB."""
-    d, _ = drinfeld_double(resolve_preset("taft:4:2", GF(5)))
+    d, _ = checked_double(resolve_preset("taft:4:2", GF(5)))
     corad = coradical(d.coa)
     assert (d.dim, corad.dim) == (256, 16)
     assert corad.contains(d.field, d.alg.unit)

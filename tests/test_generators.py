@@ -23,7 +23,7 @@ from hopfsmith.hopf import _explained, check_hopf, generators
 from hopfsmith.linalg import contract, identity, least_failure, rank
 from hopfsmith.yd import ACTIONS, adjoint_action
 
-from conftest import GRID
+from conftest import GRID, checked_double
 from test_loop_oracles import _corruptions, _e, _mul, _sparse_mat, dense
 
 
@@ -72,7 +72,7 @@ def test_generators_of_taft_algebras(spec, field):
 
 
 def test_generators_of_the_double_of_sweedler():
-    double, _ = drinfeld_double(resolve_preset("sweedler", QQ))
+    double, _ = checked_double(resolve_preset("sweedler", QQ))
     _assert_greedy(double)
 
 

@@ -44,7 +44,7 @@ from hopfsmith.linalg import (AffineSystem, Certificate, SparseMat, _rref, contr
 from hopfsmith.yd import (ACTIONS, COACTIONS, adjoint_action, adjoint_coaction, check_yd,
                           h_bar_yd, h_plus_yd, yd_on_h)
 
-from conftest import GRID
+from conftest import GRID, checked_double
 
 
 def difference(field, a, b):
@@ -484,7 +484,7 @@ def blind_antipode(h):
 
 @pytest.mark.parametrize("spec,char", GRID)
 def test_double_antipode_formula_equals_the_blind_solve(spec, char, preset_cache):
-    double, _ = drinfeld_double(preset_cache(spec, char))
+    double, _ = checked_double(preset_cache(spec, char))
     assert double.antipode == blind_antipode(double)
 
 

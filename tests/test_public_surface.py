@@ -11,13 +11,15 @@ from every call."""
 import ast
 import builtins
 import inspect
+import sys
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import hopfsmith
-from hopfsmith import cli, serialize
+from hopfsmith import cli, hopf, serialize
+from hopfsmith.doubles import ExtensionData, drinfeld_double
 from hopfsmith.hopf import AlgebraData, CoalgebraData, HopfData, SubspaceBasis, validated
 from hopfsmith.lifting import SurjectionProblem
 from hopfsmith.linalg import AffineSystem, SparseMat
@@ -60,9 +62,10 @@ def test_no_option_offers_a_single_choice():
     assert not single
 
 
-def test_constructors_build_and_leave_the_check_to_the_query():
+def test_constructors_build_and_leave_the_check_to_the_query(monkeypatch):
     """The public constructors take no ``validate`` flag and run no axiom check: a
-    document with a wrong antipode loads, and the check the query runs names it."""
+    document with a wrong antipode loads, and the check the query runs names it.  The
+    double is built with every axiom check and the extension's check made to raise."""
     constructors = [hopfsmith.resolve_preset, hopfsmith.preset_group_algebra,
                     hopfsmith.preset_function_algebra, hopfsmith.preset_sweedler,
                     hopfsmith.preset_taft, hopfsmith.dual_hopf, hopfsmith.op_cop,
@@ -76,6 +79,19 @@ def test_constructors_build_and_leave_the_check_to_the_query():
     assert not rep.checks["antipode"].ok
     with pytest.raises(ValueError, match="antipode: FAIL"):
         validated(h)
+
+    def refused(*args):
+        raise AssertionError("the constructor ran a check")
+
+    for name in ("check_hopf", "check_algebra"):
+        inner = getattr(hopf, name)
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("hopfsmith") and getattr(module, name, None) is inner:
+                monkeypatch.setattr(module, name, refused)
+    monkeypatch.setattr(ExtensionData, "validate", refused)
+    for spec, char, dim in (("sweedler", 0, 16), ("group:S3", 3, 36)):
+        double, ext = drinfeld_double(hopfsmith.resolve_preset(spec, hopfsmith.FieldSpec(char)))
+        assert double.dim == ext.big.dim == dim
 
 
 def test_class_attributes():

@@ -45,10 +45,10 @@ def test_integrals_query_builds_each_space_and_the_dual_once(monkeypatch):
     assert calls == {"integral_space": 4, "check_hopf": 1}
 
 
-def _recorded_checks(monkeypatch) -> list:
-    """Rebind ``check_hopf`` in every module of the package that binds it to a
+def _recorded_checks(monkeypatch, name="check_hopf") -> list:
+    """Rebind the checker ``name`` in every module of the package that binds it to a
     wrapper recording the dimension of each structure it checks."""
-    inner, dims = hopf.check_hopf, []
+    inner, dims = getattr(hopf, name), []
 
     def wrapper(h):
         dims.append(h.dim)
@@ -56,8 +56,8 @@ def _recorded_checks(monkeypatch) -> list:
 
     for module in (cli, doubles, filtration, hopf, integrals, lifting, linalg, presets,
                    serialize, smoothness, yd):
-        if getattr(module, "check_hopf", None) is inner:
-            monkeypatch.setattr(module, "check_hopf", wrapper)
+        if getattr(module, name, None) is inner:
+            monkeypatch.setattr(module, name, wrapper)
     return dims
 
 
@@ -73,20 +73,24 @@ def _recorded_checks(monkeypatch) -> list:
                  id="double-separable-group:S3-3-yes")])
 def test_each_hopf_algebra_a_query_builds_is_checked_once(monkeypatch, command, preset, char,
                                                           coradical, cover):
-    """The input is checked once, D(H) once more for ``double`` and for a "yes"
-    of ``double-separable`` (none of the three presets above has an ad-invariant
-    integral, kS3 has one), the coradical sub-Hopf algebra once more for
-    ``weak-projection`` and KC_{Mn} once more for a ``cyclic-cover:M`` lift; H*
-    is never built.  On k^S3 over F_2 the coradical is not a subalgebra, so
-    ``weak-projection`` stops (exit 2) before it builds one."""
+    """The input is checked once, D(H) once more for ``double``, the coradical sub-Hopf
+    algebra once more for ``weak-projection`` and KC_{Mn} once more for a
+    ``cyclic-cover:M`` lift; H* is never built.  A "yes" of ``double-separable`` (none
+    of the three presets above has an ad-invariant integral, kS3 has one) checks the
+    algebra of D(H) once, and no other Hopf axiom of D(H).  On k^S3 over F_2 the
+    coradical is not a subalgebra, so ``weak-projection`` stops (exit 2) before it
+    builds one."""
     h = resolve_preset(preset, FieldSpec(char))
     dims = _recorded_checks(monkeypatch)
+    algebras = _recorded_checks(monkeypatch, "check_algebra")
     argv = [command, "--preset", preset, "--char", str(char)]
     with contextlib.redirect_stderr(io.StringIO()):
         code = _quiet(argv + (["--problem", f"cyclic-cover:{cover}"] if cover else []))
     expected = [h.dim]
-    if command == "double" or (command == "double-separable" and preset == "group:S3"):
+    if command == "double":
         expected.append(h.dim ** 2)
+    yes = command == "double-separable" and preset == "group:S3"
+    assert algebras == ([h.dim ** 2] if yes else [])
     if cover:
         expected.append(h.dim * cover)
         assert code == 0

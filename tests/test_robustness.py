@@ -1,10 +1,11 @@
 """Input and failure contracts: an unexpected exception leaves the CLI with a
-JSON error and exit 2 (exit 1 means "refuted"), malformed coactions are
-rejected as input errors, and ``check_hopf`` contracts the stored tensors
+JSON error and exit 2 (exit 1 means "refuted"), malformed coactions and lift
+pairs are rejected as input errors, and ``check_hopf`` contracts the stored tensors
 without taking a sparse view of anything."""
 
 import json
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -12,7 +13,7 @@ from hopfsmith import QQ, resolve_preset
 import hopfsmith.cli as cli
 import hopfsmith.hopf as hopf
 import hopfsmith.linalg as linalg
-from hopfsmith.lifting import coaction_pairs, square_zero_extension
+from hopfsmith.lifting import coaction_pairs, lift_algebra_section, square_zero_extension
 
 
 @pytest.mark.parametrize("exc", [MemoryError("out of memory"), IndexError("list index")])
@@ -82,6 +83,21 @@ def test_a_map_that_does_not_intertwine_the_coactions_is_rejected(spec):
     trivial = {(c, c, u): x for c in range(n) for (u,), x in h.alg.unit.items()}
     with pytest.raises(ValueError, match="^pi is not colinear$"):
         coaction_pairs(h, pi, coact_e, trivial, 2 * n, n)
+
+
+@pytest.mark.parametrize("alpha,beta,message", [
+    ({(0, 7, 0): QQ.one}, {}, r"alpha must be 2 x 2 x 2, got an entry at \(0, 7, 0\)"),
+    ({}, {(0, 9, 9): QQ.one}, r"beta must be 2 x 4 x 4, got an entry at \(0, 9, 9\)"),
+    (None, {}, "^alpha and beta must index the same operators u$")],
+    ids=["alpha-past-A", "beta-past-E", "beta-without-alpha"])
+def test_lift_pairs_outside_their_shape_are_rejected(alpha, beta, message):
+    """The pairs of the colinear square-zero problem on kC2, with an entry past dim A = 2
+    in alpha, one past dim E = 4 in beta, or no alpha at all: no section is lifted."""
+    p = square_zero_extension(resolve_preset("group:C2", QQ), colinear=True)
+    changed = replace(p, alpha={} if alpha is None else {**p.alpha, **alpha},
+                      beta={**p.beta, **beta})
+    with pytest.raises(ValueError, match=message):
+        lift_algebra_section(changed)
 
 
 def test_check_hopf_takes_no_sparse_view(monkeypatch):

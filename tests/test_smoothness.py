@@ -4,7 +4,6 @@ from typing import Callable
 import pytest
 
 from hopfsmith import GF, QQ, FieldSpec, dual_hopf, resolve_preset
-from hopfsmith.doubles import drinfeld_double
 from hopfsmith.integrals import ad_invariant_integral, separability_idempotent
 from hopfsmith.presets import preset_sweedler
 from hopfsmith.linalg import Certificate
@@ -14,7 +13,7 @@ from hopfsmith.smoothness import (check_chi_quotients, check_im_tau,
                                   verify_fs_section)
 from hopfsmith.yd import h_plus_yd
 
-from conftest import F
+from conftest import F, checked_double
 
 
 CYCLIC_CASES = [(n, ch) for n in range(1, 7) for ch in (0, 2, 3, 5)]
@@ -105,7 +104,7 @@ def test_formula_maps_are_complete_on_a_hopf_algebra_neither_commutative_nor_coc
     neither commutative nor cocommutative: tau and chi written from its
     normalized integrals meet (i), (ii) and (iii), and no system in their
     44,100 entries is solved."""
-    d, _ = drinfeld_double(resolve_preset("group:S3", GF(5)))
+    d, _ = checked_double(resolve_preset("group:S3", GF(5)))
     commuted = {(j, i, k): v for (i, j, k), v in d.alg.mult.items()}
     cocommuted = {(k, j, i): v for (k, i, j), v in d.coa.comult.items()}
     assert commuted != d.alg.mult and cocommuted != d.coa.comult

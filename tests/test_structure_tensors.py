@@ -69,6 +69,8 @@ def test_presets_and_their_twists_store_only_nonzero_entries(preset_cache):
 def test_doubles_store_only_nonzero_entries(preset_cache):
     for spec, char in DOUBLE_INPUTS:
         double, ext = drinfeld_double(preset_cache(spec, char))
+        assert check_hopf(double).all_ok, (spec, char, "double")
+        ext.validate()
         _assert_hopf(double, (spec, char, "double"))
         _assert_algebra(ext.big, (spec, char, "extension"))
         _assert_algebra(ext.small, (spec, char, "base"))
